@@ -3,6 +3,10 @@ products, the special groups needed by the planarity/toroidality golden
 tests, Cayley-table ingestion, and the deterministic catalog used by the
 scan command.
 
+Each family is one record in ``FAMILIES``: its parameter names, validity
+rule, order, label, builder and catalog instances.  The formula registry and
+the CLI read the same table.
+
 Construction routes: explicit normal forms for dihedral, dicyclic, U_6n,
 M_2mn and the order-pq groups; matrix enumeration over GF(q) for the four
 matrix families (Hanaki A(n,nu) and A(n,p), GL(2,q), PSL(2,2^k) realized as
@@ -16,6 +20,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 from . import ff
 from .coset import Presentation, coset_enumerate
@@ -37,170 +42,6 @@ class CayleyFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# family specs
-# ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    return ff.is_prime(n)
-
-
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return True  # q itself prime
-
-
-_FAMILY_PARAM_NAMES = {
-    "dihedral": ("m",),
-    "dicyclic": ("n",),
-    "quasidihedral": ("n",),
-    "sd8n": ("n",),
-    "v8n": ("n",),
-    "u6n": ("n",),
-    "m2mn": ("m", "n"),
-    "pq": ("p", "q"),
-    "sz2": (),
-    "hanaki_a1": ("n",),
-    "hanaki_a2": ("n", "p"),
-    "gl2": ("q",),
-    "psl2": ("k",),
-}
-
-FAMILY_NAMES = tuple(sorted(_FAMILY_PARAM_NAMES))
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus parameter tuple, e.g. FamilySpec("dihedral", (6,))."""
-
-    family: str
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.family not in _FAMILY_PARAM_NAMES:
-            raise FamilyError(f"unknown family {self.family!r}")
-        names = _FAMILY_PARAM_NAMES[self.family]
-        if len(self.params) != len(names):
-            raise FamilyError(
-                f"family {self.family} takes parameters {names}, got {self.params}"
-            )
-        err = self.validity_error()
-        if err:
-            raise FamilyError(f"{self.family}{self.params}: {err}")
-
-    def validity_error(self) -> str | None:
-        f, ps = self.family, self.params
-        if f == "dihedral":
-            if ps[0] < 3:
-                return "m must be >= 3"
-        elif f == "dicyclic":
-            if ps[0] < 2:
-                return "n must be >= 2"
-        elif f == "quasidihedral":
-            if ps[0] < 4:
-                return "n must be >= 4 (order 2^n >= 16)"
-        elif f == "sd8n":
-            if ps[0] < 2:
-                return "n must be >= 2"
-        elif f in ("v8n", "u6n"):
-            if ps[0] < 1:
-                return "n must be >= 1"
-        elif f == "m2mn":
-            m, n = ps
-            if m < 3 or m == 4:
-                return "m must be >= 3 and != 4"
-            if n < 1:
-                return "n must be >= 1"
-        elif f == "pq":
-            p, q = ps
-            if not (_is_prime(p) and _is_prime(q)):
-                return "p and q must be prime"
-            if p >= q:
-                return "p must be < q"
-            if (q - 1) % p:
-                return "p must divide q-1"
-        elif f == "hanaki_a1":
-            if ps[0] < 2:
-                return "n must be >= 2 (n = 1 gives an abelian group)"
-        elif f == "hanaki_a2":
-            n, p = ps
-            if n < 1:
-                return "n must be >= 1"
-            if not _is_prime(p):
-                return "p must be prime"
-        elif f == "gl2":
-            if ps[0] <= 2 or not _is_prime_power(ps[0]):
-                return "q must be a prime power > 2"
-        elif f == "psl2":
-            if ps[0] < 2:
-                return "k must be >= 2"
-        return None
-
-    def order(self) -> int:
-        f, ps = self.family, self.params
-        if f == "dihedral":
-            return 2 * ps[0]
-        if f == "dicyclic":
-            return 4 * ps[0]
-        if f == "quasidihedral":
-            return 2 ** ps[0]
-        if f in ("sd8n", "v8n"):
-            return 8 * ps[0]
-        if f == "u6n":
-            return 6 * ps[0]
-        if f == "m2mn":
-            return 2 * ps[0] * ps[1]
-        if f == "pq":
-            return ps[0] * ps[1]
-        if f == "sz2":
-            return 20
-        if f == "hanaki_a1":
-            return 4 ** ps[0]
-        if f == "hanaki_a2":
-            return ps[1] ** (3 * ps[0])
-        if f == "gl2":
-            q = ps[0]
-            return (q * q - 1) * (q * q - q)
-        q = 2 ** ps[0]
-        return (q + 1) * q * (q - 1)
-
-    def label(self) -> str:
-        f, ps = self.family, self.params
-        if f == "dihedral":
-            return f"D_{2 * ps[0]}"
-        if f == "dicyclic":
-            return f"Q_{4 * ps[0]}"
-        if f == "quasidihedral":
-            return f"QD_{2 ** ps[0]}"
-        if f == "sd8n":
-            return f"SD_{8 * ps[0]}"
-        if f == "v8n":
-            return f"V_{8 * ps[0]}"
-        if f == "u6n":
-            return f"U_{6 * ps[0]}"
-        if f == "m2mn":
-            return f"M_{2 * ps[0] * ps[1]}[m={ps[0]},n={ps[1]}]"
-        if f == "pq":
-            return f"Z_{ps[1]}:Z_{ps[0]}"
-        if f == "sz2":
-            return "Sz(2)"
-        if f == "hanaki_a1":
-            return f"A({ps[0]},nu)"
-        if f == "hanaki_a2":
-            return f"A({ps[0]},{ps[1]})"
-        if f == "gl2":
-            return f"GL(2,{ps[0]})"
-        return f"PSL(2,{2 ** ps[0]})"
-
-
-# ---------------------------------------------------------------------------
 # normal-form builders
 # ---------------------------------------------------------------------------
 
@@ -213,7 +54,7 @@ def _dihedral(m: int) -> FiniteGroup:
         sign = -1 if s1 else 1
         row = [((u1 + sign * (j % m)) % m) + (((s1 + j // m) % 2) * m) for j in range(n)]
         table.append(row)
-    return FiniteGroup(table, label=f"D_{n}")
+    return FiniteGroup(table)
 
 
 def _dicyclic(n: int) -> FiniteGroup:
@@ -232,7 +73,7 @@ def _dicyclic(n: int) -> FiniteGroup:
                 u += n  # g^2 = f^n
             row.append((u % twon) + (((s1 + s2) % 2) * twon))
         table.append(row)
-    return FiniteGroup(table, label=f"Q_{size}")
+    return FiniteGroup(table)
 
 
 def _u6n(n: int) -> FiniteGroup:
@@ -245,7 +86,7 @@ def _u6n(n: int) -> FiniteGroup:
         sign = -1 if j1 % 2 else 1
         row = [((i1 + sign * (jdx % 3)) % 3) + 3 * ((j1 + jdx // 3) % twon) for jdx in range(size)]
         table.append(row)
-    return FiniteGroup(table, label=f"U_{size}")
+    return FiniteGroup(table)
 
 
 def _m2mn(m: int, n: int) -> FiniteGroup:
@@ -258,7 +99,7 @@ def _m2mn(m: int, n: int) -> FiniteGroup:
         sign = -1 if j1 % 2 else 1
         row = [((i1 + sign * (jdx % m)) % m) + m * ((j1 + jdx // m) % twon) for jdx in range(size)]
         table.append(row)
-    return FiniteGroup(table, label=f"M_{size}[m={m},n={n}]")
+    return FiniteGroup(table)
 
 
 def _least_primitive_root(q: int) -> int:
@@ -292,7 +133,7 @@ def _pq(p: int, q: int) -> FiniteGroup:
         ry1 = rpow[y1]
         row = [((x1 + ry1 * (j // p)) % q) * p + ((y1 + j % p) % p) for j in range(size)]
         table.append(row)
-    return FiniteGroup(table, label=f"Z_{q}:Z_{p}")
+    return FiniteGroup(table)
 
 
 def cyclic(n: int, label: str | None = None) -> FiniteGroup:
@@ -314,48 +155,50 @@ def suzuki2_affine() -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# presentation builders
+# presentations (coset-enumerated by build_family and special_group)
 # ---------------------------------------------------------------------------
 
 def _power(letter: int, e: int) -> tuple[int, ...]:
     return (letter,) * e if e >= 0 else (-letter,) * (-e)
 
 
-def presentation_for(spec: FamilySpec) -> Presentation:
-    f, ps = spec.family, spec.params
+def _sd8n_presentation(n: int) -> Presentation:
     F, G = 1, 2
-    if f == "sd8n":
-        (n,) = ps
-        return Presentation(2, (
-            _power(F, 4 * n),
-            _power(G, 2),
-            (G, F, G) + _power(F, -(2 * n - 1)),  # g f g = f^(2n-1)
-        ))
-    if f == "v8n":
-        (n,) = ps
-        return Presentation(2, (
-            _power(F, 2 * n),
-            _power(G, 4),
-            (G, F, G, F),        # g f = f^-1 g^-1
-            (-G, F, -G, F),      # g^-1 f = f^-1 g
-        ))
-    if f == "quasidihedral":
-        (n,) = ps
-        half = 2 ** (n - 1)
-        e = 2 ** (n - 2) - 1
-        return Presentation(2, (
-            _power(F, half),
-            _power(G, 2),
-            (G, F, -G) + _power(F, -e),  # g f g^-1 = f^(2^(n-2)-1)
-        ))
-    if f == "sz2":
-        A, B = 1, 2
-        return Presentation(2, (
-            _power(A, 5),
-            _power(B, 4),
-            (-B, A, B, -A, -A),  # b^-1 a b = a^2
-        ))
-    raise FamilyError(f"no presentation route for family {f}")
+    return Presentation(2, (
+        _power(F, 4 * n),
+        _power(G, 2),
+        (G, F, G) + _power(F, -(2 * n - 1)),  # g f g = f^(2n-1)
+    ))
+
+
+def _v8n_presentation(n: int) -> Presentation:
+    F, G = 1, 2
+    return Presentation(2, (
+        _power(F, 2 * n),
+        _power(G, 4),
+        (G, F, G, F),        # g f = f^-1 g^-1
+        (-G, F, -G, F),      # g^-1 f = f^-1 g
+    ))
+
+
+def _quasidihedral_presentation(n: int) -> Presentation:
+    F, G = 1, 2
+    half = 2 ** (n - 1)
+    e = 2 ** (n - 2) - 1
+    return Presentation(2, (
+        _power(F, half),
+        _power(G, 2),
+        (G, F, -G) + _power(F, -e),  # g f g^-1 = f^(2^(n-2)-1)
+    ))
+
+
+def _sz2_presentation() -> Presentation:
+    A, B = 1, 2
+    return Presentation(2, (
+        _power(A, 5),
+        _power(B, 4),
+        (-B, A, B, -A, -A),  # b^-1 a b = a^2
+    ))
 
 
 def dihedral_presentation(m: int) -> Presentation:
@@ -381,7 +224,7 @@ def _hanaki_a1(n: int) -> FiniteGroup:
         addb1 = add[b1]
         row = [idx[(add[a1][a2], add[addb1[b2]][mul[fa1][a2]])] for a2, b2 in els]
         table.append(row)
-    return FiniteGroup(table, label=f"A({n},nu)")
+    return FiniteGroup(table)
 
 
 def _hanaki_a2(n: int, p: int) -> FiniteGroup:
@@ -399,10 +242,10 @@ def _hanaki_a2(n: int, p: int) -> FiniteGroup:
             for a2, b2, c2 in els
         ]
         table.append(row)
-    return FiniteGroup(table, label=f"A({n},{p})")
+    return FiniteGroup(table)
 
 
-def _matrix_group(K: ff.Field, det_condition, label: str) -> FiniteGroup:
+def _matrix_group(K: ff.Field, det_condition) -> FiniteGroup:
     """2x2 matrices over K whose determinant satisfies det_condition,
     lex-ordered by (a, b, c, d) with the identity moved to index 0."""
     add, mul = K.index_tables()
@@ -434,23 +277,174 @@ def _matrix_group(K: ff.Field, det_condition, label: str) -> FiniteGroup:
             for e, f2, g, h in els
         ]
         table.append(row)
-    return FiniteGroup(table, label=label)
+    return FiniteGroup(table)
 
 
 def _gl2(q: int) -> FiniteGroup:
     K = ff.field_of_order(q)
-    return _matrix_group(K, lambda det: det != 0, f"GL(2,{q})")
+    return _matrix_group(K, lambda det: det != 0)
 
 
-def _sl2(q: int, label: str | None = None) -> FiniteGroup:
+def _sl2(q: int) -> FiniteGroup:
     K = ff.field_of_order(q)
     one = K.index(K.one)
-    return _matrix_group(K, lambda det: det == one, label or f"SL(2,{q})")
+    return _matrix_group(K, lambda det: det == one)
 
 
 def _psl2_2k(k: int) -> FiniteGroup:
     # in characteristic 2 the center of SL(2, 2^k) is trivial, so SL = PSL
-    return _sl2(2 ** k, label=f"PSL(2,{2 ** k})")
+    return _sl2(2 ** k)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the checker knows about one group family.
+
+    ``check``, ``order``, ``label`` and ``build`` take the parameters
+    positionally.  ``check`` returns None for a valid tuple and otherwise
+    the reason it is invalid.  ``build`` returns the group, or a
+    presentation that build_family coset-enumerates.
+    """
+
+    params: tuple[str, ...]
+    check: Callable[..., str | None]
+    order: Callable[..., int]
+    label: Callable[..., str]
+    build: Callable[..., FiniteGroup | Presentation]
+
+    def instances(self, max_order: int) -> list[tuple[int, ...]]:
+        """Every valid parameter tuple whose group has order <= max_order.
+
+        Each parameter counts up from 1 while the order, with the later
+        parameters at 1, stays within max_order: no family's order shrinks
+        as a parameter grows.  The count also stops at max_order itself,
+        since no valid parameter exceeds its group's order.
+        """
+        found: list[tuple[int, ...]] = [()]
+        for rest in reversed(range(len(self.params))):
+            grown = []
+            for ps in found:
+                for v in range(1, max_order + 1):
+                    if self.order(*ps, v, *(1,) * rest) > max_order:
+                        break
+                    grown.append(ps + (v,))
+            found = grown
+        return [ps for ps in found if self.order(*ps) <= max_order and self.check(*ps) is None]
+
+
+def _at_least(name: str, least: int, why: str = "") -> Callable[[int], str | None]:
+    return lambda v: None if v >= least else f"{name} must be >= {least}{why}"
+
+
+def _is_prime_power(q: int) -> bool:
+    if q < 2:
+        return False
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+        p += 1
+    return True  # q itself prime
+
+
+def _m2mn_check(m: int, n: int) -> str | None:
+    if m < 3 or m == 4:
+        return "m must be >= 3 and != 4"
+    return None if n >= 1 else "n must be >= 1"
+
+
+def _pq_check(p: int, q: int) -> str | None:
+    if not (ff.is_prime(p) and ff.is_prime(q)):
+        return "p and q must be prime"
+    if p >= q:
+        return "p must be < q"
+    return "p must divide q-1" if (q - 1) % p else None
+
+
+def _hanaki_a2_check(n: int, p: int) -> str | None:
+    if n < 1:
+        return "n must be >= 1"
+    return None if ff.is_prime(p) else "p must be prime"
+
+
+def _gl2_check(q: int) -> str | None:
+    return None if q > 2 and _is_prime_power(q) else "q must be a prime power > 2"
+
+
+# fields: params, check, order, label, build
+FAMILIES: dict[str, Family] = {
+    "dihedral": Family(
+        ("m",), _at_least("m", 3),
+        lambda m: 2 * m, lambda m: f"D_{2 * m}", _dihedral),
+    "dicyclic": Family(
+        ("n",), _at_least("n", 2),
+        lambda n: 4 * n, lambda n: f"Q_{4 * n}", _dicyclic),
+    "quasidihedral": Family(
+        ("n",), _at_least("n", 4, " (order 2^n >= 16)"),
+        lambda n: 2 ** n, lambda n: f"QD_{2 ** n}", _quasidihedral_presentation),
+    "sd8n": Family(
+        ("n",), _at_least("n", 2),
+        lambda n: 8 * n, lambda n: f"SD_{8 * n}", _sd8n_presentation),
+    "v8n": Family(
+        ("n",), _at_least("n", 1),
+        lambda n: 8 * n, lambda n: f"V_{8 * n}", _v8n_presentation),
+    "u6n": Family(
+        ("n",), _at_least("n", 1),
+        lambda n: 6 * n, lambda n: f"U_{6 * n}", _u6n),
+    "m2mn": Family(
+        ("m", "n"), _m2mn_check,
+        lambda m, n: 2 * m * n, lambda m, n: f"M_{2 * m * n}[m={m},n={n}]", _m2mn),
+    "pq": Family(
+        ("p", "q"), _pq_check,
+        lambda p, q: p * q, lambda p, q: f"Z_{q}:Z_{p}", _pq),
+    "sz2": Family(
+        (), lambda: None,
+        lambda: 20, lambda: "Sz(2)", _sz2_presentation),
+    "hanaki_a1": Family(
+        ("n",), _at_least("n", 2, " (n = 1 gives an abelian group)"),
+        lambda n: 4 ** n, lambda n: f"A({n},nu)", _hanaki_a1),
+    "hanaki_a2": Family(
+        ("n", "p"), _hanaki_a2_check,
+        lambda n, p: p ** (3 * n), lambda n, p: f"A({n},{p})", _hanaki_a2),
+    "gl2": Family(
+        ("q",), _gl2_check,
+        lambda q: (q * q - 1) * (q * q - q), lambda q: f"GL(2,{q})", _gl2),
+    "psl2": Family(
+        ("k",), _at_least("k", 2),
+        lambda k: (2 ** k + 1) * 2 ** k * (2 ** k - 1), lambda k: f"PSL(2,{2 ** k})", _psl2_2k),
+}
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """A family name plus parameter tuple, e.g. FamilySpec("dihedral", (6,))."""
+
+    family: str
+    params: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        fam = FAMILIES.get(self.family)
+        if fam is None:
+            raise FamilyError(f"unknown family {self.family!r}")
+        if len(self.params) != len(fam.params):
+            raise FamilyError(
+                f"family {self.family} takes parameters {fam.params}, got {self.params}"
+            )
+        err = fam.check(*self.params)
+        if err:
+            raise FamilyError(f"{self.family}{self.params}: {err}")
+
+    def order(self) -> int:
+        return FAMILIES[self.family].order(*self.params)
+
+    def label(self) -> str:
+        return FAMILIES[self.family].label(*self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +458,10 @@ def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
         raise OrderCapError(
             f"{spec.label()} has order {expected}, above the cap {order_cap}"
         )
-    f, ps = spec.family, spec.params
-    if f == "dihedral":
-        G = _dihedral(ps[0])
-    elif f == "dicyclic":
-        G = _dicyclic(ps[0])
-    elif f == "u6n":
-        G = _u6n(ps[0])
-    elif f == "m2mn":
-        G = _m2mn(*ps)
-    elif f == "pq":
-        G = _pq(*ps)
-    elif f in ("sd8n", "v8n", "quasidihedral", "sz2"):
-        G = coset_enumerate(presentation_for(spec), bound=16 * expected + 64, label=spec.label())
-    elif f == "hanaki_a1":
-        G = _hanaki_a1(ps[0])
-    elif f == "hanaki_a2":
-        G = _hanaki_a2(*ps)
-    elif f == "gl2":
-        G = _gl2(ps[0])
-    else:
-        G = _psl2_2k(ps[0])
+    G = FAMILIES[spec.family].build(*spec.params)
+    if isinstance(G, Presentation):
+        G = coset_enumerate(G, bound=16 * expected + 64)
+    G.label = spec.label()
     if G.order != expected:
         raise FamilyError(
             f"{spec.label()}: construction produced order {G.order}, expected {expected}"
@@ -516,16 +493,16 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
 # special groups
 # ---------------------------------------------------------------------------
 
-def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
+def _perm_group(perms: list[tuple[int, ...]]) -> FiniteGroup:
     els = sorted(perms)  # identity is lex-least
     idx = {e: i for i, e in enumerate(els)}
     table = []
     for s in els:
         table.append([idx[tuple(s[t[i]] for i in range(len(t)))] for t in els])
-    return FiniteGroup(table, label=label)
+    return FiniteGroup(table)
 
 
-def _symmetric(n: int, even_only: bool, label: str) -> FiniteGroup:
+def _symmetric(n: int, even_only: bool) -> FiniteGroup:
     from itertools import permutations
 
     perms = []
@@ -540,83 +517,63 @@ def _symmetric(n: int, even_only: bool, label: str) -> FiniteGroup:
             if inv % 2:
                 continue
         perms.append(perm)
-    return _perm_group(perms, label)
+    return _perm_group(perms)
 
 
-def _special_presentations() -> dict[str, Presentation]:
+def _special_groups() -> dict[str, tuple[int, Callable[[], FiniteGroup | Presentation]]]:
     A, B, C = 1, 2, 3
     return {
+        "A_4": (12, lambda: _symmetric(4, True)),
+        "S_4": (24, lambda: _symmetric(4, False)),
+        "A_5": (60, lambda: _sl2(4)),  # A_5 = PSL(2,4) = SL(2,4)
+        "SL(2,3)": (24, lambda: _sl2(3)),
         # modular (Iwasawa) group of order 16: b a b^-1 = a^5
-        "M_16": Presentation(2, (
+        "M_16": (16, lambda: Presentation(2, (
             _power(A, 8), _power(B, 2), (B, A, -B) + _power(A, -5),
-        )),
-        "Z_4:Z_4": Presentation(2, (
+        ))),
+        "Z_4:Z_4": (16, lambda: Presentation(2, (
             _power(A, 4), _power(B, 4), (B, A, -B, A),
-        )),
+        ))),
         # central product of D_8 and Z_4 over their common central involution
-        "D_8*Z_4": Presentation(3, (
+        "D_8*Z_4": (16, lambda: Presentation(3, (
             _power(A, 4), _power(B, 2), (B, A, -B, A),
             _power(C, 4), (C, C, -A, -A),
             (C, A, -C, -A), (C, B, -C, -B),
-        )),
+        ))),
         # (Z_2 x Z_2) : Z_4 with the order-4 generator swapping the factors
-        "SG(16,3)": Presentation(3, (
+        "SG(16,3)": (16, lambda: Presentation(3, (
             _power(A, 2), _power(B, 2), _power(C, 4),
             (A, B, -A, -B),
             (C, A, -C, B), (C, B, -C, A),
-        )),
+        ))),
+        "Z_2xD_8": (16, lambda: direct_product(cyclic(2), _dihedral(4))),
+        "Z_2xQ_8": (16, lambda: direct_product(cyclic(2), _dicyclic(2))),
+        "D_6xZ_3": (18, lambda: direct_product(_dihedral(3), cyclic(3))),
+        "A_4xZ_2": (24, lambda: direct_product(_symmetric(4, True), cyclic(2))),
     }
 
 
-def _build_special(name: str) -> FiniteGroup:
-    if name == "A_4":
-        return _symmetric(4, True, "A_4")
-    if name == "S_4":
-        return _symmetric(4, False, "S_4")
-    if name == "A_5":
-        G = _sl2(4, label="A_5")  # A_5 = PSL(2,4) = SL(2,4)
-        return G
-    if name == "SL(2,3)":
-        return _sl2(3)
-    if name == "Z_2xD_8":
-        return direct_product(cyclic(2), _dihedral(4), label="Z_2xD_8")
-    if name == "Z_2xQ_8":
-        return direct_product(cyclic(2), _dicyclic(2), label="Z_2xQ_8")
-    if name == "D_6xZ_3":
-        return direct_product(_dihedral(3), cyclic(3), label="D_6xZ_3")
-    if name == "A_4xZ_2":
-        return direct_product(_symmetric(4, True, "A_4"), cyclic(2), label="A_4xZ_2")
-    pres = _special_presentations()[name]
-    return coset_enumerate(pres, bound=2048, label=name)
-
-
-_SPECIAL_NAMES = (
-    "A_4", "S_4", "A_5", "SL(2,3)",
-    "M_16", "Z_4:Z_4", "D_8*Z_4", "SG(16,3)",
-    "Z_2xD_8", "Z_2xQ_8",
-    "D_6xZ_3", "A_4xZ_2",
-)
-
-_SPECIAL_ORDERS = {
-    "A_4": 12, "S_4": 24, "A_5": 60, "SL(2,3)": 24,
-    "M_16": 16, "Z_4:Z_4": 16, "D_8*Z_4": 16, "SG(16,3)": 16,
-    "Z_2xD_8": 16, "Z_2xQ_8": 16,
-    "D_6xZ_3": 18, "A_4xZ_2": 24,
-}
+# name -> (order, builder), in roster order; a builder returns the group or a
+# presentation that special_group coset-enumerates
+SPECIAL_GROUPS = _special_groups()
 
 
 def special_group(name: str) -> FiniteGroup:
-    if name not in _SPECIAL_ORDERS:
+    if name not in SPECIAL_GROUPS:
         raise FamilyError(f"unknown special group {name!r}")
-    G = _build_special(name)
-    if G.order != _SPECIAL_ORDERS[name]:  # pragma: no cover - construction bug guard
-        raise FamilyError(f"{name}: built order {G.order} != {_SPECIAL_ORDERS[name]}")
+    order, build = SPECIAL_GROUPS[name]
+    G = build()
+    if isinstance(G, Presentation):
+        G = coset_enumerate(G, bound=2048)
+    if G.order != order:  # pragma: no cover - construction bug guard
+        raise FamilyError(f"{name}: built order {G.order} != {order}")
+    G.label = name
     return G
 
 
 def builtin_special_groups() -> list[FiniteGroup]:
     """The named groups from the planarity/toroidality results, concretely built."""
-    return [special_group(name) for name in _SPECIAL_NAMES]
+    return [special_group(name) for name in SPECIAL_GROUPS]
 
 
 # ---------------------------------------------------------------------------
@@ -713,65 +670,19 @@ class CatalogEntry:
         return build_family(FamilySpec(self.family, self.params), order_cap=order_cap)
 
 
-def _primes_up_to(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if _is_prime(p)]
-
-
 def catalog(max_order: int) -> list[CatalogEntry]:
     """Every builtin family instance and special group of order <= max_order,
-    deduplicated by (family, params) and deterministically sorted."""
+    deterministically sorted."""
     if max_order < 6:
         raise FamilyError("max_order must be >= 6")
-    specs: list[FamilySpec] = []
-    specs += [FamilySpec("dihedral", (m,)) for m in range(3, max_order // 2 + 1)]
-    specs += [FamilySpec("dicyclic", (n,)) for n in range(2, max_order // 4 + 1)]
-    n = 4
-    while 2 ** n <= max_order:
-        specs.append(FamilySpec("quasidihedral", (n,)))
-        n += 1
-    specs += [FamilySpec("sd8n", (n,)) for n in range(2, max_order // 8 + 1)]
-    specs += [FamilySpec("v8n", (n,)) for n in range(1, max_order // 8 + 1)]
-    specs += [FamilySpec("u6n", (n,)) for n in range(1, max_order // 6 + 1)]
-    for m in range(3, max_order // 2 + 1):
-        if m == 4:
-            continue
-        for nn in range(1, max_order // (2 * m) + 1):
-            specs.append(FamilySpec("m2mn", (m, nn)))
-    primes = _primes_up_to(max_order)
-    for q in primes:
-        for p in primes:
-            if p >= q or p * q > max_order:
-                continue
-            if (q - 1) % p == 0:
-                specs.append(FamilySpec("pq", (p, q)))
-    if max_order >= 20:
-        specs.append(FamilySpec("sz2", ()))
-    nn = 2
-    while 4 ** nn <= max_order:
-        specs.append(FamilySpec("hanaki_a1", (nn,)))
-        nn += 1
-    for p in primes:
-        nn = 1
-        while p ** (3 * nn) <= max_order:
-            specs.append(FamilySpec("hanaki_a2", (nn, p)))
-            nn += 1
-    q = 3
-    while (q * q - 1) * (q * q - q) <= max_order:
-        if _is_prime_power(q):
-            specs.append(FamilySpec("gl2", (q,)))
-        q += 1
-    k = 2
-    while (2 ** k + 1) * 2 ** k * (2 ** k - 1) <= max_order:
-        specs.append(FamilySpec("psl2", (k,)))
-        k += 1
-
-    entries = {
-        (s.family, s.params): CatalogEntry(s.order(), s.family, s.params, s.label())
-        for s in specs
-    }
-    for name in _SPECIAL_NAMES:
-        if _SPECIAL_ORDERS[name] <= max_order:
-            entries[("special", name)] = CatalogEntry(
-                _SPECIAL_ORDERS[name], "special", (), name
-            )
-    return sorted(entries.values(), key=CatalogEntry.sort_key)
+    entries = [
+        CatalogEntry(fam.order(*ps), name, ps, fam.label(*ps))
+        for name, fam in FAMILIES.items()
+        for ps in fam.instances(max_order)
+    ]
+    entries += [
+        CatalogEntry(order, "special", (), name)
+        for name, (order, _) in SPECIAL_GROUPS.items()
+        if order <= max_order
+    ]
+    return sorted(entries, key=CatalogEntry.sort_key)

@@ -15,29 +15,29 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .build import (
     DEFAULT_ORDER_CAP,
+    FAMILIES,
     CatalogEntry,
     FamilySpec,
     FamilyError,
     OrderCapError,
     CayleyFormatError,
-    _FAMILY_PARAM_NAMES,
     build_family,
     catalog,
     ingest_cayley,
 )
-from .formulas import crosscheck, registry_for
-from .grp import AbelianGroupError, FiniteGroup, GroupTableError
+from .formulas import Applicable, CrosscheckResult, crosscheck, registry_for
+from .grp import FiniteGroup, GroupTableError
 from .zagreb import (
     GraphFormatError,
+    GroupReport,
     Verdict,
     conjecture_verdict,
     group_report,
     read_edge_list,
-    zagreb_complement,
     zagreb_direct,
 )
 
@@ -45,11 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
-
-CSV_HEADER = (
-    "label,family,params,order,center,vertices,edges_c,m1_c,m2_c,"
-    "edges_nc,m1_nc,m2_nc,verdict_c,verdict_nc,gap_c,gap_nc,formula_diffs"
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,49 +77,41 @@ class ScanRow:
     def sort_key(self):
         return (self.order, self.family, self.params, self.label)
 
-    def params_str(self) -> str:
-        return ";".join(str(p) for p in self.params)
-
     def csv_fields(self) -> list:
+        # params is the one non-scalar field: ";"-joined in CSV, a list in JSON
         return [
-            self.label, self.family, self.params_str(), self.order, self.center,
-            self.vertices, self.edges_c, self.m1_c, self.m2_c,
-            self.edges_nc, self.m1_nc, self.m2_nc,
-            self.verdict_c, self.verdict_nc, self.gap_c, self.gap_nc,
-            self.formula_diffs,
+            ";".join(map(str, self.params)) if f.name == "params" else getattr(self, f.name)
+            for f in fields(self)
         ]
 
     def json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "family": self.family,
-            "params": list(self.params),
-            "order": self.order,
-            "center": self.center,
-            "vertices": self.vertices,
-            "edges_c": self.edges_c,
-            "m1_c": self.m1_c,
-            "m2_c": self.m2_c,
-            "edges_nc": self.edges_nc,
-            "m1_nc": self.m1_nc,
-            "m2_nc": self.m2_nc,
-            "verdict_c": self.verdict_c,
-            "verdict_nc": self.verdict_nc,
-            "gap_c": self.gap_c,
-            "gap_nc": self.gap_nc,
-            "formula_diffs": self.formula_diffs,
-        }
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["params"] = list(self.params)
+        return row
 
 
-def _row_for_group(G: FiniteGroup, family: str, params: tuple[int, ...]) -> ScanRow:
-    rep = group_report(G)
-    # emission-time self check: complement formulas must reproduce the NC side
-    nc_again = zagreb_complement(rep.c)
-    if nc_again != rep.nc:  # pragma: no cover - group_report already enforces this
-        raise AssertionError(f"{G.label}: NC report mismatch at emission")
-    diffs = 0
-    for app in registry_for(G):
-        diffs += len(crosscheck(app.entry, app.params, report=rep).diffs)
+CSV_HEADER = ",".join(f.name for f in fields(ScanRow))
+
+# every flag a family parameter can take, in first-use order over the table
+_PARAM_NAMES = tuple(dict.fromkeys(name for fam in FAMILIES.values() for name in fam.params))
+
+
+_Checks = list[tuple[Applicable, CrosscheckResult]]
+
+
+def _crosschecks(G: FiniteGroup, rep: GroupReport) -> _Checks:
+    """Each formula entry that applies to G, crosschecked against its report."""
+    return [(app, crosscheck(app.entry, app.params, report=rep)) for app in registry_for(G)]
+
+
+def _row_for_group(G: FiniteGroup, family: str, params: tuple[int, ...],
+                   rep: GroupReport | None = None, checks: _Checks | None = None) -> ScanRow:
+    """The scan row for G; pass ``rep`` and ``checks`` when already computed."""
+    if rep is None:
+        rep = group_report(G)
+    if checks is None:
+        checks = _crosschecks(G, rep)
+    diffs = sum(len(result.diffs) for _, result in checks)
     return ScanRow(
         label=G.label,
         family=family,
@@ -189,9 +176,8 @@ def _parse_range(text: str, flag: str) -> list[int]:
 
 
 def _family_params(args, family: str, parser: _Parser) -> tuple[int, ...]:
-    names = _FAMILY_PARAM_NAMES[family]
     values = []
-    for name in names:
+    for name in FAMILIES[family].params:
         v = getattr(args, name, None)
         if v is None:
             parser.error(f"family {family} requires --{name}")
@@ -220,9 +206,8 @@ def _cmd_family(args, parser: _Parser) -> int:
 
 
 def _cmd_verify(args, parser: _Parser) -> int:
-    names = _FAMILY_PARAM_NAMES[args.family]
     ranges = []
-    for name in names:
+    for name in FAMILIES[args.family].params:
         raw = getattr(args, name, None)
         if raw is None:
             parser.error(f"verify {args.family} requires --{name} (value or LO..HI)")
@@ -274,14 +259,20 @@ def _cmd_verify(args, parser: _Parser) -> int:
 def _cmd_scan(args, parser: _Parser) -> int:
     if args.max_order < 6:
         parser.error("--max-order must be >= 6")
+    if args.jobs < 0:
+        parser.error("--jobs must be >= 0 (0 means all cores)")
     entries = catalog(args.max_order)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     work = [(e, args.order_cap) for e in entries]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_worker, work, chunksize=8))
-    else:
-        rows = [_scan_worker(w) for w in work]
+    try:
+        if jobs > 1 and len(work) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_scan_worker, work, chunksize=8))
+        else:
+            rows = [_scan_worker(w) for w in work]
+    except OrderCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     file_errors: list[str] = []
     if args.catalog_extra:
@@ -308,9 +299,8 @@ def _cmd_scan(args, parser: _Parser) -> int:
     rows.sort(key=ScanRow.sort_key)
     counts = {"groups": len(rows), "strict": 0, "equality": 0, "fails": 0, "undefined": 0}
     for r in rows:
-        for v in (r.verdict_c, r.verdict_nc):
-            counts[{"strict": "strict", "equality": "equality",
-                    "fails": "fails", "undefined": "undefined"}[v]] += 1
+        counts[r.verdict_c] += 1
+        counts[r.verdict_nc] += 1
     _emit_rows(rows, args.format, summary=counts)
     for err in file_errors:
         print(f"warning: {err}", file=sys.stderr)
@@ -376,8 +366,8 @@ def _cmd_group(args, parser: _Parser) -> int:
         print("error: Group must be non-abelian", file=sys.stderr)
         return EXIT_VALIDATION
     rep = group_report(G)
-    row = _row_for_group(G, "ingested", ())
-    apps = registry_for(G)
+    checks = _crosschecks(G, rep)
+    row = _row_for_group(G, "ingested", (), rep, checks)
     pr = G.commutativity_degree()
     info = {
         "label": G.label,
@@ -394,9 +384,9 @@ def _cmd_group(args, parser: _Parser) -> int:
                 "params": list(app.params),
                 "source": app.source,
                 "tags": list(app.tags),
-                "diffs": len(crosscheck(app.entry, app.params, report=rep).diffs),
+                "diffs": len(result.diffs),
             }
-            for app in apps
+            for app, result in checks
         ],
         "row": row.json_dict(),
     }
@@ -420,12 +410,12 @@ def _cmd_group(args, parser: _Parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_param_flags(sub: _Parser) -> None:
-    for name in ("m", "n", "p", "q", "k"):
+    for name in _PARAM_NAMES:
         sub.add_argument(f"--{name}", type=int, default=None)
 
 
 def _add_param_range_flags(sub: _Parser) -> None:
-    for name in ("m", "n", "p", "q", "k"):
+    for name in _PARAM_NAMES:
         sub.add_argument(f"--{name}", type=str, default=None,
                          help=f"{name} value or LO..HI range")
 
@@ -435,7 +425,7 @@ def build_parser() -> _Parser:
                      description="Zagreb indices of commuting/non-commuting "
                                  "graphs of finite groups")
     sub = parser.add_subparsers(dest="command", required=True)
-    families = sorted(_FAMILY_PARAM_NAMES)
+    families = sorted(FAMILIES)
 
     p_family = sub.add_parser("family", help="report for one family instance")
     p_family.add_argument("family", choices=families)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .build import FAMILIES
+from .ff import is_prime
 from .grp import (
     FiniteGroup,
     recognize_dihedral,
@@ -96,17 +98,6 @@ def _parts(*pairs: tuple[int, int]) -> CliqueDecomposition:
         if copies and size:
             merged[size] = merged.get(size, 0) + copies
     return CliqueDecomposition(tuple((merged[s], s) for s in sorted(merged)))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def _prediction(parts, m1_c, m2_c, m1_nc, m2_nc, vertices, edges_c, edges_nc, eq):
@@ -483,14 +474,6 @@ def _psl2_alt_m2_nc(k: int):
 # the registry
 # ---------------------------------------------------------------------------
 
-def _v_dihedral(m):
-    return None if m >= 3 else "m must be >= 3"
-
-
-def _v_positive(n):
-    return None if n >= 1 else "n must be >= 1"
-
-
 _ALT_COMPLEMENT_NOTE = "variant form; fails the complement identity"
 _ALT_EQUALITY_NOTE = "variant equality claim; contradicted by the oracle"
 
@@ -502,86 +485,42 @@ def _register(entry: FormulaEntry) -> FormulaEntry:
     return entry
 
 
-_register(FormulaEntry("dihedral", ("m",), _v_dihedral, _dihedral_predict))
-_register(FormulaEntry(
-    "dicyclic", ("n",),
-    lambda n: None if n >= 2 else "n must be >= 2",
-    _dicyclic_predict,
+def _register_family(key: str, predict, alt_forms: tuple[AltForm, ...] = ()) -> FormulaEntry:
+    """A family's entry; its parameter names and validity rule come from build.FAMILIES."""
+    family = FAMILIES[key]
+    return _register(FormulaEntry(key, family.params, family.check, predict, alt_forms))
+
+
+_register_family("dihedral", _dihedral_predict)
+_register_family("dicyclic", _dicyclic_predict)
+_register_family("quasidihedral", _quasidihedral_predict)
+_register_family("sd8n", _sd8n_predict, (
+    AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _sd8n_alt_m1_nc),
+    AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _sd8n_alt_m2_nc),
+    AltForm("equality_c", _ALT_EQUALITY_NOTE, lambda n: n == 2),
+    AltForm("equality_nc", _ALT_EQUALITY_NOTE, lambda n: n == 2),
 ))
-_register(FormulaEntry(
-    "quasidihedral", ("n",),
-    lambda n: None if n >= 4 else "n must be >= 4",
-    _quasidihedral_predict,
+_register_family("v8n", _v8n_predict, (
+    AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _v8n_even_alt_m1_nc),
+    AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _v8n_even_alt_m2_nc),
 ))
-_register(FormulaEntry(
-    "sd8n", ("n",),
-    lambda n: None if n >= 2 else "n must be >= 2",
-    _sd8n_predict,
-    alt_forms=(
-        AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _sd8n_alt_m1_nc),
-        AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _sd8n_alt_m2_nc),
-        AltForm("equality_c", _ALT_EQUALITY_NOTE, lambda n: n == 2),
-        AltForm("equality_nc", _ALT_EQUALITY_NOTE, lambda n: n == 2),
-    ),
+_register_family("u6n", _u6n_predict)
+_register_family("m2mn", _m2mn_predict)
+_register_family("pq", _pq_predict, (
+    AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _pq_alt_m1_nc),
+    AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _pq_alt_m2_nc),
 ))
-_register(FormulaEntry(
-    "v8n", ("n",), _v_positive, _v8n_predict,
-    alt_forms=(
-        AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _v8n_even_alt_m1_nc),
-        AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _v8n_even_alt_m2_nc),
-    ),
+_register_family("sz2", lambda: _quot_sz2_predict(1))
+_register_family("hanaki_a1", _hanaki_a1_predict, (
+    AltForm("edges_nc", _ALT_COMPLEMENT_NOTE, _hanaki_a1_alt_e_nc),
 ))
-_register(FormulaEntry("u6n", ("n",), _v_positive, _u6n_predict))
-_register(FormulaEntry(
-    "m2mn", ("m", "n"),
-    lambda m, n: (
-        "m must be >= 3 and != 4" if m < 3 or m == 4
-        else ("n must be >= 1" if n < 1 else None)
-    ),
-    _m2mn_predict,
-))
-_register(FormulaEntry(
-    "pq", ("p", "q"),
-    lambda p, q: (
-        "p and q must be prime" if not (_is_prime(p) and _is_prime(q))
-        else ("p must be < q" if p >= q
-              else ("p must divide q-1" if (q - 1) % p else None))
-    ),
-    _pq_predict,
-    alt_forms=(
-        AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _pq_alt_m1_nc),
-        AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _pq_alt_m2_nc),
-    ),
-))
-_register(FormulaEntry("sz2", (), lambda: None, lambda: _quot_sz2_predict(1)))
-_register(FormulaEntry(
-    "hanaki_a1", ("n",),
-    lambda n: None if n >= 2 else "n must be >= 2",
-    _hanaki_a1_predict,
-    alt_forms=(AltForm("edges_nc", _ALT_COMPLEMENT_NOTE, _hanaki_a1_alt_e_nc),),
-))
-_register(FormulaEntry(
-    "hanaki_a2", ("n", "p"),
-    lambda n, p: (
-        "n must be >= 1" if n < 1 else (None if _is_prime(p) else "p must be prime")
-    ),
-    _hanaki_a2_predict,
-))
-_register(FormulaEntry(
-    "gl2", ("q",),
-    lambda q: None if q > 2 else "q must be a prime power > 2",
-    _gl2_predict,
-))
-_register(FormulaEntry(
-    "psl2", ("k",),
-    lambda k: None if k >= 2 else "k must be >= 2",
-    _psl2_predict,
-    alt_forms=(
-        AltForm("edges_c", _ALT_COMPLEMENT_NOTE, _psl2_alt_e_c),
-        AltForm("edges_nc", _ALT_COMPLEMENT_NOTE, _psl2_alt_e_nc),
-        AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _psl2_alt_m1_nc),
-        AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _psl2_alt_m2_nc),
-    ),
+_register_family("hanaki_a2", _hanaki_a2_predict)
+_register_family("gl2", _gl2_predict)
+_register_family("psl2", _psl2_predict, (
+    AltForm("edges_c", _ALT_COMPLEMENT_NOTE, _psl2_alt_e_c),
+    AltForm("edges_nc", _ALT_COMPLEMENT_NOTE, _psl2_alt_e_nc),
+    AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _psl2_alt_m1_nc),
+    AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _psl2_alt_m2_nc),
 ))
 _register(FormulaEntry(
     "quot_dihedral", ("m", "n"),
@@ -591,12 +530,14 @@ _register(FormulaEntry(
 _register(FormulaEntry(
     "quot_zpzp", ("p", "n"),
     lambda p, n: (
-        "p must be prime" if not _is_prime(p) else ("n must be >= 1" if n < 1 else None)
+        "p must be prime" if not is_prime(p) else ("n must be >= 1" if n < 1 else None)
     ),
     _quot_zpzp_predict,
     alt_forms=(AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _quot_zpzp_alt_m2_nc),),
 ))
-_register(FormulaEntry("quot_sz2", ("n",), _v_positive, _quot_sz2_predict))
+_register(FormulaEntry(
+    "quot_sz2", ("n",), lambda n: None if n >= 1 else "n must be >= 1", _quot_sz2_predict,
+))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .ff import is_prime
+
 DEFAULT_ASSOC_CAP = 512
 
 
@@ -210,7 +212,7 @@ def recognize_elementary_abelian_p2(G: FiniteGroup) -> int | None:
     """Return p if G is Z_p x Z_p for a prime p, else None."""
     n = G.order
     p = _integer_sqrt(n)
-    if p is None or not _is_prime(p):
+    if p is None or not is_prime(p):
         return None
     if not G.is_abelian():
         return None
@@ -225,14 +227,3 @@ def _integer_sqrt(n: int) -> int | None:
         if c >= 0 and c * c == n:
             return c
     return None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True

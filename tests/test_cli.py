@@ -149,6 +149,23 @@ def test_scan_rejects_small_max_order(capsys):
     assert exc.value.code == 1
 
 
+def test_scan_order_cap_is_validation_error(capsys):
+    code, out, err = run(capsys, "scan", "--max-order", "64", "--order-cap", "20",
+                         "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    # the first catalog entry above the cap, named as `family` names it
+    assert line == "error: Z_7:Z_3 has order 21, above the cap 20"
+
+
+def test_scan_negative_jobs_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--max-order", "8", "--jobs", "-3"])
+    assert exc.value.code == 1
+    assert "--jobs must be >= 0" in capsys.readouterr().err
+
+
 def test_scan_catalog_extra(tmp_path, capsys):
     # a hand-written order-20 table: must match the Sz(2) family row
     sz = build_family(FamilySpec("sz2", ()))

@@ -1,8 +1,17 @@
 """Formula registry: anchor values, internal identities, dispatch, crosscheck."""
 
+import itertools
+
 import pytest
 
-from groupzagreb.build import FamilySpec, build_family, ingest_cayley, special_group
+from groupzagreb.build import (
+    FAMILIES,
+    FamilyError,
+    FamilySpec,
+    build_family,
+    ingest_cayley,
+    special_group,
+)
 from groupzagreb.formulas import (
     ENTRIES,
     FormulaError,
@@ -82,6 +91,24 @@ def test_validity_errors():
         evaluate(ENTRIES["quot_zpzp"], (6, 2))
     with pytest.raises(FormulaError):
         evaluate(ENTRIES["dihedral"], (3, 1))  # arity
+    with pytest.raises(FormulaError):
+        evaluate(ENTRIES["gl2"], (6,))  # GL(2,6) does not exist
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_spec_and_formula_accept_the_same_params(family):
+    for params in itertools.product(range(-1, 10), repeat=len(FAMILIES[family].params)):
+        try:
+            FamilySpec(family, params)
+            spec_ok = True
+        except FamilyError:
+            spec_ok = False
+        try:
+            ENTRIES[family].evaluate(params)
+            formula_ok = True
+        except FormulaError:
+            formula_ok = False
+        assert spec_ok == formula_ok, params
 
 
 # -- entry-internal identities ---------------------------------------------------
