@@ -665,6 +665,8 @@ class CatalogEntry:
         return (self.order, self.family, self.params, self.label)
 
     def build(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+        if self.order > order_cap:
+            raise OrderCapError(f"{self.label} has order {self.order}, above the cap {order_cap}")
         if self.family == "special":
             return special_group(self.label)
         return build_family(FamilySpec(self.family, self.params), order_cap=order_cap)

@@ -368,12 +368,11 @@ def _cmd_group(args, parser: _Parser) -> int:
     rep = group_report(G)
     checks = _crosschecks(G, rep)
     row = _row_for_group(G, "ingested", (), rep, checks)
-    pr = G.commutativity_degree()
     info = {
         "label": G.label,
         "order": G.order,
         "center": rep.center_size,
-        "commutativity_degree": f"{pr.numerator}/{pr.denominator}",
+        "commutativity_degree": str(G.commutativity_degree()),  # < 1 here, so "num/den"
         "distinct_centralizers": G.count_distinct_centralizers(),
         "decomposition": (
             [list(p) for p in rep.decomposition.parts] if rep.decomposition else None

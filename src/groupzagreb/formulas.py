@@ -574,22 +574,19 @@ def _looks_like_f20(G: FiniteGroup) -> bool:
     return profile == _F20_ORDER_PROFILE
 
 
-def registry_for(G: FiniteGroup, with_tags: bool = True) -> tuple[Applicable, ...]:
+def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
     """Entries applicable to G: its own family entry (when it was built from a
     family spec) plus quotient-hypothesis entries whenever G/Z(G) is
     recognized, with consequence tags from centralizer counts and the
     commutativity degree."""
     apps: list[Applicable] = []
     tags: tuple[str, ...] = ()
-    if with_tags:
-        tag_list = []
-        cents = G.count_distinct_centralizers()
-        if cents in (4, 5):
-            tag_list.append(f"{cents}-centralizer")
-        pr = G.commutativity_degree()
-        if pr in _PR_CONSEQUENCES:
-            tag_list.append(f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}")
-        tags = tuple(tag_list)
+    cents = G.count_distinct_centralizers()
+    if cents in (4, 5):
+        tags += (f"{cents}-centralizer",)
+    pr = G.commutativity_degree()
+    if pr in _PR_CONSEQUENCES:
+        tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
 
     if G.family in ENTRIES:
         apps.append(Applicable(ENTRIES[G.family], G.params or (), "family", tags))

@@ -1,7 +1,8 @@
 """Finite groups as explicit multiplication tables, plus the structural
-queries the rest of the library needs: center, centralizers, commutativity
-degree, central quotients and the two quotient-shape recognizers used for
-formula dispatch.
+queries the rest of the library needs: the commutation relation, computed
+once per group as one centralizer bitmask per element, which the center,
+centralizers, Pr(G) and ``zagreb.commuting_graph`` read; central quotients;
+and the two quotient-shape recognizers used for formula dispatch.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -14,10 +15,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
+from operator import eq
 
 from .ff import is_prime
 
 DEFAULT_ASSOC_CAP = 512
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class GroupTableError(ValueError):
@@ -77,36 +81,37 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
+    # -- the commutation relation ----------------------------------------------
+    @cached_property
+    def centralizer_masks(self) -> tuple[int, ...]:
+        """Bit g of mask x is set iff x*g == g*x, so mask x is C_G(x); the one
+        commutation pass over the table."""
         t = self.table
-        n = self.order
-        return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
+        cols = list(zip(*t))
+        # one byte 0/1 per g, reversed so that g = 0 is the lowest bit
+        return tuple(
+            int(bytes(map(eq, t[x], cols[x]))[::-1].translate(_BIT_CHARS), 2)
+            for x in range(self.order)
+        )
 
-    # -- centers and centralizers --------------------------------------------
     def center(self) -> tuple[int, ...]:
-        if not hasattr(self, "_center"):
-            t = self.table
-            n = self.order
-            cols = list(zip(*t))
-            self._center = tuple(x for x in range(n) if tuple(t[x]) == cols[x])
-        return self._center
+        n = self.order
+        return tuple(x for x, m in enumerate(self.centralizer_masks) if m.bit_count() == n)
+
+    def is_abelian(self) -> bool:
+        return len(self.center()) == self.order
 
     def centralizer(self, x: int) -> tuple[int, ...]:
-        t = self.table
-        row = t[x]
-        return tuple(g for g in range(self.order) if t[g][x] == row[g])
-
-    def centralizer_sizes(self) -> list[int]:
-        return [len(self.centralizer(x)) for x in range(self.order)]
+        m = self.centralizer_masks[x]
+        return tuple(g for g in range(self.order) if m >> g & 1)
 
     def count_distinct_centralizers(self) -> int:
         """Number of distinct subgroups {C_G(x) : x in G}, including G itself."""
-        return len({self.centralizer(x) for x in range(self.order)})
+        return len(set(self.centralizer_masks))
 
     def commutativity_degree(self) -> Fraction:
         """Probability that a uniform ordered pair commutes, as an exact fraction."""
-        commuting_pairs = sum(self.centralizer_sizes())
-        return Fraction(commuting_pairs, self.order**2)
+        return Fraction(sum(m.bit_count() for m in self.centralizer_masks), self.order**2)
 
     def conjugacy_class_count(self) -> int:
         t = self.table

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from operator import itemgetter
 
 from .grp import AbelianGroupError, FiniteGroup
 
@@ -132,24 +133,19 @@ class ConjectureVerdict:
 # ---------------------------------------------------------------------------
 
 def commuting_graph(G: FiniteGroup) -> SimpleGraph:
-    """Vertices are the non-central elements in ascending index order;
-    edges join commuting pairs."""
-    z = set(G.center())
-    if len(z) == G.order:
+    """Vertices are the non-central elements in ascending index order; edges
+    join commuting pairs, read off the group's centralizer masks."""
+    n = G.order
+    masks = G.centralizer_masks
+    vertices = [x for x, m in enumerate(masks) if m.bit_count() < n]
+    if not vertices:
         raise AbelianGroupError("Group must be non-abelian")
-    vertices = [x for x in range(G.order) if x not in z]
-    k = len(vertices)
-    t = G.table
-    rows = [0] * k
-    for a in range(k):
-        x = vertices[a]
-        tx = t[x]
-        for b in range(a + 1, k):
-            y = vertices[b]
-            if tx[y] == t[y][x]:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return SimpleGraph(k, rows)
+    # a row: the vertex digits of the mask in binary, highest first, minus own bit
+    pick = itemgetter(*[n - 1 - x for x in reversed(vertices)])
+    return SimpleGraph(len(vertices), [
+        int("".join(pick(format(masks[x], f"0{n}b"))), 2) ^ (1 << a)
+        for a, x in enumerate(vertices)
+    ])
 
 
 def non_commuting_graph(G: FiniteGroup) -> SimpleGraph:

@@ -312,6 +312,13 @@ def test_catalog_sorted_and_buildable():
         assert G.order == e.order
 
 
+def test_catalog_entry_cap_applies_to_special_groups():
+    entry = next(e for e in catalog(60) if e.label == "A_5")
+    with pytest.raises(OrderCapError, match="A_5 has order 60, above the cap 10"):
+        entry.build(order_cap=10)
+    assert entry.build(order_cap=60).order == 60
+
+
 def test_catalog_rejects_tiny_bound():
     with pytest.raises(FamilyError):
         catalog(5)

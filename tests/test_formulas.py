@@ -289,11 +289,6 @@ def test_registry_for_u12():
     assert keys == {("u6n", (2,)), ("quot_dihedral", (3, 2))}
 
 
-def test_registry_skips_tags_when_disabled():
-    apps = registry_for(B("dicyclic", 2), with_tags=False)
-    assert all(a.tags == () or a.source == "quotient" for a in apps)
-
-
 # -- crosscheck ----------------------------------------------------------------------------
 
 def test_crosscheck_clean_for_d14():

@@ -1,16 +1,18 @@
 """Group queries against independent brute-force oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from groupzagreb.build import FamilySpec, build_family, ingest_cayley, special_group
+from groupzagreb.build import FamilySpec, build_family, catalog, ingest_cayley, special_group
 from groupzagreb.grp import (
     FiniteGroup,
     GroupTableError,
     recognize_dihedral,
     recognize_elementary_abelian_p2,
 )
+from groupzagreb.zagreb import commuting_graph
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 
@@ -35,6 +37,32 @@ def naive_commuting_pairs(G):
         for y in range(G.order)
         if G.table[x][y] == G.table[y][x]
     )
+
+
+def naive_centralizer(G, x):
+    return tuple(g for g in range(G.order) if G.table[x][g] == G.table[g][x])
+
+
+def naive_commuting_rows(G):
+    z = naive_center(G)
+    vertices = [x for x in range(G.order) if x not in z]
+    rows = [0] * len(vertices)
+    for a, x in enumerate(vertices):
+        for b, y in enumerate(vertices):
+            if a != b and G.table[x][y] == G.table[y][x]:
+                rows[a] |= 1 << b
+    return rows
+
+
+def relabelled_sl23():
+    """SL(2,3) ingested from a table whose elements were shuffled."""
+    t = special_group("SL(2,3)").table
+    n = len(t)
+    perm = list(range(n))
+    random.Random(7).shuffle(perm)
+    inv = [perm.index(i) for i in range(n)]
+    rows = [[inv[t[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
+    return ingest_cayley(f"{n}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
 
 
 # -- multiply -----------------------------------------------------------------
@@ -85,6 +113,8 @@ def test_center_abelian_is_everything():
     ("gl2", (5,), 4),
     ("dihedral", (7,), 1),
     ("hanaki_a1", (2,), 4),
+    ("sd8n", (2,), 2),
+    ("psl2", (2,), 1),
 ])
 def test_center_sizes(fam, params, size):
     G = build_family(FamilySpec(fam, params))
@@ -152,6 +182,8 @@ def test_pr_abelian():
     ("hanaki_a2", (1, 3), Fraction(11, 27)),
     ("dihedral", (5,), Fraction(2, 5)),
     ("dihedral", (7,), Fraction(5, 14)),
+    ("gl2", (3,), Fraction(1, 6)),
+    ("psl2", (2,), Fraction(1, 12)),
 ])
 def test_pr_known_values(fam, params, pr):
     G = build_family(FamilySpec(fam, params))
@@ -167,6 +199,29 @@ def test_pr_equals_class_count_over_order():
         G = build_family(FamilySpec(fam, params))
         assert G.order <= 100
         assert G.commutativity_degree() == Fraction(G.conjugacy_class_count(), G.order)
+
+
+# -- every commutation query against the table-scanning oracles ----------------------
+
+CATALOG_64 = catalog(64)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [e.build for e in CATALOG_64] + [relabelled_sl23],
+    ids=[e.label for e in CATALOG_64] + ["ingested SL(2,3)"],
+)
+def test_commutation_queries_match_naive_oracles(build):
+    G = build()
+    assert G.center() == naive_center(G)
+    cents = [naive_centralizer(G, x) for x in range(G.order)]
+    assert [G.centralizer(x) for x in range(G.order)] == cents
+    assert G.count_distinct_centralizers() == len(set(cents))
+    pairs = naive_commuting_pairs(G)
+    assert G.commutativity_degree() == Fraction(pairs, G.order**2)
+    assert G.commutativity_degree() == Fraction(G.conjugacy_class_count(), G.order)
+    assert G.is_abelian() == (pairs == G.order**2)
+    assert commuting_graph(G).rows == naive_commuting_rows(G)
 
 
 # -- central quotient -------------------------------------------------------------
