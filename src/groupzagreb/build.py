@@ -24,7 +24,7 @@ from typing import Callable
 
 from . import ff
 from .coset import Presentation, coset_enumerate
-from .grp import DEFAULT_ASSOC_CAP, FiniteGroup, GroupTableError
+from .grp import FiniteGroup, GroupTableError
 
 DEFAULT_ORDER_CAP = 5000
 
@@ -580,7 +580,7 @@ def builtin_special_groups() -> list[FiniteGroup]:
 # Cayley-table ingestion
 # ---------------------------------------------------------------------------
 
-def ingest_cayley(source, assoc_cap: int = DEFAULT_ASSOC_CAP) -> FiniteGroup:
+def ingest_cayley(source) -> FiniteGroup:
     """Parse and fully validate a Cayley-table file.
 
     Format: first line the order n, then n lines of n space-separated
@@ -628,8 +628,9 @@ def ingest_cayley(source, assoc_cap: int = DEFAULT_ASSOC_CAP) -> FiniteGroup:
         table.append(row)
 
     identity = None
+    identity_row = list(range(n))
     for e in range(n):
-        if table[e] == list(range(n)) and all(table[i][e] == i for i in range(n)):
+        if table[e] == identity_row and all(table[i][e] == i for i in range(n)):
             identity = e
             break
     if identity is None:
@@ -644,7 +645,7 @@ def ingest_cayley(source, assoc_cap: int = DEFAULT_ASSOC_CAP) -> FiniteGroup:
             for i in old_order
         ]
     G = FiniteGroup(table, label=label)
-    G.validate(assoc_cap=assoc_cap)
+    G.validate()
     return G
 
 

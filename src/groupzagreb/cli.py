@@ -34,6 +34,7 @@ from .grp import FiniteGroup, GroupTableError
 from .zagreb import (
     GraphFormatError,
     GroupReport,
+    RouteMismatchError,
     Verdict,
     conjecture_verdict,
     group_report,
@@ -133,10 +134,24 @@ def _row_for_group(G: FiniteGroup, family: str, params: tuple[int, ...],
     )
 
 
+class ScanEntryError(Exception):
+    """A catalog entry failed to build or report.  The args are (label,
+    message), so it pickles and crosses the worker pool intact."""
+
+    def __str__(self) -> str:
+        return "{}: {}".format(*self.args)
+
+
 def _scan_worker(args: tuple[CatalogEntry, int]) -> ScanRow:
     entry, order_cap = args
-    G = entry.build(order_cap=order_cap)
-    return _row_for_group(G, entry.family, entry.params)
+    try:
+        G = entry.build(order_cap=order_cap)
+        return _row_for_group(G, entry.family, entry.params)
+    except OrderCapError:
+        raise  # its message already names the entry
+    except (RouteMismatchError, ValueError, RuntimeError) as exc:
+        # the library's error classes all derive from one of these
+        raise ScanEntryError(entry.label, str(exc)) from exc
 
 
 def _emit_rows(rows: list[ScanRow], fmt: str, summary: dict | None = None) -> None:
@@ -256,6 +271,18 @@ def _cmd_verify(args, parser: _Parser) -> int:
     return EXIT_VALIDATION if failures else EXIT_OK
 
 
+def _declared_order(fh) -> int | None:
+    """The order on the first non-blank line of a Cayley file, read without
+    parsing the table; None if it is not an integer (ingestion reports that)."""
+    line = fh.readline()
+    while line and not line.strip():
+        line = fh.readline()
+    try:
+        return int(line)
+    except ValueError:
+        return None
+
+
 def _cmd_scan(args, parser: _Parser) -> int:
     if args.max_order < 6:
         parser.error("--max-order must be >= 6")
@@ -270,7 +297,7 @@ def _cmd_scan(args, parser: _Parser) -> int:
                 rows = list(pool.map(_scan_worker, work, chunksize=8))
         else:
             rows = [_scan_worker(w) for w in work]
-    except OrderCapError as exc:
+    except (OrderCapError, ScanEntryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -282,6 +309,11 @@ def _cmd_scan(args, parser: _Parser) -> int:
                 continue
             try:
                 with open(path, "r", encoding="utf-8") as fh:
+                    order = _declared_order(fh)
+                    if order is not None and order > args.max_order:
+                        file_errors.append(f"{path}: skipped (order {order} > max order)")
+                        continue
+                    fh.seek(0)
                     G = ingest_cayley(fh)
             except (CayleyFormatError, GroupTableError, OSError) as exc:
                 file_errors.append(f"{path}: {exc}")
@@ -290,9 +322,6 @@ def _cmd_scan(args, parser: _Parser) -> int:
                 G.label = fname
             if G.is_abelian():
                 file_errors.append(f"{path}: skipped (Group must be non-abelian)")
-                continue
-            if G.order > args.max_order:
-                file_errors.append(f"{path}: skipped (order {G.order} > max order)")
                 continue
             rows.append(_row_for_group(G, "ingested", ()))
 

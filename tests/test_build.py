@@ -1,5 +1,7 @@
 """Family builders, special groups, ingestion, and the catalog."""
 
+import random
+
 import pytest
 
 from groupzagreb.build import (
@@ -278,6 +280,41 @@ def test_ingest_format_errors():
         ingest_cayley("2\n0 1 0\n1 0 1\n")  # wrong row width
     with pytest.raises(CayleyFormatError):
         ingest_cayley("2\n0 5\n1 0\n")  # entry out of range
+
+
+def relabelled_text(G, seed):
+    """G's table under a seeded random relabelling that moves the identity
+    off index 0."""
+    rng = random.Random(seed)
+    n = G.order
+    new = list(range(n))
+    rng.shuffle(new)
+    if new[0] == 0:
+        new[0], new[1] = new[1], new[0]
+    old = [0] * n
+    for o, nw in enumerate(new):
+        old[nw] = o
+    return cayley_text_from(
+        [[new[G.table[old[a]][old[b]]] for b in range(n)] for a in range(n)]
+    )
+
+
+@pytest.mark.parametrize("fam,params,seed", [
+    ("hanaki_a2", (1, 7), 1),  # order 343
+    ("m2mn", (13, 20), 2),     # order 520
+], ids=["hanaki_a2(1,7)", "m2mn(13,20)"])
+def test_ingest_relabelled_large_table_matches_closed_form(fam, params, seed):
+    from groupzagreb.formulas import ENTRIES
+    from groupzagreb.zagreb import group_report
+
+    G = ingest_cayley(relabelled_text(B(fam, *params), seed))
+    rep = group_report(G)
+    pred = ENTRIES[fam].evaluate(params)
+    assert G.order == FamilySpec(fam, params).order()
+    assert (rep.c.vertices, rep.c.edges, rep.c.m1, rep.c.m2) == \
+        (pred.vertices, pred.edges_c, pred.m1_c, pred.m2_c)
+    assert (rep.nc.edges, rep.nc.m1, rep.nc.m2) == (pred.edges_nc, pred.m1_nc, pred.m2_nc)
+    assert rep.decomposition == pred.decomposition
 
 
 # -- catalog ----------------------------------------------------------------------------

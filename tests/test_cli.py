@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: output shape, determinism, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from groupzagreb.build import FamilySpec, build_family, cyclic
+from groupzagreb import cli, zagreb
+from groupzagreb.build import FamilySpec, build_family, cyclic, ingest_cayley
 from groupzagreb.cli import CSV_HEADER, main
 
 
@@ -185,6 +187,45 @@ def test_scan_catalog_extra(tmp_path, capsys):
         assert ingested[0][col] == szrow[col]
     assert "skipped (Group must be non-abelian)" in err
     assert "junk.cayley" in err
+
+
+def test_scan_catalog_extra_skips_oversized_file_unparsed(tmp_path, capsys, monkeypatch):
+    cayley_file(tmp_path, build_family(FamilySpec("sz2", ())), "f20.cayley")
+    code, out_small, err_small = run(capsys, "scan", "--max-order", "20", "--jobs", "1",
+                                     "--catalog-extra", str(tmp_path))
+    assert code == 0 and err_small == ""
+    big = cayley_file(tmp_path, build_family(FamilySpec("hanaki_a2", (1, 7))), "h343.cayley")
+
+    # the f20 table must still be ingested; only the order-343 file is skipped
+    ingested = []
+    monkeypatch.setattr(cli, "ingest_cayley",
+                        lambda fh: ingested.append(fh.name) or ingest_cayley(fh))
+    code, out, err = run(capsys, "scan", "--max-order", "20", "--jobs", "1",
+                         "--catalog-extra", str(tmp_path))
+    assert code == 0
+    assert out == out_small
+    assert err.splitlines() == [f"warning: {big}: skipped (order 343 > max order)"]
+    assert ingested == [str(tmp_path / "f20.cayley")]
+
+
+_real_zagreb_complement = zagreb.zagreb_complement
+
+
+def _off_by_one_complement(base):
+    nc = _real_zagreb_complement(base)
+    return dataclasses.replace(nc, m1=nc.m1 + 1)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_worker_error_names_the_group(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(zagreb, "zagreb_complement", _off_by_one_complement)
+    code, out, err = run(capsys, "scan", "--max-order", "16", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    # D_6 is the first catalog entry, so it is the first failure in row order
+    assert line.startswith("error: D_6: ")
+    assert "direct NC report" in line
 
 
 def test_scan_json_shape(capsys):

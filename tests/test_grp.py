@@ -320,9 +320,72 @@ def test_validate_rejects_shifted_identity():
         FiniteGroup(t, label="bad").validate()
 
 
-def test_validate_randomized_above_cap():
-    G = FiniteGroup(cyclic_table(12), label="Z_12")
-    G.validate(assoc_cap=8)  # forces the randomized-triples path
+def reduced_latin_squares(n):
+    """Every n x n Latin square on 0..n-1 whose row 0 and column 0 are in order."""
+    sq = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    in_row = [set(range(n))] + [{i} for i in range(1, n)]
+    in_col = [set(range(n))] + [{j} for j in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row[:] for row in sq]
+            return
+        i, j = divmod(cell, n)
+        if j == 0:
+            yield from fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in in_row[i] and v not in in_col[j]:
+                sq[i][j] = v
+                in_row[i].add(v)
+                in_col[j].add(v)
+                yield from fill(cell + 1)
+                in_row[i].discard(v)
+                in_col[j].discard(v)
+
+    return list(fill(n + 1))
+
+
+def naive_associative(t):
+    r = range(len(t))
+    return all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r)
+
+
+@pytest.mark.parametrize("n,squares,groups", [(4, 4, 4), (5, 56, 6), (6, 9408, 80)])
+def test_validate_is_exact_on_reduced_latin_squares(n, squares, groups):
+    tables = reduced_latin_squares(n)
+    assert len(tables) == squares
+    associative = 0
+    for t in tables:
+        expected = naive_associative(t)
+        associative += expected
+        try:
+            FiniteGroup(t, label="L").validate()
+            accepted = True
+        except GroupTableError:
+            accepted = False
+        assert accepted == expected, t
+    assert associative == groups
+
+
+def test_validate_rejects_intercalate_swap_at_520():
+    G = B("m2mn", 13, 20)
+    t = [row[:] for row in G.table]
+    n = G.order
+    # r1 = r2*d and c2 = d*c1 for an involution d give t[r1][c1] == t[r2][c2]
+    # and t[r1][c2] == t[r2][c1]: a 2x2 subsquare whose swap keeps the Latin
+    # property; avoiding row, column and value 0 keeps identity and inverses
+    d = next(x for x in range(1, n) if t[x][x] == 0)
+    r2, c1 = next(
+        (r, c) for r in range(1, n) for c in range(1, n)
+        if 0 not in (t[r][d], t[d][c], t[t[r][d]][c], t[r][c])
+    )
+    r1, c2 = t[r2][d], t[d][c1]
+    assert t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]
+    t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+    t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+    with pytest.raises(GroupTableError, match="associativity"):
+        FiniteGroup(t, label="swapped").validate()
 
 
 def test_element_order():
