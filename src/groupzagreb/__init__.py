@@ -35,7 +35,6 @@ from .zagreb import (
     conjecture_verdict,
     extract_clique_decomposition,
     group_report,
-    non_commuting_graph,
     read_edge_list,
     zagreb_complement,
     zagreb_direct,
@@ -51,7 +50,6 @@ __all__ = [
     "FormulaEntry", "FormulaPrediction", "crosscheck", "evaluate", "registry_for",
     "CliqueDecomposition", "ConjectureVerdict", "SimpleGraph", "Verdict",
     "ZagrebReport", "commuting_graph", "conjecture_verdict",
-    "extract_clique_decomposition", "group_report", "non_commuting_graph",
-    "read_edge_list", "zagreb_complement", "zagreb_direct",
-    "zagreb_from_decomposition",
+    "extract_clique_decomposition", "group_report", "read_edge_list",
+    "zagreb_complement", "zagreb_direct", "zagreb_from_decomposition",
 ]

@@ -97,6 +97,9 @@ CSV_HEADER = ",".join(f.name for f in fields(ScanRow))
 _PARAM_NAMES = tuple(dict.fromkeys(name for fam in FAMILIES.values() for name in fam.params))
 
 
+# what reading and ingesting a user's Cayley-table file can raise
+_TABLE_FILE_ERRORS = (CayleyFormatError, GroupTableError, OSError, UnicodeDecodeError)
+
 _Checks = list[tuple[Applicable, CrosscheckResult]]
 
 
@@ -315,7 +318,7 @@ def _cmd_scan(args, parser: _Parser) -> int:
                         continue
                     fh.seek(0)
                     G = ingest_cayley(fh)
-            except (CayleyFormatError, GroupTableError, OSError) as exc:
+            except _TABLE_FILE_ERRORS as exc:
                 file_errors.append(f"{path}: {exc}")
                 continue
             if G.label == "ingested":
@@ -386,7 +389,7 @@ def _cmd_group(args, parser: _Parser) -> int:
     try:
         with open(args.cayley, "r", encoding="utf-8") as fh:
             G = ingest_cayley(fh)
-    except (CayleyFormatError, GroupTableError, OSError) as exc:
+    except _TABLE_FILE_ERRORS as exc:
         print(f"error: {args.cayley}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if G.label == "ingested":

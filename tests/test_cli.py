@@ -228,6 +228,43 @@ def test_scan_worker_error_names_the_group(capsys, monkeypatch, jobs):
     assert "direct NC report" in line
 
 
+_real_zagreb_from_decomposition = zagreb.zagreb_from_decomposition
+
+
+def _off_by_one_decomposition(d):
+    rep = _real_zagreb_from_decomposition(d)
+    return dataclasses.replace(rep, m2=rep.m2 + 1)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_decomposition_route_mismatch_names_the_group(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(zagreb, "zagreb_from_decomposition", _off_by_one_decomposition)
+    with pytest.raises(zagreb.RouteMismatchError, match="D_6: direct C report"):
+        zagreb.group_report(build_family(FamilySpec("dihedral", (3,))))
+    code, out, err = run(capsys, "scan", "--max-order", "16", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: D_6: ")
+    assert "direct C report" in line and "!= decomposition" in line
+
+
+def test_scan_catalog_extra_warns_on_non_utf8_file(tmp_path, capsys):
+    cayley_file(tmp_path, build_family(FamilySpec("sz2", ())), "f20.cayley")
+    code, out_clean, _ = run(capsys, "scan", "--max-order", "20", "--jobs", "1",
+                             "--catalog-extra", str(tmp_path))
+    assert code == 0
+    bad = tmp_path / "latin1.cayley"
+    bad.write_bytes(b"\xff6\n0 1")
+    code, out, err = run(capsys, "scan", "--max-order", "20", "--jobs", "1",
+                         "--catalog-extra", str(tmp_path))
+    assert code == 0
+    assert out == out_clean
+    (line,) = err.splitlines()
+    assert line.startswith(f"warning: {bad}: ")
+    assert "can't decode byte 0xff" in line
+
+
 def test_scan_json_shape(capsys):
     code, out, _ = run(capsys, "scan", "--max-order", "8", "--jobs", "1",
                        "--format", "json")
@@ -285,6 +322,16 @@ def test_graph_bad_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_graph_non_utf8_file(tmp_path, capsys):
+    p = tmp_path / "latin1.edges"
+    p.write_bytes(b"\xff3 1\n0 1")
+    code, out, err = run(capsys, "graph", "--edges", str(p))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {p}: ") and "can't decode byte 0xff" in line
+
+
 # -- group -----------------------------------------------------------------------
 
 def test_group_s3_matches_family_row(tmp_path, capsys):
@@ -329,6 +376,16 @@ def test_group_rejects_invalid_table(tmp_path, capsys):
     p.write_text("2\n0 1\n", encoding="utf-8")
     code, _, err = run(capsys, "group", "--cayley", str(p))
     assert code == 2
+
+
+def test_group_rejects_non_utf8_file(tmp_path, capsys):
+    p = tmp_path / "latin1.cayley"
+    p.write_bytes(b"\xff6\n0 1")
+    code, out, err = run(capsys, "group", "--cayley", str(p))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {p}: ") and "can't decode byte 0xff" in line
 
 
 def test_unknown_family_rejected(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupzagreb.build import FamilySpec, build_family, special_group
+from groupzagreb.build import FamilySpec, build_family, catalog, special_group
 from groupzagreb.grp import AbelianGroupError, FiniteGroup
 from groupzagreb.zagreb import (
     CliqueDecomposition,
@@ -18,7 +18,6 @@ from groupzagreb.zagreb import (
     conjecture_verdict,
     extract_clique_decomposition,
     group_report,
-    non_commuting_graph,
     read_edge_list,
     zagreb_complement,
     zagreb_direct,
@@ -28,6 +27,28 @@ from groupzagreb.zagreb import (
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 
 K15_K3_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7), (6, 8), (7, 8)]
+
+
+def non_commuting_graph(G):
+    return commuting_graph(G).complement()
+
+
+def adjacent(graph, u, v):
+    return bool((graph.rows[u] >> v) & 1)
+
+
+def m2_by_edge_walk(graph):
+    """The reference M2: one degree product per edge, each edge u < v taken
+    once from u's row."""
+    deg = graph.degrees()
+    m2 = 0
+    for u, row in enumerate(graph.rows):
+        r = row >> (u + 1)
+        while r:
+            low = r & -r
+            m2 += deg[u] * deg[u + low.bit_length()]
+            r ^= low
+    return m2
 
 
 def union_of_cliques(parts):
@@ -72,8 +93,8 @@ def test_commuting_graph_vertex_order_is_ascending_noncentral():
     g = commuting_graph(G)
     # vertex 0 of the graph is element 1 = f, whose non-central commuters
     # are f^3 (element 3): graph vertex 1
-    assert g.adjacent(0, 1)
-    assert not g.adjacent(0, 2)
+    assert adjacent(g, 0, 1)
+    assert not adjacent(g, 0, 2)
 
 
 def test_non_commuting_graph_counts():
@@ -98,6 +119,46 @@ def test_direct_a4():
 def test_direct_counterexample_graph():
     rep = zagreb_direct(SimpleGraph.from_edges(9, K15_K3_EDGES))
     assert rep == ZagrebReport(42, 37, 9, 8)
+
+
+CATALOG_64 = catalog(64)
+
+
+@pytest.mark.parametrize("entry", CATALOG_64, ids=[e.label for e in CATALOG_64])
+def test_direct_m2_matches_edge_walk_on_catalog_graphs(entry):
+    cg = commuting_graph(entry.build())
+    for g in (cg, cg.complement()):
+        assert zagreb_direct(g).m2 == m2_by_edge_walk(g)
+
+
+def test_direct_m2_matches_edge_walk_on_200_random_graphs():
+    rng = random.Random(20261018)
+    graphs = [
+        SimpleGraph(1, [0]),
+        SimpleGraph.from_edges(5, []),
+        union_of_cliques([(1, 7)]),
+        SimpleGraph.from_edges(9, K15_K3_EDGES + [(0, 6)]),
+        SimpleGraph.from_edges(12, K15_K3_EDGES),  # three isolated vertices
+    ]
+    while len(graphs) < 200:
+        n = rng.randint(1, 40)
+        isolated = set(rng.sample(range(n), rng.randint(0, n // 3)))
+        p = rng.random()
+        graphs.append(SimpleGraph.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if u not in isolated and v not in isolated and rng.random() < p
+        ]))
+    for g in graphs:
+        assert zagreb_direct(g).m2 == m2_by_edge_walk(g), g
+
+
+def test_direct_m2_matches_edge_walk_with_many_degree_classes():
+    rng = random.Random(600)
+    g = SimpleGraph.from_edges(600, [
+        (u, v) for u in range(600) for v in range(u + 1, 600) if rng.random() < 0.3
+    ])
+    assert len(set(g.degrees())) >= 50
+    assert zagreb_direct(g).m2 == m2_by_edge_walk(g)
 
 
 # -- zagreb_from_decomposition ----------------------------------------------------
@@ -301,16 +362,32 @@ def test_read_edge_list(tmp_path):
 
 
 def test_read_edge_list_errors():
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match='first line must be "n m"'):
         read_edge_list("3\n0 1\n")  # bad header
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="expected 2 edge lines, found 1"):
         read_edge_list("3 2\n0 1\n")  # missing edge line
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=r"edge \(1, 0\) must satisfy"):
         read_edge_list("3 1\n1 0\n")  # u >= v
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=r"duplicate edge \(0, 1\)"):
         read_edge_list("3 2\n0 1\n0 1\n")  # duplicate
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=r"edge \(0, 5\) must satisfy"):
         read_edge_list("3 1\n0 5\n")  # out of range
+    with pytest.raises(GraphFormatError, match="bad edge line '0 1 2'"):
+        read_edge_list("3 1\n0 1 2\n")
+    # the first bad line is the one reported
+    with pytest.raises(GraphFormatError, match="duplicate"):
+        read_edge_list("3 3\n0 1\n0 1\n0 5\n")
+    with pytest.raises(GraphFormatError, match="must satisfy"):
+        read_edge_list("3 3\n0 5\n0 1\n0 1\n")
+
+
+def test_read_edge_list_rows_match_from_edges():
+    rng = random.Random(31)
+    n = 60
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    rng.shuffle(edges)
+    text = f"{n} {len(edges)}\n" + "".join(f" {u}  {v}\n\n" for u, v in edges)
+    assert read_edge_list(text).rows == SimpleGraph.from_edges(n, edges).rows
 
 
 def test_simple_graph_rejects_self_loop():
