@@ -7,12 +7,16 @@ Each family is one record in ``FAMILIES``: its parameter names, validity
 rule, order, label, builder and catalog instances.  The formula registry and
 the CLI read the same table.
 
-Construction routes: explicit normal forms for dihedral, dicyclic, U_6n,
-M_2mn and the order-pq groups; matrix enumeration over GF(q) for the four
-matrix families (Hanaki A(n,nu) and A(n,p), GL(2,q), PSL(2,2^k) realized as
-SL(2,2^k)); coset enumeration for SD_8n, V_8n, the quasidihedral 2-groups
-and Sz(2).  Matrix-group elements are indexed lexicographically on their
-row-major coefficient vectors, with the identity moved to index 0.
+Construction routes: a builder numbers its elements and computes the row
+of any one element with its own arithmetic (normal forms for dihedral,
+dicyclic, U_6n, M_2mn, order-pq and cyclic groups; 2x2 matrices over GF(q)
+for Hanaki A(n,nu) and A(n,p), GL(2,q) and PSL(2,2^k) = SL(2,2^k);
+permutations; pairs for direct products).  ``close`` asks it for the rows
+of a generating set only and composes the rest, keeping its indices.
+Coset enumeration serves SD_8n, V_8n, the quasidihedral 2-groups, Sz(2) and
+the presented special groups.  Matrix-group elements are indexed
+lexicographically on their row-major coefficient vectors, with the identity
+moved to index 0.
 """
 
 from __future__ import annotations
@@ -42,27 +46,57 @@ class CayleyFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# normal-form builders
+# the shared table builder, and the normal-form builders
 # ---------------------------------------------------------------------------
+
+def close(n: int, row_of: Callable[[int], list[int]]) -> list[list[int]]:
+    """The Cayley table of an order-n group from the rows of a generating set.
+
+    Row s is left multiplication by s, so row(s*p) is row(s) composed with
+    row(p).  The walk takes the elements in index order.  An element the
+    rows so far do not reach gets its row from ``row_of(s)``, and the
+    reached set is then closed under left multiplication by every row
+    obtained that way.  Each such element at least doubles the subgroup
+    reached, so ``row_of`` runs at most log2(n) times and every other row
+    is one C-level map.  Index 0 must be the identity.
+    """
+    rows: list[list[int] | None] = [None] * n
+    rows[0] = list(range(n))
+    gens: list[list[int]] = []
+    for s in range(1, n):
+        if rows[s] is not None:
+            continue
+        rows[s] = row_of(s)
+        gens.append(rows[s])
+        todo = [p for p in range(n) if rows[p] is not None]
+        while todo:
+            p = todo.pop()
+            rp = rows[p]
+            for g in gens:
+                q = g[p]
+                if rows[q] is None:
+                    rows[q] = list(map(g.__getitem__, rp))
+                    todo.append(q)
+    return rows
+
 
 def _dihedral(m: int) -> FiniteGroup:
     # elements f^u g^s, index = u + s*m; g f g^-1 = f^-1
     n = 2 * m
-    table = []
-    for i in range(n):
+
+    def row_of(i: int) -> list[int]:
         u1, s1 = i % m, i // m
         sign = -1 if s1 else 1
-        row = [((u1 + sign * (j % m)) % m) + (((s1 + j // m) % 2) * m) for j in range(n)]
-        table.append(row)
-    return FiniteGroup(table)
+        return [((u1 + sign * (j % m)) % m) + (((s1 + j // m) % 2) * m) for j in range(n)]
+    return FiniteGroup(close(n, row_of))
 
 
 def _dicyclic(n: int) -> FiniteGroup:
     # elements f^u g^s with f^(2n)=1, g^2=f^n, g f g^-1 = f^-1; index u + s*2n
     twon = 2 * n
     size = 4 * n
-    table = []
-    for i in range(size):
+
+    def row_of(i: int) -> list[int]:
         u1, s1 = i % twon, i // twon
         sign = -1 if s1 else 1
         row = []
@@ -72,34 +106,32 @@ def _dicyclic(n: int) -> FiniteGroup:
             if s1 and s2:
                 u += n  # g^2 = f^n
             row.append((u % twon) + (((s1 + s2) % 2) * twon))
-        table.append(row)
-    return FiniteGroup(table)
+        return row
+    return FiniteGroup(close(size, row_of))
 
 
 def _u6n(n: int) -> FiniteGroup:
     # elements b^i a^j with a^(2n)=b^3=1, a^-1 b a = b^-1; index = i + 3*j
     twon = 2 * n
     size = 6 * n
-    table = []
-    for idx in range(size):
+
+    def row_of(idx: int) -> list[int]:
         i1, j1 = idx % 3, idx // 3
         sign = -1 if j1 % 2 else 1
-        row = [((i1 + sign * (jdx % 3)) % 3) + 3 * ((j1 + jdx // 3) % twon) for jdx in range(size)]
-        table.append(row)
-    return FiniteGroup(table)
+        return [((i1 + sign * (jdx % 3)) % 3) + 3 * ((j1 + jdx // 3) % twon) for jdx in range(size)]
+    return FiniteGroup(close(size, row_of))
 
 
 def _m2mn(m: int, n: int) -> FiniteGroup:
     # elements a^i b^j with a^m=b^(2n)=1, b a b^-1 = a^-1; index = i + m*j
     twon = 2 * n
     size = 2 * m * n
-    table = []
-    for idx in range(size):
+
+    def row_of(idx: int) -> list[int]:
         i1, j1 = idx % m, idx // m
         sign = -1 if j1 % 2 else 1
-        row = [((i1 + sign * (jdx % m)) % m) + m * ((j1 + jdx // m) % twon) for jdx in range(size)]
-        table.append(row)
-    return FiniteGroup(table)
+        return [((i1 + sign * (jdx % m)) % m) + m * ((j1 + jdx // m) % twon) for jdx in range(size)]
+    return FiniteGroup(close(size, row_of))
 
 
 def _least_primitive_root(q: int) -> int:
@@ -127,31 +159,16 @@ def _pq(p: int, q: int) -> FiniteGroup:
     r = pow(_least_primitive_root(q), (q - 1) // p, q)
     rpow = [pow(r, y, q) for y in range(p)]
     size = p * q
-    table = []
-    for i in range(size):
+
+    def row_of(i: int) -> list[int]:
         x1, y1 = divmod(i, p)
         ry1 = rpow[y1]
-        row = [((x1 + ry1 * (j // p)) % q) * p + ((y1 + j % p) % p) for j in range(size)]
-        table.append(row)
-    return FiniteGroup(table)
+        return [((x1 + ry1 * (j // p)) % q) * p + ((y1 + j % p) % p) for j in range(size)]
+    return FiniteGroup(close(size, row_of))
 
 
 def cyclic(n: int, label: str | None = None) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, label=label or f"Z_{n}")
-
-
-def suzuki2_affine() -> FiniteGroup:
-    """Sz(2) as the affine maps x -> a*x + b over GF(5), a != 0.
-
-    Independent of the presentation route; used to cross-check it.
-    """
-    els = [(a, b) for a in range(1, 5) for b in range(5)]  # identity (1,0) first
-    idx = {e: i for i, e in enumerate(els)}
-    table = []
-    for a1, b1 in els:
-        table.append([idx[((a1 * a2) % 5, (a1 * b2 + b1) % 5)] for a2, b2 in els])
-    return FiniteGroup(table, label="Sz(2)")
+    return FiniteGroup(close(n, lambda i: [(i + j) % n for j in range(n)]), label=label or f"Z_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +235,13 @@ def _hanaki_a1(n: int) -> FiniteGroup:
     q = K.order
     els = [(a, b) for a in range(q) for b in range(q)]  # identity (0,0) first
     idx = {e: i for i, e in enumerate(els)}
-    table = []
-    for a1, b1 in els:
+
+    def row_of(i: int) -> list[int]:
+        a1, b1 = els[i]
         fa1 = frob[a1]
         addb1 = add[b1]
-        row = [idx[(add[a1][a2], add[addb1[b2]][mul[fa1][a2]])] for a2, b2 in els]
-        table.append(row)
-    return FiniteGroup(table)
+        return [idx[(add[a1][a2], add[addb1[b2]][mul[fa1][a2]])] for a2, b2 in els]
+    return FiniteGroup(close(len(els), row_of))
 
 
 def _hanaki_a2(n: int, p: int) -> FiniteGroup:
@@ -234,15 +251,15 @@ def _hanaki_a2(n: int, p: int) -> FiniteGroup:
     q = K.order
     els = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
     idx = {e: i for i, e in enumerate(els)}
-    table = []
-    for a1, b1, c1 in els:
+
+    def row_of(i: int) -> list[int]:
+        a1, b1, c1 = els[i]
         mc1 = mul[c1]
-        row = [
+        return [
             idx[(add[a1][a2], add[add[b1][b2]][mc1[a2]], add[c1][c2])]
             for a2, b2, c2 in els
         ]
-        table.append(row)
-    return FiniteGroup(table)
+    return FiniteGroup(close(len(els), row_of))
 
 
 def _matrix_group(K: ff.Field, det_condition) -> FiniteGroup:
@@ -266,18 +283,18 @@ def _matrix_group(K: ff.Field, det_condition) -> FiniteGroup:
     els.remove(ident)
     els.insert(0, ident)
     idx = {e: i for i, e in enumerate(els)}
-    table = []
-    for a, b, c, d in els:
+
+    def row_of(i: int) -> list[int]:
+        a, b, c, d = els[i]
         ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
-        row = [
+        return [
             idx[(
                 add[ma[e]][mb[g]], add[ma[f2]][mb[h]],
                 add[mc[e]][md[g]], add[mc[f2]][md[h]],
             )]
             for e, f2, g, h in els
         ]
-        table.append(row)
-    return FiniteGroup(table)
+    return FiniteGroup(close(len(els), row_of))
 
 
 def _gl2(q: int) -> FiniteGroup:
@@ -480,32 +497,24 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
         )
     tg, th = G.table, H.table
     oh = H.order
-    table = []
-    for i1 in range(G.order):
-        grow = [g * oh for g in tg[i1]]
-        for j1 in range(H.order):
-            hrow = th[j1]
-            table.append([grow[i2] + hrow[j2] for i2 in range(G.order) for j2 in range(oh)])
-    return FiniteGroup(table, label=label or f"{G.label}x{H.label}")
+
+    def row_of(i: int) -> list[int]:
+        i1, j1 = divmod(i, oh)
+        hrow = th[j1]
+        return [g * oh + h for g in tg[i1] for h in hrow]
+    return FiniteGroup(close(G.order * oh, row_of), label=label or f"{G.label}x{H.label}")
 
 
 # ---------------------------------------------------------------------------
 # special groups
 # ---------------------------------------------------------------------------
 
-def _perm_group(perms: list[tuple[int, ...]]) -> FiniteGroup:
-    els = sorted(perms)  # identity is lex-least
-    idx = {e: i for i, e in enumerate(els)}
-    table = []
-    for s in els:
-        table.append([idx[tuple(s[t[i]] for i in range(len(t)))] for t in els])
-    return FiniteGroup(table)
-
-
 def _symmetric(n: int, even_only: bool) -> FiniteGroup:
+    """S_n, or A_n if even_only, on its permutations in lex order (identity
+    first); the product s*t is the composition s o t."""
     from itertools import permutations
 
-    perms = []
+    els = []
     for perm in permutations(range(n)):
         if even_only:
             inv = sum(
@@ -516,8 +525,12 @@ def _symmetric(n: int, even_only: bool) -> FiniteGroup:
             )
             if inv % 2:
                 continue
-        perms.append(perm)
-    return _perm_group(perms)
+        els.append(perm)
+    idx = {e: i for i, e in enumerate(els)}
+
+    def row_of(i: int) -> list[int]:
+        return [idx[tuple(map(els[i].__getitem__, t))] for t in els]
+    return FiniteGroup(close(len(els), row_of))
 
 
 def _special_groups() -> dict[str, tuple[int, Callable[[], FiniteGroup | Presentation]]]:

@@ -150,10 +150,10 @@ def _scan_worker(args: tuple[CatalogEntry, int]) -> ScanRow:
     try:
         G = entry.build(order_cap=order_cap)
         return _row_for_group(G, entry.family, entry.params)
-    except OrderCapError:
-        raise  # its message already names the entry
-    except (RouteMismatchError, ValueError, RuntimeError) as exc:
-        # the library's error classes all derive from one of these
+    except (OrderCapError, RouteMismatchError):
+        raise  # their messages already name the entry
+    except (ValueError, RuntimeError) as exc:
+        # the library's other error classes all derive from one of these
         raise ScanEntryError(entry.label, str(exc)) from exc
 
 
@@ -500,7 +500,11 @@ def main(argv: list[str] | None = None) -> int:
         "graph": _cmd_graph,
         "group": _cmd_group,
     }[args.command]
-    return command(args, parser)
+    try:
+        return command(args, parser)
+    except RouteMismatchError as exc:  # a route is broken; the message names the group
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -160,47 +160,29 @@ def coset_enumerate(pres: Presentation, bound: int = 100_000, label: str = "E") 
     live = [a for a in range(len(table)) if p[a] == a]
     renum = {a: i for i, a in enumerate(live)}
     act = [[renum[rep(table[a][col])] for col in range(ncols)] for a in live]
-    return _regular_table(act, ncols, label)
+    return _regular_table(act, label)
 
 
-def _regular_table(act: list[list[int]], ncols: int, label: str) -> FiniteGroup:
+def _regular_table(act: list[list[int]], label: str) -> FiniteGroup:
     """Turn the completed coset action into a full Cayley table.
 
-    BFS from the identity coset assigns each coset a defining letter and
-    parent; the right-multiplication permutation of a coset is then its
-    parent's permutation pushed through that one letter, so the whole table
-    costs O(n^2).
+    Each column of the action is right multiplication by one letter.  BFS
+    from the identity coset reaches each coset b as a*letter, and its
+    right-multiplication permutation is a's pushed through that letter's
+    column: one C-level map per coset.  The Cayley table is the transpose.
     """
     n = len(act)
-    parent = [-1] * n
-    letter = [-1] * n
+    columns = list(zip(*act))
+    perm: list[list[int] | None] = [None] * n
+    perm[0] = list(range(n))
     order_bfs = [0]
-    seen = [False] * n
-    seen[0] = True
-    qi = 0
-    while qi < len(order_bfs):
-        a = order_bfs[qi]
-        qi += 1
-        for col in range(ncols):
-            b = act[a][col]
-            if not seen[b]:
-                seen[b] = True
-                parent[b] = a
-                letter[b] = col
+    for a in order_bfs:
+        pa = perm[a]
+        for column in columns:
+            b = column[a]
+            if perm[b] is None:
+                perm[b] = list(map(column.__getitem__, pa))
                 order_bfs.append(b)
     if len(order_bfs) != n:  # pragma: no cover - completed tables are connected
         raise PresentationError("coset table is not transitive")
-
-    perm: list[list[int] | None] = [None] * n
-    perm[0] = list(range(n))
-    for b in order_bfs[1:]:
-        base = perm[parent[b]]
-        col = letter[b]
-        perm[b] = [act[x][col] for x in base]
-
-    cayley = [[0] * n for _ in range(n)]
-    for j in range(n):
-        pj = perm[j]
-        for i in range(n):
-            cayley[i][j] = pj[i]
-    return FiniteGroup(cayley, label=label)
+    return FiniteGroup([list(row) for row in zip(*perm)], label=label)

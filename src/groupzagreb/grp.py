@@ -42,14 +42,12 @@ class FiniteGroup:
         self,
         table: list[list[int]],
         label: str = "G",
-        element_names: list[str] | None = None,
         family: str | None = None,
         params: tuple[int, ...] | None = None,
     ):
         self.table = table
         self.order = len(table)
         self.label = label
-        self.element_names = element_names
         self.family = family
         self.params = params
         if self.order == 0:

@@ -1,17 +1,21 @@
 """Family builders, special groups, ingestion, and the catalog."""
 
 import random
+from itertools import permutations
 
 import pytest
 
+from groupzagreb import coset, ff
 from groupzagreb.build import (
     CayleyFormatError,
     FamilyError,
     FamilySpec,
     OrderCapError,
+    _least_primitive_root,
     build_family,
     builtin_special_groups,
     catalog,
+    close,
     cyclic,
     direct_product,
     ingest_cayley,
@@ -98,6 +102,230 @@ def test_order_cap():
     with pytest.raises(OrderCapError):
         build_family(FamilySpec("dihedral", (60,)), order_cap=100)
     assert build_family(FamilySpec("dihedral", (60,)), order_cap=120).order == 120
+
+
+# -- table oracles ----------------------------------------------------------------
+# Each builder gives ``close`` the rows of a generating set and close composes
+# the rest.  The oracles below compute every entry with the builder's own
+# arithmetic, one product per cell, and the built tables must equal them.
+
+def dihedral_oracle(m):
+    n = 2 * m
+    table = []
+    for i in range(n):
+        u1, s1 = i % m, i // m
+        sign = -1 if s1 else 1
+        table.append([((u1 + sign * (j % m)) % m) + (((s1 + j // m) % 2) * m) for j in range(n)])
+    return table
+
+
+def dicyclic_oracle(n):
+    twon = 2 * n
+    table = []
+    for i in range(4 * n):
+        u1, s1 = i % twon, i // twon
+        sign = -1 if s1 else 1
+        row = []
+        for j in range(4 * n):
+            u2, s2 = j % twon, j // twon
+            u = u1 + sign * u2 + (n if s1 and s2 else 0)
+            row.append((u % twon) + (((s1 + s2) % 2) * twon))
+        table.append(row)
+    return table
+
+
+def u6n_oracle(n):
+    twon = 2 * n
+    table = []
+    for idx in range(6 * n):
+        i1, j1 = idx % 3, idx // 3
+        sign = -1 if j1 % 2 else 1
+        table.append([((i1 + sign * (jdx % 3)) % 3) + 3 * ((j1 + jdx // 3) % twon)
+                      for jdx in range(6 * n)])
+    return table
+
+
+def m2mn_oracle(m, n):
+    twon = 2 * n
+    table = []
+    for idx in range(2 * m * n):
+        i1, j1 = idx % m, idx // m
+        sign = -1 if j1 % 2 else 1
+        table.append([((i1 + sign * (jdx % m)) % m) + m * ((j1 + jdx // m) % twon)
+                      for jdx in range(2 * m * n)])
+    return table
+
+
+def pq_oracle(p, q):
+    r = pow(_least_primitive_root(q), (q - 1) // p, q)
+    table = []
+    for i in range(p * q):
+        x1, y1 = divmod(i, p)
+        table.append([((x1 + pow(r, y1, q) * (j // p)) % q) * p + ((y1 + j % p) % p)
+                      for j in range(p * q)])
+    return table
+
+
+def cyclic_oracle(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def hanaki_a1_oracle(n):
+    K = ff.field(2, n)
+    add, mul = K.index_tables()
+    frob = [K.index(K.frobenius(K.element(i))) for i in range(K.order)]
+    els = [(a, b) for a in range(K.order) for b in range(K.order)]
+    idx = {e: i for i, e in enumerate(els)}
+    return [[idx[(add[a1][a2], add[add[b1][b2]][mul[frob[a1]][a2]])] for a2, b2 in els]
+            for a1, b1 in els]
+
+
+def hanaki_a2_oracle(n, p):
+    K = ff.field(p, n)
+    add, mul = K.index_tables()
+    q = K.order
+    els = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
+    idx = {e: i for i, e in enumerate(els)}
+    return [[idx[(add[a1][a2], add[add[b1][b2]][mul[c1][a2]], add[c1][c2])]
+             for a2, b2, c2 in els]
+            for a1, b1, c1 in els]
+
+
+def matrix_oracle(q, det_ok):
+    """2x2 matrices over GF(q) with det_ok(det, one), lex order, identity first."""
+    K = ff.field_of_order(q)
+    add, mul = K.index_tables()
+    neg = [K.index(K.neg(K.element(i))) for i in range(q)]
+    one = K.index(K.one)
+    els = [
+        (a, b, c, d)
+        for a in range(q) for b in range(q) for c in range(q) for d in range(q)
+        if det_ok(add[mul[a][d]][neg[mul[b][c]]], one)
+    ]
+    els.remove((one, 0, 0, one))
+    els.insert(0, (one, 0, 0, one))
+    idx = {e: i for i, e in enumerate(els)}
+    return [
+        [idx[(add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+              add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])]
+         for e, f, g, h in els]
+        for a, b, c, d in els
+    ]
+
+
+def gl2_oracle(q):
+    return matrix_oracle(q, lambda det, one: det != 0)
+
+
+def sl2_oracle(q):
+    return matrix_oracle(q, lambda det, one: det == one)
+
+
+def perm_group_oracle(n, even_only):
+    els = sorted(
+        p for p in permutations(range(n))
+        if not even_only or sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
+    )
+    idx = {e: i for i, e in enumerate(els)}
+    return [[idx[tuple(s[t[i]] for i in range(n))] for t in els] for s in els]
+
+
+def direct_product_oracle(tg, th):
+    og, oh = len(tg), len(th)
+    return [
+        [tg[i1][i2] * oh + th[j1][j2] for i2 in range(og) for j2 in range(oh)]
+        for i1 in range(og) for j1 in range(oh)
+    ]
+
+
+def regular_table_oracle(act):
+    """The Cayley table of a completed coset action: the right-multiplication
+    permutation of every coset, pushed letter by letter along a BFS tree from
+    the identity coset, then read entry by entry."""
+    n = len(act)
+    perm = [None] * n
+    perm[0] = list(range(n))
+    queue = [0]
+    for a in queue:
+        for col in range(len(act[a])):
+            b = act[a][col]
+            if perm[b] is None:
+                perm[b] = [act[x][col] for x in perm[a]]
+                queue.append(b)
+    return [[perm[j][i] for j in range(n)] for i in range(n)]
+
+
+ORACLES = {
+    "dihedral": dihedral_oracle,
+    "dicyclic": dicyclic_oracle,
+    "u6n": u6n_oracle,
+    "m2mn": m2mn_oracle,
+    "pq": pq_oracle,
+    "hanaki_a1": hanaki_a1_oracle,
+    "hanaki_a2": hanaki_a2_oracle,
+    "gl2": gl2_oracle,
+    "psl2": lambda k: sl2_oracle(2 ** k),
+    "A_4": lambda: perm_group_oracle(4, True),
+    "S_4": lambda: perm_group_oracle(4, False),
+    "A_5": lambda: sl2_oracle(4),
+    "SL(2,3)": lambda: sl2_oracle(3),
+    "Z_2xD_8": lambda: direct_product_oracle(cyclic_oracle(2), dihedral_oracle(4)),
+    "Z_2xQ_8": lambda: direct_product_oracle(cyclic_oracle(2), dicyclic_oracle(2)),
+    "D_6xZ_3": lambda: direct_product_oracle(dihedral_oracle(3), cyclic_oracle(3)),
+    "A_4xZ_2": lambda: direct_product_oracle(perm_group_oracle(4, True), cyclic_oracle(2)),
+}
+
+
+@pytest.mark.parametrize("entry", catalog(128), ids=lambda e: e.label)
+def test_table_matches_per_entry_oracle(entry, monkeypatch):
+    # presented groups have no normal form: capture their coset action and
+    # read the table off it entry by entry
+    actions = []
+    real = coset._regular_table
+    monkeypatch.setattr(coset, "_regular_table",
+                        lambda act, label: actions.append(act) or real(act, label))
+    G = entry.build()
+    if actions:
+        expected = regular_table_oracle(actions[0])
+    else:
+        key = entry.label if entry.family == "special" else entry.family
+        expected = ORACLES[key](*entry.params)
+    assert G.table == expected
+
+
+@pytest.mark.parametrize("fam,params", [
+    ("psl2", (3,)),          # order 504
+    ("gl2", (5,)),           # order 480
+    ("dihedral", (1000,)),   # order 2000
+])
+def test_large_table_matches_per_entry_oracle(fam, params):
+    assert build_family(FamilySpec(fam, params)).table == ORACLES[fam](*params)
+
+
+def asking(table, asked):
+    """A row_of for close that serves rows of ``table`` and records each request."""
+    return lambda s: asked.append(s) or list(table[s])
+
+
+def test_close_cyclic_asks_for_one_row():
+    table = cyclic_oracle(12)
+    asked = []
+    assert close(12, asking(table, asked)) == table
+    assert asked == [1]
+
+
+def test_close_direct_product_asks_for_each_new_generator():
+    # D_6 x Q_8 at index i*8 + j: (1, f) reaches <f> of order 4, (1, g) all
+    # of Q_8, (r, 1) the order-24 subgroup, (s, 1) the whole group
+    table = direct_product_oracle(dihedral_oracle(3), dicyclic_oracle(2))
+    asked = []
+    assert close(48, asking(table, asked)) == table
+    assert asked == [1, 4, 8, 24]
+
+
+def test_direct_product_matches_oracle():
+    G = direct_product(special_group("S_4"), B("dicyclic", 3))
+    assert G.table == direct_product_oracle(perm_group_oracle(4, False), dicyclic_oracle(3))
 
 
 # -- direct products -----------------------------------------------------------

@@ -224,8 +224,8 @@ def test_scan_worker_error_names_the_group(capsys, monkeypatch, jobs):
     assert out == ""
     (line,) = err.splitlines()
     # D_6 is the first catalog entry, so it is the first failure in row order
-    assert line.startswith("error: D_6: ")
-    assert "direct NC report" in line
+    assert line.startswith("error: D_6: direct NC report")
+    assert "D_6: D_6" not in line
 
 
 _real_zagreb_from_decomposition = zagreb.zagreb_from_decomposition
@@ -245,8 +245,37 @@ def test_scan_decomposition_route_mismatch_names_the_group(capsys, monkeypatch, 
     assert code == 2
     assert out == ""
     (line,) = err.splitlines()
-    assert line.startswith("error: D_6: ")
-    assert "direct C report" in line and "!= decomposition" in line
+    assert line.startswith("error: D_6: direct C report")
+    assert "D_6: D_6" not in line
+    assert "!= decomposition" in line
+
+
+def test_family_route_mismatch_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setattr(zagreb, "zagreb_from_decomposition", _off_by_one_decomposition)
+    code, out, err = run(capsys, "family", "dihedral", "--m", "3")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: D_6: direct C report")
+
+
+def test_verify_route_mismatch_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setattr(zagreb, "zagreb_from_decomposition", _off_by_one_decomposition)
+    code, out, err = run(capsys, "verify", "dihedral", "--m", "3..5")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: D_6: direct C report")
+
+
+def test_group_route_mismatch_is_validation_error(tmp_path, capsys, monkeypatch):
+    path = cayley_file(tmp_path, build_family(FamilySpec("dihedral", (3,))), "d6.cayley")
+    monkeypatch.setattr(zagreb, "zagreb_from_decomposition", _off_by_one_decomposition)
+    code, out, err = run(capsys, "group", "--cayley", str(path))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: d6.cayley: direct C report")
 
 
 def test_scan_catalog_extra_warns_on_non_utf8_file(tmp_path, capsys):

@@ -2,14 +2,26 @@
 
 import pytest
 
-from groupzagreb.build import FamilySpec, build_family, dihedral_presentation, suzuki2_affine
+from groupzagreb.build import FamilySpec, build_family, dihedral_presentation
 from groupzagreb.coset import (
     EnumerationOverflow,
     Presentation,
     PresentationError,
     coset_enumerate,
 )
-from groupzagreb.grp import recognize_dihedral
+from groupzagreb.grp import FiniteGroup, recognize_dihedral
+
+
+def suzuki2_affine():
+    """Sz(2) as the affine maps x -> a*x + b over GF(5), a != 0: a construction
+    independent of the presentation route, which it cross-checks."""
+    els = [(a, b) for a in range(1, 5) for b in range(5)]  # identity (1,0) first
+    idx = {e: i for i, e in enumerate(els)}
+    table = [
+        [idx[((a1 * a2) % 5, (a1 * b2 + b1) % 5)] for a2, b2 in els]
+        for a1, b1 in els
+    ]
+    return FiniteGroup(table, label="Sz(2)")
 
 
 def test_cyclic_five():
