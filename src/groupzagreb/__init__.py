@@ -22,7 +22,6 @@ from .formulas import (
     FormulaEntry,
     FormulaPrediction,
     crosscheck,
-    evaluate,
     registry_for,
 )
 from .zagreb import (
@@ -47,7 +46,7 @@ __all__ = [
     "Presentation", "coset_enumerate",
     "Field", "field", "field_of_order",
     "FiniteGroup", "recognize_dihedral", "recognize_elementary_abelian_p2",
-    "FormulaEntry", "FormulaPrediction", "crosscheck", "evaluate", "registry_for",
+    "FormulaEntry", "FormulaPrediction", "crosscheck", "registry_for",
     "CliqueDecomposition", "ConjectureVerdict", "SimpleGraph", "Verdict",
     "ZagrebReport", "commuting_graph", "conjecture_verdict",
     "extract_clique_decomposition", "group_report", "read_edge_list",

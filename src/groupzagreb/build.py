@@ -8,15 +8,18 @@ rule, order, label, builder and catalog instances.  The formula registry and
 the CLI read the same table.
 
 Construction routes: a builder numbers its elements and computes the row
-of any one element with its own arithmetic (normal forms for dihedral,
-dicyclic, U_6n, M_2mn, order-pq and cyclic groups; 2x2 matrices over GF(q)
-for Hanaki A(n,nu) and A(n,p), GL(2,q) and PSL(2,2^k) = SL(2,2^k);
-permutations; pairs for direct products).  ``close`` asks it for the rows
-of a generating set only and composes the rest, keeping its indices.
-Coset enumeration serves SD_8n, V_8n, the quasidihedral 2-groups, Sz(2) and
-the presented special groups.  Matrix-group elements are indexed
-lexicographically on their row-major coefficient vectors, with the identity
-moved to index 0.
+of any one element with its own arithmetic, and ``close`` asks it for the
+rows of a generating set only and composes the rest, keeping its indices.
+One metacyclic normal form, a^i b^j in <a, b | a^m, b^k = a^s,
+b a b^-1 = a^r>, serves the dihedral, dicyclic, quasidihedral, SD_8n, U_6n
+and M_2mn families, Sz(2), M_16 and Z_4:Z_4.  The other builders are 2x2
+matrices over GF(q) (Hanaki A(n,nu) and A(n,p), GL(2,q) and
+PSL(2,2^k) = SL(2,2^k)), permutations (A_4, S_4), the order-pq normal form,
+cyclic groups and pairs for direct products.  Coset enumeration serves only
+the presentations of V_8n, D_8*Z_4 and SG(16,3): none has a cyclic normal
+subgroup with a cyclic quotient (V_8n checked for n = 2..11, while V_8 is
+D_8).  Matrix-group elements are indexed lexicographically on their
+row-major coefficient vectors, with the identity moved to index 0.
 """
 
 from __future__ import annotations
@@ -80,58 +83,20 @@ def close(n: int, row_of: Callable[[int], list[int]]) -> list[list[int]]:
     return rows
 
 
-def _dihedral(m: int) -> FiniteGroup:
-    # elements f^u g^s, index = u + s*m; g f g^-1 = f^-1
-    n = 2 * m
+def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
+    """<a, b | a^m = 1, b^k = a^s, b a b^-1 = a^r>, with a^i b^j at index i + m*j.
 
-    def row_of(i: int) -> list[int]:
-        u1, s1 = i % m, i // m
-        sign = -1 if s1 else 1
-        return [((u1 + sign * (j % m)) % m) + (((s1 + j // m) % 2) * m) for j in range(n)]
-    return FiniteGroup(close(n, row_of))
-
-
-def _dicyclic(n: int) -> FiniteGroup:
-    # elements f^u g^s with f^(2n)=1, g^2=f^n, g f g^-1 = f^-1; index u + s*2n
-    twon = 2 * n
-    size = 4 * n
-
-    def row_of(i: int) -> list[int]:
-        u1, s1 = i % twon, i // twon
-        sign = -1 if s1 else 1
-        row = []
-        for j in range(size):
-            u2, s2 = j % twon, j // twon
-            u = u1 + sign * u2
-            if s1 and s2:
-                u += n  # g^2 = f^n
-            row.append((u % twon) + (((s1 + s2) % 2) * twon))
-        return row
-    return FiniteGroup(close(size, row_of))
-
-
-def _u6n(n: int) -> FiniteGroup:
-    # elements b^i a^j with a^(2n)=b^3=1, a^-1 b a = b^-1; index = i + 3*j
-    twon = 2 * n
-    size = 6 * n
-
-    def row_of(idx: int) -> list[int]:
-        i1, j1 = idx % 3, idx // 3
-        sign = -1 if j1 % 2 else 1
-        return [((i1 + sign * (jdx % 3)) % 3) + 3 * ((j1 + jdx // 3) % twon) for jdx in range(size)]
-    return FiniteGroup(close(size, row_of))
-
-
-def _m2mn(m: int, n: int) -> FiniteGroup:
-    # elements a^i b^j with a^m=b^(2n)=1, b a b^-1 = a^-1; index = i + m*j
-    twon = 2 * n
-    size = 2 * m * n
+    (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + r^j1 i2) b^(j1 + j2), and b^k folds back
+    to a^s.  The caller picks (m, k, r, s) with r^k = 1 and r*s = s mod m.
+    """
+    rpow = [pow(r, j, m) for j in range(k)]
 
     def row_of(idx: int) -> list[int]:
         i1, j1 = idx % m, idx // m
-        sign = -1 if j1 % 2 else 1
-        return [((i1 + sign * (jdx % m)) % m) + m * ((j1 + jdx // m) % twon) for jdx in range(size)]
-    return FiniteGroup(close(size, row_of))
+        r1 = rpow[j1]
+        return [(i1 + r1 * i2 + s * (j1 + j2 >= k)) % m + m * ((j1 + j2) % k)
+                for j2 in range(k) for i2 in range(m)]
+    return FiniteGroup(close(m * k, row_of))
 
 
 def _least_primitive_root(q: int) -> int:
@@ -179,15 +144,6 @@ def _power(letter: int, e: int) -> tuple[int, ...]:
     return (letter,) * e if e >= 0 else (-letter,) * (-e)
 
 
-def _sd8n_presentation(n: int) -> Presentation:
-    F, G = 1, 2
-    return Presentation(2, (
-        _power(F, 4 * n),
-        _power(G, 2),
-        (G, F, G) + _power(F, -(2 * n - 1)),  # g f g = f^(2n-1)
-    ))
-
-
 def _v8n_presentation(n: int) -> Presentation:
     F, G = 1, 2
     return Presentation(2, (
@@ -196,31 +152,6 @@ def _v8n_presentation(n: int) -> Presentation:
         (G, F, G, F),        # g f = f^-1 g^-1
         (-G, F, -G, F),      # g^-1 f = f^-1 g
     ))
-
-
-def _quasidihedral_presentation(n: int) -> Presentation:
-    F, G = 1, 2
-    half = 2 ** (n - 1)
-    e = 2 ** (n - 2) - 1
-    return Presentation(2, (
-        _power(F, half),
-        _power(G, 2),
-        (G, F, -G) + _power(F, -e),  # g f g^-1 = f^(2^(n-2)-1)
-    ))
-
-
-def _sz2_presentation() -> Presentation:
-    A, B = 1, 2
-    return Presentation(2, (
-        _power(A, 5),
-        _power(B, 4),
-        (-B, A, B, -A, -A),  # b^-1 a b = a^2
-    ))
-
-
-def dihedral_presentation(m: int) -> Presentation:
-    F, G = 1, 2
-    return Presentation(2, (_power(F, m), _power(G, 2), (G, F, -G, F)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,31 +329,34 @@ def _gl2_check(q: int) -> str | None:
 FAMILIES: dict[str, Family] = {
     "dihedral": Family(
         ("m",), _at_least("m", 3),
-        lambda m: 2 * m, lambda m: f"D_{2 * m}", _dihedral),
+        lambda m: 2 * m, lambda m: f"D_{2 * m}", lambda m: _metacyclic(m, 2, -1)),
     "dicyclic": Family(
         ("n",), _at_least("n", 2),
-        lambda n: 4 * n, lambda n: f"Q_{4 * n}", _dicyclic),
+        lambda n: 4 * n, lambda n: f"Q_{4 * n}", lambda n: _metacyclic(2 * n, 2, -1, n)),
     "quasidihedral": Family(
         ("n",), _at_least("n", 4, " (order 2^n >= 16)"),
-        lambda n: 2 ** n, lambda n: f"QD_{2 ** n}", _quasidihedral_presentation),
+        lambda n: 2 ** n, lambda n: f"QD_{2 ** n}",
+        lambda n: _metacyclic(2 ** (n - 1), 2, 2 ** (n - 2) - 1)),
     "sd8n": Family(
         ("n",), _at_least("n", 2),
-        lambda n: 8 * n, lambda n: f"SD_{8 * n}", _sd8n_presentation),
+        lambda n: 8 * n, lambda n: f"SD_{8 * n}", lambda n: _metacyclic(4 * n, 2, 2 * n - 1)),
     "v8n": Family(
         ("n",), _at_least("n", 1),
         lambda n: 8 * n, lambda n: f"V_{8 * n}", _v8n_presentation),
     "u6n": Family(
         ("n",), _at_least("n", 1),
-        lambda n: 6 * n, lambda n: f"U_{6 * n}", _u6n),
+        lambda n: 6 * n, lambda n: f"U_{6 * n}", lambda n: _metacyclic(3, 2 * n, -1)),
     "m2mn": Family(
         ("m", "n"), _m2mn_check,
-        lambda m, n: 2 * m * n, lambda m, n: f"M_{2 * m * n}[m={m},n={n}]", _m2mn),
+        lambda m, n: 2 * m * n, lambda m, n: f"M_{2 * m * n}[m={m},n={n}]",
+        lambda m, n: _metacyclic(m, 2 * n, -1)),
     "pq": Family(
         ("p", "q"), _pq_check,
         lambda p, q: p * q, lambda p, q: f"Z_{q}:Z_{p}", _pq),
+    # Sz(2): b^-1 a b = a^2, so b a b^-1 = a^3 mod 5
     "sz2": Family(
         (), lambda: None,
-        lambda: 20, lambda: "Sz(2)", _sz2_presentation),
+        lambda: 20, lambda: "Sz(2)", lambda: _metacyclic(5, 4, 3)),
     "hanaki_a1": Family(
         ("n",), _at_least("n", 2, " (n = 1 gives an abelian group)"),
         lambda n: 4 ** n, lambda n: f"A({n},nu)", _hanaki_a1),
@@ -541,12 +475,8 @@ def _special_groups() -> dict[str, tuple[int, Callable[[], FiniteGroup | Present
         "A_5": (60, lambda: _sl2(4)),  # A_5 = PSL(2,4) = SL(2,4)
         "SL(2,3)": (24, lambda: _sl2(3)),
         # modular (Iwasawa) group of order 16: b a b^-1 = a^5
-        "M_16": (16, lambda: Presentation(2, (
-            _power(A, 8), _power(B, 2), (B, A, -B) + _power(A, -5),
-        ))),
-        "Z_4:Z_4": (16, lambda: Presentation(2, (
-            _power(A, 4), _power(B, 4), (B, A, -B, A),
-        ))),
+        "M_16": (16, lambda: _metacyclic(8, 2, 5)),
+        "Z_4:Z_4": (16, lambda: _metacyclic(4, 4, -1)),
         # central product of D_8 and Z_4 over their common central involution
         "D_8*Z_4": (16, lambda: Presentation(3, (
             _power(A, 4), _power(B, 2), (B, A, -B, A),
@@ -559,9 +489,9 @@ def _special_groups() -> dict[str, tuple[int, Callable[[], FiniteGroup | Present
             (A, B, -A, -B),
             (C, A, -C, B), (C, B, -C, A),
         ))),
-        "Z_2xD_8": (16, lambda: direct_product(cyclic(2), _dihedral(4))),
-        "Z_2xQ_8": (16, lambda: direct_product(cyclic(2), _dicyclic(2))),
-        "D_6xZ_3": (18, lambda: direct_product(_dihedral(3), cyclic(3))),
+        "Z_2xD_8": (16, lambda: direct_product(cyclic(2), _metacyclic(4, 2, -1))),
+        "Z_2xQ_8": (16, lambda: direct_product(cyclic(2), _metacyclic(4, 2, -1, 2))),
+        "D_6xZ_3": (18, lambda: direct_product(_metacyclic(3, 2, -1), cyclic(3))),
         "A_4xZ_2": (24, lambda: direct_product(_symmetric(4, True), cyclic(2))),
     }
 

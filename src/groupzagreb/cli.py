@@ -292,7 +292,10 @@ def _cmd_scan(args, parser: _Parser) -> int:
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 means all cores)")
     entries = catalog(args.max_order)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    # the pool forks all its workers up front, so never ask for more than
+    # the cores; the output does not depend on the worker count
+    cores = os.cpu_count() or 1
+    jobs = min(args.jobs, cores) if args.jobs else cores
     work = [(e, args.order_cap) for e in entries]
     try:
         if jobs > 1 and len(work) > 1:
@@ -474,7 +477,8 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--catalog-extra", type=str, default=None,
                         help="directory of Cayley-table files to include")
     p_scan.add_argument("--jobs", type=int, default=0,
-                        help="worker processes (default: all cores)")
+                        help="worker processes, at most the number of cores "
+                             "(default: all cores)")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
 

@@ -13,7 +13,7 @@ and report the disagreement, with the brute-force oracle as the arbiter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -76,10 +76,6 @@ class FormulaEntry:
         if err:
             raise FormulaError(f"{self.key}{params}: {err}")
         return self.predict(*params)
-
-
-def evaluate(entry: FormulaEntry, params: tuple[int, ...]) -> FormulaPrediction:
-    return entry.evaluate(params)
 
 
 # ---------------------------------------------------------------------------
@@ -655,41 +651,29 @@ def crosscheck(
         report = group_report(G)
     pred = entry.evaluate(params)
 
-    actual = {
-        "vertices": report.c.vertices,
-        "edges_c": report.c.edges,
-        "edges_nc": report.nc.edges,
-        "m1_c": report.c.m1,
-        "m2_c": report.c.m2,
-        "m1_nc": report.nc.m1,
-        "m2_nc": report.nc.m2,
-        "decomposition": report.decomposition,
-        "equality_c": report.verdict_c.status == Verdict.HOLDS_WITH_EQUALITY,
-        "equality_nc": report.verdict_nc.status == Verdict.HOLDS_WITH_EQUALITY,
-    }
-    predicted = {
-        "vertices": pred.vertices,
-        "edges_c": pred.edges_c,
-        "edges_nc": pred.edges_nc,
-        "m1_c": pred.m1_c,
-        "m2_c": pred.m2_c,
-        "m1_nc": pred.m1_nc,
-        "m2_nc": pred.m2_nc,
-        "decomposition": pred.decomposition,
-        "equality_c": pred.equality_c,
-        "equality_nc": pred.equality_nc,
-    }
+    actual = FormulaPrediction(
+        vertices=report.c.vertices,
+        edges_c=report.c.edges,
+        edges_nc=report.nc.edges,
+        m1_c=report.c.m1,
+        m2_c=report.c.m2,
+        m1_nc=report.nc.m1,
+        m2_nc=report.nc.m2,
+        decomposition=report.decomposition,
+        equality_c=report.verdict_c.status == Verdict.HOLDS_WITH_EQUALITY,
+        equality_nc=report.verdict_nc.status == Verdict.HOLDS_WITH_EQUALITY,
+    )
     diffs = tuple(
-        FieldDiff(f, predicted[f], actual[f])
-        for f in predicted
-        if predicted[f] != actual[f]
+        FieldDiff(f.name, getattr(pred, f.name), getattr(actual, f.name))
+        for f in fields(FormulaPrediction)
+        if getattr(pred, f.name) != getattr(actual, f.name)
     )
     alt = []
     for alt_form in entry.alt_forms:
         value = alt_form.fn(*params)
         if value is None:
             continue  # variant does not apply to this parameter case
-        confirmed = predicted[alt_form.field]
+        confirmed = getattr(pred, alt_form.field)
         if value != confirmed:
             alt.append(FieldDiff(alt_form.field, value, confirmed, alt_form.note))
     return CrosscheckResult(entry.key, tuple(params), diffs, tuple(alt))

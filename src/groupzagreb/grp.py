@@ -57,11 +57,6 @@ class FiniteGroup:
                 raise GroupTableError("table is not square")
 
     # -- basic operations ---------------------------------------------------
-    def multiply(self, i: int, j: int) -> int:
-        if not (0 <= i < self.order and 0 <= j < self.order):
-            raise IndexError(f"element index out of range for group of order {self.order}")
-        return self.table[i][j]
-
     def inverse(self, i: int) -> int:
         row = self.table[i]
         for j in range(self.order):

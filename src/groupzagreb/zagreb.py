@@ -43,16 +43,6 @@ class SimpleGraph:
         self.rows = rows
         self.edge_count = sum(r.bit_count() for r in rows) // 2
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "SimpleGraph":
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise GraphFormatError(f"bad edge ({u}, {v}) for {n} vertices")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, rows)
-
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 

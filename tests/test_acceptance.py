@@ -30,10 +30,9 @@ import pytest
 
 from groupzagreb.build import FamilySpec, build_family, catalog, ingest_cayley
 from groupzagreb.cli import _scan_worker, main
-from groupzagreb.formulas import ENTRIES, crosscheck, evaluate, registry_for
+from groupzagreb.formulas import ENTRIES, crosscheck, registry_for
 from groupzagreb.grp import recognize_dihedral
 from groupzagreb.zagreb import (
-    SimpleGraph,
     Verdict,
     ZagrebReport,
     conjecture_verdict,
@@ -41,6 +40,7 @@ from groupzagreb.zagreb import (
     zagreb_complement,
     zagreb_direct,
 )
+from test_zagreb import graph_from_edges
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 
@@ -194,7 +194,7 @@ def test_criterion_3_s4_verified_values():
 
 def test_criterion_4_counterexample_sanity():
     """The checker can fail: K_{1,5} + K_3 gives gap -3/72 before reduction."""
-    g = SimpleGraph.from_edges(
+    g = graph_from_edges(
         9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7), (6, 8), (7, 8)]
     )
     rep = zagreb_direct(g)
@@ -216,7 +216,7 @@ def test_criterion_5_complement_property_suite():
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         ]
-        g = SimpleGraph.from_edges(n, edges)
+        g = graph_from_edges(n, edges)
         base = zagreb_direct(g)
         via_formula = zagreb_complement(base)
         assert via_formula == zagreb_direct(g.complement()), f"graph #{i}"
@@ -277,7 +277,7 @@ def test_criterion_7_consequence_dispatch():
     apps = {a.entry.key: a for a in registry_for(heis)}
     assert apps["quot_zpzp"].params == (3, 3)
     assert crosscheck(ENTRIES["quot_zpzp"], (3, 3), G=heis).clean
-    pred = evaluate(ENTRIES["quot_zpzp"], (3, 3))
+    pred = ENTRIES["quot_zpzp"].evaluate((3, 3))
     assert pred.equality_c and pred.equality_nc
 
     u12 = B("u6n", 2)

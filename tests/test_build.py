@@ -156,6 +156,23 @@ def m2mn_oracle(m, n):
     return table
 
 
+def metacyclic_oracle(m, k, r, s=0):
+    """<a, b | a^m, b^k = a^s, b a b^-1 = a^r> with a^i b^j at index i + m*j:
+    (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + r^j1 i2) b^(j1 + j2), b^k = a^s."""
+    table = []
+    for x in range(m * k):
+        i1, j1 = x % m, x // m
+        row = []
+        for y in range(m * k):
+            i2, j2 = y % m, y // m
+            i = i1 + r ** j1 * i2
+            if j1 + j2 >= k:
+                i += s
+            row.append(i % m + m * ((j1 + j2) % k))
+        table.append(row)
+    return table
+
+
 def pq_oracle(p, q):
     r = pow(_least_primitive_root(q), (q - 1) // p, q)
     table = []
@@ -261,6 +278,9 @@ ORACLES = {
     "u6n": u6n_oracle,
     "m2mn": m2mn_oracle,
     "pq": pq_oracle,
+    "quasidihedral": lambda n: metacyclic_oracle(2 ** (n - 1), 2, 2 ** (n - 2) - 1),
+    "sd8n": lambda n: metacyclic_oracle(4 * n, 2, 2 * n - 1),
+    "sz2": lambda: metacyclic_oracle(5, 4, 3),
     "hanaki_a1": hanaki_a1_oracle,
     "hanaki_a2": hanaki_a2_oracle,
     "gl2": gl2_oracle,
@@ -269,6 +289,8 @@ ORACLES = {
     "S_4": lambda: perm_group_oracle(4, False),
     "A_5": lambda: sl2_oracle(4),
     "SL(2,3)": lambda: sl2_oracle(3),
+    "M_16": lambda: metacyclic_oracle(8, 2, 5),
+    "Z_4:Z_4": lambda: metacyclic_oracle(4, 4, -1),
     "Z_2xD_8": lambda: direct_product_oracle(cyclic_oracle(2), dihedral_oracle(4)),
     "Z_2xQ_8": lambda: direct_product_oracle(cyclic_oracle(2), dicyclic_oracle(2)),
     "D_6xZ_3": lambda: direct_product_oracle(dihedral_oracle(3), cyclic_oracle(3)),

@@ -145,6 +145,34 @@ def test_scan_jobs_do_not_change_bytes(capsys):
     assert out1 == out2
 
 
+def test_scan_caps_jobs_at_the_core_count(capsys, monkeypatch):
+    # a stand-in pool that records its size and maps serially, so no
+    # process is started whatever --jobs asks for
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    code, capped, _ = run(capsys, "scan", "--max-order", "16", "--jobs", "100000")
+    assert code == 0
+    assert asked == [4]
+    code, serial, _ = run(capsys, "scan", "--max-order", "16", "--jobs", "1")
+    assert code == 0
+    assert capped == serial
+
+
 def test_scan_rejects_small_max_order(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--max-order", "5"])

@@ -1,8 +1,9 @@
-"""Coset enumeration: known orders, determinism, overflow behavior."""
+"""Coset enumeration: known orders, determinism, overflow behavior, and the
+presentations that prove the metacyclic builds are the presented groups."""
 
 import pytest
 
-from groupzagreb.build import FamilySpec, build_family, dihedral_presentation
+from groupzagreb.build import FamilySpec, _power, build_family, catalog
 from groupzagreb.coset import (
     EnumerationOverflow,
     Presentation,
@@ -10,6 +11,53 @@ from groupzagreb.coset import (
     coset_enumerate,
 )
 from groupzagreb.grp import FiniteGroup, recognize_dihedral
+
+# Presentations of groups the builders construct from a normal form.  Coset
+# enumeration gives each one a second construction that shares no arithmetic
+# with its builder.
+A, B = 1, 2  # generator letters: a is index 1 and b index m in the built table
+
+
+def dihedral_presentation(m):
+    return Presentation(2, (_power(A, m), _power(B, 2), (B, A, -B, A)))
+
+
+def sd8n_presentation(n):
+    return Presentation(2, (
+        _power(A, 4 * n),
+        _power(B, 2),
+        (B, A, B) + _power(A, -(2 * n - 1)),  # b a b = a^(2n-1)
+    ))
+
+
+def quasidihedral_presentation(n):
+    return Presentation(2, (
+        _power(A, 2 ** (n - 1)),
+        _power(B, 2),
+        (B, A, -B) + _power(A, -(2 ** (n - 2) - 1)),  # b a b^-1 = a^(2^(n-2)-1)
+    ))
+
+
+def sz2_presentation():
+    return Presentation(2, (
+        _power(A, 5),
+        _power(B, 4),
+        (-B, A, B, -A, -A),  # b^-1 a b = a^2
+    ))
+
+
+# modular (Iwasawa) group of order 16: b a b^-1 = a^5
+M16_PRESENTATION = Presentation(2, (_power(A, 8), _power(B, 2), (B, A, -B) + _power(A, -5)))
+Z4_Z4_PRESENTATION = Presentation(2, (_power(A, 4), _power(B, 4), (B, A, -B, A)))
+
+# catalog family or special-group label -> (m, the presentation), by parameters
+PRESENTED = {
+    "quasidihedral": lambda n: (2 ** (n - 1), quasidihedral_presentation(n)),
+    "sd8n": lambda n: (4 * n, sd8n_presentation(n)),
+    "sz2": lambda: (5, sz2_presentation()),
+    "M_16": lambda: (8, M16_PRESENTATION),
+    "Z_4:Z_4": lambda: (4, Z4_Z4_PRESENTATION),
+}
 
 
 def suzuki2_affine():
@@ -32,15 +80,12 @@ def test_cyclic_five():
 
 
 def test_sz2_presentation_order_20():
-    G = build_family(FamilySpec("sz2", ()))
+    G = coset_enumerate(sz2_presentation(), bound=1000)
     assert G.order == 20
     G.validate()
 
 
 def test_sz2_presentation_matches_affine_construction():
-    pres_route = build_family(FamilySpec("sz2", ()))
-    affine_route = suzuki2_affine()
-
     def stats(G):
         return (
             G.order,
@@ -49,7 +94,48 @@ def test_sz2_presentation_matches_affine_construction():
             sorted(G.element_order(x) for x in range(G.order)),
         )
 
-    assert stats(pres_route) == stats(affine_route)
+    family = stats(build_family(FamilySpec("sz2", ())))
+    assert family == stats(coset_enumerate(sz2_presentation(), bound=1000))
+    assert family == stats(suzuki2_affine())
+
+
+def evaluate_word(table, word, m):
+    """The product of a relator word in a built table, with a at index 1
+    and b at index m."""
+    gens = {A: 1, B: m}
+    inverse = {x: table[x].index(0) for x in gens.values()}
+    x = 0
+    for letter in word:
+        g = gens[abs(letter)]
+        x = table[x][g if letter > 0 else inverse[g]]
+    return x
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in catalog(256) if (e.label if e.family == "special" else e.family) in PRESENTED],
+    ids=lambda e: e.label,
+)
+def test_metacyclic_build_is_the_presented_group(entry):
+    # von Dyck: a and b satisfy every relator and generate the built group,
+    # so it is a quotient of the presented group; equal orders make the
+    # quotient map an isomorphism
+    key = entry.label if entry.family == "special" else entry.family
+    m, pres = PRESENTED[key](*entry.params)
+    table = entry.build().table
+    n = len(table)
+    for rel in pres.relators:
+        assert evaluate_word(table, rel, m) == 0, rel
+    reached, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in (1, m):
+            y = table[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert len(reached) == n
+    assert coset_enumerate(pres, bound=16 * n + 64).order == n
 
 
 def test_v8n_n2_order_16():
@@ -66,10 +152,13 @@ def test_dihedral_presentations_recognized(m):
 
 
 def test_enumerated_groups_pass_validation():
-    for fam, params in [("sd8n", (3,)), ("v8n", (3,)), ("quasidihedral", (5,))]:
-        G = build_family(FamilySpec(fam, params))
+    for G in (
+        build_family(FamilySpec("v8n", (3,))),
+        coset_enumerate(sd8n_presentation(3), bound=1000),
+        coset_enumerate(quasidihedral_presentation(5), bound=1000),
+    ):
         G.validate()
-        assert G.multiply(0, 1) == 1  # identity is coset 0
+        assert G.table[0][1] == 1  # identity is coset 0
 
 
 def test_overflow_on_too_small_bound():

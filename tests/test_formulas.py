@@ -16,7 +16,6 @@ from groupzagreb.formulas import (
     ENTRIES,
     FormulaError,
     crosscheck,
-    evaluate,
     registry_for,
 )
 from groupzagreb.zagreb import (
@@ -36,63 +35,63 @@ def indices(pred):
 # -- anchor evaluations -------------------------------------------------------
 
 def test_dihedral_m3():
-    pred = evaluate(ENTRIES["dihedral"], (3,))
+    pred = ENTRIES["dihedral"].evaluate((3,))
     assert indices(pred) == (2, 1, 66, 120)
     assert (pred.vertices, pred.edges_c, pred.edges_nc) == (5, 1, 9)
     assert not pred.equality_c
 
 
 def test_dihedral_m4_equality():
-    pred = evaluate(ENTRIES["dihedral"], (4,))
+    pred = ENTRIES["dihedral"].evaluate((4,))
     assert indices(pred) == (6, 3, 96, 192)
     assert pred.equality_c and pred.equality_nc
 
 
 def test_sz2_n1():
-    pred = evaluate(ENTRIES["quot_sz2"], (1,))
+    pred = ENTRIES["quot_sz2"].evaluate((1,))
     assert indices(pred) == (96, 114, 4740, 37440)
     assert pred.edges_nc == 150
-    assert evaluate(ENTRIES["sz2"], ()) == pred
+    assert ENTRIES["sz2"].evaluate(()) == pred
 
 
 def test_u6n_n1_matches_d6():
-    pred = evaluate(ENTRIES["u6n"], (1,))
+    pred = ENTRIES["u6n"].evaluate((1,))
     assert pred.m1_nc == 66 and pred.m2_nc == 120
 
 
 def test_equality_conditions():
-    assert evaluate(ENTRIES["dicyclic"], (2,)).equality_c
-    assert not evaluate(ENTRIES["dicyclic"], (3,)).equality_c
-    assert evaluate(ENTRIES["v8n"], (1,)).equality_c
-    assert evaluate(ENTRIES["v8n"], (2,)).equality_c
-    assert not evaluate(ENTRIES["v8n"], (3,)).equality_c
+    assert ENTRIES["dicyclic"].evaluate((2,)).equality_c
+    assert not ENTRIES["dicyclic"].evaluate((3,)).equality_c
+    assert ENTRIES["v8n"].evaluate((1,)).equality_c
+    assert ENTRIES["v8n"].evaluate((2,)).equality_c
+    assert not ENTRIES["v8n"].evaluate((3,)).equality_c
     # quasidihedral never reaches its degenerate case within validity (n >= 4)
     for n in range(4, 9):
-        assert not evaluate(ENTRIES["quasidihedral"], (n,)).equality_c
+        assert not ENTRIES["quasidihedral"].evaluate((n,)).equality_c
     # the oracle-confirmed SD_8n condition: never equality for n >= 2
     for n in range(2, 9):
-        assert not evaluate(ENTRIES["sd8n"], (n,)).equality_c
+        assert not ENTRIES["sd8n"].evaluate((n,)).equality_c
     for n in (2, 3, 4):
-        assert evaluate(ENTRIES["hanaki_a1"], (n,)).equality_c
-        assert evaluate(ENTRIES["quot_zpzp"], (2, n)).equality_c
-    assert evaluate(ENTRIES["hanaki_a2"], (1, 5)).equality_c
-    assert not evaluate(ENTRIES["gl2"], (3,)).equality_c
-    assert not evaluate(ENTRIES["psl2"], (2,)).equality_c
+        assert ENTRIES["hanaki_a1"].evaluate((n,)).equality_c
+        assert ENTRIES["quot_zpzp"].evaluate((2, n)).equality_c
+    assert ENTRIES["hanaki_a2"].evaluate((1, 5)).equality_c
+    assert not ENTRIES["gl2"].evaluate((3,)).equality_c
+    assert not ENTRIES["psl2"].evaluate((2,)).equality_c
 
 
 def test_validity_errors():
     with pytest.raises(FormulaError):
-        evaluate(ENTRIES["dihedral"], (2,))
+        ENTRIES["dihedral"].evaluate((2,))
     with pytest.raises(FormulaError):
-        evaluate(ENTRIES["m2mn"], (4, 1))
+        ENTRIES["m2mn"].evaluate((4, 1))
     with pytest.raises(FormulaError):
-        evaluate(ENTRIES["pq"], (3, 5))
+        ENTRIES["pq"].evaluate((3, 5))
     with pytest.raises(FormulaError):
-        evaluate(ENTRIES["quot_zpzp"], (6, 2))
+        ENTRIES["quot_zpzp"].evaluate((6, 2))
     with pytest.raises(FormulaError):
-        evaluate(ENTRIES["dihedral"], (3, 1))  # arity
+        ENTRIES["dihedral"].evaluate((3, 1))  # arity
     with pytest.raises(FormulaError):
-        evaluate(ENTRIES["gl2"], (6,))  # GL(2,6) does not exist
+        ENTRIES["gl2"].evaluate((6,))  # GL(2,6) does not exist
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -144,7 +143,7 @@ def test_entry_internal_consistency(key):
     decomposition must satisfy the clique-sum and complement identities."""
     entry = ENTRIES[key]
     for params in PARAM_POINTS[key]:
-        pred = evaluate(entry, params)
+        pred = entry.evaluate(params)
         from_parts = zagreb_from_decomposition(pred.decomposition)
         assert from_parts == ZagrebReport(
             pred.m1_c, pred.m2_c, pred.vertices, pred.edges_c
@@ -159,39 +158,39 @@ def test_entry_internal_consistency(key):
 
 def test_dicyclic_matches_dihedral_at_2n():
     for n in range(2, 12):
-        a = evaluate(ENTRIES["dicyclic"], (n,))
-        b = evaluate(ENTRIES["dihedral"], (2 * n,))
+        a = ENTRIES["dicyclic"].evaluate((n,))
+        b = ENTRIES["dihedral"].evaluate((2 * n,))
         assert indices(a) == indices(b) and a.decomposition == b.decomposition
 
 
 def test_quasidihedral_matches_dihedral_at_half_order():
     for n in range(4, 10):
-        a = evaluate(ENTRIES["quasidihedral"], (n,))
-        b = evaluate(ENTRIES["dihedral"], (2 ** (n - 1),))
+        a = ENTRIES["quasidihedral"].evaluate((n,))
+        b = ENTRIES["dihedral"].evaluate((2 ** (n - 1),))
         assert indices(a) == indices(b)
 
 
 def test_v8n_odd_matches_dihedral_at_4n():
     for n in (1, 3, 5, 7):
-        a = evaluate(ENTRIES["v8n"], (n,))
-        b = evaluate(ENTRIES["dihedral"], (4 * n,))
+        a = ENTRIES["v8n"].evaluate((n,))
+        b = ENTRIES["dihedral"].evaluate((4 * n,))
         assert indices(a) == indices(b)
 
 
 def test_u6n_matches_quot_dihedral_m3():
     for n in range(1, 12):
-        a = evaluate(ENTRIES["u6n"], (n,))
-        b = evaluate(ENTRIES["quot_dihedral"], (3, n))
+        a = ENTRIES["u6n"].evaluate((n,))
+        b = ENTRIES["quot_dihedral"].evaluate((3, n))
         assert indices(a) == indices(b)
 
 
 def test_m2mn_matches_quot_dihedral():
     for n in (1, 2, 3):
-        assert indices(evaluate(ENTRIES["m2mn"], (5, n))) == indices(
-            evaluate(ENTRIES["quot_dihedral"], (5, n))
+        assert indices(ENTRIES["m2mn"].evaluate((5, n))) == indices(
+            ENTRIES["quot_dihedral"].evaluate((5, n))
         )
-        assert indices(evaluate(ENTRIES["m2mn"], (6, n))) == indices(
-            evaluate(ENTRIES["quot_dihedral"], (3, 2 * n))
+        assert indices(ENTRIES["m2mn"].evaluate((6, n))) == indices(
+            ENTRIES["quot_dihedral"].evaluate((3, 2 * n))
         )
 
 
@@ -273,7 +272,7 @@ def test_registry_for_ingested_heisenberg():
     assert keys == {("quot_zpzp", (3, 3))}
     res = crosscheck(ENTRIES["quot_zpzp"], (3, 3), G=G)
     assert res.clean
-    pred = evaluate(ENTRIES["quot_zpzp"], (3, 3))
+    pred = ENTRIES["quot_zpzp"].evaluate((3, 3))
     assert pred.equality_c and pred.equality_nc
 
 
