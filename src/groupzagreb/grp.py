@@ -1,8 +1,16 @@
 """Finite groups as explicit multiplication tables, plus the structural
-queries the rest of the library needs: the commutation relation, computed
-once per group as one centralizer bitmask per element, which the center,
-centralizers, Pr(G) and ``zagreb.commuting_graph`` read; central quotients;
-and the two quotient-shape recognizers used for formula dispatch.
+queries the rest of the library needs.
+
+A greedy generating set (at most log2(n) elements, found once and cached)
+serves both validation and the center: Z(G) is the intersection of the
+generators' centralizers, n cells per generator.  Whether x and y commute
+depends only on their cosets xZ(G) and yZ(G), so the commutation relation is
+computed once per central coset, as one centralizer bitmask per coset
+representative that its whole coset shares; the centralizers, Pr(G) and
+``zagreb.commuting_graph`` read it.  The conjugacy classes are orbits under
+the generators and never read it.  Also here: central quotients on the
+cached cosets, and the two quotient-shape recognizers used for formula
+dispatch.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -15,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import eq
+from itertools import compress
+from operator import and_, eq, itemgetter
 
 from .ff import is_prime
 
@@ -72,25 +81,114 @@ class FiniteGroup:
             k += 1
         return k
 
-    # -- the commutation relation ----------------------------------------------
+    # -- generators, the center and its cosets -----------------------------------
     @cached_property
-    def centralizer_masks(self) -> tuple[int, ...]:
-        """Bit g of mask x is set iff x*g == g*x, so mask x is C_G(x); the one
-        commutation pass over the table."""
+    def generators(self) -> tuple[int, ...]:
+        """A greedy generating set: walk the indices in order and take each one
+        not yet reached, then close the reached set under right multiplication
+        by the generators taken so far.  Each one at least doubles the reached
+        subgroup, so there are at most log2(n)."""
         t = self.table
-        cols = list(zip(*t))
-        # one byte 0/1 per g, reversed so that g = 0 is the lowest bit
-        return tuple(
-            int(bytes(map(eq, t[x], cols[x]))[::-1].translate(_BIT_CHARS), 2)
-            for x in range(self.order)
-        )
+        n = self.order
+        reached = bytearray(n)
+        reached[0] = 1
+        gens: list[int] = []
+        for s in range(n):
+            if reached[s]:
+                continue
+            gens.append(s)
+            todo = [r for r in range(n) if reached[r]]
+            while todo:
+                tr = t[todo.pop()]
+                for g in gens:
+                    p = tr[g]
+                    if not reached[p]:
+                        reached[p] = 1
+                        todo.append(p)
+        return tuple(gens)
+
+    @cached_property
+    def _inverses(self) -> list[int]:
+        """g -> g^-1, spread from the generators' inverses along
+        (p*s)^-1 = s^-1 * p^-1: n*|S| lookups."""
+        t = self.table
+        inv = [-1] * self.order
+        inv[0] = 0
+        steps = [(s, t[t[s].index(0)]) for s in self.generators]
+        reached = [0]
+        for p in reached:
+            tp, ip = t[p], inv[p]
+            for s, row_of_s_inv in steps:
+                q = tp[s]
+                if inv[q] < 0:
+                    inv[q] = row_of_s_inv[ip]
+                    reached.append(q)
+        return inv
+
+    @cached_property
+    def _at_inverses(self) -> itemgetter:
+        """Reads a row at g^-1 for every g, in one C-level gather."""
+        return itemgetter(*self._inverses)
+
+    def _commutes_with(self, x: int) -> bytes:
+        """Byte g is 1 iff x*g == g*x, for x other than the identity.
+
+        Compared as (x*g)^-1 == x^-1 * g^-1, so that both sides are C-level
+        gathers of one row: the inverses read along row x, and row x^-1 read
+        at the inverses.  n cells, and no column of the table is fetched.
+        """
+        t = self.table
+        inv = self._inverses
+        return bytes(map(eq, itemgetter(*t[x])(inv), self._at_inverses(t[inv[x]])))
+
+    @cached_property
+    def _center(self) -> tuple[int, ...]:
+        # Z(G) is the intersection of the generators' centralizers
+        z = b"\x01" * self.order
+        for s in self.generators:
+            z = bytes(map(and_, z, self._commutes_with(s)))
+        return tuple(compress(range(self.order), z))
 
     def center(self) -> tuple[int, ...]:
-        n = self.order
-        return tuple(x for x, m in enumerate(self.centralizer_masks) if m.bit_count() == n)
+        return self._center
 
     def is_abelian(self) -> bool:
         return len(self.center()) == self.order
+
+    @cached_property
+    def cosets(self) -> tuple[list[int], list[int]]:
+        """(coset_of, reps): the cosets gZ(G), each represented by its lowest
+        index; reps ascend, so the center's coset is 0, and g lies in the
+        coset of reps[coset_of[g]]."""
+        t = self.table
+        z = self.center()
+        coset_of = [-1] * self.order
+        reps: list[int] = []
+        for g in range(self.order):
+            if coset_of[g] < 0:
+                c = len(reps)
+                reps.append(g)
+                tg = t[g]
+                for zz in z:
+                    coset_of[tg[zz]] = c
+        return coset_of, reps
+
+    # -- the commutation relation ----------------------------------------------
+    @cached_property
+    def centralizer_masks(self) -> tuple[int, ...]:
+        """Bit g of mask x is set iff x*g == g*x, so mask x is C_G(x).
+
+        Central factors cancel (C_G(xz) = C_G(x) for z in Z(G)), so only the
+        k = n/|Z| coset representatives compare x*g with g*x, k*n cells in
+        all, and every element shares its representative's mask.
+        """
+        coset_of, reps = self.cosets
+        # the center's coset commutes with everything; for the others one
+        # byte 0/1 per g, reversed so that g = 0 is the lowest bit
+        rep_masks = [(1 << self.order) - 1] + [
+            int(self._commutes_with(r)[::-1].translate(_BIT_CHARS), 2) for r in reps[1:]
+        ]
+        return tuple(map(rep_masks.__getitem__, coset_of))
 
     def centralizer(self, x: int) -> tuple[int, ...]:
         m = self.centralizer_masks[x]
@@ -105,44 +203,55 @@ class FiniteGroup:
         return Fraction(sum(m.bit_count() for m in self.centralizer_masks), self.order**2)
 
     def conjugacy_class_count(self) -> int:
+        """k(G), as the orbits of x -> s^-1*x*s over the generators s: O(n*|S|),
+        and it never reads the commutation masks."""
         t = self.table
-        n = self.order
-        inv = [self.inverse(g) for g in range(n)]
-        seen = [False] * n
+        # conjugation by s: x -> s^-1*x -> (s^-1*x)*s, two C-level maps
+        conj = [
+            list(map(itemgetter(s), map(t.__getitem__, t[self.inverse(s)])))
+            for s in self.generators
+        ]
+        seen = bytearray(self.order)
         classes = 0
-        for x in range(n):
+        for x in range(self.order):
             if seen[x]:
                 continue
             classes += 1
-            for g in range(n):
-                seen[t[t[g][x]][inv[g]]] = True
+            seen[x] = 1
+            todo = [x]
+            while todo:
+                y = todo.pop()
+                for c in conj:
+                    w = c[y]
+                    if not seen[w]:
+                        seen[w] = 1
+                        todo.append(w)
         return classes
 
     # -- quotients -------------------------------------------------------------
     def central_quotient(self) -> "FiniteGroup":
-        """G/Z(G) on lowest-index coset representatives, identity coset first."""
+        """G/Z(G) on lowest-index coset representatives, identity coset first;
+        a centerless G gives a group on its own table."""
+        coset_of, reps = self.cosets
+        label = f"{self.label}/Z"
+        if len(reps) == self.order:
+            return FiniteGroup(self.table, label=label)
+        if len(reps) == 1:
+            return FiniteGroup([[0]], label=label)
         t = self.table
-        z = self.center()
-        coset_of = [-1] * self.order
-        reps: list[int] = []
-        for g in range(self.order):
-            if coset_of[g] >= 0:
-                continue
-            rep_id = len(reps)
-            reps.append(g)  # g is the smallest member of its coset
-            for zz in z:
-                coset_of[t[g][zz]] = rep_id
-        qtable = [[coset_of[t[a][b]] for b in reps] for a in reps]
-        return FiniteGroup(qtable, label=f"{self.label}/Z")
+        pick = itemgetter(*reps)
+        return FiniteGroup(
+            [list(map(coset_of.__getitem__, pick(t[a]))) for a in reps], label=label
+        )
 
     # -- validation --------------------------------------------------------------
     def validate(self) -> None:
         """Full group-axiom screen; raises GroupTableError naming the violation.
 
-        Associativity is Light's test on a generating set: the a with
-        (x*a)*y == x*(a*y) for all x, y are closed under the product, so it
-        suffices that the checked elements generate the table.  Each one at
-        least doubles the subgroup they generate: at most log2(n) checks.
+        Associativity is Light's test on the generating set ``generators``:
+        the a with (x*a)*y == x*(a*y) for all x, y are closed under the
+        product, so it suffices that the checked elements generate the table.
+        There are at most log2(n) of them.
         """
         t = self.table
         n = self.order
@@ -167,27 +276,13 @@ class FiniteGroup:
             j = t[i].index(0)
             if t[j][i] != 0:
                 raise GroupTableError(f"element {i} has no two-sided inverse")
-        reached = bytearray(n)  # the products of the checked generators
-        reached[0] = 1
-        gens: list[int] = []
-        for s in range(n):
-            if reached[s]:
-                continue
+        for s in self.generators:
             ts = t[s]
             # (x*s)*y == x*(s*y) for all y, phrased as a whole-row comparison
             for x in range(n):
                 tx = t[x]
                 if t[tx[s]] != [tx[v] for v in ts]:
                     raise GroupTableError(f"associativity violated at i={x}, j={s}")
-            gens.append(s)
-            todo = [r for r in range(n) if reached[r]]
-            while todo:
-                tr = t[todo.pop()]
-                for g in gens:
-                    p = tr[g]
-                    if not reached[p]:
-                        reached[p] = 1
-                        todo.append(p)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"

@@ -111,18 +111,26 @@ class ConjectureVerdict:
 
 def commuting_graph(G: FiniteGroup) -> SimpleGraph:
     """Vertices are the non-central elements in ascending index order; edges
-    join commuting pairs, read off the group's centralizer masks."""
+    join commuting pairs, read off the group's centralizer masks.  Elements
+    of one central coset share a mask, so each distinct mask is turned into
+    a row once and every vertex only clears its own bit."""
     n = G.order
     masks = G.centralizer_masks
-    vertices = [x for x, m in enumerate(masks) if m.bit_count() < n]
+    coset_of, _ = G.cosets
+    vertices = [x for x, c in enumerate(coset_of) if c]  # coset 0 is Z(G)
     if not vertices:
         raise AbelianGroupError("Group must be non-abelian")
-    # a row: the vertex digits of the mask in binary, highest first, minus own bit
+    # a row: the vertex digits of the mask in binary, highest first
     pick = itemgetter(*[n - 1 - x for x in reversed(vertices)])
-    return SimpleGraph(len(vertices), [
-        int("".join(pick(format(masks[x], f"0{n}b"))), 2) ^ (1 << a)
-        for a, x in enumerate(vertices)
-    ])
+    row_of: dict[int, int] = {}
+    rows = []
+    for a, x in enumerate(vertices):
+        m = masks[x]
+        row = row_of.get(m)
+        if row is None:
+            row = row_of[m] = int("".join(pick(format(m, f"0{n}b"))), 2)
+        rows.append(row ^ (1 << a))
+    return SimpleGraph(len(vertices), rows)
 
 
 # ---------------------------------------------------------------------------

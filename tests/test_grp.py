@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from groupzagreb.build import FamilySpec, build_family, catalog, ingest_cayley, special_group
+from groupzagreb.build import (
+    FamilySpec,
+    build_family,
+    catalog,
+    direct_product,
+    ingest_cayley,
+    special_group,
+)
 from groupzagreb.grp import (
     FiniteGroup,
     GroupTableError,
@@ -54,15 +61,52 @@ def naive_commuting_rows(G):
     return rows
 
 
-def relabelled_sl23():
-    """SL(2,3) ingested from a table whose elements were shuffled."""
-    t = special_group("SL(2,3)").table
+def naive_conjugacy_class_count(G):
+    """k(G) by conjugating every x by every g: O(n^2)."""
+    t = G.table
+    n = G.order
+    inv = [G.inverse(g) for g in range(n)]
+    seen = [False] * n
+    classes = 0
+    for x in range(n):
+        if seen[x]:
+            continue
+        classes += 1
+        for g in range(n):
+            seen[t[t[g][x]][inv[g]]] = True
+    return classes
+
+
+def naive_central_quotient(G):
+    """G/Z(G) cell by cell on lowest-index coset representatives."""
+    t = G.table
+    z = naive_center(G)
+    coset_of = [-1] * G.order
+    reps = []
+    for g in range(G.order):
+        if coset_of[g] >= 0:
+            continue
+        for zz in z:
+            coset_of[t[g][zz]] = len(reps)
+        reps.append(g)
+    return [[coset_of[t[a][b]] for b in reps] for a in reps]
+
+
+def relabelled(G, seed):
+    """G ingested from a table whose elements were shuffled, so that its
+    identity and generators sit at other indices of the file."""
+    t = G.table
     n = len(t)
     perm = list(range(n))
-    random.Random(7).shuffle(perm)
+    random.Random(seed).shuffle(perm)
+    assert perm[0] != 0
     inv = [perm.index(i) for i in range(n)]
     rows = [[inv[t[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
     return ingest_cayley(f"{n}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+
+
+def relabelled_sl23():
+    return relabelled(special_group("SL(2,3)"), 7)
 
 
 # -- table products ------------------------------------------------------------
@@ -199,11 +243,19 @@ def test_pr_equals_class_count_over_order():
 
 CATALOG_64 = catalog(64)
 
+# groups whose center is large, so that most masks are shared by a coset
+LARGE_CENTER = {
+    "GL(2,5)": lambda: B("gl2", 5),
+    "Dic_12": lambda: B("dicyclic", 12),
+    "D_6xQ_8": lambda: direct_product(B("dihedral", 3), B("dicyclic", 2)),
+    "ingested M_2mn(13,20)": lambda: relabelled(B("m2mn", 13, 20), 11),
+}
+
 
 @pytest.mark.parametrize(
     "build",
-    [e.build for e in CATALOG_64] + [relabelled_sl23],
-    ids=[e.label for e in CATALOG_64] + ["ingested SL(2,3)"],
+    [e.build for e in CATALOG_64] + [relabelled_sl23] + list(LARGE_CENTER.values()),
+    ids=[e.label for e in CATALOG_64] + ["ingested SL(2,3)"] + list(LARGE_CENTER),
 )
 def test_commutation_queries_match_naive_oracles(build):
     G = build()
@@ -218,12 +270,47 @@ def test_commutation_queries_match_naive_oracles(build):
     assert commuting_graph(G).rows == naive_commuting_rows(G)
 
 
+def test_large_centers_are_large():
+    sizes = {name: len(build().center()) for name, build in LARGE_CENTER.items()}
+    assert sizes == {"GL(2,5)": 4, "Dic_12": 2, "D_6xQ_8": 2, "ingested M_2mn(13,20)": 20}
+
+
+@pytest.mark.parametrize("entry", CATALOG_64, ids=[e.label for e in CATALOG_64])
+def test_class_orbits_match_conjugation_loop(entry):
+    G = entry.build()
+    assert G.conjugacy_class_count() == naive_conjugacy_class_count(G)
+
+
+def test_generators_generate_from_index_order():
+    G = direct_product(B("dihedral", 3), B("dicyclic", 2))
+    # (1, f) reaches <f> of order 4, (1, g) reaches all of 1 x Q_8, then
+    # (r, 1) and (s, 1) each double it: the rows close() asks for
+    assert G.generators == (1, 4, 8, 24)
+    assert FiniteGroup([[0]]).generators == ()
+
+
 # -- central quotient -------------------------------------------------------------
 
 def test_quotient_of_abelian_is_trivial():
     G = FiniteGroup(cyclic_table(4), label="Z_4")
     Q = G.central_quotient()
     assert Q.order == 1
+    assert Q.table == [[0]]
+
+
+CATALOG_128 = catalog(128)
+
+
+@pytest.mark.parametrize("entry", CATALOG_128, ids=[e.label for e in CATALOG_128])
+def test_central_quotient_matches_per_cell_oracle(entry):
+    G = entry.build()
+    assert G.central_quotient().table == naive_central_quotient(G)
+
+
+def test_centerless_quotient_shares_the_table():
+    G = B("dihedral", 7)
+    Q = G.central_quotient()
+    assert Q.table is G.table and Q.label == "D_14/Z"
 
 
 def test_quotient_orders():
