@@ -12,7 +12,6 @@ from .build import (
     ingest_cayley,
 )
 from .coset import Presentation, coset_enumerate
-from .ff import Field, field, field_of_order
 from .grp import (
     FiniteGroup,
     recognize_dihedral,
@@ -44,7 +43,6 @@ __all__ = [
     "CatalogEntry", "FamilySpec", "build_family", "builtin_special_groups",
     "catalog", "direct_product", "ingest_cayley",
     "Presentation", "coset_enumerate",
-    "Field", "field", "field_of_order",
     "FiniteGroup", "recognize_dihedral", "recognize_elementary_abelian_p2",
     "FormulaEntry", "FormulaPrediction", "crosscheck", "registry_for",
     "CliqueDecomposition", "ConjectureVerdict", "SimpleGraph", "Verdict",

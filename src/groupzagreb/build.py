@@ -160,10 +160,9 @@ def _v8n_presentation(n: int) -> Presentation:
 
 def _hanaki_a1(n: int) -> FiniteGroup:
     # pairs (a, b) over GF(2^n): (a,b)(a',b') = (a+a', b+b'+nu(a)*a')
-    K = ff.field(2, n)
-    add, mul = K.index_tables()
-    frob = [K.index(K.frobenius(K.element(i))) for i in range(K.order)]
-    q = K.order
+    q = 2 ** n
+    add, mul = ff.field_of_order(q)
+    frob = [mul[i][i] for i in range(q)]  # nu(a) = a^2, the Frobenius map
     els = [(a, b) for a in range(q) for b in range(q)]  # identity (0,0) first
     idx = {e: i for i, e in enumerate(els)}
 
@@ -177,9 +176,8 @@ def _hanaki_a1(n: int) -> FiniteGroup:
 
 def _hanaki_a2(n: int, p: int) -> FiniteGroup:
     # triples (a, b, c) over GF(p^n): (a,b,c)(a',b',c') = (a+a', b+b'+c*a', c+c')
-    K = ff.field(p, n)
-    add, mul = K.index_tables()
-    q = K.order
+    q = p ** n
+    add, mul = ff.field_of_order(q)
     els = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
     idx = {e: i for i, e in enumerate(els)}
 
@@ -193,13 +191,11 @@ def _hanaki_a2(n: int, p: int) -> FiniteGroup:
     return FiniteGroup(close(len(els), row_of))
 
 
-def _matrix_group(K: ff.Field, det_condition) -> FiniteGroup:
-    """2x2 matrices over K whose determinant satisfies det_condition,
+def _matrix_group(q: int, det_condition) -> FiniteGroup:
+    """2x2 matrices over GF(q) whose determinant satisfies det_condition,
     lex-ordered by (a, b, c, d) with the identity moved to index 0."""
-    add, mul = K.index_tables()
-    q = K.order
-    neg = [K.index(K.neg(K.element(i))) for i in range(q)]
-    one = K.index(K.one)
+    add, mul = ff.field_of_order(q)
+    neg = [row.index(0) for row in add]
     els = []
     for a in range(q):
         for b in range(q):
@@ -210,7 +206,7 @@ def _matrix_group(K: ff.Field, det_condition) -> FiniteGroup:
                     det = add[ad_row[d]][neg[mb[c]]]
                     if det_condition(det):
                         els.append((a, b, c, d))
-    ident = (one, 0, 0, one)
+    ident = (1, 0, 0, 1)  # index 1 is the field's one
     els.remove(ident)
     els.insert(0, ident)
     idx = {e: i for i, e in enumerate(els)}
@@ -229,14 +225,11 @@ def _matrix_group(K: ff.Field, det_condition) -> FiniteGroup:
 
 
 def _gl2(q: int) -> FiniteGroup:
-    K = ff.field_of_order(q)
-    return _matrix_group(K, lambda det: det != 0)
+    return _matrix_group(q, lambda det: det != 0)
 
 
 def _sl2(q: int) -> FiniteGroup:
-    K = ff.field_of_order(q)
-    one = K.index(K.one)
-    return _matrix_group(K, lambda det: det == one)
+    return _matrix_group(q, lambda det: det == 1)
 
 
 def _psl2_2k(k: int) -> FiniteGroup:
@@ -288,19 +281,6 @@ def _at_least(name: str, least: int, why: str = "") -> Callable[[int], str | Non
     return lambda v: None if v >= least else f"{name} must be >= {least}{why}"
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return True  # q itself prime
-
-
 def _m2mn_check(m: int, n: int) -> str | None:
     if m < 3 or m == 4:
         return "m must be >= 3 and != 4"
@@ -322,7 +302,7 @@ def _hanaki_a2_check(n: int, p: int) -> str | None:
 
 
 def _gl2_check(q: int) -> str | None:
-    return None if q > 2 and _is_prime_power(q) else "q must be a prime power > 2"
+    return None if q > 2 and ff.prime_power(q) else "q must be a prime power > 2"
 
 
 # fields: params, check, order, label, build

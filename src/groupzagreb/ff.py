@@ -1,18 +1,18 @@
-"""Arithmetic in small finite fields GF(p^k) in the polynomial basis.
+"""The finite fields GF(p^k) the matrix builders need, as two index tables.
 
-Elements are length-k tuples of residues mod p (coefficient of x^i at
-position i).  The reducing modulus is chosen deterministically: the
-lexicographically least coefficient vector among all monic irreducible
-polynomials of degree k over GF(p), so element encodings are reproducible
-across runs.  Fields are capped at 2**16 elements; everything this library
-builds on top of them is far smaller.
+An element of GF(p^k) is a polynomial of degree < k over GF(p), and its
+index is its coefficient vector read as base-p digits, constant term first:
+0 is zero and 1 is one.  ``field_of_order(q)`` returns the addition and
+multiplication tables over the indices 0..q-1, built once per q.  The
+reducing modulus is chosen deterministically: of the monic irreducible
+polynomials x^k + r(x) over GF(p), the one whose lower part r has the least
+index, so the tables are reproducible across runs (GF(8) reduces by
+x^3 + x + 1, not x^3 + x^2 + 1).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-ORDER_CAP = 2**16
 
 
 class FieldError(ValueError):
@@ -86,7 +86,8 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lex-least (ascending-power coefficient tuple) monic irreducible of degree k."""
+    """The monic irreducible x^k + r(x) over GF(p) whose lower part r has the
+    least index, as an ascending-power coefficient tuple."""
     if k == 1:
         return (0, 1)  # the polynomial x
     for code in range(p**k):
@@ -101,132 +102,34 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")  # pragma: no cover
 
 
-class Field:
-    """GF(p^k) with elements represented as coefficient tuples of length k.
-
-    All operations are pure; instances are immutable after construction and
-    safe to share between threads or processes.
-    """
-
-    def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
-        if k < 1:
-            raise FieldError(f"extension degree must be >= 1, got {k}")
-        if p**k > ORDER_CAP:
-            raise FieldError(f"field order {p}^{k} exceeds cap {ORDER_CAP}")
-        self.p = p
-        self.k = k
-        self.order = p**k
-        self.modulus = _least_irreducible(p, k)
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-
-    # -- element encoding ------------------------------------------------
-    def element(self, index: int) -> tuple[int, ...]:
-        """Element with the given index (base-p digits, constant term first)."""
-        if not 0 <= index < self.order:
-            raise FieldError(f"element index {index} out of range for GF({self.order})")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(index % self.p)
-            index //= self.p
-        return tuple(coeffs)
-
-    def index(self, x: tuple[int, ...]) -> int:
-        self._check(x)
-        idx = 0
-        for c in reversed(x):
-            idx = idx * self.p + c
-        return idx
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return [self.element(i) for i in range(self.order)]
-
-    def _check(self, x: tuple[int, ...]) -> None:
-        if len(x) != self.k or any(not 0 <= c < self.p for c in x):
-            raise FieldError(f"{x!r} is not a valid element of GF({self.p}^{self.k})")
-
-    # -- arithmetic --------------------------------------------------------
-    def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        self._check(x)
-        self._check(y)
-        p = self.p
-        return tuple((a + b) % p for a, b in zip(x, y))
-
-    def neg(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        self._check(x)
-        p = self.p
-        return tuple((-a) % p for a in x)
-
-    def sub(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        return self.add(x, self.neg(y))
-
-    def mul(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        self._check(x)
-        self._check(y)
-        prod = _poly_mul_mod_p(_poly_trim(list(x)), _poly_trim(list(y)), self.p)
-        red = _poly_rem(prod, self.modulus, self.p)
-        return tuple(red) + (0,) * (self.k - len(red))
-
-    def pow(self, x: tuple[int, ...], e: int) -> tuple[int, ...]:
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        out = self.one
-        base = x
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def inv(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        self._check(x)
-        if x == self.zero:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        # x^(q-2) = x^-1 in GF(q)
-        return self.pow(x, self.order - 2)
-
-    def frobenius(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        """The map x -> x^p (squaring in characteristic 2)."""
-        return self.pow(x, self.p)
-
-    # -- dense index tables for group builders -----------------------------
-    def index_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(add, mul) tables over element indices; cached per field."""
-        if not hasattr(self, "_tables"):
-            els = self.elements()
-            idx = {e: i for i, e in enumerate(els)}
-            add = [[idx[self.add(a, b)] for b in els] for a in els]
-            mul = [[idx[self.mul(a, b)] for b in els] for a in els]
-            self._tables = (add, mul)
-        return self._tables
-
-    def __repr__(self) -> str:
-        return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with q = p^k and p prime, or None if q is not a prime power."""
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            k = 0
+            while q % p == 0:
+                q //= p
+                k += 1
+            return (p, k) if q == 1 else None
+        p += 1
+    return (q, 1) if q > 1 else None
 
 
 @lru_cache(maxsize=None)
-def field(p: int, k: int = 1) -> Field:
-    """Construct (and cache) GF(p^k) with the deterministic modulus."""
-    return Field(p, k)
-
-
-def field_of_order(q: int) -> Field:
-    """GF(q) for a prime power q, factoring q as p^k."""
-    if q < 2:
+def field_of_order(q: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(add, mul) tables of GF(q) over the element indices 0..q-1; cached per q."""
+    pk = prime_power(q)
+    if pk is None:
         raise FieldError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise FieldError(f"{q} is not a prime power")
-            return field(p, k)
-    raise FieldError(f"{q} is not a prime power")  # pragma: no cover
+    p, k = pk
+    modulus = _least_irreducible(p, k)
+    # element i as its k coefficients, constant term first, and back
+    digits = [tuple(i // p**j % p for j in range(k)) for i in range(q)]
+
+    def index(c) -> int:
+        return sum(cj * p**j for j, cj in enumerate(c))
+    add = [[index((x + y) % p for x, y in zip(a, b)) for b in digits] for a in digits]
+    polys = [_poly_trim(list(a)) for a in digits]
+    mul = [[index(_poly_rem(_poly_mul_mod_p(a, b, p), modulus, p)) for b in polys] for a in polys]
+    return add, mul

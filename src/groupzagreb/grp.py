@@ -67,27 +67,27 @@ class FiniteGroup:
 
     # -- basic operations ---------------------------------------------------
     def inverse(self, i: int) -> int:
-        row = self.table[i]
-        for j in range(self.order):
-            if row[j] == 0:
-                return j
-        raise GroupTableError(f"element {i} has no right inverse")
+        return self._inverses[i]
 
     def element_order(self, i: int) -> int:
-        k = 1
+        """The least k with i^k = 1; at most n steps, or the table is no group."""
+        t = self.table
         x = i
-        while x != 0:
-            x = self.table[x][i]
-            k += 1
-        return k
+        for k in range(1, self.order + 1):
+            if x == 0:
+                return k
+            x = t[x][i]
+        raise GroupTableError(f"element {i}: no power of it is the identity")
 
     # -- generators, the center and its cosets -----------------------------------
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """A greedy generating set: walk the indices in order and take each one
         not yet reached, then close the reached set under right multiplication
-        by the generators taken so far.  Each one at least doubles the reached
-        subgroup, so there are at most log2(n)."""
+        by the generators taken so far.  The reached set is already closed
+        under the earlier ones, so the closure starts from its products with
+        the new one: n*|S| steps in all.  Each one at least doubles the
+        reached subgroup, so there are at most log2(n)."""
         t = self.table
         n = self.order
         reached = bytearray(n)
@@ -97,7 +97,9 @@ class FiniteGroup:
             if reached[s]:
                 continue
             gens.append(s)
-            todo = [r for r in range(n) if reached[r]]
+            todo = [p for p in map(itemgetter(s), compress(t, reached)) if not reached[p]]
+            for p in todo:
+                reached[p] = 1
             while todo:
                 tr = t[todo.pop()]
                 for g in gens:
@@ -301,11 +303,10 @@ def recognize_dihedral(G: FiniteGroup) -> int | None:
         return None
     involutions = [s for s in range(1, n) if t[s][s] == 0]
     for r in rotations:
-        r_inv = G.inverse(r)
-        if r_inv == r:
-            continue  # m = 2 would land here; excluded by n >= 6 anyway
         for s in involutions:
-            if t[t[s][r]][s] == r_inv:
+            # s r s = r^-1 iff s*r is an involution too, as s = s^-1
+            sr = t[s][r]
+            if t[sr][sr] == 0:
                 return m
     return None
 

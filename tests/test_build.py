@@ -188,19 +188,18 @@ def cyclic_oracle(n):
 
 
 def hanaki_a1_oracle(n):
-    K = ff.field(2, n)
-    add, mul = K.index_tables()
-    frob = [K.index(K.frobenius(K.element(i))) for i in range(K.order)]
-    els = [(a, b) for a in range(K.order) for b in range(K.order)]
+    q = 2**n
+    add, mul = ff.field_of_order(q)
+    frob = [mul[i][i] for i in range(q)]
+    els = [(a, b) for a in range(q) for b in range(q)]
     idx = {e: i for i, e in enumerate(els)}
     return [[idx[(add[a1][a2], add[add[b1][b2]][mul[frob[a1]][a2]])] for a2, b2 in els]
             for a1, b1 in els]
 
 
 def hanaki_a2_oracle(n, p):
-    K = ff.field(p, n)
-    add, mul = K.index_tables()
-    q = K.order
+    q = p**n
+    add, mul = ff.field_of_order(q)
     els = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
     idx = {e: i for i, e in enumerate(els)}
     return [[idx[(add[a1][a2], add[add[b1][b2]][mul[c1][a2]], add[c1][c2])]
@@ -210,10 +209,9 @@ def hanaki_a2_oracle(n, p):
 
 def matrix_oracle(q, det_ok):
     """2x2 matrices over GF(q) with det_ok(det, one), lex order, identity first."""
-    K = ff.field_of_order(q)
-    add, mul = K.index_tables()
-    neg = [K.index(K.neg(K.element(i))) for i in range(q)]
-    one = K.index(K.one)
+    add, mul = ff.field_of_order(q)
+    neg = [row.index(0) for row in add]
+    one = 1
     els = [
         (a, b, c, d)
         for a in range(q) for b in range(q) for c in range(q) for d in range(q)

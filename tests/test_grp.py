@@ -65,7 +65,7 @@ def naive_conjugacy_class_count(G):
     """k(G) by conjugating every x by every g: O(n^2)."""
     t = G.table
     n = G.order
-    inv = [G.inverse(g) for g in range(n)]
+    inv = [t[g].index(0) for g in range(n)]
     seen = [False] * n
     classes = 0
     for x in range(n):
@@ -287,6 +287,24 @@ def test_generators_generate_from_index_order():
     # (r, 1) and (s, 1) each double it: the rows close() asks for
     assert G.generators == (1, 4, 8, 24)
     assert FiniteGroup([[0]]).generators == ()
+    # each generator is the least index outside the subgroup generated by the
+    # ones before it, which is closed here under products with every element
+    for entry in CATALOG_64:
+        G = entry.build()
+        t = G.table
+        sub = {0}
+        for s in G.generators:
+            assert s == min(set(range(G.order)) - sub, default=None), entry.label
+            todo = list(sub) + [s]
+            sub.add(s)
+            while todo:
+                x = todo.pop()
+                for y in list(sub):
+                    for p in (t[x][y], t[y][x]):
+                        if p not in sub:
+                            sub.add(p)
+                            todo.append(p)
+        assert len(sub) == G.order, entry.label
 
 
 # -- central quotient -------------------------------------------------------------
@@ -476,8 +494,19 @@ def test_element_order():
     assert G.element_order(6) == 2  # a reflection
 
 
+def test_element_order_raises_when_no_power_is_the_identity():
+    # not a group: the powers of 1 cycle 1 -> 2 -> 1 and never reach 0
+    G = FiniteGroup([[0, 1, 2], [1, 2, 1], [2, 1, 0]])
+    assert G.element_order(2) == 2
+    with pytest.raises(GroupTableError, match="element 1"):
+        G.element_order(1)
+
+
 def test_inverse():
-    G = B("dicyclic", 3)
-    for x in range(G.order):
-        assert G.table[x][G.inverse(x)] == 0
-        assert G.table[G.inverse(x)][x] == 0
+    # the cached inverses, against the table read directly
+    for entry in CATALOG_64:
+        G = entry.build()
+        t = G.table
+        for x in range(G.order):
+            assert G.inverse(x) == t[x].index(0), (entry.label, x)
+            assert t[G.inverse(x)][x] == 0, (entry.label, x)
