@@ -29,9 +29,7 @@ from .zagreb import (
     SimpleGraph,
     Verdict,
     ZagrebReport,
-    commuting_graph,
     conjecture_verdict,
-    extract_clique_decomposition,
     group_report,
     read_edge_list,
     zagreb_complement,
@@ -46,7 +44,6 @@ __all__ = [
     "FiniteGroup", "recognize_dihedral", "recognize_elementary_abelian_p2",
     "FormulaEntry", "FormulaPrediction", "crosscheck", "registry_for",
     "CliqueDecomposition", "ConjectureVerdict", "SimpleGraph", "Verdict",
-    "ZagrebReport", "commuting_graph", "conjecture_verdict",
-    "extract_clique_decomposition", "group_report", "read_edge_list",
+    "ZagrebReport", "conjecture_verdict", "group_report", "read_edge_list",
     "zagreb_complement", "zagreb_direct", "zagreb_from_decomposition",
 ]

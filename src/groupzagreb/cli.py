@@ -291,6 +291,8 @@ def _cmd_scan(args, parser: _Parser) -> int:
         parser.error("--max-order must be >= 6")
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 means all cores)")
+    if args.catalog_extra and not os.path.isdir(args.catalog_extra):
+        parser.error(f"--catalog-extra {args.catalog_extra}: not a directory")
     entries = catalog(args.max_order)
     # the pool forks all its workers up front, so never ask for more than
     # the cores; the output does not depend on the worker count

@@ -7,10 +7,10 @@ generators' centralizers, n cells per generator.  Whether x and y commute
 depends only on their cosets xZ(G) and yZ(G), so the commutation relation is
 computed once per central coset, as one centralizer bitmask per coset
 representative that its whole coset shares; the centralizers, Pr(G) and
-``zagreb.commuting_graph`` read it.  The conjugacy classes are orbits under
-the generators and never read it.  Also here: central quotients on the
-cached cosets, and the two quotient-shape recognizers used for formula
-dispatch.
+``zagreb.group_report``, which sums the Zagreb indices over the distinct
+masks, read it.  The conjugacy classes are orbits under the generators and
+never read it.  Also here: central quotients on the cached cosets, and the
+two quotient-shape recognizers used for formula dispatch.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -298,16 +298,16 @@ def recognize_dihedral(G: FiniteGroup) -> int | None:
         return None
     m = n // 2
     t = G.table
-    rotations = [r for r in range(n) if G.element_order(r) == m]
-    if not rotations:
+    # one r suffices: for m >= 3 every element of order m in D_2m generates
+    # the rotations, and every reflection inverts all of them
+    r = next((r for r in range(n) if G.element_order(r) == m), None)
+    if r is None:
         return None
-    involutions = [s for s in range(1, n) if t[s][s] == 0]
-    for r in rotations:
-        for s in involutions:
-            # s r s = r^-1 iff s*r is an involution too, as s = s^-1
-            sr = t[s][r]
-            if t[sr][sr] == 0:
-                return m
+    for s in range(1, n):
+        # s r s = r^-1 iff s*r is an involution too, as s = s^-1
+        sr = t[s][r]
+        if t[s][s] == 0 and t[sr][sr] == 0:
+            return m
     return None
 
 

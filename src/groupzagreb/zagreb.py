@@ -1,21 +1,29 @@
-"""Commuting/non-commuting graphs, first and second Zagreb indices by three
-independent routes, clique-decomposition extraction, and the exact
+"""Zagreb indices of the commuting graph C(G) and the non-commuting graph
+NC(G) of a finite group by three independent routes, and the exact
 conjecture verdict.
+
+Both graphs have the non-central elements as vertices; x and y are adjacent
+in C(G) iff they commute.  ``group_report`` builds neither graph: it sums
+over the distinct centralizer masks of the non-central cosets, which the
+group computes once (``FiniteGroup.centralizer_masks``).  The routes are
+  1. those direct sums, for C(G) and, separately, for NC(G);
+  2. the clique decomposition of C(G), when it is a disjoint union of cliques;
+  3. the complement identities, which give NC(G) from C(G).
+C must agree across routes 1 and 2 whenever 2 exists, and NC across 1 and 3.
 
 Everything here is integer or rational arithmetic: the verdict compares
 M2*|V| against M1*|E| by cross-multiplication, so equality cases are exact.
-Graphs store one adjacency bitmask per vertex (O(|V|^2) bits of memory),
-which is comfortable at the order cap this library runs at.  The direct
-route never walks edges: degrees are popcounts of the rows, and M2 is summed
-by degree class, one AND and popcount per vertex and class.
+``SimpleGraph`` and ``zagreb_direct`` serve edge-list files: one adjacency
+bitmask per vertex, degrees are popcounts of the rows, and M2 is summed by
+degree class, one AND and popcount per vertex and class.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from operator import itemgetter
 
 from .grp import AbelianGroupError, FiniteGroup
 
@@ -106,34 +114,6 @@ class ConjectureVerdict:
 
 
 # ---------------------------------------------------------------------------
-# graph construction from groups
-# ---------------------------------------------------------------------------
-
-def commuting_graph(G: FiniteGroup) -> SimpleGraph:
-    """Vertices are the non-central elements in ascending index order; edges
-    join commuting pairs, read off the group's centralizer masks.  Elements
-    of one central coset share a mask, so each distinct mask is turned into
-    a row once and every vertex only clears its own bit."""
-    n = G.order
-    masks = G.centralizer_masks
-    coset_of, _ = G.cosets
-    vertices = [x for x, c in enumerate(coset_of) if c]  # coset 0 is Z(G)
-    if not vertices:
-        raise AbelianGroupError("Group must be non-abelian")
-    # a row: the vertex digits of the mask in binary, highest first
-    pick = itemgetter(*[n - 1 - x for x in reversed(vertices)])
-    row_of: dict[int, int] = {}
-    rows = []
-    for a, x in enumerate(vertices):
-        m = masks[x]
-        row = row_of.get(m)
-        if row is None:
-            row = row_of[m] = int("".join(pick(format(m, f"0{n}b"))), 2)
-        rows.append(row ^ (1 << a))
-    return SimpleGraph(len(vertices), rows)
-
-
-# ---------------------------------------------------------------------------
 # the three Zagreb routes
 # ---------------------------------------------------------------------------
 
@@ -142,8 +122,7 @@ def zagreb_direct(graph: SimpleGraph) -> ZagrebReport:
 
     M2 is summed by degree class, not edge by edge: with mask_d the vertices
     of degree d, 2*M2 = sum_u d_u * sum_d d * |row_u & mask_d|.  That is one
-    AND and popcount per vertex and class; the commuting graphs of groups up
-    to order 512 have at most three classes.
+    AND and popcount per vertex and class.
     """
     deg = graph.degrees()
     classes: dict[int, int] = {}
@@ -179,31 +158,8 @@ def zagreb_complement(base: ZagrebReport) -> ZagrebReport:
 
 
 # ---------------------------------------------------------------------------
-# decomposition extraction and verdicts
+# verdicts
 # ---------------------------------------------------------------------------
-
-def extract_clique_decomposition(graph: SimpleGraph) -> CliqueDecomposition | None:
-    """If every connected component is complete, the multiset of clique sizes;
-    otherwise None."""
-    counts: dict[int, int] = {}
-    seen = 0
-    for u in range(graph.vertex_count):
-        if (seen >> u) & 1:
-            continue
-        comp = graph.rows[u] | (1 << u)
-        mm = comp
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            if graph.rows[v] | (1 << v) != comp:
-                return None
-        size = comp.bit_count()
-        counts[size] = counts.get(size, 0) + 1
-        seen |= comp
-    parts = tuple((counts[s], s) for s in sorted(counts))
-    return CliqueDecomposition(parts)
-
 
 def conjecture_verdict(r: ZagrebReport) -> ConjectureVerdict:
     """Compare M2/|E| against M1/|V| exactly; Undefined when |E| or |V| is 0."""
@@ -237,24 +193,65 @@ class GroupReport:
 
 
 def group_report(G: FiniteGroup) -> GroupReport:
-    """Zagreb reports and verdicts for C(G) and NC(G).
+    """Zagreb reports and verdicts for C(G) and NC(G), summed straight from
+    the centralizer masks of the non-central cosets.
 
-    NC indices are computed twice - directly on the materialized complement
-    and through the complement formulas - and must agree.  C indices are
-    computed directly and, whenever C(G) is a disjoint union of cliques, from
-    that decomposition too.  A mismatch means a bug and raises
-    RouteMismatchError.
+    With z = |Z(G)|, a non-central x with centralizer mask m has degree
+    d = |m| - z - 1 in C(G), its non-central commuters other than itself, and
+    d' = n - |m| in NC(G).  Let V_s be the non-central elements whose
+    centralizer has order s.  Each distinct mask m, carried by w elements
+    (whole cosets), adds
+      w*d^2 to M1 and w*d*(sum_s (s-z-1)*|m & V_s| - d) to 2*M2 of C(G),
+      where -d takes out x itself, which lies in m; and
+      w*d'^2 to M1 and w*d'*sum_s (n-s)*|V_s - m| to 2*M2 of NC(G).
+
+    C(G) is a disjoint union of cliques iff every distinct mask m is carried
+    by exactly |m| - z elements, its non-central part: then each distinct
+    mask is one clique of that size.
+
+    NC indices are computed twice - by these sums and through the complement
+    formulas - and must agree.  C indices are computed by these sums and,
+    whenever C(G) is a disjoint union of cliques, from that decomposition
+    too.  A mismatch means a bug and raises RouteMismatchError.
     """
-    cg = commuting_graph(G)
-    rep_c = zagreb_direct(cg)
-    decomposition = extract_clique_decomposition(cg)
-    if decomposition is not None:
+    n = G.order
+    z = len(G.center())
+    coset_of, reps = G.cosets
+    if len(reps) == 1:
+        raise AbelianGroupError("Group must be non-abelian")
+    masks = G.centralizer_masks
+    cosets_with = Counter(masks[r] for r in reps[1:])  # distinct mask -> its cosets
+    classes: dict[int, int] = {}  # s -> V_s as a bitmask
+    for x, c in enumerate(coset_of):
+        if c:
+            s = masks[x].bit_count()
+            classes[s] = classes.get(s, 0) | 1 << x
+
+    m1 = m2_twice = edges_twice = 0
+    m1_nc = m2_nc_twice = edges_nc_twice = 0
+    for m, k in cosets_with.items():
+        w = z * k  # the elements carrying m
+        d = m.bit_count() - z - 1
+        edges_twice += w * d
+        m1 += w * d * d
+        degrees_in_m = sum((s - z - 1) * (m & v).bit_count() for s, v in classes.items())
+        m2_twice += w * d * (degrees_in_m - d)
+        d_nc = n - m.bit_count()
+        edges_nc_twice += w * d_nc
+        m1_nc += w * d_nc * d_nc
+        m2_nc_twice += w * d_nc * sum((n - s) * (v & ~m).bit_count() for s, v in classes.items())
+    rep_c = ZagrebReport(m1, m2_twice // 2, n - z, edges_twice // 2)
+    rep_nc = ZagrebReport(m1_nc, m2_nc_twice // 2, n - z, edges_nc_twice // 2)
+
+    decomposition = None
+    if all(z * k == m.bit_count() - z for m, k in cosets_with.items()):
+        sizes = Counter(m.bit_count() - z for m in cosets_with)
+        decomposition = CliqueDecomposition(tuple((sizes[s], s) for s in sorted(sizes)))
         rep_c_parts = zagreb_from_decomposition(decomposition)
         if rep_c != rep_c_parts:
             raise RouteMismatchError(
                 f"{G.label}: direct C report {rep_c} != decomposition {rep_c_parts}"
             )
-    rep_nc = zagreb_direct(cg.complement())
     rep_nc_formula = zagreb_complement(rep_c)
     if rep_nc != rep_nc_formula:
         raise RouteMismatchError(
@@ -262,8 +259,8 @@ def group_report(G: FiniteGroup) -> GroupReport:
         )
     return GroupReport(
         label=G.label,
-        order=G.order,
-        center_size=G.order - cg.vertex_count,
+        order=n,
+        center_size=z,
         c=rep_c,
         nc=rep_nc,
         verdict_c=conjecture_verdict(rep_c),
@@ -303,9 +300,12 @@ def read_edge_list(source) -> SimpleGraph:
     rows = [0] * n
     for ln in lines[1:]:
         toks = ln.split()
-        if len(toks) != 2:
-            raise GraphFormatError(f"bad edge line {ln!r}")
-        u, v = int(toks[0]), int(toks[1])
+        try:
+            if len(toks) != 2:
+                raise ValueError
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:  # not two integers
+            raise GraphFormatError(f"bad edge line {ln!r}") from None
         if not (0 <= u < v < n):
             raise GraphFormatError(f"edge ({u}, {v}) must satisfy 0 <= u < v < n")
         if rows[u] >> v & 1:

@@ -22,7 +22,7 @@ from groupzagreb.build import (
     special_group,
 )
 from groupzagreb.grp import GroupTableError
-from groupzagreb.zagreb import commuting_graph, extract_clique_decomposition
+from graph_oracles import commuting_graph, extract_clique_decomposition
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 

@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +196,34 @@ def test_scan_negative_jobs_is_usage_error(capsys):
         main(["scan", "--max-order", "8", "--jobs", "-3"])
     assert exc.value.code == 1
     assert "--jobs must be >= 0" in capsys.readouterr().err
+
+
+# stdout digests of the scan, recorded with the benchmark
+EXPECTED_SCAN = json.loads(
+    (Path(__file__).parents[1] / "bench" / "expected_scan.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("max_order", ["24", "256"])
+def test_scan_bytes_match_recorded_digest(capsys, max_order):
+    code, out, _ = run(capsys, "scan", "--max-order", max_order, "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED_SCAN[max_order]["sha256"]
+
+
+@pytest.mark.parametrize("name", ["missing", "file.cayley"])
+def test_scan_catalog_extra_must_be_a_directory(tmp_path, capsys, monkeypatch, name):
+    (tmp_path / "file.cayley").write_text("1\n0\n", encoding="utf-8")
+    path = tmp_path / name
+    monkeypatch.setattr(cli, "catalog", lambda max_order: pytest.fail("catalog was built"))
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--max-order", "8", "--jobs", "1", "--catalog-extra", str(path)])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [ln for ln in err.splitlines() if "error" in ln] == [
+        f"groupzagreb: error: --catalog-extra {path}: not a directory"
+    ]
 
 
 def test_scan_catalog_extra(tmp_path, capsys):

@@ -19,7 +19,7 @@ from groupzagreb.grp import (
     recognize_dihedral,
     recognize_elementary_abelian_p2,
 )
-from groupzagreb.zagreb import commuting_graph
+from graph_oracles import commuting_graph
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupzagreb.build import FamilySpec, build_family, catalog, special_group
+from groupzagreb.build import (
+    FamilySpec,
+    _symmetric,
+    build_family,
+    catalog,
+    cyclic,
+    direct_product,
+    special_group,
+)
 from groupzagreb.grp import AbelianGroupError, FiniteGroup
 from groupzagreb.zagreb import (
     CliqueDecomposition,
@@ -14,15 +22,15 @@ from groupzagreb.zagreb import (
     SimpleGraph,
     Verdict,
     ZagrebReport,
-    commuting_graph,
     conjecture_verdict,
-    extract_clique_decomposition,
     group_report,
     read_edge_list,
     zagreb_complement,
     zagreb_direct,
     zagreb_from_decomposition,
 )
+from graph_oracles import commuting_graph, extract_clique_decomposition
+from test_grp import relabelled
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 
@@ -309,6 +317,63 @@ def test_group_report_has_edge_for_all_small_families():
         assert rep.nc.edges >= 1
 
 
+# -- group_report against the materialized graphs ------------------------------
+
+def assert_report_matches_graph_oracles(G):
+    """The mask sums, the complement and the decomposition against the same
+    numbers read off the materialized C(G) and its complement."""
+    rep = group_report(G)
+    cg = commuting_graph(G)
+    assert rep.center_size == G.order - cg.vertex_count
+    assert rep.c == zagreb_direct(cg)
+    assert rep.nc == zagreb_direct(cg.complement())
+    assert rep.decomposition == extract_clique_decomposition(cg)
+    return rep
+
+
+CATALOG_256 = catalog(256)
+
+
+@pytest.mark.parametrize("entry", CATALOG_256, ids=[e.label for e in CATALOG_256])
+def test_group_report_matches_graph_oracles_on_catalog(entry):
+    assert_report_matches_graph_oracles(entry.build())
+
+
+RELABELLED = {
+    "SL(2,3)": lambda: relabelled(special_group("SL(2,3)"), 7),
+    "S_4": lambda: relabelled(special_group("S_4"), 5),
+    "GL(2,3)": lambda: relabelled(B("gl2", 3), 13),
+    "M_2mn(13,20)": lambda: relabelled(B("m2mn", 13, 20), 11),
+    "hanaki_a2(1,7)": lambda: relabelled(B("hanaki_a2", 1, 7), 3),
+}
+
+
+@pytest.mark.parametrize("build", RELABELLED.values(), ids=list(RELABELLED))
+def test_group_report_matches_graph_oracles_on_relabelled_tables(build):
+    assert_report_matches_graph_oracles(build())
+
+
+# C(G) is no union of cliques, so only the NC cross-check guards the C sums;
+# S_4 is the only such group in catalog(256)
+NO_DECOMPOSITION = {
+    "S_4": lambda: special_group("S_4"),
+    "S_5": lambda: _symmetric(5, False),
+    "S_4xZ_3": lambda: direct_product(special_group("S_4"), cyclic(3)),
+}
+
+
+@pytest.mark.parametrize("build", NO_DECOMPOSITION.values(), ids=list(NO_DECOMPOSITION))
+def test_group_report_without_decomposition_matches_graph_oracles(build):
+    assert assert_report_matches_graph_oracles(build()).decomposition is None
+
+
+@pytest.mark.parametrize("G", [cyclic(6), direct_product(cyclic(2), cyclic(2))],
+                         ids=["Z_6", "Z_2xZ_2"])
+def test_group_report_rejects_abelian(G):
+    with pytest.raises(AbelianGroupError, match="^Group must be non-abelian$"):
+        group_report(G)
+
+
 # -- random-graph properties -----------------------------------------------------------------
 
 def random_graph(rng, max_n=40):
@@ -383,6 +448,12 @@ def test_read_edge_list_errors():
         read_edge_list("3 1\n0 5\n")  # out of range
     with pytest.raises(GraphFormatError, match="bad edge line '0 1 2'"):
         read_edge_list("3 1\n0 1 2\n")
+    with pytest.raises(GraphFormatError, match="^bad edge line '0 x'$"):
+        read_edge_list("3 1\n0 x\n")
+    with pytest.raises(GraphFormatError, match=r"^bad edge line '0 1\.5'$"):
+        read_edge_list("3 1\n0 1.5\n")
+    with pytest.raises(GraphFormatError, match="^bad edge line '0'$"):
+        read_edge_list("3 1\n0\n")
     # the first bad line is the one reported
     with pytest.raises(GraphFormatError, match="duplicate"):
         read_edge_list("3 3\n0 1\n0 1\n0 5\n")
