@@ -10,16 +10,17 @@ the CLI read the same table.
 Construction routes: a builder numbers its elements and computes the row
 of any one element with its own arithmetic, and ``close`` asks it for the
 rows of a generating set only and composes the rest, keeping its indices.
-One metacyclic normal form, a^i b^j in <a, b | a^m, b^k = a^s,
-b a b^-1 = a^r>, serves the dihedral, dicyclic, quasidihedral, SD_8n, U_6n
-and M_2mn families, Sz(2), M_16 and Z_4:Z_4.  The other builders are 2x2
-matrices over GF(q) (Hanaki A(n,nu) and A(n,p), GL(2,q) and
-PSL(2,2^k) = SL(2,2^k)), permutations (A_4, S_4), the order-pq normal form,
-cyclic groups and pairs for direct products.  Coset enumeration serves only
-the presentations of V_8n, D_8*Z_4 and SG(16,3): none has a cyclic normal
-subgroup with a cyclic quotient (V_8n checked for n = 2..11, while V_8 is
-D_8).  Matrix-group elements are indexed lexicographically on their
-row-major coefficient vectors, with the identity moved to index 0.
+One abelian-by-cyclic normal form, (x, y) b^j with A = Z_m1 x Z_m2, b
+acting on A by a 2x2 integer matrix and b^k in A, builds every solvable
+family and special group: its m2 = 1 case, the metacyclic a^i b^j, serves
+the dihedral, dicyclic, quasidihedral, SD_8n, U_6n, M_2mn and order-pq
+families, Sz(2), M_16 and Z_4:Z_4, and the full form V_8n, D_8*Z_4,
+SG(16,3), A_4 and A_4xZ_2.  The other builders are 2x2 matrices over GF(q)
+(Hanaki A(n,nu) and A(n,p), GL(2,q) and PSL(2,2^k) = SL(2,2^k)),
+permutations (S_4), cyclic groups and pairs for direct products.  No
+group is built by coset enumeration.  Matrix-group elements are indexed
+lexicographically on their row-major coefficient vectors, with the
+identity moved to index 0.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import ff
-from .coset import Presentation, coset_enumerate
 from .grp import FiniteGroup, GroupTableError
 
 DEFAULT_ORDER_CAP = 5000
@@ -83,75 +83,45 @@ def close(n: int, row_of: Callable[[int], list[int]]) -> list[list[int]]:
     return rows
 
 
-def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
-    """<a, b | a^m = 1, b^k = a^s, b a b^-1 = a^r>, with a^i b^j at index i + m*j.
+def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
+                       s: tuple[int, int] = (0, 0)) -> FiniteGroup:
+    """<A, b | b^k = s, b u b^-1 = act(u) for u in A>, A = Z_m1 x Z_m2, with
+    (x, y) b^j at index x + m1*y + m1*m2*j.
 
-    (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + r^j1 i2) b^(j1 + j2), and b^k folds back
-    to a^s.  The caller picks (m, k, r, s) with r^k = 1 and r*s = s mod m.
+    ``act`` = (p, q, r, t) sends (x, y) to (p x + q y, r x + t y), so
+    (u1 b^j1)(u2 b^j2) = (u1 + act^j1(u2)) b^(j1 + j2), and b^k folds back
+    to s.  The caller picks parameters with act an automorphism of A,
+    act^k = 1 and act(s) = s.
     """
-    rpow = [pow(r, j, m) for j in range(k)]
+    p, q, r, t = act
+    # images of (1, 0) and (0, 1) under act^j, for j < k
+    basis = [((1, 0), (0, 1))]
+    for _ in range(1, k):
+        basis.append(tuple(((p * x + q * y) % m1, (r * x + t * y) % m2) for x, y in basis[-1]))
+    m = m1 * m2
+    s1, s2 = s
 
     def row_of(idx: int) -> list[int]:
-        i1, j1 = idx % m, idx // m
-        r1 = rpow[j1]
-        return [(i1 + r1 * i2 + s * (j1 + j2 >= k)) % m + m * ((j1 + j2) % k)
-                for j2 in range(k) for i2 in range(m)]
+        x1, y1, j1 = idx % m1, idx // m1 % m2, idx // m
+        (px, py), (qx, qy) = basis[j1]
+        row = []
+        for j2 in range(k):
+            c = j1 + j2 >= k  # b^(j1 + j2) = s b^(j1 + j2 - k)
+            x0, y0, j = x1 + s1 * c, y1 + s2 * c, m * ((j1 + j2) % k)
+            row += [(x0 + px * x2 + qx * y2) % m1 + m1 * ((y0 + py * x2 + qy * y2) % m2) + j
+                    for y2 in range(m2) for x2 in range(m1)]
+        return row
     return FiniteGroup(close(m * k, row_of))
 
 
-def _least_primitive_root(q: int) -> int:
-    phi = q - 1
-    prime_factors = []
-    mm = phi
-    d = 2
-    while d * d <= mm:
-        if mm % d == 0:
-            prime_factors.append(d)
-            while mm % d == 0:
-                mm //= d
-        d += 1
-    if mm > 1:
-        prime_factors.append(mm)
-    for g in range(2, q):
-        if all(pow(g, phi // f, q) != 1 for f in prime_factors):
-            return g
-    raise FamilyError(f"no primitive root mod {q}")  # pragma: no cover
-
-
-def _pq(p: int, q: int) -> FiniteGroup:
-    # Z_q x| Z_p with y acting as multiplication by r^y, r = g^((q-1)/p);
-    # elements (x, y), index = x*p + y
-    r = pow(_least_primitive_root(q), (q - 1) // p, q)
-    rpow = [pow(r, y, q) for y in range(p)]
-    size = p * q
-
-    def row_of(i: int) -> list[int]:
-        x1, y1 = divmod(i, p)
-        ry1 = rpow[y1]
-        return [((x1 + ry1 * (j // p)) % q) * p + ((y1 + j % p) % p) for j in range(size)]
-    return FiniteGroup(close(size, row_of))
+def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
+    """<a, b | a^m = 1, b^k = a^s, b a b^-1 = a^r>, with a^i b^j at index i + m*j:
+    the m2 = 1 case of ``_abelian_by_cyclic``."""
+    return _abelian_by_cyclic(m, 1, k, (r, 0, 0, 1), (s, 0))
 
 
 def cyclic(n: int, label: str | None = None) -> FiniteGroup:
     return FiniteGroup(close(n, lambda i: [(i + j) % n for j in range(n)]), label=label or f"Z_{n}")
-
-
-# ---------------------------------------------------------------------------
-# presentations (coset-enumerated by build_family and special_group)
-# ---------------------------------------------------------------------------
-
-def _power(letter: int, e: int) -> tuple[int, ...]:
-    return (letter,) * e if e >= 0 else (-letter,) * (-e)
-
-
-def _v8n_presentation(n: int) -> Presentation:
-    F, G = 1, 2
-    return Presentation(2, (
-        _power(F, 2 * n),
-        _power(G, 4),
-        (G, F, G, F),        # g f = f^-1 g^-1
-        (-G, F, -G, F),      # g^-1 f = f^-1 g
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +217,14 @@ class Family:
 
     ``check``, ``order``, ``label`` and ``build`` take the parameters
     positionally.  ``check`` returns None for a valid tuple and otherwise
-    the reason it is invalid.  ``build`` returns the group, or a
-    presentation that build_family coset-enumerates.
+    the reason it is invalid.  ``build`` returns the group.
     """
 
     params: tuple[str, ...]
     check: Callable[..., str | None]
     order: Callable[..., int]
     label: Callable[..., str]
-    build: Callable[..., FiniteGroup | Presentation]
+    build: Callable[..., FiniteGroup]
 
     def instances(self, max_order: int) -> list[tuple[int, ...]]:
         """Every valid parameter tuple whose group has order <= max_order.
@@ -322,7 +291,9 @@ FAMILIES: dict[str, Family] = {
         lambda n: 8 * n, lambda n: f"SD_{8 * n}", lambda n: _metacyclic(4 * n, 2, 2 * n - 1)),
     "v8n": Family(
         ("n",), _at_least("n", 1),
-        lambda n: 8 * n, lambda n: f"V_{8 * n}", _v8n_presentation),
+        lambda n: 8 * n, lambda n: f"V_{8 * n}",
+        # b a b^-1 = a^-1 c with c = b^2 central: A = <a> x <c> = Z_2n x Z_2
+        lambda n: _abelian_by_cyclic(2 * n, 2, 2, (-1, 0, 1, 1), (0, 1))),
     "u6n": Family(
         ("n",), _at_least("n", 1),
         lambda n: 6 * n, lambda n: f"U_{6 * n}", lambda n: _metacyclic(3, 2 * n, -1)),
@@ -332,7 +303,8 @@ FAMILIES: dict[str, Family] = {
         lambda m, n: _metacyclic(m, 2 * n, -1)),
     "pq": Family(
         ("p", "q"), _pq_check,
-        lambda p, q: p * q, lambda p, q: f"Z_{q}:Z_{p}", _pq),
+        lambda p, q: p * q, lambda p, q: f"Z_{q}:Z_{p}",
+        lambda p, q: _metacyclic(q, p, next(r for r in range(2, q) if pow(r, p, q) == 1))),
     # Sz(2): b^-1 a b = a^2, so b a b^-1 = a^3 mod 5
     "sz2": Family(
         (), lambda: None,
@@ -390,8 +362,6 @@ def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
             f"{spec.label()} has order {expected}, above the cap {order_cap}"
         )
     G = FAMILIES[spec.family].build(*spec.params)
-    if isinstance(G, Presentation):
-        G = coset_enumerate(G, bound=16 * expected + 64)
     G.label = spec.label()
     if G.order != expected:
         raise FamilyError(
@@ -423,23 +393,12 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
 # special groups
 # ---------------------------------------------------------------------------
 
-def _symmetric(n: int, even_only: bool) -> FiniteGroup:
-    """S_n, or A_n if even_only, on its permutations in lex order (identity
-    first); the product s*t is the composition s o t."""
+def _symmetric(n: int) -> FiniteGroup:
+    """S_n on its permutations in lex order (identity first); the product
+    s*t is the composition s o t."""
     from itertools import permutations
 
-    els = []
-    for perm in permutations(range(n)):
-        if even_only:
-            inv = sum(
-                1
-                for i in range(n)
-                for j in range(i + 1, n)
-                if perm[i] > perm[j]
-            )
-            if inv % 2:
-                continue
-        els.append(perm)
+    els = list(permutations(range(n)))
     idx = {e: i for i, e in enumerate(els)}
 
     def row_of(i: int) -> list[int]:
@@ -447,38 +406,27 @@ def _symmetric(n: int, even_only: bool) -> FiniteGroup:
     return FiniteGroup(close(len(els), row_of))
 
 
-def _special_groups() -> dict[str, tuple[int, Callable[[], FiniteGroup | Presentation]]]:
-    A, B, C = 1, 2, 3
-    return {
-        "A_4": (12, lambda: _symmetric(4, True)),
-        "S_4": (24, lambda: _symmetric(4, False)),
-        "A_5": (60, lambda: _sl2(4)),  # A_5 = PSL(2,4) = SL(2,4)
-        "SL(2,3)": (24, lambda: _sl2(3)),
-        # modular (Iwasawa) group of order 16: b a b^-1 = a^5
-        "M_16": (16, lambda: _metacyclic(8, 2, 5)),
-        "Z_4:Z_4": (16, lambda: _metacyclic(4, 4, -1)),
-        # central product of D_8 and Z_4 over their common central involution
-        "D_8*Z_4": (16, lambda: Presentation(3, (
-            _power(A, 4), _power(B, 2), (B, A, -B, A),
-            _power(C, 4), (C, C, -A, -A),
-            (C, A, -C, -A), (C, B, -C, -B),
-        ))),
-        # (Z_2 x Z_2) : Z_4 with the order-4 generator swapping the factors
-        "SG(16,3)": (16, lambda: Presentation(3, (
-            _power(A, 2), _power(B, 2), _power(C, 4),
-            (A, B, -A, -B),
-            (C, A, -C, B), (C, B, -C, A),
-        ))),
-        "Z_2xD_8": (16, lambda: direct_product(cyclic(2), _metacyclic(4, 2, -1))),
-        "Z_2xQ_8": (16, lambda: direct_product(cyclic(2), _metacyclic(4, 2, -1, 2))),
-        "D_6xZ_3": (18, lambda: direct_product(_metacyclic(3, 2, -1), cyclic(3))),
-        "A_4xZ_2": (24, lambda: direct_product(_symmetric(4, True), cyclic(2))),
-    }
-
-
-# name -> (order, builder), in roster order; a builder returns the group or a
-# presentation that special_group coset-enumerates
-SPECIAL_GROUPS = _special_groups()
+# name -> (order, builder), in roster order
+SPECIAL_GROUPS: dict[str, tuple[int, Callable[[], FiniteGroup]]] = {
+    # (Z_2 x Z_2) : Z_3, b cycling the three involutions
+    "A_4": (12, lambda: _abelian_by_cyclic(2, 2, 3, (0, 1, 1, 1))),
+    "S_4": (24, lambda: _symmetric(4)),
+    "A_5": (60, lambda: _sl2(4)),  # A_5 = PSL(2,4) = SL(2,4)
+    "SL(2,3)": (24, lambda: _sl2(3)),
+    # modular (Iwasawa) group of order 16: b a b^-1 = a^5
+    "M_16": (16, lambda: _metacyclic(8, 2, 5)),
+    "Z_4:Z_4": (16, lambda: _metacyclic(4, 4, -1)),
+    # central product of D_8 = <c, b> and Z_4 = <a> over (c b)^2 = a^2:
+    # (Z_4 x Z_2) : Z_2 with b c b^-1 = a^2 c
+    "D_8*Z_4": (16, lambda: _abelian_by_cyclic(4, 2, 2, (1, 2, 0, 1))),
+    # (Z_4 x Z_2) : Z_2 with b a b^-1 = a c, which is (Z_2 x Z_2) : Z_4
+    "SG(16,3)": (16, lambda: _abelian_by_cyclic(4, 2, 2, (1, 0, 1, 1))),
+    "Z_2xD_8": (16, lambda: direct_product(cyclic(2), _metacyclic(4, 2, -1))),
+    "Z_2xQ_8": (16, lambda: direct_product(cyclic(2), _metacyclic(4, 2, -1, 2))),
+    "D_6xZ_3": (18, lambda: direct_product(_metacyclic(3, 2, -1), cyclic(3))),
+    # A_4 with b of order 6, so b^3 is a central involution
+    "A_4xZ_2": (24, lambda: _abelian_by_cyclic(2, 2, 6, (0, 1, 1, 1))),
+}
 
 
 def special_group(name: str) -> FiniteGroup:
@@ -486,8 +434,6 @@ def special_group(name: str) -> FiniteGroup:
         raise FamilyError(f"unknown special group {name!r}")
     order, build = SPECIAL_GROUPS[name]
     G = build()
-    if isinstance(G, Presentation):
-        G = coset_enumerate(G, bound=2048)
     if G.order != order:  # pragma: no cover - construction bug guard
         raise FamilyError(f"{name}: built order {G.order} != {order}")
     G.label = name

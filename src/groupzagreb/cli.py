@@ -247,10 +247,8 @@ def _cmd_verify(args, parser: _Parser) -> int:
             skipped += 1
             continue
         G = build_family(spec, order_cap=args.order_cap)
-        rep = group_report(G)
         checked += 1
-        for app in registry_for(G):
-            result = crosscheck(app.entry, app.params, report=rep)
+        for _, result in _crosschecks(G, group_report(G)):
             for d in result.diffs:
                 failures.append(
                     f"{spec.label()} [{result.entry_key}{result.params}] "

@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from math import isqrt
 from operator import and_, eq, itemgetter
 
 from .ff import is_prime
@@ -47,18 +48,12 @@ class FiniteGroup:
     is safe.
     """
 
-    def __init__(
-        self,
-        table: list[list[int]],
-        label: str = "G",
-        family: str | None = None,
-        params: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, table: list[list[int]], label: str = "G"):
         self.table = table
         self.order = len(table)
         self.label = label
-        self.family = family
-        self.params = params
+        self.family: str | None = None  # set by build.build_family
+        self.params: tuple[int, ...] | None = None
         if self.order == 0:
             raise GroupTableError("empty table")
         for row in table:
@@ -314,19 +309,11 @@ def recognize_dihedral(G: FiniteGroup) -> int | None:
 def recognize_elementary_abelian_p2(G: FiniteGroup) -> int | None:
     """Return p if G is Z_p x Z_p for a prime p, else None."""
     n = G.order
-    p = _integer_sqrt(n)
-    if p is None or not is_prime(p):
+    p = isqrt(n)
+    if p * p != n or not is_prime(p):
         return None
     if not G.is_abelian():
         return None
     if any(G.element_order(x) != p for x in range(1, n)):
         return None
     return p
-
-
-def _integer_sqrt(n: int) -> int | None:
-    r = int(n**0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None

@@ -20,6 +20,7 @@ degree class, one AND and popcount per vertex and class.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -275,10 +276,14 @@ def group_report(G: FiniteGroup) -> GroupReport:
 
 def read_edge_list(source) -> SimpleGraph:
     """Parse the edge-list format: first line "n m", then m lines "u v" with
-    0 <= u < v < n; duplicate edges are rejected."""
+    0 <= u < v < n; duplicate edges are rejected.  ``source`` is a file
+    object, an ``os.PathLike``, or a str: a path if it is non-empty with no
+    newline, and the text itself otherwise."""
     if hasattr(source, "read"):
         text = source.read()
-    elif "\n" not in str(source) and len(str(source).split()) == 1:
+    elif isinstance(source, os.PathLike) or (
+        isinstance(source, str) and source and "\n" not in source
+    ):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:

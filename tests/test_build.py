@@ -1,17 +1,17 @@
 """Family builders, special groups, ingestion, and the catalog."""
 
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
-from groupzagreb import coset, ff
+from groupzagreb import ff
 from groupzagreb.build import (
     CayleyFormatError,
     FamilyError,
     FamilySpec,
     OrderCapError,
-    _least_primitive_root,
     build_family,
     builtin_special_groups,
     catalog,
@@ -21,7 +21,8 @@ from groupzagreb.build import (
     ingest_cayley,
     special_group,
 )
-from groupzagreb.grp import GroupTableError
+from groupzagreb.grp import FiniteGroup, GroupTableError
+from groupzagreb.zagreb import group_report
 from graph_oracles import commuting_graph, extract_clique_decomposition
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
@@ -173,14 +174,30 @@ def metacyclic_oracle(m, k, r, s=0):
     return table
 
 
-def pq_oracle(p, q):
-    r = pow(_least_primitive_root(q), (q - 1) // p, q)
+def abelian_by_cyclic_oracle(m1, m2, k, act, s=(0, 0)):
+    """(Z_m1 x Z_m2) : Z_k, b acting on (x, y) as (p x + q y, r x + t y) for
+    act = (p, q, r, t) and b^k = s, with (x, y) b^j at index x + m1*y + m1*m2*j:
+    each product applies act j1 times to (x2, y2)."""
+    p, q, r, t = act
+    m = m1 * m2
     table = []
-    for i in range(p * q):
-        x1, y1 = divmod(i, p)
-        table.append([((x1 + pow(r, y1, q) * (j // p)) % q) * p + ((y1 + j % p) % p)
-                      for j in range(p * q)])
+    for i in range(m * k):
+        x1, y1, j1 = i % m1, i // m1 % m2, i // m
+        row = []
+        for j in range(m * k):
+            x2, y2, j2 = j % m1, j // m1 % m2, j // m
+            for _ in range(j1):
+                x2, y2 = p * x2 + q * y2, r * x2 + t * y2
+            x, y = x1 + x2, y1 + y2
+            if j1 + j2 >= k:
+                x, y = x + s[0], y + s[1]
+            row.append(x % m1 + m1 * (y % m2) + m * ((j1 + j2) % k))
+        table.append(row)
     return table
+
+
+def pq_oracle(p, q):
+    return metacyclic_oracle(q, p, next(r for r in range(2, q) if pow(r, p, q) == 1))
 
 
 def cyclic_oracle(n):
@@ -236,7 +253,7 @@ def sl2_oracle(q):
     return matrix_oracle(q, lambda det, one: det == one)
 
 
-def perm_group_oracle(n, even_only):
+def perm_group_oracle(n, even_only=False):
     els = sorted(
         p for p in permutations(range(n))
         if not even_only or sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
@@ -253,23 +270,6 @@ def direct_product_oracle(tg, th):
     ]
 
 
-def regular_table_oracle(act):
-    """The Cayley table of a completed coset action: the right-multiplication
-    permutation of every coset, pushed letter by letter along a BFS tree from
-    the identity coset, then read entry by entry."""
-    n = len(act)
-    perm = [None] * n
-    perm[0] = list(range(n))
-    queue = [0]
-    for a in queue:
-        for col in range(len(act[a])):
-            b = act[a][col]
-            if perm[b] is None:
-                perm[b] = [act[x][col] for x in perm[a]]
-                queue.append(b)
-    return [[perm[j][i] for j in range(n)] for i in range(n)]
-
-
 ORACLES = {
     "dihedral": dihedral_oracle,
     "dicyclic": dicyclic_oracle,
@@ -278,39 +278,43 @@ ORACLES = {
     "pq": pq_oracle,
     "quasidihedral": lambda n: metacyclic_oracle(2 ** (n - 1), 2, 2 ** (n - 2) - 1),
     "sd8n": lambda n: metacyclic_oracle(4 * n, 2, 2 * n - 1),
+    "v8n": lambda n: abelian_by_cyclic_oracle(2 * n, 2, 2, (-1, 0, 1, 1), (0, 1)),
     "sz2": lambda: metacyclic_oracle(5, 4, 3),
     "hanaki_a1": hanaki_a1_oracle,
     "hanaki_a2": hanaki_a2_oracle,
     "gl2": gl2_oracle,
     "psl2": lambda k: sl2_oracle(2 ** k),
-    "A_4": lambda: perm_group_oracle(4, True),
-    "S_4": lambda: perm_group_oracle(4, False),
+    "A_4": lambda: abelian_by_cyclic_oracle(2, 2, 3, (0, 1, 1, 1)),
+    "S_4": lambda: perm_group_oracle(4),
     "A_5": lambda: sl2_oracle(4),
     "SL(2,3)": lambda: sl2_oracle(3),
     "M_16": lambda: metacyclic_oracle(8, 2, 5),
     "Z_4:Z_4": lambda: metacyclic_oracle(4, 4, -1),
+    "D_8*Z_4": lambda: abelian_by_cyclic_oracle(4, 2, 2, (1, 2, 0, 1)),
+    "SG(16,3)": lambda: abelian_by_cyclic_oracle(4, 2, 2, (1, 0, 1, 1)),
     "Z_2xD_8": lambda: direct_product_oracle(cyclic_oracle(2), dihedral_oracle(4)),
     "Z_2xQ_8": lambda: direct_product_oracle(cyclic_oracle(2), dicyclic_oracle(2)),
     "D_6xZ_3": lambda: direct_product_oracle(dihedral_oracle(3), cyclic_oracle(3)),
-    "A_4xZ_2": lambda: direct_product_oracle(perm_group_oracle(4, True), cyclic_oracle(2)),
+    "A_4xZ_2": lambda: abelian_by_cyclic_oracle(2, 2, 6, (0, 1, 1, 1)),
 }
 
 
 @pytest.mark.parametrize("entry", catalog(128), ids=lambda e: e.label)
-def test_table_matches_per_entry_oracle(entry, monkeypatch):
-    # presented groups have no normal form: capture their coset action and
-    # read the table off it entry by entry
-    actions = []
-    real = coset._regular_table
-    monkeypatch.setattr(coset, "_regular_table",
-                        lambda act, label: actions.append(act) or real(act, label))
-    G = entry.build()
-    if actions:
-        expected = regular_table_oracle(actions[0])
-    else:
-        key = entry.label if entry.family == "special" else entry.family
-        expected = ORACLES[key](*entry.params)
-    assert G.table == expected
+def test_table_matches_per_entry_oracle(entry):
+    key = entry.label if entry.family == "special" else entry.family
+    assert entry.build().table == ORACLES[key](*entry.params)
+
+
+@pytest.mark.parametrize("name,oracle", [
+    ("A_4", lambda: perm_group_oracle(4, even_only=True)),
+    ("A_4xZ_2", lambda: direct_product_oracle(perm_group_oracle(4, even_only=True),
+                                              cyclic_oracle(2))),
+])
+def test_a4_builds_match_even_permutations(name, oracle):
+    # the even permutations of 4 points are a construction independent of
+    # the (Z_2 x Z_2) : Z_k normal form
+    built = group_report(special_group(name))
+    assert replace(group_report(FiniteGroup(oracle())), label=name) == built
 
 
 @pytest.mark.parametrize("fam,params", [
@@ -345,7 +349,7 @@ def test_close_direct_product_asks_for_each_new_generator():
 
 def test_direct_product_matches_oracle():
     G = direct_product(special_group("S_4"), B("dicyclic", 3))
-    assert G.table == direct_product_oracle(perm_group_oracle(4, False), dicyclic_oracle(3))
+    assert G.table == direct_product_oracle(perm_group_oracle(4), dicyclic_oracle(3))
 
 
 # -- direct products -----------------------------------------------------------
@@ -553,7 +557,6 @@ def relabelled_text(G, seed):
 ], ids=["hanaki_a2(1,7)", "m2mn(13,20)"])
 def test_ingest_relabelled_large_table_matches_closed_form(fam, params, seed):
     from groupzagreb.formulas import ENTRIES
-    from groupzagreb.zagreb import group_report
 
     G = ingest_cayley(relabelled_text(B(fam, *params), seed))
     rep = group_report(G)
@@ -620,7 +623,6 @@ def test_order_formulas_above_512(fam, params):
     # samples the order-formula and closed-form agreement well above the
     # scan range, up to a few thousand elements
     from groupzagreb.formulas import ENTRIES, crosscheck
-    from groupzagreb.zagreb import group_report
 
     spec = FamilySpec(fam, params)
     G = build_family(spec)

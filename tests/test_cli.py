@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,17 @@ def test_verify_bad_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "dihedral", "--m", "3..x"])
     assert exc.value.code == 1
+
+
+def test_verify_families_script_passes(capsys):
+    # the documented sweep of every family's closed forms, run in-process
+    script = Path(__file__).parents[1] / "scripts" / "verify_families.py"
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.count("== verify ") == 13
+    assert "FAIL" not in out
 
 
 # -- scan -----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Coset enumeration: known orders, determinism, overflow behavior, and the
-presentations that prove the metacyclic builds are the presented groups."""
+presentations that prove the normal-form builds are the presented groups."""
 
 import pytest
 
-from groupzagreb.build import FamilySpec, _power, build_family, catalog
+from groupzagreb.build import FamilySpec, build_family, catalog
 from groupzagreb.coset import (
     EnumerationOverflow,
     Presentation,
@@ -15,7 +15,15 @@ from groupzagreb.grp import FiniteGroup, recognize_dihedral
 # Presentations of groups the builders construct from a normal form.  Coset
 # enumeration gives each one a second construction that shares no arithmetic
 # with its builder.
-A, B = 1, 2  # generator letters: a is index 1 and b index m in the built table
+A, B, C = 1, 2, 3  # generator letters
+
+
+def _power(letter, e):
+    return (letter,) * e if e >= 0 else (-letter,) * (-e)
+
+
+def _commutes(x, y):
+    return (x, y, -x, -y)
 
 
 def dihedral_presentation(m):
@@ -38,6 +46,22 @@ def quasidihedral_presentation(n):
     ))
 
 
+def v8n_presentation(n):
+    return Presentation(2, (
+        _power(A, 2 * n),
+        _power(B, 4),
+        (B, A, B, A),        # b a = a^-1 b^-1
+        (-B, A, -B, A),      # b^-1 a = a^-1 b
+    ))
+
+
+def pq_presentation(p, q):
+    # b a b^-1 = a^r for an r of multiplicative order p mod q; every such r
+    # gives the same group
+    r = next(r for r in range(2, q) if pow(r, p, q) == 1)
+    return Presentation(2, (_power(A, q), _power(B, p), (B, A, -B) + _power(A, -r)))
+
+
 def sz2_presentation():
     return Presentation(2, (
         _power(A, 5),
@@ -49,14 +73,44 @@ def sz2_presentation():
 # modular (Iwasawa) group of order 16: b a b^-1 = a^5
 M16_PRESENTATION = Presentation(2, (_power(A, 8), _power(B, 2), (B, A, -B) + _power(A, -5)))
 Z4_Z4_PRESENTATION = Presentation(2, (_power(A, 4), _power(B, 4), (B, A, -B, A)))
+# central product of D_8 = <a, b> and Z_4 = <c> over their common central involution
+D8_Z4_PRESENTATION = Presentation(3, (
+    _power(A, 4), _power(B, 2), (B, A, -B, A),
+    _power(C, 4), (C, C, -A, -A),
+    _commutes(C, A), _commutes(C, B),
+))
+# (Z_2 x Z_2) : Z_4 with the order-4 generator swapping the factors
+SG16_3_PRESENTATION = Presentation(3, (
+    _power(A, 2), _power(B, 2), _power(C, 4),
+    _commutes(A, B),
+    (C, A, -C, B), (C, B, -C, A),
+))
+A4_RELATORS = (_power(A, 2), _power(B, 3), (A, B) * 3)
+A4_PRESENTATION = Presentation(2, A4_RELATORS)
+# A_4 with a central involution c
+A4_Z2_PRESENTATION = Presentation(3, A4_RELATORS + (
+    _power(C, 2), _commutes(C, A), _commutes(C, B),
+))
 
-# catalog family or special-group label -> (m, the presentation), by parameters
+# catalog family or special-group label -> (the built indices of the
+# generators, the presentation), by parameters.  A normal-form build puts the
+# generator a of its abelian part at index 1, its second generator c at m1 and
+# b at m1*m2 (_abelian_by_cyclic).
 PRESENTED = {
-    "quasidihedral": lambda n: (2 ** (n - 1), quasidihedral_presentation(n)),
-    "sd8n": lambda n: (4 * n, sd8n_presentation(n)),
-    "sz2": lambda: (5, sz2_presentation()),
-    "M_16": lambda: (8, M16_PRESENTATION),
-    "Z_4:Z_4": lambda: (4, Z4_Z4_PRESENTATION),
+    "quasidihedral": lambda n: ((1, 2 ** (n - 1)), quasidihedral_presentation(n)),
+    "sd8n": lambda n: ((1, 4 * n), sd8n_presentation(n)),
+    "v8n": lambda n: ((1, 4 * n), v8n_presentation(n)),
+    "pq": lambda p, q: ((1, q), pq_presentation(p, q)),
+    "sz2": lambda: ((1, 5), sz2_presentation()),
+    "A_4": lambda: ((1, 4), A4_PRESENTATION),
+    "M_16": lambda: ((1, 8), M16_PRESENTATION),
+    "Z_4:Z_4": lambda: ((1, 4), Z4_Z4_PRESENTATION),
+    # the presentation's a, b, c are the built c b, c, a
+    "D_8*Z_4": lambda: ((12, 4, 1), D8_Z4_PRESENTATION),
+    # the presentation's a, b, c are the built b, c b, a
+    "SG(16,3)": lambda: ((8, 12, 1), SG16_3_PRESENTATION),
+    # the presentation's a, b, c are the built a, b^2, b^3
+    "A_4xZ_2": lambda: ((1, 8, 12), A4_Z2_PRESENTATION),
 }
 
 
@@ -99,14 +153,13 @@ def test_sz2_presentation_matches_affine_construction():
     assert family == stats(suzuki2_affine())
 
 
-def evaluate_word(table, word, m):
-    """The product of a relator word in a built table, with a at index 1
-    and b at index m."""
-    gens = {A: 1, B: m}
-    inverse = {x: table[x].index(0) for x in gens.values()}
+def evaluate_word(table, word, gens):
+    """The product of a relator word in a built table, with generator letter
+    i at index gens[i - 1]."""
+    inverse = {g: table[g].index(0) for g in gens}
     x = 0
     for letter in word:
-        g = gens[abs(letter)]
+        g = gens[abs(letter) - 1]
         x = table[x][g if letter > 0 else inverse[g]]
     return x
 
@@ -117,19 +170,19 @@ def evaluate_word(table, word, m):
     ids=lambda e: e.label,
 )
 def test_metacyclic_build_is_the_presented_group(entry):
-    # von Dyck: a and b satisfy every relator and generate the built group,
-    # so it is a quotient of the presented group; equal orders make the
-    # quotient map an isomorphism
+    # von Dyck: the generators' images satisfy every relator and generate the
+    # built group, so it is a quotient of the presented group; equal orders
+    # make the quotient map an isomorphism
     key = entry.label if entry.family == "special" else entry.family
-    m, pres = PRESENTED[key](*entry.params)
+    gens, pres = PRESENTED[key](*entry.params)
     table = entry.build().table
     n = len(table)
     for rel in pres.relators:
-        assert evaluate_word(table, rel, m) == 0, rel
+        assert evaluate_word(table, rel, gens) == 0, rel
     reached, frontier = {0}, [0]
     while frontier:
         x = frontier.pop()
-        for g in (1, m):
+        for g in gens:
             y = table[x][g]
             if y not in reached:
                 reached.add(y)
@@ -153,7 +206,7 @@ def test_dihedral_presentations_recognized(m):
 
 def test_enumerated_groups_pass_validation():
     for G in (
-        build_family(FamilySpec("v8n", (3,))),
+        coset_enumerate(v8n_presentation(3), bound=1000),
         coset_enumerate(sd8n_presentation(3), bound=1000),
         coset_enumerate(quasidihedral_presentation(5), bound=1000),
     ):

@@ -357,7 +357,7 @@ def test_group_report_matches_graph_oracles_on_relabelled_tables(build):
 # S_4 is the only such group in catalog(256)
 NO_DECOMPOSITION = {
     "S_4": lambda: special_group("S_4"),
-    "S_5": lambda: _symmetric(5, False),
+    "S_5": lambda: _symmetric(5),
     "S_4xZ_3": lambda: direct_product(special_group("S_4"), cyclic(3)),
 }
 
@@ -435,7 +435,20 @@ def test_read_edge_list(tmp_path):
     assert g.vertex_count == 3 and g.edge_count == 2
 
 
+def test_read_edge_list_path_with_space(tmp_path):
+    # a str is a path iff it has no newline, whatever else it contains
+    d = tmp_path / "dir with space"
+    d.mkdir()
+    p = d / "g.txt"
+    p.write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
+    for source in (p, str(p)):
+        g = read_edge_list(source)
+        assert g.vertex_count == 3 and g.edge_count == 2
+
+
 def test_read_edge_list_errors():
+    with pytest.raises(GraphFormatError, match="^empty edge-list file$"):
+        read_edge_list("")
     with pytest.raises(GraphFormatError, match='first line must be "n m"'):
         read_edge_list("3\n0 1\n")  # bad header
     with pytest.raises(GraphFormatError, match="expected 2 edge lines, found 1"):
