@@ -12,11 +12,7 @@ from .build import (
     ingest_cayley,
 )
 from .coset import Presentation, coset_enumerate
-from .grp import (
-    FiniteGroup,
-    recognize_dihedral,
-    recognize_elementary_abelian_p2,
-)
+from .grp import FiniteGroup
 from .formulas import (
     FormulaEntry,
     FormulaPrediction,
@@ -41,7 +37,7 @@ __all__ = [
     "CatalogEntry", "FamilySpec", "build_family", "builtin_special_groups",
     "catalog", "direct_product", "ingest_cayley",
     "Presentation", "coset_enumerate",
-    "FiniteGroup", "recognize_dihedral", "recognize_elementary_abelian_p2",
+    "FiniteGroup",
     "FormulaEntry", "FormulaPrediction", "crosscheck", "registry_for",
     "CliqueDecomposition", "ConjectureVerdict", "SimpleGraph", "Verdict",
     "ZagrebReport", "conjecture_verdict", "group_report", "read_edge_list",

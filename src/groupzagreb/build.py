@@ -26,12 +26,11 @@ identity moved to index 0.
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 from . import ff
-from .grp import FiniteGroup, GroupTableError
+from .grp import FiniteGroup, GroupTableError, _read_text
 
 DEFAULT_ORDER_CAP = 5000
 
@@ -457,15 +456,7 @@ def ingest_cayley(source) -> FiniteGroup:
     followed by a ``# name: <label>`` comment line.  The identity need not
     be index 0 in the file; the group is renumbered so that it is.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, os.PathLike) or (
-        isinstance(source, str) and source and "\n" not in source
-    ):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+    text = _read_text(source)
     lines = [ln.strip() for ln in io.StringIO(text)]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -534,9 +525,12 @@ class CatalogEntry:
     def sort_key(self):
         return (self.order, self.family, self.params, self.label)
 
-    def build(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    def check_cap(self, order_cap: int) -> None:
         if self.order > order_cap:
             raise OrderCapError(f"{self.label} has order {self.order}, above the cap {order_cap}")
+
+    def build(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+        self.check_cap(order_cap)
         if self.family == "special":
             return special_group(self.label)
         return build_family(FamilySpec(self.family, self.params), order_cap=order_cap)

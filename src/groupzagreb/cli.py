@@ -150,8 +150,8 @@ def _scan_worker(args: tuple[CatalogEntry, int]) -> ScanRow:
     try:
         G = entry.build(order_cap=order_cap)
         return _row_for_group(G, entry.family, entry.params)
-    except (OrderCapError, RouteMismatchError):
-        raise  # their messages already name the entry
+    except RouteMismatchError:
+        raise  # its message already names the entry
     except (ValueError, RuntimeError) as exc:
         # the library's other error classes all derive from one of these
         raise ScanEntryError(entry.label, str(exc)) from exc
@@ -193,6 +193,14 @@ def _parse_range(text: str, flag: str) -> list[int]:
         raise SystemExit(EXIT_USAGE) from None
 
 
+def _reject_foreign_flags(args, parser: _Parser) -> None:
+    """A parameter flag that the family does not take is a usage error."""
+    takes = FAMILIES[args.family].params
+    for name in _PARAM_NAMES:
+        if name not in takes and getattr(args, name) is not None:
+            parser.error(f"{args.command} {args.family} does not take --{name}")
+
+
 def _family_params(args, family: str, parser: _Parser) -> tuple[int, ...]:
     values = []
     for name in FAMILIES[family].params:
@@ -208,6 +216,7 @@ def _family_params(args, family: str, parser: _Parser) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _cmd_family(args, parser: _Parser) -> int:
+    _reject_foreign_flags(args, parser)
     try:
         spec = FamilySpec(args.family, _family_params(args, args.family, parser))
     except FamilyError as exc:
@@ -224,6 +233,7 @@ def _cmd_family(args, parser: _Parser) -> int:
 
 
 def _cmd_verify(args, parser: _Parser) -> int:
+    _reject_foreign_flags(args, parser)
     ranges = []
     for name in FAMILIES[args.family].params:
         raw = getattr(args, name, None)
@@ -298,6 +308,10 @@ def _cmd_scan(args, parser: _Parser) -> int:
     jobs = min(args.jobs, cores) if args.jobs else cores
     work = [(e, args.order_cap) for e in entries]
     try:
+        # the entries ascend by order: name the first one above the cap
+        # before any group is built
+        for e in entries:
+            e.check_cap(args.order_cap)
         if jobs > 1 and len(work) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_scan_worker, work, chunksize=8))

@@ -1,6 +1,8 @@
 """Coset enumeration for finitely presented groups (relator-table strategy
-with immediate coincidence processing), used to realize the presented group
-families as explicit Cayley tables.
+with immediate coincidence processing): a presentation as an explicit Cayley
+table.  No builder calls it; the von Dyck tests use it as a second
+construction of the groups the normal forms build, and ``bench/tracing.py``
+imports it by name.
 
 Enumeration runs over the trivial subgroup, so live cosets are exactly the
 group elements and the completed action table is the regular representation.

@@ -13,17 +13,15 @@ and report the disagreement, with the brute-force oracle as the arbiter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from .build import FAMILIES
 from .ff import is_prime
-from .grp import (
-    FiniteGroup,
-    recognize_dihedral,
-    recognize_elementary_abelian_p2,
-)
+from .grp import FiniteGroup
 from .zagreb import (
     CliqueDecomposition,
     GroupReport,
@@ -548,6 +546,7 @@ class Applicable:
     tags: tuple[str, ...] = ()
 
 
+# of the five groups of order 20, only F_20 = Sz(2) has these element orders
 _F20_ORDER_PROFILE = {1: 1, 2: 5, 4: 10, 5: 4}
 
 _PR_CONSEQUENCES = {
@@ -560,21 +559,26 @@ _PR_CONSEQUENCES = {
 }
 
 
-def _looks_like_f20(G: FiniteGroup) -> bool:
-    if G.order != 20 or len(G.center()) != 1:
-        return False
-    profile: dict[int, int] = {}
-    for x in range(20):
-        o = G.element_order(x)
-        profile[o] = profile.get(o, 0) + 1
-    return profile == _F20_ORDER_PROFILE
+def _quotient_orders(G: FiniteGroup) -> Counter:
+    """How many elements of G/Z(G) have each order, read off G's cosets: the
+    order of rZ is the least j >= 1 with r^j in Z(G)."""
+    t = G.table
+    coset_of, reps = G.cosets
+    orders: Counter = Counter()
+    for r in reps:
+        x, j = r, 1
+        while coset_of[x]:
+            x = t[x][r]
+            j += 1
+        orders[j] += 1
+    return orders
 
 
 def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
     """Entries applicable to G: its own family entry (when it was built from a
-    family spec) plus quotient-hypothesis entries whenever G/Z(G) is
-    recognized, with consequence tags from centralizer counts and the
-    commutativity degree."""
+    family spec) plus quotient-hypothesis entries whenever G/Z(G), read off its
+    element orders, has their shape, with consequence tags from centralizer
+    counts and the commutativity degree."""
     apps: list[Applicable] = []
     tags: tuple[str, ...] = ()
     cents = G.count_distinct_centralizers()
@@ -588,25 +592,22 @@ def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
         apps.append(Applicable(ENTRIES[G.family], G.params or (), "family", tags))
 
     z = len(G.center())
-    if z < G.order:
-        quotient = G.central_quotient()
-        m = recognize_dihedral(quotient)
-        if m is not None:
-            apps.append(Applicable(
-                ENTRIES["quot_dihedral"], (m, z), "quotient",
-                tags + (f"G/Z=D_{2 * m}",),
-            ))
-        p = recognize_elementary_abelian_p2(quotient)
-        if p is not None:
-            apps.append(Applicable(
-                ENTRIES["quot_zpzp"], (p, z), "quotient",
-                tags + (f"G/Z=Z_{p}xZ_{p}",),
-            ))
-        if _looks_like_f20(quotient):
-            apps.append(Applicable(
-                ENTRIES["quot_sz2"], (z,), "quotient",
-                tags + ("G/Z=Sz(2)",),
-            ))
+    k = G.order // z
+    shapes: list[tuple[str, tuple[int, ...], str]] = []
+    if k > 1:
+        orders = _quotient_orders(G)
+        m, p = k // 2, isqrt(k)
+        # a cyclic <rZ> of index 2 holds [m even] involutions, so m + [m even]
+        # of them means every s outside it is one, as is sr: then srs = r^-1
+        if k % 2 == 0 and m >= 3 and orders[m] and orders[2] == m + (m % 2 == 0):
+            shapes.append(("quot_dihedral", (m, z), f"D_{2 * m}"))
+        # G/Z(G) is not cyclic, and every group of order p^2 is abelian
+        if p * p == k and is_prime(p):
+            shapes.append(("quot_zpzp", (p, z), f"Z_{p}xZ_{p}"))
+        if orders == _F20_ORDER_PROFILE:
+            shapes.append(("quot_sz2", (z,), "Sz(2)"))
+    apps += [Applicable(ENTRIES[key], params, "quotient", tags + (f"G/Z={shape}",))
+             for key, params, shape in shapes]
     return tuple(apps)
 
 

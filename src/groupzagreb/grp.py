@@ -9,8 +9,9 @@ computed once per central coset, as one centralizer bitmask per coset
 representative that its whole coset shares; the centralizers, Pr(G) and
 ``zagreb.group_report``, which sums the Zagreb indices over the distinct
 masks, read it.  The conjugacy classes are orbits under the generators and
-never read it.  Also here: central quotients on the cached cosets, and the
-two quotient-shape recognizers used for formula dispatch.
+never read it.  ``formulas.registry_for`` reads the shape of G/Z(G) off
+the cosets too; no quotient table is built.  Also here: the reader of text
+sources that the Cayley-table and edge-list parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -21,13 +22,11 @@ ingested table; its associativity check is an exact proof at every order
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import isqrt
 from operator import and_, eq, itemgetter
-
-from .ff import is_prime
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -225,22 +224,6 @@ class FiniteGroup:
                         todo.append(w)
         return classes
 
-    # -- quotients -------------------------------------------------------------
-    def central_quotient(self) -> "FiniteGroup":
-        """G/Z(G) on lowest-index coset representatives, identity coset first;
-        a centerless G gives a group on its own table."""
-        coset_of, reps = self.cosets
-        label = f"{self.label}/Z"
-        if len(reps) == self.order:
-            return FiniteGroup(self.table, label=label)
-        if len(reps) == 1:
-            return FiniteGroup([[0]], label=label)
-        t = self.table
-        pick = itemgetter(*reps)
-        return FiniteGroup(
-            [list(map(coset_of.__getitem__, pick(t[a]))) for a in reps], label=label
-        )
-
     # -- validation --------------------------------------------------------------
     def validate(self) -> None:
         """Full group-axiom screen; raises GroupTableError naming the violation.
@@ -285,35 +268,15 @@ class FiniteGroup:
         return f"FiniteGroup({self.label}, order={self.order})"
 
 
-def recognize_dihedral(G: FiniteGroup) -> int | None:
-    """Return m if G is dihedral of order 2m (m >= 3): a cyclic ``r`` of order
-    m plus an involution inverting it.  None otherwise."""
-    n = G.order
-    if n < 6 or n % 2:
-        return None
-    m = n // 2
-    t = G.table
-    # one r suffices: for m >= 3 every element of order m in D_2m generates
-    # the rotations, and every reflection inverts all of them
-    r = next((r for r in range(n) if G.element_order(r) == m), None)
-    if r is None:
-        return None
-    for s in range(1, n):
-        # s r s = r^-1 iff s*r is an involution too, as s = s^-1
-        sr = t[s][r]
-        if t[s][s] == 0 and t[sr][sr] == 0:
-            return m
-    return None
-
-
-def recognize_elementary_abelian_p2(G: FiniteGroup) -> int | None:
-    """Return p if G is Z_p x Z_p for a prime p, else None."""
-    n = G.order
-    p = isqrt(n)
-    if p * p != n or not is_prime(p):
-        return None
-    if not G.is_abelian():
-        return None
-    if any(G.element_order(x) != p for x in range(1, n)):
-        return None
-    return p
+def _read_text(source) -> str:
+    """The text of ``source``: a file object, an ``os.PathLike``, or a str,
+    which is a path if it is non-empty with no newline and the text itself
+    otherwise."""
+    if hasattr(source, "read"):
+        return source.read()
+    if isinstance(source, os.PathLike) or (
+        isinstance(source, str) and source and "\n" not in source
+    ):
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    return source

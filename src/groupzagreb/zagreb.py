@@ -20,13 +20,12 @@ degree class, one AND and popcount per vertex and class.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .grp import AbelianGroupError, FiniteGroup
+from .grp import AbelianGroupError, FiniteGroup, _read_text
 
 
 class GraphFormatError(ValueError):
@@ -71,9 +70,6 @@ class ZagrebReport:
     vertices: int
     edges: int
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.m1, self.m2, self.vertices, self.edges)
-
 
 @dataclass(frozen=True)
 class CliqueDecomposition:
@@ -87,9 +83,6 @@ class CliqueDecomposition:
             raise ValueError("parts must be sorted with distinct clique sizes")
         if any(l < 1 or s < 1 for l, s in self.parts):
             raise ValueError("copy counts and clique sizes must be positive")
-
-    def vertex_total(self) -> int:
-        return sum(l * s for l, s in self.parts)
 
 
 class Verdict(Enum):
@@ -279,15 +272,7 @@ def read_edge_list(source) -> SimpleGraph:
     0 <= u < v < n; duplicate edges are rejected.  ``source`` is a file
     object, an ``os.PathLike``, or a str: a path if it is non-empty with no
     newline, and the text itself otherwise."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, os.PathLike) or (
-        isinstance(source, str) and source and "\n" not in source
-    ):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+    text = _read_text(source)
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise GraphFormatError("empty edge-list file")

@@ -1,0 +1,116 @@
+"""G/Z(G) as its own Cayley table, the three recognizers that walk that
+table, and the formula dispatch built on them.
+
+The library dispatches the quotient formulas from the element orders of
+G/Z(G), read off the cosets G already has, and builds no second group;
+this builds the quotient and recognizes its shape from the table, so the
+tests can check every dispatch against a route that shares none of that
+code.
+"""
+
+from math import isqrt
+from operator import itemgetter
+
+from groupzagreb.ff import is_prime
+from groupzagreb.formulas import _PR_CONSEQUENCES, ENTRIES, Applicable
+from groupzagreb.grp import FiniteGroup
+
+
+def central_quotient(G: FiniteGroup) -> FiniteGroup:
+    """G/Z(G) on lowest-index coset representatives, identity coset first;
+    a centerless G gives a group on its own table."""
+    coset_of, reps = G.cosets
+    label = f"{G.label}/Z"
+    if len(reps) == G.order:
+        return FiniteGroup(G.table, label=label)
+    if len(reps) == 1:
+        return FiniteGroup([[0]], label=label)
+    t = G.table
+    pick = itemgetter(*reps)
+    return FiniteGroup(
+        [list(map(coset_of.__getitem__, pick(t[a]))) for a in reps], label=label
+    )
+
+
+def recognize_dihedral(G: FiniteGroup) -> int | None:
+    """Return m if G is dihedral of order 2m (m >= 3): a cyclic ``r`` of order
+    m plus an involution inverting it.  None otherwise."""
+    n = G.order
+    if n < 6 or n % 2:
+        return None
+    m = n // 2
+    t = G.table
+    # one r suffices: for m >= 3 every element of order m in D_2m generates
+    # the rotations, and every reflection inverts all of them
+    r = next((r for r in range(n) if G.element_order(r) == m), None)
+    if r is None:
+        return None
+    for s in range(1, n):
+        # s r s = r^-1 iff s*r is an involution too, as s = s^-1
+        sr = t[s][r]
+        if t[s][s] == 0 and t[sr][sr] == 0:
+            return m
+    return None
+
+
+def recognize_elementary_abelian_p2(G: FiniteGroup) -> int | None:
+    """Return p if G is Z_p x Z_p for a prime p, else None."""
+    n = G.order
+    p = isqrt(n)
+    if p * p != n or not is_prime(p):
+        return None
+    if not G.is_abelian():
+        return None
+    if any(G.element_order(x) != p for x in range(1, n)):
+        return None
+    return p
+
+
+_F20_ORDER_PROFILE = {1: 1, 2: 5, 4: 10, 5: 4}
+
+
+def looks_like_f20(G: FiniteGroup) -> bool:
+    if G.order != 20 or len(G.center()) != 1:
+        return False
+    profile: dict[int, int] = {}
+    for x in range(20):
+        o = G.element_order(x)
+        profile[o] = profile.get(o, 0) + 1
+    return profile == _F20_ORDER_PROFILE
+
+
+def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
+    """``formulas.registry_for`` with the quotient built and recognized."""
+    apps: list[Applicable] = []
+    tags: tuple[str, ...] = ()
+    cents = G.count_distinct_centralizers()
+    if cents in (4, 5):
+        tags += (f"{cents}-centralizer",)
+    pr = G.commutativity_degree()
+    if pr in _PR_CONSEQUENCES:
+        tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
+
+    if G.family in ENTRIES:
+        apps.append(Applicable(ENTRIES[G.family], G.params or (), "family", tags))
+
+    z = len(G.center())
+    if z < G.order:
+        quotient = central_quotient(G)
+        m = recognize_dihedral(quotient)
+        if m is not None:
+            apps.append(Applicable(
+                ENTRIES["quot_dihedral"], (m, z), "quotient",
+                tags + (f"G/Z=D_{2 * m}",),
+            ))
+        p = recognize_elementary_abelian_p2(quotient)
+        if p is not None:
+            apps.append(Applicable(
+                ENTRIES["quot_zpzp"], (p, z), "quotient",
+                tags + (f"G/Z=Z_{p}xZ_{p}",),
+            ))
+        if looks_like_f20(quotient):
+            apps.append(Applicable(
+                ENTRIES["quot_sz2"], (z,), "quotient",
+                tags + ("G/Z=Sz(2)",),
+            ))
+    return tuple(apps)

@@ -31,7 +31,6 @@ import pytest
 from groupzagreb.build import FamilySpec, build_family, catalog, ingest_cayley
 from groupzagreb.cli import _scan_worker, main
 from groupzagreb.formulas import ENTRIES, crosscheck, registry_for
-from groupzagreb.grp import recognize_dihedral
 from groupzagreb.zagreb import (
     Verdict,
     ZagrebReport,
@@ -40,6 +39,7 @@ from groupzagreb.zagreb import (
     zagreb_complement,
     zagreb_direct,
 )
+from quotient_oracles import central_quotient, recognize_dihedral
 from test_zagreb import graph_from_edges
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
@@ -281,7 +281,7 @@ def test_criterion_7_consequence_dispatch():
     assert pred.equality_c and pred.equality_nc
 
     u12 = B("u6n", 2)
-    assert recognize_dihedral(u12.central_quotient()) == 3
+    assert recognize_dihedral(central_quotient(u12)) == 3
     print("\n[criterion 7] PASS: Q_8, Heisenberg-27, U_12 dispatch as required")
 
 

@@ -399,12 +399,12 @@ def test_special_group_roster():
 
 
 def test_order16_specials_have_klein_quotient():
-    from groupzagreb.grp import recognize_elementary_abelian_p2
+    from quotient_oracles import central_quotient, recognize_elementary_abelian_p2
 
     for name in ("M_16", "Z_4:Z_4", "D_8*Z_4", "SG(16,3)", "Z_2xD_8", "Z_2xQ_8"):
         G = special_group(name)
         assert G.order == 16 and len(G.center()) == 4
-        assert recognize_elementary_abelian_p2(G.central_quotient()) == 2
+        assert recognize_elementary_abelian_p2(central_quotient(G)) == 2
 
 
 def test_a4_commuting_graph():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from groupzagreb import cli, zagreb
-from groupzagreb.build import FamilySpec, build_family, cyclic, ingest_cayley
+from groupzagreb.build import CatalogEntry, FamilySpec, build_family, cyclic, ingest_cayley
 from groupzagreb.cli import CSV_HEADER, main
 
 
@@ -85,6 +85,15 @@ def test_family_invalid_param_is_usage_error(capsys):
     assert exc.value.code == 1
 
 
+def test_family_rejects_a_flag_the_family_does_not_take(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "dihedral", "--m", "3", "--k", "9"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "groupzagreb: error: family dihedral does not take --k"
+
+
 def test_family_order_cap_is_validation_error(capsys):
     code, _, err = run(capsys, "family", "psl2", "--k", "3", "--order-cap", "100")
     assert code == 2
@@ -110,6 +119,15 @@ def test_verify_m2mn_skips_m4(capsys):
     code, out, _ = run(capsys, "verify", "m2mn", "--m", "3..5", "--n", "1..2")
     assert code == 0
     assert "4 instances checked, 2 skipped" in out
+
+
+def test_verify_rejects_a_flag_the_family_does_not_take(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "pq", "--p", "2..3", "--q", "3..7", "--n", "2"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "groupzagreb: error: verify pq does not take --n"
 
 
 def test_verify_bad_range(capsys):
@@ -201,6 +219,22 @@ def test_scan_order_cap_is_validation_error(capsys):
     (line,) = err.splitlines()
     # the first catalog entry above the cap, named as `family` names it
     assert line == "error: Z_7:Z_3 has order 21, above the cap 20"
+
+
+def test_scan_over_the_cap_fails_before_building(capsys, monkeypatch):
+    builds = []
+    real_build = CatalogEntry.build
+
+    def counting_build(entry, *args, **kwargs):
+        builds.append(entry.label)
+        return real_build(entry, *args, **kwargs)
+
+    monkeypatch.setattr(CatalogEntry, "build", counting_build)
+    code, out, err = run(capsys, "scan", "--max-order", "260", "--order-cap", "255",
+                         "--jobs", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: Q_256 has order 256, above the cap 255\n"
+    assert builds == []
 
 
 def test_scan_negative_jobs_is_usage_error(capsys):

@@ -10,7 +10,8 @@ from groupzagreb.coset import (
     PresentationError,
     coset_enumerate,
 )
-from groupzagreb.grp import FiniteGroup, recognize_dihedral
+from groupzagreb.grp import FiniteGroup
+from quotient_oracles import recognize_dihedral
 
 # Presentations of groups the builders construct from a normal form.  Coset
 # enumeration gives each one a second construction that shares no arithmetic

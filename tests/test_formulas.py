@@ -1,6 +1,7 @@
 """Formula registry: anchor values, internal identities, dispatch, crosscheck."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -9,12 +10,16 @@ from groupzagreb.build import (
     FamilyError,
     FamilySpec,
     build_family,
+    catalog,
+    cyclic,
+    direct_product,
     ingest_cayley,
     special_group,
 )
 from groupzagreb.formulas import (
     ENTRIES,
     FormulaError,
+    _quotient_orders,
     crosscheck,
     registry_for,
 )
@@ -24,6 +29,8 @@ from groupzagreb.zagreb import (
     zagreb_complement,
     zagreb_from_decomposition,
 )
+import quotient_oracles
+from test_grp import relabelled
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 
@@ -286,6 +293,52 @@ def test_registry_for_u12():
     apps = registry_for(B("u6n", 2))
     keys = {(a.entry.key, a.params) for a in apps}
     assert keys == {("u6n", (2,)), ("quot_dihedral", (3, 2))}
+
+
+CATALOG_256 = catalog(256)
+
+
+def assert_dispatch_matches_quotient_oracle(G):
+    apps = registry_for(G)
+    assert apps == quotient_oracles.registry_for(G)
+    return apps
+
+
+@pytest.mark.parametrize("entry", CATALOG_256, ids=[e.label for e in CATALOG_256])
+def test_registry_for_matches_quotient_oracle_on_catalog(entry):
+    assert_dispatch_matches_quotient_oracle(entry.build())
+
+
+@pytest.mark.parametrize("fam,params,seed", [
+    ("dicyclic", (2,), 1),
+    ("u6n", (2,), 2),
+    ("hanaki_a2", (1, 3), 3),
+    ("m2mn", (13, 20), 4),
+], ids=["Q_8", "U_12", "Heisenberg-27", "M_2mn(13,20)"])
+def test_registry_for_matches_quotient_oracle_on_relabelled_tables(fam, params, seed):
+    G = relabelled(B(fam, *params), seed)
+    assert G.family is None
+    assert assert_dispatch_matches_quotient_oracle(G)
+
+
+@pytest.mark.parametrize("build,quotient_keys", [
+    (lambda: direct_product(special_group("S_4"), cyclic(3)), set()),
+    (lambda: special_group("A_5"), set()),
+    (lambda: direct_product(B("sz2"), cyclic(2)), {("quot_sz2", (2,))}),
+], ids=["S_4xZ_3", "A_5", "Sz(2)xZ_2"])
+def test_registry_for_matches_quotient_oracle_on_other_groups(build, quotient_keys):
+    apps = assert_dispatch_matches_quotient_oracle(build())
+    assert {(a.entry.key, a.params) for a in apps if a.source == "quotient"} == quotient_keys
+
+
+CATALOG_128 = catalog(128)
+
+
+@pytest.mark.parametrize("entry", CATALOG_128, ids=[e.label for e in CATALOG_128])
+def test_quotient_orders_match_the_quotient_table(entry):
+    G = entry.build()
+    Q = quotient_oracles.central_quotient(G)
+    assert _quotient_orders(G) == Counter(map(Q.element_order, range(Q.order)))
 
 
 # -- crosscheck ----------------------------------------------------------------------------

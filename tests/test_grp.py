@@ -13,13 +13,13 @@ from groupzagreb.build import (
     ingest_cayley,
     special_group,
 )
-from groupzagreb.grp import (
-    FiniteGroup,
-    GroupTableError,
+from groupzagreb.grp import FiniteGroup, GroupTableError
+from graph_oracles import commuting_graph
+from quotient_oracles import (
+    central_quotient,
     recognize_dihedral,
     recognize_elementary_abelian_p2,
 )
-from graph_oracles import commuting_graph
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 
@@ -311,7 +311,7 @@ def test_generators_generate_from_index_order():
 
 def test_quotient_of_abelian_is_trivial():
     G = FiniteGroup(cyclic_table(4), label="Z_4")
-    Q = G.central_quotient()
+    Q = central_quotient(G)
     assert Q.order == 1
     assert Q.table == [[0]]
 
@@ -322,37 +322,37 @@ CATALOG_128 = catalog(128)
 @pytest.mark.parametrize("entry", CATALOG_128, ids=[e.label for e in CATALOG_128])
 def test_central_quotient_matches_per_cell_oracle(entry):
     G = entry.build()
-    assert G.central_quotient().table == naive_central_quotient(G)
+    assert central_quotient(G).table == naive_central_quotient(G)
 
 
 def test_centerless_quotient_shares_the_table():
     G = B("dihedral", 7)
-    Q = G.central_quotient()
+    Q = central_quotient(G)
     assert Q.table is G.table and Q.label == "D_14/Z"
 
 
 def test_quotient_orders():
     for fam, params in [("dicyclic", (2,)), ("v8n", (2,)), ("u6n", (2,)), ("m2mn", (5, 2))]:
         G = build_family(FamilySpec(fam, params))
-        Q = G.central_quotient()
+        Q = central_quotient(G)
         assert Q.order == G.order // len(G.center())
         Q.validate()
 
 
 def test_q8_quotient_is_klein_four():
-    Q = B("dicyclic", 2).central_quotient()
+    Q = central_quotient(B("dicyclic", 2))
     assert recognize_elementary_abelian_p2(Q) == 2
 
 
 def test_u12_quotient_is_d6():
-    Q = B("u6n", 2).central_quotient()
+    Q = central_quotient(B("u6n", 2))
     assert recognize_dihedral(Q) == 3
 
 
 def test_dihedral_quotient_center_trivial_for_odd_m():
     # D_2m with odd m is centerless, so G/Z = G
     G = B("dihedral", 7)
-    Q = G.central_quotient()
+    Q = central_quotient(G)
     assert Q.order == G.order and len(Q.center()) == 1
 
 
@@ -372,7 +372,7 @@ def test_recognize_dihedral_rejects_quaternion():
 
 
 def test_recognize_dihedral_on_m2mn_quotient():
-    Q = B("m2mn", 5, 2).central_quotient()
+    Q = central_quotient(B("m2mn", 5, 2))
     assert recognize_dihedral(Q) == 5
 
 
@@ -386,7 +386,7 @@ def test_recognize_p2_rejects_z4():
 
 
 def test_recognize_p2_on_heisenberg_quotient():
-    Q = B("hanaki_a2", 1, 3).central_quotient()
+    Q = central_quotient(B("hanaki_a2", 1, 3))
     assert recognize_elementary_abelian_p2(Q) == 3
 
 
