@@ -39,6 +39,7 @@ from .zagreb import (
     conjecture_verdict,
     group_report,
     read_edge_list,
+    zagreb_complement,
     zagreb_direct,
 )
 
@@ -364,10 +365,17 @@ def _cmd_scan(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _graph_report_rows(graph, include_complement: bool):
-    rows = [("graph", zagreb_direct(graph))]
+def _graph_report_rows(graph, path: str, include_complement: bool):
+    base = zagreb_direct(graph)
+    rows = [("graph", base)]
     if include_complement:
-        rows.append(("complement", zagreb_direct(graph.complement())))
+        comp = zagreb_direct(graph.complement())
+        via_formula = zagreb_complement(base)
+        if comp != via_formula:
+            raise RouteMismatchError(
+                f"{path}: direct complement report {comp} != complement-formula {via_formula}"
+            )
+        rows.append(("complement", comp))
     return rows
 
 
@@ -379,7 +387,7 @@ def _cmd_graph(args, parser: _Parser) -> int:
         print(f"error: {args.edges}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     items = []
-    for name, rep in _graph_report_rows(graph, args.complement):
+    for name, rep in _graph_report_rows(graph, args.edges, args.complement):
         verdict = conjecture_verdict(rep)
         items.append({
             "graph": name,
@@ -412,7 +420,7 @@ def _cmd_group(args, parser: _Parser) -> int:
     if G.label == "ingested":
         G.label = os.path.basename(args.cayley)
     if G.is_abelian():
-        print("error: Group must be non-abelian", file=sys.stderr)
+        print(f"error: {args.cayley}: Group must be non-abelian", file=sys.stderr)
         return EXIT_VALIDATION
     rep = group_report(G)
     checks = _crosschecks(G, rep)

@@ -4,7 +4,10 @@ formula prediction against a brute-forced group report field by field.
 
 Each entry carries exact integer polynomial evaluators for M1/M2 of both the
 commuting and non-commuting graph, the predicted vertex/edge counts and
-clique decomposition, and an equality predicate for the conjecture.  A few
+clique decomposition, and an equality predicate for the conjecture.  There
+is one closed form per shape of G/Z(G) (quot_dihedral, quot_zpzp, quot_sz2)
+and one for each of pq, hanaki_a1, gl2 and psl2; every other family entry
+maps its parameters onto the quotient form for its G/Z(G) and |Z(G)|.  A few
 families additionally carry ``alt_forms``: variant closed forms that fail
 the complement identity (they cannot be reproduced from the clique
 decomposition).  Those are never used as predictions; sweeps evaluate them
@@ -26,7 +29,6 @@ from .zagreb import (
     CliqueDecomposition,
     GroupReport,
     Verdict,
-    group_report,
 )
 
 
@@ -110,138 +112,12 @@ def _prediction(parts, m1_c, m2_c, m1_nc, m2_nc, vertices, edges_c, edges_nc, eq
 
 
 # ---------------------------------------------------------------------------
-# family closed forms
+# closed forms, one per shape of G/Z(G) and for the other families
 # ---------------------------------------------------------------------------
 
-def _dihedral_predict(m: int) -> FormulaPrediction:
-    if m % 2:
-        return _prediction(
-            _parts((1, m - 1), (m, 1)),
-            m1_c=(m - 1) * (m - 2) ** 2,
-            m2_c=_half((m - 1) * (m - 2) ** 3),
-            m1_nc=m * (m - 1) * (5 * m - 4),
-            m2_nc=m * (m - 1) * (4 * m * m - 6 * m + 2),
-            vertices=2 * m - 1,
-            edges_c=_half((m - 1) * (m - 2)),
-            edges_nc=_half(3 * m * (m - 1)),
-            eq=False,
-        )
-    return _prediction(
-        _parts((1, m - 2), (m // 2, 2)),
-        m1_c=(m - 2) * (m - 3) ** 2 + m,
-        m2_c=_half((m - 2) * (m - 3) ** 3 + m),
-        m1_nc=5 * m**3 - 18 * m**2 + 16 * m,
-        m2_nc=4 * m**4 - 20 * m**3 + 32 * m**2 - 16 * m,
-        vertices=2 * m - 2,
-        edges_c=_half((m - 2) * (m - 3) + m),
-        edges_nc=_half(3 * m * (m - 2)),
-        eq=m == 4,
-    )
-
-
-def _dicyclic_predict(n: int) -> FormulaPrediction:
-    pred = _dihedral_predict(2 * n)
-    return _prediction(
-        pred.decomposition,
-        m1_c=(2 * n - 2) * (2 * n - 3) ** 2 + 2 * n,
-        m2_c=(n - 1) * (2 * n - 3) ** 3 + n,
-        m1_nc=40 * n**3 - 72 * n**2 + 32 * n,
-        m2_nc=64 * n**4 - 160 * n**3 + 128 * n**2 - 32 * n,
-        vertices=pred.vertices,
-        edges_c=pred.edges_c,
-        edges_nc=pred.edges_nc,
-        eq=n == 2,
-    )
-
-
-def _quasidihedral_predict(n: int) -> FormulaPrediction:
-    h = 2 ** (n - 1)
-    pred = _dihedral_predict(h)
-    return _prediction(
-        pred.decomposition,
-        m1_c=(h - 2) * (h - 3) ** 2 + h,
-        m2_c=(2 ** (n - 2) - 1) * (h - 3) ** 3 + 2 ** (n - 2),
-        m1_nc=5 * 2 ** (3 * n - 3) - 18 * 2 ** (2 * n - 2) + 16 * 2 ** (n - 1),
-        m2_nc=4 * 2 ** (4 * n - 4) - 20 * 2 ** (3 * n - 3)
-        + 32 * 2 ** (2 * n - 2) - 16 * 2 ** (n - 1),
-        vertices=pred.vertices,
-        edges_c=pred.edges_c,
-        edges_nc=pred.edges_nc,
-        eq=h == 4,  # only at order 8, below this family's validity range
-    )
-
-
-def _v8n_predict(n: int) -> FormulaPrediction:
-    if n % 2:
-        # same graph as the dihedral group of order 8n
-        return _prediction(
-            _parts((1, 4 * n - 2), (2 * n, 2)),
-            m1_c=(4 * n - 2) * (4 * n - 3) ** 2 + 4 * n,
-            m2_c=(2 * n - 1) * (4 * n - 3) ** 3 + 2 * n,
-            m1_nc=16 * n * (20 * n**2 - 18 * n + 4),
-            m2_nc=64 * n * (16 * n**3 - 20 * n**2 + 8 * n - 1),
-            vertices=8 * n - 2,
-            edges_c=_half((4 * n - 2) * (4 * n - 3) + 4 * n),
-            edges_nc=24 * n**2 - 12 * n,
-            eq=n == 1,
-        )
-    return _prediction(
-        _parts((1, 4 * n - 4), (n, 4)),
-        m1_c=(4 * n - 4) * (4 * n - 5) ** 2 + 36 * n,
-        m2_c=(2 * n - 2) * (4 * n - 5) ** 3 + 54 * n,
-        m1_nc=8 * n * (40 * n**2 - 72 * n + 32),
-        m2_nc=2 * n * (512 * n**3 - 1280 * n**2 + 1024 * n - 256),
-        vertices=8 * n - 4,
-        edges_c=(2 * n - 2) * (4 * n - 5) + 6 * n,
-        edges_nc=24 * n * (n - 1),
-        eq=n == 2,
-    )
-
-
-def _v8n_even_alt_m1_nc(n: int):
-    return 8 * n * (40 * n**2 + 8 * n - 93) if n % 2 == 0 else None
-
-
-def _v8n_even_alt_m2_nc(n: int):
-    return 2 * n * (512 * n**3 - 1180 * n**2 + 1024 * n - 229) if n % 2 == 0 else None
-
-
-def _sd8n_predict(n: int) -> FormulaPrediction:
-    # parities swapped relative to V_8n
-    if n % 2:
-        return _prediction(
-            _parts((1, 4 * n - 4), (n, 4)),
-            m1_c=(4 * n - 4) * (4 * n - 5) ** 2 + 36 * n,
-            m2_c=(2 * n - 2) * (4 * n - 5) ** 3 + 54 * n,
-            m1_nc=8 * n * (40 * n**2 - 72 * n + 32),
-            m2_nc=2 * n * (512 * n**3 - 1280 * n**2 + 1024 * n - 256),
-            vertices=8 * n - 4,
-            edges_c=(2 * n - 2) * (4 * n - 5) + 6 * n,
-            edges_nc=24 * n * (n - 1),
-            eq=False,
-        )
-    return _prediction(
-        _parts((1, 4 * n - 2), (2 * n, 2)),
-        m1_c=(4 * n - 2) * (4 * n - 3) ** 2 + 4 * n,
-        m2_c=(2 * n - 1) * (4 * n - 3) ** 3 + 2 * n,
-        m1_nc=16 * n * (20 * n**2 - 18 * n + 4),
-        m2_nc=64 * n * (16 * n**3 - 20 * n**2 + 8 * n - 1),
-        vertices=8 * n - 2,
-        edges_c=_half((4 * n - 2) * (4 * n - 3) + 4 * n),
-        edges_nc=24 * n**2 - 12 * n,
-        eq=False,
-    )
-
-
-def _sd8n_alt_m1_nc(n: int):
-    return 8 * n * (40 * n**2 + 8 * n - 93) if n % 2 else None
-
-
-def _sd8n_alt_m2_nc(n: int):
-    return 2 * n * (512 * n**3 - 1180 * n**2 + 1024 * n - 229) if n % 2 else None
-
-
 def _quot_dihedral_predict(m: int, n: int) -> FormulaPrediction:
+    """G/Z(G) = D_2m with |Z(G)| = n.  D_4 = Z_2 x Z_2 is quot_zpzp's p = 2
+    case, the one m with equality."""
     return _prediction(
         _parts((1, (m - 1) * n), (m, n)),
         m1_c=n * (m - 1) * (m * n - n - 1) ** 2 + m * n * (n - 1) ** 2,
@@ -251,38 +127,7 @@ def _quot_dihedral_predict(m: int, n: int) -> FormulaPrediction:
         vertices=(2 * m - 1) * n,
         edges_c=_half((m * n - n) * (m * n - n - 1) + m * n * (n - 1)),
         edges_nc=_half(3 * m**2 * n**2 - 3 * m * n**2),
-        eq=False,
-    )
-
-
-def _u6n_predict(n: int) -> FormulaPrediction:
-    return _prediction(
-        _parts((1, 2 * n), (3, n)),
-        m1_c=2 * n * (2 * n - 1) ** 2 + 3 * n * (n - 1) ** 2,
-        m2_c=_half(2 * n * (2 * n - 1) ** 3 + 3 * n * (n - 1) ** 3),
-        m1_nc=66 * n**3,
-        m2_nc=120 * n**4,
-        vertices=5 * n,
-        edges_c=_half(2 * n * (2 * n - 1) + 3 * n * (n - 1)),
-        edges_nc=9 * n**2,
-        eq=False,
-    )
-
-
-def _m2mn_predict(m: int, n: int) -> FormulaPrediction:
-    if m % 2:
-        base = _quot_dihedral_predict(m, n)
-        return base
-    return _prediction(
-        _parts((1, (m - 2) * n), (m // 2, 2 * n)),
-        m1_c=n * (m - 2) * (m * n - 2 * n - 1) ** 2 + m * n * (2 * n - 1) ** 2,
-        m2_c=_half((m * n - 2 * n) * (m * n - 2 * n - 1) ** 3 + m * n * (2 * n - 1) ** 3),
-        m1_nc=n**3 * (5 * m**3 - 18 * m**2 + 16 * m),
-        m2_nc=4 * n**4 * (m**4 - 5 * m**3 + 8 * m**2 - 4 * m),
-        vertices=(m - 1) * 2 * n,
-        edges_c=_half((m * n - 2 * n) * (m * n - 2 * n - 1) + m * n * (2 * n - 1)),
-        edges_nc=_half(3 * (m // 2) ** 2 * (2 * n) ** 2 - 3 * (m // 2) * (2 * n) ** 2),
-        eq=False,
+        eq=m == 2,
     )
 
 
@@ -375,21 +220,6 @@ def _hanaki_a1_predict(n: int) -> FormulaPrediction:
 def _hanaki_a1_alt_e_nc(n: int):
     x = 2**n
     return x * (x - 2) * (x**2 - x)
-
-
-def _hanaki_a2_predict(n: int, p: int) -> FormulaPrediction:
-    x = p**n
-    return _prediction(
-        _parts((x + 1, x * x - x)),
-        m1_c=x * (x**2 - 1) * (x**2 - x - 1) ** 2,
-        m2_c=_half(x * (x**2 - 1) * (x**2 - x - 1) ** 3),
-        m1_nc=x**8 * (x - 2) + x**5 * (2 * x - 1),
-        m2_nc=_half((x**3 - x) * (x**8 * (x - 3) + x**6 * (3 * x - 1))),
-        vertices=x**3 - x,
-        edges_c=_half(x * (x**2 - 1) * (x**2 - x - 1)),
-        edges_nc=_half(x**2 * (x - 1) * (x**3 - x)),
-        eq=True,
-    )
 
 
 def _gl2_predict(q: int) -> FormulaPrediction:
@@ -485,21 +315,38 @@ def _register_family(key: str, predict, alt_forms: tuple[AltForm, ...] = ()) -> 
     return _register(FormulaEntry(key, family.params, family.check, predict, alt_forms))
 
 
-_register_family("dihedral", _dihedral_predict)
-_register_family("dicyclic", _dicyclic_predict)
-_register_family("quasidihedral", _quasidihedral_predict)
-_register_family("sd8n", _sd8n_predict, (
-    AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _sd8n_alt_m1_nc),
-    AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _sd8n_alt_m2_nc),
+def _dihedral_type(profile: Callable[..., tuple[int, int]]) -> Callable[..., FormulaPrediction]:
+    """A family with G/Z(G) = D_2m': the closed forms depend only on the
+    quotient and z = |Z(G)| (isoclinism, P. Hall 1940), so its C(G) is the
+    quot_dihedral graph at profile(*params) = (m', z)."""
+    return lambda *params: _quot_dihedral_predict(*profile(*params))
+
+
+# variant NC forms stated for the G/Z(G) = D_2n, |Z(G)| = 4 block: V_8n with
+# n even and SD_8n with n odd
+def _z4_alt_m1_nc(n: int):
+    return 8 * n * (40 * n**2 + 8 * n - 93)
+
+
+def _z4_alt_m2_nc(n: int):
+    return 2 * n * (512 * n**3 - 1180 * n**2 + 1024 * n - 229)
+
+
+_register_family("dihedral", _dihedral_type(lambda m: (m, 1) if m % 2 else (m // 2, 2)))
+_register_family("dicyclic", _dihedral_type(lambda n: (n, 2)))
+_register_family("quasidihedral", _dihedral_type(lambda n: (2 ** (n - 2), 2)))
+_register_family("sd8n", _dihedral_type(lambda n: (n, 4) if n % 2 else (2 * n, 2)), (
+    AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, lambda n: _z4_alt_m1_nc(n) if n % 2 else None),
+    AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, lambda n: _z4_alt_m2_nc(n) if n % 2 else None),
     AltForm("equality_c", _ALT_EQUALITY_NOTE, lambda n: n == 2),
     AltForm("equality_nc", _ALT_EQUALITY_NOTE, lambda n: n == 2),
 ))
-_register_family("v8n", _v8n_predict, (
-    AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _v8n_even_alt_m1_nc),
-    AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _v8n_even_alt_m2_nc),
+_register_family("v8n", _dihedral_type(lambda n: (2 * n, 2) if n % 2 else (n, 4)), (
+    AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, lambda n: None if n % 2 else _z4_alt_m1_nc(n)),
+    AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, lambda n: None if n % 2 else _z4_alt_m2_nc(n)),
 ))
-_register_family("u6n", _u6n_predict)
-_register_family("m2mn", _m2mn_predict)
+_register_family("u6n", _dihedral_type(lambda n: (3, n)))
+_register_family("m2mn", _dihedral_type(lambda m, n: (m, n) if m % 2 else (m // 2, 2 * n)))
 _register_family("pq", _pq_predict, (
     AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _pq_alt_m1_nc),
     AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _pq_alt_m2_nc),
@@ -508,7 +355,8 @@ _register_family("sz2", lambda: _quot_sz2_predict(1))
 _register_family("hanaki_a1", _hanaki_a1_predict, (
     AltForm("edges_nc", _ALT_COMPLEMENT_NOTE, _hanaki_a1_alt_e_nc),
 ))
-_register_family("hanaki_a2", _hanaki_a2_predict)
+# A(n,p)/Z(G) = Z_q x Z_q with |Z(G)| = q = p^n
+_register_family("hanaki_a2", lambda n, p: _quot_zpzp_predict(p**n, p**n))
 _register_family("gl2", _gl2_predict)
 _register_family("psl2", _psl2_predict, (
     AltForm("edges_c", _ALT_COMPLEMENT_NOTE, _psl2_alt_e_c),
@@ -636,20 +484,13 @@ class CrosscheckResult:
 
 
 def crosscheck(
-    entry: FormulaEntry,
-    params: tuple[int, ...],
-    G: FiniteGroup | None = None,
-    report: GroupReport | None = None,
+    entry: FormulaEntry, params: tuple[int, ...], report: GroupReport
 ) -> CrosscheckResult:
     """Compare a formula prediction against a brute-forced group report.
 
     Primary closed forms that disagree land in ``diffs``; alternate forms
     that disagree with the confirmed value land in ``alt_mismatches`` (they
     are expected to disagree - that is why they are retained)."""
-    if report is None:
-        if G is None:
-            raise ValueError("crosscheck needs a group or a precomputed report")
-        report = group_report(G)
     pred = entry.evaluate(params)
 
     actual = FormulaPrediction(

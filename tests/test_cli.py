@@ -147,6 +147,19 @@ def test_verify_families_script_passes(capsys):
     assert "FAIL" not in out
 
 
+# sha256 of the sweep's stdout, alt-form warnings included; a change to any
+# closed form, alternate form or equality flag changes it
+VERIFY_FAMILIES_STDOUT_SHA256 = "17a79c17ca97679a18292aa6eca4f23bfd121184d8ec4aedbd71ff6ae2bf1f07"
+
+
+def test_verify_families_script_stdout_is_pinned(capsys):
+    script = Path(__file__).parents[1] / "scripts" / "verify_families.py"
+    with pytest.raises(SystemExit):
+        runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAMILIES_STDOUT_SHA256
+
+
 # -- scan -----------------------------------------------------------------------
 
 EXPECTED_EQUALITY_AT_16 = {
@@ -448,6 +461,16 @@ def test_graph_complement_flag(tmp_path, capsys):
     assert lines[2].startswith("complement,4,0,0,0,undefined,NA")
 
 
+def test_graph_complement_route_mismatch_names_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "zagreb_complement", _off_by_one_complement)
+    path = edges_file(tmp_path, "4 3\n0 1\n1 2\n2 3\n")
+    code, out, err = run(capsys, "graph", "--edges", path, "--complement")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {path}: direct complement report")
+
+
 def test_graph_bad_file(tmp_path, capsys):
     path = edges_file(tmp_path, "3 1\n1 1\n")
     code, _, err = run(capsys, "graph", "--edges", path)
@@ -499,9 +522,10 @@ def test_group_heisenberg_json(tmp_path, capsys):
 
 def test_group_rejects_abelian(tmp_path, capsys):
     path = cayley_file(tmp_path, cyclic(4), "z4.cayley")
-    code, _, err = run(capsys, "group", "--cayley", str(path))
+    code, out, err = run(capsys, "group", "--cayley", str(path))
     assert code == 2
-    assert "Group must be non-abelian" in err
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: Group must be non-abelian"]
 
 
 def test_group_rejects_invalid_table(tmp_path, capsys):

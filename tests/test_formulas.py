@@ -18,7 +18,10 @@ from groupzagreb.build import (
 )
 from groupzagreb.formulas import (
     ENTRIES,
+    FormulaEntry,
     FormulaError,
+    _quot_dihedral_predict,
+    _quot_zpzp_predict,
     _quotient_orders,
     crosscheck,
     registry_for,
@@ -29,6 +32,7 @@ from groupzagreb.zagreb import (
     zagreb_complement,
     zagreb_from_decomposition,
 )
+import formula_oracles
 import quotient_oracles
 from test_grp import relabelled
 
@@ -201,30 +205,60 @@ def test_m2mn_matches_quot_dihedral():
         )
 
 
+def _oracle_outcome(entry, params):
+    try:
+        return entry.evaluate(params)
+    except FormulaError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("key", sorted(formula_oracles.PREDICT))
+def test_family_entry_matches_its_own_polynomials(key):
+    """Each family mapped onto a quotient closed form gives what the family's
+    own polynomials give: every field, both equality flags, every alternate
+    form and every error text."""
+    family = FAMILIES[key]
+    oracle = FormulaEntry(key, family.params, family.check, formula_oracles.PREDICT[key])
+    oracle_alts = formula_oracles.ALT_FORMS.get(key, ())
+    ranges = [range(-1, 41)] * len(family.params)
+    if key == "m2mn":
+        ranges = [range(-1, 60), range(-1, 40)]
+    for params in itertools.product(*ranges):
+        assert _oracle_outcome(ENTRIES[key], params) == _oracle_outcome(oracle, params), params
+        alts = [(a.field, a.fn(*params)) for a in ENTRIES[key].alt_forms]
+        assert alts == [(f, fn(*params)) for f, fn in oracle_alts], params
+
+
+def test_quot_dihedral_at_d4_is_quot_zpzp_at_2():
+    # D_4 = Z_2 x Z_2
+    for z in range(1, 51):
+        assert _quot_dihedral_predict(2, z) == _quot_zpzp_predict(2, z), z
+
+
 # -- alternate (inconsistent) stated forms ---------------------------------------------
 
 def test_v8n_even_alt_forms_flagged():
     G = B("v8n", 2)
-    res = crosscheck(ENTRIES["v8n"], (2,), G=G)
+    res = crosscheck(ENTRIES["v8n"], (2,), report=group_report(G))
     assert res.clean
     flagged = {d.field: d.predicted for d in res.alt_mismatches}
     assert flagged == {"m1_nc": 1328, "m2_nc": 4780}
 
 
 def test_v8n_odd_has_no_alt_mismatch():
-    res = crosscheck(ENTRIES["v8n"], (3,), G=B("v8n", 3))
+    res = crosscheck(ENTRIES["v8n"], (3,), report=group_report(B("v8n", 3)))
     assert res.clean and not res.alt_mismatches
 
 
 def test_sd8n_odd_alt_forms_flagged():
-    res = crosscheck(ENTRIES["sd8n"], (3,), G=B("sd8n", 3))
+    res = crosscheck(ENTRIES["sd8n"], (3,), report=group_report(B("sd8n", 3)))
     assert res.clean
     fields = {d.field for d in res.alt_mismatches}
     assert fields == {"m1_nc", "m2_nc"}
 
 
 def test_sd8n_equality_claim_flagged_at_n2():
-    res = crosscheck(ENTRIES["sd8n"], (2,), G=B("sd8n", 2))
+    res = crosscheck(ENTRIES["sd8n"], (2,), report=group_report(B("sd8n", 2)))
     assert res.clean  # the confirmed prediction (strict) matches the oracle
     eq_flags = [d for d in res.alt_mismatches if d.field.startswith("equality")]
     assert len(eq_flags) == 2
@@ -232,14 +266,14 @@ def test_sd8n_equality_claim_flagged_at_n2():
 
 
 def test_pq_alt_forms_flagged():
-    res = crosscheck(ENTRIES["pq"], (2, 3), G=B("pq", 2, 3))
+    res = crosscheck(ENTRIES["pq"], (2, 3), report=group_report(B("pq", 2, 3)))
     assert res.clean
     flagged = {d.field: d.predicted for d in res.alt_mismatches}
     assert flagged["m1_nc"] == 26  # against the confirmed 66
 
 
 def test_psl2_alt_forms_flagged():
-    res = crosscheck(ENTRIES["psl2"], (2,), G=B("psl2", 2))
+    res = crosscheck(ENTRIES["psl2"], (2,), report=group_report(B("psl2", 2)))
     assert res.clean
     flagged = {d.field: d.predicted for d in res.alt_mismatches}
     assert flagged["m1_nc"] == 184988  # against the confirmed 184620
@@ -247,7 +281,7 @@ def test_psl2_alt_forms_flagged():
 
 
 def test_quot_zpzp_alt_m2_nc_flagged():
-    res = crosscheck(ENTRIES["quot_zpzp"], (2, 2), G=B("dicyclic", 2))
+    res = crosscheck(ENTRIES["quot_zpzp"], (2, 2), report=group_report(B("dicyclic", 2)))
     assert res.clean
     flagged = {d.field: d.predicted for d in res.alt_mismatches}
     assert flagged == {"m2_nc": 288}  # against the confirmed 192
@@ -277,7 +311,7 @@ def test_registry_for_ingested_heisenberg():
     apps = registry_for(G)
     keys = {(a.entry.key, a.params) for a in apps}
     assert keys == {("quot_zpzp", (3, 3))}
-    res = crosscheck(ENTRIES["quot_zpzp"], (3, 3), G=G)
+    res = crosscheck(ENTRIES["quot_zpzp"], (3, 3), report=group_report(G))
     assert res.clean
     pred = ENTRIES["quot_zpzp"].evaluate((3, 3))
     assert pred.equality_c and pred.equality_nc
@@ -344,13 +378,13 @@ def test_quotient_orders_match_the_quotient_table(entry):
 # -- crosscheck ----------------------------------------------------------------------------
 
 def test_crosscheck_clean_for_d14():
-    res = crosscheck(ENTRIES["dihedral"], (7,), G=B("dihedral", 7))
+    res = crosscheck(ENTRIES["dihedral"], (7,), report=group_report(B("dihedral", 7)))
     assert res.clean and not res.alt_mismatches
 
 
 def test_crosscheck_reports_field_diffs_against_wrong_group():
     # evaluate D_10's entry against D_14's report: every index field differs
-    res = crosscheck(ENTRIES["dihedral"], (5,), G=B("dihedral", 7))
+    res = crosscheck(ENTRIES["dihedral"], (5,), report=group_report(B("dihedral", 7)))
     fields = {d.field for d in res.diffs}
     assert {"vertices", "edges_c", "m1_c", "m2_c", "m1_nc", "m2_nc"} <= fields
 
@@ -360,7 +394,3 @@ def test_crosscheck_accepts_precomputed_report():
     rep = group_report(G)
     assert crosscheck(ENTRIES["dihedral"], (7,), report=rep).clean
 
-
-def test_crosscheck_requires_input():
-    with pytest.raises(ValueError):
-        crosscheck(ENTRIES["dihedral"], (7,))
