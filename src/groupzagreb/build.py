@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from . import ff
@@ -54,30 +55,31 @@ class CayleyFormatError(ValueError):
 def close(n: int, row_of: Callable[[int], list[int]]) -> list[list[int]]:
     """The Cayley table of an order-n group from the rows of a generating set.
 
-    Row s is left multiplication by s, so row(s*p) is row(s) composed with
-    row(p).  The walk takes the elements in index order.  An element the
-    rows so far do not reach gets its row from ``row_of(s)``, and the
-    reached set is then closed under left multiplication by every row
-    obtained that way.  Each such element at least doubles the subgroup
-    reached, so ``row_of`` runs at most log2(n) times and every other row
-    is one C-level map.  Index 0 must be the identity.
+    Row p is left multiplication by p, so row(p*g)[j] = p*(g*j) is row(p)
+    read at the entries of row(g): one C-level gather, prebuilt once per
+    generator g, and the new element p*g is row(p)[g].  The walk takes the
+    elements in index order.  An element the rows so far do not reach gets
+    its row from ``row_of(s)``, and the reached set is then closed under
+    right multiplication by every generator obtained that way.  Each such
+    element at least doubles the subgroup reached, so ``row_of`` runs at
+    most log2(n) times.  Index 0 must be the identity.
     """
     rows: list[list[int] | None] = [None] * n
     rows[0] = list(range(n))
-    gens: list[list[int]] = []
+    gens: list[tuple[int, itemgetter]] = []
     for s in range(1, n):
         if rows[s] is not None:
             continue
         rows[s] = row_of(s)
-        gens.append(rows[s])
+        gens.append((s, itemgetter(*rows[s])))
         todo = [p for p in range(n) if rows[p] is not None]
         while todo:
             p = todo.pop()
             rp = rows[p]
-            for g in gens:
-                q = g[p]
+            for g, gather in gens:
+                q = rp[g]
                 if rows[q] is None:
-                    rows[q] = list(map(g.__getitem__, rp))
+                    rows[q] = list(gather(rp))
                     todo.append(q)
     return rows
 

@@ -409,32 +409,44 @@ _PR_CONSEQUENCES = {
 
 def _quotient_orders(G: FiniteGroup) -> Counter:
     """How many elements of G/Z(G) have each order, read off G's cosets: the
-    order of rZ is the least j >= 1 with r^j in Z(G)."""
+    order of rZ is the least j >= 1 with r^j in Z(G).  It is a class function
+    on G/Z(G), so one representative per class counts for the whole class."""
     t = G.table
-    coset_of, reps = G.cosets
+    coset_of, _ = G.cosets
+    _, sizes, reps = G.quotient_classes
     orders: Counter = Counter()
-    for r in reps:
+    for r, size in zip(reps, sizes):
         x, j = r, 1
         while coset_of[x]:
             x = t[x][r]
             j += 1
-        orders[j] += 1
+        orders[j] += size
     return orders
+
+
+def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
+    """What |G/Z(G)| and Pr(G) = k(G)/n imply about G/Z(G).  G is
+    4-centralizer iff G/Z(G) = Z_2 x Z_2, and 5-centralizer iff G/Z(G) is
+    Z_3 x Z_3 or S_3 (Belcastro-Sherman 1994); a non-trivial G/Z(G) is never
+    cyclic, so that is iff |G/Z(G)| is 4, or 6 or 9."""
+    k = G.order // len(G.center())
+    tags: tuple[str, ...] = ()
+    if k == 4:
+        tags += ("4-centralizer",)
+    elif k in (6, 9):
+        tags += ("5-centralizer",)
+    pr = G.commutativity_degree()
+    if pr in _PR_CONSEQUENCES:
+        tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
+    return tags
 
 
 def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
     """Entries applicable to G: its own family entry (when it was built from a
     family spec) plus quotient-hypothesis entries whenever G/Z(G), read off its
-    element orders, has their shape, with consequence tags from centralizer
-    counts and the commutativity degree."""
+    element orders, has their shape, each with G's ``consequence_tags``."""
     apps: list[Applicable] = []
-    tags: tuple[str, ...] = ()
-    cents = G.count_distinct_centralizers()
-    if cents in (4, 5):
-        tags += (f"{cents}-centralizer",)
-    pr = G.commutativity_degree()
-    if pr in _PR_CONSEQUENCES:
-        tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
+    tags = consequence_tags(G)
 
     if G.family in ENTRIES:
         apps.append(Applicable(ENTRIES[G.family], G.params or (), "family", tags))

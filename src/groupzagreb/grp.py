@@ -3,15 +3,17 @@ queries the rest of the library needs.
 
 A greedy generating set (at most log2(n) elements, found once and cached)
 serves both validation and the center: Z(G) is the intersection of the
-generators' centralizers, n cells per generator.  Whether x and y commute
-depends only on their cosets xZ(G) and yZ(G), so the commutation relation is
-computed once per central coset, as one centralizer bitmask per coset
-representative that its whole coset shares; the centralizers, Pr(G) and
-``zagreb.group_report``, which sums the Zagreb indices over the distinct
-masks, read it.  The conjugacy classes are orbits under the generators and
-never read it.  ``formulas.registry_for`` reads the shape of G/Z(G) off
-the cosets too; no quotient table is built.  Also here: the reader of text
-sources that the Cayley-table and edge-list parsers share.
+generators' centralizers, n cells per generator.  Conjugation by the
+generators, one cached map each, gives the conjugacy classes of G as orbits,
+so k(G) and Pr(G) = k(G)/n never compare x*g with g*x, and the classes of
+G/Z(G) as orbits of the cosets.  Whether x and y commute depends only on
+their cosets xZ(G) and yZ(G), and conjugate elements have conjugate
+centralizers, so ``zagreb.group_report`` reads one centralizer bitmask per
+class of G/Z(G) (``class_masks``).  The per-coset masks are kept for
+``centralizer(x)`` and the distinct-centralizer count alone.
+``formulas.registry_for`` reads the shape of G/Z(G) off the cosets too; no
+quotient table is built.  Also here: the reader of text sources that the
+Cayley-table and edge-list parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -63,31 +65,25 @@ class FiniteGroup:
     def inverse(self, i: int) -> int:
         return self._inverses[i]
 
-    def element_order(self, i: int) -> int:
-        """The least k with i^k = 1; at most n steps, or the table is no group."""
-        t = self.table
-        x = i
-        for k in range(1, self.order + 1):
-            if x == 0:
-                return k
-            x = t[x][i]
-        raise GroupTableError(f"element {i}: no power of it is the identity")
-
     # -- generators, the center and its cosets -----------------------------------
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A greedy generating set: walk the indices in order and take each one
-        not yet reached, then close the reached set under right multiplication
-        by the generators taken so far.  The reached set is already closed
-        under the earlier ones, so the closure starts from its products with
-        the new one: n*|S| steps in all.  Each one at least doubles the
-        reached subgroup, so there are at most log2(n)."""
+        """A greedy generating set of G; see ``_greedy_generators``."""
+        return tuple(self._greedy_generators(range(self.order)))
+
+    def _greedy_generators(self, members) -> list[int]:
+        """A greedy generating set of the subgroup whose elements, ascending,
+        are ``members``: walk them and take each one not yet reached, then
+        close the reached set under right multiplication by the generators
+        taken so far.  The reached set is already closed under the earlier
+        ones, so the closure starts from its products with the new one:
+        n*|S| steps in all.  Each one at least doubles the reached subgroup,
+        so there are at most log2 of its order."""
         t = self.table
-        n = self.order
-        reached = bytearray(n)
+        reached = bytearray(self.order)
         reached[0] = 1
         gens: list[int] = []
-        for s in range(n):
+        for s in members:
             if reached[s]:
                 continue
             gens.append(s)
@@ -101,7 +97,7 @@ class FiniteGroup:
                     if not reached[p]:
                         reached[p] = 1
                         todo.append(p)
-        return tuple(gens)
+        return gens
 
     @cached_property
     def _inverses(self) -> list[int]:
@@ -169,21 +165,97 @@ class FiniteGroup:
                     coset_of[tg[zz]] = c
         return coset_of, reps
 
+    # -- conjugation and the classes of G/Z(G) -----------------------------------
+    @cached_property
+    def _conjugations(self) -> list[list[int]]:
+        """x -> s^-1*x*s for each generator s, as s^-1*x -> (s^-1*x)*s: two
+        C-level maps of n cells each."""
+        t = self.table
+        return [list(map(itemgetter(s), map(t.__getitem__, t[self.inverse(s)])))
+                for s in self.generators]
+
+    def conjugacy_class_count(self) -> int:
+        """k(G), as the orbits of G under the conjugations: O(n*|S|), and it
+        never reads a centralizer mask."""
+        seen = bytearray(self.order)
+        classes = 0
+        for x in range(self.order):
+            if seen[x]:
+                continue
+            classes += 1
+            seen[x] = 1
+            todo = [x]
+            while todo:
+                y = todo.pop()
+                for c in self._conjugations:
+                    w = c[y]
+                    if not seen[w]:
+                        seen[w] = 1
+                        todo.append(w)
+        return classes
+
+    @cached_property
+    def quotient_classes(self) -> tuple[list[int], list[int], list[int]]:
+        """(class_of, sizes, reps): the conjugacy classes of G/Z(G), as the
+        orbits of the cosets under the conjugations, k*|S| steps.  Coset c
+        lies in class class_of[c] of sizes[c'] cosets, represented by the
+        element reps[c'], the lowest index in its cosets; reps ascend, so
+        the center's class is 0."""
+        coset_of, coset_reps = self.cosets
+        class_of = [-1] * len(coset_reps)
+        sizes: list[int] = []
+        reps: list[int] = []
+        for c, r in enumerate(coset_reps):
+            if class_of[c] >= 0:
+                continue
+            k = len(reps)
+            class_of[c] = k
+            reps.append(r)
+            todo = [r]
+            for y in todo:
+                for conj in self._conjugations:
+                    d = coset_of[conj[y]]
+                    if class_of[d] < 0:
+                        class_of[d] = k
+                        todo.append(coset_reps[d])
+            sizes.append(len(todo))
+        return class_of, sizes, reps
+
     # -- the commutation relation ----------------------------------------------
+    def _centralizer_mask(self, x: int) -> int:
+        """C_G(x) as a bitmask, bit g set iff x*g == g*x: the bytes of
+        ``_commutes_with`` reversed, so that g = 0 is the lowest bit."""
+        return int(self._commutes_with(x)[::-1].translate(_BIT_CHARS), 2)
+
+    @cached_property
+    def class_masks(self) -> tuple[int, ...]:
+        """C_G(r) for the representative r of each class of G/Z(G).
+
+        C_G(x) depends only on the coset xZ(G), and conjugate elements have
+        conjugate centralizers of equal order, so one mask per class carries
+        every degree of C(G) and NC(G): n cells for each of the k(G/Z) - 1
+        non-central classes.  The center's class commutes with everything.
+        """
+        _, _, reps = self.quotient_classes
+        return ((1 << self.order) - 1,) + tuple(map(self._centralizer_mask, reps[1:]))
+
+    def is_abelian_subgroup(self, mask: int) -> bool:
+        """Whether the subgroup with bitmask ``mask`` is abelian: whether a
+        greedy generating set of it commutes pairwise, at most log2 of its
+        order generators."""
+        t = self.table
+        members = [g for g in range(self.order) if mask >> g & 1]
+        gens = self._greedy_generators(members)
+        return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
+
     @cached_property
     def centralizer_masks(self) -> tuple[int, ...]:
-        """Bit g of mask x is set iff x*g == g*x, so mask x is C_G(x).
-
-        Central factors cancel (C_G(xz) = C_G(x) for z in Z(G)), so only the
-        k = n/|Z| coset representatives compare x*g with g*x, k*n cells in
-        all, and every element shares its representative's mask.
-        """
+        """Mask x is C_G(x), for every x: one mask per central coset, k*n
+        cells, which its whole coset shares.  Only ``centralizer`` and
+        ``count_distinct_centralizers`` read these; the Zagreb sums, Pr(G)
+        and the tags need one mask per class (``class_masks``) or none."""
         coset_of, reps = self.cosets
-        # the center's coset commutes with everything; for the others one
-        # byte 0/1 per g, reversed so that g = 0 is the lowest bit
-        rep_masks = [(1 << self.order) - 1] + [
-            int(self._commutes_with(r)[::-1].translate(_BIT_CHARS), 2) for r in reps[1:]
-        ]
+        rep_masks = [(1 << self.order) - 1] + list(map(self._centralizer_mask, reps[1:]))
         return tuple(map(rep_masks.__getitem__, coset_of))
 
     def centralizer(self, x: int) -> tuple[int, ...]:
@@ -195,34 +267,9 @@ class FiniteGroup:
         return len(set(self.centralizer_masks))
 
     def commutativity_degree(self) -> Fraction:
-        """Probability that a uniform ordered pair commutes, as an exact fraction."""
-        return Fraction(sum(m.bit_count() for m in self.centralizer_masks), self.order**2)
-
-    def conjugacy_class_count(self) -> int:
-        """k(G), as the orbits of x -> s^-1*x*s over the generators s: O(n*|S|),
-        and it never reads the commutation masks."""
-        t = self.table
-        # conjugation by s: x -> s^-1*x -> (s^-1*x)*s, two C-level maps
-        conj = [
-            list(map(itemgetter(s), map(t.__getitem__, t[self.inverse(s)])))
-            for s in self.generators
-        ]
-        seen = bytearray(self.order)
-        classes = 0
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            classes += 1
-            seen[x] = 1
-            todo = [x]
-            while todo:
-                y = todo.pop()
-                for c in conj:
-                    w = c[y]
-                    if not seen[w]:
-                        seen[w] = 1
-                        todo.append(w)
-        return classes
+        """Probability that a uniform ordered pair commutes, as an exact
+        fraction: k(G)/n, since sum_x |C_G(x)| = k(G)*n."""
+        return Fraction(self.conjugacy_class_count(), self.order)
 
     # -- validation --------------------------------------------------------------
     def validate(self) -> None:

@@ -4,10 +4,13 @@ conjecture verdict.
 
 Both graphs have the non-central elements as vertices; x and y are adjacent
 in C(G) iff they commute.  ``group_report`` builds neither graph: it sums
-over the distinct centralizer masks of the non-central cosets, which the
-group computes once (``FiniteGroup.centralizer_masks``).  The routes are
+once per non-central conjugacy class of G/Z(G), over the centralizer masks
+of the class representatives, which the group computes once
+(``FiniteGroup.class_masks``).  The routes are
   1. those direct sums, for C(G) and, separately, for NC(G);
-  2. the clique decomposition of C(G), when it is a disjoint union of cliques;
+  2. the clique decomposition of C(G), when it is a disjoint union of
+     cliques, that is when every centralizer of a non-central element is
+     abelian;
   3. the complement identities, which give NC(G) from C(G).
 C must agree across routes 1 and 2 whenever 2 exists, and NC across 1 and 3.
 
@@ -20,7 +23,6 @@ degree class, one AND and popcount per vertex and class.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -187,21 +189,25 @@ class GroupReport:
 
 
 def group_report(G: FiniteGroup) -> GroupReport:
-    """Zagreb reports and verdicts for C(G) and NC(G), summed straight from
-    the centralizer masks of the non-central cosets.
+    """Zagreb reports and verdicts for C(G) and NC(G), summed once per
+    non-central conjugacy class of G/Z(G).
 
     With z = |Z(G)|, a non-central x with centralizer mask m has degree
     d = |m| - z - 1 in C(G), its non-central commuters other than itself, and
-    d' = n - |m| in NC(G).  Let V_s be the non-central elements whose
-    centralizer has order s.  Each distinct mask m, carried by w elements
-    (whole cosets), adds
+    d' = n - |m| in NC(G).  Both depend only on the class of xZ(G) in G/Z(G):
+    C_G(x) is shared by the coset xZ(G), and conjugation is an automorphism
+    of both graphs.  Let V_s be the non-central elements whose centralizer
+    has order s.  Each class, with the mask m of its representative and
+    w = z*|class| elements, adds
       w*d^2 to M1 and w*d*(sum_s (s-z-1)*|m & V_s| - d) to 2*M2 of C(G),
       where -d takes out x itself, which lies in m; and
       w*d'^2 to M1 and w*d'*sum_s (n-s)*|V_s - m| to 2*M2 of NC(G).
 
-    C(G) is a disjoint union of cliques iff every distinct mask m is carried
-    by exactly |m| - z elements, its non-central part: then each distinct
-    mask is one clique of that size.
+    C(G) is a disjoint union of cliques iff commuting is transitive on the
+    non-central elements, iff C_G(x) is abelian for every non-central x (G is
+    an AC-group); it suffices to test the class representatives, once per
+    distinct mask.  Then the cliques are the sets C_G(x) - Z(G), and V_s
+    holds |V_s|/(s - z) of them, of size s - z.
 
     NC indices are computed twice - by these sums and through the complement
     formulas - and must agree.  C indices are computed by these sums and,
@@ -210,21 +216,22 @@ def group_report(G: FiniteGroup) -> GroupReport:
     """
     n = G.order
     z = len(G.center())
-    coset_of, reps = G.cosets
-    if len(reps) == 1:
+    coset_of, _ = G.cosets
+    class_of, sizes, _ = G.quotient_classes
+    if len(sizes) == 1:
         raise AbelianGroupError("Group must be non-abelian")
-    masks = G.centralizer_masks
-    cosets_with = Counter(masks[r] for r in reps[1:])  # distinct mask -> its cosets
+    masks = G.class_masks
+    order_of = [m.bit_count() for m in masks]
     classes: dict[int, int] = {}  # s -> V_s as a bitmask
     for x, c in enumerate(coset_of):
         if c:
-            s = masks[x].bit_count()
+            s = order_of[class_of[c]]
             classes[s] = classes.get(s, 0) | 1 << x
 
     m1 = m2_twice = edges_twice = 0
     m1_nc = m2_nc_twice = edges_nc_twice = 0
-    for m, k in cosets_with.items():
-        w = z * k  # the elements carrying m
+    for m, size in zip(masks[1:], sizes[1:]):
+        w = z * size  # the elements of the class's cosets
         d = m.bit_count() - z - 1
         edges_twice += w * d
         m1 += w * d * d
@@ -238,9 +245,10 @@ def group_report(G: FiniteGroup) -> GroupReport:
     rep_nc = ZagrebReport(m1_nc, m2_nc_twice // 2, n - z, edges_nc_twice // 2)
 
     decomposition = None
-    if all(z * k == m.bit_count() - z for m, k in cosets_with.items()):
-        sizes = Counter(m.bit_count() - z for m in cosets_with)
-        decomposition = CliqueDecomposition(tuple((sizes[s], s) for s in sorted(sizes)))
+    if all(map(G.is_abelian_subgroup, set(masks[1:]))):
+        decomposition = CliqueDecomposition(tuple(
+            (v.bit_count() // (s - z), s - z) for s, v in sorted(classes.items())
+        ))
         rep_c_parts = zagreb_from_decomposition(decomposition)
         if rep_c != rep_c_parts:
             raise RouteMismatchError(

@@ -1,8 +1,9 @@
 """The commuting graph C(G) as a materialized ``SimpleGraph`` and the
 clique-decomposition extraction that walks its rows.
 
-The library computes the Zagreb indices of C(G) and NC(G) from the group's
-centralizer masks without building either graph; these build the graph and
+The library computes the Zagreb indices of C(G) and NC(G) from one
+centralizer mask per conjugacy class of G/Z(G), without building either
+graph; these build the graph from the mask of every coset and
 read it, so the tests can check every index, and the decomposition, against
 a route that shares none of that code.
 """

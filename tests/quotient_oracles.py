@@ -1,19 +1,33 @@
-"""G/Z(G) as its own Cayley table, the three recognizers that walk that
-table, and the formula dispatch built on them.
+"""Element orders by repeated multiplication, G/Z(G) as its own Cayley
+table, the three recognizers that walk that table, and the formula dispatch
+built on them.
 
 The library dispatches the quotient formulas from the element orders of
 G/Z(G), read off the cosets G already has, and builds no second group;
-this builds the quotient and recognizes its shape from the table, so the
+this builds the quotient and recognizes its shape from the table, and
+derives the consequence tags from the centralizer of every element, so the
 tests can check every dispatch against a route that shares none of that
 code.
 """
 
+from fractions import Fraction
 from math import isqrt
 from operator import itemgetter
 
 from groupzagreb.ff import is_prime
 from groupzagreb.formulas import _PR_CONSEQUENCES, ENTRIES, Applicable
-from groupzagreb.grp import FiniteGroup
+from groupzagreb.grp import FiniteGroup, GroupTableError
+
+
+def element_order(G: FiniteGroup, i: int) -> int:
+    """The least k with i^k = 1; at most n steps, or the table is no group."""
+    t = G.table
+    x = i
+    for k in range(1, G.order + 1):
+        if x == 0:
+            return k
+        x = t[x][i]
+    raise GroupTableError(f"element {i}: no power of it is the identity")
 
 
 def central_quotient(G: FiniteGroup) -> FiniteGroup:
@@ -42,7 +56,7 @@ def recognize_dihedral(G: FiniteGroup) -> int | None:
     t = G.table
     # one r suffices: for m >= 3 every element of order m in D_2m generates
     # the rotations, and every reflection inverts all of them
-    r = next((r for r in range(n) if G.element_order(r) == m), None)
+    r = next((r for r in range(n) if element_order(G, r) == m), None)
     if r is None:
         return None
     for s in range(1, n):
@@ -61,7 +75,7 @@ def recognize_elementary_abelian_p2(G: FiniteGroup) -> int | None:
         return None
     if not G.is_abelian():
         return None
-    if any(G.element_order(x) != p for x in range(1, n)):
+    if any(element_order(G, x) != p for x in range(1, n)):
         return None
     return p
 
@@ -74,21 +88,28 @@ def looks_like_f20(G: FiniteGroup) -> bool:
         return False
     profile: dict[int, int] = {}
     for x in range(20):
-        o = G.element_order(x)
+        o = element_order(G, x)
         profile[o] = profile.get(o, 0) + 1
     return profile == _F20_ORDER_PROFILE
+
+
+def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
+    """``formulas.consequence_tags`` from the centralizer of every element:
+    the number of distinct ones, and Pr(G) as the commuting pairs over n^2."""
+    tags: tuple[str, ...] = ()
+    cents = G.count_distinct_centralizers()
+    if cents in (4, 5):
+        tags += (f"{cents}-centralizer",)
+    pr = Fraction(sum(m.bit_count() for m in G.centralizer_masks), G.order**2)
+    if pr in _PR_CONSEQUENCES:
+        tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
+    return tags
 
 
 def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
     """``formulas.registry_for`` with the quotient built and recognized."""
     apps: list[Applicable] = []
-    tags: tuple[str, ...] = ()
-    cents = G.count_distinct_centralizers()
-    if cents in (4, 5):
-        tags += (f"{cents}-centralizer",)
-    pr = G.commutativity_degree()
-    if pr in _PR_CONSEQUENCES:
-        tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
+    tags = consequence_tags(G)
 
     if G.family in ENTRIES:
         apps.append(Applicable(ENTRIES[G.family], G.params or (), "family", tags))

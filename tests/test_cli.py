@@ -13,6 +13,7 @@ import pytest
 from groupzagreb import cli, zagreb
 from groupzagreb.build import CatalogEntry, FamilySpec, build_family, cyclic, ingest_cayley
 from groupzagreb.cli import CSV_HEADER, main
+from groupzagreb.grp import FiniteGroup
 
 
 def run(capsys, *argv):
@@ -268,6 +269,23 @@ def test_scan_bytes_match_recorded_digest(capsys, max_order):
     code, out, _ = run(capsys, "scan", "--max-order", max_order, "--jobs", "1")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED_SCAN[max_order]["sha256"]
+
+
+def _coset_masks_read(G):
+    raise AssertionError(f"{G.label}: centralizer_masks read")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--max-order", "64", "--jobs", "1"),
+    ("family", "psl2", "--k", "3"),
+], ids=["scan-64", "psl2-3"])
+def test_reports_never_read_the_coset_masks(capsys, monkeypatch, argv):
+    # one centralizer per class of G/Z(G) carries the sums, Pr(G) and the tags
+    monkeypatch.setattr(FiniteGroup, "centralizer_masks", property(_coset_masks_read))
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert len(csv_rows(out)) >= 1
 
 
 @pytest.mark.parametrize("name", ["missing", "file.cayley"])

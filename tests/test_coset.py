@@ -11,7 +11,7 @@ from groupzagreb.coset import (
     coset_enumerate,
 )
 from groupzagreb.grp import FiniteGroup
-from quotient_oracles import recognize_dihedral
+from quotient_oracles import element_order, recognize_dihedral
 
 # Presentations of groups the builders construct from a normal form.  Coset
 # enumeration gives each one a second construction that shares no arithmetic
@@ -146,7 +146,7 @@ def test_sz2_presentation_matches_affine_construction():
             G.order,
             len(G.center()),
             sorted(len(G.centralizer(x)) for x in range(G.order)),
-            sorted(G.element_order(x) for x in range(G.order)),
+            sorted(element_order(G, x) for x in range(G.order)),
         )
 
     family = stats(build_family(FamilySpec("sz2", ())))

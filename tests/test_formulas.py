@@ -23,6 +23,7 @@ from groupzagreb.formulas import (
     _quot_dihedral_predict,
     _quot_zpzp_predict,
     _quotient_orders,
+    consequence_tags,
     crosscheck,
     registry_for,
 )
@@ -34,7 +35,7 @@ from groupzagreb.zagreb import (
 )
 import formula_oracles
 import quotient_oracles
-from test_grp import relabelled
+from test_grp import extraspecial_32, relabelled
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 
@@ -365,6 +366,27 @@ def test_registry_for_matches_quotient_oracle_on_other_groups(build, quotient_ke
     assert {(a.entry.key, a.params) for a in apps if a.source == "quotient"} == quotient_keys
 
 
+@pytest.mark.parametrize("entry", CATALOG_256, ids=[e.label for e in CATALOG_256])
+def test_consequence_tags_match_the_centralizer_count_on_catalog(entry):
+    G = entry.build()
+    assert consequence_tags(G) == quotient_oracles.consequence_tags(G)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: relabelled(B("dicyclic", 2), 1),
+    lambda: relabelled(B("u6n", 2), 2),
+    lambda: relabelled(B("hanaki_a2", 1, 3), 3),
+    lambda: relabelled(B("m2mn", 13, 20), 4),
+    lambda: relabelled(B("hanaki_a2", 1, 7), 3),
+    lambda: relabelled(direct_product(special_group("S_4"), cyclic(3)), 5),
+    lambda: relabelled(extraspecial_32(), 9),
+], ids=["Q_8", "U_12", "Heisenberg-27", "M_2mn(13,20)", "hanaki_a2(1,7)", "S_4xZ_3",
+        "2^{1+4}_+"])
+def test_consequence_tags_match_the_centralizer_count_on_relabelled_tables(build):
+    G = build()
+    assert consequence_tags(G) == quotient_oracles.consequence_tags(G)
+
+
 CATALOG_128 = catalog(128)
 
 
@@ -372,7 +394,8 @@ CATALOG_128 = catalog(128)
 def test_quotient_orders_match_the_quotient_table(entry):
     G = entry.build()
     Q = quotient_oracles.central_quotient(G)
-    assert _quotient_orders(G) == Counter(map(Q.element_order, range(Q.order)))
+    orders = Counter(quotient_oracles.element_order(Q, x) for x in range(Q.order))
+    assert _quotient_orders(G) == orders
 
 
 # -- crosscheck ----------------------------------------------------------------------------

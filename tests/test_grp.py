@@ -17,6 +17,7 @@ from groupzagreb.grp import FiniteGroup, GroupTableError
 from graph_oracles import commuting_graph
 from quotient_oracles import (
     central_quotient,
+    element_order,
     recognize_dihedral,
     recognize_elementary_abelian_p2,
 )
@@ -50,6 +51,10 @@ def naive_centralizer(G, x):
     return tuple(g for g in range(G.order) if G.table[x][g] == G.table[g][x])
 
 
+def bits(mask):
+    return tuple(g for g in range(mask.bit_length()) if mask >> g & 1)
+
+
 def naive_commuting_rows(G):
     z = naive_center(G)
     vertices = [x for x in range(G.order) if x not in z]
@@ -75,6 +80,32 @@ def naive_conjugacy_class_count(G):
         for g in range(n):
             seen[t[t[g][x]][inv[g]]] = True
     return classes
+
+
+def naive_quotient_classes(G):
+    """The classes of G/Z(G) by conjugating each coset's lowest element by
+    every g: O(n*k), with the cosets numbered by their lowest element."""
+    t = G.table
+    n = G.order
+    inv = [t[g].index(0) for g in range(n)]
+    z = naive_center(G)
+    coset_of = [-1] * n
+    coset_reps = []
+    for g in range(n):
+        if coset_of[g] < 0:
+            for zz in z:
+                coset_of[t[g][zz]] = len(coset_reps)
+            coset_reps.append(g)
+    class_of = [-1] * len(coset_reps)
+    sizes, reps = [], []
+    for c, r in enumerate(coset_reps):
+        if class_of[c] < 0:
+            cls = {coset_of[t[t[inv[g]][r]][g]] for g in range(n)}
+            for d in cls:
+                class_of[d] = len(reps)
+            sizes.append(len(cls))
+            reps.append(r)
+    return class_of, sizes, reps
 
 
 def naive_central_quotient(G):
@@ -107,6 +138,32 @@ def relabelled(G, seed):
 
 def relabelled_sl23():
     return relabelled(special_group("SL(2,3)"), 7)
+
+
+def extraspecial_32() -> FiniteGroup:
+    """2^{1+4}_+ = D_8 o D_8: the real Pauli group on two qubits, closed from
+    X(x)I, Z(x)I, I(x)X and I(x)Z as 4x4 signed matrices.  Its center is
+    {I, -I}, every non-central centralizer has order 16 and none is abelian."""
+    pauli_x, pauli_z, one = ((0, 1), (1, 0)), ((1, 0), (0, -1)), ((1, 0), (0, 1))
+
+    def kron(a, b):
+        return tuple(tuple(a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4))
+                     for i in range(4))
+
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+                     for i in range(4))
+
+    gens = [kron(pauli_x, one), kron(pauli_z, one), kron(one, pauli_x), kron(one, pauli_z)]
+    elements = [kron(one, one)]
+    index = {elements[0]: 0}
+    for a in elements:
+        for g in gens:
+            b = mul(a, g)
+            if b not in index:
+                index[b] = len(elements)
+                elements.append(b)
+    return FiniteGroup([[index[mul(a, b)] for b in elements] for a in elements])
 
 
 # -- table products ------------------------------------------------------------
@@ -254,8 +311,10 @@ LARGE_CENTER = {
 
 @pytest.mark.parametrize(
     "build",
-    [e.build for e in CATALOG_64] + [relabelled_sl23] + list(LARGE_CENTER.values()),
-    ids=[e.label for e in CATALOG_64] + ["ingested SL(2,3)"] + list(LARGE_CENTER),
+    [e.build for e in CATALOG_64] + [relabelled_sl23, lambda: relabelled(extraspecial_32(), 9)]
+    + list(LARGE_CENTER.values()),
+    ids=[e.label for e in CATALOG_64] + ["ingested SL(2,3)", "ingested 2^{1+4}_+"]
+    + list(LARGE_CENTER),
 )
 def test_commutation_queries_match_naive_oracles(build):
     G = build()
@@ -265,9 +324,46 @@ def test_commutation_queries_match_naive_oracles(build):
     assert G.count_distinct_centralizers() == len(set(cents))
     pairs = naive_commuting_pairs(G)
     assert G.commutativity_degree() == Fraction(pairs, G.order**2)
-    assert G.commutativity_degree() == Fraction(G.conjugacy_class_count(), G.order)
+    assert G.quotient_classes == naive_quotient_classes(G)
+    _, sizes, reps = G.quotient_classes
+    assert [bits(m) for m in G.class_masks] == [cents[r] for r in reps]
+    # each class's cosets carry z*|class| elements with its centralizer
+    z = len(G.center())
+    assert sum(z * k * m.bit_count() for k, m in zip(sizes, G.class_masks)) == pairs
     assert G.is_abelian() == (pairs == G.order**2)
     assert commuting_graph(G).rows == naive_commuting_rows(G)
+
+
+def test_class_masks_of_pgl_2_7_are_one_per_class():
+    # GL(2,7)/Z = PGL(2,7), with 9 classes against 336 cosets
+    G = B("gl2", 7)
+    class_of, sizes, _ = G.quotient_classes
+    assert (len(G.cosets[1]), len(sizes), len(G.class_masks)) == (336, 9, 9)
+    assert sum(sizes) == len(class_of) == 336
+
+
+def naive_is_abelian(G, mask):
+    els = bits(mask)
+    return all(G.table[a][b] == G.table[b][a] for a in els for b in els)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: special_group("S_4"),
+    lambda: B("dicyclic", 2),
+    lambda: B("gl2", 3),
+    lambda: relabelled(extraspecial_32(), 9),
+], ids=["S_4", "Q_8", "GL(2,3)", "ingested 2^{1+4}_+"])
+def test_is_abelian_subgroup_matches_all_pairs(build):
+    G = build()
+    masks = G.class_masks
+    assert [G.is_abelian_subgroup(m) for m in masks] == [naive_is_abelian(G, m) for m in masks]
+
+
+def test_is_abelian_subgroup_on_s4():
+    # C(4-cycle) = Z_4 and C((12)) = Z_2 x Z_2, but C((12)(34)) = D_8
+    G = special_group("S_4")
+    assert sorted((len(bits(m)), G.is_abelian_subgroup(m)) for m in G.class_masks[1:]) == [
+        (3, True), (4, True), (4, True), (8, False)]
 
 
 def test_large_centers_are_large():
@@ -489,17 +585,17 @@ def test_validate_rejects_intercalate_swap_at_520():
 
 def test_element_order():
     G = B("dihedral", 6)
-    assert G.element_order(0) == 1
-    assert G.element_order(1) == 6  # the rotation
-    assert G.element_order(6) == 2  # a reflection
+    assert element_order(G, 0) == 1
+    assert element_order(G, 1) == 6  # the rotation
+    assert element_order(G, 6) == 2  # a reflection
 
 
 def test_element_order_raises_when_no_power_is_the_identity():
     # not a group: the powers of 1 cycle 1 -> 2 -> 1 and never reach 0
     G = FiniteGroup([[0, 1, 2], [1, 2, 1], [2, 1, 0]])
-    assert G.element_order(2) == 2
+    assert element_order(G, 2) == 2
     with pytest.raises(GroupTableError, match="element 1"):
-        G.element_order(1)
+        element_order(G, 1)
 
 
 def test_inverse():

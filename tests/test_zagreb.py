@@ -30,7 +30,7 @@ from groupzagreb.zagreb import (
     zagreb_from_decomposition,
 )
 from graph_oracles import commuting_graph, extract_clique_decomposition
-from test_grp import relabelled
+from test_grp import extraspecial_32, relabelled
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
 
@@ -365,6 +365,20 @@ NO_DECOMPOSITION = {
 @pytest.mark.parametrize("build", NO_DECOMPOSITION.values(), ids=list(NO_DECOMPOSITION))
 def test_group_report_without_decomposition_matches_graph_oracles(build):
     assert assert_report_matches_graph_oracles(build()).decomposition is None
+
+
+def test_group_report_on_2_1_4_needs_abelian_centralizers():
+    """In 2^{1+4}_+ all non-central centralizers have order 16, so commuting
+    elements always have centralizers of equal order; still no centralizer
+    is abelian and C(G) is no union of cliques."""
+    G = relabelled(extraspecial_32(), 9)
+    z = G.center()
+    assert len(z) == 2
+    orders = {x: len(G.centralizer(x)) for x in range(G.order) if x not in z}
+    assert set(orders.values()) == {16}
+    rep = assert_report_matches_graph_oracles(G)
+    assert rep.decomposition is None
+    assert (rep.c.m1, rep.c.m2, rep.c.edges) == (5070, 32955, 195)
 
 
 @pytest.mark.parametrize("G", [cyclic(6), direct_product(cyclic(2), cyclic(2))],
