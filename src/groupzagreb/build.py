@@ -7,9 +7,11 @@ Each family is one record in ``FAMILIES``: its parameter names, validity
 rule, order, label, builder and catalog instances.  The formula registry and
 the CLI read the same table.
 
-Construction routes: a builder numbers its elements and computes the row
-of any one element with its own arithmetic, and ``close`` asks it for the
-rows of a generating set only and composes the rest, keeping its indices.
+Construction routes: a builder numbers its elements and hands
+``FiniteGroup`` the order and a ``row_of`` that computes the row of any one
+element with its own arithmetic.  The group computes a row only when a
+query reads it; ``grp.close`` composes the full table from the rows of a
+generating set only when ``FiniteGroup.table`` is read.
 One abelian-by-cyclic normal form, (x, y) b^j with A = Z_m1 x Z_m2, b
 acting on A by a 2x2 integer matrix and b^k in A, builds every solvable
 family and special group: its m2 = 1 case, the metacyclic a^i b^j, serves
@@ -49,40 +51,8 @@ class CayleyFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the shared table builder, and the normal-form builders
+# the normal-form builders
 # ---------------------------------------------------------------------------
-
-def close(n: int, row_of: Callable[[int], list[int]]) -> list[list[int]]:
-    """The Cayley table of an order-n group from the rows of a generating set.
-
-    Row p is left multiplication by p, so row(p*g)[j] = p*(g*j) is row(p)
-    read at the entries of row(g): one C-level gather, prebuilt once per
-    generator g, and the new element p*g is row(p)[g].  The walk takes the
-    elements in index order.  An element the rows so far do not reach gets
-    its row from ``row_of(s)``, and the reached set is then closed under
-    right multiplication by every generator obtained that way.  Each such
-    element at least doubles the subgroup reached, so ``row_of`` runs at
-    most log2(n) times.  Index 0 must be the identity.
-    """
-    rows: list[list[int] | None] = [None] * n
-    rows[0] = list(range(n))
-    gens: list[tuple[int, itemgetter]] = []
-    for s in range(1, n):
-        if rows[s] is not None:
-            continue
-        rows[s] = row_of(s)
-        gens.append((s, itemgetter(*rows[s])))
-        todo = [p for p in range(n) if rows[p] is not None]
-        while todo:
-            p = todo.pop()
-            rp = rows[p]
-            for g, gather in gens:
-                q = rp[g]
-                if rows[q] is None:
-                    rows[q] = list(gather(rp))
-                    todo.append(q)
-    return rows
-
 
 def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
                        s: tuple[int, int] = (0, 0)) -> FiniteGroup:
@@ -93,26 +63,53 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
     (u1 b^j1)(u2 b^j2) = (u1 + act^j1(u2)) b^(j1 + j2), and b^k folds back
     to s.  The caller picks parameters with act an automorphism of A,
     act^k = 1 and act(s) = s.
+
+    A row is built at gather speed, from slices of one shared index list, so
+    its cells are the list's own ints: with w = u1, or u1 + s once
+    b^(j1 + j2) wraps past b^k, the A-part of a cell is w + act^j1(u2), the
+    translate of A by w (slices) permuted by act^j1 (one prebuilt gather per
+    power of b).  The loop runs over whichever axis is shorter: the powers
+    b^j2, one block of m1*m2 cells each, or the elements u2 of A, whose k
+    cells lie m1*m2 apart in the row.
     """
     p, q, r, t = act
-    # images of (1, 0) and (0, 1) under act^j, for j < k
-    basis = [((1, 0), (0, 1))]
-    for _ in range(1, k):
-        basis.append(tuple(((p * x + q * y) % m1, (r * x + t * y) % m2) for x, y in basis[-1]))
     m = m1 * m2
+    n = m * k
+    base = list(range(n))
+    step = [(p * x + q * y) % m1 + m1 * ((r * x + t * y) % m2)
+            for y in range(m2) for x in range(m1)]
+    powers = []  # act^j on the indices of A, j < k
+    perm = base[:m]
+    for _ in range(k):
+        powers.append(itemgetter(*perm))
+        perm = [step[u] for u in perm]
     s1, s2 = s
+
+    def translate(wx: int, wy: int, offset: int) -> list[int]:
+        """offset + the index of (wx, wy) + u, for u in A in index order."""
+        cells: list[int] = []
+        for y in range(m2):
+            row_start = offset + m1 * ((y + wy) % m2)
+            cells += base[row_start + wx:row_start + m1]
+            cells += base[row_start:row_start + wx]
+        return cells
 
     def row_of(idx: int) -> list[int]:
         x1, y1, j1 = idx % m1, idx // m1 % m2, idx // m
-        (px, py), (qx, qy) = basis[j1]
-        row = []
-        for j2 in range(k):
-            c = j1 + j2 >= k  # b^(j1 + j2) = s b^(j1 + j2 - k)
-            x0, y0, j = x1 + s1 * c, y1 + s2 * c, m * ((j1 + j2) % k)
-            row += [(x0 + px * x2 + qx * y2) % m1 + m1 * ((y0 + py * x2 + qy * y2) % m2) + j
-                    for y2 in range(m2) for x2 in range(m1)]
+        wrap = (x1 + s1) % m1, (y1 + s2) % m2
+        act_j1 = powers[j1]
+        if k <= m:
+            row: list[int] = []
+            for j in range(j1, j1 + k):
+                row += act_j1(translate(x1, y1, m * j) if j < k else translate(*wrap, m * (j - k)))
+            return row
+        # A-part of u2 b^j2 before (a0) and after (a1) the wrap, at j2 = 0
+        a0, a1 = act_j1(translate(x1, y1, 0)), act_j1(translate(*wrap, 0))
+        row = [0] * n
+        for u2 in range(m):
+            row[u2::m] = base[a0[u2] + m * j1::m] + base[a1[u2]:a1[u2] + m * j1:m]
         return row
-    return FiniteGroup(close(m * k, row_of))
+    return FiniteGroup(order=n, row_of=row_of)
 
 
 def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
@@ -122,7 +119,8 @@ def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
 
 
 def cyclic(n: int, label: str | None = None) -> FiniteGroup:
-    return FiniteGroup(close(n, lambda i: [(i + j) % n for j in range(n)]), label=label or f"Z_{n}")
+    base = list(range(n))
+    return FiniteGroup(label=label or f"Z_{n}", order=n, row_of=lambda i: base[i:] + base[:i])
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def _hanaki_a1(n: int) -> FiniteGroup:
         fa1 = frob[a1]
         addb1 = add[b1]
         return [idx[(add[a1][a2], add[addb1[b2]][mul[fa1][a2]])] for a2, b2 in els]
-    return FiniteGroup(close(len(els), row_of))
+    return FiniteGroup(order=len(els), row_of=row_of)
 
 
 def _hanaki_a2(n: int, p: int) -> FiniteGroup:
@@ -159,7 +157,7 @@ def _hanaki_a2(n: int, p: int) -> FiniteGroup:
             idx[(add[a1][a2], add[add[b1][b2]][mc1[a2]], add[c1][c2])]
             for a2, b2, c2 in els
         ]
-    return FiniteGroup(close(len(els), row_of))
+    return FiniteGroup(order=len(els), row_of=row_of)
 
 
 def _matrix_group(q: int, det_condition) -> FiniteGroup:
@@ -192,7 +190,7 @@ def _matrix_group(q: int, det_condition) -> FiniteGroup:
             )]
             for e, f2, g, h in els
         ]
-    return FiniteGroup(close(len(els), row_of))
+    return FiniteGroup(order=len(els), row_of=row_of)
 
 
 def _gl2(q: int) -> FiniteGroup:
@@ -380,14 +378,13 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
         raise OrderCapError(
             f"direct product order {G.order * H.order} exceeds the cap {order_cap}"
         )
-    tg, th = G.table, H.table
     oh = H.order
 
     def row_of(i: int) -> list[int]:
         i1, j1 = divmod(i, oh)
-        hrow = th[j1]
-        return [g * oh + h for g in tg[i1] for h in hrow]
-    return FiniteGroup(close(G.order * oh, row_of), label=label or f"{G.label}x{H.label}")
+        hrow = H.row(j1)
+        return [g * oh + h for g in G.row(i1) for h in hrow]
+    return FiniteGroup(label=label or f"{G.label}x{H.label}", order=G.order * oh, row_of=row_of)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +401,7 @@ def _symmetric(n: int) -> FiniteGroup:
 
     def row_of(i: int) -> list[int]:
         return [idx[tuple(map(els[i].__getitem__, t))] for t in els]
-    return FiniteGroup(close(len(els), row_of))
+    return FiniteGroup(order=len(els), row_of=row_of)
 
 
 # name -> (order, builder), in roster order
@@ -480,12 +477,12 @@ def ingest_cayley(source) -> FiniteGroup:
     table = []
     for ln in body:
         try:
-            row = [int(tok) for tok in ln.split()]
+            row = list(map(int, ln.split()))
         except ValueError:
             raise CayleyFormatError(f"non-integer entry in row {ln!r}") from None
         if len(row) != n:
             raise CayleyFormatError(f"row has {len(row)} entries, expected {n}")
-        if any(not 0 <= v < n for v in row):
+        if min(row) < 0 or max(row) >= n:
             raise CayleyFormatError(f"entry out of range [0,{n}) in row {ln!r}")
         table.append(row)
 

@@ -410,15 +410,16 @@ _PR_CONSEQUENCES = {
 def _quotient_orders(G: FiniteGroup) -> Counter:
     """How many elements of G/Z(G) have each order, read off G's cosets: the
     order of rZ is the least j >= 1 with r^j in Z(G).  It is a class function
-    on G/Z(G), so one representative per class counts for the whole class."""
-    t = G.table
+    on G/Z(G), so one representative per class counts for the whole class.
+    The powers walk row r, r^(j+1) = r*r^j, and read no other row."""
     coset_of, _ = G.cosets
     _, sizes, reps = G.quotient_classes
     orders: Counter = Counter()
     for r, size in zip(reps, sizes):
+        row = G.row(r)
         x, j = r, 1
         while coset_of[x]:
-            x = t[x][r]
+            x = row[x]
             j += 1
         orders[j] += size
     return orders

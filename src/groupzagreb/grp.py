@@ -1,9 +1,20 @@
-"""Finite groups as explicit multiplication tables, plus the structural
-queries the rest of the library needs.
+"""Finite groups on the rows of their multiplication tables, plus the
+structural queries the rest of the library needs.
+
+Row x of the table is left multiplication by x, ``row(x)[j]`` = x*j, and
+every query reads the table through ``FiniteGroup.row``.  An ingested
+table serves the rows from its list.  A group from a builder keeps the
+builder's ``row_of`` and computes a row only when a query asks for it.  The
+Zagreb report, the formula dispatch and the cross-check read the rows of
+the generators, of the class representatives of G/Z(G), of their inverses
+and of the generators of Z(G), and no other: for D_2000 that is about a
+quarter of the rows, for GL(2,7) 31 of 2016.  ``FiniteGroup.table`` is the
+full list of rows; for a built group ``close`` materializes it on first
+access, for validation and the tests.
 
 A greedy generating set (at most log2(n) elements, found once and cached)
-serves both validation and the center: Z(G) is the intersection of the
-generators' centralizers, n cells per generator.  Conjugation by the
+serves validation, the inverses and the center: Z(G) is the intersection
+of the generators' centralizers, n cells per generator.  Conjugation by the
 generators, one cached map each, gives the conjugacy classes of G as orbits,
 so k(G) and Pr(G) = k(G)/n never compare x*g with g*x, and the classes of
 G/Z(G) as orbits of the cosets.  Whether x and y commute depends only on
@@ -27,8 +38,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import and_, eq, itemgetter
+from typing import Callable
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -41,25 +53,82 @@ class AbelianGroupError(ValueError):
     """Raised where a non-abelian group is required (commuting graphs)."""
 
 
-class FiniteGroup:
-    """Immutable-by-convention finite group on an explicit Cayley table.
+def close(n: int, row_of: Callable[[int], list[int]]) -> list[list[int]]:
+    """The Cayley table of an order-n group from the rows of a generating set.
 
-    table[i][j] is the index of g_i * g_j.  Queries cache their results on
-    the instance; none of them mutate the table, so sharing across threads
-    is safe.
+    Row p is left multiplication by p, so row(p*g)[j] = p*(g*j) is row(p)
+    read at the entries of row(g): one C-level gather, prebuilt once per
+    generator g, and the new element p*g is row(p)[g].  The walk takes the
+    elements in index order.  An element the rows so far do not reach gets
+    its row from ``row_of(s)``, and the reached set is then closed under
+    right multiplication by every generator obtained that way.  Each such
+    element at least doubles the subgroup reached, so ``row_of`` runs at
+    most log2(n) times.  Index 0 must be the identity.
+    """
+    rows: list[list[int] | None] = [None] * n
+    rows[0] = list(range(n))
+    gens: list[tuple[int, itemgetter]] = []
+    for s in range(1, n):
+        if rows[s] is not None:
+            continue
+        rows[s] = row_of(s)
+        gens.append((s, itemgetter(*rows[s])))
+        todo = [p for p in range(n) if rows[p] is not None]
+        while todo:
+            p = todo.pop()
+            rp = rows[p]
+            for g, gather in gens:
+                q = rp[g]
+                if rows[q] is None:
+                    rows[q] = list(gather(rp))
+                    todo.append(q)
+    return rows
+
+
+class FiniteGroup:
+    """Immutable-by-convention finite group on the rows of its Cayley table.
+
+    Give it either ``table``, with table[i][j] the index of g_i * g_j, or
+    its ``order`` and a ``row_of`` that computes row i.  Queries cache their
+    results on the instance and never change a row; two threads that race
+    to compute the same row store equal lists, so sharing is safe.
     """
 
-    def __init__(self, table: list[list[int]], label: str = "G"):
-        self.table = table
-        self.order = len(table)
+    def __init__(self, table: list[list[int]] | None = None, label: str = "G", *,
+                 order: int = 0, row_of: Callable[[int], list[int]] | None = None):
         self.label = label
         self.family: str | None = None  # set by build.build_family
         self.params: tuple[int, ...] | None = None
+        if table is None:
+            self.order = order
+            self._row_of = row_of
+            self._rows: list[list[int] | None] = [None] * order
+        else:
+            self.table = table  # set on the instance, so ``close`` never runs
+            self.order = len(table)
+            self._rows = table
+            if any(len(row) != self.order for row in table):
+                raise GroupTableError("table is not square")
         if self.order == 0:
             raise GroupTableError("empty table")
-        for row in table:
-            if len(row) != self.order:
-                raise GroupTableError("table is not square")
+
+    # -- rows ---------------------------------------------------------------------
+    def row(self, x: int) -> list[int]:
+        """Row x of the table, left multiplication by x: row(x)[j] = x*j,
+        computed on the first request and kept."""
+        r = self._rows[x]
+        if r is None:
+            r = self._rows[x] = self._row_of(x)
+        return r
+
+    @cached_property
+    def table(self) -> list[list[int]]:
+        """Every row, table[i][j] = g_i * g_j.  A built group fills it on
+        first access with ``close``, from the rows of a generating set; the
+        report path never reads it."""
+        rows = close(self.order, self.row)
+        self._rows = rows
+        return rows
 
     # -- basic operations ---------------------------------------------------
     def inverse(self, i: int) -> int:
@@ -74,26 +143,28 @@ class FiniteGroup:
     def _greedy_generators(self, members) -> list[int]:
         """A greedy generating set of the subgroup whose elements, ascending,
         are ``members``: walk them and take each one not yet reached, then
-        close the reached set under right multiplication by the generators
-        taken so far.  The reached set is already closed under the earlier
-        ones, so the closure starts from its products with the new one:
-        n*|S| steps in all.  Each one at least doubles the reached subgroup,
-        so there are at most log2 of its order."""
-        t = self.table
+        close the reached set under left multiplication by the generators
+        taken so far, which reads their rows and no other.  The reached set
+        is already closed under the earlier ones, so the closure starts from
+        the new one's products with it: n*|S| steps in all.  Each one at
+        least doubles the reached subgroup, so there are at most log2 of
+        its order."""
         reached = bytearray(self.order)
         reached[0] = 1
         gens: list[int] = []
+        rows: list[list[int]] = []
         for s in members:
             if reached[s]:
                 continue
             gens.append(s)
-            todo = [p for p in map(itemgetter(s), compress(t, reached)) if not reached[p]]
+            rows.append(self.row(s))
+            todo = list(compress(rows[-1], reached))  # s*H misses the subgroup H
             for p in todo:
                 reached[p] = 1
             while todo:
-                tr = t[todo.pop()]
-                for g in gens:
-                    p = tr[g]
+                y = todo.pop()
+                for r in rows:
+                    p = r[y]
                     if not reached[p]:
                         reached[p] = 1
                         todo.append(p)
@@ -101,20 +172,36 @@ class FiniteGroup:
 
     @cached_property
     def _inverses(self) -> list[int]:
-        """g -> g^-1, spread from the generators' inverses along
-        (p*s)^-1 = s^-1 * p^-1: n*|S| lookups."""
-        t = self.table
-        inv = [-1] * self.order
-        inv[0] = 0
-        steps = [(s, t[t[s].index(0)]) for s in self.generators]
+        """g -> g^-1 from the generators' rows alone, n*|S| steps.
+
+        A search from the identity reaches every y as s*p, with p found
+        earlier and s a generator.  Along that tree, right multiplication by
+        t = s'^-1, for each generator s', spreads as (s*p)*t = s*(p*t) from
+        1*t = t, with t read off row s' as the entry 0.  Then
+        (s*p)^-1 = p^-1 * s^-1 is that map applied to p^-1."""
+        n = self.order
+        rows = [self.row(s) for s in self.generators]
+        tree: list[tuple[int, int, int]] = []  # (y, p, i) with y = s_i * p
+        seen = bytearray(n)
+        seen[0] = 1
         reached = [0]
         for p in reached:
-            tp, ip = t[p], inv[p]
-            for s, row_of_s_inv in steps:
-                q = tp[s]
-                if inv[q] < 0:
-                    inv[q] = row_of_s_inv[ip]
-                    reached.append(q)
+            for i, r in enumerate(rows):
+                y = r[p]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
+                    tree.append((y, p, i))
+        rights = []  # rights[i][y] = y * s_i^-1
+        for r in rows:
+            right = [0] * n
+            right[0] = r.index(0)
+            for y, p, i in tree:
+                right[y] = rows[i][right[p]]
+            rights.append(right)
+        inv = [0] * n
+        for y, p, i in tree:
+            inv[y] = rights[i][inv[p]]
         return inv
 
     @cached_property
@@ -127,11 +214,10 @@ class FiniteGroup:
 
         Compared as (x*g)^-1 == x^-1 * g^-1, so that both sides are C-level
         gathers of one row: the inverses read along row x, and row x^-1 read
-        at the inverses.  n cells, and no column of the table is fetched.
+        at the inverses.  n cells, and no other row is read.
         """
-        t = self.table
         inv = self._inverses
-        return bytes(map(eq, itemgetter(*t[x])(inv), self._at_inverses(t[inv[x]])))
+        return bytes(map(eq, itemgetter(*self.row(x))(inv), self._at_inverses(self.row(inv[x]))))
 
     @cached_property
     def _center(self) -> tuple[int, ...]:
@@ -151,32 +237,46 @@ class FiniteGroup:
     def cosets(self) -> tuple[list[int], list[int]]:
         """(coset_of, reps): the cosets gZ(G), each represented by its lowest
         index; reps ascend, so the center's coset is 0, and g lies in the
-        coset of reps[coset_of[g]]."""
-        t = self.table
-        z = self.center()
+        coset of reps[coset_of[g]].  The coset gZ(G) = Z(G)g is the closure
+        of g under left multiplication by a greedy generating set of Z(G),
+        whose rows are the only ones read: n*|S_Z| steps."""
+        zrows = [self.row(s) for s in self._greedy_generators(self.center())]
         coset_of = [-1] * self.order
         reps: list[int] = []
         for g in range(self.order):
-            if coset_of[g] < 0:
-                c = len(reps)
-                reps.append(g)
-                tg = t[g]
-                for zz in z:
-                    coset_of[tg[zz]] = c
+            if coset_of[g] >= 0:
+                continue
+            c = len(reps)
+            reps.append(g)
+            coset_of[g] = c
+            todo = [g]
+            for y in todo:
+                for r in zrows:
+                    p = r[y]
+                    if coset_of[p] < 0:
+                        coset_of[p] = c
+                        todo.append(p)
         return coset_of, reps
 
     # -- conjugation and the classes of G/Z(G) -----------------------------------
     @cached_property
-    def _conjugations(self) -> list[list[int]]:
-        """x -> s^-1*x*s for each generator s, as s^-1*x -> (s^-1*x)*s: two
-        C-level maps of n cells each."""
-        t = self.table
-        return [list(map(itemgetter(s), map(t.__getitem__, t[self.inverse(s)])))
-                for s in self.generators]
+    def _conjugations(self) -> list[tuple[int, ...]]:
+        """x -> s^-1*x*s for each generator s, as f(f(x)) with
+        f(x) = (s^-1*x)^-1 = x^-1*s, since f(x^-1*s) = s^-1*x*s.  f is the
+        inverses read along row s^-1, so each map is two C-level gathers of
+        n cells and reads one row."""
+        inv = self._inverses
+        out = []
+        for s in self.generators:
+            f = itemgetter(*self.row(inv[s]))(inv)
+            out.append(itemgetter(*f)(f))
+        return out
 
+    @cached_property
     def conjugacy_class_count(self) -> int:
         """k(G), as the orbits of G under the conjugations: O(n*|S|), and it
-        never reads a centralizer mask."""
+        never reads a centralizer mask.  Cached, since Pr(G) and the tags
+        both read it."""
         seen = bytearray(self.order)
         classes = 0
         for x in range(self.order):
@@ -243,10 +343,10 @@ class FiniteGroup:
         """Whether the subgroup with bitmask ``mask`` is abelian: whether a
         greedy generating set of it commutes pairwise, at most log2 of its
         order generators."""
-        t = self.table
+        row = self.row
         members = [g for g in range(self.order) if mask >> g & 1]
         gens = self._greedy_generators(members)
-        return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
+        return all(row(a)[b] == row(b)[a] for i, a in enumerate(gens) for b in gens[:i])
 
     @cached_property
     def centralizer_masks(self) -> tuple[int, ...]:
@@ -269,7 +369,7 @@ class FiniteGroup:
     def commutativity_degree(self) -> Fraction:
         """Probability that a uniform ordered pair commutes, as an exact
         fraction: k(G)/n, since sum_x |C_G(x)| = k(G)*n."""
-        return Fraction(self.conjugacy_class_count(), self.order)
+        return Fraction(self.conjugacy_class_count, self.order)
 
     # -- validation --------------------------------------------------------------
     def validate(self) -> None:
@@ -282,9 +382,11 @@ class FiniteGroup:
         """
         t = self.table
         n = self.order
-        for i in range(n):
-            for j in range(n):
-                v = t[i][j]
+        for i, row in enumerate(t):
+            # one C-level pass per row; the cells are walked only to name a bad one
+            if all(map(isinstance, row, repeat(int))) and min(row) >= 0 and max(row) < n:
+                continue
+            for j, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise GroupTableError(f"entry table[{i}][{j}]={v!r} out of range")
         if t[0] != list(range(n)):
@@ -304,11 +406,12 @@ class FiniteGroup:
             if t[j][i] != 0:
                 raise GroupTableError(f"element {i} has no two-sided inverse")
         for s in self.generators:
-            ts = t[s]
-            # (x*s)*y == x*(s*y) for all y, phrased as a whole-row comparison
+            at_s_row = itemgetter(*t[s])
+            # (x*s)*y == x*(s*y) for all y: row x*s against row x read along
+            # row s, one C-level gather
             for x in range(n):
                 tx = t[x]
-                if t[tx[s]] != [tx[v] for v in ts]:
+                if t[tx[s]] != list(at_s_row(tx)):
                     raise GroupTableError(f"associativity violated at i={x}, j={s}")
 
     def __repr__(self) -> str:

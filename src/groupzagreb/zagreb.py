@@ -18,7 +18,7 @@ Everything here is integer or rational arithmetic: the verdict compares
 M2*|V| against M1*|E| by cross-multiplication, so equality cases are exact.
 ``SimpleGraph`` and ``zagreb_direct`` serve edge-list files: one adjacency
 bitmask per vertex, degrees are popcounts of the rows, and M2 is summed by
-degree class, one AND and popcount per vertex and class.
+the bit planes of the degrees, one AND and popcount per vertex and plane.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .grp import AbelianGroupError, FiniteGroup, _read_text
+from .grp import _BIT_CHARS, AbelianGroupError, FiniteGroup, _read_text
 
 
 class GraphFormatError(ValueError):
@@ -116,16 +116,19 @@ class ConjectureVerdict:
 def zagreb_direct(graph: SimpleGraph) -> ZagrebReport:
     """M1 = sum of squared degrees, M2 = sum of degree products over edges.
 
-    M2 is summed by degree class, not edge by edge: with mask_d the vertices
-    of degree d, 2*M2 = sum_u d_u * sum_d d * |row_u & mask_d|.  That is one
-    AND and popcount per vertex and class.
+    M2 is summed by the bit planes of the degrees, not edge by edge: with
+    P_k the vertices whose degree has bit k set, the degrees of u's
+    neighbours add up to sum_k 2^k * |row_u & P_k|, so
+    2*M2 = sum_u d_u * sum_k 2^k * |row_u & P_k|.  That is one AND and
+    popcount per vertex and bit of the largest degree.
     """
     deg = graph.degrees()
-    classes: dict[int, int] = {}
-    for v, d in enumerate(deg):
-        classes[d] = classes.get(d, 0) | (1 << v)
+    planes = [
+        int(bytes(d >> k & 1 for d in reversed(deg)).translate(_BIT_CHARS), 2)
+        for k in range(max(deg, default=0).bit_length())
+    ]
     m2_twice = sum(
-        du * sum(d * (row & mask).bit_count() for d, mask in classes.items())
+        du * sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
         for row, du in zip(graph.rows, deg)
     )
     m1 = sum(d * d for d in deg)

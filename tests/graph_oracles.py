@@ -11,7 +11,7 @@ a route that shares none of that code.
 from operator import itemgetter
 
 from groupzagreb.grp import AbelianGroupError, FiniteGroup
-from groupzagreb.zagreb import CliqueDecomposition, SimpleGraph
+from groupzagreb.zagreb import CliqueDecomposition, SimpleGraph, ZagrebReport
 
 
 def commuting_graph(G: FiniteGroup) -> SimpleGraph:
@@ -59,3 +59,19 @@ def extract_clique_decomposition(graph: SimpleGraph) -> CliqueDecomposition | No
         seen |= comp
     parts = tuple((counts[s], s) for s in sorted(counts))
     return CliqueDecomposition(parts)
+
+
+def zagreb_by_degree_classes(graph: SimpleGraph) -> ZagrebReport:
+    """M1 and M2 summed by degree class: with mask_d the vertices of degree
+    d, 2*M2 = sum_u d_u * sum_d d * |row_u & mask_d|, one AND per vertex
+    and distinct degree."""
+    deg = graph.degrees()
+    classes: dict[int, int] = {}
+    for v, d in enumerate(deg):
+        classes[d] = classes.get(d, 0) | (1 << v)
+    m2_twice = sum(
+        du * sum(d * (row & mask).bit_count() for d, mask in classes.items())
+        for row, du in zip(graph.rows, deg)
+    )
+    m1 = sum(d * d for d in deg)
+    return ZagrebReport(m1, m2_twice // 2, graph.vertex_count, graph.edge_count)

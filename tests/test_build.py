@@ -15,13 +15,12 @@ from groupzagreb.build import (
     build_family,
     builtin_special_groups,
     catalog,
-    close,
     cyclic,
     direct_product,
     ingest_cayley,
     special_group,
 )
-from groupzagreb.grp import FiniteGroup, GroupTableError
+from groupzagreb.grp import FiniteGroup, GroupTableError, close
 from groupzagreb.zagreb import group_report
 from graph_oracles import commuting_graph, extract_clique_decomposition
 from quotient_oracles import element_order
@@ -533,6 +532,17 @@ def test_ingest_format_errors():
         ingest_cayley("2\n0 1 0\n1 0 1\n")  # wrong row width
     with pytest.raises(CayleyFormatError):
         ingest_cayley("2\n0 5\n1 0\n")  # entry out of range
+
+
+@pytest.mark.parametrize("text,bad_row", [
+    ("3\n0 1 2\n1 2 -1\n2 0 3\n", "1 2 -1"),  # the first row out of range is named
+    ("3\n0 1 2\n1 2 0\n2 0 3\n", "2 0 3"),
+    ("3\n0 1 2\n9 2 0\n2 0 1\n", "9 2 0"),
+])
+def test_ingest_names_the_first_row_out_of_range(text, bad_row):
+    with pytest.raises(CayleyFormatError) as err:
+        ingest_cayley(text)
+    assert str(err.value) == f"entry out of range [0,3) in row {bad_row!r}"
 
 
 def relabelled_text(G, seed):

@@ -293,7 +293,7 @@ def test_pr_equals_class_count_over_order():
                         ("m2mn", (5, 3)), ("v8n", (4,)), ("hanaki_a1", (3,))]:
         G = build_family(FamilySpec(fam, params))
         assert G.order <= 100
-        assert G.commutativity_degree() == Fraction(G.conjugacy_class_count(), G.order)
+        assert G.commutativity_degree() == Fraction(G.conjugacy_class_count, G.order)
 
 
 # -- every commutation query against the table-scanning oracles ----------------------
@@ -374,7 +374,7 @@ def test_large_centers_are_large():
 @pytest.mark.parametrize("entry", CATALOG_64, ids=[e.label for e in CATALOG_64])
 def test_class_orbits_match_conjugation_loop(entry):
     G = entry.build()
-    assert G.conjugacy_class_count() == naive_conjugacy_class_count(G)
+    assert G.conjugacy_class_count == naive_conjugacy_class_count(G)
 
 
 def test_generators_generate_from_index_order():
@@ -507,6 +507,31 @@ def test_validate_rejects_broken_latin_square():
     t[2][3] = t[2][2]  # duplicate in a row
     with pytest.raises(GroupTableError, match="Latin"):
         FiniteGroup(t, label="bad").validate()
+
+
+@pytest.mark.parametrize("cells,message", [
+    # the first bad cell in row-major order is named, out of range or not an int
+    ({(3, 4): 5, (4, 1): -1}, "entry table[3][4]=5 out of range"),
+    ({(2, 1): -1, (2, 3): 9}, "entry table[2][1]=-1 out of range"),
+    ({(2, 3): 1.0, (3, 0): 7}, "entry table[2][3]=1.0 out of range"),
+    ({(1, 4): "x", (1, 2): 5}, "entry table[1][2]=5 out of range"),
+    ({(4, 0): "4", (4, 3): 2}, "entry table[4][0]='4' out of range"),
+])
+def test_validate_names_the_first_bad_entry(cells, message):
+    t = cyclic_table(5)
+    for (i, j), v in cells.items():
+        t[i][j] = v
+    with pytest.raises(GroupTableError) as err:
+        FiniteGroup(t, label="bad").validate()
+    assert str(err.value) == message
+
+
+def test_validate_names_a_corrupted_latin_row():
+    t = cyclic_table(6)
+    t[4][2] = t[4][5]  # in range, but row 4 repeats a value
+    with pytest.raises(GroupTableError) as err:
+        FiniteGroup(t, label="bad").validate()
+    assert str(err.value) == "Latin square violated: row 4 is not a permutation"
 
 
 def test_validate_rejects_shifted_identity():

@@ -29,7 +29,7 @@ from groupzagreb.zagreb import (
     zagreb_direct,
     zagreb_from_decomposition,
 )
-from graph_oracles import commuting_graph, extract_clique_decomposition
+from graph_oracles import commuting_graph, extract_clique_decomposition, zagreb_by_degree_classes
 from test_grp import extraspecial_32, relabelled
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
@@ -176,6 +176,21 @@ def test_direct_m2_matches_edge_walk_with_many_degree_classes():
     ])
     assert len(set(g.degrees())) >= 50
     assert zagreb_direct(g).m2 == m2_by_edge_walk(g)
+
+
+@pytest.mark.parametrize("n,p,seed", [
+    (1, 0.5, 1), (2, 1.0, 2), (30, 0.0, 3), (30, 1.0, 4), (50, 0.5, 5),
+    (200, 0.05, 6), (300, 0.3, 7), (500, 0.9, 8),
+])
+def test_direct_bit_planes_match_degree_classes_on_gnp(n, p, seed):
+    # G(n, p) and its complement: the bit-plane sum against the sum over
+    # the distinct degrees, which shares no mask with it
+    rng = random.Random(seed)
+    g = graph_from_edges(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ])
+    for h in (g, g.complement()):
+        assert zagreb_direct(h) == zagreb_by_degree_classes(h)
 
 
 # -- zagreb_from_decomposition ----------------------------------------------------
