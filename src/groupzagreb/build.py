@@ -474,16 +474,17 @@ def ingest_cayley(source) -> FiniteGroup:
             label = comment.lstrip("#").strip()[5:].strip()
     if len(body) != n:
         raise CayleyFormatError(f"expected {n} table rows, found {len(body)}")
+    # canonical decimals in [0, n) are read through one dict; any other row
+    # is re-read by _parse_row, which accepts it or names its fault
+    id_of = {str(i): i for i in range(n)}.__getitem__
     table = []
     for ln in body:
         try:
-            row = list(map(int, ln.split()))
-        except ValueError:
-            raise CayleyFormatError(f"non-integer entry in row {ln!r}") from None
+            row = list(map(id_of, ln.split()))
+        except KeyError:
+            row = _parse_row(ln, n)
         if len(row) != n:
-            raise CayleyFormatError(f"row has {len(row)} entries, expected {n}")
-        if min(row) < 0 or max(row) >= n:
-            raise CayleyFormatError(f"entry out of range [0,{n}) in row {ln!r}")
+            row = _parse_row(ln, n)
         table.append(row)
 
     identity = None
@@ -498,14 +499,29 @@ def ingest_cayley(source) -> FiniteGroup:
         # renumber so the identity is index 0, preserving the relative order
         # of the remaining elements
         old_order = [identity] + [i for i in range(n) if i != identity]
-        new_of_old = {old: new for new, old in enumerate(old_order)}
-        table = [
-            [new_of_old[table[i][j]] for j in old_order]
-            for i in old_order
-        ]
+        new_of_old = [0] * n
+        for new, old in enumerate(old_order):
+            new_of_old[old] = new
+        gather, renumber = itemgetter(*old_order), new_of_old.__getitem__
+        table = [list(map(renumber, gather(table[i]))) for i in old_order]
     G = FiniteGroup(table, label=label)
     G.validate()
     return G
+
+
+def _parse_row(ln: str, n: int) -> list[int]:
+    """One table row, each entry read with ``int()``; raises
+    CayleyFormatError if an entry is no integer, the row is not n wide or an
+    entry lies outside [0, n)."""
+    try:
+        row = list(map(int, ln.split()))
+    except ValueError:
+        raise CayleyFormatError(f"non-integer entry in row {ln!r}") from None
+    if len(row) != n:
+        raise CayleyFormatError(f"row has {len(row)} entries, expected {n}")
+    if min(row) < 0 or max(row) >= n:
+        raise CayleyFormatError(f"entry out of range [0,{n}) in row {ln!r}")
+    return row
 
 
 # ---------------------------------------------------------------------------

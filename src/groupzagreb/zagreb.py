@@ -282,7 +282,15 @@ def read_edge_list(source) -> SimpleGraph:
     """Parse the edge-list format: first line "n m", then m lines "u v" with
     0 <= u < v < n; duplicate edges are rejected.  ``source`` is a file
     object, an ``os.PathLike``, or a str: a path if it is non-empty with no
-    newline, and the text itself otherwise."""
+    newline, and the text itself otherwise.
+
+    Tokens are looked up in a dict of canonical decimals, ``{str(i): i}``
+    for i < min(n, 2m), with no ``int()`` call and no per-edge duplicate
+    test: a repeated edge sets no new bit, so the edge count comes out
+    short.  Any other token, a line that is not two tokens, u >= v or a short
+    edge count hands the body to ``_walk_edges``, which reads each token with
+    ``int()`` and names the first bad line.
+    """
     text = _read_text(source)
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
@@ -298,8 +306,29 @@ def read_edge_list(source) -> SimpleGraph:
         raise GraphFormatError("negative vertex or edge count")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    body = lines[1:]
+    ids = {str(i): i for i in range(min(n, 2 * m))}
     rows = [0] * n
-    for ln in lines[1:]:
+    try:
+        for a, b in map(str.split, body):
+            u, v = ids[a], ids[b]
+            if u >= v:
+                raise ValueError
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    except (KeyError, ValueError):  # a token not in ids, not two tokens, or u >= v
+        return SimpleGraph(n, _walk_edges(n, body))
+    graph = SimpleGraph(n, rows)
+    if graph.edge_count != m:  # a repeated edge
+        return SimpleGraph(n, _walk_edges(n, body))
+    return graph
+
+
+def _walk_edges(n: int, body: list[str]) -> list[int]:
+    """The adjacency rows of the edge lines ``body``, each token read with
+    ``int()``; raises GraphFormatError naming the first bad line."""
+    rows = [0] * n
+    for ln in body:
         toks = ln.split()
         try:
             if len(toks) != 2:
@@ -313,4 +342,4 @@ def read_edge_list(source) -> SimpleGraph:
             raise GraphFormatError(f"duplicate edge ({u}, {v})")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return SimpleGraph(n, rows)
+    return rows

@@ -6,12 +6,13 @@ from itertools import permutations
 
 import pytest
 
-from groupzagreb import ff
+from groupzagreb import build, ff
 from groupzagreb.build import (
     CayleyFormatError,
     FamilyError,
     FamilySpec,
     OrderCapError,
+    _parse_row,
     build_family,
     builtin_special_groups,
     catalog,
@@ -577,6 +578,106 @@ def test_ingest_relabelled_large_table_matches_closed_form(fam, params, seed):
         (pred.vertices, pred.edges_c, pred.m1_c, pred.m2_c)
     assert (rep.nc.edges, rep.nc.m1, rep.nc.m2) == (pred.edges_nc, pred.m1_nc, pred.m2_nc)
     assert rep.decomposition == pred.decomposition
+
+
+# -- canonical tokens against the per-row int() parse -------------------------------
+
+def table_lines(G, identity_at, seed):
+    """G's table under a seeded relabelling that puts the identity at index
+    ``identity_at``, one row of tokens per line."""
+    n = G.order
+    new = list(range(n))
+    random.Random(seed).shuffle(new)
+    k = new.index(identity_at)
+    new[0], new[k] = new[k], new[0]
+    old = [0] * n
+    for o, nw in enumerate(new):
+        old[nw] = o
+    return [[str(new[G.table[old[a]][old[b]]]) for b in range(n)] for a in range(n)]
+
+
+def ingest_by_rows(text):
+    """The reference ingestion: every row read by _parse_row, then the
+    identity moved to index 0 by one dict lookup per cell."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    n = int(lines[0])
+    t = [_parse_row(ln, n) for ln in lines[1:]]
+    e = next(e for e in range(n)
+             if t[e] == list(range(n)) and all(t[i][e] == i for i in range(n)))
+    order = [e] + [i for i in range(n) if i != e]
+    new_of_old = {old: new for new, old in enumerate(order)}
+    return [[new_of_old[t[i][j]] for j in order] for i in order]
+
+
+def table_outcome(read, text):
+    try:
+        return "table", read(text)
+    except CayleyFormatError as err:
+        return "error", str(err)
+
+
+def assert_ingests_as_rows(text):
+    got = table_outcome(lambda t: ingest_cayley(t).table, text)
+    assert got == table_outcome(ingest_by_rows, text)
+    return got
+
+
+@pytest.mark.parametrize("identity_at", [0, 1, 11, 23])  # S_4 has 24 elements
+def test_ingest_matches_per_row_parse_on_noisy_tokens(identity_at):
+    rng = random.Random(identity_at)
+    rows = table_lines(special_group("S_4"), identity_at, identity_at)
+    for r in rows:
+        for j in rng.sample(range(24), 6):
+            r[j] = rng.choice(("+", "0", "00")) + r[j]
+    text = cayley_text_from(rows).replace(" ", "\t ", 40)
+    kind, table = assert_ingests_as_rows(text)
+    assert kind == "table" and table[0] == list(range(24))
+
+
+# each fault as an edit of one row, with the start of the message the
+# per-row parse gives for it; "non_canonical" is no fault
+TABLE_FAULTS = {
+    "non_canonical": (lambda r: ["+" + r[0]] + r[1:], None),
+    "out_of_range": (lambda r: r[:-1] + ["24"], "entry out of range"),
+    "negative": (lambda r: ["-1"] + r[1:], "entry out of range"),
+    "non_integer": (lambda r: r[:3] + ["x"] + r[4:], "non-integer entry"),
+    "decimal": (lambda r: r[:-1] + ["1.0"], "non-integer entry"),
+    "short": (lambda r: r[:-1], "row has 23 entries"),
+    "long": (lambda r: r + ["0"], "row has 25 entries"),
+    "short_non_integer": (lambda r: r[:-2] + ["y"], "non-integer entry"),
+}
+
+
+@pytest.mark.parametrize("identity_at", [0, 11, 23])
+@pytest.mark.parametrize("second", list(TABLE_FAULTS))
+@pytest.mark.parametrize("first", list(TABLE_FAULTS))
+def test_ingest_names_the_first_fault_like_the_per_row_parse(first, second, identity_at):
+    rows = table_lines(special_group("S_4"), identity_at, 7)
+    i, j = sorted(random.Random(f"{first}/{second}").sample(range(24), 2))
+    rows[i] = TABLE_FAULTS[first][0](rows[i])
+    rows[j] = TABLE_FAULTS[second][0](rows[j])
+    kind, message = assert_ingests_as_rows(cayley_text_from(rows))
+    expected = TABLE_FAULTS[first][1] or TABLE_FAULTS[second][1]
+    if expected is None:
+        assert kind == "table"
+    else:
+        assert kind == "error" and message.startswith(expected), message
+
+
+# -- regression guard: a canonical table never takes the per-row int() parse --------
+
+def test_canonical_table_is_read_without_the_per_row_parse(monkeypatch):
+    built = B("hanaki_a2", 1, 3)
+    text = relabelled_text(built, 5)
+
+    def no_parse(*args):
+        raise AssertionError("canonical table fell back to the per-row int() parse")
+
+    monkeypatch.setattr(build, "_parse_row", no_parse)
+    G = ingest_cayley(text)
+    monkeypatch.undo()
+    assert G.table == ingest_by_rows(text)
+    assert G.commutativity_degree() == built.commutativity_degree()
 
 
 # -- catalog ----------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from groupzagreb.build import (
     special_group,
 )
 from groupzagreb.grp import AbelianGroupError, FiniteGroup
+from groupzagreb import zagreb
 from groupzagreb.zagreb import (
     CliqueDecomposition,
     GraphFormatError,
     SimpleGraph,
     Verdict,
     ZagrebReport,
+    _walk_edges,
     conjecture_verdict,
     group_report,
     read_edge_list,
@@ -510,6 +512,120 @@ def test_read_edge_list_rows_match_from_edges():
     rng.shuffle(edges)
     text = f"{n} {len(edges)}\n" + "".join(f" {u}  {v}\n\n" for u, v in edges)
     assert read_edge_list(text).rows == graph_from_edges(n, edges).rows
+
+
+# -- canonical tokens against the int() walk --------------------------------------------
+
+def gnp_edge_lines(rng, n, p, noisy=False):
+    """The edges of a G(n, p) graph as "u v" lines in shuffled order; with
+    ``noisy``, tokens get a "+" or leading zeros and the separators are
+    tabs and runs of spaces."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(edges)
+    if not noisy:
+        return [f"{u} {v}" for u, v in edges]
+
+    def token(x):
+        return rng.choice((str(x), f"+{x}", f"00{x}", str(x)))
+
+    seps = (" ", "\t", "   ", " \t")
+    return [token(u) + rng.choice(seps) + token(v) for u, v in edges]
+
+
+def edge_text(n, lines):
+    return f"{n} {len(lines)}\n" + "".join(f"{ln}\n" for ln in lines)
+
+
+def outcome(read):
+    try:
+        return "rows", read()
+    except GraphFormatError as err:
+        return "error", str(err)
+
+
+def walked(text):
+    """The rows the int() walk gives for the body of an edge-list text whose
+    header is well formed."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    return _walk_edges(int(lines[0].split()[0]), lines[1:])
+
+
+def assert_reads_as_walk(text):
+    got = outcome(lambda: read_edge_list(text).rows)
+    assert got == outcome(lambda: walked(text))
+    return got
+
+
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("noisy", [False, True], ids=["canonical", "noisy"])
+def test_read_edge_list_matches_walk_on_gnp(seed, noisy):
+    rng = random.Random(seed)
+    n = rng.randint(2, 70)
+    text = edge_text(n, gnp_edge_lines(rng, n, rng.choice((0.05, 0.3, 0.7)), noisy))
+    if noisy:
+        text = text.replace("\n", "\n\n  ", seed % 3)
+    kind, rows = assert_reads_as_walk(text)
+    assert kind == "rows"
+
+
+# each fault as a line put into a canonical G(40, 0.3) body, with the
+# start of the message the walk gives for it
+EDGE_FAULTS = {
+    "token_count": ("1 2 3", "bad edge line"),
+    "one_token": ("4", "bad edge line"),
+    "non_integer": ("3 x", "bad edge line"),
+    "decimal": ("1.5 2", "bad edge line"),
+    "u_above_v": ("9 3", "edge (9, 3) must"),
+    "self_loop": ("5 5", "edge (5, 5) must"),
+    "out_of_range": ("0 40", "edge (0, 40) must"),
+    "negative": ("-1 3", "edge (-1, 3) must"),
+    "duplicate": (None, "duplicate edge"),  # a copy of the first line
+}
+
+
+@pytest.mark.parametrize("second", list(EDGE_FAULTS))
+@pytest.mark.parametrize("first", list(EDGE_FAULTS))
+def test_read_edge_list_names_the_first_fault_like_the_walk(first, second):
+    rng = random.Random(f"{first}/{second}")
+    lines = gnp_edge_lines(rng, 40, 0.3)
+    i, j = sorted(rng.sample(range(1, len(lines)), 2))
+    for at, kind in ((j, second), (i, first)):
+        lines.insert(at, EDGE_FAULTS[kind][0] or lines[0])
+    kind, message = assert_reads_as_walk(edge_text(40, lines))
+    assert kind == "error" and message.startswith(EDGE_FAULTS[first][1]), message
+
+
+@pytest.mark.parametrize("text", [
+    "200000 1\n0 199999\n",
+    "200000 0\n",
+    "1 0\n",
+    "0 0\n",
+    "3 1\n+0 002\n",
+], ids=["sparse_huge_n", "edgeless_huge_n", "one_vertex", "empty_graph", "non_canonical"])
+def test_read_edge_list_matches_walk_on_sparse_and_huge_n(text):
+    assert assert_reads_as_walk(text)[0] == "rows"
+
+
+def test_read_edge_list_matches_walk_on_20000_random_edges():
+    rng = random.Random(20000)
+    n, edges = 20000, set()
+    while len(edges) < 20000:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    assert assert_reads_as_walk(edge_text(n, [f"{u} {v}" for u, v in edges]))[0] == "rows"
+
+
+# -- regression guard: a canonical file never takes the int() walk ----------------------
+
+def test_canonical_edge_list_is_read_without_the_walk(monkeypatch):
+    rng = random.Random(300)
+    edges = [(u, v) for u in range(300) for v in range(u + 1, 300) if rng.random() < 0.3]
+    text = edge_text(300, [f"{u} {v}" for u, v in edges])
+
+    def no_walk(*args):
+        raise AssertionError("canonical edge list fell back to the int() walk")
+
+    monkeypatch.setattr(zagreb, "_walk_edges", no_walk)
+    assert read_edge_list(text).rows == graph_from_edges(300, edges).rows
 
 
 def test_simple_graph_rejects_self_loop():
