@@ -1,17 +1,18 @@
-"""Closed-form Zagreb evaluators for every group family, with equality-case
-predicates, quotient-hypothesis entries, and the crosscheck that compares a
-formula prediction against a brute-forced group report field by field.
+"""The formula registry: one exact Zagreb prediction for every group family
+and quotient shape, the dispatch that finds the entries applying to a group,
+and the crosscheck that compares a prediction against a brute-forced group
+report field by field.
 
-Each entry carries exact integer polynomial evaluators for M1/M2 of both the
-commuting and non-commuting graph, the predicted vertex/edge counts and
-clique decomposition, and an equality predicate for the conjecture.  There
-is one closed form per shape of G/Z(G) (quot_dihedral, quot_zpzp, quot_sz2)
-and one for each of pq, hanaki_a1, gl2 and psl2; every other family entry
-maps its parameters onto the quotient form for its G/Z(G) and |Z(G)|.  A few
-families additionally carry ``alt_forms``: variant closed forms that fail
-the complement identity (they cannot be reproduced from the clique
-decomposition).  Those are never used as predictions; sweeps evaluate them
-and report the disagreement, with the brute-force oracle as the arbiter.
+Every group an entry describes is an AC-group: its non-central centralizers
+are abelian, and their images split G/Z(G) into l_i abelian subgroups of
+order t_i that meet only in the identity.  C(G) is then l_i copies of
+K_{(t_i - 1) z}, z = |Z(G)|, and NC(G) its complement.  The multiset
+{(l_i, t_i)}, the AC type, does not depend on z (isoclinism, P. Hall 1940),
+so an entry declares only ``ac_type(*params) -> (z, ((l, t), ...))`` and
+``_ac_type_predict`` evaluates every index from it.  A few entries also
+carry ``alt_forms``: variant closed forms that fail the complement identity.
+They are never used as predictions; sweeps evaluate them and report the
+disagreement, with the brute-force oracle as the arbiter.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .zagreb import (
     CliqueDecomposition,
     GroupReport,
     Verdict,
+    zagreb_from_decomposition,
 )
 
 
@@ -59,12 +61,16 @@ class AltForm:
     fn: Callable
 
 
+# (z, ((l, t), ...)): |Z(G)| and the AC type that partitions G/Z(G)
+ACType = tuple[int, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class FormulaEntry:
     key: str
     param_names: tuple[str, ...]
     validate: Callable[..., str | None]
-    predict: Callable[..., FormulaPrediction]
+    ac_type: Callable[..., ACType]
     alt_forms: tuple[AltForm, ...] = ()
 
     def evaluate(self, params: tuple[int, ...]) -> FormulaPrediction:
@@ -75,79 +81,81 @@ class FormulaEntry:
         err = self.validate(*params)
         if err:
             raise FormulaError(f"{self.key}{params}: {err}")
-        return self.predict(*params)
+        return _ac_type_predict(*self.ac_type(*params))
 
 
-# ---------------------------------------------------------------------------
-# small helpers
-# ---------------------------------------------------------------------------
+def _ac_type_predict(z: int, parts: tuple[tuple[int, int], ...]) -> FormulaPrediction:
+    """Every index of an AC-group with |Z(G)| = z whose G/Z(G) is split into
+    l abelian subgroups of order t for each (l, t) in ``parts``.
 
-def _half(v: int) -> int:
-    if v % 2:
-        raise FormulaError(f"expected an even value, got {v}")
-    return v // 2
-
-
-def _parts(*pairs: tuple[int, int]) -> CliqueDecomposition:
-    merged: dict[int, int] = {}
-    for copies, size in pairs:
-        if copies and size:
-            merged[size] = merged.get(size, 0) + copies
-    return CliqueDecomposition(tuple((merged[s], s) for s in sorted(merged)))
-
-
-def _prediction(parts, m1_c, m2_c, m1_nc, m2_nc, vertices, edges_c, edges_nc, eq):
+    C(G) is l copies of K_s, s = (t - 1) z, for each pair.  NC(G) is the
+    complete multipartite graph on those parts, where a vertex in a part of
+    size s has degree V - s: M1 = sum l s (V - s)^2, 2|E| = sum l s (V - s)
+    and 2 M2 = (2|E|)^2 - sum l (s (V - s))^2, the degree products over
+    ordered pairs in different parts.  Both equality flags say that all t
+    are equal: Chebyshev's equality case on C(G), the regular one on NC(G)."""
+    cliques: Counter = Counter()
+    for l, t in parts:
+        cliques[(t - 1) * z] += l
+    decomposition = CliqueDecomposition(tuple((cliques[s], s) for s in sorted(cliques)))
+    c = zagreb_from_decomposition(decomposition)
+    v = c.vertices
+    edges_twice = sum(l * s * (v - s) for s, l in cliques.items())
+    m2_twice = edges_twice**2 - sum(l * (s * (v - s)) ** 2 for s, l in cliques.items())
+    equal = len({t for _, t in parts}) == 1
     return FormulaPrediction(
-        vertices=vertices,
-        edges_c=edges_c,
-        edges_nc=edges_nc,
-        m1_c=m1_c,
-        m2_c=m2_c,
-        m1_nc=m1_nc,
-        m2_nc=m2_nc,
-        decomposition=parts,
-        equality_c=eq,
-        equality_nc=eq,
+        vertices=v,
+        edges_c=c.edges,
+        edges_nc=edges_twice // 2,
+        m1_c=c.m1,
+        m2_c=c.m2,
+        m1_nc=sum(l * s * (v - s) ** 2 for s, l in cliques.items()),
+        m2_nc=m2_twice // 2,
+        decomposition=decomposition,
+        equality_c=equal,
+        equality_nc=equal,
     )
 
 
 # ---------------------------------------------------------------------------
-# closed forms, one per shape of G/Z(G) and for the other families
+# AC types, one per shape of G/Z(G) and for the other families; variant forms
 # ---------------------------------------------------------------------------
 
-def _quot_dihedral_predict(m: int, n: int) -> FormulaPrediction:
-    """G/Z(G) = D_2m with |Z(G)| = n.  D_4 = Z_2 x Z_2 is quot_zpzp's p = 2
-    case, the one m with equality."""
-    return _prediction(
-        _parts((1, (m - 1) * n), (m, n)),
-        m1_c=n * (m - 1) * (m * n - n - 1) ** 2 + m * n * (n - 1) ** 2,
-        m2_c=_half((m * n - n) * (m * n - n - 1) ** 3 + m * n * (n - 1) ** 3),
-        m1_nc=n**3 * (5 * m**3 - 9 * m**2 + 4 * m),
-        m2_nc=n**4 * (4 * m**4 - 10 * m**3 + 8 * m**2 - 2 * m),
-        vertices=(2 * m - 1) * n,
-        edges_c=_half((m * n - n) * (m * n - n - 1) + m * n * (n - 1)),
-        edges_nc=_half(3 * m**2 * n**2 - 3 * m * n**2),
-        eq=m == 2,
-    )
+def _quot_dihedral(m: int, z: int) -> ACType:
+    """G/Z(G) = D_2m: the rotations <r> and the m subgroups <s r^i>.  D_4 =
+    Z_2 x Z_2 is quot_zpzp's p = 2 case, the one m with equality."""
+    return z, ((1, m), (m, 2))
 
 
-def _pq_predict(p: int, q: int) -> FormulaPrediction:
-    return _prediction(
-        _parts((1, q - 1), (q, p - 1)),
-        m1_c=(q - 1) * (q - 2) ** 2 + q * (p - 1) * (p - 2) ** 2,
-        m2_c=_half((q - 1) * (q - 2) ** 3 + q * (p - 1) * (p - 2) ** 3),
-        m1_nc=q * (p - 1) * (q - 1) * (p**2 * q - p**2 + p * q - q),
-        m2_nc=_half(
-            p**4 * q**4 - 3 * p**4 * q**3 + 3 * p**4 * q**2 - p**4 * q
-            + 2 * p**3 * q**3 - 4 * p**3 * q**2 + 2 * p**3 * q
-            - 3 * p**2 * q**4 + 5 * p**2 * q**3 - p**2 * q**2 - p**2 * q
-            + 2 * p * q**4 - 4 * p * q**3 + 2 * p * q**2
-        ),
-        vertices=p * q - 1,
-        edges_c=_half((q - 1) * (q - 2) + q * (p - 1) * (p - 2)),
-        edges_nc=_half(p**2 * q**2 - p**2 * q - q**2 + q),
-        eq=False,
-    )
+def _quot_zpzp(p: int, z: int) -> ACType:
+    """G/Z(G) = Z_p x Z_p: its p + 1 subgroups of order p."""
+    return z, ((p + 1, p),)
+
+
+def _quot_sz2(z: int) -> ACType:
+    """G/Z(G) = Sz(2) = Z_5 : Z_4: the kernel and its five complements."""
+    return z, ((1, 5), (5, 4))
+
+
+def _pq(p: int, q: int) -> ACType:
+    """Z_q : Z_p, centerless: the kernel and its q complements."""
+    return 1, ((1, q), (q, p))
+
+
+def _hanaki_a1(n: int) -> ACType:
+    """A(n, nu): z = 2^n and G/Z(G) = Z_2^n, split into its 2^n - 1 lines."""
+    return 2**n, ((2**n - 1, 2),)
+
+
+def _gl2(q: int) -> ACType:
+    """PGL(2, q) at z = q - 1: split tori, unipotent subgroups, non-split tori."""
+    return q - 1, ((q * (q + 1) // 2, q - 1), (q + 1, q), (q * (q - 1) // 2, q + 1))
+
+
+def _psl2(k: int) -> ACType:
+    """PSL(2, 2^k), centerless: Sylow 2-subgroups, split and non-split tori."""
+    x = 2**k
+    return 1, ((x + 1, x), (x * (x + 1) // 2, x - 1), (x * (x - 1) // 2, x + 1))
 
 
 def _pq_alt_m1_nc(p: int, q: int):
@@ -167,20 +175,6 @@ def _pq_alt_m2_nc(p: int, q: int):
     )
 
 
-def _quot_zpzp_predict(p: int, n: int) -> FormulaPrediction:
-    return _prediction(
-        _parts((p + 1, (p - 1) * n)),
-        m1_c=(p * n - n) * (p + 1) * (p * n - n - 1) ** 2,
-        m2_c=_half((p + 1) * (p * n - n) * (p * n - n - 1) ** 3),
-        m1_nc=(p + 1) * (p * n - n) * (p**4 * n**2 - 2 * p**3 * n**2 + p**2 * n**2),
-        m2_nc=_half((p + 1) * p**3 * n**4 * (p - 1) ** 4),
-        vertices=n * (p**2 - 1),
-        edges_c=_half((p + 1) * (p * n - n) * (p * n - n - 1)),
-        edges_nc=_half((p**2 * n - n) * (p**2 * n - p * n)),
-        eq=True,
-    )
-
-
 def _quot_zpzp_alt_m2_nc(p: int, n: int):
     return Fraction(
         (p + 1) ** 2 * (p * n - n) ** 2 * (p**4 * n**2 - 2 * p**3 * n**2 + p**2 * n**2),
@@ -188,86 +182,9 @@ def _quot_zpzp_alt_m2_nc(p: int, n: int):
     )
 
 
-def _quot_sz2_predict(n: int) -> FormulaPrediction:
-    return _prediction(
-        _parts((1, 4 * n), (5, 3 * n)),
-        m1_c=4 * n * (4 * n - 1) ** 2 + 15 * n * (3 * n - 1) ** 2,
-        m2_c=_half(4 * n * (4 * n - 1) ** 3 + 15 * n * (3 * n - 1) ** 3),
-        m1_nc=4740 * n**3,
-        m2_nc=37440 * n**4,
-        vertices=19 * n,
-        edges_c=_half(4 * n * (4 * n - 1) + 15 * n * (3 * n - 1)),
-        edges_nc=150 * n**2,
-        eq=False,
-    )
-
-
-def _hanaki_a1_predict(n: int) -> FormulaPrediction:
-    x = 2**n
-    return _prediction(
-        _parts((x - 1, x)),
-        m1_c=x * (x - 1) ** 3,
-        m2_c=_half(x * (x - 1) ** 4),
-        m1_nc=x**5 * (x - 5) + 4 * x**3 * (2 * x - 1),
-        m2_nc=_half(x**7 * (x - 7)) + 9 * x**6 - 10 * x**5 + 4 * x**4,
-        vertices=x * x - x,
-        edges_c=_half(x * (x - 1) ** 2),
-        edges_nc=_half(x**2 * (x - 1) * (x - 2)),
-        eq=True,
-    )
-
-
 def _hanaki_a1_alt_e_nc(n: int):
     x = 2**n
     return x * (x - 2) * (x**2 - x)
-
-
-def _gl2_predict(q: int) -> FormulaPrediction:
-    return _prediction(
-        _parts(
-            (q * (q + 1) // 2, (q - 1) * (q - 2)),
-            (q + 1, (q - 1) ** 2),
-            (q * (q - 1) // 2, q * (q - 1)),
-        ),
-        m1_c=q * (q - 1) * (q**6 - 4 * q**5 + 4 * q**4 + 2 * q**3 - 4 * q**2 + q - 1),
-        m2_c=_half(
-            q * (q - 1)
-            * (q**8 - 6 * q**7 + 14 * q**6 - 15 * q**5 + 3 * q**4
-               + 12 * q**3 - 16 * q**2 + 9 * q - 1)
-        ),
-        m1_nc=(q - 1) * (
-            q**11 - 2 * q**10 - 4 * q**9 + 9 * q**8 + 5 * q**7 - 15 * q**6
-            + q**5 + 7 * q**4 - 2 * q**3 + q**2 - q
-        ),
-        m2_nc=_half(
-            q * (q - 1)
-            * (q**14 - 3 * q**13 - 4 * q**12 + 19 * q**11 - 47 * q**9 + 28 * q**8
-               + 43 * q**7 - 50 * q**6 + 11 * q**5 + 4 * q**4 - 12 * q**3
-               + 19 * q**2 - 11 * q + 2)
-        ),
-        vertices=(q - 1) * (q**3 - q - 1),
-        edges_c=_half(q * (q - 1) * (q**4 - 2 * q**3 - q**2 + 2 * q + 1)),
-        edges_nc=_half(q * (q**7 - 2 * q**6 - 2 * q**5 + 5 * q**4 + q**3 - 4 * q**2 + 1)),
-        eq=False,
-    )
-
-
-def _psl2_predict(k: int) -> FormulaPrediction:
-    x = 2**k
-    return _prediction(
-        _parts((x + 1, x - 1), (x * (x + 1) // 2, x - 2), (x * (x - 1) // 2, x)),
-        m1_c=x**5 - 4 * x**4 + 4 * x**3 + 4 * x**2 - 5 * x - 4,
-        m2_c=_half(x**6 - 6 * x**5 + 14 * x**4 - 9 * x**3 - 15 * x**2 + 15 * x + 8),
-        m1_nc=x**9 - 5 * x**7 - x**6 + 8 * x**5 + 2 * x**4 - 3 * x**3 - x**2 - x,
-        m2_nc=_half(
-            x**12 - 7 * x**10 - x**9 + 18 * x**8 + 3 * x**7 - 18 * x**6
-            - 2 * x**5 + x**4 + 2 * x**3 + 5 * x**2 - 2 * x
-        ),
-        vertices=x**3 - x - 1,
-        edges_c=_half(x**4 - 2 * x**3 - x**2 + 2 * x + 2),
-        edges_nc=_half(x**6 - 3 * x**4 - x**3 + 2 * x**2 + x),
-        eq=False,
-    )
 
 
 def _psl2_alt_e_c(k: int):
@@ -309,17 +226,15 @@ def _register(entry: FormulaEntry) -> FormulaEntry:
     return entry
 
 
-def _register_family(key: str, predict, alt_forms: tuple[AltForm, ...] = ()) -> FormulaEntry:
+def _register_family(key: str, ac_type, alt_forms: tuple[AltForm, ...] = ()) -> FormulaEntry:
     """A family's entry; its parameter names and validity rule come from build.FAMILIES."""
     family = FAMILIES[key]
-    return _register(FormulaEntry(key, family.params, family.check, predict, alt_forms))
+    return _register(FormulaEntry(key, family.params, family.check, ac_type, alt_forms))
 
 
-def _dihedral_type(profile: Callable[..., tuple[int, int]]) -> Callable[..., FormulaPrediction]:
-    """A family with G/Z(G) = D_2m': the closed forms depend only on the
-    quotient and z = |Z(G)| (isoclinism, P. Hall 1940), so its C(G) is the
-    quot_dihedral graph at profile(*params) = (m', z)."""
-    return lambda *params: _quot_dihedral_predict(*profile(*params))
+def _dihedral_type(profile: Callable[..., tuple[int, int]]) -> Callable[..., ACType]:
+    """A family with G/Z(G) = D_2m': quot_dihedral's type at (m', z) = profile(*params)."""
+    return lambda *params: _quot_dihedral(*profile(*params))
 
 
 # variant NC forms stated for the G/Z(G) = D_2n, |Z(G)| = 4 block: V_8n with
@@ -347,18 +262,18 @@ _register_family("v8n", _dihedral_type(lambda n: (2 * n, 2) if n % 2 else (n, 4)
 ))
 _register_family("u6n", _dihedral_type(lambda n: (3, n)))
 _register_family("m2mn", _dihedral_type(lambda m, n: (m, n) if m % 2 else (m // 2, 2 * n)))
-_register_family("pq", _pq_predict, (
+_register_family("pq", _pq, (
     AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _pq_alt_m1_nc),
     AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _pq_alt_m2_nc),
 ))
-_register_family("sz2", lambda: _quot_sz2_predict(1))
-_register_family("hanaki_a1", _hanaki_a1_predict, (
+_register_family("sz2", lambda: _quot_sz2(1))
+_register_family("hanaki_a1", _hanaki_a1, (
     AltForm("edges_nc", _ALT_COMPLEMENT_NOTE, _hanaki_a1_alt_e_nc),
 ))
 # A(n,p)/Z(G) = Z_q x Z_q with |Z(G)| = q = p^n
-_register_family("hanaki_a2", lambda n, p: _quot_zpzp_predict(p**n, p**n))
-_register_family("gl2", _gl2_predict)
-_register_family("psl2", _psl2_predict, (
+_register_family("hanaki_a2", lambda n, p: _quot_zpzp(p**n, p**n))
+_register_family("gl2", _gl2)
+_register_family("psl2", _psl2, (
     AltForm("edges_c", _ALT_COMPLEMENT_NOTE, _psl2_alt_e_c),
     AltForm("edges_nc", _ALT_COMPLEMENT_NOTE, _psl2_alt_e_nc),
     AltForm("m1_nc", _ALT_COMPLEMENT_NOTE, _psl2_alt_m1_nc),
@@ -367,18 +282,18 @@ _register_family("psl2", _psl2_predict, (
 _register(FormulaEntry(
     "quot_dihedral", ("m", "n"),
     lambda m, n: ("m must be >= 3" if m < 3 else ("n must be >= 1" if n < 1 else None)),
-    _quot_dihedral_predict,
+    _quot_dihedral,
 ))
 _register(FormulaEntry(
     "quot_zpzp", ("p", "n"),
     lambda p, n: (
         "p must be prime" if not is_prime(p) else ("n must be >= 1" if n < 1 else None)
     ),
-    _quot_zpzp_predict,
+    _quot_zpzp,
     alt_forms=(AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _quot_zpzp_alt_m2_nc),),
 ))
 _register(FormulaEntry(
-    "quot_sz2", ("n",), lambda n: None if n >= 1 else "n must be >= 1", _quot_sz2_predict,
+    "quot_sz2", ("n",), lambda n: None if n >= 1 else "n must be >= 1", _quot_sz2,
 ))
 
 
@@ -501,7 +416,7 @@ def crosscheck(
 ) -> CrosscheckResult:
     """Compare a formula prediction against a brute-forced group report.
 
-    Primary closed forms that disagree land in ``diffs``; alternate forms
+    Predicted fields that disagree land in ``diffs``; alternate forms
     that disagree with the confirmed value land in ``alt_mismatches`` (they
     are expected to disagree - that is why they are retained)."""
     pred = entry.evaluate(params)

@@ -18,17 +18,17 @@ from groupzagreb.build import (
 )
 from groupzagreb.formulas import (
     ENTRIES,
-    FormulaEntry,
     FormulaError,
-    _quot_dihedral_predict,
-    _quot_zpzp_predict,
+    _ac_type_predict,
     _quotient_orders,
     consequence_tags,
     crosscheck,
     registry_for,
 )
 from groupzagreb.zagreb import (
+    Verdict,
     ZagrebReport,
+    conjecture_verdict,
     group_report,
     zagreb_complement,
     zagreb_from_decomposition,
@@ -151,19 +151,23 @@ PARAM_POINTS = {
 
 @pytest.mark.parametrize("key", sorted(ENTRIES))
 def test_entry_internal_consistency(key):
-    """The four polynomial evaluators, the predicted counts, and the predicted
-    decomposition must satisfy the clique-sum and complement identities."""
+    """The four indices, the predicted counts, and the predicted decomposition
+    must satisfy the clique-sum and complement identities, and each equality
+    flag must match the exact verdict on its graph wherever that graph has an
+    edge (quot_zpzp(2, 1), three isolated vertices, has none)."""
     entry = ENTRIES[key]
     for params in PARAM_POINTS[key]:
         pred = entry.evaluate(params)
+        c = ZagrebReport(pred.m1_c, pred.m2_c, pred.vertices, pred.edges_c)
+        nc = ZagrebReport(pred.m1_nc, pred.m2_nc, pred.vertices, pred.edges_nc)
         from_parts = zagreb_from_decomposition(pred.decomposition)
-        assert from_parts == ZagrebReport(
-            pred.m1_c, pred.m2_c, pred.vertices, pred.edges_c
-        ), f"{key}{params}: C side disagrees with its decomposition"
+        assert from_parts == c, f"{key}{params}: C side disagrees with its decomposition"
         comp = zagreb_complement(from_parts)
-        assert comp == ZagrebReport(
-            pred.m1_nc, pred.m2_nc, pred.vertices, pred.edges_nc
-        ), f"{key}{params}: NC side disagrees with the complement identity"
+        assert comp == nc, f"{key}{params}: NC side disagrees with the complement identity"
+        for report, flag in ((c, pred.equality_c), (nc, pred.equality_nc)):
+            if report.edges:
+                equality = conjecture_verdict(report).status == Verdict.HOLDS_WITH_EQUALITY
+                assert flag == equality, f"{key}{params}: equality flag disagrees with {report}"
 
 
 # -- overlapping entries ------------------------------------------------------------
@@ -206,34 +210,43 @@ def test_m2mn_matches_quot_dihedral():
         )
 
 
-def _oracle_outcome(entry, params):
-    try:
-        return entry.evaluate(params)
-    except FormulaError as exc:
-        return str(exc)
+# parameter ranges wider than range(-1, 41) per parameter
+ORACLE_RANGES = {
+    "m2mn": [range(-1, 60), range(-1, 40)],
+    "quot_dihedral": [range(-1, 60), range(-1, 41)],
+    "pq": [range(-1, 200)] * 2,
+    "gl2": [range(-1, 200)],
+}
 
 
-@pytest.mark.parametrize("key", sorted(formula_oracles.PREDICT))
+@pytest.mark.parametrize("key", sorted(ENTRIES))
 def test_family_entry_matches_its_own_polynomials(key):
-    """Each family mapped onto a quotient closed form gives what the family's
-    own polynomials give: every field, both equality flags, every alternate
-    form and every error text."""
-    family = FAMILIES[key]
-    oracle = FormulaEntry(key, family.params, family.check, formula_oracles.PREDICT[key])
+    """Each entry, evaluated through its AC type, gives what its own
+    polynomials in tests/formula_oracles.py give: every field and both
+    equality flags wherever its validity rule accepts the parameters, an
+    error wherever it rejects them, and every alternate form."""
+    entry = ENTRIES[key]
+    oracle = formula_oracles.PREDICT[key]
     oracle_alts = formula_oracles.ALT_FORMS.get(key, ())
-    ranges = [range(-1, 41)] * len(family.params)
-    if key == "m2mn":
-        ranges = [range(-1, 60), range(-1, 40)]
+    ranges = ORACLE_RANGES.get(key, [range(-1, 41)] * len(entry.param_names))
+    restated = key not in formula_oracles.ALT_FORMS_ONLY_IN_ENTRIES
     for params in itertools.product(*ranges):
-        assert _oracle_outcome(ENTRIES[key], params) == _oracle_outcome(oracle, params), params
-        alts = [(a.field, a.fn(*params)) for a in ENTRIES[key].alt_forms]
-        assert alts == [(f, fn(*params)) for f, fn in oracle_alts], params
+        if restated:
+            alts = [(a.field, a.fn(*params)) for a in entry.alt_forms]
+            assert alts == [(f, fn(*params)) for f, fn in oracle_alts], params
+        if entry.validate(*params):
+            with pytest.raises(FormulaError):
+                entry.evaluate(params)
+        else:
+            assert entry.evaluate(params) == oracle(*params), params
 
 
 def test_quot_dihedral_at_d4_is_quot_zpzp_at_2():
-    # D_4 = Z_2 x Z_2
+    # D_4 = Z_2 x Z_2, below the quot_dihedral entry's validity range m >= 3
     for z in range(1, 51):
-        assert _quot_dihedral_predict(2, z) == _quot_zpzp_predict(2, z), z
+        pred = _ac_type_predict(*ENTRIES["quot_dihedral"].ac_type(2, z))
+        assert pred == ENTRIES["quot_zpzp"].evaluate((2, z)), z
+        assert pred == formula_oracles.PREDICT["quot_dihedral"](2, z), z
 
 
 # -- alternate (inconsistent) stated forms ---------------------------------------------
@@ -364,6 +377,26 @@ def test_registry_for_matches_quotient_oracle_on_relabelled_tables(fam, params, 
 def test_registry_for_matches_quotient_oracle_on_other_groups(build, quotient_keys):
     apps = assert_dispatch_matches_quotient_oracle(build())
     assert {(a.entry.key, a.params) for a in apps if a.source == "quotient"} == quotient_keys
+
+
+FAMILY_GROUPS_256 = [e for e in CATALOG_256 if e.family in ENTRIES]
+
+
+@pytest.mark.parametrize("entry", FAMILY_GROUPS_256, ids=[e.label for e in FAMILY_GROUPS_256])
+def test_declared_ac_type_matches_the_group(entry):
+    """The entry's declared (z, type) is the one the group report measures:
+    |Z(G)|, and for each clique size s the count l of subgroups of order
+    t = s/z + 1.  The crosscheck alone cannot see z: type ((1, 3), (3, 2))
+    at z = 2 and type ((1, 5), (3, 3)) at z = 1 give the same cliques."""
+    rep = group_report(entry.build())
+    z, parts = ENTRIES[entry.family].ac_type(*entry.params)
+    declared = Counter()
+    for l, t in parts:
+        declared[t] += l  # D_8's (1, 2), (2, 2) is Z_2 x Z_2's (3, 2)
+    z_measured = rep.center_size
+    assert all(s % z_measured == 0 for _, s in rep.decomposition.parts)
+    measured = {s // z_measured + 1: l for l, s in rep.decomposition.parts}
+    assert (z, declared) == (z_measured, measured)
 
 
 @pytest.mark.parametrize("entry", CATALOG_256, ids=[e.label for e in CATALOG_256])
