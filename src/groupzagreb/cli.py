@@ -41,6 +41,7 @@ from .zagreb import (
     read_edge_list,
     zagreb_complement,
     zagreb_direct,
+    zagreb_direct_complement,
 )
 
 EXIT_OK = 0
@@ -369,7 +370,7 @@ def _graph_report_rows(graph, path: str, include_complement: bool):
     base = zagreb_direct(graph)
     rows = [("graph", base)]
     if include_complement:
-        comp = zagreb_direct(graph.complement())
+        comp = zagreb_direct_complement(graph)
         via_formula = zagreb_complement(base)
         if comp != via_formula:
             raise RouteMismatchError(

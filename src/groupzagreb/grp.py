@@ -19,9 +19,11 @@ generators, one cached map each, gives the conjugacy classes of G as orbits,
 so k(G) and Pr(G) = k(G)/n never compare x*g with g*x, and the classes of
 G/Z(G) as orbits of the cosets.  Whether x and y commute depends only on
 their cosets xZ(G) and yZ(G), and conjugate elements have conjugate
-centralizers, so ``zagreb.group_report`` reads one centralizer bitmask per
-class of G/Z(G) (``class_masks``).  The per-coset masks are kept for
-``centralizer(x)`` and the distinct-centralizer count alone.
+centralizers, so one centralizer bitmask per class of G/Z(G)
+(``class_masks``) carries every commutation fact the library reports: the
+Zagreb sums of ``zagreb.group_report``, and the distinct-centralizer count,
+which adds the center of each class's centralizer, at most log2 of its
+order further masks.  ``centralizer(x)`` computes the one mask it returns.
 ``formulas.registry_for`` reads the shape of G/Z(G) off the cosets too; no
 quotient table is built.  Also here: the reader of text sources that the
 Cayley-table and edge-list parsers share.
@@ -36,13 +38,15 @@ ingested table; its associativity check is an exact proof at every order
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, repeat
 from operator import and_, eq, itemgetter
 from typing import Callable
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class GroupTableError(ValueError):
@@ -339,32 +343,50 @@ class FiniteGroup:
         _, _, reps = self.quotient_classes
         return ((1 << self.order) - 1,) + tuple(map(self._centralizer_mask, reps[1:]))
 
+    def _members(self, mask: int) -> list[int]:
+        """The elements whose bits are set in ``mask``, ascending."""
+        bits = format(mask, f"0{self.order}b").encode().translate(_CHAR_BITS)[::-1]
+        return list(compress(range(self.order), bits))
+
     def is_abelian_subgroup(self, mask: int) -> bool:
         """Whether the subgroup with bitmask ``mask`` is abelian: whether a
         greedy generating set of it commutes pairwise, at most log2 of its
         order generators."""
         row = self.row
-        members = [g for g in range(self.order) if mask >> g & 1]
-        gens = self._greedy_generators(members)
+        gens = self._greedy_generators(self._members(mask))
         return all(row(a)[b] == row(b)[a] for i, a in enumerate(gens) for b in gens[:i])
 
-    @cached_property
-    def centralizer_masks(self) -> tuple[int, ...]:
-        """Mask x is C_G(x), for every x: one mask per central coset, k*n
-        cells, which its whole coset shares.  Only ``centralizer`` and
-        ``count_distinct_centralizers`` read these; the Zagreb sums, Pr(G)
-        and the tags need one mask per class (``class_masks``) or none."""
-        coset_of, reps = self.cosets
-        rep_masks = [(1 << self.order) - 1] + list(map(self._centralizer_mask, reps[1:]))
-        return tuple(map(rep_masks.__getitem__, coset_of))
-
     def centralizer(self, x: int) -> tuple[int, ...]:
-        m = self.centralizer_masks[x]
-        return tuple(g for g in range(self.order) if m >> g & 1)
+        """C_G(x), ascending; a central x commutes with everything."""
+        if not self.cosets[0][x]:
+            return tuple(range(self.order))
+        return tuple(self._members(self._centralizer_mask(x)))
 
     def count_distinct_centralizers(self) -> int:
-        """Number of distinct subgroups {C_G(x) : x in G}, including G itself."""
-        return len(set(self.centralizer_masks))
+        """|Cent(G)|, the number of distinct subgroups C_G(x), G included.
+
+        For m = C_G(r), r a non-central class representative, C_G(y) = m iff
+        y lies in Z(m) and |C_G(y)| = |m|.  Z(m) is m ANDed with the masks of
+        a greedy generating set of m.  The z*|class| elements of the class
+        have conjugate centralizers, each shared by as many of them as lie in
+        Z(m).  A class with elements in Z(m) and centralizers of order |m|
+        has the same centralizers, and is skipped.
+        """
+        coset_of, _ = self.cosets
+        class_of, sizes, _ = self.quotient_classes
+        masks = self.class_masks
+        z = len(self.center())
+        skip: set[int] = set()
+        count = 1
+        for c, m in enumerate(masks[1:], 1):
+            if c in skip:
+                continue
+            gens = self._greedy_generators(self._members(m))
+            center_of_m = reduce(and_, map(self._centralizer_mask, gens), m)
+            inside = Counter(class_of[coset_of[y]] for y in self._members(center_of_m))
+            skip.update(d for d in inside if masks[d].bit_count() == m.bit_count())
+            count += z * sizes[c] // inside[c]
+        return count
 
     def commutativity_degree(self) -> Fraction:
         """Probability that a uniform ordered pair commutes, as an exact

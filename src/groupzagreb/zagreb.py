@@ -19,6 +19,8 @@ M2*|V| against M1*|E| by cross-multiplication, so equality cases are exact.
 ``SimpleGraph`` and ``zagreb_direct`` serve edge-list files: one adjacency
 bitmask per vertex, degrees are popcounts of the rows, and M2 is summed by
 the bit planes of the degrees, one AND and popcount per vertex and plane.
+``zagreb_direct_complement`` sums the complement the same way, one row at a
+time, so that route 3 is checked without building it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import Iterable
 
 from .grp import _BIT_CHARS, AbelianGroupError, FiniteGroup, _read_text
 
@@ -114,7 +117,26 @@ class ConjectureVerdict:
 # ---------------------------------------------------------------------------
 
 def zagreb_direct(graph: SimpleGraph) -> ZagrebReport:
-    """M1 = sum of squared degrees, M2 = sum of degree products over edges.
+    """M1 = sum of squared degrees, M2 = sum of degree products over edges,
+    summed from the rows by ``_degree_plane_sums``."""
+    m1, m2 = _degree_plane_sums(graph.rows, graph.degrees())
+    return ZagrebReport(m1, m2, graph.vertex_count, graph.edge_count)
+
+
+def zagreb_direct_complement(graph: SimpleGraph) -> ZagrebReport:
+    """``zagreb_direct(graph.complement())``, with one complement row made at
+    a time: n + m words of memory, where the complement itself takes n^2/2
+    bits.  Vertex v has degree n - 1 - d_v there."""
+    n = graph.vertex_count
+    full = (1 << n) - 1
+    rows = (full ^ r ^ (1 << v) for v, r in enumerate(graph.rows))
+    m1, m2 = _degree_plane_sums(rows, [n - 1 - d for d in graph.degrees()])
+    return ZagrebReport(m1, m2, n, n * (n - 1) // 2 - graph.edge_count)
+
+
+def _degree_plane_sums(rows: Iterable[int], deg: list[int]) -> tuple[int, int]:
+    """(M1, M2) of the graph whose vertex v has adjacency row ``rows``[v] and
+    degree ``deg[v]``, the rows read once, in vertex order.
 
     M2 is summed by the bit planes of the degrees, not edge by edge: with
     P_k the vertices whose degree has bit k set, the degrees of u's
@@ -122,17 +144,15 @@ def zagreb_direct(graph: SimpleGraph) -> ZagrebReport:
     2*M2 = sum_u d_u * sum_k 2^k * |row_u & P_k|.  That is one AND and
     popcount per vertex and bit of the largest degree.
     """
-    deg = graph.degrees()
     planes = [
         int(bytes(d >> k & 1 for d in reversed(deg)).translate(_BIT_CHARS), 2)
         for k in range(max(deg, default=0).bit_length())
     ]
     m2_twice = sum(
         du * sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
-        for row, du in zip(graph.rows, deg)
+        for row, du in zip(rows, deg)
     )
-    m1 = sum(d * d for d in deg)
-    return ZagrebReport(m1, m2_twice // 2, graph.vertex_count, graph.edge_count)
+    return sum(d * d for d in deg), m2_twice // 2
 
 
 def zagreb_from_decomposition(d: CliqueDecomposition) -> ZagrebReport:

@@ -3,26 +3,45 @@ clique-decomposition extraction that walks its rows.
 
 The library computes the Zagreb indices of C(G) and NC(G) from one
 centralizer mask per conjugacy class of G/Z(G), without building either
-graph; these build the graph from the mask of every coset and
-read it, so the tests can check every index, and the decomposition, against
+graph; these build the graph from the mask of every element, read off the
+table, so the tests can check every index, and the decomposition, against
 a route that shares none of that code.
 """
 
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from groupzagreb.grp import AbelianGroupError, FiniteGroup
 from groupzagreb.zagreb import CliqueDecomposition, SimpleGraph, ZagrebReport
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def centralizer_mask(G: FiniteGroup, x: int) -> int:
+    """C_G(x) as a bitmask, from the table alone: bit g is set iff
+    x*g == g*x.  n cells."""
+    t = G.table
+    return int(bytes(t[x][g] == t[g][x] for g in reversed(range(G.order)))
+               .translate(_BIT_CHARS), 2)
+
+
+def centralizer_masks(G: FiniteGroup) -> list[int]:
+    """``centralizer_mask`` of every x, row x against column x: n^2 cells."""
+    t = G.table
+    return [
+        int(bytes(map(eq, row[::-1], col[::-1])).translate(_BIT_CHARS), 2)
+        for row, col in zip(t, zip(*t))
+    ]
+
+
 def commuting_graph(G: FiniteGroup) -> SimpleGraph:
     """Vertices are the non-central elements in ascending index order; edges
-    join commuting pairs, read off the group's centralizer masks.  Elements
-    of one central coset share a mask, so each distinct mask is turned into
-    a row once and every vertex only clears its own bit."""
+    join commuting pairs, read off ``centralizer_masks``.  Each distinct mask
+    is turned into a row once and every vertex only clears its own bit."""
     n = G.order
-    masks = G.centralizer_masks
-    coset_of, _ = G.cosets
-    vertices = [x for x, c in enumerate(coset_of) if c]  # coset 0 is Z(G)
+    masks = centralizer_masks(G)
+    full = (1 << n) - 1
+    vertices = [x for x, m in enumerate(masks) if m != full]
     if not vertices:
         raise AbelianGroupError("Group must be non-abelian")
     # a row: the vertex digits of the mask in binary, highest first

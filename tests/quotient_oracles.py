@@ -17,6 +17,7 @@ from operator import itemgetter
 from groupzagreb.ff import is_prime
 from groupzagreb.formulas import _PR_CONSEQUENCES, ENTRIES, Applicable
 from groupzagreb.grp import FiniteGroup, GroupTableError
+from graph_oracles import centralizer_mask, centralizer_masks
 
 
 def element_order(G: FiniteGroup, i: int) -> int:
@@ -93,14 +94,21 @@ def looks_like_f20(G: FiniteGroup) -> bool:
     return profile == _F20_ORDER_PROFILE
 
 
+def distinct_centralizers(G: FiniteGroup) -> int:
+    """|Cent(G)| as the distinct masks of one element per coset of Z(G),
+    which its whole coset shares."""
+    _, reps = G.cosets
+    return len({centralizer_mask(G, r) for r in reps})
+
+
 def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
     """``formulas.consequence_tags`` from the centralizer of every element:
     the number of distinct ones, and Pr(G) as the commuting pairs over n^2."""
     tags: tuple[str, ...] = ()
-    cents = G.count_distinct_centralizers()
+    cents = distinct_centralizers(G)
     if cents in (4, 5):
         tags += (f"{cents}-centralizer",)
-    pr = Fraction(sum(m.bit_count() for m in G.centralizer_masks), G.order**2)
+    pr = Fraction(sum(m.bit_count() for m in centralizer_masks(G)), G.order**2)
     if pr in _PR_CONSEQUENCES:
         tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
     return tags

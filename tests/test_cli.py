@@ -6,14 +6,23 @@ import hashlib
 import io
 import json
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from groupzagreb import cli, zagreb
-from groupzagreb.build import CatalogEntry, FamilySpec, build_family, cyclic, ingest_cayley
+from groupzagreb.build import (
+    CatalogEntry,
+    FamilySpec,
+    build_family,
+    cyclic,
+    ingest_cayley,
+    special_group,
+)
 from groupzagreb.cli import CSV_HEADER, main
 from groupzagreb.grp import FiniteGroup
+from test_grp import extraspecial_32, relabelled
 
 
 def run(capsys, *argv):
@@ -271,21 +280,44 @@ def test_scan_bytes_match_recorded_digest(capsys, max_order):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED_SCAN[max_order]["sha256"]
 
 
-def _coset_masks_read(G):
-    raise AssertionError(f"{G.label}: centralizer_masks read")
+def _count_masks(monkeypatch):
+    """Counts the centralizer masks computed, one call of
+    ``FiniteGroup._centralizer_mask`` each."""
+    calls = [0]
+    mask = FiniteGroup._centralizer_mask
+
+    def counted(G, x):
+        calls[0] += 1
+        return mask(G, x)
+
+    monkeypatch.setattr(FiniteGroup, "_centralizer_mask", counted)
+    return calls
 
 
-@pytest.mark.parametrize("argv", [
-    ("scan", "--max-order", "64", "--jobs", "1"),
-    ("family", "psl2", "--k", "3"),
+@pytest.mark.parametrize("argv,most", [
+    (("scan", "--max-order", "64", "--jobs", "1"), 957),
+    (("family", "psl2", "--k", "3"), 8),
 ], ids=["scan-64", "psl2-3"])
-def test_reports_never_read_the_coset_masks(capsys, monkeypatch, argv):
-    # one centralizer per class of G/Z(G) carries the sums, Pr(G) and the tags
-    monkeypatch.setattr(FiniteGroup, "centralizer_masks", property(_coset_masks_read))
+def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
+    # one centralizer per non-central class of G/Z(G) carries the sums, and
+    # Pr(G) and the tags need none; `most` is that many masks, summed
+    calls = _count_masks(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert err == ""
     assert len(csv_rows(out)) >= 1
+    assert calls[0] <= most
+
+
+def test_group_counts_centralizers_from_few_masks(tmp_path, capsys, monkeypatch):
+    # PSL(2,8): 8 class masks and one per generator of the centralizers the
+    # count does not skip, where one mask per central coset took 511
+    path = cayley_file(tmp_path, GROUP_TABLES["psl2_8-relabelled"](), "psl2_8.cayley")
+    calls = _count_masks(monkeypatch)
+    code, out, _ = run(capsys, "group", "--cayley", str(path))
+    assert code == 0
+    assert "# distinct_centralizers: 74" in out
+    assert calls[0] < 64
 
 
 @pytest.mark.parametrize("name", ["missing", "file.cayley"])
@@ -489,6 +521,21 @@ def test_graph_complement_route_mismatch_names_the_file(tmp_path, capsys, monkey
     assert line.startswith(f"error: {path}: direct complement report")
 
 
+def test_graph_complement_is_never_materialized(tmp_path, capsys):
+    # the complement of an edgeless graph on 20000 vertices is 50 MB of rows;
+    # its direct report reads them one at a time
+    path = edges_file(tmp_path, "20000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "graph", "--edges", path, "--complement")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.splitlines()[2] == "complement,20000,199990000,7999200020000,79988000599990000,equality,0/1"
+    assert peak < 16 * 2**20
+
+
 def test_graph_bad_file(tmp_path, capsys):
     path = edges_file(tmp_path, "3 1\n1 1\n")
     code, _, err = run(capsys, "graph", "--edges", path)
@@ -523,6 +570,39 @@ def test_group_s3_matches_family_row(tmp_path, capsys):
     assert "# commutativity_degree: 1/2" in out
     assert "# distinct_centralizers: 5" in out
     assert "quot_dihedral(3, 1)" in out
+
+
+# sha256 of `group --cayley FILE` stdout, (csv, json), with FILE named
+# "<id>.cayley"; recorded before the distinct-centralizer count moved from one
+# mask per central coset to one per class of G/Z(G)
+GROUP_TABLES = {
+    "s4": lambda: special_group("S_4"),
+    "d10": lambda: build_family(FamilySpec("dihedral", (5,))),
+    "a4": lambda: special_group("A_4"),
+    "es32-relabelled": lambda: relabelled(extraspecial_32(), 9),
+    "psl2_8-relabelled": lambda: relabelled(build_family(FamilySpec("psl2", (3,))), 5),
+}
+GROUP_DIGESTS = {
+    "s4": ("8a0e066fb8d3f11a9b1229f5ea73c941c1159da9ff6690911473cc581f472056",
+          "2e9fbef0da78de8d4a6b9308b5bac0b874c14ed40dae093eba015b1329c45781"),
+    "d10": ("a7612775afbc1cdad619627fad28374ed7a4cd6e32545948b8798cbedd6c09d8",
+           "3155e86d2d9fac8a16cce56d9a8b549c4f34131c92d5ddccf09621f74816cd88"),
+    "a4": ("80ec10c8104a10c483fe5734d4f1aa20c50f160fcd62b78b12c12fb0c9ea2df5",
+          "7770e3a8e6b508c02ac37c352ae0cdb86fd3658e1d3ec765ab0e5f28597a34c1"),
+    "es32-relabelled": ("78c6c512f691262bad0024253eb45dc8046f8c95035753ebbc0609ccd83c01f7",
+                       "153a89191b289300a1322bf56b4e34bab80b443747f4b5a0dc9557107d71bbb5"),
+    "psl2_8-relabelled": ("6c74d53b8a7d7f9fda63bb1c914560b77dd92aa5428a049e9f2e9371224b084d",
+                         "e73530e5502e9a1c726f869334b08506b53f2de8e5202e557ef993554f1aafc7"),
+}
+
+
+@pytest.mark.parametrize("gid", list(GROUP_TABLES))
+def test_group_bytes_match_recorded_digest(tmp_path, capsys, gid):
+    path = cayley_file(tmp_path, GROUP_TABLES[gid](), f"{gid}.cayley")
+    for fmt, digest in zip(("csv", "json"), GROUP_DIGESTS[gid]):
+        code, out, err = run(capsys, "group", "--cayley", str(path), "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_group_heisenberg_json(tmp_path, capsys):

@@ -7,8 +7,10 @@ import pytest
 
 from groupzagreb.build import (
     FamilySpec,
+    _symmetric,
     build_family,
     catalog,
+    cyclic,
     direct_product,
     ingest_cayley,
     special_group,
@@ -17,6 +19,7 @@ from groupzagreb.grp import FiniteGroup, GroupTableError
 from graph_oracles import commuting_graph
 from quotient_oracles import (
     central_quotient,
+    distinct_centralizers,
     element_order,
     recognize_dihedral,
     recognize_elementary_abelian_p2,
@@ -261,6 +264,32 @@ def test_d6z3_is_5_centralizer():
 
 def test_d6_is_5_centralizer():
     assert B("dihedral", 3).count_distinct_centralizers() == 5
+
+
+# every non-abelian group of catalog(256), then larger and relabelled ones; in
+# D_10 and A_4 two classes of G/Z(G) share a centralizer, so the count is too
+# high unless it skips the second
+DISTINCT_CENTRALIZER_CASES = {
+    "D_10": lambda: B("dihedral", 5),
+    "A_4": lambda: special_group("A_4"),
+    **{f"catalog {e.label}": e.build for e in catalog(256)},
+    "S_4": lambda: special_group("S_4"),
+    "S_5": lambda: _symmetric(5),
+    "A_5": lambda: special_group("A_5"),
+    "S_4xZ_3": lambda: direct_product(special_group("S_4"), cyclic(3)),
+    "2^{1+4}_+": extraspecial_32,
+    "ingested 2^{1+4}_+": lambda: relabelled(extraspecial_32(), 9),
+    "PSL(2,8)": lambda: B("psl2", 3),
+    "GL(2,5)": lambda: B("gl2", 5),
+}
+
+
+@pytest.mark.parametrize("build", DISTINCT_CENTRALIZER_CASES.values(),
+                         ids=DISTINCT_CENTRALIZER_CASES)
+def test_distinct_centralizers_match_coset_mask_count(build):
+    G = build()
+    assert not G.is_abelian()
+    assert G.count_distinct_centralizers() == distinct_centralizers(G)
 
 
 # -- commutativity degree --------------------------------------------------------

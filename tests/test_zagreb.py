@@ -29,6 +29,7 @@ from groupzagreb.zagreb import (
     read_edge_list,
     zagreb_complement,
     zagreb_direct,
+    zagreb_direct_complement,
     zagreb_from_decomposition,
 )
 from graph_oracles import commuting_graph, extract_clique_decomposition, zagreb_by_degree_classes
@@ -423,6 +424,18 @@ def test_complement_properties_on_200_random_graphs():
         assert via_formula == via_direct
         assert zagreb_complement(via_formula) == base  # double complement
         assert sum(g.degrees()) == 2 * g.edge_count  # handshake
+
+
+def test_streamed_complement_matches_the_materialized_one():
+    rng = random.Random(20261019)
+    graphs = [random_graph(rng) for _ in range(200)] + [
+        SimpleGraph(0, []),
+        SimpleGraph(1, [0]),
+        graph_from_edges(7, []),
+        graph_from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)]),
+    ]
+    for g in graphs:
+        assert zagreb_direct_complement(g) == zagreb_direct(g.complement())
 
 
 @settings(max_examples=60, deadline=None)
