@@ -6,26 +6,29 @@ every query reads the table through ``FiniteGroup.row``.  An ingested
 table serves the rows from its list.  A group from a builder keeps the
 builder's ``row_of`` and computes a row only when a query asks for it.  The
 Zagreb report, the formula dispatch and the cross-check read the rows of
-the generators, of the class representatives of G/Z(G), of their inverses
-and of the generators of Z(G), and no other: for D_2000 that is about a
-quarter of the rows, for GL(2,7) 31 of 2016.  ``FiniteGroup.table`` is the
-full list of rows; for a built group ``close`` materializes it on first
-access, for validation and the tests.
+the generators, of the class representatives of G/Z(G) that
+``class_masks`` walks, of their inverses and of the generators of Z(G),
+and no other: for D_2000 that is 25 of 2000 rows, for GL(2,7) 27 of 2016.
+``FiniteGroup.table`` is the full list of rows; for a built group ``close``
+materializes it on first access, for validation and the tests.
 
 A greedy generating set (at most log2(n) elements, found once and cached)
 serves validation, the inverses and the center: Z(G) is the intersection
 of the generators' centralizers, n cells per generator.  Conjugation by the
-generators, one cached map each, gives the conjugacy classes of G as orbits,
-so k(G) and Pr(G) = k(G)/n never compare x*g with g*x, and the classes of
-G/Z(G) as orbits of the cosets.  Whether x and y commute depends only on
-their cosets xZ(G) and yZ(G), and conjugate elements have conjugate
-centralizers, so one centralizer bitmask per class of G/Z(G)
-(``class_masks``) carries every commutation fact the library reports: the
-Zagreb sums of ``zagreb.group_report``, and the distinct-centralizer count,
-which adds the center of each class's centralizer, at most log2 of its
-order further masks.  ``centralizer(x)`` computes the one mask it returns.
-``formulas.registry_for`` reads the shape of G/Z(G) off the cosets too; no
-quotient table is built.  Also here: the reader of text sources that the
+generators, one cached map each, gives the classes of G/Z(G) as orbits of
+the cosets.  Whether x and y commute depends only on their cosets xZ(G) and
+yZ(G), and conjugate elements have conjugate centralizers, so one
+centralizer bitmask per class of G/Z(G) (``class_masks``) carries every
+commutation fact the library reports.  The classes of the coprime powers of
+an element share its centralizer, so one walk along its row, to the first
+central power, gives both the mask of every such class and their order in
+G/Z(G) (``class_orders``): one mask per power class.  From them come the
+Zagreb sums of ``zagreb.group_report``, k(G) = sum_x |C_G(x)| / n and
+Pr(G) = k(G)/n, the distinct-centralizer count, which adds the center of
+each class's centralizer, at most log2 of its order further masks, and the
+element orders of G/Z(G) from which ``formulas.registry_for`` reads its
+shape; no quotient table is built.  ``centralizer(x)`` computes the one
+mask it returns.  Also here: the reader of text sources that the
 Cayley-table and edge-list parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
@@ -42,6 +45,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, repeat
+from math import gcd
 from operator import and_, eq, itemgetter
 from typing import Callable
 
@@ -277,28 +281,6 @@ class FiniteGroup:
         return out
 
     @cached_property
-    def conjugacy_class_count(self) -> int:
-        """k(G), as the orbits of G under the conjugations: O(n*|S|), and it
-        never reads a centralizer mask.  Cached, since Pr(G) and the tags
-        both read it."""
-        seen = bytearray(self.order)
-        classes = 0
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            classes += 1
-            seen[x] = 1
-            todo = [x]
-            while todo:
-                y = todo.pop()
-                for c in self._conjugations:
-                    w = c[y]
-                    if not seen[w]:
-                        seen[w] = 1
-                        todo.append(w)
-        return classes
-
-    @cached_property
     def quotient_classes(self) -> tuple[list[int], list[int], list[int]]:
         """(class_of, sizes, reps): the conjugacy classes of G/Z(G), as the
         orbits of the cosets under the conjugations, k*|S| steps.  Coset c
@@ -332,16 +314,66 @@ class FiniteGroup:
         return int(self._commutes_with(x)[::-1].translate(_BIT_CHARS), 2)
 
     @cached_property
+    def _power_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(masks, orders): for each class of G/Z(G), the centralizer mask of
+        one of its elements and the order of that element's coset.
+
+        The classes are taken in ascending order.  A class c with no mask yet
+        gets C_G(r) for its representative r, and row r walks r, r^2, ... until
+        the coset is central: o steps, o the order of rZ(G).  If gcd(j, o) = 1
+        then C_G(r^j) = C_G(r): with j*j' = 1 mod o, (r^j)^j' = r*z' for a
+        central z', so C(r^j) lies in C(r*z') = C(r), which lies in C(r^j).
+        So every class that holds such an r^j, c among them, gets the same
+        mask and the order o.  Such a class had no mask yet: its own walk
+        would have reached c by the inverse power.  The center's class
+        commutes with everything and has order 1.
+        """
+        coset_of, _ = self.cosets
+        class_of, _, reps = self.quotient_classes
+        masks = [(1 << self.order) - 1] + [0] * (len(reps) - 1)
+        orders = [1] * len(reps)
+        for c in range(1, len(reps)):
+            if masks[c]:
+                continue
+            r = reps[c]
+            row = self.row(r)
+            powers = []  # the classes of r, r^2, ..., r^(o-1)
+            x = r
+            while coset_of[x]:
+                powers.append(class_of[coset_of[x]])
+                x = row[x]
+            o = len(powers) + 1
+            m = self._centralizer_mask(r)
+            for j, d in enumerate(powers, 1):
+                if gcd(j, o) == 1:
+                    masks[d] = m
+                    orders[d] = o
+        return tuple(masks), tuple(orders)
+
+    @property
     def class_masks(self) -> tuple[int, ...]:
-        """C_G(r) for the representative r of each class of G/Z(G).
+        """C_G(x) for some x in each class of G/Z(G), by ``_power_classes``.
 
         C_G(x) depends only on the coset xZ(G), and conjugate elements have
         conjugate centralizers of equal order, so one mask per class carries
-        every degree of C(G) and NC(G): n cells for each of the k(G/Z) - 1
-        non-central classes.  The center's class commutes with everything.
-        """
-        _, _, reps = self.quotient_classes
-        return ((1 << self.order) - 1,) + tuple(map(self._centralizer_mask, reps[1:]))
+        every degree of C(G) and NC(G).  Classes of coprime powers share one
+        int, so at most one mask is computed per power class of G/Z(G), n
+        cells each."""
+        return self._power_classes[0]
+
+    @property
+    def class_orders(self) -> tuple[int, ...]:
+        """The order in G/Z(G) of the cosets of each class, read off the same
+        walk as ``class_masks``."""
+        return self._power_classes[1]
+
+    @cached_property
+    def conjugacy_class_count(self) -> int:
+        """k(G) = sum_x |C_G(x)| / n, summed over the classes of G/Z(G): z*|c|
+        elements in class c, each with a centralizer of order |m_c|."""
+        _, sizes, _ = self.quotient_classes
+        z = len(self.center())
+        return sum(z * k * m.bit_count() for k, m in zip(sizes, self.class_masks)) // self.order
 
     def _members(self, mask: int) -> list[int]:
         """The elements whose bits are set in ``mask``, ascending."""
@@ -365,7 +397,7 @@ class FiniteGroup:
     def count_distinct_centralizers(self) -> int:
         """|Cent(G)|, the number of distinct subgroups C_G(x), G included.
 
-        For m = C_G(r), r a non-central class representative, C_G(y) = m iff
+        For m = C_G(x), the mask of x's non-central class c, C_G(y) = m iff
         y lies in Z(m) and |C_G(y)| = |m|.  Z(m) is m ANDed with the masks of
         a greedy generating set of m.  The z*|class| elements of the class
         have conjugate centralizers, each shared by as many of them as lie in

@@ -4,9 +4,9 @@ conjecture verdict.
 
 Both graphs have the non-central elements as vertices; x and y are adjacent
 in C(G) iff they commute.  ``group_report`` builds neither graph: it sums
-once per non-central conjugacy class of G/Z(G), over the centralizer masks
-of the class representatives, which the group computes once
-(``FiniteGroup.class_masks``).  The routes are
+once per distinct centralizer mask of the non-central conjugacy classes of
+G/Z(G), which the group computes once (``FiniteGroup.class_masks``).  The
+routes are
   1. those direct sums, for C(G) and, separately, for NC(G);
   2. the clique decomposition of C(G), when it is a disjoint union of
      cliques, that is when every centralizer of a non-central element is
@@ -19,8 +19,8 @@ M2*|V| against M1*|E| by cross-multiplication, so equality cases are exact.
 ``SimpleGraph`` and ``zagreb_direct`` serve edge-list files: one adjacency
 bitmask per vertex, degrees are popcounts of the rows, and M2 is summed by
 the bit planes of the degrees, one AND and popcount per vertex and plane.
-``zagreb_direct_complement`` sums the complement the same way, one row at a
-time, so that route 3 is checked without building it.
+``zagreb_direct_complement`` sums the complement from the same rows, so
+that route 3 is checked without making a complement row.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Iterable
+from operator import mul
+from typing import Iterator
 
 from .grp import _BIT_CHARS, AbelianGroupError, FiniteGroup, _read_text
 
@@ -117,42 +118,43 @@ class ConjectureVerdict:
 # ---------------------------------------------------------------------------
 
 def zagreb_direct(graph: SimpleGraph) -> ZagrebReport:
-    """M1 = sum of squared degrees, M2 = sum of degree products over edges,
-    summed from the rows by ``_degree_plane_sums``."""
-    m1, m2 = _degree_plane_sums(graph.rows, graph.degrees())
-    return ZagrebReport(m1, m2, graph.vertex_count, graph.edge_count)
+    """M1 = sum of squared degrees, M2 = sum of degree products over edges:
+    2*M2 = sum_v d_v * (the degrees of v's neighbours, ``_neighbour_sums``)."""
+    deg = graph.degrees()
+    m2_twice = sum(map(mul, deg, _neighbour_sums(graph.rows, deg)))
+    return ZagrebReport(sum(d * d for d in deg), m2_twice // 2, graph.vertex_count,
+                        graph.edge_count)
 
 
 def zagreb_direct_complement(graph: SimpleGraph) -> ZagrebReport:
-    """``zagreb_direct(graph.complement())``, with one complement row made at
-    a time: n + m words of memory, where the complement itself takes n^2/2
-    bits.  Vertex v has degree n - 1 - d_v there."""
+    """``zagreb_direct(graph.complement())`` from the graph's own rows, with
+    no complement row made.  Vertex v has degree e_v = n - 1 - d_v there, and
+    its neighbours there are every vertex but v and its neighbours here, so
+    their degrees add up to S - e_v - (the e of v's neighbours here), with
+    S = sum e.  The ANDs read the graph's rows, which are short where the
+    complement's are long: an edgeless graph's are 0."""
     n = graph.vertex_count
-    full = (1 << n) - 1
-    rows = (full ^ r ^ (1 << v) for v, r in enumerate(graph.rows))
-    m1, m2 = _degree_plane_sums(rows, [n - 1 - d for d in graph.degrees()])
-    return ZagrebReport(m1, m2, n, n * (n - 1) // 2 - graph.edge_count)
+    deg = [n - 1 - d for d in graph.degrees()]
+    total = sum(deg)
+    m2_twice = sum(e * (total - e - s) for e, s in zip(deg, _neighbour_sums(graph.rows, deg)))
+    return ZagrebReport(sum(e * e for e in deg), m2_twice // 2, n,
+                        n * (n - 1) // 2 - graph.edge_count)
 
 
-def _degree_plane_sums(rows: Iterable[int], deg: list[int]) -> tuple[int, int]:
-    """(M1, M2) of the graph whose vertex v has adjacency row ``rows``[v] and
-    degree ``deg[v]``, the rows read once, in vertex order.
+def _neighbour_sums(rows: list[int], deg: list[int]) -> Iterator[int]:
+    """For each v, the sum of ``deg[u]`` over the u set in ``rows[v]``.
 
-    M2 is summed by the bit planes of the degrees, not edge by edge: with
-    P_k the vertices whose degree has bit k set, the degrees of u's
-    neighbours add up to sum_k 2^k * |row_u & P_k|, so
-    2*M2 = sum_u d_u * sum_k 2^k * |row_u & P_k|.  That is one AND and
-    popcount per vertex and bit of the largest degree.
+    Summed by the bit planes of ``deg``, not bit by bit: with P_k the
+    vertices u whose deg[u] has bit k set, the sum is
+    sum_k 2^k * |row_v & P_k|, one AND and popcount per vertex and bit of the
+    largest value.
     """
     planes = [
         int(bytes(d >> k & 1 for d in reversed(deg)).translate(_BIT_CHARS), 2)
         for k in range(max(deg, default=0).bit_length())
     ]
-    m2_twice = sum(
-        du * sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
-        for row, du in zip(rows, deg)
-    )
-    return sum(d * d for d in deg), m2_twice // 2
+    return (sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
+            for row in rows)
 
 
 def zagreb_from_decomposition(d: CliqueDecomposition) -> ZagrebReport:
@@ -213,22 +215,22 @@ class GroupReport:
 
 def group_report(G: FiniteGroup) -> GroupReport:
     """Zagreb reports and verdicts for C(G) and NC(G), summed once per
-    non-central conjugacy class of G/Z(G).
+    distinct centralizer mask of the non-central conjugacy classes of G/Z(G).
 
     With z = |Z(G)|, a non-central x with centralizer mask m has degree
     d = |m| - z - 1 in C(G), its non-central commuters other than itself, and
     d' = n - |m| in NC(G).  Both depend only on the class of xZ(G) in G/Z(G):
     C_G(x) is shared by the coset xZ(G), and conjugation is an automorphism
     of both graphs.  Let V_s be the non-central elements whose centralizer
-    has order s.  Each class, with the mask m of its representative and
-    w = z*|class| elements, adds
+    has order s.  Each distinct mask m of ``FiniteGroup.class_masks``, with
+    w = z*|class| elements summed over the classes that carry it, adds
       w*d^2 to M1 and w*d*(sum_s (s-z-1)*|m & V_s| - d) to 2*M2 of C(G),
       where -d takes out x itself, which lies in m; and
       w*d'^2 to M1 and w*d'*sum_s (n-s)*|V_s - m| to 2*M2 of NC(G).
 
     C(G) is a disjoint union of cliques iff commuting is transitive on the
     non-central elements, iff C_G(x) is abelian for every non-central x (G is
-    an AC-group); it suffices to test the class representatives, once per
+    an AC-group); it suffices to test one element per class, once per
     distinct mask.  Then the cliques are the sets C_G(x) - Z(G), and V_s
     holds |V_s|/(s - z) of them, of size s - z.
 
@@ -251,10 +253,12 @@ def group_report(G: FiniteGroup) -> GroupReport:
             s = order_of[class_of[c]]
             classes[s] = classes.get(s, 0) | 1 << x
 
+    weights: dict[int, int] = {}  # mask -> the elements of its classes' cosets
+    for m, size in zip(masks[1:], sizes[1:]):
+        weights[m] = weights.get(m, 0) + z * size
     m1 = m2_twice = edges_twice = 0
     m1_nc = m2_nc_twice = edges_nc_twice = 0
-    for m, size in zip(masks[1:], sizes[1:]):
-        w = z * size  # the elements of the class's cosets
+    for m, w in weights.items():
         d = m.bit_count() - z - 1
         edges_twice += w * d
         m1 += w * d * d
@@ -268,7 +272,7 @@ def group_report(G: FiniteGroup) -> GroupReport:
     rep_nc = ZagrebReport(m1_nc, m2_nc_twice // 2, n - z, edges_nc_twice // 2)
 
     decomposition = None
-    if all(map(G.is_abelian_subgroup, set(masks[1:]))):
+    if all(map(G.is_abelian_subgroup, weights)):
         decomposition = CliqueDecomposition(tuple(
             (v.bit_count() // (s - z), s - z) for s, v in sorted(classes.items())
         ))

@@ -295,12 +295,15 @@ def _count_masks(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,most", [
-    (("scan", "--max-order", "64", "--jobs", "1"), 957),
-    (("family", "psl2", "--k", "3"), 8),
-], ids=["scan-64", "psl2-3"])
+    (("scan", "--max-order", "64", "--jobs", "1"), 529),
+    (("family", "psl2", "--k", "3"), 4),
+    (("family", "gl2", "--q", "7"), 7),
+    (("family", "dihedral", "--m", "1000"), 13),
+], ids=["scan-64", "psl2-3", "gl2-7", "dihedral-1000"])
 def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
-    # one centralizer per non-central class of G/Z(G) carries the sums, and
-    # Pr(G) and the tags need none; `most` is that many masks, summed
+    # one centralizer per power class of G/Z(G), the classes of its coprime
+    # powers sharing it, carries the sums, Pr(G) and the tags; `most` is that
+    # many masks, summed
     calls = _count_masks(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 0
@@ -310,14 +313,16 @@ def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
 
 
 def test_group_counts_centralizers_from_few_masks(tmp_path, capsys, monkeypatch):
-    # PSL(2,8): 8 class masks and one per generator of the centralizers the
-    # count does not skip, where one mask per central coset took 511
+    # PSL(2,8): 4 masks for its classes, one per power class (the three
+    # classes of order 7 share one, as do the three of order 9), and one per
+    # generator of the centralizers the count does not skip (3 + 1 + 1),
+    # where one mask per central coset took 511
     path = cayley_file(tmp_path, GROUP_TABLES["psl2_8-relabelled"](), "psl2_8.cayley")
     calls = _count_masks(monkeypatch)
     code, out, _ = run(capsys, "group", "--cayley", str(path))
     assert code == 0
     assert "# distinct_centralizers: 74" in out
-    assert calls[0] < 64
+    assert calls[0] <= 9
 
 
 @pytest.mark.parametrize("name", ["missing", "file.cayley"])
@@ -523,7 +528,7 @@ def test_graph_complement_route_mismatch_names_the_file(tmp_path, capsys, monkey
 
 def test_graph_complement_is_never_materialized(tmp_path, capsys):
     # the complement of an edgeless graph on 20000 vertices is 50 MB of rows;
-    # its direct report reads them one at a time
+    # its direct report reads the graph's own rows and makes none of them
     path = edges_file(tmp_path, "20000 0\n")
     tracemalloc.start()
     try:
@@ -534,6 +539,20 @@ def test_graph_complement_is_never_materialized(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[2] == "complement,20000,199990000,7999200020000,79988000599990000,equality,0/1"
     assert peak < 16 * 2**20
+
+
+def test_graph_complement_of_a_large_edgeless_file(tmp_path, capsys):
+    # the complement of 100000 isolated vertices is K_n: every degree is
+    # n - 1, so M1 = n(n-1)^2 and M2 = |E|(n-1)^2 with |E| = n(n-1)/2
+    n = 100_000
+    path = edges_file(tmp_path, f"{n} 0\n")
+    code, out, _ = run(capsys, "graph", "--edges", path, "--complement")
+    assert code == 0
+    edges = n * (n - 1) // 2
+    assert out.splitlines()[1:] == [
+        f"graph,{n},0,0,0,undefined,NA",
+        f"complement,{n},{edges},{n * (n - 1) ** 2},{edges * (n - 1) ** 2},equality,0/1",
+    ]
 
 
 def test_graph_bad_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -322,7 +323,7 @@ def test_pr_equals_class_count_over_order():
                         ("m2mn", (5, 3)), ("v8n", (4,)), ("hanaki_a1", (3,))]:
         G = build_family(FamilySpec(fam, params))
         assert G.order <= 100
-        assert G.commutativity_degree() == Fraction(G.conjugacy_class_count, G.order)
+        assert G.commutativity_degree() == Fraction(naive_conjugacy_class_count(G), G.order)
 
 
 # -- every commutation query against the table-scanning oracles ----------------------
@@ -338,13 +339,16 @@ LARGE_CENTER = {
 }
 
 
-@pytest.mark.parametrize(
+COMMUTATION_GROUPS = pytest.mark.parametrize(
     "build",
     [e.build for e in CATALOG_64] + [relabelled_sl23, lambda: relabelled(extraspecial_32(), 9)]
     + list(LARGE_CENTER.values()),
     ids=[e.label for e in CATALOG_64] + ["ingested SL(2,3)", "ingested 2^{1+4}_+"]
     + list(LARGE_CENTER),
 )
+
+
+@COMMUTATION_GROUPS
 def test_commutation_queries_match_naive_oracles(build):
     G = build()
     assert G.center() == naive_center(G)
@@ -354,13 +358,43 @@ def test_commutation_queries_match_naive_oracles(build):
     pairs = naive_commuting_pairs(G)
     assert G.commutativity_degree() == Fraction(pairs, G.order**2)
     assert G.quotient_classes == naive_quotient_classes(G)
-    _, sizes, reps = G.quotient_classes
-    assert [bits(m) for m in G.class_masks] == [cents[r] for r in reps]
+    class_of, sizes, reps = G.quotient_classes
+    # class_masks[c] is the centralizer of some element of class c's cosets,
+    # not necessarily of reps[c]
+    coset_of, _ = G.cosets
+    class_cents = [set() for _ in reps]
+    for x, coset in enumerate(coset_of):
+        class_cents[class_of[coset]].add(cents[x])
+    assert all(bits(m) in cs for m, cs in zip(G.class_masks, class_cents))
     # each class's cosets carry z*|class| elements with its centralizer
     z = len(G.center())
     assert sum(z * k * m.bit_count() for k, m in zip(sizes, G.class_masks)) == pairs
     assert G.is_abelian() == (pairs == G.order**2)
     assert commuting_graph(G).rows == naive_commuting_rows(G)
+
+
+@COMMUTATION_GROUPS
+def test_unit_powers_share_the_class_mask(build):
+    # with o the order of rZ(G), r^j for gcd(j, o) = 1 has C(r^j) = C(r): its
+    # class carries c's mask, and every class holding one has order o, which
+    # is the coset order, not the order of r
+    G = build()
+    t = G.table
+    z = set(naive_center(G))
+    coset_of, _ = G.cosets
+    class_of, _, reps = G.quotient_classes
+    masks = G.class_masks
+    for c, r in enumerate(reps):
+        powers = [r]
+        while powers[-1] not in z:
+            powers.append(t[r][powers[-1]])
+        o = len(powers)
+        assert G.class_orders[c] == o
+        for j, y in enumerate(powers, 1):
+            if gcd(j, o) == 1:
+                d = class_of[coset_of[y]]
+                assert masks[d] == masks[c]
+                assert G.class_orders[d] == o
 
 
 def test_class_masks_of_pgl_2_7_are_one_per_class():
@@ -402,6 +436,7 @@ def test_large_centers_are_large():
 
 @pytest.mark.parametrize("entry", CATALOG_64, ids=[e.label for e in CATALOG_64])
 def test_class_orbits_match_conjugation_loop(entry):
+    # k(G), summed from the class masks, against conjugating every x by every g
     G = entry.build()
     assert G.conjugacy_class_count == naive_conjugacy_class_count(G)
 
