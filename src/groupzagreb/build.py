@@ -8,10 +8,15 @@ rule, order, label, builder and catalog instances.  The formula registry and
 the CLI read the same table.
 
 Construction routes: a builder numbers its elements and hands
-``FiniteGroup`` the order and a ``row_of`` that computes the row of any one
-element with its own arithmetic.  The group computes a row only when a
-query reads it; ``grp.close`` composes the full table from the rows of a
-generating set only when ``FiniteGroup.table`` is read.
+``FiniteGroup`` the order, a ``row_of`` that computes the row of any one
+element and the inverse map, both with its own arithmetic: in the normal
+form (u b^j)^-1 = act^(k-j)(-u) - s at b^(k-j), for matrices
+det^-1 (d, -b, -c, a), for A(n,nu) (a, b + a^3), for A(n,p)
+(-a, -b + c a, -c), for S_n the inverse permutation, -i in a cyclic group
+and the pair of the factors' inverses in a direct product.  The group
+computes a row only when a query reads it; ``grp.close`` composes the full
+table from the rows of a generating set only when ``FiniteGroup.table`` is
+read.
 One abelian-by-cyclic normal form, (x, y) b^j with A = Z_m1 x Z_m2, b
 acting on A by a 2x2 integer matrix and b^k in A, builds every solvable
 family and special group: its m2 = 1 case, the metacyclic a^i b^j, serves
@@ -78,11 +83,14 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
     base = list(range(n))
     step = [(p * x + q * y) % m1 + m1 * ((r * x + t * y) % m2)
             for y in range(m2) for x in range(m1)]
-    powers = []  # act^j on the indices of A, j < k
-    perm = base[:m]
-    for _ in range(k):
-        powers.append(itemgetter(*perm))
+    identity = base[:m]
+    cycle = []  # act^j on the indices of A, j < e, e the order of act
+    perm = identity
+    while not cycle or perm != identity:
+        cycle.append(itemgetter(*perm))
         perm = [step[u] for u in perm]
+    e = len(cycle)  # act^k = 1, so e divides k
+    powers = cycle * (k // e)
     s1, s2 = s
 
     def translate(wx: int, wy: int, offset: int) -> list[int]:
@@ -109,7 +117,26 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
         for u2 in range(m):
             row[u2::m] = base[a0[u2] + m * j1::m] + base[a1[u2]:a1[u2] + m * j1:m]
         return row
-    return FiniteGroup(order=n, row_of=row_of)
+
+    # (u b^j)^-1 is -u at j = 0, and act^(k-j)(-u) - s at b^(k-j) for 0 < j < k:
+    # b^-j = b^(k-j) b^-k and b^-k = -s, which is central.  Over the shorter
+    # axis again: the powers b^j, one block each, or the elements u, whose
+    # cells for the j of one residue mod e are one slice of indices apart
+    neg = [(-x) % m1 + m1 * ((-y) % m2) for y in range(m2) for x in range(m1)]
+    at_neg = itemgetter(*neg)
+    minus_s = (-s1) % m1, (-s2) % m2
+    inverses = neg[:]
+    if k <= m:
+        for j in range(1, k):
+            inverses += at_neg(powers[k - j](translate(*minus_s, m * (k - j))))
+    else:
+        inverses += base[m:]
+        stride = m * e
+        for t in range(1, e + 1):
+            # j = t, t + e, ...: the index a of act^(-t mod e)(-u) - s, plus m*(k - j)
+            for u, a in enumerate(at_neg(powers[-t % e](translate(*minus_s, 0)))):
+                inverses[m * t + u::stride] = base[m * (k - t) + a:m - 1:-stride]
+    return FiniteGroup(order=n, row_of=row_of, inverses=inverses)
 
 
 def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
@@ -120,7 +147,8 @@ def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
 
 def cyclic(n: int, label: str | None = None) -> FiniteGroup:
     base = list(range(n))
-    return FiniteGroup(label=label or f"Z_{n}", order=n, row_of=lambda i: base[i:] + base[:i])
+    return FiniteGroup(label=label or f"Z_{n}", order=n,
+                       row_of=lambda i: base[i:] + base[:i], inverses=base[:1] + base[:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +168,9 @@ def _hanaki_a1(n: int) -> FiniteGroup:
         fa1 = frob[a1]
         addb1 = add[b1]
         return [idx[(add[a1][a2], add[addb1[b2]][mul[fa1][a2]])] for a2, b2 in els]
-    return FiniteGroup(order=len(els), row_of=row_of)
+    # (a, b)^-1 = (a, b + nu(a)*a): -x = x in characteristic 2
+    inverses = [idx[(a, add[b][mul[frob[a]][a]])] for a, b in els]
+    return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
 
 
 def _hanaki_a2(n: int, p: int) -> FiniteGroup:
@@ -157,7 +187,10 @@ def _hanaki_a2(n: int, p: int) -> FiniteGroup:
             idx[(add[a1][a2], add[add[b1][b2]][mc1[a2]], add[c1][c2])]
             for a2, b2, c2 in els
         ]
-    return FiniteGroup(order=len(els), row_of=row_of)
+    neg = [row.index(0) for row in add]
+    # (a, b, c)^-1 = (-a, -b + c*a, -c)
+    inverses = [idx[(neg[a], add[neg[b]][mul[c][a]], neg[c])] for a, b, c in els]
+    return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
 
 
 def _matrix_group(q: int, det_condition) -> FiniteGroup:
@@ -190,7 +223,13 @@ def _matrix_group(q: int, det_condition) -> FiniteGroup:
             )]
             for e, f2, g, h in els
         ]
-    return FiniteGroup(order=len(els), row_of=row_of)
+    # (a, b, c, d)^-1 = det^-1 * (d, -b, -c, a)
+    recip = [0] + [mul[x].index(1) for x in range(1, q)]
+    inverses = []
+    for a, b, c, d in els:
+        md = mul[recip[add[mul[a][d]][neg[mul[b][c]]]]]
+        inverses.append(idx[(md[d], md[neg[b]], md[neg[c]], md[a])])
+    return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
 
 
 def _gl2(q: int) -> FiniteGroup:
@@ -384,7 +423,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
         i1, j1 = divmod(i, oh)
         hrow = H.row(j1)
         return [g * oh + h for g in G.row(i1) for h in hrow]
-    return FiniteGroup(label=label or f"{G.label}x{H.label}", order=G.order * oh, row_of=row_of)
+    inverses = [g * oh + h for g in G._inverses for h in H._inverses]
+    return FiniteGroup(label=label or f"{G.label}x{H.label}", order=G.order * oh,
+                       row_of=row_of, inverses=inverses)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +442,9 @@ def _symmetric(n: int) -> FiniteGroup:
 
     def row_of(i: int) -> list[int]:
         return [idx[tuple(map(els[i].__getitem__, t))] for t in els]
-    return FiniteGroup(order=len(els), row_of=row_of)
+    # the inverse of a permutation e sorts the positions by e's entries
+    inverses = [idx[tuple(sorted(range(n), key=e.__getitem__))] for e in els]
+    return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
 
 
 # name -> (order, builder), in roster order

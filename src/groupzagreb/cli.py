@@ -3,8 +3,9 @@ sweeps, the catalog-wide conjecture scan, and checks of user-supplied
 Cayley tables and edge lists.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 conjecture
-violation found.  Output is deterministic: identical invocations produce
-byte-identical CSV/JSON regardless of --jobs.
+violation found, 141 stdout closed by its reader before the output ended.
+Output is deterministic: identical invocations produce byte-identical
+CSV/JSON regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import groupby
 
 from .build import (
     DEFAULT_ORDER_CAP,
@@ -48,6 +49,16 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a tool the pipe stopped
+
+
+def __getattr__(name: str):
+    # the worker pool is imported on first use, by a scan with --jobs > 1, so
+    # that every other command starts without it
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,16 +158,42 @@ class ScanEntryError(Exception):
         return "{}: {}".format(*self.args)
 
 
-def _scan_worker(args: tuple[CatalogEntry, int]) -> ScanRow:
+def _scan_worker(args: tuple[CatalogEntry, int],
+                 seen: dict[tuple, tuple[FiniteGroup, GroupReport]] | None = None) -> ScanRow:
+    """The scan row of one catalog entry.
+
+    ``seen`` maps the ``FiniteGroup.fingerprint`` of each group reported so
+    far to the group and its report.  The families overlap (M_2m[m,1] = D_2m,
+    Z_q:Z_2 = D_2q, ...), so an entry whose table an earlier one already
+    built takes that group's derived state and report under its own label,
+    and still runs its own formula dispatch and crosschecks."""
     entry, order_cap = args
     try:
         G = entry.build(order_cap=order_cap)
-        return _row_for_group(G, entry.family, entry.params)
+        if seen is None:
+            rep = group_report(G)
+        elif G.fingerprint in seen:
+            H, rep = seen[G.fingerprint]
+            G = H.copy_as(G.label, G.family, G.params)
+            rep = replace(rep, label=G.label)
+        else:
+            rep = group_report(G)
+            seen[G.fingerprint] = G, rep
+        return _row_for_group(G, entry.family, entry.params, rep)
     except RouteMismatchError:
         raise  # its message already names the entry
     except (ValueError, RuntimeError) as exc:
         # the library's other error classes all derive from one of these
         raise ScanEntryError(entry.label, str(exc)) from exc
+
+
+def _scan_order(args: tuple[list[CatalogEntry], int]) -> list[ScanRow]:
+    """The scan rows of one order's catalog entries, the unit of work: only
+    groups of equal order can share a table, so the memo of ``_scan_worker``
+    lives for one unit and no longer."""
+    entries, order_cap = args
+    seen: dict[tuple, tuple[FiniteGroup, GroupReport]] = {}
+    return [_scan_worker((entry, order_cap), seen) for entry in entries]
 
 
 def _emit_rows(rows: list[ScanRow], fmt: str, summary: dict | None = None) -> None:
@@ -308,17 +345,19 @@ def _cmd_scan(args, parser: _Parser) -> int:
     # the cores; the output does not depend on the worker count
     cores = os.cpu_count() or 1
     jobs = min(args.jobs, cores) if args.jobs else cores
-    work = [(e, args.order_cap) for e in entries]
+    # one unit of work per order; the catalog ascends by order
+    work = [(list(group), args.order_cap)
+            for _, group in groupby(entries, key=lambda e: e.order)]
     try:
-        # the entries ascend by order: name the first one above the cap
-        # before any group is built
+        # name the first entry above the cap before any group is built
         for e in entries:
             e.check_cap(args.order_cap)
         if jobs > 1 and len(work) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_scan_worker, work, chunksize=8))
+            pool_class = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
+            with pool_class(max_workers=jobs) as pool:
+                rows = [r for unit in pool.map(_scan_order, work) for r in unit]
         else:
-            rows = [_scan_worker(w) for w in work]
+            rows = [r for unit in map(_scan_order, work) for r in unit]
     except (OrderCapError, ScanEntryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -528,10 +567,17 @@ def main(argv: list[str] | None = None) -> int:
         "group": _cmd_group,
     }[args.command]
     try:
-        return command(args, parser)
+        code = command(args, parser)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
     except RouteMismatchError as exc:  # a route is broken; the message names the group
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # the reader closed stdout (``scan | head``): end quietly, with the
+        # unflushed rest of the output sent to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -286,8 +286,10 @@ _register(FormulaEntry(
 ))
 _register(FormulaEntry(
     "quot_zpzp", ("p", "n"),
+    # G/Z(G) = Z_p x Z_p has class 2, so G' = <[a, b]> = Z_p lies in Z(G)
     lambda p, n: (
-        "p must be prime" if not is_prime(p) else ("n must be >= 1" if n < 1 else None)
+        "p must be prime" if not is_prime(p)
+        else "n must be a positive multiple of p" if n < 1 or n % p else None
     ),
     _quot_zpzp,
     alt_forms=(AltForm("m2_nc", _ALT_COMPLEMENT_NOTE, _quot_zpzp_alt_m2_nc),),

@@ -3,18 +3,23 @@ structural queries the rest of the library needs.
 
 Row x of the table is left multiplication by x, ``row(x)[j]`` = x*j, and
 every query reads the table through ``FiniteGroup.row``.  An ingested
-table serves the rows from its list.  A group from a builder keeps the
-builder's ``row_of`` and computes a row only when a query asks for it.  The
-Zagreb report, the formula dispatch and the cross-check read the rows of
-the generators, of the class representatives of G/Z(G) that
-``class_masks`` walks, of their inverses and of the generators of Z(G),
-and no other: for D_2000 that is 25 of 2000 rows, for GL(2,7) 27 of 2016.
+table serves the rows from its list and reads the inverses off them.  A
+group from a builder gets its order, a ``row_of`` and the inverse map, the
+last two from the builder's own arithmetic, and computes a row only when a
+query asks for it; no inverse is found by walking the table.  The Zagreb
+report, the formula dispatch and the cross-check read the rows of the
+generators, of their inverses, of the class representatives of G/Z(G)
+that ``class_masks`` walks and of the generators of Z(G), and no other:
+for D_2000 that is 15 of 2000 rows, for GL(2,7) 22 of 2016.
 ``FiniteGroup.table`` is the full list of rows; for a built group ``close``
 materializes it on first access, for validation and the tests.
 
-A greedy generating set (at most log2(n) elements, found once and cached)
-serves validation, the inverses and the center: Z(G) is the intersection
-of the generators' centralizers, n cells per generator.  Conjugation by the
+A greedy generating set (at most log2(n) elements, found once and cached,
+a subgroup closed one left coset at a time) serves validation, the center
+and ``fingerprint``: the generators' rows fix the whole table, so two
+groups share a fingerprint iff they share a table.  Z(G) is the
+intersection of the generators' centralizers, one row and n cells per
+generator.  Conjugation by the
 generators, one cached map each, gives the classes of G/Z(G) as orbits of
 the cosets.  Whether x and y commute depends only on their cosets xZ(G) and
 yZ(G), and conjugate elements have conjugate centralizers, so one
@@ -40,11 +45,12 @@ ingested table; its associativity check is an exact proof at every order
 
 from __future__ import annotations
 
+import copy
 import os
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import and_, eq, itemgetter
 from typing import Callable
@@ -96,21 +102,27 @@ def close(n: int, row_of: Callable[[int], list[int]]) -> list[list[int]]:
 class FiniteGroup:
     """Immutable-by-convention finite group on the rows of its Cayley table.
 
-    Give it either ``table``, with table[i][j] the index of g_i * g_j, or
-    its ``order`` and a ``row_of`` that computes row i.  Queries cache their
-    results on the instance and never change a row; two threads that race
-    to compute the same row store equal lists, so sharing is safe.
+    Give it either ``table``, with table[i][j] the index of g_i * g_j, whose
+    inverses it reads off the rows (``row.index(0)``), or its ``order``, a
+    ``row_of`` that computes row i and ``inverses``, with inverses[i] the
+    index of g_i^-1, both from the builder's own arithmetic.  Queries cache
+    their results on the instance and never change a row; two threads that
+    race to compute the same row store equal lists, so sharing is safe.
     """
 
     def __init__(self, table: list[list[int]] | None = None, label: str = "G", *,
-                 order: int = 0, row_of: Callable[[int], list[int]] | None = None):
+                 order: int = 0, row_of: Callable[[int], list[int]] | None = None,
+                 inverses: list[int] | None = None):
         self.label = label
         self.family: str | None = None  # set by build.build_family
         self.params: tuple[int, ...] | None = None
         if table is None:
+            if inverses is None:
+                raise TypeError("a group built from row_of needs its inverses")
             self.order = order
             self._row_of = row_of
             self._rows: list[list[int] | None] = [None] * order
+            self._inverses = inverses  # set on the instance, so the table is never read
         else:
             self.table = table  # set on the instance, so ``close`` never runs
             self.order = len(table)
@@ -119,6 +131,14 @@ class FiniteGroup:
                 raise GroupTableError("table is not square")
         if self.order == 0:
             raise GroupTableError("empty table")
+
+    def copy_as(self, label: str, family: str | None,
+                params: tuple[int, ...] | None) -> FiniteGroup:
+        """The group on the same table under another label, family and
+        params, sharing every row and every cached query with this one."""
+        G = copy.copy(self)
+        G.label, G.family, G.params = label, family, params
+        return G
 
     # -- rows ---------------------------------------------------------------------
     def row(self, x: int) -> list[int]:
@@ -148,84 +168,70 @@ class FiniteGroup:
         """A greedy generating set of G; see ``_greedy_generators``."""
         return tuple(self._greedy_generators(range(self.order)))
 
+    @cached_property
+    def fingerprint(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``generators``, which fix the whole table: every
+        element is a word in the generators, and row(a*b) is row(a) read along
+        row(b).  Two groups have equal fingerprints iff their tables are
+        equal, since equal tables give the same greedy generators."""
+        return tuple(tuple(self.row(s)) for s in self.generators)
+
     def _greedy_generators(self, members) -> list[int]:
         """A greedy generating set of the subgroup whose elements, ascending,
-        are ``members``: walk them and take each one not yet reached, then
-        close the reached set under left multiplication by the generators
-        taken so far, which reads their rows and no other.  The reached set
-        is already closed under the earlier ones, so the closure starts from
-        the new one's products with it: n*|S| steps in all.  Each one at
-        least doubles the reached subgroup, so there are at most log2 of
-        its order."""
-        reached = bytearray(self.order)
-        reached[0] = 1
+        are ``members``: walk them and take each one not yet reached, so each
+        one at least doubles the reached subgroup H, and there are at most
+        log2 of its order.  A new generator s reaches <H, s> as the union of
+        the left cosets gL of L, the larger of H and <s>, that left
+        multiplication by the generators finds from L, each new one a gather
+        of a generator's row at a known coset: such an image tgL is a known
+        coset or disjoint from them all.  <s> is a walk along row s.  Only the
+        generators' rows are read, and the Python steps are one per power of
+        a generator plus one per coset and generator."""
+        reached = {0}
         gens: list[int] = []
         rows: list[list[int]] = []
+        sub: list[int] = [0]  # the subgroup H reached so far
         for s in members:
-            if reached[s]:
+            if s in reached:
                 continue
             gens.append(s)
-            rows.append(self.row(s))
-            todo = list(compress(rows[-1], reached))  # s*H misses the subgroup H
-            for p in todo:
-                reached[p] = 1
-            while todo:
-                y = todo.pop()
+            row = self.row(s)
+            rows.append(row)
+            powers = [0]
+            x = s
+            while x:
+                powers.append(x)
+                x = row[x]
+            cosets = [max(sub, powers, key=len)]
+            reached = set(cosets[0])
+            for coset in cosets:
+                at_coset = itemgetter(*coset)
                 for r in rows:
-                    p = r[y]
-                    if not reached[p]:
-                        reached[p] = 1
-                        todo.append(p)
+                    if r[coset[0]] not in reached:
+                        image = at_coset(r)
+                        reached.update(image)
+                        cosets.append(image)
+            sub = list(chain.from_iterable(cosets))
+            if len(sub) == len(members):
+                break
         return gens
 
     @cached_property
     def _inverses(self) -> list[int]:
-        """g -> g^-1 from the generators' rows alone, n*|S| steps.
-
-        A search from the identity reaches every y as s*p, with p found
-        earlier and s a generator.  Along that tree, right multiplication by
-        t = s'^-1, for each generator s', spreads as (s*p)*t = s*(p*t) from
-        1*t = t, with t read off row s' as the entry 0.  Then
-        (s*p)^-1 = p^-1 * s^-1 is that map applied to p^-1."""
-        n = self.order
-        rows = [self.row(s) for s in self.generators]
-        tree: list[tuple[int, int, int]] = []  # (y, p, i) with y = s_i * p
-        seen = bytearray(n)
-        seen[0] = 1
-        reached = [0]
-        for p in reached:
-            for i, r in enumerate(rows):
-                y = r[p]
-                if not seen[y]:
-                    seen[y] = 1
-                    reached.append(y)
-                    tree.append((y, p, i))
-        rights = []  # rights[i][y] = y * s_i^-1
-        for r in rows:
-            right = [0] * n
-            right[0] = r.index(0)
-            for y, p, i in tree:
-                right[y] = rows[i][right[p]]
-            rights.append(right)
-        inv = [0] * n
-        for y, p, i in tree:
-            inv[y] = rights[i][inv[p]]
-        return inv
-
-    @cached_property
-    def _at_inverses(self) -> itemgetter:
-        """Reads a row at g^-1 for every g, in one C-level gather."""
-        return itemgetter(*self._inverses)
+        """g -> g^-1 read off the rows of an ingested table; a built group
+        sets its builder's map on the instance instead."""
+        return [row.index(0) for row in self._rows]
 
     def _commutes_with(self, x: int) -> bytes:
         """Byte g is 1 iff x*g == g*x, for x other than the identity.
 
-        Compared as (x*g)^-1 == x^-1 * g^-1, so that both sides are C-level
-        gathers of one row: the inverses read along row x, and row x^-1 read
-        at the inverses.  n cells, and no other row is read.
+        Since x*(x*g)^-1 = x*g^-1*x^-1, x*g == g*x iff x*(x*g)^-1 == g^-1:
+        the inverses read along row x, row x read at those, compared with the
+        inverses.  Two C-level gathers of n cells, and no other row is read.
         """
+        row = self.row(x)
         inv = self._inverses
-        return bytes(map(eq, itemgetter(*self.row(x))(inv), self._at_inverses(self.row(inv[x]))))
+        return bytes(map(eq, itemgetter(*itemgetter(*row)(inv))(row), inv))
 
     @cached_property
     def _center(self) -> tuple[int, ...]:

@@ -5,8 +5,12 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import runpy
+import subprocess
+import sys
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from groupzagreb.build import (
     CatalogEntry,
     FamilySpec,
     build_family,
+    catalog,
     cyclic,
     ingest_cayley,
     special_group,
@@ -226,6 +231,61 @@ def test_scan_caps_jobs_at_the_core_count(capsys, monkeypatch):
     code, serial, _ = run(capsys, "scan", "--max-order", "16", "--jobs", "1")
     assert code == 0
     assert capped == serial
+
+
+def test_scan_128_jobs_do_not_change_bytes(capsys):
+    code, out1, _ = run(capsys, "scan", "--max-order", "128", "--jobs", "1")
+    assert code == 0
+    code, out2, _ = run(capsys, "scan", "--max-order", "128", "--jobs", "2")
+    assert code == 0
+    assert out1 == out2
+
+
+def test_scan_shares_a_table_only_within_one_order(monkeypatch):
+    # rows with the memo of one order's entries, against each entry alone
+    entries = catalog(128)
+    alone = [cli._scan_worker((e, 5000)) for e in entries]
+    reports = []
+    real_report = cli.group_report
+
+    def counted_report(G):
+        reports.append(G)
+        return real_report(G)
+
+    monkeypatch.setattr(cli, "group_report", counted_report)
+    shared = [row for _, unit in groupby(entries, key=lambda e: e.order)
+              for row in cli._scan_order((list(unit), 5000))]
+    assert shared == alone
+    tables = {(e.order, tuple(map(tuple, e.build().table))) for e in entries}
+    assert len(reports) == len(tables) < len(entries)
+
+
+def _cli_subprocess(*argv, **kwargs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src),
+                            **kwargs)
+
+
+def test_scan_into_a_closed_pipe_exits_quietly():
+    # the JSON of 128 is about 160 KB, more than a pipe holds, so the scan is
+    # still writing when the reader closes its end after one line
+    proc = _cli_subprocess("-m", "groupzagreb.cli", "scan", "--max-order", "128",
+                           "--jobs", "1", "--format", "json",
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_CLOSED_STDOUT
+    assert err == b""
+
+
+def test_importing_the_cli_leaves_the_worker_pool_out():
+    proc = _cli_subprocess(
+        "-c", "import sys, groupzagreb.cli; print('concurrent.futures.process' in sys.modules)",
+        stdout=subprocess.PIPE)
+    out, _ = proc.communicate()
+    assert proc.returncode == 0 and out == b"False\n"
 
 
 def test_scan_rejects_small_max_order(capsys):

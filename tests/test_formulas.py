@@ -85,7 +85,7 @@ def test_equality_conditions():
         assert not ENTRIES["sd8n"].evaluate((n,)).equality_c
     for n in (2, 3, 4):
         assert ENTRIES["hanaki_a1"].evaluate((n,)).equality_c
-        assert ENTRIES["quot_zpzp"].evaluate((2, n)).equality_c
+        assert ENTRIES["quot_zpzp"].evaluate((2, 2 * n)).equality_c
     assert ENTRIES["hanaki_a2"].evaluate((1, 5)).equality_c
     assert not ENTRIES["gl2"].evaluate((3,)).equality_c
     assert not ENTRIES["psl2"].evaluate((2,)).equality_c
@@ -100,6 +100,8 @@ def test_validity_errors():
         ENTRIES["pq"].evaluate((3, 5))
     with pytest.raises(FormulaError):
         ENTRIES["quot_zpzp"].evaluate((6, 2))
+    with pytest.raises(FormulaError):
+        ENTRIES["quot_zpzp"].evaluate((3, 2))  # p must divide |Z(G)|
     with pytest.raises(FormulaError):
         ENTRIES["dihedral"].evaluate((3, 1))  # arity
     with pytest.raises(FormulaError):
@@ -144,7 +146,7 @@ PARAM_POINTS = {
                            29, 31, 32, 37, 41, 43)],
     "psl2": [(k,) for k in range(2, 22)],
     "quot_dihedral": [(m, n) for m in (3, 4, 5, 8, 13) for n in (1, 2, 3, 9)],
-    "quot_zpzp": [(p, n) for p in (2, 3, 5, 7, 11) for n in (1, 2, 3, 10)],
+    "quot_zpzp": [(p, p * n) for p in (2, 3, 5, 7, 11) for n in (1, 2, 3, 10)],
     "quot_sz2": [(n,) for n in range(1, 21)],
 }
 
@@ -153,8 +155,7 @@ PARAM_POINTS = {
 def test_entry_internal_consistency(key):
     """The four indices, the predicted counts, and the predicted decomposition
     must satisfy the clique-sum and complement identities, and each equality
-    flag must match the exact verdict on its graph wherever that graph has an
-    edge (quot_zpzp(2, 1), three isolated vertices, has none)."""
+    flag must match the exact verdict on its graph."""
     entry = ENTRIES[key]
     for params in PARAM_POINTS[key]:
         pred = entry.evaluate(params)
@@ -165,9 +166,8 @@ def test_entry_internal_consistency(key):
         comp = zagreb_complement(from_parts)
         assert comp == nc, f"{key}{params}: NC side disagrees with the complement identity"
         for report, flag in ((c, pred.equality_c), (nc, pred.equality_nc)):
-            if report.edges:
-                equality = conjecture_verdict(report).status == Verdict.HOLDS_WITH_EQUALITY
-                assert flag == equality, f"{key}{params}: equality flag disagrees with {report}"
+            equality = conjecture_verdict(report).status == Verdict.HOLDS_WITH_EQUALITY
+            assert flag == equality, f"{key}{params}: equality flag disagrees with {report}"
 
 
 # -- overlapping entries ------------------------------------------------------------
@@ -242,8 +242,9 @@ def test_family_entry_matches_its_own_polynomials(key):
 
 
 def test_quot_dihedral_at_d4_is_quot_zpzp_at_2():
-    # D_4 = Z_2 x Z_2, below the quot_dihedral entry's validity range m >= 3
-    for z in range(1, 51):
+    # D_4 = Z_2 x Z_2, below the quot_dihedral entry's validity range m >= 3;
+    # its center has even order, as quot_zpzp's validity rule requires
+    for z in range(2, 51, 2):
         pred = _ac_type_predict(*ENTRIES["quot_dihedral"].ac_type(2, z))
         assert pred == ENTRIES["quot_zpzp"].evaluate((2, z)), z
         assert pred == formula_oracles.PREDICT["quot_dihedral"](2, z), z

@@ -467,6 +467,36 @@ def test_generators_generate_from_index_order():
         assert len(sub) == G.order, entry.label
 
 
+def naive_greedy_generators(t, members):
+    """Each member outside the subgroup the earlier ones generate, which is
+    closed here under products on both sides with the table read directly."""
+    gens, sub = [], {0}
+    for s in members:
+        if s in sub:
+            continue
+        gens.append(s)
+        sub.add(s)
+        todo = list(sub)
+        while todo:
+            x = todo.pop()
+            for y in list(sub):
+                for p in (t[x][y], t[y][x]):
+                    if p not in sub:
+                        sub.add(p)
+                        todo.append(p)
+    return gens
+
+
+@pytest.mark.parametrize("entry", CATALOG_64, ids=[e.label for e in CATALOG_64])
+def test_greedy_generators_of_the_center_and_each_centralizer(entry):
+    # the coset closure against the naive one, on every subgroup it serves
+    G = entry.build()
+    subgroups = [G.center()] + [G._members(m) for m in G.class_masks[1:]]
+    t = G.table
+    for members in subgroups:
+        assert G._greedy_generators(members) == naive_greedy_generators(t, members)
+
+
 # -- central quotient -------------------------------------------------------------
 
 def test_quotient_of_abelian_is_trivial():

@@ -1,10 +1,13 @@
 """Rows on demand: a built group computes a row only when a query reads it.
 
 Each row a builder's ``row_of`` gives must equal the row that ``close``
-composes from the rows of a generating set; the inverses and conjugations,
-which read only the generators' rows, must equal maps read off the full
-table; and the report path must leave the table unbuilt.
+composes from the rows of a generating set; the inverses each builder hands
+over and the conjugations, which read only the generators' rows, must equal
+maps read off the full table; the fingerprint must tell tables apart; and
+the report path must leave the table unbuilt.
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -95,6 +98,15 @@ BUILT = [e.build for e in catalog(64)] + [
     lambda: build_family(FamilySpec("gl2", (5,))),
     lambda: build_family(FamilySpec("dihedral", (250,))),
     lambda: direct_product(special_group("A_4"), cyclic(6)),
+    # one of each builder's inverse maps: A(n,nu), A(n,p), SL(2,2^k), S_n,
+    # Z_n and a product whose factor is itself a product
+    lambda: build_family(FamilySpec("hanaki_a1", (3,))),
+    lambda: build_family(FamilySpec("hanaki_a2", (1, 3))),
+    lambda: build_family(FamilySpec("psl2", (3,))),
+    lambda: special_group("S_4"),
+    lambda: cyclic(7),
+    lambda: direct_product(direct_product(cyclic(2), special_group("S_4")),
+                           build_family(FamilySpec("dicyclic", (2,)))),
 ]
 INGESTED = [
     lambda: relabelled(special_group("SL(2,3)"), 7),
@@ -112,6 +124,37 @@ def test_inverses_and_conjugations_match_the_table(build):
     t = G.table
     assert inv == table_inverses(t)
     assert [list(c) for c in conj] == [table_conjugation(t, s) for s in G.generators]
+
+
+# the normal form's inverses over both of its loops, where the order e of
+# the action is below k and b^k = s wraps
+@pytest.mark.parametrize("m1,m2,k,act,s", [
+    (3, 1, 40, (-1, 0, 0, 1), (0, 0)),
+    (9, 1, 30, (-1, 0, 0, 1), (0, 0)),
+    (4, 1, 12, (-1, 0, 0, 1), (2, 0)),
+    (7, 1, 12, (2, 0, 0, 1), (0, 0)),
+    (2, 2, 6, (0, 1, 1, 1), (0, 0)),
+    (6, 2, 4, (-1, 0, 1, 1), (0, 1)),
+])
+def test_normal_form_inverses_match_the_table(m1, m2, k, act, s):
+    G = _abelian_by_cyclic(m1, m2, k, act, s)
+    G.validate()
+    assert G._inverses == table_inverses(G.table)
+
+
+def test_a_group_from_row_of_needs_its_inverses():
+    with pytest.raises(TypeError):
+        FiniteGroup(order=3, row_of=lambda i: [(i + j) % 3 for j in range(3)])
+
+
+def test_fingerprints_are_equal_iff_tables_are():
+    groups = [e.build() for e in catalog(64)]
+    prints = [G.fingerprint for G in groups]
+    equal = 0
+    for (a, pa), (b, pb) in combinations(zip(groups, prints), 2):
+        assert (pa == pb) == (a.table == b.table), (a.label, b.label)
+        equal += pa == pb
+    assert equal  # the families overlap: M_2m[m,1] = D_2m, Z_q:Z_2 = D_2q, ...
 
 
 def test_ingested_group_serves_rows_from_its_list():
