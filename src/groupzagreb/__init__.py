@@ -11,7 +11,6 @@ from .build import (
     direct_product,
     ingest_cayley,
 )
-from .coset import Presentation, coset_enumerate
 from .grp import FiniteGroup
 from .formulas import (
     FormulaEntry,
@@ -36,7 +35,6 @@ from .zagreb import (
 __all__ = [
     "CatalogEntry", "FamilySpec", "build_family", "builtin_special_groups",
     "catalog", "direct_product", "ingest_cayley",
-    "Presentation", "coset_enumerate",
     "FiniteGroup",
     "FormulaEntry", "FormulaPrediction", "crosscheck", "registry_for",
     "CliqueDecomposition", "ConjectureVerdict", "SimpleGraph", "Verdict",

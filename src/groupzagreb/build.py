@@ -33,9 +33,8 @@ identity moved to index 0.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import ff
 from .grp import FiniteGroup, GroupTableError, _read_text
@@ -249,8 +248,7 @@ def _psl2_2k(k: int) -> FiniteGroup:
 # the family table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything the checker knows about one group family.
 
     ``check``, ``order``, ``label`` and ``build`` take the parameters
@@ -362,24 +360,26 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus parameter tuple, e.g. FamilySpec("dihedral", (6,))."""
-
+class _FamilyParams(NamedTuple):
     family: str
     params: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        fam = FAMILIES.get(self.family)
+
+class FamilySpec(_FamilyParams):
+    """A family name plus parameter tuple, e.g. FamilySpec("dihedral", (6,))."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, params: tuple[int, ...] = ()):
+        fam = FAMILIES.get(family)
         if fam is None:
-            raise FamilyError(f"unknown family {self.family!r}")
-        if len(self.params) != len(fam.params):
-            raise FamilyError(
-                f"family {self.family} takes parameters {fam.params}, got {self.params}"
-            )
-        err = fam.check(*self.params)
+            raise FamilyError(f"unknown family {family!r}")
+        if len(params) != len(fam.params):
+            raise FamilyError(f"family {family} takes parameters {fam.params}, got {params}")
+        err = fam.check(*params)
         if err:
-            raise FamilyError(f"{self.family}{self.params}: {err}")
+            raise FamilyError(f"{family}{params}: {err}")
+        return super().__new__(cls, family, params)
 
     def order(self) -> int:
         return FAMILIES[self.family].order(*self.params)
@@ -571,8 +571,7 @@ def _parse_row(ln: str, n: int) -> list[int]:
 # catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One buildable catalog item; sortable by (order, family, params, label)."""
 
     order: int

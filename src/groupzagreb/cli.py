@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from itertools import groupby
+from typing import NamedTuple
 
 from .build import (
     DEFAULT_ORDER_CAP,
@@ -68,8 +67,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     label: str
     family: str
     params: tuple[int, ...]
@@ -93,18 +91,15 @@ class ScanRow:
 
     def csv_fields(self) -> list:
         # params is the one non-scalar field: ";"-joined in CSV, a list in JSON
-        return [
-            ";".join(map(str, self.params)) if f.name == "params" else getattr(self, f.name)
-            for f in fields(self)
-        ]
+        return list(self._replace(params=";".join(map(str, self.params))))
 
     def json_dict(self) -> dict:
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row = self._asdict()
         row["params"] = list(self.params)
         return row
 
 
-CSV_HEADER = ",".join(f.name for f in fields(ScanRow))
+CSV_HEADER = ",".join(ScanRow._fields)
 
 # every flag a family parameter can take, in first-use order over the table
 _PARAM_NAMES = tuple(dict.fromkeys(name for fam in FAMILIES.values() for name in fam.params))
@@ -175,7 +170,7 @@ def _scan_worker(args: tuple[CatalogEntry, int],
         elif G.fingerprint in seen:
             H, rep = seen[G.fingerprint]
             G = H.copy_as(G.label, G.family, G.params)
-            rep = replace(rep, label=G.label)
+            rep = rep._replace(label=G.label)
         else:
             rep = group_report(G)
             seen[G.fingerprint] = G, rep
@@ -199,6 +194,8 @@ def _scan_order(args: tuple[list[CatalogEntry], int]) -> list[ScanRow]:
 def _emit_rows(rows: list[ScanRow], fmt: str, summary: dict | None = None) -> None:
     out = sys.stdout
     if fmt == "json":
+        import json
+
         payload: object = [r.json_dict() for r in rows]
         if summary is not None:
             payload = {"rows": payload, "summary": summary}
@@ -439,6 +436,8 @@ def _cmd_graph(args, parser: _Parser) -> int:
             "gap": verdict.gap_string(),
         })
     if args.format == "json":
+        import json
+
         print(json.dumps(items, indent=2))
     else:
         print("graph,vertices,edges,m1,m2,verdict,gap")
@@ -487,6 +486,8 @@ def _cmd_group(args, parser: _Parser) -> int:
         "row": row.json_dict(),
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(info, indent=2))
     else:
         _emit_rows([row], "csv")

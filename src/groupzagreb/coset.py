@@ -13,7 +13,7 @@ first), which makes the output table deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grp import FiniteGroup
 
@@ -26,28 +26,32 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _PresentationWords(NamedTuple):
+    ngens: int
+    relators: tuple[tuple[int, ...], ...]
+
+
+class Presentation(_PresentationWords):
     """A group presentation: ``ngens`` generators and relator words.
 
     Relator letters are 1-based signed generator indices: +i means generator
     i-1, -i its inverse.
     """
 
-    ngens: int
-    relators: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ngens < 1:
+    def __new__(cls, ngens: int, relators: tuple[tuple[int, ...], ...]):
+        if ngens < 1:
             raise PresentationError("presentation needs at least one generator")
-        if not self.relators:
+        if not relators:
             raise PresentationError("presentation needs at least one relator")
-        for rel in self.relators:
+        for rel in relators:
             if not rel:
                 raise PresentationError("empty relator word")
             for letter in rel:
-                if letter == 0 or abs(letter) > self.ngens:
+                if letter == 0 or abs(letter) > ngens:
                     raise PresentationError(f"relator letter {letter} references no generator")
+        return super().__new__(cls, ngens, relators)
 
 
 def _columns(letter: int) -> int:

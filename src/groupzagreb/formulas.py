@@ -18,10 +18,9 @@ disagreement, with the brute-force oracle as the arbiter.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .build import FAMILIES
 from .ff import is_prime
@@ -38,8 +37,7 @@ class FormulaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FormulaPrediction:
+class FormulaPrediction(NamedTuple):
     vertices: int
     edges_c: int
     edges_nc: int
@@ -52,8 +50,7 @@ class FormulaPrediction:
     equality_nc: bool
 
 
-@dataclass(frozen=True)
-class AltForm:
+class AltForm(NamedTuple):
     """A variant closed form kept only so that sweeps can flag it."""
 
     field: str
@@ -65,8 +62,7 @@ class AltForm:
 ACType = tuple[int, tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class FormulaEntry:
+class FormulaEntry(NamedTuple):
     key: str
     param_names: tuple[str, ...]
     validate: Callable[..., str | None]
@@ -303,8 +299,7 @@ _register(FormulaEntry(
 # dispatch: which entries apply to a concrete group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Applicable:
+class Applicable(NamedTuple):
     entry: FormulaEntry
     params: tuple[int, ...]
     source: str  # "family" or "quotient"
@@ -386,16 +381,14 @@ def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
 # crosscheck
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldDiff:
+class FieldDiff(NamedTuple):
     field: str
     predicted: object
     actual: object
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
+class CrosscheckResult(NamedTuple):
     entry_key: str
     params: tuple[int, ...]
     diffs: tuple[FieldDiff, ...]
@@ -429,9 +422,9 @@ def crosscheck(
         equality_nc=report.verdict_nc.status == Verdict.HOLDS_WITH_EQUALITY,
     )
     diffs = tuple(
-        FieldDiff(f.name, getattr(pred, f.name), getattr(actual, f.name))
-        for f in fields(FormulaPrediction)
-        if getattr(pred, f.name) != getattr(actual, f.name)
+        FieldDiff(name, p, a)
+        for name, p, a in zip(FormulaPrediction._fields, pred, actual)
+        if p != a
     )
     alt = []
     for alt_form in entry.alt_forms:

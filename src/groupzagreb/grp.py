@@ -8,9 +8,9 @@ group from a builder gets its order, a ``row_of`` and the inverse map, the
 last two from the builder's own arithmetic, and computes a row only when a
 query asks for it; no inverse is found by walking the table.  The Zagreb
 report, the formula dispatch and the cross-check read the rows of the
-generators, of their inverses, of the class representatives of G/Z(G)
-that ``class_masks`` walks and of the generators of Z(G), and no other:
-for D_2000 that is 15 of 2000 rows, for GL(2,7) 22 of 2016.
+generators, of the class representatives of G/Z(G) that
+``class_masks`` walks and of the generators of Z(G), and no other: for
+D_2000 that is 14 of 2000 rows, for GL(2,7) 20 of 2016.
 ``FiniteGroup.table`` is the full list of rows; for a built group ``close``
 materializes it on first access, for validation and the tests.
 
@@ -275,15 +275,15 @@ class FiniteGroup:
     # -- conjugation and the classes of G/Z(G) -----------------------------------
     @cached_property
     def _conjugations(self) -> list[tuple[int, ...]]:
-        """x -> s^-1*x*s for each generator s, as f(f(x)) with
-        f(x) = (s^-1*x)^-1 = x^-1*s, since f(x^-1*s) = s^-1*x*s.  f is the
-        inverses read along row s^-1, so each map is two C-level gathers of
-        n cells and reads one row."""
+        """x -> s*x*s^-1 for each generator s, as h(h(x)) with
+        h(x) = (s*x)^-1 = x^-1*s^-1, since h(x^-1*s^-1) = s*x*s^-1.  h is the
+        inverses read along row s, so each map is two C-level gathers of
+        n cells and reads only the generator's own row."""
         inv = self._inverses
         out = []
         for s in self.generators:
-            f = itemgetter(*self.row(inv[s]))(inv)
-            out.append(itemgetter(*f)(f))
+            h = itemgetter(*self.row(s))(inv)
+            out.append(itemgetter(*h)(h))
         return out
 
     @cached_property

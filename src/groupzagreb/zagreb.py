@@ -25,11 +25,10 @@ that route 3 is checked without making a complement row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .grp import _BIT_CHARS, AbelianGroupError, FiniteGroup, _read_text
 
@@ -69,26 +68,29 @@ class SimpleGraph:
         return f"SimpleGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class ZagrebReport:
+class ZagrebReport(NamedTuple):
     m1: int
     m2: int
     vertices: int
     edges: int
 
 
-@dataclass(frozen=True)
-class CliqueDecomposition:
-    """Disjoint union of complete graphs: ((copies, size), ...) sorted by size."""
-
+class _CliqueParts(NamedTuple):
     parts: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        sizes = [s for _, s in self.parts]
+
+class CliqueDecomposition(_CliqueParts):
+    """Disjoint union of complete graphs: ((copies, size), ...) sorted by size."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[tuple[int, int], ...]):
+        sizes = [s for _, s in parts]
         if sizes != sorted(set(sizes)):
             raise ValueError("parts must be sorted with distinct clique sizes")
-        if any(l < 1 or s < 1 for l, s in self.parts):
+        if any(l < 1 or s < 1 for l, s in parts):
             raise ValueError("copy counts and clique sizes must be positive")
+        return super().__new__(cls, parts)
 
 
 class Verdict(Enum):
@@ -98,8 +100,7 @@ class Verdict(Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
+class ConjectureVerdict(NamedTuple):
     """Sign of M2/|E| - M1/|V| as the exact fraction gap = num/den."""
 
     status: Verdict
@@ -201,8 +202,7 @@ def conjecture_verdict(r: ZagrebReport) -> ConjectureVerdict:
 # one-stop group report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(NamedTuple):
     label: str
     order: int
     center_size: int

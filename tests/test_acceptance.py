@@ -25,11 +25,12 @@ Two deliberately honest red spots, analyzed in the project notes:
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import groupby
 
 import pytest
 
 from groupzagreb.build import FamilySpec, build_family, catalog, ingest_cayley
-from groupzagreb.cli import _scan_worker, main
+from groupzagreb.cli import _scan_order, main
 from groupzagreb.formulas import ENTRIES, crosscheck, registry_for
 from groupzagreb.zagreb import (
     Verdict,
@@ -240,8 +241,11 @@ def test_criterion_6_scan_at_512():
     (families plus the special groups) up to order 512."""
     t0 = time.time()
     entries = catalog(512)
+    # one unit per order, as the CLI's scan cuts them, so that entries of one
+    # order share a table through the memo of _scan_order
+    units = [(list(group), 5000) for _, group in groupby(entries, key=lambda e: e.order)]
     with ProcessPoolExecutor(max_workers=2) as pool:
-        rows = list(pool.map(_scan_worker, [(e, 5000) for e in entries], chunksize=16))
+        rows = [r for unit in pool.map(_scan_order, units) for r in unit]
     elapsed = time.time() - t0
     assert len(rows) == len(entries) >= 1700
     fails = [r.label for r in rows if "fails" in (r.verdict_c, r.verdict_nc)]

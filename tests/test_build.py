@@ -1,7 +1,6 @@
 """Family builders, special groups, ingestion, and the catalog."""
 
 import random
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -315,7 +314,7 @@ def test_a4_builds_match_even_permutations(name, oracle):
     # the even permutations of 4 points are a construction independent of
     # the (Z_2 x Z_2) : Z_k normal form
     built = group_report(special_group(name))
-    assert replace(group_report(FiniteGroup(oracle())), label=name) == built
+    assert group_report(FiniteGroup(oracle()))._replace(label=name) == built
 
 
 @pytest.mark.parametrize("fam,params", [

@@ -1,11 +1,11 @@
 """End-to-end CLI behavior: output shape, determinism, exit codes."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
 import os
+import pickle
 import runpy
 import subprocess
 import sys
@@ -18,6 +18,7 @@ import pytest
 from groupzagreb import cli, zagreb
 from groupzagreb.build import (
     CatalogEntry,
+    FamilyError,
     FamilySpec,
     build_family,
     catalog,
@@ -26,7 +27,9 @@ from groupzagreb.build import (
     special_group,
 )
 from groupzagreb.cli import CSV_HEADER, main
+from groupzagreb.coset import Presentation, PresentationError
 from groupzagreb.grp import FiniteGroup
+from groupzagreb.zagreb import CliqueDecomposition
 from test_grp import extraspecial_32, relabelled
 
 
@@ -281,11 +284,16 @@ def test_scan_into_a_closed_pipe_exits_quietly():
 
 
 def test_importing_the_cli_leaves_the_worker_pool_out():
+    # nor what no command needs at start-up: the records are NamedTuples, so
+    # neither dataclasses nor the inspect it pulls in; json loads with
+    # --format json; and the package does not import coset
+    unwanted = ("concurrent.futures.process", "dataclasses", "inspect", "json",
+                "groupzagreb.coset")
     proc = _cli_subprocess(
-        "-c", "import sys, groupzagreb.cli; print('concurrent.futures.process' in sys.modules)",
+        "-c", f"import sys, groupzagreb.cli; print([m for m in {unwanted!r} if m in sys.modules])",
         stdout=subprocess.PIPE)
     out, _ = proc.communicate()
-    assert proc.returncode == 0 and out == b"False\n"
+    assert proc.returncode == 0 and out == b"[]\n"
 
 
 def test_scan_rejects_small_max_order(capsys):
@@ -445,7 +453,7 @@ _real_zagreb_complement = zagreb.zagreb_complement
 
 def _off_by_one_complement(base):
     nc = _real_zagreb_complement(base)
-    return dataclasses.replace(nc, m1=nc.m1 + 1)
+    return nc._replace(m1=nc.m1 + 1)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -455,9 +463,51 @@ def test_scan_worker_error_names_the_group(capsys, monkeypatch, jobs):
     assert code == 2
     assert out == ""
     (line,) = err.splitlines()
-    # D_6 is the first catalog entry, so it is the first failure in row order
-    assert line.startswith("error: D_6: direct NC report")
-    assert "D_6: D_6" not in line
+    # D_6 is the first catalog entry, so it is the first failure in row order;
+    # the label comes once, and each report prints as its record's repr
+    assert line == (
+        "error: D_6: direct NC report ZagrebReport(m1=66, m2=120, vertices=5, edges=9)"
+        " != complement-formula ZagrebReport(m1=67, m2=120, vertices=5, edges=9)")
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: CliqueDecomposition(((1, 4), (3, 2))), ValueError,
+     "parts must be sorted with distinct clique sizes"),
+    (lambda: CliqueDecomposition(parts=((1, 2), (3, 2))), ValueError,
+     "parts must be sorted with distinct clique sizes"),
+    (lambda: CliqueDecomposition(((0, 2),)), ValueError,
+     "copy counts and clique sizes must be positive"),
+    (lambda: FamilySpec("nosuch"), FamilyError, "unknown family 'nosuch'"),
+    (lambda: FamilySpec("dihedral", (3, 1)), FamilyError,
+     "family dihedral takes parameters ('m',), got (3, 1)"),
+    (lambda: FamilySpec(family="pq", params=(3, 5)), FamilyError,
+     "pq(3, 5): p must divide q-1"),
+    (lambda: Presentation(0, ((1,),)), PresentationError,
+     "presentation needs at least one generator"),
+    (lambda: Presentation(1, ()), PresentationError, "presentation needs at least one relator"),
+    (lambda: Presentation(1, ((),)), PresentationError, "empty relator word"),
+    (lambda: Presentation(ngens=2, relators=((1, -3),)), PresentationError,
+     "relator letter -3 references no generator"),
+])
+def test_validated_records_raise_their_errors(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("record,text", [
+    (FamilySpec("sz2"), "FamilySpec(family='sz2', params=())"),
+    (CliqueDecomposition(((3, 1), (2, 4))), "CliqueDecomposition(parts=((3, 1), (2, 4)))"),
+    (Presentation(1, ((1, 1),)), "Presentation(ngens=1, relators=((1, 1),))"),
+    (CatalogEntry(6, "dihedral", (3,), "D_6"),
+     "CatalogEntry(order=6, family='dihedral', params=(3,), label='D_6')"),
+])
+def test_records_print_and_pickle_as_themselves(record, text):
+    # a validated record prints under its own name, not its base's, and
+    # crosses the worker pool as an equal record of the same class
+    assert repr(record) == text
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record
 
 
 _real_zagreb_from_decomposition = zagreb.zagreb_from_decomposition
@@ -465,7 +515,7 @@ _real_zagreb_from_decomposition = zagreb.zagreb_from_decomposition
 
 def _off_by_one_decomposition(d):
     rep = _real_zagreb_from_decomposition(d)
-    return dataclasses.replace(rep, m2=rep.m2 + 1)
+    return rep._replace(m2=rep.m2 + 1)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -89,9 +89,9 @@ def table_inverses(t):
 
 
 def table_conjugation(t, s):
-    """x -> s^-1 * x * s, read off the table."""
+    """x -> s * x * s^-1, read off the table."""
     s_inv = t[s].index(0)
-    return [t[t[s_inv][x]][s] for x in range(len(t))]
+    return [t[t[s][x]][s_inv] for x in range(len(t))]
 
 
 BUILT = [e.build for e in catalog(64)] + [
