@@ -16,19 +16,20 @@ C must agree across routes 1 and 2 whenever 2 exists, and NC across 1 and 3.
 
 Everything here is integer or rational arithmetic: the verdict compares
 M2*|V| against M1*|E| by cross-multiplication, so equality cases are exact.
-``SimpleGraph`` and ``zagreb_direct`` serve edge-list files: one adjacency
-bitmask per vertex, degrees are popcounts of the rows, and M2 is summed by
-the bit planes of the degrees, one AND and popcount per vertex and plane.
-``zagreb_direct_complement`` sums the complement from the same rows, so
-that route 3 is checked without making a complement row.
+``SimpleGraph`` and ``zagreb_direct`` serve edge-list files: each edge is
+stored once, in the bitmask of its lower end's neighbours above it, and M2
+is summed by the bit planes of the degrees, one AND and popcount per
+non-empty row and plane.  ``zagreb_direct_complement`` sums the complement
+from the same rows, so route 3 is checked without making a complement row.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from math import gcd
-from operator import mul
-from typing import Iterator, NamedTuple
+from itertools import compress, repeat
+from operator import add, and_, lshift, mul, rshift
+from typing import NamedTuple
 
 from .grp import _BIT_CHARS, AbelianGroupError, FiniteGroup, _read_text
 
@@ -42,27 +43,36 @@ class RouteMismatchError(AssertionError):
 
 
 class SimpleGraph:
-    """Undirected simple graph; ``rows[v]`` is the neighbor bitmask of v."""
+    """Undirected simple graph; ``rows[v]`` is the bitmask of v's neighbours
+    above v, so each edge {u < v} is stored once, at ``rows[u]``.  The
+    degrees add the rows' column counts, kept bit-sliced, to their popcounts."""
 
     def __init__(self, vertex_count: int, rows: list[int]):
         if len(rows) != vertex_count:
             raise GraphFormatError("adjacency row count != vertex count")
-        for v, r in enumerate(rows):
+        planes: list[int] = []  # bit u of planes[k]: bit k of the count of rows holding u
+        for v, r in compress(enumerate(rows), rows):
             if r >> vertex_count:
                 raise GraphFormatError("adjacency bits out of range")
-            if (r >> v) & 1:
-                raise GraphFormatError(f"self-loop at vertex {v}")
-        self.vertex_count = vertex_count
-        self.rows = rows
-        self.edge_count = sum(r.bit_count() for r in rows) // 2
+            if not (r & -r) >> (v + 1):
+                raise GraphFormatError(f"self-loop at vertex {v}" if r >> v & 1
+                                       else f"row {v} has a bit below its own vertex")
+            for k, plane in enumerate(planes):  # add r to the counters, with carry
+                planes[k], r = plane ^ r, plane & r
+                if not r:
+                    break
+            else:
+                planes.append(r)
+        self.vertex_count, self.rows = vertex_count, rows
+        deg = list(map(int.bit_count, rows))
+        self.edge_count = sum(deg)
+        for k, plane in enumerate(planes):  # add 2^k where plane k has bit u
+            bits = format(plane, f"0{vertex_count}b").encode()[::-1]  # b"1" is odd
+            deg = list(map(add, deg, map(and_, map(lshift, bits, repeat(k)), repeat(1 << k))))
+        self._degrees = deg
 
     def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
-
-    def complement(self) -> "SimpleGraph":
-        n = self.vertex_count
-        full = (1 << n) - 1
-        return SimpleGraph(n, [full ^ r ^ (1 << v) for v, r in enumerate(self.rows)])
+        return self._degrees
 
     def __repr__(self) -> str:
         return f"SimpleGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
@@ -119,43 +129,35 @@ class ConjectureVerdict(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def zagreb_direct(graph: SimpleGraph) -> ZagrebReport:
-    """M1 = sum of squared degrees, M2 = sum of degree products over edges:
-    2*M2 = sum_v d_v * (the degrees of v's neighbours, ``_neighbour_sums``)."""
+    """M1 = sum of squared degrees, M2 = sum of degree products over edges
+    (``_edge_products``)."""
     deg = graph.degrees()
-    m2_twice = sum(map(mul, deg, _neighbour_sums(graph.rows, deg)))
-    return ZagrebReport(sum(d * d for d in deg), m2_twice // 2, graph.vertex_count,
-                        graph.edge_count)
+    return ZagrebReport(sum(map(mul, deg, deg)), _edge_products(graph.rows, deg),
+                        graph.vertex_count, graph.edge_count)
 
 
 def zagreb_direct_complement(graph: SimpleGraph) -> ZagrebReport:
-    """``zagreb_direct(graph.complement())`` from the graph's own rows, with
-    no complement row made.  Vertex v has degree e_v = n - 1 - d_v there, and
-    its neighbours there are every vertex but v and its neighbours here, so
-    their degrees add up to S - e_v - (the e of v's neighbours here), with
-    S = sum e.  The ANDs read the graph's rows, which are short where the
-    complement's are long: an edgeless graph's are 0."""
+    """``zagreb_direct`` of the complement from the graph's own rows, with no
+    complement row made: there v has degree e_v = n - 1 - d_v, and each pair
+    is an edge of one graph, so with S = sum e, 2*M2 = S^2 - M1 minus twice
+    the sum over this graph's edges uv of e_u*e_v (none if it is edgeless)."""
     n = graph.vertex_count
     deg = [n - 1 - d for d in graph.degrees()]
-    total = sum(deg)
-    m2_twice = sum(e * (total - e - s) for e, s in zip(deg, _neighbour_sums(graph.rows, deg)))
-    return ZagrebReport(sum(e * e for e in deg), m2_twice // 2, n,
-                        n * (n - 1) // 2 - graph.edge_count)
+    m1 = sum(map(mul, deg, deg))
+    m2 = (sum(deg) ** 2 - m1) // 2 - _edge_products(graph.rows, deg)
+    return ZagrebReport(m1, m2, n, n * (n - 1) // 2 - graph.edge_count)
 
 
-def _neighbour_sums(rows: list[int], deg: list[int]) -> Iterator[int]:
-    """For each v, the sum of ``deg[u]`` over the u set in ``rows[v]``.
-
-    Summed by the bit planes of ``deg``, not bit by bit: with P_k the
-    vertices u whose deg[u] has bit k set, the sum is
-    sum_k 2^k * |row_v & P_k|, one AND and popcount per vertex and bit of the
-    largest value.
-    """
-    planes = [
-        int(bytes(d >> k & 1 for d in reversed(deg)).translate(_BIT_CHARS), 2)
-        for k in range(max(deg, default=0).bit_length())
-    ]
-    return (sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
-            for row in rows)
+def _edge_products(rows: list[int], deg: list[int]) -> int:
+    """The sum of deg[u] * deg[v] over the edges, as sum_v deg[v] * (the sum
+    of deg[u] over the u in ``rows[v]``), the empty rows skipped.  Each inner
+    sum goes by the bit planes P_k of ``deg``, the u whose deg[u] has bit k
+    set: sum_k 2^k * |row_v & P_k|, one AND and popcount per plane."""
+    planes = [int(bytes(map(and_, map(rshift, reversed(deg), repeat(k)), repeat(1)))
+                  .translate(_BIT_CHARS), 2) for k in range(max(deg, default=0).bit_length())]
+    return sum(map(mul, compress(deg, rows), (
+        sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
+        for row in filter(None, rows))))
 
 
 def zagreb_from_decomposition(d: CliqueDecomposition) -> ZagrebReport:
@@ -339,7 +341,6 @@ def read_edge_list(source) -> SimpleGraph:
             if u >= v:
                 raise ValueError
             rows[u] |= 1 << v
-            rows[v] |= 1 << u
     except (KeyError, ValueError):  # a token not in ids, not two tokens, or u >= v
         return SimpleGraph(n, _walk_edges(n, body))
     graph = SimpleGraph(n, rows)
@@ -349,7 +350,7 @@ def read_edge_list(source) -> SimpleGraph:
 
 
 def _walk_edges(n: int, body: list[str]) -> list[int]:
-    """The adjacency rows of the edge lines ``body``, each token read with
+    """The rows of the edge lines ``body``, each token read with
     ``int()``; raises GraphFormatError naming the first bad line."""
     rows = [0] * n
     for ln in body:
@@ -365,5 +366,4 @@ def _walk_edges(n: int, body: list[str]) -> list[int]:
         if rows[u] >> v & 1:
             raise GraphFormatError(f"duplicate edge ({u}, {v})")
         rows[u] |= 1 << v
-        rows[v] |= 1 << u
     return rows

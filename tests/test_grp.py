@@ -65,7 +65,7 @@ def naive_commuting_rows(G):
     rows = [0] * len(vertices)
     for a, x in enumerate(vertices):
         for b, y in enumerate(vertices):
-            if a != b and G.table[x][y] == G.table[y][x]:
+            if a < b and G.table[x][y] == G.table[y][x]:
                 rows[a] |= 1 << b
     return rows
 

@@ -1,6 +1,7 @@
 """Graphs, the three Zagreb routes, decompositions, and verdicts."""
 
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,13 @@ from groupzagreb.zagreb import (
     zagreb_direct_complement,
     zagreb_from_decomposition,
 )
-from graph_oracles import commuting_graph, extract_clique_decomposition, zagreb_by_degree_classes
+from graph_oracles import (
+    commuting_graph,
+    complement,
+    extract_clique_decomposition,
+    naive_degrees,
+    zagreb_by_degree_classes,
+)
 from test_grp import extraspecial_32, relabelled
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
@@ -41,26 +48,26 @@ K15_K3_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7), (6, 8), (7, 8)]
 
 
 def graph_from_edges(n, edges):
-    """The SimpleGraph on vertices 0..n-1 with the given undirected edges."""
+    """The SimpleGraph on vertices 0..n-1 with the given undirected edges,
+    each set once, in the row of its lower end."""
     rows = [0] * n
     for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+        rows[min(u, v)] |= 1 << max(u, v)
     return SimpleGraph(n, rows)
 
 
 def non_commuting_graph(G):
-    return commuting_graph(G).complement()
+    return complement(commuting_graph(G))
 
 
 def adjacent(graph, u, v):
-    return bool((graph.rows[u] >> v) & 1)
+    return bool((graph.rows[min(u, v)] >> max(u, v)) & 1)
 
 
 def m2_by_edge_walk(graph):
     """The reference M2: one degree product per edge, each edge u < v taken
-    once from u's row."""
-    deg = graph.degrees()
+    once from u's row, with the degrees counted edge end by edge end."""
+    deg = naive_degrees(graph)
     m2 = 0
     for u, row in enumerate(graph.rows):
         r = row >> (u + 1)
@@ -147,8 +154,9 @@ CATALOG_64 = catalog(64)
 @pytest.mark.parametrize("entry", CATALOG_64, ids=[e.label for e in CATALOG_64])
 def test_direct_m2_matches_edge_walk_on_catalog_graphs(entry):
     cg = commuting_graph(entry.build())
-    for g in (cg, cg.complement()):
+    for g in (cg, complement(cg)):
         assert zagreb_direct(g).m2 == m2_by_edge_walk(g)
+    assert zagreb_direct_complement(cg) == zagreb_direct(complement(cg))
 
 
 def test_direct_m2_matches_edge_walk_on_200_random_graphs():
@@ -170,6 +178,7 @@ def test_direct_m2_matches_edge_walk_on_200_random_graphs():
         ]))
     for g in graphs:
         assert zagreb_direct(g).m2 == m2_by_edge_walk(g), g
+        assert zagreb_direct_complement(g).m2 == m2_by_edge_walk(complement(g)), g
 
 
 def test_direct_m2_matches_edge_walk_with_many_degree_classes():
@@ -192,7 +201,7 @@ def test_direct_bit_planes_match_degree_classes_on_gnp(n, p, seed):
     g = graph_from_edges(n, [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ])
-    for h in (g, g.complement()):
+    for h in (g, complement(g)):
         assert zagreb_direct(h) == zagreb_by_degree_classes(h)
 
 
@@ -344,7 +353,7 @@ def assert_report_matches_graph_oracles(G):
     cg = commuting_graph(G)
     assert rep.center_size == G.order - cg.vertex_count
     assert rep.c == zagreb_direct(cg)
-    assert rep.nc == zagreb_direct(cg.complement())
+    assert rep.nc == zagreb_direct(complement(cg))
     assert rep.decomposition == extract_clique_decomposition(cg)
     return rep
 
@@ -420,7 +429,7 @@ def test_complement_properties_on_200_random_graphs():
         g = random_graph(rng)
         base = zagreb_direct(g)
         via_formula = zagreb_complement(base)
-        via_direct = zagreb_direct(g.complement())
+        via_direct = zagreb_direct(complement(g))
         assert via_formula == via_direct
         assert zagreb_complement(via_formula) == base  # double complement
         assert sum(g.degrees()) == 2 * g.edge_count  # handshake
@@ -435,7 +444,7 @@ def test_streamed_complement_matches_the_materialized_one():
         graph_from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)]),
     ]
     for g in graphs:
-        assert zagreb_direct_complement(g) == zagreb_direct(g.complement())
+        assert zagreb_direct_complement(g) == zagreb_direct(complement(g))
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,7 +454,7 @@ def test_complement_roundtrip_property(n, rng):
     g = graph_from_edges(n, edges)
     base = zagreb_direct(g)
     assert zagreb_complement(zagreb_complement(base)) == base
-    assert zagreb_complement(base) == zagreb_direct(g.complement())
+    assert zagreb_complement(base) == zagreb_direct(complement(g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -644,3 +653,63 @@ def test_canonical_edge_list_is_read_without_the_walk(monkeypatch):
 def test_simple_graph_rejects_self_loop():
     with pytest.raises(GraphFormatError, match="self-loop at vertex 1"):
         SimpleGraph(3, [0, 0b010, 0])
+
+
+# -- upper rows: one bit per edge -----------------------------------------------------------
+
+@pytest.mark.parametrize("n,rows", [
+    (2, [0b10, 0b01]),  # the edge {0, 1} stored at both ends
+    (3, [0, 0, 0b011]),
+    (3, [0, 0b101, 0]),  # a neighbour above 1 and one below it
+    (4, [0b0110, 0b0001, 0, 0]),
+])
+def test_simple_graph_rejects_a_bit_below_its_vertex(n, rows):
+    with pytest.raises(GraphFormatError, match="has a bit below its own vertex"):
+        SimpleGraph(n, rows)
+
+
+def test_simple_graph_counts_each_upper_bit_as_one_edge():
+    g = SimpleGraph(2, [0b10, 0])
+    assert (g.edge_count, g.degrees()) == (1, [1, 1])
+    with pytest.raises(GraphFormatError, match="adjacency bits out of range"):
+        SimpleGraph(2, [0b100, 0])
+
+
+def random_upper_rows(rng, n, p):
+    return [sum(1 << u for u in range(v + 1, n) if rng.random() < p) for v in range(n)]
+
+
+@pytest.mark.parametrize("n,p", [(0, 0.5), (1, 0.5), (2, 1.0), (3, 0.5), (64, 0.5),
+                                 (64, 1.0), (1500, 0.9)])
+def test_bit_sliced_degrees_match_column_counts(n, p):
+    rng = random.Random(n)
+    rows = random_upper_rows(rng, n, p)
+    columns = [sum(r >> v & 1 for r in rows) for v in range(n)]
+    if n == 1500:  # the counters need at least 11 bit planes
+        assert max(columns).bit_length() >= 11
+    assert SimpleGraph(n, rows).degrees() == [
+        r.bit_count() + c for r, c in zip(rows, columns)
+    ]
+
+
+def neighbour_sums_of_every_row(rows, deg):
+    """The generator the edge-product sum replaced: for every row, the empty
+    ones included, the sum of deg over its bits, with planes built bit by
+    bit."""
+    planes = [
+        int(bytes(d >> k & 1 for d in reversed(deg)).translate(zagreb._BIT_CHARS), 2)
+        for k in range(max(deg, default=0).bit_length())
+    ]
+    return (sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
+            for row in rows)
+
+
+def test_edge_products_skip_only_empty_rows():
+    rng = random.Random(2026)
+    graphs = [random_graph(rng, max_n=60) for _ in range(100)]
+    graphs.append(read_edge_list("200000 1\n0 199999\n"))
+    for g in graphs:
+        for deg in (g.degrees(), [g.vertex_count - 1 - d for d in g.degrees()]):
+            old = list(neighbour_sums_of_every_row(g.rows, deg))
+            assert not any(s for s, r in zip(old, g.rows) if not r)
+            assert zagreb._edge_products(g.rows, deg) == sum(map(mul, deg, old))
