@@ -22,8 +22,8 @@ RANGES = [
     ("sz2", []),
     ("hanaki_a1", ["--n", "2..4"]),
     ("hanaki_a2", ["--n", "1..2", "--p", "2..5"]),
-    ("gl2", ["--q", "3..5"]),
-    ("psl2", ["--k", "2..3"]),
+    ("gl2", ["--q", "3..8"]),
+    ("psl2", ["--k", "2..4"]),
 ]
 
 if __name__ == "__main__":

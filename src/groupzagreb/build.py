@@ -1,39 +1,29 @@
 """Constructors for every group family the checker knows about, plus direct
-products, the special groups needed by the planarity/toroidality golden
-tests, Cayley-table ingestion, and the deterministic catalog used by the
-scan command.
+products, the special groups of the planarity/toroidality golden tests,
+Cayley-table ingestion, and the deterministic catalog the scan reads.
 
 Each family is one record in ``FAMILIES``: its parameter names, validity
 rule, order, label, builder and catalog instances.  The formula registry and
 the CLI read the same table.
 
-Construction routes: a builder numbers its elements and hands
-``FiniteGroup`` the order, a ``row_of`` that computes the row of any one
-element and the inverse map, both with its own arithmetic: in the normal
-form (u b^j)^-1 = act^(k-j)(-u) - s at b^(k-j), for matrices
-det^-1 (d, -b, -c, a), for A(n,nu) (a, b + a^3), for A(n,p)
-(-a, -b + c a, -c), for S_n the inverse permutation, -i in a cyclic group
-and the pair of the factors' inverses in a direct product.  The group
-computes a row only when a query reads it; ``grp.close`` composes the full
-table from the rows of a generating set only when ``FiniteGroup.table`` is
-read.
-One abelian-by-cyclic normal form, (x, y) b^j with A = Z_m1 x Z_m2, b
-acting on A by a 2x2 integer matrix and b^k in A, builds every solvable
-family and special group: its m2 = 1 case, the metacyclic a^i b^j, serves
-the dihedral, dicyclic, quasidihedral, SD_8n, U_6n, M_2mn and order-pq
-families, Sz(2), M_16 and Z_4:Z_4, and the full form V_8n, D_8*Z_4,
-SG(16,3), A_4 and A_4xZ_2.  The other builders are 2x2 matrices over GF(q)
-(Hanaki A(n,nu) and A(n,p), GL(2,q) and PSL(2,2^k) = SL(2,2^k)),
-permutations (S_4), cyclic groups and pairs for direct products.  No
-group is built by coset enumeration.  Matrix-group elements are indexed
-lexicographically on their row-major coefficient vectors, with the
-identity moved to index 0.
+A builder numbers its elements and hands ``FiniteGroup`` the order, a
+``row_of`` for any one element and the inverse map, both from its own
+arithmetic; a row is computed only when a query reads it, by a few C-level
+gathers over shared index lists.  One abelian-by-cyclic normal form,
+(x, y) b^j with A = Z_m1 x Z_m2 and b acting on A by a 2x2 integer matrix,
+builds every solvable family and special group.  GL(2,q), SL(2,q) =
+PSL(2,2^k) and the unitriangular A(n,p) number their column vectors; left
+multiplication permutes each column on its own, so a row reads a table of
+the elements by their two column keys.  A(n,nu) permutes one block of q
+cells per a', a direct product one block of H per cell of G's row.  S_4 is
+built on its permutations; no group is built by coset enumeration.
 """
 
 from __future__ import annotations
 
 import io
-from operator import itemgetter
+from itertools import chain, compress, permutations, repeat
+from operator import getitem, itemgetter
 from typing import Callable, NamedTuple
 
 from . import ff
@@ -154,94 +144,106 @@ def cyclic(n: int, label: str | None = None) -> FiniteGroup:
 # matrix builders
 # ---------------------------------------------------------------------------
 
+def _two_key_rows(pair: list[list[int]], key1: list[int], key2: list[int]):
+    """``row(pi1, pi2)``: ``pair[pi1[key1[j]]][pi2[key2[j]]]`` for every element
+    j = ``pair[key1[j]][key2[j]]``, by three C-level passes over the n cells."""
+    at1, at2 = itemgetter(*key1), itemgetter(*key2)
+    return lambda pi1, pi2: list(map(getitem, at1(itemgetter(*pi1)(pair)), at2(pi2)))
+
+
 def _hanaki_a1(n: int) -> FiniteGroup:
-    # pairs (a, b) over GF(2^n): (a,b)(a',b') = (a+a', b+b'+nu(a)*a')
+    # pairs (a, b) over GF(2^n) at a*q + b, (a,b)(a',b') = (a+a', b+b'+nu(a)*a'): the
+    # block of a' in row (a, b) is block a + a' permuted by b' -> b + nu(a)*a' + b'
     q = 2 ** n
     add, mul = ff.field_of_order(q)
     frob = [mul[i][i] for i in range(q)]  # nu(a) = a^2, the Frobenius map
-    els = [(a, b) for a in range(q) for b in range(q)]  # identity (0,0) first
-    idx = {e: i for i, e in enumerate(els)}
+    base = list(range(q * q))
+    blocks = [base[a * q:a * q + q] for a in range(q)]
+    shift = [itemgetter(*row) for row in add]
 
     def row_of(i: int) -> list[int]:
-        a1, b1 = els[i]
-        fa1 = frob[a1]
-        addb1 = add[b1]
-        return [idx[(add[a1][a2], add[addb1[b2]][mul[fa1][a2]])] for a2, b2 in els]
+        adda1, addb1, mfa1 = add[i // q], add[i % q], mul[frob[i // q]]
+        return list(chain.from_iterable(shift[addb1[mfa1[a2]]](blocks[adda1[a2]])
+                                        for a2 in range(q)))
     # (a, b)^-1 = (a, b + nu(a)*a): -x = x in characteristic 2
-    inverses = [idx[(a, add[b][mul[frob[a]][a]])] for a, b in els]
-    return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
+    inverses = list(chain.from_iterable(shift[mul[frob[a]][a]](blocks[a]) for a in range(q)))
+    return FiniteGroup(order=q * q, row_of=row_of, inverses=inverses)
 
 
 def _hanaki_a2(n: int, p: int) -> FiniteGroup:
-    # triples (a, b, c) over GF(p^n): (a,b,c)(a',b',c') = (a+a', b+b'+c*a', c+c')
+    # triples (a, b, c) over GF(p^n) at (a*q + b)*q + c, (a,b,c)(a',b',c') =
+    # (a+a', b+b'+c*a', c+c'): the matrix [[1, c, b], [0, 1, a], [0, 0, 1]], whose
+    # columns c' and (a', b') move on their own, to c + c' and (a + a', b + b' + c*a')
     q = p ** n
     add, mul = ff.field_of_order(q)
-    els = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
-    idx = {e: i for i, e in enumerate(els)}
+    neg = [row.index(0) for row in add]
+    base = list(range(q ** 3))
+    pair = [base[c::q] for c in range(q)]  # pair[c][a*q + b]
+    addq = [[x * q for x in row] for row in add]
+    row = _two_key_rows(pair, list(range(q)) * (q * q), [k for k in range(q * q) for _ in range(q)])
 
     def row_of(i: int) -> list[int]:
-        a1, b1, c1 = els[i]
-        mc1 = mul[c1]
-        return [
-            idx[(add[a1][a2], add[add[b1][b2]][mc1[a2]], add[c1][c2])]
-            for a2, b2, c2 in els
-        ]
-    neg = [row.index(0) for row in add]
+        (a, b), c = divmod(i // q, q), i % q
+        adda, addb, mc = addq[a], add[b], mul[c]
+        return row(add[c], [adda[a2] + x for a2 in range(q) for x in add[addb[mc[a2]]]])
     # (a, b, c)^-1 = (-a, -b + c*a, -c)
-    inverses = [idx[(neg[a], add[neg[b]][mul[c][a]], neg[c])] for a, b, c in els]
-    return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
+    inverses = [pair[neg[c]][neg[a] * q + add[neg[b]][mul[c][a]]]
+                for a in range(q) for b in range(q) for c in range(q)]
+    return FiniteGroup(order=q ** 3, row_of=row_of, inverses=inverses)
 
 
-def _matrix_group(q: int, det_condition) -> FiniteGroup:
-    """2x2 matrices over GF(q) whose determinant satisfies det_condition,
-    lex-ordered by (a, b, c, d) with the identity moved to index 0."""
+def _matrix_group(q: int, dets: range | tuple[int, ...]) -> FiniteGroup:
+    """2x2 matrices (a, b, c, d) over GF(q) with determinant in dets, lex-ordered
+    with the identity moved to index 0.  Column (x, y) has the key x*q + y,
+    and ``pair[k1][k2]`` is the matrix with the column keys k1 = (a, c) and
+    k2 = (b, d).  M moves each column of the other factor on its own, by a
+    permutation pi of the q^2 keys, so row M is one ``_two_key_rows`` gather
+    after q^2 Python steps for pi.  The enumeration takes a few C-level
+    passes per (a, b), and the inverses read the same table."""
     add, mul = ff.field_of_order(q)
     neg = [row.index(0) for row in add]
-    els = []
+    base = list(range(q * q))
+    cols = [base[b * q:b * q + q] for b in range(q)]
+    # allowed[v][x]: whether x - v is an allowed determinant
+    allowed = [[add[x][neg[v]] in dets for x in range(q)] for v in range(q)]
+    key1, key2 = [], []  # the column keys (a, c) and (b, d), in lex order
     for a in range(q):
+        # ds[v]: the d with a*d - v allowed; (a, b, c) has the d in ds[b*c]
+        ds = [list(compress(range(q), map(allowed[v].__getitem__, mul[a]))) for v in range(q)]
+        counts = list(map(len, ds))
         for b in range(q):
-            for c in range(q):
-                mb = mul[b]
-                ad_row = mul[a]
-                for d in range(q):
-                    det = add[ad_row[d]][neg[mb[c]]]
-                    if det_condition(det):
-                        els.append((a, b, c, d))
-    ident = (1, 0, 0, 1)  # index 1 is the field's one
-    els.remove(ident)
-    els.insert(0, ident)
-    idx = {e: i for i, e in enumerate(els)}
+            at_bc = itemgetter(*mul[b])
+            key2 += map(cols[b].__getitem__, chain.from_iterable(at_bc(ds)))
+            key1 += chain.from_iterable(map(repeat, cols[a], at_bc(counts)))
+    ident = key2.index(1, key1.index(q))  # (1, 0, 0, 1): keys q and 1
+    key1.insert(0, key1.pop(ident))
+    key2.insert(0, key2.pop(ident))
+    pair = [[0] * (q * q) for _ in base]
+    for j, (k1, k2) in enumerate(zip(key1, key2)):
+        pair[k1][k2] = j
+    addq = [[x * q for x in row] for row in add]
+    split = [divmod(k, q) for k in base].__getitem__  # key -> (top, bottom)
+    row = _two_key_rows(pair, key1, key2)
 
     def row_of(i: int) -> list[int]:
-        a, b, c, d = els[i]
+        (a, c), (b, d) = split(key1[i]), split(key2[i])
         ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
-        return [
-            idx[(
-                add[ma[e]][mb[g]], add[ma[f2]][mb[h]],
-                add[mc[e]][md[g]], add[mc[f2]][md[h]],
-            )]
-            for e, f2, g, h in els
-        ]
-    # (a, b, c, d)^-1 = det^-1 * (d, -b, -c, a)
+        pi = [addq[ma[x]][mb[y]] + add[mc[x]][md[y]] for x in range(q) for y in range(q)]
+        return row(pi, pi)
+    # (a, b, c, d)^-1 = det^-1 * (d, -b, -c, a), columns (d, -c) and (-b, a)
     recip = [0] + [mul[x].index(1) for x in range(1, q)]
-    inverses = []
-    for a, b, c, d in els:
-        md = mul[recip[add[mul[a][d]][neg[mul[b][c]]]]]
-        inverses.append(idx[(md[d], md[neg[b]], md[neg[c]], md[a])])
-    return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
+    inverses = [pair[(s := mul[recip[add[mul[a][d]][neg[mul[b][c]]]]])[d] * q + s[neg[c]]]
+                [s[neg[b]] * q + s[a]]
+                for (a, c), (b, d) in zip(map(split, key1), map(split, key2))]
+    return FiniteGroup(order=len(key1), row_of=row_of, inverses=inverses)
 
 
 def _gl2(q: int) -> FiniteGroup:
-    return _matrix_group(q, lambda det: det != 0)
+    return _matrix_group(q, range(1, q))
 
 
 def _sl2(q: int) -> FiniteGroup:
-    return _matrix_group(q, lambda det: det == 1)
-
-
-def _psl2_2k(k: int) -> FiniteGroup:
-    # in characteristic 2 the center of SL(2, 2^k) is trivial, so SL = PSL
-    return _sl2(2 ** k)
+    return _matrix_group(q, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +356,11 @@ FAMILIES: dict[str, Family] = {
     "gl2": Family(
         ("q",), _gl2_check,
         lambda q: (q * q - 1) * (q * q - q), lambda q: f"GL(2,{q})", _gl2),
+    # in characteristic 2 the center of SL(2, 2^k) is trivial, so SL = PSL
     "psl2": Family(
         ("k",), _at_least("k", 2),
-        lambda k: (2 ** k + 1) * 2 ** k * (2 ** k - 1), lambda k: f"PSL(2,{2 ** k})", _psl2_2k),
+        lambda k: (2 ** k + 1) * 2 ** k * (2 ** k - 1), lambda k: f"PSL(2,{2 ** k})",
+        lambda k: _sl2(2 ** k)),
 }
 
 
@@ -418,11 +422,13 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
             f"direct product order {G.order * H.order} exceeds the cap {order_cap}"
         )
     oh = H.order
+    base = list(range(G.order * oh))
+    blocks = [base[g * oh:g * oh + oh] for g in range(G.order)]
 
     def row_of(i: int) -> list[int]:
-        i1, j1 = divmod(i, oh)
-        hrow = H.row(j1)
-        return [g * oh + h for g in G.row(i1) for h in hrow]
+        # block g of the row is G's block g permuted by H's row: one gather each
+        hrow = H.row(i % oh)
+        return list(chain.from_iterable(map(blocks[g].__getitem__, hrow) for g in G.row(i // oh)))
     inverses = [g * oh + h for g in G._inverses for h in H._inverses]
     return FiniteGroup(label=label or f"{G.label}x{H.label}", order=G.order * oh,
                        row_of=row_of, inverses=inverses)
@@ -435,8 +441,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
 def _symmetric(n: int) -> FiniteGroup:
     """S_n on its permutations in lex order (identity first); the product
     s*t is the composition s o t."""
-    from itertools import permutations
-
     els = list(permutations(range(n)))
     idx = {e: i for i, e in enumerate(els)}
 
@@ -530,21 +534,16 @@ def ingest_cayley(source) -> FiniteGroup:
             row = _parse_row(ln, n)
         table.append(row)
 
-    identity = None
     identity_row = list(range(n))
-    for e in range(n):
-        if table[e] == identity_row and all(table[i][e] == i for i in range(n)):
-            identity = e
-            break
+    identity = next((e for e in range(n) if table[e] == identity_row
+                     and all(table[i][e] == i for i in range(n))), None)
     if identity is None:
         raise GroupTableError("identity axiom violated: no two-sided identity element")
     if identity != 0:
         # renumber so the identity is index 0, preserving the relative order
         # of the remaining elements
-        old_order = [identity] + [i for i in range(n) if i != identity]
-        new_of_old = [0] * n
-        for new, old in enumerate(old_order):
-            new_of_old[old] = new
+        old_order = [identity, *range(identity), *range(identity + 1, n)]
+        new_of_old = [*range(1, identity + 1), 0, *range(identity + 1, n)]
         gather, renumber = itemgetter(*old_order), new_of_old.__getitem__
         table = [list(map(renumber, gather(table[i]))) for i in old_order]
     G = FiniteGroup(table, label=label)

@@ -204,27 +204,30 @@ def cyclic_oracle(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
-def hanaki_a1_oracle(n):
+# The three oracles below give the whole table, or with ``rows`` only the
+# listed rows, each cell one product and one lookup of its coefficient tuple.
+
+def hanaki_a1_oracle(n, rows=None):
     q = 2**n
     add, mul = ff.field_of_order(q)
     frob = [mul[i][i] for i in range(q)]
     els = [(a, b) for a in range(q) for b in range(q)]
     idx = {e: i for i, e in enumerate(els)}
     return [[idx[(add[a1][a2], add[add[b1][b2]][mul[frob[a1]][a2]])] for a2, b2 in els]
-            for a1, b1 in els]
+            for a1, b1 in (els if rows is None else map(els.__getitem__, rows))]
 
 
-def hanaki_a2_oracle(n, p):
+def hanaki_a2_oracle(n, p, rows=None):
     q = p**n
     add, mul = ff.field_of_order(q)
     els = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)]
     idx = {e: i for i, e in enumerate(els)}
     return [[idx[(add[a1][a2], add[add[b1][b2]][mul[c1][a2]], add[c1][c2])]
              for a2, b2, c2 in els]
-            for a1, b1, c1 in els]
+            for a1, b1, c1 in (els if rows is None else map(els.__getitem__, rows))]
 
 
-def matrix_oracle(q, det_ok):
+def matrix_oracle(q, det_ok, rows=None):
     """2x2 matrices over GF(q) with det_ok(det, one), lex order, identity first."""
     add, mul = ff.field_of_order(q)
     neg = [row.index(0) for row in add]
@@ -241,16 +244,16 @@ def matrix_oracle(q, det_ok):
         [idx[(add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
               add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])]
          for e, f, g, h in els]
-        for a, b, c, d in els
+        for a, b, c, d in (els if rows is None else map(els.__getitem__, rows))
     ]
 
 
-def gl2_oracle(q):
-    return matrix_oracle(q, lambda det, one: det != 0)
+def gl2_oracle(q, rows=None):
+    return matrix_oracle(q, lambda det, one: det != 0, rows)
 
 
-def sl2_oracle(q):
-    return matrix_oracle(q, lambda det, one: det == one)
+def sl2_oracle(q, rows=None):
+    return matrix_oracle(q, lambda det, one: det == one, rows)
 
 
 def perm_group_oracle(n, even_only=False):
@@ -729,6 +732,8 @@ def test_catalog_rejects_tiny_bound():
     ("quasidihedral", (10,)),
     ("dihedral", (500,)),
     ("m2mn", (9, 55)),
+    ("gl2", (8,)),           # order 3528
+    ("psl2", (4,)),          # order 4080
 ])
 def test_order_formulas_above_512(fam, params):
     # samples the order-formula and closed-form agreement well above the

@@ -7,6 +7,7 @@ maps read off the full table; the fingerprint must tell tables apart; and
 the report path must leave the table unbuilt.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -24,7 +25,13 @@ from groupzagreb.build import (
 from groupzagreb.formulas import crosscheck, registry_for
 from groupzagreb.grp import FiniteGroup
 from groupzagreb.zagreb import group_report
-from test_build import abelian_by_cyclic_oracle
+from test_build import (
+    abelian_by_cyclic_oracle,
+    gl2_oracle,
+    hanaki_a1_oracle,
+    hanaki_a2_oracle,
+    sl2_oracle,
+)
 from test_grp import extraspecial_32, relabelled
 
 CATALOG_256 = catalog(256)
@@ -70,6 +77,41 @@ def test_normal_form_rows_match_the_product_rule(m1, m2, k, act, s):
     oracle = abelian_by_cyclic_oracle(m1, m2, k, act, s)
     FiniteGroup(oracle).validate()
     assert every_row(_abelian_by_cyclic(m1, m2, k, act, s)) == oracle
+
+
+# the matrix builders row by row, up to orders no full-table oracle reaches:
+# the identity, the last element and a seeded sample, each row against the
+# oracle's products, and each inverse against the row it cancels
+ROW_ORACLES = {
+    "gl2": gl2_oracle,
+    "psl2": lambda k, rows: sl2_oracle(2 ** k, rows),
+    "hanaki_a1": hanaki_a1_oracle,
+    "hanaki_a2": hanaki_a2_oracle,
+}
+LARGE_MATRIX_GROUPS = [
+    ("gl2", (7,), 5000),
+    ("gl2", (8,), 5000),
+    ("gl2", (9,), 6000),  # order 5760, over an odd prime-power field
+    ("psl2", (4,), 5000),
+    ("hanaki_a1", (2,), 5000),
+    ("hanaki_a1", (3,), 5000),
+    ("hanaki_a1", (4,), 5000),
+    ("hanaki_a2", (1, 13), 5000),
+    ("hanaki_a2", (2, 3), 5000),
+]
+
+
+@pytest.mark.parametrize("fam,params,order_cap", LARGE_MATRIX_GROUPS,
+                         ids=[f"{fam}{params}" for fam, params, _ in LARGE_MATRIX_GROUPS])
+def test_matrix_rows_match_the_oracle(fam, params, order_cap):
+    G = build_family(FamilySpec(fam, params), order_cap=order_cap)
+    n = G.order
+    sample = [0, 1, n - 1] + random.Random(n).sample(range(2, n - 1), 9)
+    inv = G._inverses
+    for x, expected in zip(sample, ROW_ORACLES[fam](*params, rows=sample)):
+        assert G.row(x) == expected, x
+        assert expected[inv[x]] == 0 and G.row(inv[x])[x] == 0, x
+    assert sorted(inv) == list(range(n)) and all(inv[inv[x]] == x for x in range(n))
 
 
 def test_table_is_built_once_and_then_serves_the_rows():
