@@ -51,15 +51,6 @@ EXIT_VIOLATION = 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a tool the pipe stopped
 
 
-def __getattr__(name: str):
-    # the worker pool is imported on first use, by a scan with --jobs > 1, so
-    # that every other command starts without it
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -153,8 +144,8 @@ class ScanEntryError(Exception):
         return "{}: {}".format(*self.args)
 
 
-def _scan_worker(args: tuple[CatalogEntry, int],
-                 seen: dict[tuple, tuple[FiniteGroup, GroupReport]] | None = None) -> ScanRow:
+def _scan_worker(entry: CatalogEntry, order_cap: int,
+                 seen: dict[tuple, tuple[FiniteGroup, GroupReport]]) -> ScanRow:
     """The scan row of one catalog entry.
 
     ``seen`` maps the ``FiniteGroup.fingerprint`` of each group reported so
@@ -162,12 +153,9 @@ def _scan_worker(args: tuple[CatalogEntry, int],
     Z_q:Z_2 = D_2q, ...), so an entry whose table an earlier one already
     built takes that group's derived state and report under its own label,
     and still runs its own formula dispatch and crosschecks."""
-    entry, order_cap = args
     try:
         G = entry.build(order_cap=order_cap)
-        if seen is None:
-            rep = group_report(G)
-        elif G.fingerprint in seen:
+        if G.fingerprint in seen:
             H, rep = seen[G.fingerprint]
             G = H.copy_as(G.label, G.family, G.params)
             rep = rep._replace(label=G.label)
@@ -188,7 +176,7 @@ def _scan_order(args: tuple[list[CatalogEntry], int]) -> list[ScanRow]:
     lives for one unit and no longer."""
     entries, order_cap = args
     seen: dict[tuple, tuple[FiniteGroup, GroupReport]] = {}
-    return [_scan_worker((entry, order_cap), seen) for entry in entries]
+    return [_scan_worker(entry, order_cap, seen) for entry in entries]
 
 
 def _emit_rows(rows: list[ScanRow], fmt: str, summary: dict | None = None) -> None:
@@ -350,8 +338,10 @@ def _cmd_scan(args, parser: _Parser) -> int:
         for e in entries:
             e.check_cap(args.order_cap)
         if jobs > 1 and len(work) > 1:
-            pool_class = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
-            with pool_class(max_workers=jobs) as pool:
+            # imported here, so that every other command starts without it
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = [r for unit in pool.map(_scan_order, work) for r in unit]
         else:
             rows = [r for unit in map(_scan_order, work) for r in unit]

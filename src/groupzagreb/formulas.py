@@ -321,12 +321,13 @@ _PR_CONSEQUENCES = {
 
 def _quotient_orders(G: FiniteGroup) -> Counter:
     """How many elements of G/Z(G) have each order: the order of a coset is
-    a class function on G/Z(G), so each class adds its size at its order,
-    ``FiniteGroup.class_orders``."""
+    a class function on G/Z(G), so each class adds its elements over z at
+    its order, ``FiniteGroup.class_orders``."""
     _, sizes, _ = G.quotient_classes
+    z = len(G.center())
     orders: Counter = Counter()
     for o, size in zip(G.class_orders, sizes):
-        orders[o] += size
+        orders[o] += size // z
     return orders
 
 

@@ -19,9 +19,11 @@ a subgroup closed one left coset at a time) serves validation, the center
 and ``fingerprint``: the generators' rows fix the whole table, so two
 groups share a fingerprint iff they share a table.  Z(G) is the
 intersection of the generators' centralizers, one row and n cells per
-generator.  Conjugation by the
-generators, one cached map each, gives the classes of G/Z(G) as orbits of
-the cosets.  Whether x and y commute depends only on their cosets xZ(G) and
+generator.  Conjugation by the generators, one cached map each, and left
+multiplication by a greedy generating set of Z(G) label every element with
+its class of G/Z(G) in one walk (``quotient_classes``): the class of xZ(G)
+is the set of the c*h*x*h^-1 with c central, so no coset is numbered on the
+way.  Whether x and y commute depends only on their cosets xZ(G) and
 yZ(G), and conjugate elements have conjugate centralizers, so one
 centralizer bitmask per class of G/Z(G) (``class_masks``) carries every
 commutation fact the library reports.  The classes of the coprime powers of
@@ -162,7 +164,7 @@ class FiniteGroup:
     def inverse(self, i: int) -> int:
         return self._inverses[i]
 
-    # -- generators, the center and its cosets -----------------------------------
+    # -- generators and the center -----------------------------------------------
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """A greedy generating set of G; see ``_greedy_generators``."""
@@ -247,31 +249,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return len(self.center()) == self.order
 
-    @cached_property
-    def cosets(self) -> tuple[list[int], list[int]]:
-        """(coset_of, reps): the cosets gZ(G), each represented by its lowest
-        index; reps ascend, so the center's coset is 0, and g lies in the
-        coset of reps[coset_of[g]].  The coset gZ(G) = Z(G)g is the closure
-        of g under left multiplication by a greedy generating set of Z(G),
-        whose rows are the only ones read: n*|S_Z| steps."""
-        zrows = [self.row(s) for s in self._greedy_generators(self.center())]
-        coset_of = [-1] * self.order
-        reps: list[int] = []
-        for g in range(self.order):
-            if coset_of[g] >= 0:
-                continue
-            c = len(reps)
-            reps.append(g)
-            coset_of[g] = c
-            todo = [g]
-            for y in todo:
-                for r in zrows:
-                    p = r[y]
-                    if coset_of[p] < 0:
-                        coset_of[p] = c
-                        todo.append(p)
-        return coset_of, reps
-
     # -- conjugation and the classes of G/Z(G) -----------------------------------
     @cached_property
     def _conjugations(self) -> list[tuple[int, ...]]:
@@ -289,27 +266,32 @@ class FiniteGroup:
     @cached_property
     def quotient_classes(self) -> tuple[list[int], list[int], list[int]]:
         """(class_of, sizes, reps): the conjugacy classes of G/Z(G), as the
-        orbits of the cosets under the conjugations, k*|S| steps.  Coset c
-        lies in class class_of[c] of sizes[c'] cosets, represented by the
-        element reps[c'], the lowest index in its cosets; reps ascend, so
-        the center's class is 0."""
-        coset_of, coset_reps = self.cosets
-        class_of = [-1] * len(coset_reps)
+        sets of their elements.  Element g lies in class c = class_of[g] of
+        sizes[c] elements, |Z(G)| times its size in G/Z(G), represented by
+        reps[c], its lowest element; reps ascend, so Z(G) is class 0.
+
+        The class of gZ(G) holds the elements c*h*g*h^-1, c central, so it is
+        the orbit of g under the conjugations by the generators and left
+        multiplication by a greedy generating set of Z(G), whose rows are
+        the only ones read: n*(|S| + |S_Z|) steps in one walk."""
+        maps = self._conjugations + [
+            self.row(s) for s in self._greedy_generators(self.center())]
+        class_of = [-1] * self.order
         sizes: list[int] = []
         reps: list[int] = []
-        for c, r in enumerate(coset_reps):
-            if class_of[c] >= 0:
+        for g in range(self.order):
+            if class_of[g] >= 0:
                 continue
             k = len(reps)
-            class_of[c] = k
-            reps.append(r)
-            todo = [r]
+            class_of[g] = k
+            reps.append(g)
+            todo = [g]
             for y in todo:
-                for conj in self._conjugations:
-                    d = coset_of[conj[y]]
-                    if class_of[d] < 0:
-                        class_of[d] = k
-                        todo.append(coset_reps[d])
+                for m in maps:
+                    p = m[y]
+                    if class_of[p] < 0:
+                        class_of[p] = k
+                        todo.append(p)
             sizes.append(len(todo))
         return class_of, sizes, reps
 
@@ -334,7 +316,6 @@ class FiniteGroup:
         would have reached c by the inverse power.  The center's class
         commutes with everything and has order 1.
         """
-        coset_of, _ = self.cosets
         class_of, _, reps = self.quotient_classes
         masks = [(1 << self.order) - 1] + [0] * (len(reps) - 1)
         orders = [1] * len(reps)
@@ -345,8 +326,8 @@ class FiniteGroup:
             row = self.row(r)
             powers = []  # the classes of r, r^2, ..., r^(o-1)
             x = r
-            while coset_of[x]:
-                powers.append(class_of[coset_of[x]])
+            while class_of[x]:
+                powers.append(class_of[x])
                 x = row[x]
             o = len(powers) + 1
             m = self._centralizer_mask(r)
@@ -375,11 +356,10 @@ class FiniteGroup:
 
     @cached_property
     def conjugacy_class_count(self) -> int:
-        """k(G) = sum_x |C_G(x)| / n, summed over the classes of G/Z(G): z*|c|
-        elements in class c, each with a centralizer of order |m_c|."""
+        """k(G) = sum_x |C_G(x)| / n, summed over the classes of G/Z(G): each
+        element of class c has a centralizer of order |m_c|."""
         _, sizes, _ = self.quotient_classes
-        z = len(self.center())
-        return sum(z * k * m.bit_count() for k, m in zip(sizes, self.class_masks)) // self.order
+        return sum(k * m.bit_count() for k, m in zip(sizes, self.class_masks)) // self.order
 
     def _members(self, mask: int) -> list[int]:
         """The elements whose bits are set in ``mask``, ascending."""
@@ -396,7 +376,7 @@ class FiniteGroup:
 
     def centralizer(self, x: int) -> tuple[int, ...]:
         """C_G(x), ascending; a central x commutes with everything."""
-        if not self.cosets[0][x]:
+        if x in self.center():
             return tuple(range(self.order))
         return tuple(self._members(self._centralizer_mask(x)))
 
@@ -405,15 +385,13 @@ class FiniteGroup:
 
         For m = C_G(x), the mask of x's non-central class c, C_G(y) = m iff
         y lies in Z(m) and |C_G(y)| = |m|.  Z(m) is m ANDed with the masks of
-        a greedy generating set of m.  The z*|class| elements of the class
-        have conjugate centralizers, each shared by as many of them as lie in
+        a greedy generating set of m.  The elements of the class have
+        conjugate centralizers, each shared by as many of them as lie in
         Z(m).  A class with elements in Z(m) and centralizers of order |m|
         has the same centralizers, and is skipped.
         """
-        coset_of, _ = self.cosets
         class_of, sizes, _ = self.quotient_classes
         masks = self.class_masks
-        z = len(self.center())
         skip: set[int] = set()
         count = 1
         for c, m in enumerate(masks[1:], 1):
@@ -421,9 +399,9 @@ class FiniteGroup:
                 continue
             gens = self._greedy_generators(self._members(m))
             center_of_m = reduce(and_, map(self._centralizer_mask, gens), m)
-            inside = Counter(class_of[coset_of[y]] for y in self._members(center_of_m))
+            inside = Counter(class_of[y] for y in self._members(center_of_m))
             skip.update(d for d in inside if masks[d].bit_count() == m.bit_count())
-            count += z * sizes[c] // inside[c]
+            count += sizes[c] // inside[c]
         return count
 
     def commutativity_degree(self) -> Fraction:

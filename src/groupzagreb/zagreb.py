@@ -223,9 +223,11 @@ def group_report(G: FiniteGroup) -> GroupReport:
     d = |m| - z - 1 in C(G), its non-central commuters other than itself, and
     d' = n - |m| in NC(G).  Both depend only on the class of xZ(G) in G/Z(G):
     C_G(x) is shared by the coset xZ(G), and conjugation is an automorphism
-    of both graphs.  Let V_s be the non-central elements whose centralizer
-    has order s.  Each distinct mask m of ``FiniteGroup.class_masks``, with
-    w = z*|class| elements summed over the classes that carry it, adds
+    of both graphs.  ``FiniteGroup.quotient_classes`` labels each element
+    with its class; let V_s be the non-central elements whose class's
+    centralizer has order s.  Each distinct mask m of
+    ``FiniteGroup.class_masks``, with w the elements of the classes that
+    carry it, adds
       w*d^2 to M1 and w*d*(sum_s (s-z-1)*|m & V_s| - d) to 2*M2 of C(G),
       where -d takes out x itself, which lies in m; and
       w*d'^2 to M1 and w*d'*sum_s (n-s)*|V_s - m| to 2*M2 of NC(G).
@@ -243,21 +245,20 @@ def group_report(G: FiniteGroup) -> GroupReport:
     """
     n = G.order
     z = len(G.center())
-    coset_of, _ = G.cosets
     class_of, sizes, _ = G.quotient_classes
     if len(sizes) == 1:
         raise AbelianGroupError("Group must be non-abelian")
     masks = G.class_masks
     order_of = [m.bit_count() for m in masks]
     classes: dict[int, int] = {}  # s -> V_s as a bitmask
-    for x, c in enumerate(coset_of):
+    for x, c in enumerate(class_of):
         if c:
-            s = order_of[class_of[c]]
+            s = order_of[c]
             classes[s] = classes.get(s, 0) | 1 << x
 
-    weights: dict[int, int] = {}  # mask -> the elements of its classes' cosets
+    weights: dict[int, int] = {}  # mask -> the elements of its classes
     for m, size in zip(masks[1:], sizes[1:]):
-        weights[m] = weights.get(m, 0) + z * size
+        weights[m] = weights.get(m, 0) + size
     m1 = m2_twice = edges_twice = 0
     m1_nc = m2_nc_twice = edges_nc_twice = 0
     for m, w in weights.items():

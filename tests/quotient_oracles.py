@@ -3,11 +3,11 @@ table, the three recognizers that walk that table, and the formula dispatch
 built on them.
 
 The library dispatches the quotient formulas from the element orders of
-G/Z(G), read off the cosets G already has, and builds no second group;
-this builds the quotient and recognizes its shape from the table, and
-derives the consequence tags from the centralizer of every element, so the
-tests can check every dispatch against a route that shares none of that
-code.
+G/Z(G), read off its classes of G/Z(G), and builds no second group; this
+numbers the cosets of Z(G) from the table, builds the quotient and
+recognizes its shape from it, and derives the consequence tags from the
+centralizer of every element, so the tests can check every dispatch against
+a route that shares none of that code.
 """
 
 from fractions import Fraction
@@ -31,10 +31,25 @@ def element_order(G: FiniteGroup, i: int) -> int:
     raise GroupTableError(f"element {i}: no power of it is the identity")
 
 
+def center_cosets(G: FiniteGroup) -> tuple[list[int], list[int]]:
+    """(coset_of, reps): the cosets gZ(G), each numbered by its lowest
+    element in ascending order, g*Z(G) read off row g of the table."""
+    t = G.table
+    z = G.center()
+    coset_of = [-1] * G.order
+    reps: list[int] = []
+    for g in range(G.order):
+        if coset_of[g] < 0:
+            for c in z:
+                coset_of[t[g][c]] = len(reps)
+            reps.append(g)
+    return coset_of, reps
+
+
 def central_quotient(G: FiniteGroup) -> FiniteGroup:
     """G/Z(G) on lowest-index coset representatives, identity coset first;
     a centerless G gives a group on its own table."""
-    coset_of, reps = G.cosets
+    coset_of, reps = center_cosets(G)
     label = f"{G.label}/Z"
     if len(reps) == G.order:
         return FiniteGroup(G.table, label=label)
@@ -97,7 +112,7 @@ def looks_like_f20(G: FiniteGroup) -> bool:
 def distinct_centralizers(G: FiniteGroup) -> int:
     """|Cent(G)| as the distinct masks of one element per coset of Z(G),
     which its whole coset shares."""
-    _, reps = G.cosets
+    _, reps = center_cosets(G)
     return len({centralizer_mask(G, r) for r in reps})
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output shape, determinism, exit codes."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -228,7 +229,7 @@ def test_scan_caps_jobs_at_the_core_count(capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     code, capped, _ = run(capsys, "scan", "--max-order", "16", "--jobs", "100000")
     assert code == 0
@@ -249,7 +250,7 @@ def test_scan_128_jobs_do_not_change_bytes(capsys):
 def test_scan_shares_a_table_only_within_one_order(monkeypatch):
     # rows with the memo of one order's entries, against each entry alone
     entries = catalog(128)
-    alone = [cli._scan_worker((e, 5000)) for e in entries]
+    alone = [row for e in entries for row in cli._scan_order(([e], 5000))]
     reports = []
     real_report = cli.group_report
 
@@ -288,14 +289,19 @@ def test_scan_into_a_closed_pipe_exits_quietly():
 def test_importing_the_cli_leaves_the_worker_pool_out():
     # nor what no command needs at start-up: the records are NamedTuples, so
     # neither dataclasses nor the inspect it pulls in; json loads with
-    # --format json; and the package does not import coset
+    # --format json; and the package does not import coset.  A one-job scan
+    # does not load the pool either.
     unwanted = ("concurrent.futures.process", "dataclasses", "inspect", "json",
                 "groupzagreb.coset")
     proc = _cli_subprocess(
-        "-c", f"import sys, groupzagreb.cli; print([m for m in {unwanted!r} if m in sys.modules])",
+        "-c", f"import io, sys, contextlib, groupzagreb.cli as c\n"
+              f"print([m for m in {unwanted!r} if m in sys.modules])\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = c.main(['scan', '--max-order', '16', '--jobs', '1'])\n"
+              "print(code, 'concurrent.futures.process' in sys.modules)",
         stdout=subprocess.PIPE)
     out, _ = proc.communicate()
-    assert proc.returncode == 0 and out == b"[]\n"
+    assert proc.returncode == 0 and out == b"[]\n0 False\n"
 
 
 def test_scan_rejects_small_max_order(capsys):
@@ -348,6 +354,16 @@ def test_scan_bytes_match_recorded_digest(capsys, max_order):
     code, out, _ = run(capsys, "scan", "--max-order", max_order, "--jobs", "1")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED_SCAN[max_order]["sha256"]
+
+
+# sha256 of `scan --max-order 512 --jobs 1` stdout, 1725 groups
+SCAN_512_STDOUT_SHA256 = "32df81c4e23ee4959414fafe5c587f76ecf427fffd6068e1dfd2c78bf39fe5af"
+
+
+def test_scan_512_bytes_match_recorded_digest(capsys):
+    code, out, _ = run(capsys, "scan", "--max-order", "512", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_512_STDOUT_SHA256
 
 
 def _count_masks(monkeypatch):

@@ -19,6 +19,7 @@ from groupzagreb.build import (
 from groupzagreb.grp import FiniteGroup, GroupTableError
 from graph_oracles import commuting_graph
 from quotient_oracles import (
+    center_cosets,
     central_quotient,
     distinct_centralizers,
     element_order,
@@ -87,28 +88,23 @@ def naive_conjugacy_class_count(G):
 
 
 def naive_quotient_classes(G):
-    """The classes of G/Z(G) by conjugating each coset's lowest element by
-    every g: O(n*k), with the cosets numbered by their lowest element."""
+    """The classes of G/Z(G) as sets of elements, numbered by their lowest
+    element: the class of x is every z*g^-1*x*g, z central, so conjugate x
+    by every g and multiply by every z: O(n + z*|class|) per class."""
     t = G.table
     n = G.order
     inv = [t[g].index(0) for g in range(n)]
     z = naive_center(G)
-    coset_of = [-1] * n
-    coset_reps = []
-    for g in range(n):
-        if coset_of[g] < 0:
-            for zz in z:
-                coset_of[t[g][zz]] = len(coset_reps)
-            coset_reps.append(g)
-    class_of = [-1] * len(coset_reps)
+    class_of = [-1] * n
     sizes, reps = [], []
-    for c, r in enumerate(coset_reps):
-        if class_of[c] < 0:
-            cls = {coset_of[t[t[inv[g]][r]][g]] for g in range(n)}
-            for d in cls:
-                class_of[d] = len(reps)
+    for x in range(n):
+        if class_of[x] < 0:
+            conjugates = {t[t[inv[g]][x]][g] for g in range(n)}
+            cls = {t[zz][y] for zz in z for y in conjugates}
+            for y in cls:
+                class_of[y] = len(reps)
             sizes.append(len(cls))
-            reps.append(r)
+            reps.append(x)
     return class_of, sizes, reps
 
 
@@ -336,6 +332,7 @@ LARGE_CENTER = {
     "Dic_12": lambda: B("dicyclic", 12),
     "D_6xQ_8": lambda: direct_product(B("dihedral", 3), B("dicyclic", 2)),
     "ingested M_2mn(13,20)": lambda: relabelled(B("m2mn", 13, 20), 11),
+    "ingested A(3,nu)": lambda: relabelled(B("hanaki_a1", 3), 5),
 }
 
 
@@ -359,16 +356,14 @@ def test_commutation_queries_match_naive_oracles(build):
     assert G.commutativity_degree() == Fraction(pairs, G.order**2)
     assert G.quotient_classes == naive_quotient_classes(G)
     class_of, sizes, reps = G.quotient_classes
-    # class_masks[c] is the centralizer of some element of class c's cosets,
-    # not necessarily of reps[c]
-    coset_of, _ = G.cosets
+    # class_masks[c] is the centralizer of some element of class c, not
+    # necessarily of reps[c]
     class_cents = [set() for _ in reps]
-    for x, coset in enumerate(coset_of):
-        class_cents[class_of[coset]].add(cents[x])
+    for x, c in enumerate(class_of):
+        class_cents[c].add(cents[x])
     assert all(bits(m) in cs for m, cs in zip(G.class_masks, class_cents))
-    # each class's cosets carry z*|class| elements with its centralizer
-    z = len(G.center())
-    assert sum(z * k * m.bit_count() for k, m in zip(sizes, G.class_masks)) == pairs
+    # the sizes[c] elements of class c have centralizers of one order
+    assert sum(k * m.bit_count() for k, m in zip(sizes, G.class_masks)) == pairs
     assert G.is_abelian() == (pairs == G.order**2)
     assert commuting_graph(G).rows == naive_commuting_rows(G)
 
@@ -381,7 +376,6 @@ def test_unit_powers_share_the_class_mask(build):
     G = build()
     t = G.table
     z = set(naive_center(G))
-    coset_of, _ = G.cosets
     class_of, _, reps = G.quotient_classes
     masks = G.class_masks
     for c, r in enumerate(reps):
@@ -392,7 +386,7 @@ def test_unit_powers_share_the_class_mask(build):
         assert G.class_orders[c] == o
         for j, y in enumerate(powers, 1):
             if gcd(j, o) == 1:
-                d = class_of[coset_of[y]]
+                d = class_of[y]
                 assert masks[d] == masks[c]
                 assert G.class_orders[d] == o
 
@@ -401,8 +395,11 @@ def test_class_masks_of_pgl_2_7_are_one_per_class():
     # GL(2,7)/Z = PGL(2,7), with 9 classes against 336 cosets
     G = B("gl2", 7)
     class_of, sizes, _ = G.quotient_classes
-    assert (len(G.cosets[1]), len(sizes), len(G.class_masks)) == (336, 9, 9)
-    assert sum(sizes) == len(class_of) == 336
+    coset_of, coset_reps = center_cosets(G)
+    assert (len(coset_reps), len(sizes), len(G.class_masks)) == (336, 9, 9)
+    assert sum(sizes) == len(class_of) == 2016
+    # each class is a union of cosets of Z(G)
+    assert all(class_of[x] == class_of[coset_reps[c]] for x, c in enumerate(coset_of))
 
 
 def naive_is_abelian(G, mask):
@@ -431,7 +428,8 @@ def test_is_abelian_subgroup_on_s4():
 
 def test_large_centers_are_large():
     sizes = {name: len(build().center()) for name, build in LARGE_CENTER.items()}
-    assert sizes == {"GL(2,5)": 4, "Dic_12": 2, "D_6xQ_8": 2, "ingested M_2mn(13,20)": 20}
+    assert sizes == {"GL(2,5)": 4, "Dic_12": 2, "D_6xQ_8": 2, "ingested M_2mn(13,20)": 20,
+                     "ingested A(3,nu)": 8}
 
 
 @pytest.mark.parametrize("entry", CATALOG_64, ids=[e.label for e in CATALOG_64])
