@@ -495,12 +495,16 @@ def builtin_special_groups() -> list[FiniteGroup]:
 # ---------------------------------------------------------------------------
 
 def ingest_cayley(source) -> FiniteGroup:
-    """Parse and fully validate a Cayley-table file.
+    """Parse a Cayley-table file and prove it a group.
 
     Format: first line the order n, then n lines of n space-separated
     indices in [0, n) (row i lists the products g_i * g_j), optionally
     followed by a ``# name: <label>`` comment line.  The identity need not
-    be index 0 in the file; the group is renumbered so that it is.
+    be index 0 in the file: the rows are read straight into a table
+    renumbered so that it is, the others keeping their order, for the e that
+    row 0 names (g_0 * e = g_0, the first 0 there); only if e is no
+    two-sided identity is every element tried.  The parse proves every entry
+    an int in [0, n), so the table gets ``FiniteGroup.check_axioms`` alone.
     """
     text = _read_text(source)
     lines = [ln.strip() for ln in io.StringIO(text)]
@@ -521,34 +525,42 @@ def ingest_cayley(source) -> FiniteGroup:
             label = comment.lstrip("#").strip()[5:].strip()
     if len(body) != n:
         raise CayleyFormatError(f"expected {n} table rows, found {len(body)}")
-    # canonical decimals in [0, n) are read through one dict; any other row
-    # is re-read by _parse_row, which accepts it or names its fault
-    id_of = {str(i): i for i in range(n)}.__getitem__
-    table = []
-    for ln in body:
-        try:
-            row = list(map(id_of, ln.split()))
-        except KeyError:
-            row = _parse_row(ln, n)
-        if len(row) != n:
-            row = _parse_row(ln, n)
-        table.append(row)
-
+    row0 = _read_rows(body[:1], n, 0)[0]
+    table = _read_rows(body, n, row0.index(0) if 0 in row0 else 0)
     identity_row = list(range(n))
-    identity = next((e for e in range(n) if table[e] == identity_row
-                     and all(table[i][e] == i for i in range(n))), None)
-    if identity is None:
-        raise GroupTableError("identity axiom violated: no two-sided identity element")
-    if identity != 0:
-        # renumber so the identity is index 0, preserving the relative order
-        # of the remaining elements
-        old_order = [identity, *range(identity), *range(identity + 1, n)]
-        new_of_old = [*range(1, identity + 1), 0, *range(identity + 1, n)]
-        gather, renumber = itemgetter(*old_order), new_of_old.__getitem__
-        table = [list(map(renumber, gather(table[i]))) for i in old_order]
+    if table[0] != identity_row or [row[0] for row in table] != identity_row:
+        # e is no two-sided identity: try every element, in the file's numbering
+        table = _read_rows(body, n, 0)
+        identity = next((e for e in range(n) if table[e] == identity_row
+                         and all(table[i][e] == i for i in range(n))), None)
+        if identity is None:
+            raise GroupTableError("identity axiom violated: no two-sided identity element")
+        table = _read_rows(body, n, identity)
     G = FiniteGroup(table, label=label)
-    G.validate()
+    G.check_axioms()
     return G
+
+
+def _read_rows(body: list[str], n: int, e: int) -> list[list[int]]:
+    """The lines of ``body`` as a table renumbered so that element e is 0,
+    the others in order: line i is row new[i], its tokens read as new
+    labels, canonical decimals through one dict and any other row by
+    _parse_row, which accepts it or names its fault, in new column order."""
+    old = [e, *range(e), *range(e + 1, n)]  # the old label of each new one
+    new = [*range(1, e + 1), 0, *range(e + 1, n)]  # the new label of each old one
+    label_of = dict(zip(map(str, old), range(n))).__getitem__
+    gather = itemgetter(*old) if n > 1 else list
+    table: list = [None] * n
+    for i, ln in zip(new, body):
+        tokens = ln.split()
+        try:
+            row = list(map(label_of, gather(tokens))) if len(tokens) == n else None
+        except KeyError:
+            row = None
+        if row is None:
+            row = list(map(new.__getitem__, gather(_parse_row(ln, n))))
+        table[i] = row
+    return table
 
 
 def _parse_row(ln: str, n: int) -> list[int]:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import os
 import sys
+from functools import cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -507,7 +508,10 @@ def _add_param_range_flags(sub: _Parser) -> None:
                          help=f"{name} value or LO..HI range")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing changes none of
+    its state."""
     parser = _Parser(prog="groupzagreb",
                      description="Zagreb indices of commuting/non-commuting "
                                  "graphs of finite groups")

@@ -40,9 +40,11 @@ Cayley-table and edge-list parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
-``FiniteGroup.validate`` runs the full axiom screen and is applied to every
-ingested table; its associativity check is an exact proof at every order
-(Light's test on a generating set).
+``FiniteGroup.validate`` screens the entries and then proves the group
+axioms exactly at every order (``check_axioms``: identity, Latin rows,
+inverses, and Light's test on a generating set, which with them proves the
+columns Latin too).  An ingested table, whose parse has already proved
+every entry an int in [0, n), gets ``check_axioms`` alone.
 """
 
 from __future__ import annotations
@@ -413,34 +415,48 @@ class FiniteGroup:
     def validate(self) -> None:
         """Full group-axiom screen; raises GroupTableError naming the violation.
 
-        Associativity is Light's test on the generating set ``generators``:
-        the a with (x*a)*y == x*(a*y) for all x, y are closed under the
-        product, so it suffices that the checked elements generate the table.
-        There are at most log2(n) of them.
+        The entry screen proves every cell an int in [0, n); ``check_axioms``
+        that row 0 and column 0 are the identity map, the rows permutations,
+        j*i = 0 for the j with i*j = 0, and Light's test on ``generators``.
+        In any magma the a with (x*a)*y == x*(a*y) for all x, y contain the
+        identity and are closed under the product: (x*(a*b))*y =
+        ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).  With injective
+        left multiplications they form a group A.  So if the generators pass,
+        the greedy walk that found them ran inside A, as the group algorithm:
+        they generate the table, and A is all of it, an associative monoid
+        with inverses, a group.  Its columns are then permutations too, and
+        are not screened.
         """
-        t = self.table
+        self._screen_entries()
+        self.check_axioms()
+
+    def _screen_entries(self) -> None:
+        """Raise GroupTableError naming the first cell, in row-major order,
+        that is no int in [0, n)."""
         n = self.order
-        for i, row in enumerate(t):
+        for i, row in enumerate(self.table):
             # one C-level pass per row; the cells are walked only to name a bad one
             if all(map(isinstance, row, repeat(int))) and min(row) >= 0 and max(row) < n:
                 continue
             for j, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise GroupTableError(f"entry table[{i}][{j}]={v!r} out of range")
+
+    def check_axioms(self) -> None:
+        """The group axioms of a table whose cells are known to be ints in
+        [0, n), proved as ``validate`` sets out; raises GroupTableError
+        naming the first violation."""
+        t = self.table
+        n = self.order
         if t[0] != list(range(n)):
             raise GroupTableError("identity axiom violated: row 0 is not the identity map")
         for i in range(n):
             if t[i][0] != i:
                 raise GroupTableError("identity axiom violated: column 0 is not the identity map")
-        full = set(range(n))
         for i in range(n):
-            if set(t[i]) != full:
+            if len(set(t[i])) != n:
                 raise GroupTableError(f"Latin square violated: row {i} is not a permutation")
-        for col in zip(*t):
-            if set(col) != full:
-                raise GroupTableError("Latin square violated: a column is not a permutation")
-        for i in range(n):
-            j = t[i].index(0)
+        for i, j in enumerate(self._inverses):
             if t[j][i] != 0:
                 raise GroupTableError(f"element {i} has no two-sided inverse")
         for s in self.generators:

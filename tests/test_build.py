@@ -682,6 +682,67 @@ def test_canonical_table_is_read_without_the_per_row_parse(monkeypatch):
     assert G.commutativity_degree() == built.commutativity_degree()
 
 
+# -- the axioms after the parse ------------------------------------------------------
+
+def test_ingest_never_runs_the_entry_screen(monkeypatch):
+    def no_screen(self):
+        raise AssertionError("ingest ran the entry screen")
+
+    monkeypatch.setattr(FiniteGroup, "_screen_entries", no_screen)
+    built = B("hanaki_a2", 1, 3)
+    G = ingest_cayley(relabelled_text(built, 5))
+    assert G.commutativity_degree() == built.commutativity_degree()
+    with pytest.raises(GroupTableError, match="associativity"):
+        ingest_cayley(NONASSOC_LOOP)
+    rows = table_lines(special_group("S_4"), 11, 3)
+    rows[4][7] = rows[4][8]
+    with pytest.raises(GroupTableError, match="Latin square violated: row"):
+        ingest_cayley(cayley_text_from(rows))
+
+
+def _extra_zero_in_row_0(rows):
+    rows[0][3] = "0"  # a 0 before the identity's column 11
+
+
+def _no_zero_in_row_0(rows):
+    rows[0][11] = rows[0][3]
+
+
+def _identity_column_broken(rows):
+    rows[5][11] = rows[5][12]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_extra_zero_in_row_0, "Latin square violated: row 1 is not a permutation"),
+    (_no_zero_in_row_0, "identity axiom violated: no two-sided identity element"),
+    (_identity_column_broken, "identity axiom violated: no two-sided identity element"),
+])
+def test_wrong_row_0_candidate_keeps_the_message(edit, message):
+    rows = table_lines(special_group("S_4"), 11, 7)
+    assert rows[0].index("0") == 11
+    edit(rows)
+    with pytest.raises(GroupTableError) as err:
+        ingest_cayley(cayley_text_from(rows))
+    assert str(err.value) == message
+
+
+def test_group_rejects_a_table_whose_only_fault_is_a_column(tmp_path, capsys):
+    from groupzagreb.cli import main
+
+    rows = [[int(v) for v in r] for r in table_lines(special_group("S_4"), 11, 9)]
+    rows[4][2], rows[4][7] = rows[4][7], rows[4][2]  # off the identity's row and column
+    assert all(sorted(r) == list(range(24)) for r in rows)
+    assert any(sorted(col) != list(range(24)) for col in zip(*rows))
+    path = tmp_path / "column.cayley"
+    path.write_text(cayley_text_from(rows), encoding="utf-8")
+    assert main(["group", "--cayley", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {path}: ")
+    assert "associativity violated" in line or "has no two-sided inverse" in line
+
+
 # -- catalog ----------------------------------------------------------------------------
 
 def test_catalog_max_order_8():

@@ -1,7 +1,9 @@
 """Group queries against independent brute-force oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -698,6 +700,85 @@ def test_validate_rejects_intercalate_swap_at_520():
     t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
     with pytest.raises(GroupTableError, match="associativity"):
         FiniteGroup(t, label="swapped").validate()
+
+
+def naive_is_group(t):
+    """Whether t, with 0 a two-sided identity, is a group: associative at
+    every triple, and every element has a two-sided inverse."""
+    r = range(len(t))
+    return naive_associative(t) and all(any(t[i][j] == 0 == t[j][i] for j in r) for i in r)
+
+
+def tables_with_latin_rows(n):
+    """Every n x n table on 0..n-1 whose row 0 and column 0 are the identity
+    map and whose rows are permutations; its columns may repeat a value."""
+    rows = [[[i, *p] for p in permutations([v for v in range(n) if v != i])]
+            for i in range(1, n)]
+    return [[list(range(n)), *choice] for choice in product(*rows)]
+
+
+def test_validate_is_exact_on_order_4_tables_with_latin_rows():
+    tables = tables_with_latin_rows(4)
+    assert len(tables) == 216
+    assert sum(any(len(set(col)) < 4 for col in zip(*t)) for t in tables) == 212
+    groups = 0
+    for t in tables:
+        expected = naive_is_group(t)
+        groups += expected
+        try:
+            FiniteGroup(t, label="L").validate()
+            accepted = True
+        except GroupTableError:
+            accepted = False
+        assert accepted == expected, t
+    assert groups == 4  # Z_4 three ways, Z_2 x Z_2 one
+
+
+def test_validate_is_exact_on_z2_times_order_4_tables_with_latin_rows():
+    """Z_2 x T for each order-4 table T above, relabelled with the identity
+    kept at 0: the elements that pass Light's test include Z_2 x {0}, so the
+    greedy generators can pass it without generating the table."""
+    rng = random.Random(8)
+    groups = 0
+    for T in tables_with_latin_rows(4):
+        perm = [0, *rng.sample(range(1, 8), 7)]
+        t = [[0] * 8 for _ in range(8)]
+        for a, b, c, d in product(range(2), range(4), range(2), range(4)):
+            t[perm[4 * a + b]][perm[4 * c + d]] = perm[4 * (a ^ c) + T[b][d]]
+        expected = naive_is_group(t)
+        groups += expected
+        try:
+            FiniteGroup(t, label="L").validate()
+            accepted = True
+        except GroupTableError:
+            accepted = False
+        assert accepted == expected, t
+    assert groups == 4
+
+
+def test_validate_rejects_every_within_row_swap_of_catalog_64():
+    """Swapping two cells of row x > 0 off column 0 keeps the identity and
+    the Latin rows, but repeats a value in both columns, so no such table is
+    a group; with no column screen, the associativity or the inverse check
+    must reject each one."""
+    rng = random.Random(64)
+    seen = set()
+    faults = Counter()
+    for entry in catalog(64):
+        G = entry.build()
+        if G.fingerprint in seen:
+            continue
+        seen.add(G.fingerprint)
+        n = G.order
+        for x in range(1, n):
+            t = list(G.table)
+            t[x] = t[x][:]
+            a, b = rng.sample(range(1, n), 2)
+            t[x][a], t[x][b] = t[x][b], t[x][a]
+            with pytest.raises(GroupTableError) as err:
+                FiniteGroup(t, label="swapped").validate()
+            faults[str(err.value).split()[0]] += 1
+    assert set(faults) == {"associativity", "element"}, faults
 
 
 def test_element_order():
