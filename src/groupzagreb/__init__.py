@@ -6,7 +6,6 @@ from .build import (
     CatalogEntry,
     FamilySpec,
     build_family,
-    builtin_special_groups,
     catalog,
     direct_product,
     ingest_cayley,
@@ -33,8 +32,8 @@ from .zagreb import (
 )
 
 __all__ = [
-    "CatalogEntry", "FamilySpec", "build_family", "builtin_special_groups",
-    "catalog", "direct_product", "ingest_cayley",
+    "CatalogEntry", "FamilySpec", "build_family", "catalog",
+    "direct_product", "ingest_cayley",
     "FiniteGroup",
     "FormulaEntry", "FormulaPrediction", "crosscheck", "registry_for",
     "CliqueDecomposition", "ConjectureVerdict", "SimpleGraph", "Verdict",

@@ -9,14 +9,16 @@ the CLI read the same table.
 A builder numbers its elements and hands ``FiniteGroup`` the order, a
 ``row_of`` for any one element and the inverse map, both from its own
 arithmetic; a row is computed only when a query reads it, by a few C-level
-gathers over shared index lists.  One abelian-by-cyclic normal form,
-(x, y) b^j with A = Z_m1 x Z_m2 and b acting on A by a 2x2 integer matrix,
-builds every solvable family and special group.  GL(2,q), SL(2,q) =
-PSL(2,2^k) and the unitriangular A(n,p) number their column vectors; left
-multiplication permutes each column on its own, so a row reads a table of
-the elements by their two column keys.  A(n,nu) permutes one block of q
-cells per a', a direct product one block of H per cell of G's row.  S_4 is
-built on its permutations; no group is built by coset enumeration.
+gathers over shared index lists, and the full table of a built group is
+every such row, so no second construction composes it.  One
+abelian-by-cyclic normal form, (x, y) b^j with A = Z_m1 x Z_m2 and b acting
+on A by a 2x2 integer matrix, builds every solvable family and special
+group.  GL(2,q), SL(2,q) = PSL(2,2^k) and the unitriangular A(n,p) number
+their column vectors; left multiplication permutes each column on its own,
+so a row reads a table of the elements by their two column keys.  A(n,nu)
+permutes one block of q cells per a', a direct product one block of H per
+cell of G's row.  S_4 is built on its permutations; no group is built by
+coset enumeration.
 """
 
 from __future__ import annotations
@@ -397,7 +399,13 @@ class FamilySpec(_FamilyParams):
 # ---------------------------------------------------------------------------
 
 def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build the group for a family spec as a validated FiniteGroup."""
+    """Build the group for a family spec as a validated FiniteGroup.  No valid
+    parameter exceeds its group's order, so one above the cap is refused
+    without computing the order, which may be too large to compute or print."""
+    for name, v in zip(FAMILIES[spec.family].params, spec.params):
+        if v > order_cap:
+            raise OrderCapError(
+                f"{spec.family} {name}={v} is above the cap {order_cap}, and so is the order")
     expected = spec.order()
     if expected > order_cap:
         raise OrderCapError(
@@ -485,11 +493,6 @@ def special_group(name: str) -> FiniteGroup:
     return G
 
 
-def builtin_special_groups() -> list[FiniteGroup]:
-    """The named groups from the planarity/toroidality results, concretely built."""
-    return [special_group(name) for name in SPECIAL_GROUPS]
-
-
 # ---------------------------------------------------------------------------
 # Cayley-table ingestion
 # ---------------------------------------------------------------------------
@@ -504,7 +507,8 @@ def ingest_cayley(source) -> FiniteGroup:
     renumbered so that it is, the others keeping their order, for the e that
     row 0 names (g_0 * e = g_0, the first 0 there); only if e is no
     two-sided identity is every element tried.  The parse proves every entry
-    an int in [0, n), so the table gets ``FiniteGroup.check_axioms`` alone.
+    an int in [0, n) and the search that row 0 and column 0 are the identity
+    map, so the table gets ``FiniteGroup.check_axioms`` alone.
     """
     text = _read_text(source)
     lines = [ln.strip() for ln in io.StringIO(text)]
@@ -583,15 +587,12 @@ def _parse_row(ln: str, n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class CatalogEntry(NamedTuple):
-    """One buildable catalog item; sortable by (order, family, params, label)."""
+    """One buildable catalog item; its fields, in order, are its sort key."""
 
     order: int
     family: str
     params: tuple[int, ...]
     label: str
-
-    def sort_key(self):
-        return (self.order, self.family, self.params, self.label)
 
     def check_cap(self, order_cap: int) -> None:
         if self.order > order_cap:
@@ -619,4 +620,4 @@ def catalog(max_order: int) -> list[CatalogEntry]:
         for name, (order, _) in SPECIAL_GROUPS.items()
         if order <= max_order
     ]
-    return sorted(entries, key=CatalogEntry.sort_key)
+    return sorted(entries)

@@ -395,10 +395,6 @@ class CrosscheckResult(NamedTuple):
     diffs: tuple[FieldDiff, ...]
     alt_mismatches: tuple[FieldDiff, ...]
 
-    @property
-    def clean(self) -> bool:
-        return not self.diffs
-
 
 def crosscheck(
     entry: FormulaEntry, params: tuple[int, ...], report: GroupReport

@@ -11,15 +11,16 @@ report, the formula dispatch and the cross-check read the rows of the
 generators, of the class representatives of G/Z(G) that
 ``class_masks`` walks and of the generators of Z(G), and no other: for
 D_2000 that is 14 of 2000 rows, for GL(2,7) 20 of 2016.
-``FiniteGroup.table`` is the full list of rows; for a built group ``close``
-materializes it on first access, for validation and the tests.
+``FiniteGroup.table`` is the full list of rows; a built group computes
+every row on its first access, for validation and the tests.
 
 A greedy generating set (at most log2(n) elements, found once and cached,
 a subgroup closed one left coset at a time) serves validation, the center
 and ``fingerprint``: the generators' rows fix the whole table, so two
 groups share a fingerprint iff they share a table.  Z(G) is the
-intersection of the generators' centralizers, one row and n cells per
-generator.  Conjugation by the generators, one cached map each, and left
+intersection of the generators' centralizer masks, one row and n cells per
+generator, from ``_centralizer_mask``, the one commutation primitive.
+Conjugation by the generators, one cached map each, and left
 multiplication by a greedy generating set of Z(G) label every element with
 its class of G/Z(G) in one walk (``quotient_classes``): the class of xZ(G)
 is the set of the c*h*x*h^-1 with c central, so no coset is numbered on the
@@ -34,17 +35,17 @@ Zagreb sums of ``zagreb.group_report``, k(G) = sum_x |C_G(x)| / n and
 Pr(G) = k(G)/n, the distinct-centralizer count, which adds the center of
 each class's centralizer, at most log2 of its order further masks, and the
 element orders of G/Z(G) from which ``formulas.registry_for`` reads its
-shape; no quotient table is built.  ``centralizer(x)`` computes the one
-mask it returns.  Also here: the reader of text sources that the
-Cayley-table and edge-list parsers share.
+shape; no quotient table is built.  Also here: the reader of text sources
+that the Cayley-table and edge-list parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
-``FiniteGroup.validate`` screens the entries and then proves the group
-axioms exactly at every order (``check_axioms``: identity, Latin rows,
-inverses, and Light's test on a generating set, which with them proves the
-columns Latin too).  An ingested table, whose parse has already proved
-every entry an int in [0, n), gets ``check_axioms`` alone.
+``FiniteGroup.validate`` screens the entries, checks that row 0 and
+column 0 are the identity map, and then proves the other group axioms
+exactly at every order (``check_axioms``: Latin rows, inverses, and Light's
+test on a generating set, which with them proves the columns Latin too).
+An ingested table, whose parse has already proved every entry an int in
+[0, n) and found the identity, gets ``check_axioms`` alone.
 """
 
 from __future__ import annotations
@@ -69,38 +70,6 @@ class GroupTableError(ValueError):
 
 class AbelianGroupError(ValueError):
     """Raised where a non-abelian group is required (commuting graphs)."""
-
-
-def close(n: int, row_of: Callable[[int], list[int]]) -> list[list[int]]:
-    """The Cayley table of an order-n group from the rows of a generating set.
-
-    Row p is left multiplication by p, so row(p*g)[j] = p*(g*j) is row(p)
-    read at the entries of row(g): one C-level gather, prebuilt once per
-    generator g, and the new element p*g is row(p)[g].  The walk takes the
-    elements in index order.  An element the rows so far do not reach gets
-    its row from ``row_of(s)``, and the reached set is then closed under
-    right multiplication by every generator obtained that way.  Each such
-    element at least doubles the subgroup reached, so ``row_of`` runs at
-    most log2(n) times.  Index 0 must be the identity.
-    """
-    rows: list[list[int] | None] = [None] * n
-    rows[0] = list(range(n))
-    gens: list[tuple[int, itemgetter]] = []
-    for s in range(1, n):
-        if rows[s] is not None:
-            continue
-        rows[s] = row_of(s)
-        gens.append((s, itemgetter(*rows[s])))
-        todo = [p for p in range(n) if rows[p] is not None]
-        while todo:
-            p = todo.pop()
-            rp = rows[p]
-            for g, gather in gens:
-                q = rp[g]
-                if rows[q] is None:
-                    rows[q] = list(gather(rp))
-                    todo.append(q)
-    return rows
 
 
 class FiniteGroup:
@@ -128,7 +97,7 @@ class FiniteGroup:
             self._rows: list[list[int] | None] = [None] * order
             self._inverses = inverses  # set on the instance, so the table is never read
         else:
-            self.table = table  # set on the instance, so ``close`` never runs
+            self.table = table  # set on the instance: the rows are its list
             self.order = len(table)
             self._rows = table
             if any(len(row) != self.order for row in table):
@@ -155,16 +124,9 @@ class FiniteGroup:
 
     @cached_property
     def table(self) -> list[list[int]]:
-        """Every row, table[i][j] = g_i * g_j.  A built group fills it on
-        first access with ``close``, from the rows of a generating set; the
-        report path never reads it."""
-        rows = close(self.order, self.row)
-        self._rows = rows
-        return rows
-
-    # -- basic operations ---------------------------------------------------
-    def inverse(self, i: int) -> int:
-        return self._inverses[i]
+        """Every row, table[i][j] = g_i * g_j.  A built group computes each
+        row with ``row`` on first access; the report path never reads it."""
+        return [self.row(x) for x in range(self.order)]
 
     # -- generators and the center -----------------------------------------------
     @cached_property
@@ -226,24 +188,11 @@ class FiniteGroup:
         sets its builder's map on the instance instead."""
         return [row.index(0) for row in self._rows]
 
-    def _commutes_with(self, x: int) -> bytes:
-        """Byte g is 1 iff x*g == g*x, for x other than the identity.
-
-        Since x*(x*g)^-1 = x*g^-1*x^-1, x*g == g*x iff x*(x*g)^-1 == g^-1:
-        the inverses read along row x, row x read at those, compared with the
-        inverses.  Two C-level gathers of n cells, and no other row is read.
-        """
-        row = self.row(x)
-        inv = self._inverses
-        return bytes(map(eq, itemgetter(*itemgetter(*row)(inv))(row), inv))
-
     @cached_property
     def _center(self) -> tuple[int, ...]:
         # Z(G) is the intersection of the generators' centralizers
-        z = b"\x01" * self.order
-        for s in self.generators:
-            z = bytes(map(and_, z, self._commutes_with(s)))
-        return tuple(compress(range(self.order), z))
+        z = reduce(and_, map(self._centralizer_mask, self.generators), (1 << self.order) - 1)
+        return tuple(self._members(z))
 
     def center(self) -> tuple[int, ...]:
         return self._center
@@ -299,9 +248,15 @@ class FiniteGroup:
 
     # -- the commutation relation ----------------------------------------------
     def _centralizer_mask(self, x: int) -> int:
-        """C_G(x) as a bitmask, bit g set iff x*g == g*x: the bytes of
-        ``_commutes_with`` reversed, so that g = 0 is the lowest bit."""
-        return int(self._commutes_with(x)[::-1].translate(_BIT_CHARS), 2)
+        """C_G(x) as a bitmask, bit g set iff x*g == g*x, in a group of order
+        at least 2.  Since x*(x*g)^-1 = x*g^-1*x^-1, x*g == g*x iff
+        x*(x*g)^-1 == g^-1: the inverses read along row x, row x read at
+        those, compared with the inverses, two C-level gathers of n cells
+        that read no other row; reversed, the bytes put g = 0 lowest."""
+        row = self.row(x)
+        inv = self._inverses
+        same = bytes(map(eq, itemgetter(*itemgetter(*row)(inv))(row), inv))
+        return int(same[::-1].translate(_BIT_CHARS), 2)
 
     @cached_property
     def _power_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -376,12 +331,6 @@ class FiniteGroup:
         gens = self._greedy_generators(self._members(mask))
         return all(row(a)[b] == row(b)[a] for i, a in enumerate(gens) for b in gens[:i])
 
-    def centralizer(self, x: int) -> tuple[int, ...]:
-        """C_G(x), ascending; a central x commutes with everything."""
-        if x in self.center():
-            return tuple(range(self.order))
-        return tuple(self._members(self._centralizer_mask(x)))
-
     def count_distinct_centralizers(self) -> int:
         """|Cent(G)|, the number of distinct subgroups C_G(x), G included.
 
@@ -415,9 +364,10 @@ class FiniteGroup:
     def validate(self) -> None:
         """Full group-axiom screen; raises GroupTableError naming the violation.
 
-        The entry screen proves every cell an int in [0, n); ``check_axioms``
-        that row 0 and column 0 are the identity map, the rows permutations,
-        j*i = 0 for the j with i*j = 0, and Light's test on ``generators``.
+        The entry screen proves every cell an int in [0, n), the identity
+        checks that row 0 and column 0 are the identity map, and
+        ``check_axioms`` that the rows are permutations, j*i = 0 for the j
+        with i*j = 0, and Light's test on ``generators``.
         In any magma the a with (x*a)*y == x*(a*y) for all x, y contain the
         identity and are closed under the product: (x*(a*b))*y =
         ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).  With injective
@@ -428,6 +378,11 @@ class FiniteGroup:
         are not screened.
         """
         self._screen_entries()
+        identity = list(range(self.order))
+        if self.table[0] != identity:
+            raise GroupTableError("identity axiom violated: row 0 is not the identity map")
+        if [row[0] for row in self.table] != identity:
+            raise GroupTableError("identity axiom violated: column 0 is not the identity map")
         self.check_axioms()
 
     def _screen_entries(self) -> None:
@@ -443,16 +398,12 @@ class FiniteGroup:
                     raise GroupTableError(f"entry table[{i}][{j}]={v!r} out of range")
 
     def check_axioms(self) -> None:
-        """The group axioms of a table whose cells are known to be ints in
-        [0, n), proved as ``validate`` sets out; raises GroupTableError
-        naming the first violation."""
+        """The other group axioms of a table whose cells are ints in [0, n)
+        and whose row 0 and column 0 are the identity map, proved as
+        ``validate`` sets out; raises GroupTableError naming the first one
+        violated."""
         t = self.table
         n = self.order
-        if t[0] != list(range(n)):
-            raise GroupTableError("identity axiom violated: row 0 is not the identity map")
-        for i in range(n):
-            if t[i][0] != i:
-                raise GroupTableError("identity axiom violated: column 0 is not the identity map")
         for i in range(n):
             if len(set(t[i])) != n:
                 raise GroupTableError(f"Latin square violated: row {i} is not a permutation")

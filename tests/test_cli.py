@@ -114,9 +114,23 @@ def test_family_rejects_a_flag_the_family_does_not_take(capsys):
 
 
 def test_family_order_cap_is_validation_error(capsys):
-    code, _, err = run(capsys, "family", "psl2", "--k", "3", "--order-cap", "100")
-    assert code == 2
-    assert "cap" in err
+    code, out, err = run(capsys, "family", "psl2", "--k", "3", "--order-cap", "100")
+    assert (code, out, err) == (2, "", "error: PSL(2,8) has order 504, above the cap 100\n")
+
+
+# orders too large to print (4^10000, 2^60000) or to compute at all
+# (2^3000000000): the parameter is refused before the order is computed
+@pytest.mark.parametrize("argv,line", [
+    (("hanaki_a1", "--n", "10000"),
+     "error: hanaki_a1 n=10000 is above the cap 5000, and so is the order"),
+    (("psl2", "--k", "20000"),
+     "error: psl2 k=20000 is above the cap 5000, and so is the order"),
+    (("hanaki_a2", "--n", "1000000000", "--p", "2"),
+     "error: hanaki_a2 n=1000000000 is above the cap 5000, and so is the order"),
+])
+def test_family_huge_parameter_is_one_line_validation_error(capsys, argv, line):
+    code, out, err = run(capsys, "family", *argv)
+    assert (code, out, err) == (2, "", line + "\n")
 
 
 # -- verify ---------------------------------------------------------------------
@@ -138,6 +152,12 @@ def test_verify_m2mn_skips_m4(capsys):
     code, out, _ = run(capsys, "verify", "m2mn", "--m", "3..5", "--n", "1..2")
     assert code == 0
     assert "4 instances checked, 2 skipped" in out
+
+
+def test_verify_skips_a_huge_parameter(capsys):
+    code, out, _ = run(capsys, "verify", "hanaki_a2", "--n", "1000000000", "--p", "2")
+    assert code == 0
+    assert "0 instances checked, 1 skipped" in out
 
 
 def test_verify_rejects_a_flag_the_family_does_not_take(capsys):
@@ -368,12 +388,14 @@ def test_scan_512_bytes_match_recorded_digest(capsys):
 
 def _count_masks(monkeypatch):
     """Counts the centralizer masks computed, one call of
-    ``FiniteGroup._centralizer_mask`` each."""
+    ``FiniteGroup._centralizer_mask`` each, other than the one per generator
+    of G that Z(G) takes."""
     calls = [0]
     mask = FiniteGroup._centralizer_mask
 
     def counted(G, x):
-        calls[0] += 1
+        # Z(G) maps the generators to masks from C, so it is the calling frame
+        calls[0] += sys._getframe(1).f_code.co_name != "_center"
         return mask(G, x)
 
     monkeypatch.setattr(FiniteGroup, "_centralizer_mask", counted)

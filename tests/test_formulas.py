@@ -255,26 +255,26 @@ def test_quot_dihedral_at_d4_is_quot_zpzp_at_2():
 def test_v8n_even_alt_forms_flagged():
     G = B("v8n", 2)
     res = crosscheck(ENTRIES["v8n"], (2,), report=group_report(G))
-    assert res.clean
+    assert not res.diffs
     flagged = {d.field: d.predicted for d in res.alt_mismatches}
     assert flagged == {"m1_nc": 1328, "m2_nc": 4780}
 
 
 def test_v8n_odd_has_no_alt_mismatch():
     res = crosscheck(ENTRIES["v8n"], (3,), report=group_report(B("v8n", 3)))
-    assert res.clean and not res.alt_mismatches
+    assert not res.diffs and not res.alt_mismatches
 
 
 def test_sd8n_odd_alt_forms_flagged():
     res = crosscheck(ENTRIES["sd8n"], (3,), report=group_report(B("sd8n", 3)))
-    assert res.clean
+    assert not res.diffs
     fields = {d.field for d in res.alt_mismatches}
     assert fields == {"m1_nc", "m2_nc"}
 
 
 def test_sd8n_equality_claim_flagged_at_n2():
     res = crosscheck(ENTRIES["sd8n"], (2,), report=group_report(B("sd8n", 2)))
-    assert res.clean  # the confirmed prediction (strict) matches the oracle
+    assert not res.diffs  # the confirmed prediction (strict) matches the oracle
     eq_flags = [d for d in res.alt_mismatches if d.field.startswith("equality")]
     assert len(eq_flags) == 2
     assert all(d.predicted is True and d.actual is False for d in eq_flags)
@@ -282,14 +282,14 @@ def test_sd8n_equality_claim_flagged_at_n2():
 
 def test_pq_alt_forms_flagged():
     res = crosscheck(ENTRIES["pq"], (2, 3), report=group_report(B("pq", 2, 3)))
-    assert res.clean
+    assert not res.diffs
     flagged = {d.field: d.predicted for d in res.alt_mismatches}
     assert flagged["m1_nc"] == 26  # against the confirmed 66
 
 
 def test_psl2_alt_forms_flagged():
     res = crosscheck(ENTRIES["psl2"], (2,), report=group_report(B("psl2", 2)))
-    assert res.clean
+    assert not res.diffs
     flagged = {d.field: d.predicted for d in res.alt_mismatches}
     assert flagged["m1_nc"] == 184988  # against the confirmed 184620
     assert set(flagged) == {"edges_c", "edges_nc", "m1_nc", "m2_nc"}
@@ -297,7 +297,7 @@ def test_psl2_alt_forms_flagged():
 
 def test_quot_zpzp_alt_m2_nc_flagged():
     res = crosscheck(ENTRIES["quot_zpzp"], (2, 2), report=group_report(B("dicyclic", 2)))
-    assert res.clean
+    assert not res.diffs
     flagged = {d.field: d.predicted for d in res.alt_mismatches}
     assert flagged == {"m2_nc": 288}  # against the confirmed 192
 
@@ -327,7 +327,7 @@ def test_registry_for_ingested_heisenberg():
     keys = {(a.entry.key, a.params) for a in apps}
     assert keys == {("quot_zpzp", (3, 3))}
     res = crosscheck(ENTRIES["quot_zpzp"], (3, 3), report=group_report(G))
-    assert res.clean
+    assert not res.diffs
     pred = ENTRIES["quot_zpzp"].evaluate((3, 3))
     assert pred.equality_c and pred.equality_nc
 
@@ -436,7 +436,7 @@ def test_quotient_orders_match_the_quotient_table(entry):
 
 def test_crosscheck_clean_for_d14():
     res = crosscheck(ENTRIES["dihedral"], (7,), report=group_report(B("dihedral", 7)))
-    assert res.clean and not res.alt_mismatches
+    assert not res.diffs and not res.alt_mismatches
 
 
 def test_crosscheck_reports_field_diffs_against_wrong_group():
@@ -449,5 +449,5 @@ def test_crosscheck_reports_field_diffs_against_wrong_group():
 def test_crosscheck_accepts_precomputed_report():
     G = B("dihedral", 7)
     rep = group_report(G)
-    assert crosscheck(ENTRIES["dihedral"], (7,), report=rep).clean
+    assert not crosscheck(ENTRIES["dihedral"], (7,), report=rep).diffs
 
