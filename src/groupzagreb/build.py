@@ -32,6 +32,7 @@ from . import ff
 from .grp import FiniteGroup, GroupTableError, _read_text
 
 DEFAULT_ORDER_CAP = 5000
+_LONG_ORDER = 10 ** 4300  # the least order with more digits than Python prints by default
 
 
 class FamilyError(ValueError):
@@ -399,19 +400,23 @@ class FamilySpec(_FamilyParams):
 # ---------------------------------------------------------------------------
 
 def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build the group for a family spec as a validated FiniteGroup.  No valid
-    parameter exceeds its group's order, so one above the cap is refused
-    without computing the order, which may be too large to compute or print."""
-    for name, v in zip(FAMILIES[spec.family].params, spec.params):
-        if v > order_cap:
-            raise OrderCapError(
-                f"{spec.family} {name}={v} is above the cap {order_cap}, and so is the order")
-    expected = spec.order()
+    """Build the group for a family spec as a validated FiniteGroup.
+
+    An order above the cap is named, or its parameters where it has too many
+    digits to print.  No order shrinks as a parameter grows and an exponent v
+    gives at least 2**v, so the order with each parameter clamped to the bit
+    length of ``limit`` is a cheap lower bound, and it exceeds ``limit`` when
+    the order itself might take hours to compute."""
+    fam = FAMILIES[spec.family]
+    limit = max(order_cap, _LONG_ORDER)
+    clamped = (min(v, limit.bit_length()) for v in spec.params)
+    expected = spec.order() if fam.order(*clamped) <= limit else limit + 1
     if expected > order_cap:
-        raise OrderCapError(
-            f"{spec.label()} has order {expected}, above the cap {order_cap}"
-        )
-    G = FAMILIES[spec.family].build(*spec.params)
+        params = ", ".join(map("{}={}".format, fam.params, spec.params))
+        named = (f"{spec.label()} has order {expected}" if expected < _LONG_ORDER
+                 else f"{spec.family} {params} has an order too long to print")
+        raise OrderCapError(f"{named}, above the cap {order_cap}")
+    G = fam.build(*spec.params)
     G.label = spec.label()
     if G.order != expected:
         raise FamilyError(

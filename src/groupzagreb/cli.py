@@ -78,9 +78,6 @@ class ScanRow(NamedTuple):
     gap_nc: str
     formula_diffs: int
 
-    def sort_key(self):
-        return (self.order, self.family, self.params, self.label)
-
     def csv_fields(self) -> list:
         # params is the one non-scalar field: ";"-joined in CSV, a list in JSON
         return list(self._replace(params=";".join(map(str, self.params))))
@@ -246,7 +243,6 @@ def _cmd_family(args, parser: _Parser) -> int:
         spec = FamilySpec(args.family, _family_params(args, args.family, parser))
     except FamilyError as exc:
         parser.error(str(exc))
-        return EXIT_USAGE  # pragma: no cover
     try:
         G = build_family(spec, order_cap=args.order_cap)
     except OrderCapError as exc:
@@ -375,7 +371,7 @@ def _cmd_scan(args, parser: _Parser) -> int:
                 continue
             rows.append(_row_for_group(G, "ingested", ()))
 
-    rows.sort(key=ScanRow.sort_key)
+    rows.sort(key=lambda r: (r.order, r.family, r.params, r.label))
     counts = {"groups": len(rows), "strict": 0, "equality": 0, "fails": 0, "undefined": 0}
     for r in rows:
         counts[r.verdict_c] += 1

@@ -11,6 +11,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 from itertools import groupby
 from pathlib import Path
 
@@ -118,16 +119,37 @@ def test_family_order_cap_is_validation_error(capsys):
     assert (code, out, err) == (2, "", "error: PSL(2,8) has order 504, above the cap 100\n")
 
 
-# orders too large to print (4^10000, 2^60000) or to compute at all
-# (2^3000000000): the parameter is refused before the order is computed
+# orders too long to print (4^10000, 2^60000, 2^14400, 3^9300, the
+# 4301-digit 2*6e4299) or to compute at all (2^3000000000, also under a
+# raised cap): the refusal names the parameters, and the order is computed
+# only when it is small enough to print
+_BIG_M = "6" + "0" * 4299
+
+
 @pytest.mark.parametrize("argv,line", [
     (("hanaki_a1", "--n", "10000"),
-     "error: hanaki_a1 n=10000 is above the cap 5000, and so is the order"),
+     "error: hanaki_a1 n=10000 has an order too long to print, above the cap 5000"),
     (("psl2", "--k", "20000"),
-     "error: psl2 k=20000 is above the cap 5000, and so is the order"),
+     "error: psl2 k=20000 has an order too long to print, above the cap 5000"),
     (("hanaki_a2", "--n", "1000000000", "--p", "2"),
-     "error: hanaki_a2 n=1000000000 is above the cap 5000, and so is the order"),
-])
+     "error: hanaki_a2 n=1000000000, p=2 has an order too long to print, above the cap 5000"),
+    (("psl2", "--k", "4800"),
+     "error: psl2 k=4800 has an order too long to print, above the cap 5000"),
+    (("hanaki_a2", "--n", "4800", "--p", "2"),
+     "error: hanaki_a2 n=4800, p=2 has an order too long to print, above the cap 5000"),
+    (("hanaki_a2", "--n", "3100", "--p", "3"),
+     "error: hanaki_a2 n=3100, p=3 has an order too long to print, above the cap 5000"),
+    (("dihedral", "--m", _BIG_M),
+     f"error: dihedral m={_BIG_M} has an order too long to print, above the cap 5000"),
+    (("hanaki_a2", "--n", "1000000000", "--p", "2", "--order-cap", "10000000000"),
+     "error: hanaki_a2 n=1000000000, p=2 has an order too long to print,"
+     " above the cap 10000000000"),
+    # a printable order is named, whatever the size of the parameter
+    (("dihedral", "--m", "6000"), "error: D_12000 has order 12000, above the cap 5000"),
+    (("psl2", "--k", "20"),
+     "error: PSL(2,1048576) has order 1152921504605798400, above the cap 5000"),
+], ids=["a1-10000", "psl2-20000", "a2-1e9", "psl2-4800", "a2-4800-2", "a2-3100-3",
+        "dihedral-4300-digits", "a2-1e9-raised-cap", "dihedral-6000", "psl2-20"])
 def test_family_huge_parameter_is_one_line_validation_error(capsys, argv, line):
     code, out, err = run(capsys, "family", *argv)
     assert (code, out, err) == (2, "", line + "\n")
@@ -154,10 +176,21 @@ def test_verify_m2mn_skips_m4(capsys):
     assert "4 instances checked, 2 skipped" in out
 
 
-def test_verify_skips_a_huge_parameter(capsys):
-    code, out, _ = run(capsys, "verify", "hanaki_a2", "--n", "1000000000", "--p", "2")
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    ("hanaki_a2", "--n", "1000000000", "--p", "2"),
+    ("hanaki_a2", "--n", "4800", "--p", "2"),
+    ("psl2", "--k", "4800"),
+], ids=["a2-1e9", "a2-4800-2", "psl2-4800"])
+def test_verify_skips_a_huge_parameter(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
     assert "0 instances checked, 1 skipped" in out
+
+
+def test_verify_skips_huge_orders_in_a_range(capsys):
+    code, out, err = run(capsys, "verify", "psl2", "--k", "2..5000")
+    assert (code, err) == (0, "")
+    assert "3 instances checked, 4996 skipped, 0 diffs" in out
 
 
 def test_verify_rejects_a_flag_the_family_does_not_take(capsys):
@@ -392,13 +425,20 @@ def _count_masks(monkeypatch):
     of G that Z(G) takes."""
     calls = [0]
     mask = FiniteGroup._centralizer_mask
+    center = FiniteGroup._center.func
 
     def counted(G, x):
-        # Z(G) maps the generators to masks from C, so it is the calling frame
-        calls[0] += sys._getframe(1).f_code.co_name != "_center"
+        calls[0] += 1
         return mask(G, x)
 
+    def uncounted_center(G):
+        calls[0] -= len(G.generators)
+        return center(G)
+
     monkeypatch.setattr(FiniteGroup, "_centralizer_mask", counted)
+    prop = cached_property(uncounted_center)
+    prop.__set_name__(FiniteGroup, "_center")
+    monkeypatch.setattr(FiniteGroup, "_center", prop)
     return calls
 
 

@@ -75,6 +75,8 @@ def test_gf4_modulus_is_unique_irreducible_quadratic():
         if oracle_irreducible((c0, c1, 1), 2)
     ]
     assert irreducibles == [(1, 1, 1)]  # x^2 + x + 1
+    # and the library multiplies by it: x*x = x + 1, elements as base-2 digits
+    assert ff.field_of_order(4)[1][2][2] == 3
 
 
 def test_prime_fields_trivial():
