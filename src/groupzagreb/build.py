@@ -373,16 +373,28 @@ class _FamilyParams(NamedTuple):
 
 
 class FamilySpec(_FamilyParams):
-    """A family name plus parameter tuple, e.g. FamilySpec("dihedral", (6,))."""
+    """A family name plus parameter tuple, e.g. FamilySpec("dihedral", (6,)).
+
+    With ``order_cap``, a parameter above it is refused as over the cap
+    (OrderCapError) before the validity rule runs, which may trial-divide
+    it: no valid parameter exceeds its group's order, so no such group is
+    within the cap."""
 
     __slots__ = ()
 
-    def __new__(cls, family: str, params: tuple[int, ...] = ()):
+    def __new__(cls, family: str, params: tuple[int, ...] = (),
+                order_cap: int | None = None):
         fam = FAMILIES.get(family)
         if fam is None:
             raise FamilyError(f"unknown family {family!r}")
         if len(params) != len(fam.params):
             raise FamilyError(f"family {family} takes parameters {fam.params}, got {params}")
+        if order_cap is not None and max(params, default=0) > order_cap:
+            # an order is named only where every parameter is >= 1, the
+            # domain on which no order shrinks as a parameter grows
+            why = _cap_refusal(family, params, order_cap) if min(params) >= 1 else None
+            raise OrderCapError(why or f"{family} {_named(fam, params)} has a parameter "
+                                       f"above the cap {order_cap}")
         err = fam.check(*params)
         if err:
             raise FamilyError(f"{family}{params}: {err}")
@@ -395,32 +407,44 @@ class FamilySpec(_FamilyParams):
         return FAMILIES[self.family].label(*self.params)
 
 
+def _named(fam: Family, params: tuple[int, ...]) -> str:
+    return ", ".join(map("{}={}".format, fam.params, params))
+
+
+def _cap_refusal(family: str, params: tuple[int, ...], order_cap: int) -> str | None:
+    """Why the group of ``family`` at ``params`` is above ``order_cap``,
+    naming its order, or its parameters where it has too many digits to
+    print; None if it is within the cap.  No order shrinks as a parameter
+    grows and an exponent v gives at least 2**v, so the order with each
+    parameter clamped to the bit length of ``limit`` is a cheap lower bound,
+    and it exceeds ``limit`` when the order itself might take hours to
+    compute."""
+    fam = FAMILIES[family]
+    limit = max(order_cap, _LONG_ORDER)
+    clamped = (min(v, limit.bit_length()) for v in params)
+    order = fam.order(*params) if fam.order(*clamped) <= limit else limit + 1
+    if order <= order_cap:
+        return None
+    named = (f"{fam.label(*params)} has order {order}" if order < _LONG_ORDER
+             else f"{family} {_named(fam, params)} has an order too long to print")
+    return f"{named}, above the cap {order_cap}"
+
+
 # ---------------------------------------------------------------------------
 # build_family / direct products
 # ---------------------------------------------------------------------------
 
 def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build the group for a family spec as a validated FiniteGroup.
-
-    An order above the cap is named, or its parameters where it has too many
-    digits to print.  No order shrinks as a parameter grows and an exponent v
-    gives at least 2**v, so the order with each parameter clamped to the bit
-    length of ``limit`` is a cheap lower bound, and it exceeds ``limit`` when
-    the order itself might take hours to compute."""
-    fam = FAMILIES[spec.family]
-    limit = max(order_cap, _LONG_ORDER)
-    clamped = (min(v, limit.bit_length()) for v in spec.params)
-    expected = spec.order() if fam.order(*clamped) <= limit else limit + 1
-    if expected > order_cap:
-        params = ", ".join(map("{}={}".format, fam.params, spec.params))
-        named = (f"{spec.label()} has order {expected}" if expected < _LONG_ORDER
-                 else f"{spec.family} {params} has an order too long to print")
-        raise OrderCapError(f"{named}, above the cap {order_cap}")
-    G = fam.build(*spec.params)
+    """Build the group for a family spec as a validated FiniteGroup; an
+    order above the cap raises OrderCapError (``_cap_refusal``)."""
+    why = _cap_refusal(spec.family, spec.params, order_cap)
+    if why:
+        raise OrderCapError(why)
+    G = FAMILIES[spec.family].build(*spec.params)
     G.label = spec.label()
-    if G.order != expected:
+    if G.order != spec.order():
         raise FamilyError(
-            f"{spec.label()}: construction produced order {G.order}, expected {expected}"
+            f"{spec.label()}: construction produced order {G.order}, expected {spec.order()}"
         )
     G.family = spec.family
     G.params = spec.params

@@ -240,9 +240,13 @@ def _family_params(args, family: str, parser: _Parser) -> tuple[int, ...]:
 def _cmd_family(args, parser: _Parser) -> int:
     _reject_foreign_flags(args, parser)
     try:
-        spec = FamilySpec(args.family, _family_params(args, args.family, parser))
+        spec = FamilySpec(args.family, _family_params(args, args.family, parser),
+                          order_cap=args.order_cap)
     except FamilyError as exc:
         parser.error(str(exc))
+    except OrderCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         G = build_family(spec, order_cap=args.order_cap)
     except OrderCapError as exc:
@@ -270,8 +274,8 @@ def _cmd_verify(args, parser: _Parser) -> int:
     warnings: list[str] = []
     for params in combos:
         try:
-            spec = FamilySpec(args.family, params)
-        except FamilyError:
+            spec = FamilySpec(args.family, params, order_cap=args.order_cap)
+        except (FamilyError, OrderCapError):
             skipped += 1
             continue
         try:

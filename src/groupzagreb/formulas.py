@@ -9,7 +9,9 @@ order t_i that meet only in the identity.  C(G) is then l_i copies of
 K_{(t_i - 1) z}, z = |Z(G)|, and NC(G) its complement.  The multiset
 {(l_i, t_i)}, the AC type, does not depend on z (isoclinism, P. Hall 1940),
 so an entry declares only ``ac_type(*params) -> (z, ((l, t), ...))`` and
-``_ac_type_predict`` evaluates every index from it.  A few entries also
+``_ac_type_predict`` evaluates every index from it, once per (z, AC type)
+in a process: it is cached, and the groups of a scan share far fewer types
+than they have crosschecks.  A few entries also
 carry ``alt_forms``: variant closed forms that fail the complement identity.
 They are never used as predictions; sweeps evaluate them and report the
 disagreement, with the brute-force oracle as the arbiter.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Callable, NamedTuple
 
@@ -80,6 +83,7 @@ class FormulaEntry(NamedTuple):
         return _ac_type_predict(*self.ac_type(*params))
 
 
+@cache
 def _ac_type_predict(z: int, parts: tuple[tuple[int, int], ...]) -> FormulaPrediction:
     """Every index of an AC-group with |Z(G)| = z whose G/Z(G) is split into
     l abelian subgroups of order t for each (l, t) in ``parts``.
@@ -89,7 +93,8 @@ def _ac_type_predict(z: int, parts: tuple[tuple[int, int], ...]) -> FormulaPredi
     size s has degree V - s: M1 = sum l s (V - s)^2, 2|E| = sum l s (V - s)
     and 2 M2 = (2|E|)^2 - sum l (s (V - s))^2, the degree products over
     ordered pairs in different parts.  Both equality flags say that all t
-    are equal: Chebyshev's equality case on C(G), the regular one on NC(G)."""
+    are equal: Chebyshev's equality case on C(G), the regular one on NC(G).
+    Cached: the prediction depends on (z, parts) alone and is immutable."""
     cliques: Counter = Counter()
     for l, t in parts:
         cliques[(t - 1) * z] += l

@@ -19,7 +19,10 @@ a subgroup closed one left coset at a time) serves validation, the center
 and ``fingerprint``: the generators' rows fix the whole table, so two
 groups share a fingerprint iff they share a table.  Z(G) is the
 intersection of the generators' centralizer masks, one row and n cells per
-generator, from ``_centralizer_mask``, the one commutation primitive.
+generator, from ``_centralizer_mask``, the one commutation primitive, which
+keeps every mask it computes: one mask per element per group at most, so a
+generator that comes back as a class representative, or as a generator of a
+centralizer, costs no second one.
 Conjugation by the generators, one cached map each, and left
 multiplication by a greedy generating set of Z(G) label every element with
 its class of G/Z(G) in one walk (``quotient_classes``): the class of xZ(G)
@@ -89,6 +92,7 @@ class FiniteGroup:
         self.label = label
         self.family: str | None = None  # set by build.build_family
         self.params: tuple[int, ...] | None = None
+        self._masks: dict[int, int] = {}  # x -> C_G(x), see _centralizer_mask
         if table is None:
             if inverses is None:
                 raise TypeError("a group built from row_of needs its inverses")
@@ -108,7 +112,8 @@ class FiniteGroup:
     def copy_as(self, label: str, family: str | None,
                 params: tuple[int, ...] | None) -> FiniteGroup:
         """The group on the same table under another label, family and
-        params, sharing every row and every cached query with this one."""
+        params, sharing every row, every centralizer mask and every cached
+        query with this one."""
         G = copy.copy(self)
         G.label, G.family, G.params = label, family, params
         return G
@@ -249,14 +254,18 @@ class FiniteGroup:
     # -- the commutation relation ----------------------------------------------
     def _centralizer_mask(self, x: int) -> int:
         """C_G(x) as a bitmask, bit g set iff x*g == g*x, in a group of order
-        at least 2.  Since x*(x*g)^-1 = x*g^-1*x^-1, x*g == g*x iff
-        x*(x*g)^-1 == g^-1: the inverses read along row x, row x read at
-        those, compared with the inverses, two C-level gathers of n cells
-        that read no other row; reversed, the bytes put g = 0 lowest."""
-        row = self.row(x)
-        inv = self._inverses
-        same = bytes(map(eq, itemgetter(*itemgetter(*row)(inv))(row), inv))
-        return int(same[::-1].translate(_BIT_CHARS), 2)
+        at least 2, computed on the first request and kept in ``_masks``.
+        Since x*(x*g)^-1 = x*g^-1*x^-1, x*g == g*x iff x*(x*g)^-1 == g^-1:
+        the inverses read along row x, row x read at those, compared with
+        the inverses, two C-level gathers of n cells that read no other row;
+        reversed, the bytes put g = 0 lowest."""
+        m = self._masks.get(x)
+        if m is None:
+            row = self.row(x)
+            inv = self._inverses
+            same = bytes(map(eq, itemgetter(*itemgetter(*row)(inv))(row), inv))
+            m = self._masks[x] = int(same[::-1].translate(_BIT_CHARS), 2)
+        return m
 
     @cached_property
     def _power_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

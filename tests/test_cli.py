@@ -11,13 +11,12 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
-from functools import cached_property
 from itertools import groupby
 from pathlib import Path
 
 import pytest
 
-from groupzagreb import cli, zagreb
+from groupzagreb import cli, ff, formulas, zagreb
 from groupzagreb.build import (
     CatalogEntry,
     FamilyError,
@@ -155,6 +154,48 @@ def test_family_huge_parameter_is_one_line_validation_error(capsys, argv, line):
     assert (code, out, err) == (2, "", line + "\n")
 
 
+# a prime whose trial division, in a family's validity rule, would run for
+# hours: a parameter above the cap is refused as over the cap before the
+# rule runs, even where the rule would also refuse it (gl2 --q 10000)
+_HUGE_PRIME = "1000000000000000003"
+
+
+def _no_trial_division(monkeypatch):
+    def refuse(n):
+        pytest.fail(f"the validity rule ran on {n}")
+    monkeypatch.setattr(ff, "is_prime", refuse)
+    monkeypatch.setattr(ff, "prime_power", refuse)
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("hanaki_a2", "--n", "1", "--p", _HUGE_PRIME),
+     f"error: A(1,{_HUGE_PRIME}) has order"
+     " 1000000000000000009000000000000000027000000000000000027, above the cap 5000"),
+    (("gl2", "--q", _HUGE_PRIME),
+     f"error: GL(2,{_HUGE_PRIME}) has order 10000000000000000110000000000000000440000"
+     "00000000000076000000000000000048, above the cap 5000"),
+    (("pq", "--p", "2", "--q", _HUGE_PRIME),
+     f"error: Z_{_HUGE_PRIME}:Z_2 has order 2000000000000000006, above the cap 5000"),
+    (("gl2", "--q", "10000"), "error: GL(2,10000) has order 9998999900010000, above the cap 5000"),
+    # with a parameter below 1 no order is named
+    (("pq", "--p", _HUGE_PRIME, "--q", "0"),
+     f"error: pq p={_HUGE_PRIME}, q=0 has a parameter above the cap 5000"),
+], ids=["a2-prime", "gl2-prime", "pq-prime", "gl2-10000", "pq-q0"])
+def test_family_parameter_above_the_cap_skips_the_validity_rule(capsys, monkeypatch, argv,
+                                                                 line):
+    _no_trial_division(monkeypatch)
+    code, out, err = run(capsys, "family", *argv)
+    assert (code, out, err) == (2, "", line + "\n")
+
+
+def test_family_parameter_within_the_cap_keeps_its_validity_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "gl2", "--q", "4998"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "groupzagreb: error: gl2(4998,): q must be a prime power > 2")
+
+
 # -- verify ---------------------------------------------------------------------
 
 def test_verify_dihedral_sweep(capsys):
@@ -183,6 +224,13 @@ def test_verify_m2mn_skips_m4(capsys):
 ], ids=["a2-1e9", "a2-4800-2", "psl2-4800"])
 def test_verify_skips_a_huge_parameter(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert "0 instances checked, 1 skipped" in out
+
+
+def test_verify_skips_a_huge_prime_parameter(capsys, monkeypatch):
+    _no_trial_division(monkeypatch)
+    code, out, err = run(capsys, "verify", "gl2", "--q", _HUGE_PRIME)
     assert (code, err) == (0, "")
     assert "0 instances checked, 1 skipped" in out
 
@@ -420,38 +468,32 @@ def test_scan_512_bytes_match_recorded_digest(capsys):
 
 
 def _count_masks(monkeypatch):
-    """Counts the centralizer masks computed, one call of
-    ``FiniteGroup._centralizer_mask`` each, other than the one per generator
-    of G that Z(G) takes."""
+    """Counts the centralizer masks computed, the center's included: the
+    calls of ``FiniteGroup._centralizer_mask`` for an element whose mask
+    the group does not hold yet."""
     calls = [0]
     mask = FiniteGroup._centralizer_mask
-    center = FiniteGroup._center.func
 
     def counted(G, x):
-        calls[0] += 1
+        calls[0] += x not in G._masks
         return mask(G, x)
 
-    def uncounted_center(G):
-        calls[0] -= len(G.generators)
-        return center(G)
-
     monkeypatch.setattr(FiniteGroup, "_centralizer_mask", counted)
-    prop = cached_property(uncounted_center)
-    prop.__set_name__(FiniteGroup, "_center")
-    monkeypatch.setattr(FiniteGroup, "_center", prop)
     return calls
 
 
 @pytest.mark.parametrize("argv,most", [
-    (("scan", "--max-order", "64", "--jobs", "1"), 529),
+    (("scan", "--max-order", "64", "--jobs", "1"), 405),
     (("family", "psl2", "--k", "3"), 4),
-    (("family", "gl2", "--q", "7"), 7),
+    (("family", "gl2", "--q", "7"), 8),
     (("family", "dihedral", "--m", "1000"), 13),
 ], ids=["scan-64", "psl2-3", "gl2-7", "dihedral-1000"])
 def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
     # one centralizer per power class of G/Z(G), the classes of its coprime
-    # powers sharing it, carries the sums, Pr(G) and the tags; `most` is that
-    # many masks, summed
+    # powers sharing it, carries the sums, Pr(G) and the tags, and a
+    # generator's mask, which Z(G) takes, is not computed again when the
+    # generator comes back as a class representative; `most` is the
+    # measured total, center included
     calls = _count_masks(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 0
@@ -461,16 +503,35 @@ def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
 
 
 def test_group_counts_centralizers_from_few_masks(tmp_path, capsys, monkeypatch):
-    # PSL(2,8): 4 masks for its classes, one per power class (the three
-    # classes of order 7 share one, as do the three of order 9), and one per
-    # generator of the centralizers the count does not skip (3 + 1 + 1),
-    # where one mask per central coset took 511
+    # PSL(2,8): 6 masks in all, center included.  Z(G) takes the masks of
+    # the 3 greedy generators; the classes take one per power class (the
+    # three classes of order 7 share one, as do the three of order 9), 4
+    # masks, 3 of them the generators'; the count takes one per generator of
+    # the centralizers it does not skip (3 + 1 + 1), 3 of them held already.
+    # Computing each one again took 12, one mask per central coset 511
     path = cayley_file(tmp_path, GROUP_TABLES["psl2_8-relabelled"](), "psl2_8.cayley")
     calls = _count_masks(monkeypatch)
     code, out, _ = run(capsys, "group", "--cayley", str(path))
     assert code == 0
     assert "# distinct_centralizers: 74" in out
-    assert calls[0] <= 9
+    assert calls[0] <= 6
+
+
+def test_scan_computes_one_prediction_per_ac_type(capsys, monkeypatch):
+    # a prediction depends on (z, AC type) alone, so each distinct pair is
+    # evaluated once however many crosschecks ask for it
+    asked = []
+    for key, entry in formulas.ENTRIES.items():
+        def ac_type(*params, _ac_type=entry.ac_type):
+            asked.append(_ac_type(*params))
+            return asked[-1]
+        monkeypatch.setitem(formulas.ENTRIES, key, entry._replace(ac_type=ac_type))
+    formulas._ac_type_predict.cache_clear()
+    code, _, _ = run(capsys, "scan", "--max-order", "64", "--jobs", "1")
+    assert code == 0
+    info = formulas._ac_type_predict.cache_info()
+    assert info.misses == info.currsize == len(set(asked))
+    assert info.hits + info.misses == len(asked) > len(set(asked))
 
 
 @pytest.mark.parametrize("name", ["missing", "file.cayley"])

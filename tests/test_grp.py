@@ -19,7 +19,7 @@ from groupzagreb.build import (
     special_group,
 )
 from groupzagreb.grp import FiniteGroup, GroupTableError
-from graph_oracles import commuting_graph
+from graph_oracles import centralizer_mask, commuting_graph
 from quotient_oracles import (
     center_cosets,
     central_quotient,
@@ -391,6 +391,23 @@ def test_unit_powers_share_the_class_mask(build):
                 d = class_of[y]
                 assert masks[d] == masks[c]
                 assert G.class_orders[d] == o
+
+
+@COMMUTATION_GROUPS
+def test_masks_are_kept_and_shared_by_copies(build):
+    # every mask computed is kept under its element, the generators' among
+    # them, in one store that copy_as shares, each the table's own
+    # centralizer, and a kept mask is read, not computed again
+    G = build()
+    H = G.copy_as("copy", None, None)
+    G.count_distinct_centralizers()
+    assert set(G.generators) <= set(G._masks)
+    x = G.order - 1
+    H._centralizer_mask(x)
+    assert H._masks is G._masks and x in G._masks
+    assert all(m == centralizer_mask(G, y) for y, m in G._masks.items())
+    G._masks[x] = -1
+    assert H._centralizer_mask(x) == -1
 
 
 def test_class_masks_of_pgl_2_7_are_one_per_class():

@@ -528,6 +528,40 @@ def test_read_edge_list_errors():
         read_edge_list("3 3\n0 5\n0 1\n0 1\n")
 
 
+# texts the fast path hands to the strict reader, with the rows or message
+# that reader gives: blank and whitespace-only lines (the line count is not
+# m + 1), "\r\n" endings, and the reversed edges and self-loops whose rows
+# SimpleGraph refuses, which must not surface as its own messages
+STRICT_READS = {
+    "blank_line": ("4 2\n0 1\n\n2 3\n", [2, 0, 8, 0]),
+    "whitespace_line": ("4 2\n0 1\n  \t\n2 3\n", [2, 0, 8, 0]),
+    "blank_first_line": ("\n4 2\n0 1\n2 3\n", [2, 0, 8, 0]),
+    "trailing_blank_lines": ("4 2\n0 1\n2 3\n\n\n", [2, 0, 8, 0]),
+    "crlf": ("4 2\r\n0 1\r\n2 3\r\n", [2, 0, 8, 0]),
+    "padded_tokens": ("4 2\n 0 1 \n\t2\t3\n", [2, 0, 8, 0]),
+    "blank_line_short": ("4 3\n0 1\n\n2 3\n", "expected 3 edge lines, found 2"),
+    "whitespace_lines_short": ("4 2\n0 1\n \n \n", "expected 2 edge lines, found 1"),
+    "reversed": ("4 2\n0 1\n3 2\n", "edge (3, 2) must satisfy 0 <= u < v < n"),
+    "reversed_crlf_blank": ("4 2\r\n0 1\r\n\r\n3 2\r\n",
+                            "edge (3, 2) must satisfy 0 <= u < v < n"),
+    "reversed_after_blank": ("4 1\n\n1 0\n", "edge (1, 0) must satisfy 0 <= u < v < n"),
+    "self_loop": ("4 2\n0 1\n2 2\n", "edge (2, 2) must satisfy 0 <= u < v < n"),
+    "self_loop_first": ("4 2\r\n3 3\r\n0 1\r\n", "edge (3, 3) must satisfy 0 <= u < v < n"),
+    "only_blank_lines": (" \n\n", "empty edge-list file"),
+}
+
+
+@pytest.mark.parametrize("name", list(STRICT_READS))
+def test_read_edge_list_strict_reader_owns_the_messages(name):
+    text, expected = STRICT_READS[name]
+    if isinstance(expected, str):
+        with pytest.raises(GraphFormatError) as err:
+            read_edge_list(text)
+        assert str(err.value) == expected
+    else:
+        assert read_edge_list(text).rows == expected
+
+
 def test_read_edge_list_rows_match_from_edges():
     rng = random.Random(31)
     n = 60
