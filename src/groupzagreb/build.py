@@ -389,7 +389,7 @@ class FamilySpec(_FamilyParams):
             raise FamilyError(f"unknown family {family!r}")
         if len(params) != len(fam.params):
             raise FamilyError(f"family {family} takes parameters {fam.params}, got {params}")
-        if order_cap is not None and max(params, default=0) > order_cap:
+        if order_cap is not None and params and max(params) > order_cap:
             # an order is named only where every parameter is >= 1, the
             # domain on which no order shrinks as a parameter grows
             why = _cap_refusal(family, params, order_cap) if min(params) >= 1 else None

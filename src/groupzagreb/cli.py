@@ -240,14 +240,11 @@ def _family_params(args, family: str, parser: _Parser) -> tuple[int, ...]:
 def _cmd_family(args, parser: _Parser) -> int:
     _reject_foreign_flags(args, parser)
     try:
-        spec = FamilySpec(args.family, _family_params(args, args.family, parser),
-                          order_cap=args.order_cap)
-    except FamilyError as exc:
-        parser.error(str(exc))
-    except OrderCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        try:
+            spec = FamilySpec(args.family, _family_params(args, args.family, parser),
+                              order_cap=args.order_cap)
+        except FamilyError as exc:
+            parser.error(str(exc))
         G = build_family(spec, order_cap=args.order_cap)
     except OrderCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -307,42 +307,18 @@ def group_report(G: FiniteGroup) -> GroupReport:
 
 def read_edge_list(source) -> SimpleGraph:
     """Parse the edge-list format: first line "n m", then m lines "u v" with
-    0 <= u < v < n; blank lines are skipped and duplicate edges are
-    rejected.  ``source`` is a file object, an ``os.PathLike``, or a str: a
-    path if it is non-empty with no newline, and the text itself otherwise.
+    0 <= u < v < n; duplicate edges are rejected.  ``source`` is a file
+    object, an ``os.PathLike``, or a str: a path if it is non-empty with no
+    newline, and the text itself otherwise.
 
-    The fast path reads the lines as they stand and looks the tokens up in a
-    dict of canonical decimals, ``{str(i): i}`` for i < min(n, 2m), with no
-    ``int()`` call and no per-edge test: an edge with u >= v sets a bit at or
-    below u, which ``SimpleGraph`` refuses, and a repeated edge sets no new
-    bit, so the edge count comes out short.  Any failure - a bad first line,
-    a line count other than m + 1 (blank lines among them), a token not in
-    the dict, a line that is not two tokens, a row ``SimpleGraph`` refuses
-    or a short edge count - hands the text to ``_read_edges_strictly``,
-    which owns every message.
+    Tokens are looked up in a dict of canonical decimals, ``{str(i): i}``
+    for i < min(n, 2m), with no ``int()`` call and no per-edge duplicate
+    test: a repeated edge sets no new bit, so the edge count comes out
+    short.  Any other token, a line that is not two tokens, u >= v or a short
+    edge count hands the body to ``_walk_edges``, which reads each token with
+    ``int()`` and names the first bad line.
     """
     text = _read_text(source)
-    lines = text.splitlines()
-    try:
-        n, m = map(int, lines[0].split())
-        if n < 0 or m < 0 or len(lines) - 1 != m:
-            raise ValueError
-        ids = {str(i): i for i in range(min(n, 2 * m))}
-        rows = [0] * n
-        for a, b in map(str.split, lines[1:]):
-            rows[ids[a]] |= 1 << ids[b]
-        graph = SimpleGraph(n, rows)
-        if graph.edge_count == m:
-            return graph
-    except (IndexError, KeyError, ValueError):  # GraphFormatError is a ValueError
-        pass
-    return _read_edges_strictly(text)
-
-
-def _read_edges_strictly(text: str) -> SimpleGraph:
-    """``read_edge_list`` line by line, on the stripped non-blank lines, each
-    token read with ``int()``; raises GraphFormatError naming the first
-    fault."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise GraphFormatError("empty edge-list file")
@@ -357,7 +333,21 @@ def _read_edges_strictly(text: str) -> SimpleGraph:
         raise GraphFormatError("negative vertex or edge count")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    return SimpleGraph(n, _walk_edges(n, lines[1:]))
+    body = lines[1:]
+    ids = {str(i): i for i in range(min(n, 2 * m))}
+    rows = [0] * n
+    try:
+        for a, b in map(str.split, body):
+            u, v = ids[a], ids[b]
+            if u >= v:
+                raise ValueError
+            rows[u] |= 1 << v
+    except (KeyError, ValueError):  # a token not in ids, not two tokens, or u >= v
+        return SimpleGraph(n, _walk_edges(n, body))
+    graph = SimpleGraph(n, rows)
+    if graph.edge_count != m:  # a repeated edge
+        return SimpleGraph(n, _walk_edges(n, body))
+    return graph
 
 
 def _walk_edges(n: int, body: list[str]) -> list[int]:

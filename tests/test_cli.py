@@ -235,6 +235,16 @@ def test_verify_skips_a_huge_prime_parameter(capsys, monkeypatch):
     assert "0 instances checked, 1 skipped" in out
 
 
+def test_family_without_parameters_under_a_negative_cap(capsys):
+    # no parameter to refuse early: the order itself is over the cap
+    code, out, err = run(capsys, "family", "sz2", "--order-cap", "-1")
+    assert (code, out, err) == (2, "", "error: Sz(2) has order 20, above the cap -1\n")
+    code, out, err = run(capsys, "verify", "sz2", "--order-cap", "-1")
+    assert (code, err) == (0, "")
+    assert out == ("verify sz2: pass (0 instances checked, 1 skipped, 0 diffs, "
+                   "0 alt-form warnings)\n")
+
+
 def test_verify_skips_huge_orders_in_a_range(capsys):
     code, out, err = run(capsys, "verify", "psl2", "--k", "2..5000")
     assert (code, err) == (0, "")

@@ -528,11 +528,11 @@ def test_read_edge_list_errors():
         read_edge_list("3 3\n0 5\n0 1\n0 1\n")
 
 
-# texts the fast path hands to the strict reader, with the rows or message
-# that reader gives: blank and whitespace-only lines (the line count is not
-# m + 1), "\r\n" endings, and the reversed edges and self-loops whose rows
-# SimpleGraph refuses, which must not surface as its own messages
-STRICT_READS = {
+# texts off the canonical fast loop, with the rows or message the reader
+# gives: blank and whitespace-only lines, "\r\n" endings, and the reversed
+# edges and self-loops that the per-line reader names, rather than leaving
+# them to SimpleGraph's own row messages
+IRREGULAR_READS = {
     "blank_line": ("4 2\n0 1\n\n2 3\n", [2, 0, 8, 0]),
     "whitespace_line": ("4 2\n0 1\n  \t\n2 3\n", [2, 0, 8, 0]),
     "blank_first_line": ("\n4 2\n0 1\n2 3\n", [2, 0, 8, 0]),
@@ -551,9 +551,9 @@ STRICT_READS = {
 }
 
 
-@pytest.mark.parametrize("name", list(STRICT_READS))
-def test_read_edge_list_strict_reader_owns_the_messages(name):
-    text, expected = STRICT_READS[name]
+@pytest.mark.parametrize("name", list(IRREGULAR_READS))
+def test_read_edge_list_irregular_texts(name):
+    text, expected = IRREGULAR_READS[name]
     if isinstance(expected, str):
         with pytest.raises(GraphFormatError) as err:
             read_edge_list(text)
