@@ -31,7 +31,6 @@ from typing import Callable, NamedTuple
 from . import ff
 from .grp import FiniteGroup, GroupTableError, _read_text
 
-DEFAULT_ORDER_CAP = 5000
 _LONG_ORDER = 10 ** 4300  # the least order with more digits than Python prints by default
 
 
@@ -137,9 +136,9 @@ def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
     return _abelian_by_cyclic(m, 1, k, (r, 0, 0, 1), (s, 0))
 
 
-def cyclic(n: int, label: str | None = None) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     base = list(range(n))
-    return FiniteGroup(label=label or f"Z_{n}", order=n,
+    return FiniteGroup(label=f"Z_{n}", order=n,
                        row_of=lambda i: base[i:] + base[:i], inverses=base[:1] + base[:0:-1])
 
 
@@ -375,10 +374,13 @@ class _FamilyParams(NamedTuple):
 class FamilySpec(_FamilyParams):
     """A family name plus parameter tuple, e.g. FamilySpec("dihedral", (6,)).
 
-    With ``order_cap``, a parameter above it is refused as over the cap
-    (OrderCapError) before the validity rule runs, which may trial-divide
-    it: no valid parameter exceeds its group's order, so no such group is
-    within the cap."""
+    With ``order_cap``, this is the one place a family's order cap is
+    checked, in three steps: a parameter above the cap raises OrderCapError
+    before the validity rule runs, which may trial-divide it (no valid
+    parameter exceeds its group's order, so no such group is within the
+    cap); then the rule raises FamilyError; then an order above the cap
+    raises OrderCapError (``_cap_refusal``).  Without it only the rule runs.
+    ``build_family`` builds whatever spec it is handed."""
 
     __slots__ = ()
 
@@ -398,6 +400,8 @@ class FamilySpec(_FamilyParams):
         err = fam.check(*params)
         if err:
             raise FamilyError(f"{family}{params}: {err}")
+        if order_cap is not None and (why := _cap_refusal(family, params, order_cap)):
+            raise OrderCapError(why)
         return super().__new__(cls, family, params)
 
     def order(self) -> int:
@@ -434,12 +438,9 @@ def _cap_refusal(family: str, params: tuple[int, ...], order_cap: int) -> str | 
 # build_family / direct products
 # ---------------------------------------------------------------------------
 
-def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build the group for a family spec as a validated FiniteGroup; an
-    order above the cap raises OrderCapError (``_cap_refusal``)."""
-    why = _cap_refusal(spec.family, spec.params, order_cap)
-    if why:
-        raise OrderCapError(why)
+def build_family(spec: FamilySpec) -> FiniteGroup:
+    """Build the group a family spec names.  Any order cap was checked when
+    the spec was made (``FamilySpec``), so none is checked here."""
     G = FAMILIES[spec.family].build(*spec.params)
     G.label = spec.label()
     if G.order != spec.order():
@@ -451,13 +452,8 @@ def build_family(spec: FamilySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Finite
     return G
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
-                   order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G x H with element (i, j) at index i*|H| + j."""
-    if G.order * H.order > order_cap:
-        raise OrderCapError(
-            f"direct product order {G.order * H.order} exceeds the cap {order_cap}"
-        )
     oh = H.order
     base = list(range(G.order * oh))
     blocks = [base[g * oh:g * oh + oh] for g in range(G.order)]
@@ -467,7 +463,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, label: str | None = None,
         hrow = H.row(i % oh)
         return list(chain.from_iterable(map(blocks[g].__getitem__, hrow) for g in G.row(i // oh)))
     inverses = [g * oh + h for g in G._inverses for h in H._inverses]
-    return FiniteGroup(label=label or f"{G.label}x{H.label}", order=G.order * oh,
+    return FiniteGroup(label=f"{G.label}x{H.label}", order=G.order * oh,
                        row_of=row_of, inverses=inverses)
 
 
@@ -623,15 +619,10 @@ class CatalogEntry(NamedTuple):
     params: tuple[int, ...]
     label: str
 
-    def check_cap(self, order_cap: int) -> None:
-        if self.order > order_cap:
-            raise OrderCapError(f"{self.label} has order {self.order}, above the cap {order_cap}")
-
-    def build(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-        self.check_cap(order_cap)
+    def build(self) -> FiniteGroup:
         if self.family == "special":
             return special_group(self.label)
-        return build_family(FamilySpec(self.family, self.params), order_cap=order_cap)
+        return build_family(FamilySpec(self.family, self.params))
 
 
 def catalog(max_order: int) -> list[CatalogEntry]:

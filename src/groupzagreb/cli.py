@@ -14,12 +14,13 @@ import argparse
 import csv
 import os
 import sys
+from collections.abc import Iterator
 from functools import cache
 from itertools import groupby
+from math import prod
 from typing import NamedTuple
 
 from .build import (
-    DEFAULT_ORDER_CAP,
     FAMILIES,
     CatalogEntry,
     FamilySpec,
@@ -50,6 +51,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a tool the pipe stopped
+
+DEFAULT_ORDER_CAP = 5000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +145,7 @@ class ScanEntryError(Exception):
         return "{}: {}".format(*self.args)
 
 
-def _scan_worker(entry: CatalogEntry, order_cap: int,
+def _scan_worker(entry: CatalogEntry,
                  seen: dict[tuple, tuple[FiniteGroup, GroupReport]]) -> ScanRow:
     """The scan row of one catalog entry.
 
@@ -152,7 +155,7 @@ def _scan_worker(entry: CatalogEntry, order_cap: int,
     built takes that group's derived state and report under its own label,
     and still runs its own formula dispatch and crosschecks."""
     try:
-        G = entry.build(order_cap=order_cap)
+        G = entry.build()
         if G.fingerprint in seen:
             H, rep = seen[G.fingerprint]
             G = H.copy_as(G.label, G.family, G.params)
@@ -168,13 +171,12 @@ def _scan_worker(entry: CatalogEntry, order_cap: int,
         raise ScanEntryError(entry.label, str(exc)) from exc
 
 
-def _scan_order(args: tuple[list[CatalogEntry], int]) -> list[ScanRow]:
+def _scan_order(entries: list[CatalogEntry]) -> list[ScanRow]:
     """The scan rows of one order's catalog entries, the unit of work: only
     groups of equal order can share a table, so the memo of ``_scan_worker``
     lives for one unit and no longer."""
-    entries, order_cap = args
     seen: dict[tuple, tuple[FiniteGroup, GroupReport]] = {}
-    return [_scan_worker(entry, order_cap, seen) for entry in entries]
+    return [_scan_worker(entry, seen) for entry in entries]
 
 
 def _emit_rows(rows: list[ScanRow], fmt: str, summary: dict | None = None) -> None:
@@ -197,15 +199,13 @@ def _emit_rows(rows: list[ScanRow], fmt: str, summary: dict | None = None) -> No
         out.write(f"# scan: {pairs}\n")
 
 
-def _parse_range(text: str, flag: str) -> list[int]:
+def _parse_range(text: str, flag: str) -> range:
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, sep, hi = text.partition("..")
+        lo, hi = int(lo), int(hi if sep else lo)
+        if hi < lo:
+            raise ValueError
+        return range(lo, hi + 1)
     except ValueError:
         print(
             f"groupzagreb: error: {flag} expects an integer or LO..HI range, "
@@ -213,6 +213,14 @@ def _parse_range(text: str, flag: str) -> list[int]:
             file=sys.stderr,
         )
         raise SystemExit(EXIT_USAGE) from None
+
+
+def _combinations(ranges: list[range]) -> Iterator[tuple[int, ...]]:
+    """One value from each range, the first range varying slowest, made one
+    tuple at a time (itertools.product would copy every range first)."""
+    if not ranges:
+        return iter([()])
+    return ((v, *rest) for v in ranges[0] for rest in _combinations(ranges[1:]))
 
 
 def _reject_foreign_flags(args, parser: _Parser) -> None:
@@ -240,16 +248,14 @@ def _family_params(args, family: str, parser: _Parser) -> tuple[int, ...]:
 def _cmd_family(args, parser: _Parser) -> int:
     _reject_foreign_flags(args, parser)
     try:
-        try:
-            spec = FamilySpec(args.family, _family_params(args, args.family, parser),
-                              order_cap=args.order_cap)
-        except FamilyError as exc:
-            parser.error(str(exc))
-        G = build_family(spec, order_cap=args.order_cap)
+        spec = FamilySpec(args.family, _family_params(args, args.family, parser),
+                          order_cap=args.order_cap)
+    except FamilyError as exc:
+        parser.error(str(exc))
     except OrderCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    row = _row_for_group(G, spec.family, spec.params)
+    row = _row_for_group(build_family(spec), spec.family, spec.params)
     _emit_rows([row], args.format)
     return EXIT_OK
 
@@ -262,25 +268,19 @@ def _cmd_verify(args, parser: _Parser) -> int:
         if raw is None:
             parser.error(f"verify {args.family} requires --{name} (value or LO..HI)")
         ranges.append(_parse_range(raw, f"--{name}"))
-    combos: list[tuple[int, ...]] = [()]
-    for r in ranges:
-        combos = [c + (v,) for c in combos for v in r]
-
-    checked = skipped = 0
+    # every family refuses a parameter below 1, and the cap one above it, so
+    # only the values in [1, cap] are tried; every other combination is skipped
+    tried = [range(max(r.start, 1), min(r.stop, args.order_cap + 1)) for r in ranges]
+    checked = 0
     failures: list[str] = []
     warnings: list[str] = []
-    for params in combos:
+    for params in _combinations(tried):
         try:
             spec = FamilySpec(args.family, params, order_cap=args.order_cap)
         except (FamilyError, OrderCapError):
-            skipped += 1
-            continue
-        try:
-            G = build_family(spec, order_cap=args.order_cap)
-        except OrderCapError:
-            skipped += 1
             continue
         checked += 1
+        G = build_family(spec)
         for _, result in _crosschecks(G, group_report(G)):
             for d in result.diffs:
                 failures.append(
@@ -297,6 +297,8 @@ def _cmd_verify(args, parser: _Parser) -> int:
     for f in failures:
         print(f"FAIL: {f}")
     status = "FAIL" if failures else "pass"
+    # a range may be too long for len(), so its size is stop - start
+    skipped = prod(r.stop - r.start for r in ranges) - checked
     print(
         f"verify {args.family}: {status} "
         f"({checked} instances checked, {skipped} skipped, "
@@ -324,18 +326,22 @@ def _cmd_scan(args, parser: _Parser) -> int:
         parser.error("--jobs must be >= 0 (0 means all cores)")
     if args.catalog_extra and not os.path.isdir(args.catalog_extra):
         parser.error(f"--catalog-extra {args.catalog_extra}: not a directory")
-    entries = catalog(args.max_order)
+    # a dihedral group lies at every even order from 6, so the first entry
+    # above the cap, if any, is at most two past it: a listing that stops
+    # there and finds none has reached --max-order, the whole catalog
+    entries = catalog(min(args.max_order, max(args.order_cap + 2, 6)))
+    for e in entries:  # ascending by order
+        if e.order > args.order_cap:
+            print(f"error: {e.label} has order {e.order}, above the cap {args.order_cap}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
     # the pool forks all its workers up front, so never ask for more than
     # the cores; the output does not depend on the worker count
     cores = os.cpu_count() or 1
     jobs = min(args.jobs, cores) if args.jobs else cores
     # one unit of work per order; the catalog ascends by order
-    work = [(list(group), args.order_cap)
-            for _, group in groupby(entries, key=lambda e: e.order)]
+    work = [list(group) for _, group in groupby(entries, key=lambda e: e.order)]
     try:
-        # name the first entry above the cap before any group is built
-        for e in entries:
-            e.check_cap(args.order_cap)
         if jobs > 1 and len(work) > 1:
             # imported here, so that every other command starts without it
             from concurrent.futures import ProcessPoolExecutor
@@ -344,7 +350,7 @@ def _cmd_scan(args, parser: _Parser) -> int:
                 rows = [r for unit in pool.map(_scan_order, work) for r in unit]
         else:
             rows = [r for unit in map(_scan_order, work) for r in unit]
-    except (OrderCapError, ScanEntryError) as exc:
+    except ScanEntryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -244,7 +244,7 @@ def test_criterion_6_scan_at_512():
     entries = catalog(512)
     # one unit per order, as the CLI's scan cuts them, so that entries of one
     # order share a table through the memo of _scan_order
-    units = [(list(group), 5000) for _, group in groupby(entries, key=lambda e: e.order)]
+    units = [list(group) for _, group in groupby(entries, key=lambda e: e.order)]
     with ProcessPoolExecutor(max_workers=2) as pool:
         rows = [r for unit in pool.map(_scan_order, units) for r in unit]
     elapsed = time.time() - t0

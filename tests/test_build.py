@@ -8,6 +8,7 @@ import pytest
 
 from groupzagreb import build, ff
 from groupzagreb.build import (
+    FAMILIES,
     CayleyFormatError,
     FamilyError,
     FamilySpec,
@@ -101,9 +102,9 @@ def test_invalid_parameters_rejected():
 
 
 def test_order_cap():
-    with pytest.raises(OrderCapError):
-        build_family(FamilySpec("dihedral", (60,)), order_cap=100)
-    assert build_family(FamilySpec("dihedral", (60,)), order_cap=120).order == 120
+    with pytest.raises(OrderCapError, match="D_120 has order 120, above the cap 100"):
+        FamilySpec("dihedral", (60,), order_cap=100)
+    assert build_family(FamilySpec("dihedral", (60,), order_cap=120)).order == 120
 
 
 # -- table oracles ----------------------------------------------------------------
@@ -415,11 +416,6 @@ def test_direct_product_component_orders():
     G = direct_product(cyclic(4), B("dihedral", 3))
     assert G.order == 24
     G.validate()
-
-
-def test_direct_product_cap():
-    with pytest.raises(OrderCapError):
-        direct_product(cyclic(100), cyclic(100), order_cap=5000)
 
 
 # -- special groups ---------------------------------------------------------------
@@ -808,16 +804,39 @@ def test_catalog_sorted_and_buildable():
         assert G.order == e.order
 
 
-def test_catalog_entry_cap_applies_to_special_groups():
-    entry = next(e for e in catalog(60) if e.label == "A_5")
-    with pytest.raises(OrderCapError, match="A_5 has order 60, above the cap 10"):
-        entry.build(order_cap=10)
-    assert entry.build(order_cap=60).order == 60
-
-
 def test_catalog_rejects_tiny_bound():
     with pytest.raises(FamilyError):
         catalog(5)
+
+
+# -- the facts the order cap relies on ----------------------------------------------
+# `verify` tries only the parameters in [1, cap], `FamilySpec` refuses a
+# parameter above the cap before the validity rule, and `scan` lists the
+# catalog only two past the cap to find the first entry above it
+
+@pytest.mark.parametrize("fam", [name for name, fam in FAMILIES.items() if fam.params])
+def test_every_parameter_below_1_is_refused(fam):
+    for valid in FAMILIES[fam].instances(128):
+        for slot in range(len(valid)):
+            for v in (0, -1):
+                with pytest.raises(FamilyError):
+                    FamilySpec(fam, valid[:slot] + (v,) + valid[slot + 1:])
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_no_parameter_exceeds_its_order(fam):
+    family = FAMILIES[fam]
+    for params in family.instances(512):
+        assert max(params, default=1) <= family.order(*params), params
+
+
+@pytest.mark.parametrize("n", [6, 7, 64, 513])
+def test_catalog_has_an_entry_at_every_even_order(n):
+    entries = catalog(n)
+    assert set(range(6, n + 1, 2)) <= {e.order for e in entries}
+    # and a shorter listing is the start of a longer one
+    half = max(n // 2, 6)
+    assert catalog(half) == [e for e in entries if e.order <= half]
 
 
 @pytest.mark.parametrize("fam,params", [

@@ -251,6 +251,34 @@ def test_verify_skips_huge_orders_in_a_range(capsys):
     assert "3 instances checked, 4996 skipped, 0 diffs" in out
 
 
+# verify tries only the parameters in [1, cap] and counts every other
+# combination as skipped, without listing them
+@pytest.mark.parametrize("argv,summary", [
+    (("m2mn", "--m", "1..100000", "--n", "1..100000", "--order-cap", "60"),
+     "verify m2mn: pass (59 instances checked, 9999999941 skipped, 0 diffs, "
+     "0 alt-form warnings)"),
+    (("dihedral", "--m", "1..1000000000", "--order-cap", "100"),
+     "verify dihedral: pass (48 instances checked, 999999952 skipped, 0 diffs, "
+     "1 alt-form warnings)"),
+    # longer than 2^63, past what len() of a range can count
+    (("dihedral", "--m", "1..100000000000000000000", "--order-cap", "100"),
+     "verify dihedral: pass (48 instances checked, 99999999999999999952 skipped, 0 diffs, "
+     "1 alt-form warnings)"),
+    (("pq", "--p=-3..5", "--q=-2..13"),
+     "verify pq: pass (8 instances checked, 136 skipped, 0 diffs, 16 alt-form warnings)"),
+    (("hanaki_a2", "--n=-1..2", "--p=-5..7", "--order-cap", "200"),
+     "verify hanaki_a2: pass (4 instances checked, 48 skipped, 0 diffs, "
+     "3 alt-form warnings)"),
+    (("dihedral", "--m=-5..30", "--order-cap=-7"),
+     "verify dihedral: pass (0 instances checked, 36 skipped, 0 diffs, 0 alt-form warnings)"),
+], ids=["m2mn-1e10", "dihedral-1e9", "dihedral-1e20", "pq-negative", "a2-mixed",
+        "negative-cap"])
+def test_verify_counts_what_it_does_not_try(capsys, argv, summary):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == summary
+
+
 def test_verify_rejects_a_flag_the_family_does_not_take(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "pq", "--p", "2..3", "--q", "3..7", "--n", "2"])
@@ -361,7 +389,7 @@ def test_scan_128_jobs_do_not_change_bytes(capsys):
 def test_scan_shares_a_table_only_within_one_order(monkeypatch):
     # rows with the memo of one order's entries, against each entry alone
     entries = catalog(128)
-    alone = [row for e in entries for row in cli._scan_order(([e], 5000))]
+    alone = [row for e in entries for row in cli._scan_order([e])]
     reports = []
     real_report = cli.group_report
 
@@ -371,7 +399,7 @@ def test_scan_shares_a_table_only_within_one_order(monkeypatch):
 
     monkeypatch.setattr(cli, "group_report", counted_report)
     shared = [row for _, unit in groupby(entries, key=lambda e: e.order)
-              for row in cli._scan_order((list(unit), 5000))]
+              for row in cli._scan_order(list(unit))]
     assert shared == alone
     tables = {(e.order, tuple(map(tuple, e.build().table))) for e in entries}
     assert len(reports) == len(tables) < len(entries)
@@ -444,6 +472,28 @@ def test_scan_over_the_cap_fails_before_building(capsys, monkeypatch):
                          "--jobs", "1")
     assert (code, out) == (2, "")
     assert err == "error: Q_256 has order 256, above the cap 255\n"
+    assert builds == []
+
+
+def test_scan_over_the_cap_lists_the_catalog_only_two_past_it(capsys, monkeypatch):
+    real_catalog = cli.catalog
+
+    def listed(max_order):
+        assert max_order <= 5002
+        return real_catalog(max_order)
+
+    monkeypatch.setattr(cli, "catalog", listed)
+    code, out, err = run(capsys, "scan", "--max-order", "100000000")
+    assert (code, out, err) == (2, "", "error: D_5002 has order 5002, above the cap 5000\n")
+
+
+def test_scan_refuses_a_special_group_over_the_cap(capsys, monkeypatch):
+    (a5,) = [e for e in catalog(60) if e.label == "A_5"]
+    builds = []
+    monkeypatch.setattr(cli, "catalog", lambda max_order: [a5])
+    monkeypatch.setattr(CatalogEntry, "build", lambda entry: builds.append(entry))
+    code, out, err = run(capsys, "scan", "--max-order", "60", "--order-cap", "10")
+    assert (code, out, err) == (2, "", "error: A_5 has order 60, above the cap 10\n")
     assert builds == []
 
 
