@@ -26,7 +26,7 @@ from __future__ import annotations
 import io
 from itertools import chain, compress, permutations, repeat
 from operator import getitem, itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import ff
 from .grp import FiniteGroup, GroupTableError, _read_text
@@ -268,22 +268,39 @@ class Family(NamedTuple):
 
     def instances(self, max_order: int) -> list[tuple[int, ...]]:
         """Every valid parameter tuple whose group has order <= max_order.
+        Each parameter counts up from 1 (``within``), and stops at max_order
+        itself, since no valid parameter exceeds its group's order."""
+        ranges = [range(1, max_order + 1)] * len(self.params)
+        return [ps for ps in self.within(ranges, max_order) if self.check(*ps) is None]
 
-        Each parameter counts up from 1 while the order, with the later
-        parameters at 1, stays within max_order: no family's order shrinks
-        as a parameter grows.  The count also stops at max_order itself,
-        since no valid parameter exceeds its group's order.
-        """
-        found: list[tuple[int, ...]] = [()]
-        for rest in reversed(range(len(self.params))):
-            grown = []
-            for ps in found:
-                for v in range(1, max_order + 1):
-                    if self.order(*ps, v, *(1,) * rest) > max_order:
-                        break
-                    grown.append(ps + (v,))
-            found = grown
-        return [ps for ps in found if self.order(*ps) <= max_order and self.check(*ps) is None]
+    def within(self, ranges: list[range], max_order: int) -> Iterator[tuple[int, ...]]:
+        """The tuples of parameters >= 1, one from each range, the first
+        varying slowest, whose order is at most max_order, valid or not.  No
+        family's order shrinks as a parameter >= 1 grows, so each range
+        stops at its first value whose order, with the later parameters at
+        1, exceeds max_order.  Where a parameter is above the bit length
+        that ``_bounded_order`` clamps to, that order is bounded as
+        ``_cap_refusal`` bounds it, so a huge parameter costs no huge power."""
+        k = len(ranges)
+        bits = max(max_order, _LONG_ORDER).bit_length()
+
+        def grow(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            ones = (1,) * (k - len(prefix) - 1)
+            for v in ranges[len(prefix)]:
+                ps = (*prefix, v)
+                full = ps + ones
+                if (self.order(*full) if max(full) <= bits
+                        else _bounded_order(self, full, max_order)) > max_order:
+                    break
+                if ones:
+                    yield from grow(ps)
+                else:
+                    yield ps
+
+        if k:
+            yield from grow(())
+        elif self.order() <= max_order:
+            yield ()
 
 
 def _at_least(name: str, least: int, why: str = "") -> Callable[[int], str | None]:
@@ -415,18 +432,24 @@ def _named(fam: Family, params: tuple[int, ...]) -> str:
     return ", ".join(map("{}={}".format, fam.params, params))
 
 
+def _bounded_order(fam: Family, params: tuple[int, ...], order_cap: int) -> int:
+    """The order of ``fam`` at ``params``, or ``limit`` + 1, limit =
+    max(order_cap, _LONG_ORDER), when the order exceeds that.  No order
+    shrinks as a parameter grows and an exponent v gives at least 2**v, so
+    the order with each parameter clamped to the bit length of ``limit`` is
+    a cheap lower bound, and it exceeds ``limit`` when the order itself
+    might take hours to compute."""
+    limit = max(order_cap, _LONG_ORDER)
+    clamped = (min(v, limit.bit_length()) for v in params)
+    return fam.order(*params) if fam.order(*clamped) <= limit else limit + 1
+
+
 def _cap_refusal(family: str, params: tuple[int, ...], order_cap: int) -> str | None:
     """Why the group of ``family`` at ``params`` is above ``order_cap``,
     naming its order, or its parameters where it has too many digits to
-    print; None if it is within the cap.  No order shrinks as a parameter
-    grows and an exponent v gives at least 2**v, so the order with each
-    parameter clamped to the bit length of ``limit`` is a cheap lower bound,
-    and it exceeds ``limit`` when the order itself might take hours to
-    compute."""
+    print (``_bounded_order``); None if it is within the cap."""
     fam = FAMILIES[family]
-    limit = max(order_cap, _LONG_ORDER)
-    clamped = (min(v, limit.bit_length()) for v in params)
-    order = fam.order(*params) if fam.order(*clamped) <= limit else limit + 1
+    order = _bounded_order(fam, params, order_cap)
     if order <= order_cap:
         return None
     named = (f"{fam.label(*params)} has order {order}" if order < _LONG_ORDER

@@ -14,7 +14,6 @@ import argparse
 import csv
 import os
 import sys
-from collections.abc import Iterator
 from functools import cache
 from itertools import groupby
 from math import prod
@@ -215,14 +214,6 @@ def _parse_range(text: str, flag: str) -> range:
         raise SystemExit(EXIT_USAGE) from None
 
 
-def _combinations(ranges: list[range]) -> Iterator[tuple[int, ...]]:
-    """One value from each range, the first range varying slowest, made one
-    tuple at a time (itertools.product would copy every range first)."""
-    if not ranges:
-        return iter([()])
-    return ((v, *rest) for v in ranges[0] for rest in _combinations(ranges[1:]))
-
-
 def _reject_foreign_flags(args, parser: _Parser) -> None:
     """A parameter flag that the family does not take is a usage error."""
     takes = FAMILIES[args.family].params
@@ -269,12 +260,13 @@ def _cmd_verify(args, parser: _Parser) -> int:
             parser.error(f"verify {args.family} requires --{name} (value or LO..HI)")
         ranges.append(_parse_range(raw, f"--{name}"))
     # every family refuses a parameter below 1, and the cap one above it, so
-    # only the values in [1, cap] are tried; every other combination is skipped
+    # only the values in [1, cap] are tried, each range up to the first value
+    # whose order is above the cap; every other combination is skipped
     tried = [range(max(r.start, 1), min(r.stop, args.order_cap + 1)) for r in ranges]
     checked = 0
     failures: list[str] = []
     warnings: list[str] = []
-    for params in _combinations(tried):
+    for params in FAMILIES[args.family].within(tried, args.order_cap):
         try:
             spec = FamilySpec(args.family, params, order_cap=args.order_cap)
         except (FamilyError, OrderCapError):
@@ -417,6 +409,9 @@ def _cmd_graph(args, parser: _Parser) -> int:
             graph = read_edge_list(fh)
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"error: {args.edges}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:  # a header that declares more vertices than fit in memory
+        print(f"error: {args.edges}: the graph does not fit in memory", file=sys.stderr)
         return EXIT_VALIDATION
     items = []
     for name, rep in _graph_report_rows(graph, args.edges, args.complement):

@@ -30,16 +30,22 @@ is the set of the c*h*x*h^-1 with c central, so no coset is numbered on the
 way.  Whether x and y commute depends only on their cosets xZ(G) and
 yZ(G), and conjugate elements have conjugate centralizers, so one
 centralizer bitmask per class of G/Z(G) (``class_masks``) carries every
-commutation fact the library reports.  The classes of the coprime powers of
-an element share its centralizer, so one walk along its row, to the first
-central power, gives both the mask of every such class and their order in
-G/Z(G) (``class_orders``): one mask per power class.  From them come the
-Zagreb sums of ``zagreb.group_report``, k(G) = sum_x |C_G(x)| / n and
-Pr(G) = k(G)/n, the distinct-centralizer count, which adds the center of
-each class's centralizer, at most log2 of its order further masks, and the
-element orders of G/Z(G) from which ``formulas.registry_for`` reads its
-shape; no quotient table is built.  Also here: the reader of text sources
-that the Cayley-table and edge-list parsers share.
+commutation fact the library reports.  One walk along an element's row, to
+the first central power, proves which of its powers share its centralizer:
+the coprime ones, and every one whose class is so small that Lagrange leaves
+no room between the two centralizers.  It hands the mask to each such class,
+with the order of the power's coset in G/Z(G) (``class_orders``): at most one
+mask per power class, often fewer.  A mask of |yZ(G)|*|Z(G)| elements is
+<y>Z(G) and so abelian (``certified_abelian``), which spares the AC test of
+``zagreb.group_report`` and the generator masks of the count below on almost
+every mask of the catalog.  From them come the Zagreb sums of
+``zagreb.group_report``, k(G) = sum_x |C_G(x)| / n and Pr(G) = k(G)/n, the
+distinct-centralizer count, which adds the center of each class's
+centralizer, the mask itself when certified and otherwise at most log2 of
+its order further masks, and the element orders of G/Z(G) from which
+``formulas.registry_for`` reads its shape; no quotient table is built.  Also
+here: the reader of text sources that the Cayley-table and edge-list parsers
+share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -270,48 +276,66 @@ class FiniteGroup:
     @cached_property
     def _power_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(masks, orders): for each class of G/Z(G), the centralizer mask of
-        one of its elements and the order of that element's coset.
+        one of its elements y and the order of yZ(G).
 
         The classes are taken in ascending order.  A class c with no mask yet
         gets C_G(r) for its representative r, and row r walks r, r^2, ... until
-        the coset is central: o steps, o the order of rZ(G).  If gcd(j, o) = 1
-        then C_G(r^j) = C_G(r): with j*j' = 1 mod o, (r^j)^j' = r*z' for a
-        central z', so C(r^j) lies in C(r*z') = C(r), which lies in C(r^j).
-        So every class that holds such an r^j, c among them, gets the same
-        mask and the order o.  Such a class had no mask yet: its own walk
-        would have reached c by the inverse power.  The center's class
+        the coset is central: o steps, o the order of rZ(G).  Each power
+        y = r^j, j < o, in class d, has C_G(y) = C_G(r) when one of two proofs
+        holds, and then d, if it has no mask yet, gets that mask and the order
+        o/gcd(j, o) of yZ(G):
+          - gcd(j, o) = 1: with j*j' = 1 mod o, y^j' = r*z' for a central z',
+            so C(y) lies in C(r*z') = C(r), which lies in C(y);
+          - n*z < 2*|C(r)|*sizes[d], with z = |Z(G)|: C(r) <= C(y) <= P(y),
+            the preimage of C_{G/Z}(yZ(G)), of order n*z/sizes[d], since
+            sizes[d] counts the elements of d; so [C(y) : C(r)] < 2, and
+            Lagrange gives C(y) = C(r).
+        The mask is kept under y too, since it is exactly C(y).  A class
+        that neither proof reaches gets its own walk.  The center's class
         commutes with everything and has order 1.
         """
-        class_of, _, reps = self.quotient_classes
-        masks = [(1 << self.order) - 1] + [0] * (len(reps) - 1)
+        class_of, sizes, reps = self.quotient_classes
+        n, z = self.order, len(self.center())
+        masks = [(1 << n) - 1] + [0] * (len(reps) - 1)
         orders = [1] * len(reps)
         for c in range(1, len(reps)):
             if masks[c]:
                 continue
             r = reps[c]
             row = self.row(r)
-            powers = []  # the classes of r, r^2, ..., r^(o-1)
+            powers = []  # r, r^2, ..., r^(o-1)
             x = r
             while class_of[x]:
-                powers.append(class_of[x])
+                powers.append(x)
                 x = row[x]
             o = len(powers) + 1
             m = self._centralizer_mask(r)
-            for j, d in enumerate(powers, 1):
-                if gcd(j, o) == 1:
-                    masks[d] = m
-                    orders[d] = o
+            twice = 2 * m.bit_count()
+            for j, y in enumerate(powers, 1):
+                d = class_of[y]
+                g = gcd(j, o)
+                if g == 1 or n * z < twice * sizes[d]:  # C(y) = C(r)
+                    self._masks[y] = m
+                    if not masks[d]:
+                        masks[d] = m
+                        orders[d] = o // g
         return tuple(masks), tuple(orders)
 
     @property
     def class_masks(self) -> tuple[int, ...]:
-        """C_G(x) for some x in each class of G/Z(G), by ``_power_classes``.
+        """C_G(y) for some y in each class of G/Z(G), by ``_power_classes``.
 
-        C_G(x) depends only on the coset xZ(G), and conjugate elements have
+        C_G(y) depends only on the coset yZ(G), and conjugate elements have
         conjugate centralizers of equal order, so one mask per class carries
-        every degree of C(G) and NC(G).  Classes of coprime powers share one
-        int, so at most one mask is computed per power class of G/Z(G), n
-        cells each."""
+        every degree of C(G) and NC(G).  A walk along row r hands C_G(r) to
+        the classes of the coprime powers of r and of every power whose
+        centralizer Lagrange pins to C_G(r), so at most one mask is computed
+        per power class of G/Z(G), n cells each, and often fewer.
+
+        With o = ``class_orders[c]``, <y>Z(G) has order o*z and lies in C_G(y),
+        so a mask of exactly o*z elements is <y>Z(G), abelian: the
+        certificate (``certified_abelian``) that ``zagreb.group_report`` and
+        ``count_distinct_centralizers`` read instead of testing the mask."""
         return self._power_classes[0]
 
     @property
@@ -319,6 +343,13 @@ class FiniteGroup:
         """The order in G/Z(G) of the cosets of each class, read off the same
         walk as ``class_masks``."""
         return self._power_classes[1]
+
+    @cached_property
+    def certified_abelian(self) -> frozenset[int]:
+        """The class masks that their size proves abelian: a class's mask
+        C_G(y) with |C_G(y)| = |yZ(G)|*|Z(G)| is <y>Z(G) (``class_masks``)."""
+        z = len(self.center())
+        return frozenset(m for m, o in zip(*self._power_classes) if m.bit_count() == o * z)
 
     @cached_property
     def conjugacy_class_count(self) -> int:
@@ -344,21 +375,25 @@ class FiniteGroup:
         """|Cent(G)|, the number of distinct subgroups C_G(x), G included.
 
         For m = C_G(x), the mask of x's non-central class c, C_G(y) = m iff
-        y lies in Z(m) and |C_G(y)| = |m|.  Z(m) is m ANDed with the masks of
-        a greedy generating set of m.  The elements of the class have
+        y lies in Z(m) and |C_G(y)| = |m|.  Z(m) is m itself when the mask is
+        ``certified_abelian``, and otherwise m ANDed with the masks of a
+        greedy generating set of m.  The elements of the class have
         conjugate centralizers, each shared by as many of them as lie in
         Z(m).  A class with elements in Z(m) and centralizers of order |m|
         has the same centralizers, and is skipped.
         """
         class_of, sizes, _ = self.quotient_classes
         masks = self.class_masks
+        certified = self.certified_abelian
         skip: set[int] = set()
         count = 1
         for c, m in enumerate(masks[1:], 1):
             if c in skip:
                 continue
-            gens = self._greedy_generators(self._members(m))
-            center_of_m = reduce(and_, map(self._centralizer_mask, gens), m)
+            center_of_m = m
+            if m not in certified:
+                gens = self._greedy_generators(self._members(m))
+                center_of_m = reduce(and_, map(self._centralizer_mask, gens), m)
             inside = Counter(class_of[y] for y in self._members(center_of_m))
             skip.update(d for d in inside if masks[d].bit_count() == m.bit_count())
             count += sizes[c] // inside[c]

@@ -10,7 +10,7 @@ routes are
   1. those direct sums, for C(G) and, separately, for NC(G);
   2. the clique decomposition of C(G), when it is a disjoint union of
      cliques, that is when every centralizer of a non-central element is
-     abelian;
+     abelian, which the size of a mask proves for almost every group;
   3. the complement identities, which give NC(G) from C(G).
 C must agree across routes 1 and 2 whenever 2 exists, and NC across 1 and 3.
 
@@ -235,8 +235,16 @@ def group_report(G: FiniteGroup) -> GroupReport:
     C(G) is a disjoint union of cliques iff commuting is transitive on the
     non-central elements, iff C_G(x) is abelian for every non-central x (G is
     an AC-group); it suffices to test one element per class, once per
-    distinct mask.  Then the cliques are the sets C_G(x) - Z(G), and V_s
-    holds |V_s|/(s - z) of them, of size s - z.
+    distinct mask.  A class's mask C_G(y) with o = |yZ(G)| contains <y>Z(G),
+    of order o*z, so |C_G(y)| = o*z proves the two equal, and abelian
+    (``FiniteGroup.certified_abelian``); ``FiniteGroup.is_abelian_subgroup``
+    tests only the other masks.  Then the cliques are the sets
+    C_G(x) - Z(G), and V_s holds |V_s|/(s - z) of them, of size s - z.  A
+    certificate read off a wrong (mask, order) pair mostly shows as a
+    decomposition that route 1 does not match, or one with no clique of
+    some size, which ``CliqueDecomposition`` refuses; where every
+    non-central centralizer has one order the two routes would agree, so
+    the tests check each pair against the table.
 
     NC indices are computed twice - by these sums and through the complement
     formulas - and must agree.  C indices are computed by these sums and,
@@ -275,7 +283,8 @@ def group_report(G: FiniteGroup) -> GroupReport:
     rep_nc = ZagrebReport(m1_nc, m2_nc_twice // 2, n - z, edges_nc_twice // 2)
 
     decomposition = None
-    if all(map(G.is_abelian_subgroup, weights)):
+    certified = G.certified_abelian
+    if all(m in certified or G.is_abelian_subgroup(m) for m in weights):
         decomposition = CliqueDecomposition(tuple(
             (v.bit_count() // (s - z), s - z) for s, v in sorted(classes.items())
         ))

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import pickle
@@ -18,9 +19,11 @@ import pytest
 
 from groupzagreb import cli, ff, formulas, zagreb
 from groupzagreb.build import (
+    FAMILIES,
     CatalogEntry,
     FamilyError,
     FamilySpec,
+    OrderCapError,
     build_family,
     catalog,
     cyclic,
@@ -243,6 +246,61 @@ def test_family_without_parameters_under_a_negative_cap(capsys):
     assert (code, err) == (0, "")
     assert out == ("verify sz2: pass (0 instances checked, 1 skipped, 0 diffs, "
                    "0 alt-form warnings)\n")
+
+
+def test_verify_stops_each_range_at_the_order_cap(capsys, monkeypatch):
+    # M_2mn has order 2mn, so under the cap 600 the range of m stops at 301
+    # and, for each m, the range of n at the first n with 2mn > 600: about
+    # 300 * ln(300) specs, not the 360,000 of [1, 600]^2
+    specs = [0]
+
+    def counted(*args, **kwargs):
+        specs[0] += 1
+        return FamilySpec(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "FamilySpec", counted)
+    code, out, err = run(capsys, "verify", "m2mn", "--m", "1..100000", "--n", "1..100000",
+                         "--order-cap", "600")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "verify m2mn: pass (1242 instances checked, 9999998758 skipped, 0 diffs, "
+        "0 alt-form warnings)")
+    assert specs[0] < 2000
+
+
+def test_verify_stops_a_range_without_a_huge_power(capsys, monkeypatch):
+    # under a raised cap the range of n reaches 10^9, where p = 1 keeps the
+    # order 1; for p = 2 the stop bounds the order as the cap check does, and
+    # never computes 2^(3*10^9)
+    fam = FAMILIES["hanaki_a2"]
+
+    def order(n, p):
+        assert p < 2 or n < 10 ** 6
+        return fam.order(n, p)
+
+    monkeypatch.setitem(FAMILIES, "hanaki_a2", fam._replace(order=order))
+    code, out, err = run(capsys, "verify", "hanaki_a2", "--n", "1000000000", "--p", "1..2",
+                         "--order-cap", "10000000000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == ("verify hanaki_a2: pass (0 instances checked, 2 skipped, "
+                                    "0 diffs, 0 alt-form warnings)")
+
+
+def test_verify_tries_the_instances_in_the_order_of_the_ranges():
+    # the stop drops only tuples whose order is above the cap, which
+    # FamilySpec refuses, and keeps the rest in the order of the ranges
+    for family, cap in [("m2mn", 60), ("hanaki_a2", 200), ("pq", 100), ("psl2", 5000),
+                        ("sz2", 19), ("sz2", 20)]:
+        ranges = [range(1, cap + 1)] * len(FAMILIES[family].params)
+        kept = []
+        for params in itertools.product(*ranges):
+            try:
+                FamilySpec(family, params, order_cap=cap)
+            except (FamilyError, OrderCapError):
+                continue
+            kept.append(params)
+        tried = list(FAMILIES[family].within(ranges, cap))
+        assert [ps for ps in tried if FAMILIES[family].check(*ps) is None] == kept
 
 
 def test_verify_skips_huge_orders_in_a_range(capsys):
@@ -543,17 +601,22 @@ def _count_masks(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,most", [
-    (("scan", "--max-order", "64", "--jobs", "1"), 405),
+    (("scan", "--max-order", "64", "--jobs", "1"), 355),
     (("family", "psl2", "--k", "3"), 4),
-    (("family", "gl2", "--q", "7"), 8),
-    (("family", "dihedral", "--m", "1000"), 13),
+    (("family", "gl2", "--q", "7"), 6),
+    (("family", "dihedral", "--m", "1000"), 4),
 ], ids=["scan-64", "psl2-3", "gl2-7", "dihedral-1000"])
 def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
-    # one centralizer per power class of G/Z(G), the classes of its coprime
-    # powers sharing it, carries the sums, Pr(G) and the tags, and a
-    # generator's mask, which Z(G) takes, is not computed again when the
-    # generator comes back as a class representative; `most` is the
-    # measured total, center included
+    # at most one centralizer per power class of G/Z(G) carries the sums,
+    # Pr(G) and the tags: the classes of the coprime powers of a walk's
+    # representative share its mask, and so does every class of a power
+    # whose centralizer Lagrange pins to it (D_2000: every rotation's class
+    # takes C(r) from the walk along r, 4 masks where one per power class
+    # took 13).  A generator's mask, which Z(G) takes, is not computed again
+    # when the generator comes back as a class representative, and a
+    # centralizer certified abelian by its size needs no generator masks in
+    # the count.  `most` is the measured total, center included; one mask
+    # per power class took 405, 4, 8 and 13
     calls = _count_masks(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == 0
@@ -563,18 +626,62 @@ def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
 
 
 def test_group_counts_centralizers_from_few_masks(tmp_path, capsys, monkeypatch):
-    # PSL(2,8): 6 masks in all, center included.  Z(G) takes the masks of
-    # the 3 greedy generators; the classes take one per power class (the
-    # three classes of order 7 share one, as do the three of order 9), 4
-    # masks, 3 of them the generators'; the count takes one per generator of
-    # the centralizers it does not skip (3 + 1 + 1), 3 of them held already.
-    # Computing each one again took 12, one mask per central coset 511
+    # PSL(2,8): 5 masks in all, center included.  Z(G) takes the masks of
+    # the 3 greedy generators, which here are the representatives of the
+    # classes of order 7, 2 and 9.  The walk along the one of order 9 hands
+    # its mask to the classes of its coprime powers and, by Lagrange, to the
+    # class of its cube, so the classes take no new mask.  The count finds
+    # the cyclic centralizers of orders 7 and 9 certified abelian
+    # (|C(y)| = |yZ(G)|*|Z(G)|), skips the class of order 3 inside the one of
+    # order 9, and takes the masks of the 3 greedy generators of the
+    # involution's E_8 alone, 1 of them held already.  One mask per
+    # generator of every centralizer took 6, one per central coset 511
     path = cayley_file(tmp_path, GROUP_TABLES["psl2_8-relabelled"](), "psl2_8.cayley")
     calls = _count_masks(monkeypatch)
     code, out, _ = run(capsys, "group", "--cayley", str(path))
     assert code == 0
     assert "# distinct_centralizers: 74" in out
-    assert calls[0] <= 6
+    assert calls[0] <= 5
+
+
+def test_scan_tests_only_uncertified_centralizers(capsys, monkeypatch):
+    # a class's mask of |yZ(G)|*|Z(G)| elements is <y>Z(G), abelian by
+    # construction, so group_report tests only the other masks: 12 calls
+    # over the scan to 256, where a test of every distinct mask makes 1378
+    calls = [0]
+    test = FiniteGroup.is_abelian_subgroup
+
+    def counted(G, mask):
+        calls[0] += 1
+        return test(G, mask)
+
+    monkeypatch.setattr(FiniteGroup, "is_abelian_subgroup", counted)
+    code, out, _ = run(capsys, "scan", "--max-order", "256", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPECTED_SCAN["256"]["sha256"]
+    assert calls[0] <= 12
+
+
+def test_a_wrong_certificate_fails_loudly(tmp_path, capsys, monkeypatch):
+    # a walk that claimed S_4's D_8 centralizer of a double transposition
+    # were <y>Z(G) (order 8 for y) would make route 2 split its 3 elements
+    # into cliques of 7: the report must raise, never print
+    walk = FiniteGroup._power_classes.func
+
+    def wrong(G):
+        masks, orders = walk(G)
+        return masks, tuple(8 if m.bit_count() == 8 else o for m, o in zip(masks, orders))
+
+    monkeypatch.setattr(FiniteGroup, "_power_classes", property(wrong))
+    path = cayley_file(tmp_path, GROUP_TABLES["s4"](), "s4.cayley")
+    try:
+        code, out, err = run(capsys, "group", "--cayley", str(path))
+    except ValueError as exc:  # the decomposition's own check
+        assert "must be positive" in str(exc)
+        out = capsys.readouterr().out
+    else:
+        assert code == cli.EXIT_VALIDATION and "direct C report" in err
+    assert out == ""
 
 
 def test_scan_computes_one_prediction_per_ac_type(capsys, monkeypatch):
@@ -873,6 +980,24 @@ def test_graph_bad_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_graph_header_too_large_for_memory_is_one_error_line(tmp_path):
+    # the header alone asks for 300 million rows, 2.4 GB of list, which a
+    # child under a 1 GiB address-space limit cannot allocate; it reserves
+    # nothing near that, so the machine's memory is never at stake
+    import resource
+
+    path = edges_file(tmp_path, "300000000 0\n")
+    limit = 1 << 30
+    proc = _cli_subprocess(
+        "-m", "groupzagreb.cli", "graph", "--edges", path,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert out == b""
+    assert err.decode().splitlines() == [f"error: {path}: the graph does not fit in memory"]
+
+
 def test_graph_non_utf8_file(tmp_path, capsys):
     p = tmp_path / "latin1.edges"
     p.write_bytes(b"\xff3 1\n0 1")
@@ -904,13 +1029,16 @@ def test_group_s3_matches_family_row(tmp_path, capsys):
 
 # sha256 of `group --cayley FILE` stdout, (csv, json), with FILE named
 # "<id>.cayley"; recorded before the distinct-centralizer count moved from one
-# mask per central coset to one per class of G/Z(G)
+# mask per central coset to one per class of G/Z(G), and the relabelled S_4
+# and A(1,7) before the power walk certified abelian centralizers by size
 GROUP_TABLES = {
     "s4": lambda: special_group("S_4"),
     "d10": lambda: build_family(FamilySpec("dihedral", (5,))),
     "a4": lambda: special_group("A_4"),
     "es32-relabelled": lambda: relabelled(extraspecial_32(), 9),
     "psl2_8-relabelled": lambda: relabelled(build_family(FamilySpec("psl2", (3,))), 5),
+    "s4-relabelled": lambda: relabelled(special_group("S_4"), 5),
+    "a1_7-relabelled": lambda: relabelled(build_family(FamilySpec("hanaki_a2", (1, 7))), 5),
 }
 GROUP_DIGESTS = {
     "s4": ("8a0e066fb8d3f11a9b1229f5ea73c941c1159da9ff6690911473cc581f472056",
@@ -923,6 +1051,10 @@ GROUP_DIGESTS = {
                        "153a89191b289300a1322bf56b4e34bab80b443747f4b5a0dc9557107d71bbb5"),
     "psl2_8-relabelled": ("6c74d53b8a7d7f9fda63bb1c914560b77dd92aa5428a049e9f2e9371224b084d",
                          "e73530e5502e9a1c726f869334b08506b53f2de8e5202e557ef993554f1aafc7"),
+    "s4-relabelled": ("98da353990ecf1e24f65a6affd61804cca3c6303ae438db8330cc35caf8ee5c3",
+                      "0515ba94c69ae29cf54dbfadec8b2bc947fe2a22d963e119ab80796b59d9c9fb"),
+    "a1_7-relabelled": ("45bb6b3bb7a23dd7de8535a1bb728b85434733d6b820e3b2b720948895104bfc",
+                        "da58bb825498f453897d6f213a7d0cfa23cff51ead42f5d4b4bde5c2464ff4c3"),
 }
 
 

@@ -19,7 +19,7 @@ from groupzagreb.build import (
     special_group,
 )
 from groupzagreb.grp import FiniteGroup, GroupTableError
-from graph_oracles import centralizer_mask, commuting_graph
+from graph_oracles import centralizer_mask, centralizer_masks, commuting_graph
 from quotient_oracles import (
     center_cosets,
     central_quotient,
@@ -408,6 +408,55 @@ def test_masks_are_kept_and_shared_by_copies(build):
     assert all(m == centralizer_mask(G, y) for y, m in G._masks.items())
     G._masks[x] = -1
     assert H._centralizer_mask(x) == -1
+
+
+def coset_order(G, y, center):
+    """The order of yZ(G), walking y's powers along the table."""
+    x, k = y, 1
+    while x not in center:
+        x, k = G.table[x][y], k + 1
+    return k
+
+
+# products with non-abelian centralizers of every kind, where neither proof
+# of the power walk may be taken on trust
+NON_AC_PRODUCTS = {
+    "S_4xD_8": lambda: direct_product(special_group("S_4"), B("dihedral", 4)),
+    "S_4xQ_8": lambda: direct_product(special_group("S_4"), B("dicyclic", 2)),
+    "Z_7:Z_3xS_4": lambda: direct_product(B("pq", 3, 7), special_group("S_4")),
+}
+CATALOG_128 = catalog(128)
+POWER_WALK_GROUPS = pytest.mark.parametrize(
+    "build",
+    [e.build for e in CATALOG_128] + [relabelled_sl23, lambda: relabelled(extraspecial_32(), 9)]
+    + list(LARGE_CENTER.values()) + list(NON_AC_PRODUCTS.values()),
+    ids=[e.label for e in CATALOG_128] + ["ingested SL(2,3)", "ingested 2^{1+4}_+"]
+    + list(LARGE_CENTER) + list(NON_AC_PRODUCTS),
+)
+
+
+@POWER_WALK_GROUPS
+def test_class_mask_and_order_belong_to_one_element(build):
+    # (class_masks[c], class_orders[c]) is (C(y), |yZ(G)|) for one y of class
+    # c, whether the walk reached c by a coprime power or by Lagrange
+    G = build()
+    cents = centralizer_masks(G)
+    center = set(naive_center(G))
+    class_of, _, _ = G.quotient_classes
+    pairs = [set() for _ in G.class_masks]
+    for y, c in enumerate(class_of):
+        pairs[c].add((cents[y], coset_order(G, y, center)))
+    assert all(p in ps for p, ps in zip(zip(G.class_masks, G.class_orders), pairs))
+
+
+@POWER_WALK_GROUPS
+def test_certified_masks_are_abelian(build):
+    # |C(y)| = |yZ(G)|*|Z(G)| proves C(y) = <y>Z(G), so the certificate is
+    # never wrong, and the count that reads it matches the table's
+    G = build()
+    assert all(naive_is_abelian(G, m) for m in G.certified_abelian)
+    assert G.certified_abelian <= set(G.class_masks)
+    assert G.count_distinct_centralizers() == len(set(centralizer_masks(G)))
 
 
 def test_class_masks_of_pgl_2_7_are_one_per_class():
