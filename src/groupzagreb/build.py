@@ -74,12 +74,12 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
     base = list(range(n))
     step = [(p * x + q * y) % m1 + m1 * ((r * x + t * y) % m2)
             for y in range(m2) for x in range(m1)]
-    identity = base[:m]
+    identity = tuple(base[:m])
     cycle = []  # act^j on the indices of A, j < e, e the order of act
     perm = identity
     while not cycle or perm != identity:
         cycle.append(itemgetter(*perm))
-        perm = [step[u] for u in perm]
+        perm = cycle[-1](step)  # act^(j+1)(u) = step[act^j(u)]
     e = len(cycle)  # act^k = 1, so e divides k
     powers = cycle * (k // e)
     s1, s2 = s
@@ -113,7 +113,9 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
     # b^-j = b^(k-j) b^-k and b^-k = -s, which is central.  Over the shorter
     # axis again: the powers b^j, one block each, or the elements u, whose
     # cells for the j of one residue mod e are one slice of indices apart
-    neg = [(-x) % m1 + m1 * ((-y) % m2) for y in range(m2) for x in range(m1)]
+    # -u: the translate by (1, 1) read backwards, since u + (1, 1) at index
+    # m - 1 - u is (m1 - x, m2 - y)
+    neg = translate(1 % m1, 1 % m2, 0)[::-1]
     at_neg = itemgetter(*neg)
     minus_s = (-s1) % m1, (-s2) % m2
     inverses = neg[:]

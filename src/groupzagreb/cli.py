@@ -30,7 +30,7 @@ from .build import (
     catalog,
     ingest_cayley,
 )
-from .formulas import Applicable, CrosscheckResult, crosscheck, registry_for
+from .formulas import Applicable, CrosscheckResult, crosscheck, dispatch, registry_for
 from .grp import FiniteGroup, GroupTableError
 from .zagreb import (
     GraphFormatError,
@@ -102,18 +102,20 @@ _TABLE_FILE_ERRORS = (CayleyFormatError, GroupTableError, OSError, UnicodeDecode
 _Checks = list[tuple[Applicable, CrosscheckResult]]
 
 
-def _crosschecks(G: FiniteGroup, rep: GroupReport) -> _Checks:
-    """Each formula entry that applies to G, crosschecked against its report."""
-    return [(app, crosscheck(app.entry, app.params, report=rep)) for app in registry_for(G)]
+def _crosschecks(apps: tuple[Applicable, ...], rep: GroupReport) -> _Checks:
+    """Each of the applicable formula entries ``apps``, crosschecked against
+    the group's report."""
+    return [(app, crosscheck(app.entry, app.params, report=rep)) for app in apps]
 
 
 def _row_for_group(G: FiniteGroup, family: str, params: tuple[int, ...],
                    rep: GroupReport | None = None, checks: _Checks | None = None) -> ScanRow:
-    """The scan row for G; pass ``rep`` and ``checks`` when already computed."""
+    """The scan row for G; pass ``rep`` and ``checks`` when already computed.
+    The row prints no tags, so the checks come from the tagless dispatch."""
     if rep is None:
         rep = group_report(G)
     if checks is None:
-        checks = _crosschecks(G, rep)
+        checks = _crosschecks(dispatch(G), rep)
     diffs = sum(len(result.diffs) for _, result in checks)
     return ScanRow(
         label=G.label,
@@ -273,7 +275,7 @@ def _cmd_verify(args, parser: _Parser) -> int:
             continue
         checked += 1
         G = build_family(spec)
-        for _, result in _crosschecks(G, group_report(G)):
+        for _, result in _crosschecks(dispatch(G), group_report(G)):
             for d in result.diffs:
                 failures.append(
                     f"{spec.label()} [{result.entry_key}{result.params}] "
@@ -405,16 +407,18 @@ def _graph_report_rows(graph, path: str, include_complement: bool):
 
 def _cmd_graph(args, parser: _Parser) -> int:
     try:
-        with open(args.edges, "r", encoding="utf-8") as fh:
-            graph = read_edge_list(fh)
-    except (GraphFormatError, OSError, ValueError) as exc:
-        print(f"error: {args.edges}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryError:  # a header that declares more vertices than fit in memory
+        try:
+            with open(args.edges, "r", encoding="utf-8") as fh:
+                graph = read_edge_list(fh)
+        except (GraphFormatError, OSError, ValueError) as exc:
+            print(f"error: {args.edges}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        reports = _graph_report_rows(graph, args.edges, args.complement)
+    except MemoryError:  # more vertices than fit in memory, to read or to sum
         print(f"error: {args.edges}: the graph does not fit in memory", file=sys.stderr)
         return EXIT_VALIDATION
     items = []
-    for name, rep in _graph_report_rows(graph, args.edges, args.complement):
+    for name, rep in reports:
         verdict = conjecture_verdict(rep)
         items.append({
             "graph": name,
@@ -452,7 +456,7 @@ def _cmd_group(args, parser: _Parser) -> int:
         print(f"error: {args.cayley}: Group must be non-abelian", file=sys.stderr)
         return EXIT_VALIDATION
     rep = group_report(G)
-    checks = _crosschecks(G, rep)
+    checks = _crosschecks(registry_for(G), rep)
     row = _row_for_group(G, "ingested", (), rep, checks)
     info = {
         "label": G.label,

@@ -1,7 +1,13 @@
 """The formula registry: one exact Zagreb prediction for every group family
 and quotient shape, the dispatch that finds the entries applying to a group,
 and the crosscheck that compares a prediction against a brute-forced group
-report field by field.
+report, field by field when the two differ.
+
+The dispatch (``dispatch``) is kept apart from the annotation: it finds the
+entries, their params, source and G/Z(G) shape tag, and is all that the
+scan, ``family`` and ``verify`` need, since they print no tags.
+``registry_for`` adds ``consequence_tags``, what |G/Z(G)| and Pr(G) imply,
+for the full report of one group.
 
 Every group an entry describes is an AC-group: its non-central centralizers
 are abelian, and their images split G/Z(G) into l_i abelian subgroups of
@@ -22,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, NamedTuple
 
 from .build import FAMILIES
@@ -314,25 +320,26 @@ class Applicable(NamedTuple):
 # of the five groups of order 20, only F_20 = Sz(2) has these element orders
 _F20_ORDER_PROFILE = {1: 1, 2: 5, 4: 10, 5: 4}
 
+# Pr(G) = k(G)/n in lowest terms -> the G/Z(G) it implies
 _PR_CONSEQUENCES = {
-    Fraction(5, 14): "D_14",
-    Fraction(2, 5): "D_10",
-    Fraction(11, 27): "Z_3xZ_3",
-    Fraction(1, 2): "D_6",
-    Fraction(7, 16): "D_8",
-    Fraction(5, 8): "Z_2xZ_2",
+    (5, 14): "D_14",
+    (2, 5): "D_10",
+    (11, 27): "Z_3xZ_3",
+    (1, 2): "D_6",
+    (7, 16): "D_8",
+    (5, 8): "Z_2xZ_2",
 }
 
 
-def _quotient_orders(G: FiniteGroup) -> Counter:
+def _quotient_orders(G: FiniteGroup) -> dict[int, int]:
     """How many elements of G/Z(G) have each order: the order of a coset is
     a class function on G/Z(G), so each class adds its elements over z at
     its order, ``FiniteGroup.class_orders``."""
     _, sizes, _ = G.quotient_classes
     z = len(G.center())
-    orders: Counter = Counter()
+    orders: dict[int, int] = {}
     for o, size in zip(G.class_orders, sizes):
-        orders[o] += size // z
+        orders[o] = orders.get(o, 0) + size // z
     return orders
 
 
@@ -340,28 +347,30 @@ def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
     """What |G/Z(G)| and Pr(G) = k(G)/n imply about G/Z(G).  G is
     4-centralizer iff G/Z(G) = Z_2 x Z_2, and 5-centralizer iff G/Z(G) is
     Z_3 x Z_3 or S_3 (Belcastro-Sherman 1994); a non-trivial G/Z(G) is never
-    cyclic, so that is iff |G/Z(G)| is 4, or 6 or 9."""
-    k = G.order // len(G.center())
+    cyclic, so that is iff |G/Z(G)| is 4, or 6 or 9.  Pr(G) is looked up as
+    the reduced pair (k/g, n/g), g = gcd(k, n)."""
+    q = G.order // len(G.center())
     tags: tuple[str, ...] = ()
-    if k == 4:
+    if q == 4:
         tags += ("4-centralizer",)
-    elif k in (6, 9):
+    elif q in (6, 9):
         tags += ("5-centralizer",)
-    pr = G.commutativity_degree()
+    k, n = G.conjugacy_class_count, G.order
+    g = gcd(k, n)
+    pr = k // g, n // g
     if pr in _PR_CONSEQUENCES:
-        tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
+        tags += (f"pr={pr[0]}/{pr[1]}=>G/Z={_PR_CONSEQUENCES[pr]}",)
     return tags
 
 
-def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
-    """Entries applicable to G: its own family entry (when it was built from a
-    family spec) plus quotient-hypothesis entries whenever G/Z(G), read off its
-    element orders, has their shape, each with G's ``consequence_tags``."""
+def dispatch(G: FiniteGroup) -> tuple[Applicable, ...]:
+    """Entries applicable to G, with no consequence tags: its own family
+    entry (when it was built from a family spec), untagged, plus
+    quotient-hypothesis entries whenever G/Z(G), read off its element orders,
+    has their shape, each tagged with that shape alone."""
     apps: list[Applicable] = []
-    tags = consequence_tags(G)
-
     if G.family in ENTRIES:
-        apps.append(Applicable(ENTRIES[G.family], G.params or (), "family", tags))
+        apps.append(Applicable(ENTRIES[G.family], G.params or (), "family"))
 
     z = len(G.center())
     k = G.order // z
@@ -371,16 +380,23 @@ def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
         m, p = k // 2, isqrt(k)
         # a cyclic <rZ> of index 2 holds [m even] involutions, so m + [m even]
         # of them means every s outside it is one, as is sr: then srs = r^-1
-        if k % 2 == 0 and m >= 3 and orders[m] and orders[2] == m + (m % 2 == 0):
+        if k % 2 == 0 and m >= 3 and m in orders and orders.get(2) == m + (m % 2 == 0):
             shapes.append(("quot_dihedral", (m, z), f"D_{2 * m}"))
         # G/Z(G) is not cyclic, and every group of order p^2 is abelian
         if p * p == k and is_prime(p):
             shapes.append(("quot_zpzp", (p, z), f"Z_{p}xZ_{p}"))
         if orders == _F20_ORDER_PROFILE:
             shapes.append(("quot_sz2", (z,), "Sz(2)"))
-    apps += [Applicable(ENTRIES[key], params, "quotient", tags + (f"G/Z={shape}",))
+    apps += [Applicable(ENTRIES[key], params, "quotient", (f"G/Z={shape}",))
              for key, params, shape in shapes]
     return tuple(apps)
+
+
+def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
+    """``dispatch(G)`` with G's ``consequence_tags`` ahead of each entry's
+    own tags."""
+    tags = consequence_tags(G)
+    return tuple(app._replace(tags=tags + app.tags) for app in dispatch(G))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +439,7 @@ def crosscheck(
         equality_c=report.verdict_c.status == Verdict.HOLDS_WITH_EQUALITY,
         equality_nc=report.verdict_nc.status == Verdict.HOLDS_WITH_EQUALITY,
     )
-    diffs = tuple(
+    diffs = () if pred == actual else tuple(
         FieldDiff(name, p, a)
         for name, p, a in zip(FormulaPrediction._fields, pred, actual)
         if p != a

@@ -28,7 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from math import gcd
 from itertools import compress, repeat
-from operator import add, and_, lshift, mul, rshift
+from operator import add, and_, eq, itemgetter, lshift, mul, rshift
 from typing import NamedTuple
 
 from .grp import _BIT_CHARS, AbelianGroupError, FiniteGroup, _read_text
@@ -225,7 +225,10 @@ def group_report(G: FiniteGroup) -> GroupReport:
     C_G(x) is shared by the coset xZ(G), and conjugation is an automorphism
     of both graphs.  ``FiniteGroup.quotient_classes`` labels each element
     with its class; let V_s be the non-central elements whose class's
-    centralizer has order s.  Each distinct mask m of
+    centralizer has order s.  V_s is built with no step per element: the
+    classes' 0/1 flags for "order s" (``bytes(map(eq, ...))``), gathered
+    along ``class_of`` by one ``itemgetter`` and read as a binary int, one
+    gather per distinct s, ascending.  Each distinct mask m of
     ``FiniteGroup.class_masks``, with w the elements of the classes that
     carry it, adds
       w*d^2 to M1 and w*d*(sum_s (s-z-1)*|m & V_s| - d) to 2*M2 of C(G),
@@ -257,12 +260,11 @@ def group_report(G: FiniteGroup) -> GroupReport:
     if len(sizes) == 1:
         raise AbelianGroupError("Group must be non-abelian")
     masks = G.class_masks
-    order_of = [m.bit_count() for m in masks]
-    classes: dict[int, int] = {}  # s -> V_s as a bitmask
-    for x, c in enumerate(class_of):
-        if c:
-            s = order_of[c]
-            classes[s] = classes.get(s, 0) | 1 << x
+    order_of = [m.bit_count() for m in masks]  # class 0, Z(G), has n: no non-central s
+    at_elements = itemgetter(*reversed(class_of))  # element 0 last, the lowest bit
+    classes = {s: int(bytes(at_elements(bytes(map(eq, order_of, repeat(s)))))
+                      .translate(_BIT_CHARS), 2)
+               for s in sorted(set(order_of[1:]))}  # s -> V_s as a bitmask
 
     weights: dict[int, int] = {}  # mask -> the elements of its classes
     for m, size in zip(masks[1:], sizes[1:]):
@@ -286,7 +288,7 @@ def group_report(G: FiniteGroup) -> GroupReport:
     certified = G.certified_abelian
     if all(m in certified or G.is_abelian_subgroup(m) for m in weights):
         decomposition = CliqueDecomposition(tuple(
-            (v.bit_count() // (s - z), s - z) for s, v in sorted(classes.items())
+            (v.bit_count() // (s - z), s - z) for s, v in classes.items()
         ))
         rep_c_parts = zagreb_from_decomposition(decomposition)
         if rep_c != rep_c_parts:

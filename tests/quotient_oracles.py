@@ -124,8 +124,9 @@ def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
     if cents in (4, 5):
         tags += (f"{cents}-centralizer",)
     pr = Fraction(sum(m.bit_count() for m in centralizer_masks(G)), G.order**2)
-    if pr in _PR_CONSEQUENCES:
-        tags += (f"pr={pr}=>G/Z={_PR_CONSEQUENCES[pr]}",)
+    shape = _PR_CONSEQUENCES.get((pr.numerator, pr.denominator))
+    if shape:
+        tags += (f"pr={pr}=>G/Z={shape}",)
     return tags
 
 

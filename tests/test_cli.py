@@ -463,6 +463,23 @@ def test_scan_shares_a_table_only_within_one_order(monkeypatch):
     assert len(reports) == len(tables) < len(entries)
 
 
+def test_scan_computes_no_consequence_tags(monkeypatch):
+    # the scan prints no tags, so it never asks what Pr(G) implies
+    calls = []
+    real_tags = formulas.consequence_tags
+
+    def counted_tags(G):
+        calls.append(G)
+        return real_tags(G)
+
+    monkeypatch.setattr(formulas, "consequence_tags", counted_tags)
+    rows = [row for _, unit in groupby(catalog(64), key=lambda e: e.order)
+            for row in cli._scan_order(list(unit))]
+    assert rows and calls == []
+    formulas.registry_for(build_family(FamilySpec("dihedral", (3,))))
+    assert len(calls) == 1  # the wrapper is the one the tagged registry calls
+
+
 def _cli_subprocess(*argv, **kwargs):
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.Popen([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src),
@@ -998,6 +1015,23 @@ def test_graph_header_too_large_for_memory_is_one_error_line(tmp_path):
     assert err.decode().splitlines() == [f"error: {path}: the graph does not fit in memory"]
 
 
+def test_graph_complement_too_large_for_memory_is_one_error_line(tmp_path):
+    # 8 million edgeless vertices read and report within a 400 MiB
+    # address-space limit, but the complement's degree list does not fit
+    import resource
+
+    path = edges_file(tmp_path, "8000000 0\n")
+    limit = 400 << 20
+    proc = _cli_subprocess(
+        "-m", "groupzagreb.cli", "graph", "--edges", path, "--complement",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert out == b""
+    assert err.decode().splitlines() == [f"error: {path}: the graph does not fit in memory"]
+
+
 def test_graph_non_utf8_file(tmp_path, capsys):
     p = tmp_path / "latin1.edges"
     p.write_bytes(b"\xff3 1\n0 1")
@@ -1025,6 +1059,34 @@ def test_group_s3_matches_family_row(tmp_path, capsys):
     assert "# commutativity_degree: 1/2" in out
     assert "# distinct_centralizers: 5" in out
     assert "quot_dihedral(3, 1)" in out
+
+
+# each consequence of Pr(G), and both centralizer counts, as the `# formula:`
+# lines of `group --cayley` print them
+FORMULA_LINES = {
+    ("dicyclic", (2,)): "quot_zpzp(2, 2) source=quotient diffs=0 "
+                        "tags=4-centralizer;pr=5/8=>G/Z=Z_2xZ_2;G/Z=Z_2xZ_2",
+    ("dihedral", (7,)): "quot_dihedral(7, 1) source=quotient diffs=0 "
+                        "tags=pr=5/14=>G/Z=D_14;G/Z=D_14",
+    ("dihedral", (5,)): "quot_dihedral(5, 1) source=quotient diffs=0 "
+                        "tags=pr=2/5=>G/Z=D_10;G/Z=D_10",
+    ("u6n", (2,)): "quot_dihedral(3, 2) source=quotient diffs=0 "
+                   "tags=5-centralizer;pr=1/2=>G/Z=D_6;G/Z=D_6",
+    ("dihedral", (8,)): "quot_dihedral(4, 2) source=quotient diffs=0 "
+                        "tags=pr=7/16=>G/Z=D_8;G/Z=D_8",
+    ("hanaki_a2", (1, 3)): "quot_zpzp(3, 3) source=quotient diffs=0 "
+                           "tags=5-centralizer;pr=11/27=>G/Z=Z_3xZ_3;G/Z=Z_3xZ_3",
+    ("m2mn", (13, 20)): "quot_dihedral(13, 20) source=quotient diffs=0 tags=G/Z=D_26",
+}
+
+
+@pytest.mark.parametrize("fam,params", FORMULA_LINES, ids=[f"{f}{p}" for f, p in FORMULA_LINES])
+def test_group_formula_lines_carry_the_consequence_tags(tmp_path, capsys, fam, params):
+    G = relabelled(build_family(FamilySpec(fam, params)), 21)
+    code, out, _ = run(capsys, "group", "--cayley", str(cayley_file(tmp_path, G, "g.cayley")))
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if ln.startswith("# formula: ")]
+    assert lines == ["# formula: " + FORMULA_LINES[fam, params]]
 
 
 # sha256 of `group --cayley FILE` stdout, (csv, json), with FILE named

@@ -23,6 +23,7 @@ from groupzagreb.formulas import (
     _quotient_orders,
     consequence_tags,
     crosscheck,
+    dispatch,
     registry_for,
 )
 from groupzagreb.zagreb import (
@@ -398,6 +399,17 @@ def test_declared_ac_type_matches_the_group(entry):
     assert all(s % z_measured == 0 for _, s in rep.decomposition.parts)
     measured = {s // z_measured + 1: l for l, s in rep.decomposition.parts}
     assert (z, declared) == (z_measured, measured)
+
+
+def test_registry_for_is_the_dispatch_with_consequence_tags_on_catalog():
+    for entry in CATALOG_256:
+        G = entry.build()
+        apps = dispatch(G)
+        for app in apps:  # the dispatch tags a quotient entry with its shape alone
+            assert app.tags == (() if app.source == "family" else (app.tags[0],))
+            assert all(t.startswith("G/Z=") for t in app.tags)
+        tags = consequence_tags(G)
+        assert tuple(a._replace(tags=tags + a.tags) for a in apps) == registry_for(G)
 
 
 @pytest.mark.parametrize("entry", CATALOG_256, ids=[e.label for e in CATALOG_256])

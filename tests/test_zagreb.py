@@ -395,6 +395,25 @@ def test_group_report_without_decomposition_matches_graph_oracles(build):
     assert assert_report_matches_graph_oracles(build()).decomposition is None
 
 
+# V_s is gathered once per distinct non-central centralizer order s; the
+# catalog has at most 3 of them, these products 10 and 9
+MANY_CENTRALIZER_ORDERS = {
+    "D_10xS_4": (lambda: direct_product(B("dihedral", 5), special_group("S_4")), 10),
+    "S_4xS_4": (lambda: direct_product(special_group("S_4"), special_group("S_4")), 9),
+}
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["built", "relabelled"])
+@pytest.mark.parametrize("build,orders", MANY_CENTRALIZER_ORDERS.values(),
+                         ids=list(MANY_CENTRALIZER_ORDERS))
+def test_group_report_with_many_centralizer_orders(build, orders, shuffle):
+    G = relabelled(build(), 17) if shuffle else build()
+    z = set(G.center())
+    sizes = {centralizer_mask(G, x).bit_count() for x in range(G.order) if x not in z}
+    assert len(sizes) == orders
+    assert_report_matches_graph_oracles(G)
+
+
 def test_group_report_on_2_1_4_needs_abelian_centralizers():
     """In 2^{1+4}_+ all non-central centralizers have order 16, so commuting
     elements always have centralizers of equal order; still no centralizer
