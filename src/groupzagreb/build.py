@@ -3,8 +3,12 @@ products, the special groups of the planarity/toroidality golden tests,
 Cayley-table ingestion, and the deterministic catalog the scan reads.
 
 Each family is one record in ``FAMILIES``: its parameter names, validity
-rule, order, label, builder and catalog instances.  The formula registry and
-the CLI read the same table.
+rule, order, label, normal form and catalog instances.  The formula registry
+and the CLI read the same table.  A normal form (``NormalForm``) is a
+builder and its arguments, reduced where the builder reads them by a
+modulus; every family instance and special group declares one, which
+``build_family`` builds and by which the scan shares a table between the
+catalog entries that name it.
 
 A builder numbers its elements and hands ``FiniteGroup`` the order, a
 ``row_of`` for any one element and the inverse map, both from its own
@@ -132,10 +136,34 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
     return FiniteGroup(order=n, row_of=row_of, inverses=inverses)
 
 
-def _metacyclic(m: int, k: int, r: int, s: int = 0) -> FiniteGroup:
+class NormalForm(NamedTuple):
+    """A builder and the arguments it is called with, reduced where the
+    builder reads them by a modulus (``_abc``).  Equal forms build equal
+    tables, so the scan keys the tables it has reported by the form and
+    builds each one once: the families overlap (M_2m[m,1] = D_2m,
+    Z_q:Z_2 = D_2q, QD_16 = SD_16, A_5 = PSL(2,4), ...)."""
+
+    builder: Callable[..., FiniteGroup]
+    args: tuple = ()
+
+    def build(self) -> FiniteGroup:
+        return self.builder(*self.args)
+
+
+def _abc(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
+         s: tuple[int, int] = (0, 0)) -> NormalForm:
+    """The form of ``_abelian_by_cyclic(m1, m2, k, act, s)``, with act = (p, q,
+    r, t) and s = (s1, s2) reduced by the moduli its arithmetic reads them
+    by: p, q and s1 mod m1, r, t and s2 mod m2."""
+    p, q, r, t = act
+    return NormalForm(_abelian_by_cyclic, (m1, m2, k, (p % m1, q % m1, r % m2, t % m2),
+                                           (s[0] % m1, s[1] % m2)))
+
+
+def _metacyclic(m: int, k: int, r: int, s: int = 0) -> NormalForm:
     """<a, b | a^m = 1, b^k = a^s, b a b^-1 = a^r>, with a^i b^j at index i + m*j:
     the m2 = 1 case of ``_abelian_by_cyclic``."""
-    return _abelian_by_cyclic(m, 1, k, (r, 0, 0, 1), (s, 0))
+    return _abc(m, 1, k, (r, 0, 0, 1), (s, 0))
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -257,16 +285,17 @@ def _sl2(q: int) -> FiniteGroup:
 class Family(NamedTuple):
     """Everything the checker knows about one group family.
 
-    ``check``, ``order``, ``label`` and ``build`` take the parameters
+    ``check``, ``order``, ``label`` and ``form`` take the parameters
     positionally.  ``check`` returns None for a valid tuple and otherwise
-    the reason it is invalid.  ``build`` returns the group.
+    the reason it is invalid.  ``form`` returns the group's ``NormalForm``,
+    which ``build_family`` builds and the scan keys its shared tables by.
     """
 
     params: tuple[str, ...]
     check: Callable[..., str | None]
     order: Callable[..., int]
     label: Callable[..., str]
-    build: Callable[..., FiniteGroup]
+    form: Callable[..., NormalForm]
 
     def instances(self, max_order: int) -> list[tuple[int, ...]]:
         """Every valid parameter tuple whose group has order <= max_order.
@@ -333,7 +362,7 @@ def _gl2_check(q: int) -> str | None:
     return None if q > 2 and ff.prime_power(q) else "q must be a prime power > 2"
 
 
-# fields: params, check, order, label, build
+# fields: params, check, order, label, form
 FAMILIES: dict[str, Family] = {
     "dihedral": Family(
         ("m",), _at_least("m", 3),
@@ -352,7 +381,7 @@ FAMILIES: dict[str, Family] = {
         ("n",), _at_least("n", 1),
         lambda n: 8 * n, lambda n: f"V_{8 * n}",
         # b a b^-1 = a^-1 c with c = b^2 central: A = <a> x <c> = Z_2n x Z_2
-        lambda n: _abelian_by_cyclic(2 * n, 2, 2, (-1, 0, 1, 1), (0, 1))),
+        lambda n: _abc(2 * n, 2, 2, (-1, 0, 1, 1), (0, 1))),
     "u6n": Family(
         ("n",), _at_least("n", 1),
         lambda n: 6 * n, lambda n: f"U_{6 * n}", lambda n: _metacyclic(3, 2 * n, -1)),
@@ -370,18 +399,20 @@ FAMILIES: dict[str, Family] = {
         lambda: 20, lambda: "Sz(2)", lambda: _metacyclic(5, 4, 3)),
     "hanaki_a1": Family(
         ("n",), _at_least("n", 2, " (n = 1 gives an abelian group)"),
-        lambda n: 4 ** n, lambda n: f"A({n},nu)", _hanaki_a1),
+        lambda n: 4 ** n, lambda n: f"A({n},nu)", lambda n: NormalForm(_hanaki_a1, (n,))),
     "hanaki_a2": Family(
         ("n", "p"), _hanaki_a2_check,
-        lambda n, p: p ** (3 * n), lambda n, p: f"A({n},{p})", _hanaki_a2),
+        lambda n, p: p ** (3 * n), lambda n, p: f"A({n},{p})",
+        lambda n, p: NormalForm(_hanaki_a2, (n, p))),
     "gl2": Family(
         ("q",), _gl2_check,
-        lambda q: (q * q - 1) * (q * q - q), lambda q: f"GL(2,{q})", _gl2),
+        lambda q: (q * q - 1) * (q * q - q), lambda q: f"GL(2,{q})",
+        lambda q: NormalForm(_gl2, (q,))),
     # in characteristic 2 the center of SL(2, 2^k) is trivial, so SL = PSL
     "psl2": Family(
         ("k",), _at_least("k", 2),
         lambda k: (2 ** k + 1) * 2 ** k * (2 ** k - 1), lambda k: f"PSL(2,{2 ** k})",
-        lambda k: _sl2(2 ** k)),
+        lambda k: NormalForm(_sl2, (2 ** k,))),
 }
 
 
@@ -466,7 +497,7 @@ def _cap_refusal(family: str, params: tuple[int, ...], order_cap: int) -> str | 
 def build_family(spec: FamilySpec) -> FiniteGroup:
     """Build the group a family spec names.  Any order cap was checked when
     the spec was made (``FamilySpec``), so none is checked here."""
-    G = FAMILIES[spec.family].build(*spec.params)
+    G = FAMILIES[spec.family].form(*spec.params).build()
     G.label = spec.label()
     if G.order != spec.order():
         raise FamilyError(
@@ -509,34 +540,40 @@ def _symmetric(n: int) -> FiniteGroup:
     return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
 
 
-# name -> (order, builder), in roster order
-SPECIAL_GROUPS: dict[str, tuple[int, Callable[[], FiniteGroup]]] = {
+def _product(f: NormalForm, g: NormalForm) -> FiniteGroup:
+    """The direct product of the groups of two forms."""
+    return direct_product(f.build(), g.build())
+
+
+# name -> (order, normal form), in roster order
+SPECIAL_GROUPS: dict[str, tuple[int, NormalForm]] = {
     # (Z_2 x Z_2) : Z_3, b cycling the three involutions
-    "A_4": (12, lambda: _abelian_by_cyclic(2, 2, 3, (0, 1, 1, 1))),
-    "S_4": (24, lambda: _symmetric(4)),
-    "A_5": (60, lambda: _sl2(4)),  # A_5 = PSL(2,4) = SL(2,4)
-    "SL(2,3)": (24, lambda: _sl2(3)),
+    "A_4": (12, _abc(2, 2, 3, (0, 1, 1, 1))),
+    "S_4": (24, NormalForm(_symmetric, (4,))),
+    "A_5": (60, NormalForm(_sl2, (4,))),  # A_5 = PSL(2,4) = SL(2,4), the psl2 k = 2 form
+    "SL(2,3)": (24, NormalForm(_sl2, (3,))),
     # modular (Iwasawa) group of order 16: b a b^-1 = a^5
-    "M_16": (16, lambda: _metacyclic(8, 2, 5)),
-    "Z_4:Z_4": (16, lambda: _metacyclic(4, 4, -1)),
+    "M_16": (16, _metacyclic(8, 2, 5)),
+    "Z_4:Z_4": (16, _metacyclic(4, 4, -1)),
     # central product of D_8 = <c, b> and Z_4 = <a> over (c b)^2 = a^2:
     # (Z_4 x Z_2) : Z_2 with b c b^-1 = a^2 c
-    "D_8*Z_4": (16, lambda: _abelian_by_cyclic(4, 2, 2, (1, 2, 0, 1))),
+    "D_8*Z_4": (16, _abc(4, 2, 2, (1, 2, 0, 1))),
     # (Z_4 x Z_2) : Z_2 with b a b^-1 = a c, which is (Z_2 x Z_2) : Z_4
-    "SG(16,3)": (16, lambda: _abelian_by_cyclic(4, 2, 2, (1, 0, 1, 1))),
-    "Z_2xD_8": (16, lambda: direct_product(cyclic(2), _metacyclic(4, 2, -1))),
-    "Z_2xQ_8": (16, lambda: direct_product(cyclic(2), _metacyclic(4, 2, -1, 2))),
-    "D_6xZ_3": (18, lambda: direct_product(_metacyclic(3, 2, -1), cyclic(3))),
+    "SG(16,3)": (16, _abc(4, 2, 2, (1, 0, 1, 1))),
+    "Z_2xD_8": (16, NormalForm(_product, (NormalForm(cyclic, (2,)), _metacyclic(4, 2, -1)))),
+    "Z_2xQ_8": (16, NormalForm(_product, (NormalForm(cyclic, (2,)),
+                                            _metacyclic(4, 2, -1, 2)))),
+    "D_6xZ_3": (18, NormalForm(_product, (_metacyclic(3, 2, -1), NormalForm(cyclic, (3,))))),
     # A_4 with b of order 6, so b^3 is a central involution
-    "A_4xZ_2": (24, lambda: _abelian_by_cyclic(2, 2, 6, (0, 1, 1, 1))),
+    "A_4xZ_2": (24, _abc(2, 2, 6, (0, 1, 1, 1))),
 }
 
 
 def special_group(name: str) -> FiniteGroup:
     if name not in SPECIAL_GROUPS:
         raise FamilyError(f"unknown special group {name!r}")
-    order, build = SPECIAL_GROUPS[name]
-    G = build()
+    order, form = SPECIAL_GROUPS[name]
+    G = form.build()
     if G.order != order:  # pragma: no cover - construction bug guard
         raise FamilyError(f"{name}: built order {G.order} != {order}")
     G.label = name
@@ -648,6 +685,19 @@ class CatalogEntry(NamedTuple):
         if self.family == "special":
             return special_group(self.label)
         return build_family(FamilySpec(self.family, self.params))
+
+    def form(self) -> NormalForm:
+        """The normal form ``build`` builds."""
+        if self.family == "special":
+            return SPECIAL_GROUPS[self.label][1]
+        return FAMILIES[self.family].form(*self.params)
+
+    def copy_of(self, G: FiniteGroup) -> FiniteGroup:
+        """G, a group built from this entry's normal form, under the label,
+        family and params that ``build`` sets, sharing G's rows and queries."""
+        if self.family == "special":
+            return G.copy_as(self.label, None, None)
+        return G.copy_as(self.label, self.family, self.params)
 
 
 def catalog(max_order: int) -> list[CatalogEntry]:

@@ -24,6 +24,7 @@ from .build import (
     CatalogEntry,
     FamilySpec,
     FamilyError,
+    NormalForm,
     OrderCapError,
     CayleyFormatError,
     build_family,
@@ -147,23 +148,28 @@ class ScanEntryError(Exception):
 
 
 def _scan_worker(entry: CatalogEntry,
-                 seen: dict[tuple, tuple[FiniteGroup, GroupReport]]) -> ScanRow:
+                 seen: dict[NormalForm, tuple[FiniteGroup, GroupReport]]) -> ScanRow:
     """The scan row of one catalog entry.
 
-    ``seen`` maps the ``FiniteGroup.fingerprint`` of each group reported so
-    far to the group and its report.  The families overlap (M_2m[m,1] = D_2m,
-    Z_q:Z_2 = D_2q, ...), so an entry whose table an earlier one already
-    built takes that group's derived state and report under its own label,
-    and still runs its own formula dispatch and crosschecks."""
+    ``seen`` maps the normal form (``CatalogEntry.form``) of each group
+    reported so far to the group and its report.  The families overlap
+    (M_2m[m,1] = D_2m, Z_q:Z_2 = D_2q, QD_16 = SD_16, A_5 = PSL(2,4), ...),
+    and equal forms build equal tables, so the form is looked up before
+    anything is built: an entry whose form an earlier one already built is
+    not built at all, but takes that group's rows, derived state and report
+    under the label, family and params its own build would have set
+    (``CatalogEntry.copy_of``), and still runs its own formula dispatch and
+    crosschecks."""
     try:
-        G = entry.build()
-        if G.fingerprint in seen:
-            H, rep = seen[G.fingerprint]
-            G = H.copy_as(G.label, G.family, G.params)
+        form = entry.form()
+        if form in seen:
+            H, rep = seen[form]
+            G = entry.copy_of(H)
             rep = rep._replace(label=G.label)
         else:
+            G = entry.build()
             rep = group_report(G)
-            seen[G.fingerprint] = G, rep
+            seen[form] = G, rep
         return _row_for_group(G, entry.family, entry.params, rep)
     except RouteMismatchError:
         raise  # its message already names the entry
@@ -176,7 +182,7 @@ def _scan_order(entries: list[CatalogEntry]) -> list[ScanRow]:
     """The scan rows of one order's catalog entries, the unit of work: only
     groups of equal order can share a table, so the memo of ``_scan_worker``
     lives for one unit and no longer."""
-    seen: dict[tuple, tuple[FiniteGroup, GroupReport]] = {}
+    seen: dict[NormalForm, tuple[FiniteGroup, GroupReport]] = {}
     return [_scan_worker(entry, seen) for entry in entries]
 
 

@@ -14,16 +14,16 @@ D_2000 that is 14 of 2000 rows, for GL(2,7) 20 of 2016.
 ``FiniteGroup.table`` is the full list of rows; a built group computes
 every row on its first access, for validation and the tests.
 
-A greedy generating set (at most log2(n) elements, found once and cached,
-a subgroup closed one left coset at a time) serves validation, the center
-and ``fingerprint``: the generators' rows fix the whole table, so two
-groups share a fingerprint iff they share a table.  Z(G) is the
-intersection of the generators' centralizer masks, one row and n cells per
-generator, from ``_centralizer_mask``, the one commutation primitive, which
-keeps every mask it computes: one mask per element per group at most, so a
+The one commutation primitive is the conjugation map of an element s,
+x -> s*x*s^-1 (``_conjugation``): two C-level gathers along row s, and no
+other row.  Its fixed points are C_G(s) (``_centralizer_mask``, which keeps
+every mask it computes: one mask per element per group at most, so a
 generator that comes back as a class representative, or as a generator of a
-centralizer, costs no second one.
-Conjugation by the generators, one cached map each, and left
+centralizer, costs no second one), and its orbits, with Z(G), give the
+classes.  The maps of a greedy generating set (at most log2(n) elements,
+found once and cached, a subgroup closed one left coset at a time), the
+only maps kept, serve both: Z(G) is the intersection of the generators'
+masks, each read off its kept map in one pass, and those maps with left
 multiplication by a greedy generating set of Z(G) label every element with
 its class of G/Z(G) in one walk (``quotient_classes``): the class of xZ(G)
 is the set of the c*h*x*h^-1 with c central, so no coset is numbered on the
@@ -35,17 +35,17 @@ the first central power, proves which of its powers share its centralizer:
 the coprime ones, and every one whose class is so small that Lagrange leaves
 no room between the two centralizers.  It hands the mask to each such class,
 with the order of the power's coset in G/Z(G) (``class_orders``): at most one
-mask per power class, often fewer.  A mask of |yZ(G)|*|Z(G)| elements is
-<y>Z(G) and so abelian (``certified_abelian``), which spares the AC test of
-``zagreb.group_report`` and the generator masks of the count below on almost
-every mask of the catalog.  From them come the Zagreb sums of
-``zagreb.group_report``, k(G) = sum_x |C_G(x)| / n and Pr(G) = k(G)/n, the
-distinct-centralizer count, which adds the center of each class's
-centralizer, the mask itself when certified and otherwise at most log2 of
-its order further masks, and the element orders of G/Z(G) from which
-``formulas.registry_for`` reads its shape; no quotient table is built.  Also
-here: the reader of text sources that the Cayley-table and edge-list parsers
-share.
+mask per power class, often fewer.  A mask whose index over <y>Z(G), which
+is central in it, is 1 or a prime is abelian (``certified_abelian``), which
+spares the AC test of ``zagreb.group_report`` and the generator masks of the
+count below on all but 1 of the distinct masks of ``catalog(256)``.  From
+them come the Zagreb sums of ``zagreb.group_report``,
+k(G) = sum_x |C_G(x)| / n and Pr(G) = k(G)/n, the distinct-centralizer
+count, which adds the center of each class's centralizer, the mask itself
+when certified and otherwise at most log2 of its order further masks, and
+the element orders of G/Z(G) from which ``formulas.dispatch`` reads its
+shape; no quotient table is built.  Also here: the reader of text sources
+that the Cayley-table and edge-list parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -68,6 +68,8 @@ from itertools import chain, compress, repeat
 from math import gcd
 from operator import and_, eq, itemgetter
 from typing import Callable
+
+from .ff import is_prime
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -145,14 +147,6 @@ class FiniteGroup:
         """A greedy generating set of G; see ``_greedy_generators``."""
         return tuple(self._greedy_generators(range(self.order)))
 
-    @cached_property
-    def fingerprint(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of ``generators``, which fix the whole table: every
-        element is a word in the generators, and row(a*b) is row(a) read along
-        row(b).  Two groups have equal fingerprints iff their tables are
-        equal, since equal tables give the same greedy generators."""
-        return tuple(tuple(self.row(s)) for s in self.generators)
-
     def _greedy_generators(self, members) -> list[int]:
         """A greedy generating set of the subgroup whose elements, ascending,
         are ``members``: walk them and take each one not yet reached, so each
@@ -212,18 +206,21 @@ class FiniteGroup:
         return len(self.center()) == self.order
 
     # -- conjugation and the classes of G/Z(G) -----------------------------------
+    def _conjugation(self, s: int) -> tuple[int, ...]:
+        """The conjugation map x -> s*x*s^-1, in a group of order at least 2,
+        as h(h(x)) with h(x) = (s*x)^-1 = x^-1*s^-1, since
+        h(x^-1*s^-1) = s*x*s^-1.  h is the inverses read along row s, so the
+        map is two C-level gathers of n cells and reads only row s.  Its
+        fixed points are C_G(s) (``_centralizer_mask``), and its orbits, with
+        Z(G), are the classes of G/Z(G) (``quotient_classes``)."""
+        h = itemgetter(*self.row(s))(self._inverses)
+        return itemgetter(*h)(h)
+
     @cached_property
     def _conjugations(self) -> list[tuple[int, ...]]:
-        """x -> s*x*s^-1 for each generator s, as h(h(x)) with
-        h(x) = (s*x)^-1 = x^-1*s^-1, since h(x^-1*s^-1) = s*x*s^-1.  h is the
-        inverses read along row s, so each map is two C-level gathers of
-        n cells and reads only the generator's own row."""
-        inv = self._inverses
-        out = []
-        for s in self.generators:
-            h = itemgetter(*self.row(s))(inv)
-            out.append(itemgetter(*h)(h))
-        return out
+        """The conjugation maps of the generators, in their order: the only
+        maps kept."""
+        return list(map(self._conjugation, self.generators))
 
     @cached_property
     def quotient_classes(self) -> tuple[list[int], list[int], list[int]]:
@@ -260,16 +257,18 @@ class FiniteGroup:
     # -- the commutation relation ----------------------------------------------
     def _centralizer_mask(self, x: int) -> int:
         """C_G(x) as a bitmask, bit g set iff x*g == g*x, in a group of order
-        at least 2, computed on the first request and kept in ``_masks``.
-        Since x*(x*g)^-1 = x*g^-1*x^-1, x*g == g*x iff x*(x*g)^-1 == g^-1:
-        the inverses read along row x, row x read at those, compared with
-        the inverses, two C-level gathers of n cells that read no other row;
-        reversed, the bytes put g = 0 lowest."""
+        at least 2, computed on the first request and kept in ``_masks``:
+        the fixed points of x's conjugation map, compared with row 0, the
+        identity map, in one C-level pass.  A generator's map is the one
+        ``_conjugations`` keeps, so Z(G), the intersection of the
+        generators' masks, costs no gather the classes do not need anyway;
+        any other x's map is made for the mask and dropped.  Reversed, the
+        bytes put g = 0 lowest."""
         m = self._masks.get(x)
         if m is None:
-            row = self.row(x)
-            inv = self._inverses
-            same = bytes(map(eq, itemgetter(*itemgetter(*row)(inv))(row), inv))
+            gens = self.generators
+            conj = self._conjugations[gens.index(x)] if x in gens else self._conjugation(x)
+            same = bytes(map(eq, conj, self.row(0)))
             m = self._masks[x] = int(same[::-1].translate(_BIT_CHARS), 2)
         return m
 
@@ -332,8 +331,8 @@ class FiniteGroup:
         centralizer Lagrange pins to C_G(r), so at most one mask is computed
         per power class of G/Z(G), n cells each, and often fewer.
 
-        With o = ``class_orders[c]``, <y>Z(G) has order o*z and lies in C_G(y),
-        so a mask of exactly o*z elements is <y>Z(G), abelian: the
+        With o = ``class_orders[c]``, <y>Z(G) has order o*z and is central in
+        C_G(y), so a mask of o*z times 1 or a prime elements is abelian: the
         certificate (``certified_abelian``) that ``zagreb.group_report`` and
         ``count_distinct_centralizers`` read instead of testing the mask."""
         return self._power_classes[0]
@@ -346,10 +345,20 @@ class FiniteGroup:
 
     @cached_property
     def certified_abelian(self) -> frozenset[int]:
-        """The class masks that their size proves abelian: a class's mask
-        C_G(y) with |C_G(y)| = |yZ(G)|*|Z(G)| is <y>Z(G) (``class_masks``)."""
+        """The class masks that their size proves abelian.  A class's mask
+        C_G(y) contains K = <y>Z(G), of order o*z with o = |yZ(G)| and
+        z = |Z(G)| (``class_masks``), and K is central in C_G(y): y commutes
+        with all of C_G(y), and Z(G) with everything.  When the index
+        [C_G(y) : K] is 1 or a prime, C_G(y)/K is cyclic, so C_G(y) is
+        generated by K and one element c, which commutes with K: C_G(y) is
+        abelian."""
         z = len(self.center())
-        return frozenset(m for m, o in zip(*self._power_classes) if m.bit_count() == o * z)
+        certified = set()
+        for m, o in zip(*self._power_classes):
+            index, rest = divmod(m.bit_count(), o * z)
+            if not rest and (index == 1 or is_prime(index)):
+                certified.add(m)
+        return frozenset(certified)
 
     @cached_property
     def conjugacy_class_count(self) -> int:

@@ -239,7 +239,8 @@ def group_report(G: FiniteGroup) -> GroupReport:
     non-central elements, iff C_G(x) is abelian for every non-central x (G is
     an AC-group); it suffices to test one element per class, once per
     distinct mask.  A class's mask C_G(y) with o = |yZ(G)| contains <y>Z(G),
-    of order o*z, so |C_G(y)| = o*z proves the two equal, and abelian
+    of order o*z and central in it, so an index |C_G(y)|/(o*z) of 1 or a
+    prime leaves a cyclic quotient and proves C_G(y) abelian
     (``FiniteGroup.certified_abelian``); ``FiniteGroup.is_abelian_subgroup``
     tests only the other masks.  Then the cliques are the sets
     C_G(x) - Z(G), and V_s holds |V_s|/(s - z) of them, of size s - z.  A
@@ -253,6 +254,16 @@ def group_report(G: FiniteGroup) -> GroupReport:
     formulas - and must agree.  C indices are computed by these sums and,
     whenever C(G) is a disjoint union of cliques, from that decomposition
     too.  A mismatch means a bug and raises RouteMismatchError.
+
+    The decomposition also fixes the C verdict.  Weight each of the l
+    cliques of size s by l*s, its vertices, and put X = s - 1, a vertex's
+    degree.  Then M1/|V| = E[X^2] and M2/|E| = E[X^3]/E[X], so the gap is
+    (E[X^3] - E[X]*E[X^2])/E[X] = Cov(X, X^2)/E[X], where
+    Cov(X, X^2) = E[(X - X')^2 (X + X')]/2 for an independent copy X' of X,
+    and X >= 0.  With |E| > 0, E[X] > 0, so the gap is never negative, and
+    it is 0 iff X is constant, iff there is one clique size.  A C verdict
+    that is not equality for one size and strict otherwise raises
+    RouteMismatchError too.
     """
     n = G.order
     z = len(G.center())
@@ -300,13 +311,22 @@ def group_report(G: FiniteGroup) -> GroupReport:
         raise RouteMismatchError(
             f"{G.label}: direct NC report {rep_nc} != complement-formula {rep_nc_formula}"
         )
+    verdict_c = conjecture_verdict(rep_c)
+    if decomposition and rep_c.edges:
+        sizes = len(decomposition.parts)
+        if verdict_c.status is not (Verdict.HOLDS_WITH_EQUALITY if sizes == 1
+                                    else Verdict.HOLDS_STRICT):
+            raise RouteMismatchError(
+                f"{G.label}: C verdict {verdict_c.status.value} contradicts the "
+                f"decomposition {decomposition.parts}, which has {sizes} clique size(s)"
+            )
     return GroupReport(
         label=G.label,
         order=n,
         center_size=z,
         c=rep_c,
         nc=rep_nc,
-        verdict_c=conjecture_verdict(rep_c),
+        verdict_c=verdict_c,
         verdict_nc=conjecture_verdict(rep_nc),
         decomposition=decomposition,
     )

@@ -28,6 +28,20 @@ def test_tracer_target_modules_import():
         importlib.import_module(name)
 
 
+def test_item_opening_tracer_targets_resolve():
+    # the tracer skips a target it cannot find, so a renamed one would read
+    # as zero items rather than fail
+    opening = [(module, attr) for module, attr, _, opens in load("tracing").TARGETS if opens]
+    assert [attr for _, attr in opening] == [
+        "CatalogEntry.build", "build_family", "ingest_cayley", "read_edge_list"]
+    for module_name, attr in opening:
+        owner_name, _, member = attr.rpartition(".")
+        owner = importlib.import_module(module_name)
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        assert callable(vars(owner).get(member)), attr
+
+
 def test_workloads_import_and_read_a_built_table():
     load("workloads")  # its imports from groupzagreb resolve
     G = build_family(FamilySpec("dihedral", (3,)))

@@ -364,6 +364,14 @@ def close(n, row_of):
     return rows
 
 
+def fingerprint(G):
+    """The rows of G's greedy generators, which fix the whole table: every
+    element is a word in the generators, and row(a*b) is row(a) read along
+    row(b).  Two groups have equal fingerprints iff their tables are equal,
+    since equal tables give the same greedy generators."""
+    return tuple(tuple(G.row(s)) for s in G.generators)
+
+
 def asking(table, asked):
     """A row_of for close that serves rows of ``table`` and records each request."""
     return lambda s: asked.append(s) or list(table[s])

@@ -679,6 +679,44 @@ def test_scan_tests_only_uncertified_centralizers(capsys, monkeypatch):
     assert calls[0] <= 12
 
 
+@pytest.mark.parametrize("max_order,digest,builds,tests", [
+    ("256", EXPECTED_SCAN["256"]["sha256"], 585, 1),
+    ("512", SCAN_512_STDOUT_SHA256, 1327, 11),
+], ids=["256", "512"])
+def test_scan_builds_each_normal_form_once(capsys, monkeypatch, max_order, digest,
+                                           builds, tests):
+    # an entry whose normal form an earlier entry of its order built is not
+    # built (788 entries at 256, 1725 at 512), and the dispatch still sees
+    # the label, family and params its own build sets; and a centralizer
+    # whose index over <y>Z(G) is 1 or prime is certified abelian, so only
+    # the others are tested (12 at 256 when the index had to be 1)
+    built, dispatched, tested = [], [], [0]
+    real_build, real_test = CatalogEntry.build, FiniteGroup.is_abelian_subgroup
+
+    def counted_build(entry):
+        built.append(entry)
+        return real_build(entry)
+
+    def seen_dispatch(G):
+        dispatched.append((G.label, G.family, G.params))
+        return formulas.dispatch(G)
+
+    def counted_test(G, mask):
+        tested[0] += 1
+        return real_test(G, mask)
+
+    monkeypatch.setattr(CatalogEntry, "build", counted_build)
+    monkeypatch.setattr(cli, "dispatch", seen_dispatch)
+    monkeypatch.setattr(FiniteGroup, "is_abelian_subgroup", counted_test)
+    code, out, _ = run(capsys, "scan", "--max-order", max_order, "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert (len(built), tested[0]) == (builds, tests)
+    assert len({e.form() for e in built}) == builds
+    own = [real_build(e) for e in catalog(int(max_order))]
+    assert dispatched == [(G.label, G.family, G.params) for G in own]
+
+
 def test_a_wrong_certificate_fails_loudly(tmp_path, capsys, monkeypatch):
     # a walk that claimed S_4's D_8 centralizer of a double transposition
     # were <y>Z(G) (order 8 for y) would make route 2 split its 3 elements

@@ -20,6 +20,7 @@ from groupzagreb.build import (
 )
 from groupzagreb.grp import FiniteGroup, GroupTableError
 from graph_oracles import centralizer_mask, centralizer_masks, commuting_graph
+from test_build import fingerprint
 from quotient_oracles import (
     center_cosets,
     central_quotient,
@@ -459,6 +460,31 @@ def test_certified_masks_are_abelian(build):
     assert G.count_distinct_centralizers() == len(set(centralizer_masks(G)))
 
 
+def assert_certified_masks_abelian(G):
+    # per the table: every element of the mask commutes with all of it
+    cents = centralizer_masks(G)
+    for m in G.certified_abelian:
+        assert all(m & ~cents[y] == 0 for y in bits(m)), G.label
+
+
+@COMMUTATION_GROUPS
+def test_certified_masks_are_abelian_per_the_table(build):
+    assert_certified_masks_abelian(build())
+
+
+@pytest.mark.parametrize("entry", catalog(256), ids=lambda e: e.label)
+def test_certified_masks_of_the_catalog_are_abelian_per_the_table(entry):
+    assert_certified_masks_abelian(entry.build())
+
+
+def test_prime_index_certifies_the_centralizer_of_a_transposition():
+    # S_4: C((12)) = <(12), (34)> has index 2 over <(12)>, C(4-cycle) is
+    # the cycle's own <y>, C(3-cycle) too; C((12)(34)) = D_8 has index 4
+    # over <(12)(34)> and stays uncertified
+    G = special_group("S_4")
+    assert sorted(len(bits(m)) for m in G.certified_abelian) == [3, 4, 4]
+
+
 def test_class_masks_of_pgl_2_7_are_one_per_class():
     # GL(2,7)/Z = PGL(2,7), with 9 classes against 336 cosets
     G = B("gl2", 7)
@@ -843,9 +869,9 @@ def test_validate_rejects_every_within_row_swap_of_catalog_64():
     faults = Counter()
     for entry in catalog(64):
         G = entry.build()
-        if G.fingerprint in seen:
+        if fingerprint(G) in seen:
             continue
-        seen.add(G.fingerprint)
+        seen.add(fingerprint(G))
         n = G.order
         for x in range(1, n):
             t = list(G.table)

@@ -4,8 +4,9 @@ Each row a builder's ``row_of`` gives must equal the row that the test
 oracle ``close`` composes from the rows of a generating set of a fresh
 build; the inverses each builder hands over and the conjugations, which
 read only the generators' rows, must equal maps read off the full table;
-the fingerprint must tell tables apart; and the report path must leave the
-table unbuilt.
+the fingerprint oracle must tell tables apart, and the builders' normal
+forms must be equal exactly where the fingerprints are; and the report path
+must leave the table unbuilt.
 """
 
 import random
@@ -29,6 +30,7 @@ from groupzagreb.zagreb import group_report
 from test_build import (
     abelian_by_cyclic_oracle,
     close,
+    fingerprint,
     gl2_oracle,
     hanaki_a1_oracle,
     hanaki_a2_oracle,
@@ -198,12 +200,40 @@ def test_a_group_from_row_of_needs_its_inverses():
 
 def test_fingerprints_are_equal_iff_tables_are():
     groups = [e.build() for e in catalog(64)]
-    prints = [G.fingerprint for G in groups]
+    prints = [fingerprint(G) for G in groups]
     equal = 0
     for (a, pa), (b, pb) in combinations(zip(groups, prints), 2):
         assert (pa == pb) == (a.table == b.table), (a.label, b.label)
         equal += pa == pb
     assert equal  # the families overlap: M_2m[m,1] = D_2m, Z_q:Z_2 = D_2q, ...
+
+
+CATALOG_512 = catalog(512)
+
+
+def test_equal_normal_forms_give_equal_tables():
+    # and a copy of the first group under a later entry is what that
+    # entry's own build gives: the scan's shared table, label, family and
+    # params
+    by_form = {}
+    for e in CATALOG_512:
+        by_form.setdefault(e.form(), []).append(e)
+    shared = [es for es in by_form.values() if len(es) > 1]
+    assert sum(len(es) - 1 for es in shared) == 398
+    for first, *later in shared:
+        H = first.build()
+        for e in later:
+            G, copy = e.build(), e.copy_of(H)
+            assert G.table == H.table, (first.label, e.label)
+            assert (copy.label, copy.family, copy.params) == (G.label, G.family, G.params)
+
+
+def test_equal_fingerprints_within_an_order_give_equal_normal_forms():
+    # the normal form catches every table the fingerprint says repeats
+    form_of = {}
+    for e in CATALOG_512:
+        form = form_of.setdefault((e.order, fingerprint(e.build())), e.form())
+        assert form == e.form(), e.label
 
 
 def test_ingested_group_serves_rows_from_its_list():

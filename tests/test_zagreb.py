@@ -1,6 +1,7 @@
 """Graphs, the three Zagreb routes, decompositions, and verdicts."""
 
 import random
+import re
 from operator import mul
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupzagreb.build import (
+    FAMILIES,
     FamilySpec,
     _symmetric,
     build_family,
@@ -17,7 +19,7 @@ from groupzagreb.build import (
     special_group,
 )
 from groupzagreb.grp import AbelianGroupError, FiniteGroup
-from groupzagreb import zagreb
+from groupzagreb import cli, zagreb
 from groupzagreb.zagreb import (
     CliqueDecomposition,
     GraphFormatError,
@@ -426,6 +428,42 @@ def test_group_report_on_2_1_4_needs_abelian_centralizers():
     rep = assert_report_matches_graph_oracles(G)
     assert rep.decomposition is None
     assert (rep.c.m1, rep.c.m2, rep.c.edges) == (5070, 32955, 195)
+
+
+_real_verdict = zagreb.conjecture_verdict
+
+
+def _status_replaced(old, new):
+    """A seeded fault: conjecture_verdict reading status ``old`` as ``new``."""
+    def verdict(r):
+        v = _real_verdict(r)
+        return v._replace(status=new) if v.status is old else v
+    return verdict
+
+
+@pytest.mark.parametrize("fault,family,params,label", [
+    # D_8: every clique of C(G) has 2 vertices, so the C gap is exactly 0
+    (_status_replaced(Verdict.HOLDS_WITH_EQUALITY, Verdict.HOLDS_STRICT), "dihedral", (4,), "D_8"),
+    # D_6 and M_20: cliques of two sizes, so the C gap is positive
+    (_status_replaced(Verdict.HOLDS_STRICT, Verdict.HOLDS_WITH_EQUALITY), "dihedral", (3,), "D_6"),
+    (_status_replaced(Verdict.HOLDS_STRICT, Verdict.FAILS), "m2mn", (5, 2), "M_20[m=5,n=2]"),
+], ids=["equality-as-strict", "strict-as-equality", "strict-as-fails"])
+def test_c_verdict_contradicting_the_decomposition_raises(capsys, monkeypatch,
+                                                          fault, family, params, label):
+    # the C gap is Cov(X, X^2)/E[X] over the cliques, X = size - 1: 0 for
+    # one clique size and positive otherwise, so a verdict that says
+    # anything else is a fault in the verdict, caught before any row prints
+    spec = FamilySpec(family, params)
+    sizes = len(group_report(build_family(spec)).decomposition.parts)
+    assert (sizes == 1) == (label == "D_8")
+    monkeypatch.setattr(zagreb, "conjecture_verdict", fault)
+    with pytest.raises(zagreb.RouteMismatchError, match=f"^{re.escape(label)}: C verdict"):
+        group_report(build_family(spec))
+    flags = [f"--{name}" for name in FAMILIES[family].params]
+    argv = ["family", family, *[str(a) for pair in zip(flags, params) for a in pair]]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {label}: C verdict")
 
 
 @pytest.mark.parametrize("G", [cyclic(6), direct_product(cyclic(2), cyclic(2))],
