@@ -31,7 +31,7 @@ from .build import (
     catalog,
     ingest_cayley,
 )
-from .formulas import Applicable, CrosscheckResult, crosscheck, dispatch, registry_for
+from .formulas import Applicable, CrosscheckResult, crosschecks, dispatch, registry_for
 from .grp import FiniteGroup, GroupTableError
 from .zagreb import (
     GraphFormatError,
@@ -103,12 +103,6 @@ _TABLE_FILE_ERRORS = (CayleyFormatError, GroupTableError, OSError, UnicodeDecode
 _Checks = list[tuple[Applicable, CrosscheckResult]]
 
 
-def _crosschecks(apps: tuple[Applicable, ...], rep: GroupReport) -> _Checks:
-    """Each of the applicable formula entries ``apps``, crosschecked against
-    the group's report."""
-    return [(app, crosscheck(app.entry, app.params, report=rep)) for app in apps]
-
-
 def _row_for_group(G: FiniteGroup, family: str, params: tuple[int, ...],
                    rep: GroupReport | None = None, checks: _Checks | None = None) -> ScanRow:
     """The scan row for G; pass ``rep`` and ``checks`` when already computed.
@@ -116,7 +110,7 @@ def _row_for_group(G: FiniteGroup, family: str, params: tuple[int, ...],
     if rep is None:
         rep = group_report(G)
     if checks is None:
-        checks = _crosschecks(dispatch(G), rep)
+        checks = crosschecks(dispatch(G), rep)
     diffs = sum(len(result.diffs) for _, result in checks)
     return ScanRow(
         label=G.label,
@@ -281,7 +275,7 @@ def _cmd_verify(args, parser: _Parser) -> int:
             continue
         checked += 1
         G = build_family(spec)
-        for _, result in _crosschecks(dispatch(G), group_report(G)):
+        for _, result in crosschecks(dispatch(G), group_report(G)):
             for d in result.diffs:
                 failures.append(
                     f"{spec.label()} [{result.entry_key}{result.params}] "
@@ -462,7 +456,7 @@ def _cmd_group(args, parser: _Parser) -> int:
         print(f"error: {args.cayley}: Group must be non-abelian", file=sys.stderr)
         return EXIT_VALIDATION
     rep = group_report(G)
-    checks = _crosschecks(registry_for(G), rep)
+    checks = crosschecks(registry_for(G), rep)
     row = _row_for_group(G, "ingested", (), rep, checks)
     info = {
         "label": G.label,

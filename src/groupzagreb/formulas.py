@@ -29,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .build import FAMILIES
 from .ff import is_prime
@@ -425,31 +425,33 @@ def crosscheck(
     Predicted fields that disagree land in ``diffs``; alternate forms
     that disagree with the confirmed value land in ``alt_mismatches`` (they
     are expected to disagree - that is why they are retained)."""
-    pred = entry.evaluate(params)
+    return crosschecks([Applicable(entry, params, "family")], report)[0][1]
 
-    actual = FormulaPrediction(
-        vertices=report.c.vertices,
-        edges_c=report.c.edges,
-        edges_nc=report.nc.edges,
-        m1_c=report.c.m1,
-        m2_c=report.c.m2,
-        m1_nc=report.nc.m1,
-        m2_nc=report.nc.m2,
-        decomposition=report.decomposition,
-        equality_c=report.verdict_c.status == Verdict.HOLDS_WITH_EQUALITY,
-        equality_nc=report.verdict_nc.status == Verdict.HOLDS_WITH_EQUALITY,
-    )
-    diffs = () if pred == actual else tuple(
-        FieldDiff(name, p, a)
-        for name, p, a in zip(FormulaPrediction._fields, pred, actual)
-        if p != a
-    )
-    alt = []
-    for alt_form in entry.alt_forms:
-        value = alt_form.fn(*params)
-        if value is None:
-            continue  # variant does not apply to this parameter case
-        confirmed = getattr(pred, alt_form.field)
-        if value != confirmed:
-            alt.append(FieldDiff(alt_form.field, value, confirmed, alt_form.note))
-    return CrosscheckResult(entry.key, tuple(params), diffs, tuple(alt))
+
+def crosschecks(apps: Iterable[Applicable],
+                report: GroupReport) -> list[tuple[Applicable, CrosscheckResult]]:
+    """``crosscheck`` of each applicable entry against one report, whose own
+    fields are read into a prediction once for all of them."""
+    c, nc, equal = report.c, report.nc, Verdict.HOLDS_WITH_EQUALITY
+    actual = FormulaPrediction(c.vertices, c.edges, nc.edges, c.m1, c.m2, nc.m1, nc.m2,
+                               report.decomposition, report.verdict_c.status == equal,
+                               report.verdict_nc.status == equal)
+    checks = []
+    for app in apps:
+        entry, params = app.entry, app.params
+        pred = entry.evaluate(params)
+        diffs = () if pred == actual else tuple(
+            FieldDiff(name, p, a)
+            for name, p, a in zip(FormulaPrediction._fields, pred, actual)
+            if p != a
+        )
+        alt = []
+        for alt_form in entry.alt_forms:
+            value = alt_form.fn(*params)
+            if value is None:
+                continue  # variant does not apply to this parameter case
+            confirmed = getattr(pred, alt_form.field)
+            if value != confirmed:
+                alt.append(FieldDiff(alt_form.field, value, confirmed, alt_form.note))
+        checks.append((app, CrosscheckResult(entry.key, tuple(params), diffs, tuple(alt))))
+    return checks

@@ -8,44 +8,50 @@ group from a builder gets its order, a ``row_of`` and the inverse map, the
 last two from the builder's own arithmetic, and computes a row only when a
 query asks for it; no inverse is found by walking the table.  The Zagreb
 report, the formula dispatch and the cross-check read the rows of the
-generators, of the class representatives of G/Z(G) that
-``class_masks`` walks and of the generators of Z(G), and no other: for
-D_2000 that is 14 of 2000 rows, for GL(2,7) 20 of 2016.
+generators, of the class representatives of G/Z(G) that the power walk
+starts from and of the generators of Z(G), and no other, row 0 included:
+for D_2000 that is 5 of 2000 rows, for GL(2,7) 9 of 2016.
 ``FiniteGroup.table`` is the full list of rows; a built group computes
 every row on its first access, for validation and the tests.
 
 The one commutation primitive is the conjugation map of an element s,
 x -> s*x*s^-1 (``_conjugation``): two C-level gathers along row s, and no
-other row.  Its fixed points are C_G(s) (``_centralizer_mask``, which keeps
-every mask it computes: one mask per element per group at most, so a
-generator that comes back as a class representative, or as a generator of a
-centralizer, costs no second one), and its orbits, with Z(G), give the
-classes.  The maps of a greedy generating set (at most log2(n) elements,
-found once and cached, a subgroup closed one left coset at a time), the
-only maps kept, serve both: Z(G) is the intersection of the generators'
-masks, each read off its kept map in one pass, and those maps with left
-multiplication by a greedy generating set of Z(G) label every element with
-its class of G/Z(G) in one walk (``quotient_classes``): the class of xZ(G)
-is the set of the c*h*x*h^-1 with c central, so no coset is numbered on the
-way.  Whether x and y commute depends only on their cosets xZ(G) and
+other row.  Its fixed points, compared with ``range(n)``, are C_G(s)
+(``_centralizer_mask``, which keeps every mask it computes: one mask per
+element per group at most, so a generator that comes back as a class
+representative, or as a generator of a centralizer, costs no second one),
+and its orbits, with Z(G), give the classes.  One cached pass per group
+(``_commutation``) starts from the maps of a greedy generating set (at
+most log2(n) elements, found once and cached, a subgroup closed one left
+coset at a time), the only maps kept, and finds in turn: Z(G), the
+intersection of their masks, where an abelian G stops; the classes of
+G/Z(G), in one walk of those maps and of left multiplication by a greedy
+generating set of Z(G) (``quotient_classes``), since the class of xZ(G) is
+the set of the c*h*x*h^-1 with c central, so no coset is numbered on the
+way; a mask and a coset order per class; the abelian certificates; and
+k(G).  Whether x and y commute depends only on their cosets xZ(G) and
 yZ(G), and conjugate elements have conjugate centralizers, so one
 centralizer bitmask per class of G/Z(G) (``class_masks``) carries every
-commutation fact the library reports.  One walk along an element's row, to
-the first central power, proves which of its powers share its centralizer:
-the coprime ones, and every one whose class is so small that Lagrange leaves
-no room between the two centralizers.  It hands the mask to each such class,
-with the order of the power's coset in G/Z(G) (``class_orders``): at most one
-mask per power class, often fewer.  A mask whose index over <y>Z(G), which
-is central in it, is 1 or a prime is abelian (``certified_abelian``), which
-spares the AC test of ``zagreb.group_report`` and the generator masks of the
-count below on all but 1 of the distinct masks of ``catalog(256)``.  From
-them come the Zagreb sums of ``zagreb.group_report``,
-k(G) = sum_x |C_G(x)| / n and Pr(G) = k(G)/n, the distinct-centralizer
-count, which adds the center of each class's centralizer, the mask itself
-when certified and otherwise at most log2 of its order further masks, and
-the element orders of G/Z(G) from which ``formulas.dispatch`` reads its
-shape; no quotient table is built.  Also here: the reader of text sources
-that the Cayley-table and edge-list parsers share.
+commutation fact the library reports.  The power walk (``_power_walk``)
+goes along an element's row, to the first central power, and proves which
+of its powers share its centralizer: the coprime ones, and every one whose
+class is so small that Lagrange leaves no room between the two
+centralizers.  It hands the mask to each such class, with the order of the
+power's coset in G/Z(G) (``class_orders``): at most one mask per power
+class, often fewer.  A mask whose index over <y>Z(G), which is central in
+it, is 1 or a prime is abelian (``certified_abelian``, decided once per
+distinct mask and order), which spares the AC test of
+``zagreb.group_report`` and the generator masks of the count below on all
+but 1 of the distinct masks of ``catalog(256)``.  The accessors
+``center``, ``quotient_classes``, ``class_masks``, ``class_orders``,
+``certified_abelian`` and ``conjugacy_class_count`` read that one record.
+From it come the Zagreb sums of ``zagreb.group_report``, Pr(G) = k(G)/n,
+the distinct-centralizer count, which adds the center of each class's
+centralizer, the mask itself when certified and otherwise at most log2 of
+its order further masks, and the element orders of G/Z(G) from which
+``formulas.dispatch`` reads its shape; no quotient table is built.  Also
+here: the reader of text sources that the Cayley-table and edge-list
+parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -66,7 +72,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import and_, eq, itemgetter
+from operator import and_, eq, itemgetter, mul
 from typing import Callable
 
 from .ff import is_prime
@@ -141,7 +147,7 @@ class FiniteGroup:
         row with ``row`` on first access; the report path never reads it."""
         return [self.row(x) for x in range(self.order)]
 
-    # -- generators and the center -----------------------------------------------
+    # -- generators ----------------------------------------------------------------
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """A greedy generating set of G; see ``_greedy_generators``."""
@@ -193,52 +199,60 @@ class FiniteGroup:
         sets its builder's map on the instance instead."""
         return [row.index(0) for row in self._rows]
 
-    @cached_property
-    def _center(self) -> tuple[int, ...]:
-        # Z(G) is the intersection of the generators' centralizers
-        z = reduce(and_, map(self._centralizer_mask, self.generators), (1 << self.order) - 1)
-        return tuple(self._members(z))
-
-    def center(self) -> tuple[int, ...]:
-        return self._center
-
-    def is_abelian(self) -> bool:
-        return len(self.center()) == self.order
-
-    # -- conjugation and the classes of G/Z(G) -----------------------------------
+    # -- the commutation pass ----------------------------------------------------
     def _conjugation(self, s: int) -> tuple[int, ...]:
         """The conjugation map x -> s*x*s^-1, in a group of order at least 2,
         as h(h(x)) with h(x) = (s*x)^-1 = x^-1*s^-1, since
         h(x^-1*s^-1) = s*x*s^-1.  h is the inverses read along row s, so the
         map is two C-level gathers of n cells and reads only row s.  Its
         fixed points are C_G(s) (``_centralizer_mask``), and its orbits, with
-        Z(G), are the classes of G/Z(G) (``quotient_classes``)."""
+        Z(G), are the classes of G/Z(G) (``_commutation``)."""
         h = itemgetter(*self.row(s))(self._inverses)
         return itemgetter(*h)(h)
 
-    @cached_property
-    def _conjugations(self) -> list[tuple[int, ...]]:
-        """The conjugation maps of the generators, in their order: the only
-        maps kept."""
-        return list(map(self._conjugation, self.generators))
+    def _centralizer_mask(self, x: int, conj: tuple[int, ...] | None = None) -> int:
+        """C_G(x) as a bitmask, bit g set iff x*g == g*x, in a group of order
+        at least 2, computed on the first request and kept in ``_masks``:
+        the fixed points of x's conjugation map ``conj``, made here unless
+        the caller holds it, compared with the identity map ``range(n)`` in
+        one C-level pass, so no identity row is built.  Reversed, the bytes
+        put g = 0 lowest."""
+        m = self._masks.get(x)
+        if m is None:
+            if conj is None:
+                conj = self._conjugation(x)
+            same = bytes(map(eq, conj, range(self.order)))
+            m = self._masks[x] = int(same[::-1].translate(_BIT_CHARS), 2)
+        return m
 
     @cached_property
-    def quotient_classes(self) -> tuple[list[int], list[int], list[int]]:
-        """(class_of, sizes, reps): the conjugacy classes of G/Z(G), as the
-        sets of their elements.  Element g lies in class c = class_of[g] of
-        sizes[c] elements, |Z(G)| times its size in G/Z(G), represented by
-        reps[c], its lowest element; reps ascend, so Z(G) is class 0.
+    def _commutation(self) -> tuple:
+        """(maps, center, (class_of, sizes, reps), masks, orders, certified,
+        k), in one pass on locals: the generators' conjugation maps; Z(G),
+        the intersection of their masks, where an abelian G stops with one
+        class, of mask G and order 1; the classes of G/Z(G), one walk of
+        those maps and the rows of a greedy generating set of Z(G), since
+        the class of gZ(G) holds the c*h*g*h^-1 with c central:
+        n*(|S| + |S_Z|) steps; ``_power_walk``; the certificates, once per
+        distinct (mask, order) pair; and k(G) = sum_x |C_G(x)| / n.
 
-        The class of gZ(G) holds the elements c*h*g*h^-1, c central, so it is
-        the orbit of g under the conjugations by the generators and left
-        multiplication by a greedy generating set of Z(G), whose rows are
-        the only ones read: n*(|S| + |S_Z|) steps in one walk."""
-        maps = self._conjugations + [
-            self.row(s) for s in self._greedy_generators(self.center())]
-        class_of = [-1] * self.order
+        A class's mask C_G(y) contains K = <y>Z(G), of order o*z with
+        o = |yZ(G)|, and K is central in it.  When [C_G(y) : K] is 1 or a
+        prime, C_G(y)/K is cyclic, so C_G(y) is K and one element that
+        commutes with K: abelian."""
+        n = self.order
+        gens = self.generators
+        maps = list(map(self._conjugation, gens))
+        z_mask = reduce(and_, map(self._centralizer_mask, gens, maps), (1 << n) - 1)
+        center = tuple(self._members(z_mask))
+        z = len(center)
+        if z == n:
+            return maps, center, ([0] * n, [n], [0]), (z_mask,), (1,), frozenset((z_mask,)), n
+        walk = maps + [self.row(s) for s in self._greedy_generators(center)]
+        class_of = [-1] * n
         sizes: list[int] = []
         reps: list[int] = []
-        for g in range(self.order):
+        for g in range(n):
             if class_of[g] >= 0:
                 continue
             k = len(reps)
@@ -246,36 +260,25 @@ class FiniteGroup:
             reps.append(g)
             todo = [g]
             for y in todo:
-                for m in maps:
+                for m in walk:
                     p = m[y]
                     if class_of[p] < 0:
                         class_of[p] = k
                         todo.append(p)
             sizes.append(len(todo))
-        return class_of, sizes, reps
+        masks, orders = self._power_walk(class_of, sizes, reps, z)
+        order_of = [m.bit_count() for m in masks]
+        certified = frozenset(
+            m for m, s, o in set(zip(masks, order_of, orders))
+            if not s % (o * z) and (s == o * z or is_prime(s // (o * z))))
+        k = sum(map(mul, sizes, order_of)) // n
+        return maps, center, (class_of, sizes, reps), masks, orders, certified, k
 
-    # -- the commutation relation ----------------------------------------------
-    def _centralizer_mask(self, x: int) -> int:
-        """C_G(x) as a bitmask, bit g set iff x*g == g*x, in a group of order
-        at least 2, computed on the first request and kept in ``_masks``:
-        the fixed points of x's conjugation map, compared with row 0, the
-        identity map, in one C-level pass.  A generator's map is the one
-        ``_conjugations`` keeps, so Z(G), the intersection of the
-        generators' masks, costs no gather the classes do not need anyway;
-        any other x's map is made for the mask and dropped.  Reversed, the
-        bytes put g = 0 lowest."""
-        m = self._masks.get(x)
-        if m is None:
-            gens = self.generators
-            conj = self._conjugations[gens.index(x)] if x in gens else self._conjugation(x)
-            same = bytes(map(eq, conj, self.row(0)))
-            m = self._masks[x] = int(same[::-1].translate(_BIT_CHARS), 2)
-        return m
-
-    @cached_property
-    def _power_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(masks, orders): for each class of G/Z(G), the centralizer mask of
-        one of its elements y and the order of yZ(G).
+    def _power_walk(self, class_of: list[int], sizes: list[int], reps: list[int],
+                    z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(masks, orders): for each class of G/Z(G) (``quotient_classes``,
+        z = |Z(G)|), the centralizer mask of one of its elements y and the
+        order of yZ(G).
 
         The classes are taken in ascending order.  A class c with no mask yet
         gets C_G(r) for its representative r, and row r walks r, r^2, ... until
@@ -285,87 +288,85 @@ class FiniteGroup:
         o/gcd(j, o) of yZ(G):
           - gcd(j, o) = 1: with j*j' = 1 mod o, y^j' = r*z' for a central z',
             so C(y) lies in C(r*z') = C(r), which lies in C(y);
-          - n*z < 2*|C(r)|*sizes[d], with z = |Z(G)|: C(r) <= C(y) <= P(y),
-            the preimage of C_{G/Z}(yZ(G)), of order n*z/sizes[d], since
-            sizes[d] counts the elements of d; so [C(y) : C(r)] < 2, and
-            Lagrange gives C(y) = C(r).
+          - n*z < 2*|C(r)|*sizes[d]: C(r) <= C(y) <= P(y), the preimage of
+            C_{G/Z}(yZ(G)), of order n*z/sizes[d], since sizes[d] counts the
+            elements of d; so [C(y) : C(r)] < 2, and Lagrange gives
+            C(y) = C(r).
         The mask is kept under y too, since it is exactly C(y).  A class
         that neither proof reaches gets its own walk.  The center's class
-        commutes with everything and has order 1.
-        """
-        class_of, sizes, reps = self.quotient_classes
-        n, z = self.order, len(self.center())
+        commutes with everything and has order 1."""
+        n = self.order
+        row, mask, held = self.row, self._centralizer_mask, self._masks
         masks = [(1 << n) - 1] + [0] * (len(reps) - 1)
         orders = [1] * len(reps)
         for c in range(1, len(reps)):
             if masks[c]:
                 continue
             r = reps[c]
-            row = self.row(r)
+            step = row(r)
             powers = []  # r, r^2, ..., r^(o-1)
             x = r
             while class_of[x]:
                 powers.append(x)
-                x = row[x]
+                x = step[x]
             o = len(powers) + 1
-            m = self._centralizer_mask(r)
+            m = mask(r)
             twice = 2 * m.bit_count()
             for j, y in enumerate(powers, 1):
                 d = class_of[y]
                 g = gcd(j, o)
                 if g == 1 or n * z < twice * sizes[d]:  # C(y) = C(r)
-                    self._masks[y] = m
+                    held[y] = m
                     if not masks[d]:
                         masks[d] = m
                         orders[d] = o // g
         return tuple(masks), tuple(orders)
 
+    def center(self) -> tuple[int, ...]:
+        """Z(G), ascending."""
+        return self._commutation[1]
+
+    def is_abelian(self) -> bool:
+        return len(self.center()) == self.order
+
+    @property
+    def _conjugations(self) -> list[tuple[int, ...]]:
+        """The conjugation maps of the generators, in their order."""
+        return self._commutation[0]
+
+    @property
+    def quotient_classes(self) -> tuple[list[int], list[int], list[int]]:
+        """(class_of, sizes, reps): the conjugacy classes of G/Z(G), as the
+        sets of their elements.  Element g lies in class c = class_of[g] of
+        sizes[c] elements, |Z(G)| times its size in G/Z(G), represented by
+        reps[c], its lowest element; reps ascend, so Z(G) is class 0."""
+        return self._commutation[2]
+
     @property
     def class_masks(self) -> tuple[int, ...]:
-        """C_G(y) for some y in each class of G/Z(G), by ``_power_classes``.
-
+        """C_G(y) for some y in each class of G/Z(G), by ``_power_walk``:
         C_G(y) depends only on the coset yZ(G), and conjugate elements have
         conjugate centralizers of equal order, so one mask per class carries
-        every degree of C(G) and NC(G).  A walk along row r hands C_G(r) to
-        the classes of the coprime powers of r and of every power whose
-        centralizer Lagrange pins to C_G(r), so at most one mask is computed
-        per power class of G/Z(G), n cells each, and often fewer.
-
-        With o = ``class_orders[c]``, <y>Z(G) has order o*z and is central in
-        C_G(y), so a mask of o*z times 1 or a prime elements is abelian: the
-        certificate (``certified_abelian``) that ``zagreb.group_report`` and
-        ``count_distinct_centralizers`` read instead of testing the mask."""
-        return self._power_classes[0]
+        every degree of C(G) and NC(G)."""
+        return self._commutation[3]
 
     @property
     def class_orders(self) -> tuple[int, ...]:
         """The order in G/Z(G) of the cosets of each class, read off the same
         walk as ``class_masks``."""
-        return self._power_classes[1]
+        return self._commutation[4]
 
-    @cached_property
+    @property
     def certified_abelian(self) -> frozenset[int]:
-        """The class masks that their size proves abelian.  A class's mask
-        C_G(y) contains K = <y>Z(G), of order o*z with o = |yZ(G)| and
-        z = |Z(G)| (``class_masks``), and K is central in C_G(y): y commutes
-        with all of C_G(y), and Z(G) with everything.  When the index
-        [C_G(y) : K] is 1 or a prime, C_G(y)/K is cyclic, so C_G(y) is
-        generated by K and one element c, which commutes with K: C_G(y) is
-        abelian."""
-        z = len(self.center())
-        certified = set()
-        for m, o in zip(*self._power_classes):
-            index, rest = divmod(m.bit_count(), o * z)
-            if not rest and (index == 1 or is_prime(index)):
-                certified.add(m)
-        return frozenset(certified)
+        """The class masks that their size proves abelian (``_commutation``),
+        which ``zagreb.group_report`` and ``count_distinct_centralizers``
+        read instead of testing the mask."""
+        return self._commutation[5]
 
-    @cached_property
+    @property
     def conjugacy_class_count(self) -> int:
-        """k(G) = sum_x |C_G(x)| / n, summed over the classes of G/Z(G): each
-        element of class c has a centralizer of order |m_c|."""
-        _, sizes, _ = self.quotient_classes
-        return sum(k * m.bit_count() for k, m in zip(sizes, self.class_masks)) // self.order
+        """k(G) = sum_x |C_G(x)| / n."""
+        return self._commutation[6]
 
     def _members(self, mask: int) -> list[int]:
         """The elements whose bits are set in ``mask``, ascending."""

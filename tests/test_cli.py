@@ -609,9 +609,9 @@ def _count_masks(monkeypatch):
     calls = [0]
     mask = FiniteGroup._centralizer_mask
 
-    def counted(G, x):
+    def counted(G, x, *conj):
         calls[0] += x not in G._masks
-        return mask(G, x)
+        return mask(G, x, *conj)
 
     monkeypatch.setattr(FiniteGroup, "_centralizer_mask", counted)
     return calls
@@ -721,13 +721,13 @@ def test_a_wrong_certificate_fails_loudly(tmp_path, capsys, monkeypatch):
     # a walk that claimed S_4's D_8 centralizer of a double transposition
     # were <y>Z(G) (order 8 for y) would make route 2 split its 3 elements
     # into cliques of 7: the report must raise, never print
-    walk = FiniteGroup._power_classes.func
+    walk = FiniteGroup._power_walk
 
-    def wrong(G):
-        masks, orders = walk(G)
+    def wrong(G, *classes):
+        masks, orders = walk(G, *classes)
         return masks, tuple(8 if m.bit_count() == 8 else o for m, o in zip(masks, orders))
 
-    monkeypatch.setattr(FiniteGroup, "_power_classes", property(wrong))
+    monkeypatch.setattr(FiniteGroup, "_power_walk", wrong)
     path = cayley_file(tmp_path, GROUP_TABLES["s4"](), "s4.cayley")
     try:
         code, out, err = run(capsys, "group", "--cayley", str(path))

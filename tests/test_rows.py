@@ -5,8 +5,9 @@ oracle ``close`` composes from the rows of a generating set of a fresh
 build; the inverses each builder hands over and the conjugations, which
 read only the generators' rows, must equal maps read off the full table;
 the fingerprint oracle must tell tables apart, and the builders' normal
-forms must be equal exactly where the fingerprints are; and the report path
-must leave the table unbuilt.
+forms must be equal exactly where the fingerprints are; the report path
+must leave the table unbuilt and row 0 unread; and the matrix builders'
+inverse maps must match the rows.
 """
 
 import random
@@ -17,6 +18,8 @@ import pytest
 from groupzagreb.build import (
     SPECIAL_GROUPS,
     _abelian_by_cyclic,
+    _gl2,
+    _sl2,
     FamilySpec,
     build_family,
     catalog,
@@ -24,7 +27,7 @@ from groupzagreb.build import (
     direct_product,
     special_group,
 )
-from groupzagreb.formulas import crosscheck, registry_for
+from groupzagreb.formulas import crosscheck, crosschecks, dispatch, registry_for
 from groupzagreb.grp import FiniteGroup
 from groupzagreb.zagreb import group_report
 from test_build import (
@@ -258,3 +261,38 @@ def test_report_path_reads_under_a_third_of_the_rows(fam, params):
         assert not crosscheck(app.entry, app.params, rep).diffs
     assert "table" not in vars(G)
     assert 0 < rows_computed(G) < G.order / 3, rows_computed(G)
+
+
+REPORT_PATH_GROUPS = [e.build for e in catalog(64)] + [
+    lambda: build_family(FamilySpec("psl2", (3,))),
+    lambda: build_family(FamilySpec("gl2", (7,))),
+    lambda: build_family(FamilySpec("dihedral", (1000,))),
+]
+
+
+@pytest.mark.parametrize("build", REPORT_PATH_GROUPS)
+def test_report_path_never_computes_row_0(build):
+    # the identity map is range(n): no mask compares with row 0, and no walk
+    # or generating set starts from the identity
+    G = build()
+    rep = group_report(G)
+    assert not any(result.diffs for _, result in crosschecks(dispatch(G), rep))
+    G.count_distinct_centralizers()
+    assert G._rows[0] is None
+
+
+def test_an_abelian_group_costs_one_row():
+    # Z_64 has one greedy generator; Z(G) is its mask, read off its
+    # conjugation map, and the pass stops there: one class, no walk
+    G = cyclic(64)
+    assert G.is_abelian()
+    assert rows_computed(G) == 1
+    assert G.quotient_classes == ([0] * 64, [64], [0]) and G.conjugacy_class_count == 64
+
+
+@pytest.mark.parametrize("builder,q", [(_gl2, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [(_sl2, q) for q in (2, 4, 8)])
+def test_matrix_inverses_match_the_rows(builder, q):
+    # the builder's inverse map against row.index(0), one row at a time
+    G = builder(q)
+    assert G._inverses == [G._row_of(x).index(0) for x in range(G.order)]
