@@ -16,13 +16,13 @@ arithmetic; a row is computed only when a query reads it, by a few C-level
 gathers over shared index lists, and the full table of a built group is
 every such row, so no second construction composes it.  One
 abelian-by-cyclic normal form, (x, y) b^j with A = Z_m1 x Z_m2 and b acting
-on A by a 2x2 integer matrix, builds every solvable family and special
-group.  GL(2,q), SL(2,q) = PSL(2,2^k) and the unitriangular A(n,p) number
-their column vectors; left multiplication permutes each column on its own,
-so a row reads a table of the elements by their two column keys.  A(n,nu)
-permutes one block of q cells per a', a direct product one block of H per
-cell of G's row.  S_4 is built on its permutations; no group is built by
-coset enumeration.
+on A by a 2x2 integer matrix, builds every solvable family and special group
+and names the generators the greedy walk finds.  GL(2,q), SL(2,q) =
+PSL(2,2^k) and the unitriangular A(n,p) number their column vectors; left
+multiplication permutes each column on its own, so a row reads a table of
+the elements by their two column keys.  A(n,nu) permutes one block of q
+cells per a', a direct product one block of H per cell of G's row.  S_4 is
+built on its permutations; no group is built by coset enumeration.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
 
     ``act`` = (p, q, r, t) sends (x, y) to (p x + q y, r x + t y), so
     (u1 b^j1)(u2 b^j2) = (u1 + act^j1(u2)) b^(j1 + j2), and b^k folds back
-    to s.  The caller picks parameters with act an automorphism of A,
-    act^k = 1 and act(s) = s.
+    to s.  The caller picks parameters with |A| >= 2, act an automorphism
+    of A, act^k = 1 and act(s) = s.
 
     A row is built at gather speed, from slices of one shared index list, so
     its cells are the list's own ints: with w = u1, or u1 + s once
@@ -70,7 +70,9 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
     translate of A by w (slices) permuted by act^j1 (one prebuilt gather per
     power of b).  The loop runs over whichever axis is shorter: the powers
     b^j2, one block of m1*m2 cells each, or the elements u2 of A, whose k
-    cells lie m1*m2 apart in the row.
+    cells lie m1*m2 apart in the row.  The generators a = (1, 0) at 1,
+    c = (0, 1) at m1 and b at m1*m2, each where its factor is not trivial,
+    are the greedy walk's: each is the least index outside <the ones before>.
     """
     p, q, r, t = act
     m = m1 * m2
@@ -133,7 +135,8 @@ def _abelian_by_cyclic(m1: int, m2: int, k: int, act: tuple[int, int, int, int],
             # j = t, t + e, ...: the index a of act^(-t mod e)(-u) - s, plus m*(k - j)
             for u, a in enumerate(at_neg(powers[-t % e](translate(*minus_s, 0)))):
                 inverses[m * t + u::stride] = base[m * (k - t) + a:m - 1:-stride]
-    return FiniteGroup(order=n, row_of=row_of, inverses=inverses)
+    gens = tuple(g for g, keep in ((1, m1 > 1), (m1, m2 > 1), (m, k > 1)) if keep)
+    return FiniteGroup(order=n, row_of=row_of, inverses=inverses, generators=gens)
 
 
 class NormalForm(NamedTuple):

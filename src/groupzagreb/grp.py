@@ -22,8 +22,9 @@ element per group at most, so a generator that comes back as a class
 representative, or as a generator of a centralizer, costs no second one),
 and its orbits, with Z(G), give the classes.  One cached pass per group
 (``_commutation``) starts from the maps of a greedy generating set (at
-most log2(n) elements, found once and cached, a subgroup closed one left
-coset at a time), the only maps kept, and finds in turn: Z(G), the
+most log2(n) elements, a subgroup closed one left coset at a time, found
+once and cached, or named by the builder, which the tests pin to the same
+set), the only maps kept, and finds in turn: Z(G), the
 intersection of their masks, where an abelian G stops; the classes of
 G/Z(G), in one walk of those maps and of left multiplication by a greedy
 generating set of Z(G) (``quotient_classes``), since the class of xZ(G) is
@@ -58,9 +59,10 @@ identity.  Tables produced by the builders are trusted by construction;
 ``FiniteGroup.validate`` screens the entries, checks that row 0 and
 column 0 are the identity map, and then proves the other group axioms
 exactly at every order (``check_axioms``: Latin rows, inverses, and Light's
-test on a generating set, which with them proves the columns Latin too).
-An ingested table, whose parse has already proved every entry an int in
-[0, n) and found the identity, gets ``check_axioms`` alone.
+test on ``generators``, the walk's or the builder's, which with them
+proves the columns Latin too).  An ingested table, whose parse has already
+proved every entry an int in [0, n) and found the identity, gets
+``check_axioms`` alone.
 """
 
 from __future__ import annotations
@@ -95,14 +97,16 @@ class FiniteGroup:
     Give it either ``table``, with table[i][j] the index of g_i * g_j, whose
     inverses it reads off the rows (``row.index(0)``), or its ``order``, a
     ``row_of`` that computes row i and ``inverses``, with inverses[i] the
-    index of g_i^-1, both from the builder's own arithmetic.  Queries cache
+    index of g_i^-1, both from the builder's own arithmetic, and optionally
+    the ``generators`` its presentation names, the walk's set.  Queries cache
     their results on the instance and never change a row; two threads that
     race to compute the same row store equal lists, so sharing is safe.
     """
 
     def __init__(self, table: list[list[int]] | None = None, label: str = "G", *,
                  order: int = 0, row_of: Callable[[int], list[int]] | None = None,
-                 inverses: list[int] | None = None):
+                 inverses: list[int] | None = None,
+                 generators: tuple[int, ...] | None = None):
         self.label = label
         self.family: str | None = None  # set by build.build_family
         self.params: tuple[int, ...] | None = None
@@ -114,6 +118,8 @@ class FiniteGroup:
             self._row_of = row_of
             self._rows: list[list[int] | None] = [None] * order
             self._inverses = inverses  # set on the instance, so the table is never read
+            if generators is not None:
+                self.generators = generators  # set on the instance: no walk
         else:
             self.table = table  # set on the instance: the rows are its list
             self.order = len(table)
@@ -150,7 +156,7 @@ class FiniteGroup:
     # -- generators ----------------------------------------------------------------
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A greedy generating set of G; see ``_greedy_generators``."""
+        """A greedy generating set of G, the builder's or the walk's; tests pin them equal."""
         return tuple(self._greedy_generators(range(self.order)))
 
     def _greedy_generators(self, members) -> list[int]:
@@ -421,12 +427,13 @@ class FiniteGroup:
         The entry screen proves every cell an int in [0, n), the identity
         checks that row 0 and column 0 are the identity map, and
         ``check_axioms`` that the rows are permutations, j*i = 0 for the j
-        with i*j = 0, and Light's test on ``generators``.
+        with i*j = 0, and Light's test on ``generators``, the walk's set or
+        the builder's, which the tests pin equal.
         In any magma the a with (x*a)*y == x*(a*y) for all x, y contain the
         identity and are closed under the product: (x*(a*b))*y =
         ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).  With injective
         left multiplications they form a group A.  So if the generators pass,
-        the greedy walk that found them ran inside A, as the group algorithm:
+        the greedy walk that finds them runs inside A, as the group algorithm:
         they generate the table, and A is all of it, an associative monoid
         with inverses, a group.  Its columns are then permutations too, and
         are not screened.

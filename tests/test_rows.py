@@ -5,13 +5,15 @@ oracle ``close`` composes from the rows of a generating set of a fresh
 build; the inverses each builder hands over and the conjugations, which
 read only the generators' rows, must equal maps read off the full table;
 the fingerprint oracle must tell tables apart, and the builders' normal
-forms must be equal exactly where the fingerprints are; the report path
-must leave the table unbuilt and row 0 unread; and the matrix builders'
-inverse maps must match the rows.
+forms must be equal exactly where the fingerprints are; the generators the
+abelian-by-cyclic builder declares must be the ones the greedy walk finds,
+so that no built group of its runs the walk; the report path must leave
+the table unbuilt and row 0 unread; and the matrix builders' inverse maps
+must match the rows.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -27,6 +29,7 @@ from groupzagreb.build import (
     direct_product,
     special_group,
 )
+from groupzagreb.cli import main
 from groupzagreb.formulas import crosscheck, crosschecks, dispatch, registry_for
 from groupzagreb.grp import FiniteGroup
 from groupzagreb.zagreb import group_report
@@ -237,6 +240,110 @@ def test_equal_fingerprints_within_an_order_give_equal_normal_forms():
     for e in CATALOG_512:
         form = form_of.setdefault((e.order, fingerprint(e.build())), e.form())
         assert form == e.form(), e.label
+
+
+# -- the builder's generators, against the greedy walk --------------------------
+
+def greedy_walk(G):
+    """The greedy generating set that ``FiniteGroup.generators`` walks for a
+    group that declares none, run on G's own rows."""
+    return tuple(G._greedy_generators(range(G.order)))
+
+
+def test_declared_generators_are_the_greedy_walk_on_the_catalog():
+    # every abelian-by-cyclic normal form of catalog(512), 1308 of its 1327;
+    # a copy under another entry shares the declared tuple
+    forms = {e.form(): e for e in CATALOG_512}
+    built = [(f.build(), e) for f, e in forms.items() if f.builder is _abelian_by_cyclic]
+    assert len(built) == 1308
+    for G, e in built:
+        assert G.generators == greedy_walk(G), e.label
+        assert e.copy_of(G).generators is G.generators
+
+
+def is_abc_presentation(m1, m2, k, act, s):
+    """Whether ``_abelian_by_cyclic(m1, m2, k, act, s)`` presents a group:
+    act an automorphism of A = Z_m1 x Z_m2 with act^k = 1 and act(s) = s,
+    checked on every element and pair of A."""
+    p, q, r, t = act
+    A = list(product(range(m1), range(m2)))
+
+    def f(u):
+        return (p * u[0] + q * u[1]) % m1, (r * u[0] + t * u[1]) % m2
+
+    def plus(u, v):
+        return (u[0] + v[0]) % m1, (u[1] + v[1]) % m2
+
+    def power_k(u):
+        for _ in range(k):
+            u = f(u)
+        return u
+
+    return (len(set(map(f, A))) == len(A) and f(s) == s
+            and all(f(plus(u, v)) == plus(f(u), f(v)) for u in A for v in A)
+            and all(power_k(u) == u for u in A))
+
+
+def test_declared_generators_are_the_greedy_walk_on_raw_parameters():
+    # every valid presentation with m1 <= 4, m2 <= 3 and k in (1, 2, 3, 4, 6),
+    # over both row loops, m1 = 1, m2 = 1 and k = 1 among them.  The builder
+    # needs |A| >= 2 (its act powers are gathers over the indices of A), so
+    # n = 1 is the trivial group's walk, which finds no generator
+    seen = set()
+    for m1, m2, k in product((1, 2, 3, 4), (1, 2, 3), (1, 2, 3, 4, 6)):
+        if m1 * m2 == 1:
+            continue
+        for act in product(range(m1), range(m1), range(m2), range(m2)):
+            for s in product(range(m1), range(m2)):
+                if is_abc_presentation(m1, m2, k, act, s):
+                    G = _abelian_by_cyclic(m1, m2, k, act, s)
+                    G.validate()
+                    assert G.generators == greedy_walk(G), (m1, m2, k, act, s)
+                    seen.add((m1 == 1, m2 == 1, k == 1))
+    assert seen == set(product((False, True), repeat=3)) - {(True, True, False),
+                                                            (True, True, True)}
+    assert FiniteGroup([[0]]).generators == greedy_walk(FiniteGroup([[0]])) == ()
+
+
+def spy_on_walks(monkeypatch):
+    """The groups whose greedy walk over all of range(n) has run, one entry
+    per walk: ``FiniteGroup._greedy_generators`` called on range(order)."""
+    walked = []
+    walk = FiniteGroup._greedy_generators
+
+    def spied(G, members):
+        if members == range(G.order):
+            walked.append(G)
+        return walk(G, members)
+
+    monkeypatch.setattr(FiniteGroup, "_greedy_generators", spied)
+    return walked
+
+
+@pytest.mark.parametrize("fam,params", [("dihedral", (6,)), ("dicyclic", (5,)),
+                                        ("v8n", (3,))])
+def test_built_groups_report_without_the_walk(monkeypatch, fam, params):
+    # the conjugation maps, Z(G), the class walk, the count and the
+    # dispatch read the builder's generators
+    walked = spy_on_walks(monkeypatch)
+    G = build_family(FamilySpec(fam, params))
+    rep = group_report(G)
+    assert not any(result.diffs for _, result in crosschecks(dispatch(G), rep))
+    G.count_distinct_centralizers()
+    assert walked == []
+    assert G.generators == greedy_walk(G) and len(walked) == 1
+
+
+def test_ingested_table_walks_once(tmp_path, capsys, monkeypatch):
+    # check_axioms runs Light's test on the walk's generators, and the
+    # commutation pass reads the same cached set
+    t = relabelled(build_family(FamilySpec("v8n", (3,))), 3).table
+    path = tmp_path / "v24.cayley"
+    path.write_text(f"{len(t)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in t))
+    walked = spy_on_walks(monkeypatch)
+    assert main(["group", "--cayley", str(path)]) == 0
+    assert "# distinct_centralizers: 8" in capsys.readouterr().out
+    assert len(walked) == 1
 
 
 def test_ingested_group_serves_rows_from_its_list():
