@@ -16,8 +16,9 @@ arithmetic; a row is computed only when a query reads it, by a few C-level
 gathers over shared index lists, and the full table of a built group is
 every such row, so no second construction composes it.  One
 abelian-by-cyclic normal form, (x, y) b^j with A = Z_m1 x Z_m2 and b acting
-on A by a 2x2 integer matrix, builds every solvable family and special group
-and names the generators the greedy walk finds.  GL(2,q), SL(2,q) =
+on A by a 2x2 integer matrix, builds every solvable family but A(n,nu) and
+A(n,p), and every special group but S_4, A_5 and SL(2,3), and names the
+generators the greedy walk finds.  GL(2,q), SL(2,q) =
 PSL(2,2^k) and the unitriangular A(n,p) number their column vectors; left
 multiplication permutes each column on its own, so a row reads a table of
 the elements by their two column keys.  A(n,nu) permutes one block of q
@@ -543,11 +544,6 @@ def _symmetric(n: int) -> FiniteGroup:
     return FiniteGroup(order=len(els), row_of=row_of, inverses=inverses)
 
 
-def _product(f: NormalForm, g: NormalForm) -> FiniteGroup:
-    """The direct product of the groups of two forms."""
-    return direct_product(f.build(), g.build())
-
-
 # name -> (order, normal form), in roster order
 SPECIAL_GROUPS: dict[str, tuple[int, NormalForm]] = {
     # (Z_2 x Z_2) : Z_3, b cycling the three involutions
@@ -563,10 +559,12 @@ SPECIAL_GROUPS: dict[str, tuple[int, NormalForm]] = {
     "D_8*Z_4": (16, _abc(4, 2, 2, (1, 2, 0, 1))),
     # (Z_4 x Z_2) : Z_2 with b a b^-1 = a c, which is (Z_2 x Z_2) : Z_4
     "SG(16,3)": (16, _abc(4, 2, 2, (1, 0, 1, 1))),
-    "Z_2xD_8": (16, NormalForm(_product, (NormalForm(cyclic, (2,)), _metacyclic(4, 2, -1)))),
-    "Z_2xQ_8": (16, NormalForm(_product, (NormalForm(cyclic, (2,)),
-                                            _metacyclic(4, 2, -1, 2)))),
-    "D_6xZ_3": (18, NormalForm(_product, (_metacyclic(3, 2, -1), NormalForm(cyclic, (3,))))),
+    # (Z_4 x Z_2) : Z_2 with b inverting the Z_4 and fixing the Z_2; with
+    # b^2 = a^2 the dihedral factor becomes Q_8
+    "Z_2xD_8": (16, _abc(4, 2, 2, (-1, 0, 0, 1))),
+    "Z_2xQ_8": (16, _abc(4, 2, 2, (-1, 0, 0, 1), (2, 0))),
+    # Z_3 : Z_6 with b inverting a, the form of U_18
+    "D_6xZ_3": (18, _metacyclic(3, 6, -1)),
     # A_4 with b of order 6, so b^3 is a central involution
     "A_4xZ_2": (24, _abc(2, 2, 6, (0, 1, 1, 1))),
 }

@@ -334,11 +334,11 @@ _PR_CONSEQUENCES = {
 def _quotient_orders(G: FiniteGroup) -> dict[int, int]:
     """How many elements of G/Z(G) have each order: the order of a coset is
     a class function on G/Z(G), so each class adds its elements over z at
-    its order, ``FiniteGroup.class_orders``."""
-    _, sizes, _ = G.quotient_classes
-    z = len(G.center())
+    its order (``FiniteGroup.commutation``)."""
+    c = G.commutation
+    z = len(c.center)
     orders: dict[int, int] = {}
-    for o, size in zip(G.class_orders, sizes):
+    for o, size in zip(c.orders, c.sizes):
         orders[o] = orders.get(o, 0) + size // z
     return orders
 
@@ -349,13 +349,14 @@ def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
     Z_3 x Z_3 or S_3 (Belcastro-Sherman 1994); a non-trivial G/Z(G) is never
     cyclic, so that is iff |G/Z(G)| is 4, or 6 or 9.  Pr(G) is looked up as
     the reduced pair (k/g, n/g), g = gcd(k, n)."""
-    q = G.order // len(G.center())
+    c = G.commutation
+    q = G.order // len(c.center)
     tags: tuple[str, ...] = ()
     if q == 4:
         tags += ("4-centralizer",)
     elif q in (6, 9):
         tags += ("5-centralizer",)
-    k, n = G.conjugacy_class_count, G.order
+    k, n = c.k, G.order
     g = gcd(k, n)
     pr = k // g, n // g
     if pr in _PR_CONSEQUENCES:

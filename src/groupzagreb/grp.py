@@ -14,45 +14,46 @@ for D_2000 that is 5 of 2000 rows, for GL(2,7) 9 of 2016.
 ``FiniteGroup.table`` is the full list of rows; a built group computes
 every row on its first access, for validation and the tests.
 
-The one commutation primitive is the conjugation map of an element s,
+The commutation primitive is the conjugation map of an element s,
 x -> s*x*s^-1 (``_conjugation``): two C-level gathers along row s, and no
-other row.  Its fixed points, compared with ``range(n)``, are C_G(s)
-(``_centralizer_mask``, which keeps every mask it computes: one mask per
-element per group at most, so a generator that comes back as a class
-representative, or as a generator of a centralizer, costs no second one),
-and its orbits, with Z(G), give the classes.  One cached pass per group
-(``_commutation``) starts from the maps of a greedy generating set (at
-most log2(n) elements, a subgroup closed one left coset at a time, found
-once and cached, or named by the builder, which the tests pin to the same
-set), the only maps kept, and finds in turn: Z(G), the
-intersection of their masks, where an abelian G stops; the classes of
-G/Z(G), in one walk of those maps and of left multiplication by a greedy
-generating set of Z(G) (``quotient_classes``), since the class of xZ(G) is
-the set of the c*h*x*h^-1 with c central, so no coset is numbered on the
-way; a mask and a coset order per class; the abelian certificates; and
-k(G).  Whether x and y commute depends only on their cosets xZ(G) and
-yZ(G), and conjugate elements have conjugate centralizers, so one
-centralizer bitmask per class of G/Z(G) (``class_masks``) carries every
-commutation fact the library reports.  The power walk (``_power_walk``)
-goes along an element's row, to the first central power, and proves which
-of its powers share its centralizer: the coprime ones, and every one whose
-class is so small that Lagrange leaves no room between the two
-centralizers.  It hands the mask to each such class, with the order of the
-power's coset in G/Z(G) (``class_orders``): at most one mask per power
-class, often fewer.  A mask whose index over <y>Z(G), which is central in
-it, is 1 or a prime is abelian (``certified_abelian``, decided once per
-distinct mask and order), which spares the AC test of
+other row.  The one exception is ``is_abelian_subgroup``, which compares
+the rows of a mask's greedy generators pairwise.  The map's fixed points,
+compared with ``range(n)``, are C_G(s) (``_centralizer_mask``, which keeps
+every mask it computes: one mask per element per group at most, so a
+generator that comes back as a class representative, or as a generator of a
+centralizer, costs no second one), and its orbits, with Z(G), give the
+classes.  One cached pass per group (``commutation``, a ``Commutation``
+record) starts from the maps of a greedy generating set (at most log2(n)
+elements, a subgroup closed one left coset at a time, found once and
+cached, or named by the builder, which the tests pin to the same set), the
+only maps kept, and finds in turn: Z(G), the intersection of their masks,
+where an abelian G stops; the classes of G/Z(G), in one walk of those maps
+and of left multiplication by a greedy generating set of Z(G)
+(``class_of``, ``sizes``, ``reps``), since the class of xZ(G) is the set of
+the c*h*x*h^-1 with c central, so no coset is numbered on the way; a mask
+and a coset order per class; the abelian certificates; and k(G).  Whether x
+and y commute depends only on their cosets xZ(G) and yZ(G), and conjugate
+elements have conjugate centralizers, so one centralizer bitmask per class
+of G/Z(G) (``masks``) carries every commutation fact the library reports.
+The power walk (``_power_walk``) goes along an element's row, to the first
+central power, and proves which of its powers share its centralizer: the
+coprime ones, and every one whose class is so small that Lagrange leaves no
+room between the two centralizers.  It hands the mask to each such class,
+with the order of the power's coset in G/Z(G) (``orders``): at most one
+mask per power class, often fewer.  A mask whose index over <y>Z(G), which
+is central in it, is 1 or a prime is abelian (``certified``, decided once
+per distinct mask and order), which spares the AC test of
 ``zagreb.group_report`` and the generator masks of the count below on all
-but 1 of the distinct masks of ``catalog(256)``.  The accessors
-``center``, ``quotient_classes``, ``class_masks``, ``class_orders``,
-``certified_abelian`` and ``conjugacy_class_count`` read that one record.
-From it come the Zagreb sums of ``zagreb.group_report``, Pr(G) = k(G)/n,
-the distinct-centralizer count, which adds the center of each class's
-centralizer, the mask itself when certified and otherwise at most log2 of
-its order further masks, and the element orders of G/Z(G) from which
-``formulas.dispatch`` reads its shape; no quotient table is built.  Also
-here: the reader of text sources that the Cayley-table and edge-list
-parsers share.
+but 1 of the distinct masks of ``catalog(256)``.  ``center``,
+``commutativity_degree`` and ``count_distinct_centralizers`` read that one
+record.  From it come the Zagreb sums of ``zagreb.group_report``,
+Pr(G) = k(G)/n, the distinct-centralizer count, which adds the center of
+each class's centralizer, the mask itself when certified and otherwise at
+most log2 of its order further masks, and the element orders of G/Z(G) from
+which ``formulas.dispatch`` reads its shape; no quotient table is built.
+Also here: ``bitmask`` and ``flags_of``, the one format in which a set of
+elements is an int, bit i for element i, and the reader of text sources
+that the Cayley-table and edge-list parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  Tables produced by the builders are trusted by construction;
@@ -75,12 +76,24 @@ from functools import cached_property, reduce
 from itertools import chain, compress, repeat
 from math import gcd
 from operator import and_, eq, itemgetter, mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .ff import is_prime
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _CHAR_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bitmask(flags: bytes) -> int:
+    """The int whose bit i is set iff flags[i] == 1, for flags that are
+    each 0 or 1: element i of a set is bit i, element 0 the lowest."""
+    return int(flags[::-1].translate(_BIT_CHARS), 2)
+
+
+def flags_of(mask: int, n: int) -> bytes:
+    """The inverse of ``bitmask`` for n >= 1 flags: byte i is 1 iff bit i of
+    ``mask`` is set, for a ``mask`` below 2^n."""
+    return format(mask, f"0{n}b").encode().translate(_CHAR_BITS)[::-1]
 
 
 class GroupTableError(ValueError):
@@ -89,6 +102,33 @@ class GroupTableError(ValueError):
 
 class AbelianGroupError(ValueError):
     """Raised where a non-abelian group is required (commuting graphs)."""
+
+
+class Commutation(NamedTuple):
+    """What one commutation pass (``FiniteGroup.commutation``) finds:
+      maps      the conjugation maps of the generators, in their order;
+      center    Z(G), ascending;
+      class_of  the class of each element g among the conjugacy classes of
+                G/Z(G), taken as sets of elements;
+      sizes     the elements of each class, |Z(G)| times its size in G/Z(G);
+      reps      the lowest element of each class, ascending, so Z(G) is
+                class 0;
+      masks     C_G(y) for some y in each class (``_power_walk``): conjugate
+                elements have conjugate centralizers of equal order, so one
+                mask per class carries every degree of C(G) and NC(G);
+      orders    the order of that yZ(G) in G/Z(G);
+      certified the masks their size proves abelian;
+      k         k(G) = sum_x |C_G(x)| / n."""
+
+    maps: list[tuple[int, ...]]
+    center: tuple[int, ...]
+    class_of: list[int]
+    sizes: list[int]
+    reps: list[int]
+    masks: tuple[int, ...]
+    orders: tuple[int, ...]
+    certified: frozenset[int]
+    k: int
 
 
 class FiniteGroup:
@@ -212,7 +252,7 @@ class FiniteGroup:
         h(x^-1*s^-1) = s*x*s^-1.  h is the inverses read along row s, so the
         map is two C-level gathers of n cells and reads only row s.  Its
         fixed points are C_G(s) (``_centralizer_mask``), and its orbits, with
-        Z(G), are the classes of G/Z(G) (``_commutation``)."""
+        Z(G), are the classes of G/Z(G) (``commutation``)."""
         h = itemgetter(*self.row(s))(self._inverses)
         return itemgetter(*h)(h)
 
@@ -221,22 +261,19 @@ class FiniteGroup:
         at least 2, computed on the first request and kept in ``_masks``:
         the fixed points of x's conjugation map ``conj``, made here unless
         the caller holds it, compared with the identity map ``range(n)`` in
-        one C-level pass, so no identity row is built.  Reversed, the bytes
-        put g = 0 lowest."""
+        one C-level pass, so no identity row is built."""
         m = self._masks.get(x)
         if m is None:
             if conj is None:
                 conj = self._conjugation(x)
-            same = bytes(map(eq, conj, range(self.order)))
-            m = self._masks[x] = int(same[::-1].translate(_BIT_CHARS), 2)
+            m = self._masks[x] = bitmask(bytes(map(eq, conj, range(self.order))))
         return m
 
     @cached_property
-    def _commutation(self) -> tuple:
-        """(maps, center, (class_of, sizes, reps), masks, orders, certified,
-        k), in one pass on locals: the generators' conjugation maps; Z(G),
-        the intersection of their masks, where an abelian G stops with one
-        class, of mask G and order 1; the classes of G/Z(G), one walk of
+    def commutation(self) -> Commutation:
+        """The ``Commutation`` record, in one pass on locals: the generators'
+        conjugation maps; Z(G), the intersection of their masks, where an
+        abelian G stops with one class, of mask G and order 1; the classes of G/Z(G), one walk of
         those maps and the rows of a greedy generating set of Z(G), since
         the class of gZ(G) holds the c*h*g*h^-1 with c central:
         n*(|S| + |S_Z|) steps; ``_power_walk``; the certificates, once per
@@ -253,7 +290,8 @@ class FiniteGroup:
         center = tuple(self._members(z_mask))
         z = len(center)
         if z == n:
-            return maps, center, ([0] * n, [n], [0]), (z_mask,), (1,), frozenset((z_mask,)), n
+            return Commutation(maps, center, [0] * n, [n], [0], (z_mask,), (1,),
+                               frozenset((z_mask,)), n)
         walk = maps + [self.row(s) for s in self._greedy_generators(center)]
         class_of = [-1] * n
         sizes: list[int] = []
@@ -278,11 +316,11 @@ class FiniteGroup:
             m for m, s, o in set(zip(masks, order_of, orders))
             if not s % (o * z) and (s == o * z or is_prime(s // (o * z))))
         k = sum(map(mul, sizes, order_of)) // n
-        return maps, center, (class_of, sizes, reps), masks, orders, certified, k
+        return Commutation(maps, center, class_of, sizes, reps, masks, orders, certified, k)
 
     def _power_walk(self, class_of: list[int], sizes: list[int], reps: list[int],
                     z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(masks, orders): for each class of G/Z(G) (``quotient_classes``,
+        """(masks, orders): for each class of G/Z(G) (``Commutation``,
         z = |Z(G)|), the centralizer mask of one of its elements y and the
         order of yZ(G).
 
@@ -330,54 +368,14 @@ class FiniteGroup:
 
     def center(self) -> tuple[int, ...]:
         """Z(G), ascending."""
-        return self._commutation[1]
+        return self.commutation.center
 
     def is_abelian(self) -> bool:
         return len(self.center()) == self.order
 
-    @property
-    def _conjugations(self) -> list[tuple[int, ...]]:
-        """The conjugation maps of the generators, in their order."""
-        return self._commutation[0]
-
-    @property
-    def quotient_classes(self) -> tuple[list[int], list[int], list[int]]:
-        """(class_of, sizes, reps): the conjugacy classes of G/Z(G), as the
-        sets of their elements.  Element g lies in class c = class_of[g] of
-        sizes[c] elements, |Z(G)| times its size in G/Z(G), represented by
-        reps[c], its lowest element; reps ascend, so Z(G) is class 0."""
-        return self._commutation[2]
-
-    @property
-    def class_masks(self) -> tuple[int, ...]:
-        """C_G(y) for some y in each class of G/Z(G), by ``_power_walk``:
-        C_G(y) depends only on the coset yZ(G), and conjugate elements have
-        conjugate centralizers of equal order, so one mask per class carries
-        every degree of C(G) and NC(G)."""
-        return self._commutation[3]
-
-    @property
-    def class_orders(self) -> tuple[int, ...]:
-        """The order in G/Z(G) of the cosets of each class, read off the same
-        walk as ``class_masks``."""
-        return self._commutation[4]
-
-    @property
-    def certified_abelian(self) -> frozenset[int]:
-        """The class masks that their size proves abelian (``_commutation``),
-        which ``zagreb.group_report`` and ``count_distinct_centralizers``
-        read instead of testing the mask."""
-        return self._commutation[5]
-
-    @property
-    def conjugacy_class_count(self) -> int:
-        """k(G) = sum_x |C_G(x)| / n."""
-        return self._commutation[6]
-
     def _members(self, mask: int) -> list[int]:
         """The elements whose bits are set in ``mask``, ascending."""
-        bits = format(mask, f"0{self.order}b").encode().translate(_CHAR_BITS)[::-1]
-        return list(compress(range(self.order), bits))
+        return list(compress(range(self.order), flags_of(mask, self.order)))
 
     def is_abelian_subgroup(self, mask: int) -> bool:
         """Whether the subgroup with bitmask ``mask`` is abelian: whether a
@@ -390,21 +388,20 @@ class FiniteGroup:
     def count_distinct_centralizers(self) -> int:
         """|Cent(G)|, the number of distinct subgroups C_G(x), G included.
 
-        For m = C_G(x), the mask of x's non-central class c, C_G(y) = m iff
+        For m = C_G(x), the mask of x's non-central class, C_G(y) = m iff
         y lies in Z(m) and |C_G(y)| = |m|.  Z(m) is m itself when the mask is
-        ``certified_abelian``, and otherwise m ANDed with the masks of a
-        greedy generating set of m.  The elements of the class have
+        certified, and otherwise m ANDed with the masks of a greedy
+        generating set of m.  The elements of the class have
         conjugate centralizers, each shared by as many of them as lie in
         Z(m).  A class with elements in Z(m) and centralizers of order |m|
         has the same centralizers, and is skipped.
         """
-        class_of, sizes, _ = self.quotient_classes
-        masks = self.class_masks
-        certified = self.certified_abelian
+        c = self.commutation
+        class_of, sizes, masks, certified = c.class_of, c.sizes, c.masks, c.certified
         skip: set[int] = set()
         count = 1
-        for c, m in enumerate(masks[1:], 1):
-            if c in skip:
+        for i, m in enumerate(masks[1:], 1):
+            if i in skip:
                 continue
             center_of_m = m
             if m not in certified:
@@ -412,13 +409,13 @@ class FiniteGroup:
                 center_of_m = reduce(and_, map(self._centralizer_mask, gens), m)
             inside = Counter(class_of[y] for y in self._members(center_of_m))
             skip.update(d for d in inside if masks[d].bit_count() == m.bit_count())
-            count += sizes[c] // inside[c]
+            count += sizes[i] // inside[i]
         return count
 
     def commutativity_degree(self) -> Fraction:
         """Probability that a uniform ordered pair commutes, as an exact
         fraction: k(G)/n, since sum_x |C_G(x)| = k(G)*n."""
-        return Fraction(self.conjugacy_class_count, self.order)
+        return Fraction(self.commutation.k, self.order)
 
     # -- validation --------------------------------------------------------------
     def validate(self) -> None:

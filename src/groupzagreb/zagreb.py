@@ -5,7 +5,7 @@ conjecture verdict.
 Both graphs have the non-central elements as vertices; x and y are adjacent
 in C(G) iff they commute.  ``group_report`` builds neither graph: it sums
 once per distinct centralizer mask of the non-central conjugacy classes of
-G/Z(G), which the group computes once (``FiniteGroup.class_masks``).  The
+G/Z(G), which the group computes once (``FiniteGroup.commutation``).  The
 routes are
   1. those direct sums, for C(G) and, separately, for NC(G);
   2. the clique decomposition of C(G), when it is a disjoint union of
@@ -31,7 +31,7 @@ from itertools import compress, repeat
 from operator import add, and_, eq, itemgetter, lshift, mul, rshift
 from typing import NamedTuple
 
-from .grp import _BIT_CHARS, AbelianGroupError, FiniteGroup, _read_text
+from .grp import AbelianGroupError, FiniteGroup, _read_text, bitmask, flags_of
 
 
 class GraphFormatError(ValueError):
@@ -67,8 +67,7 @@ class SimpleGraph:
         deg = list(map(int.bit_count, rows))
         self.edge_count = sum(deg)
         for k, plane in enumerate(planes):  # add 2^k where plane k has bit u
-            bits = format(plane, f"0{vertex_count}b").encode()[::-1]  # b"1" is odd
-            deg = list(map(add, deg, map(and_, map(lshift, bits, repeat(k)), repeat(1 << k))))
+            deg = list(map(add, deg, map(lshift, flags_of(plane, vertex_count), repeat(k))))
         self._degrees = deg
 
     def degrees(self) -> list[int]:
@@ -153,8 +152,8 @@ def _edge_products(rows: list[int], deg: list[int]) -> int:
     of deg[u] over the u in ``rows[v]``), the empty rows skipped.  Each inner
     sum goes by the bit planes P_k of ``deg``, the u whose deg[u] has bit k
     set: sum_k 2^k * |row_v & P_k|, one AND and popcount per plane."""
-    planes = [int(bytes(map(and_, map(rshift, reversed(deg), repeat(k)), repeat(1)))
-                  .translate(_BIT_CHARS), 2) for k in range(max(deg, default=0).bit_length())]
+    planes = [bitmask(bytes(map(and_, map(rshift, deg, repeat(k)), repeat(1))))
+              for k in range(max(deg, default=0).bit_length())]
     return sum(map(mul, compress(deg, rows), (
         sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
         for row in filter(None, rows))))
@@ -223,14 +222,14 @@ def group_report(G: FiniteGroup) -> GroupReport:
     d = |m| - z - 1 in C(G), its non-central commuters other than itself, and
     d' = n - |m| in NC(G).  Both depend only on the class of xZ(G) in G/Z(G):
     C_G(x) is shared by the coset xZ(G), and conjugation is an automorphism
-    of both graphs.  ``FiniteGroup.quotient_classes`` labels each element
-    with its class; let V_s be the non-central elements whose class's
-    centralizer has order s.  V_s is built with no step per element: the
-    classes' 0/1 flags for "order s" (``bytes(map(eq, ...))``), gathered
-    along ``class_of`` by one ``itemgetter`` and read as a binary int, one
-    gather per distinct s, ascending.  Each distinct mask m of
-    ``FiniteGroup.class_masks``, with w the elements of the classes that
-    carry it, adds
+    of both graphs.  ``FiniteGroup.commutation`` labels each element with
+    its class (``class_of``); let V_s be the non-central elements whose
+    class's centralizer has order s.  V_s is built with no step per
+    element: the classes' 0/1 flags for "order s" (``bytes(map(eq, ...))``),
+    gathered along ``class_of`` by one ``itemgetter`` in element order and
+    read by ``bitmask``, one gather per distinct s, ascending.  Each
+    distinct class mask m (``masks``), with w the elements of the classes
+    that carry it, adds
       w*d^2 to M1 and w*d*(sum_s (s-z-1)*|m & V_s| - d) to 2*M2 of C(G),
       where -d takes out x itself, which lies in m; and
       w*d'^2 to M1 and w*d'*sum_s (n-s)*|V_s - m| to 2*M2 of NC(G).
@@ -241,10 +240,9 @@ def group_report(G: FiniteGroup) -> GroupReport:
     distinct mask.  A class's mask C_G(y) with o = |yZ(G)| contains <y>Z(G),
     of order o*z and central in it, so an index |C_G(y)|/(o*z) of 1 or a
     prime leaves a cyclic quotient and proves C_G(y) abelian
-    (``FiniteGroup.certified_abelian``); ``FiniteGroup.is_abelian_subgroup``
-    tests only the other masks.  Then the cliques are the sets
-    C_G(x) - Z(G), and V_s holds |V_s|/(s - z) of them, of size s - z.  A
-    certificate read off a wrong (mask, order) pair mostly shows as a
+    (``certified``); ``FiniteGroup.is_abelian_subgroup`` tests only the
+    other masks.  Then the cliques are the sets C_G(x) - Z(G), and V_s
+    holds |V_s|/(s - z) of them, of size s - z.  A certificate read off a wrong (mask, order) pair mostly shows as a
     decomposition that route 1 does not match, or one with no clique of
     some size, which ``CliqueDecomposition`` refuses; where every
     non-central centralizer has one order the two routes would agree, so
@@ -266,19 +264,17 @@ def group_report(G: FiniteGroup) -> GroupReport:
     RouteMismatchError too.
     """
     n = G.order
-    z = len(G.center())
-    class_of, sizes, _ = G.quotient_classes
-    if len(sizes) == 1:
+    c = G.commutation
+    z = len(c.center)
+    if len(c.sizes) == 1:
         raise AbelianGroupError("Group must be non-abelian")
-    masks = G.class_masks
-    order_of = [m.bit_count() for m in masks]  # class 0, Z(G), has n: no non-central s
-    at_elements = itemgetter(*reversed(class_of))  # element 0 last, the lowest bit
-    classes = {s: int(bytes(at_elements(bytes(map(eq, order_of, repeat(s)))))
-                      .translate(_BIT_CHARS), 2)
+    order_of = [m.bit_count() for m in c.masks]  # class 0, Z(G), has n: no non-central s
+    at_elements = itemgetter(*c.class_of)
+    classes = {s: bitmask(bytes(at_elements(bytes(map(eq, order_of, repeat(s))))))
                for s in sorted(set(order_of[1:]))}  # s -> V_s as a bitmask
 
     weights: dict[int, int] = {}  # mask -> the elements of its classes
-    for m, size in zip(masks[1:], sizes[1:]):
+    for m, size in zip(c.masks[1:], c.sizes[1:]):
         weights[m] = weights.get(m, 0) + size
     m1 = m2_twice = edges_twice = 0
     m1_nc = m2_nc_twice = edges_nc_twice = 0
@@ -296,8 +292,7 @@ def group_report(G: FiniteGroup) -> GroupReport:
     rep_nc = ZagrebReport(m1_nc, m2_nc_twice // 2, n - z, edges_nc_twice // 2)
 
     decomposition = None
-    certified = G.certified_abelian
-    if all(m in certified or G.is_abelian_subgroup(m) for m in weights):
+    if all(m in c.certified or G.is_abelian_subgroup(m) for m in weights):
         decomposition = CliqueDecomposition(tuple(
             (v.bit_count() // (s - z), s - z) for s, v in classes.items()
         ))

@@ -297,9 +297,9 @@ ORACLES = {
     "Z_4:Z_4": lambda: metacyclic_oracle(4, 4, -1),
     "D_8*Z_4": lambda: abelian_by_cyclic_oracle(4, 2, 2, (1, 2, 0, 1)),
     "SG(16,3)": lambda: abelian_by_cyclic_oracle(4, 2, 2, (1, 0, 1, 1)),
-    "Z_2xD_8": lambda: direct_product_oracle(cyclic_oracle(2), dihedral_oracle(4)),
-    "Z_2xQ_8": lambda: direct_product_oracle(cyclic_oracle(2), dicyclic_oracle(2)),
-    "D_6xZ_3": lambda: direct_product_oracle(dihedral_oracle(3), cyclic_oracle(3)),
+    "Z_2xD_8": lambda: abelian_by_cyclic_oracle(4, 2, 2, (-1, 0, 0, 1)),
+    "Z_2xQ_8": lambda: abelian_by_cyclic_oracle(4, 2, 2, (-1, 0, 0, 1), (2, 0)),
+    "D_6xZ_3": lambda: metacyclic_oracle(3, 6, -1),
     "A_4xZ_2": lambda: abelian_by_cyclic_oracle(2, 2, 6, (0, 1, 1, 1)),
 }
 
@@ -318,6 +318,18 @@ def test_table_matches_per_entry_oracle(entry):
 def test_a4_builds_match_even_permutations(name, oracle):
     # the even permutations of 4 points are a construction independent of
     # the (Z_2 x Z_2) : Z_k normal form
+    built = group_report(special_group(name))
+    assert group_report(FiniteGroup(oracle()))._replace(label=name) == built
+
+
+@pytest.mark.parametrize("name,oracle", [
+    ("Z_2xD_8", lambda: direct_product_oracle(cyclic_oracle(2), dihedral_oracle(4))),
+    ("Z_2xQ_8", lambda: direct_product_oracle(cyclic_oracle(2), dicyclic_oracle(2))),
+    ("D_6xZ_3", lambda: direct_product_oracle(dihedral_oracle(3), cyclic_oracle(3))),
+])
+def test_product_forms_match_direct_products(name, oracle):
+    # each of these special groups is built on one abelian-by-cyclic form,
+    # not as the product its name gives
     built = group_report(special_group(name))
     assert group_report(FiniteGroup(oracle()))._replace(label=name) == built
 

@@ -680,8 +680,8 @@ def test_scan_tests_only_uncertified_centralizers(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("max_order,digest,builds,tests", [
-    ("256", EXPECTED_SCAN["256"]["sha256"], 585, 1),
-    ("512", SCAN_512_STDOUT_SHA256, 1327, 11),
+    ("256", EXPECTED_SCAN["256"]["sha256"], 584, 1),
+    ("512", SCAN_512_STDOUT_SHA256, 1326, 11),
 ], ids=["256", "512"])
 def test_scan_builds_each_normal_form_once(capsys, monkeypatch, max_order, digest,
                                            builds, tests):

@@ -18,7 +18,7 @@ from groupzagreb.build import (
     ingest_cayley,
     special_group,
 )
-from groupzagreb.grp import FiniteGroup, GroupTableError
+from groupzagreb.grp import Commutation, FiniteGroup, GroupTableError, bitmask, flags_of
 from graph_oracles import centralizer_mask, centralizer_masks, commuting_graph
 from test_build import fingerprint
 from quotient_oracles import (
@@ -325,6 +325,38 @@ def test_pr_equals_class_count_over_order():
         assert G.commutativity_degree() == Fraction(naive_conjugacy_class_count(G), G.order)
 
 
+# -- the bit-mask codec ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 8, 9])
+def test_flags_round_trip_at_byte_edges(n):
+    for flags in product(b"\x00\x01", repeat=n):
+        f = bytes(flags)
+        assert flags_of(bitmask(f), n) == f
+        assert bitmask(f) == sum(1 << i for i, b in enumerate(f) if b)
+
+
+def test_flags_round_trip_on_random_flags():
+    rng = random.Random(35)
+    for _ in range(200):
+        n = rng.randrange(1, 300)
+        f = bytes(rng.randrange(2) for _ in range(n))
+        assert flags_of(bitmask(f), n) == f
+
+
+def test_element_0_is_the_lowest_bit():
+    assert bitmask(b"\x01\x00\x00") == 1
+    assert bitmask(b"\x00\x00\x01") == 4
+    assert flags_of(2, 3) == b"\x00\x01\x00"
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_an_abelian_group_gives_one_class(n):
+    c = cyclic(n).commutation
+    assert isinstance(c, Commutation)
+    assert (c.sizes, c.k, c.class_of, c.reps) == ([n], n, [0] * n, [0])
+    assert c.masks == (2 ** n - 1,) and c.certified == {2 ** n - 1}
+
+
 # -- every commutation query against the table-scanning oracles ----------------------
 
 CATALOG_64 = catalog(64)
@@ -357,16 +389,17 @@ def test_commutation_queries_match_naive_oracles(build):
     assert G.count_distinct_centralizers() == len(set(cents))
     pairs = naive_commuting_pairs(G)
     assert G.commutativity_degree() == Fraction(pairs, G.order**2)
-    assert G.quotient_classes == naive_quotient_classes(G)
-    class_of, sizes, reps = G.quotient_classes
-    # class_masks[c] is the centralizer of some element of class c, not
+    comm = G.commutation
+    assert (comm.class_of, comm.sizes, comm.reps) == naive_quotient_classes(G)
+    class_of, sizes, reps = comm.class_of, comm.sizes, comm.reps
+    # masks[c] is the centralizer of some element of class c, not
     # necessarily of reps[c]
     class_cents = [set() for _ in reps]
     for x, c in enumerate(class_of):
         class_cents[c].add(cents[x])
-    assert all(bits(m) in cs for m, cs in zip(G.class_masks, class_cents))
+    assert all(bits(m) in cs for m, cs in zip(comm.masks, class_cents))
     # the sizes[c] elements of class c have centralizers of one order
-    assert sum(k * m.bit_count() for k, m in zip(sizes, G.class_masks)) == pairs
+    assert sum(k * m.bit_count() for k, m in zip(sizes, comm.masks)) == pairs
     assert G.is_abelian() == (pairs == G.order**2)
     assert commuting_graph(G).rows == naive_commuting_rows(G)
 
@@ -379,19 +412,19 @@ def test_unit_powers_share_the_class_mask(build):
     G = build()
     t = G.table
     z = set(naive_center(G))
-    class_of, _, reps = G.quotient_classes
-    masks = G.class_masks
+    comm = G.commutation
+    class_of, reps, masks, orders = comm.class_of, comm.reps, comm.masks, comm.orders
     for c, r in enumerate(reps):
         powers = [r]
         while powers[-1] not in z:
             powers.append(t[r][powers[-1]])
         o = len(powers)
-        assert G.class_orders[c] == o
+        assert orders[c] == o
         for j, y in enumerate(powers, 1):
             if gcd(j, o) == 1:
                 d = class_of[y]
                 assert masks[d] == masks[c]
-                assert G.class_orders[d] == o
+                assert orders[d] == o
 
 
 @COMMUTATION_GROUPS
@@ -438,16 +471,16 @@ POWER_WALK_GROUPS = pytest.mark.parametrize(
 
 @POWER_WALK_GROUPS
 def test_class_mask_and_order_belong_to_one_element(build):
-    # (class_masks[c], class_orders[c]) is (C(y), |yZ(G)|) for one y of class
+    # (masks[c], orders[c]) is (C(y), |yZ(G)|) for one y of class
     # c, whether the walk reached c by a coprime power or by Lagrange
     G = build()
     cents = centralizer_masks(G)
     center = set(naive_center(G))
-    class_of, _, _ = G.quotient_classes
-    pairs = [set() for _ in G.class_masks]
-    for y, c in enumerate(class_of):
-        pairs[c].add((cents[y], coset_order(G, y, center)))
-    assert all(p in ps for p, ps in zip(zip(G.class_masks, G.class_orders), pairs))
+    c = G.commutation
+    pairs = [set() for _ in c.masks]
+    for y, d in enumerate(c.class_of):
+        pairs[d].add((cents[y], coset_order(G, y, center)))
+    assert all(p in ps for p, ps in zip(zip(c.masks, c.orders), pairs))
 
 
 @POWER_WALK_GROUPS
@@ -455,15 +488,15 @@ def test_certified_masks_are_abelian(build):
     # |C(y)| = |yZ(G)|*|Z(G)| proves C(y) = <y>Z(G), so the certificate is
     # never wrong, and the count that reads it matches the table's
     G = build()
-    assert all(naive_is_abelian(G, m) for m in G.certified_abelian)
-    assert G.certified_abelian <= set(G.class_masks)
+    assert all(naive_is_abelian(G, m) for m in G.commutation.certified)
+    assert G.commutation.certified <= set(G.commutation.masks)
     assert G.count_distinct_centralizers() == len(set(centralizer_masks(G)))
 
 
 def assert_certified_masks_abelian(G):
     # per the table: every element of the mask commutes with all of it
     cents = centralizer_masks(G)
-    for m in G.certified_abelian:
+    for m in G.commutation.certified:
         assert all(m & ~cents[y] == 0 for y in bits(m)), G.label
 
 
@@ -482,15 +515,15 @@ def test_prime_index_certifies_the_centralizer_of_a_transposition():
     # the cycle's own <y>, C(3-cycle) too; C((12)(34)) = D_8 has index 4
     # over <(12)(34)> and stays uncertified
     G = special_group("S_4")
-    assert sorted(len(bits(m)) for m in G.certified_abelian) == [3, 4, 4]
+    assert sorted(len(bits(m)) for m in G.commutation.certified) == [3, 4, 4]
 
 
 def test_class_masks_of_pgl_2_7_are_one_per_class():
     # GL(2,7)/Z = PGL(2,7), with 9 classes against 336 cosets
     G = B("gl2", 7)
-    class_of, sizes, _ = G.quotient_classes
+    class_of, sizes = G.commutation.class_of, G.commutation.sizes
     coset_of, coset_reps = center_cosets(G)
-    assert (len(coset_reps), len(sizes), len(G.class_masks)) == (336, 9, 9)
+    assert (len(coset_reps), len(sizes), len(G.commutation.masks)) == (336, 9, 9)
     assert sum(sizes) == len(class_of) == 2016
     # each class is a union of cosets of Z(G)
     assert all(class_of[x] == class_of[coset_reps[c]] for x, c in enumerate(coset_of))
@@ -509,14 +542,14 @@ def naive_is_abelian(G, mask):
 ], ids=["S_4", "Q_8", "GL(2,3)", "ingested 2^{1+4}_+"])
 def test_is_abelian_subgroup_matches_all_pairs(build):
     G = build()
-    masks = G.class_masks
+    masks = G.commutation.masks
     assert [G.is_abelian_subgroup(m) for m in masks] == [naive_is_abelian(G, m) for m in masks]
 
 
 def test_is_abelian_subgroup_on_s4():
     # C(4-cycle) = Z_4 and C((12)) = Z_2 x Z_2, but C((12)(34)) = D_8
     G = special_group("S_4")
-    assert sorted((len(bits(m)), G.is_abelian_subgroup(m)) for m in G.class_masks[1:]) == [
+    assert sorted((len(bits(m)), G.is_abelian_subgroup(m)) for m in G.commutation.masks[1:]) == [
         (3, True), (4, True), (4, True), (8, False)]
 
 
@@ -530,7 +563,7 @@ def test_large_centers_are_large():
 def test_class_orbits_match_conjugation_loop(entry):
     # k(G), summed from the class masks, against conjugating every x by every g
     G = entry.build()
-    assert G.conjugacy_class_count == naive_conjugacy_class_count(G)
+    assert G.commutation.k == naive_conjugacy_class_count(G)
 
 
 def test_generators_generate_from_index_order():
@@ -583,7 +616,7 @@ def naive_greedy_generators(t, members):
 def test_greedy_generators_of_the_center_and_each_centralizer(entry):
     # the coset closure against the naive one, on every subgroup it serves
     G = entry.build()
-    subgroups = [G.center()] + [G._members(m) for m in G.class_masks[1:]]
+    subgroups = [G.center()] + [G._members(m) for m in G.commutation.masks[1:]]
     t = G.table
     for members in subgroups:
         assert G._greedy_generators(members) == naive_greedy_generators(t, members)

@@ -789,7 +789,7 @@ def neighbour_sums_of_every_row(rows, deg):
     ones included, the sum of deg over its bits, with planes built bit by
     bit."""
     planes = [
-        int(bytes(d >> k & 1 for d in reversed(deg)).translate(zagreb._BIT_CHARS), 2)
+        int("".join(str(d >> k & 1) for d in reversed(deg)), 2)
         for k in range(max(deg, default=0).bit_length())
     ]
     return (sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
