@@ -34,7 +34,7 @@ from operator import getitem, itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from . import ff
-from .grp import FiniteGroup, GroupTableError, _read_text
+from .grp import FiniteGroup, GroupTableError, _read_text, group_of_table
 
 _LONG_ORDER = 10 ** 4300  # the least order with more digits than Python prints by default
 
@@ -168,12 +168,6 @@ def _metacyclic(m: int, k: int, r: int, s: int = 0) -> NormalForm:
     """<a, b | a^m = 1, b^k = a^s, b a b^-1 = a^r>, with a^i b^j at index i + m*j:
     the m2 = 1 case of ``_abelian_by_cyclic``."""
     return _abc(m, 1, k, (r, 0, 0, 1), (s, 0))
-
-
-def cyclic(n: int) -> FiniteGroup:
-    base = list(range(n))
-    return FiniteGroup(label=f"Z_{n}", order=n,
-                       row_of=lambda i: base[i:] + base[:i], inverses=base[:1] + base[:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +590,7 @@ def ingest_cayley(source) -> FiniteGroup:
     row 0 names (g_0 * e = g_0, the first 0 there); only if e is no
     two-sided identity is every element tried.  The parse proves every entry
     an int in [0, n) and the search that row 0 and column 0 are the identity
-    map, so the table gets ``FiniteGroup.check_axioms`` alone.
+    map, so ``grp.group_of_table`` proves the other axioms.
     """
     text = _read_text(source)
     lines = [ln.strip() for ln in io.StringIO(text)]
@@ -628,9 +622,7 @@ def ingest_cayley(source) -> FiniteGroup:
         if identity is None:
             raise GroupTableError("identity axiom violated: no two-sided identity element")
         table = _read_rows(body, n, identity)
-    G = FiniteGroup(table, label=label)
-    G.check_axioms()
-    return G
+    return group_of_table(table, label)
 
 
 def _read_rows(body: list[str], n: int, e: int) -> list[list[int]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .grp import FiniteGroup
+from .grp import FiniteGroup, group_of_table
 
 
 class EnumerationOverflow(RuntimeError):
@@ -175,7 +175,8 @@ def _regular_table(act: list[list[int]], label: str) -> FiniteGroup:
     Each column of the action is right multiplication by one letter.  BFS
     from the identity coset reaches each coset b as a*letter, and its
     right-multiplication permutation is a's pushed through that letter's
-    column: one C-level map per coset.  The Cayley table is the transpose.
+    column: one C-level map per coset.  The Cayley table is the transpose,
+    which ``group_of_table`` proves a group.
     """
     n = len(act)
     columns = list(zip(*act))
@@ -191,4 +192,4 @@ def _regular_table(act: list[list[int]], label: str) -> FiniteGroup:
                 order_bfs.append(b)
     if len(order_bfs) != n:  # pragma: no cover - completed tables are connected
         raise PresentationError("coset table is not transitive")
-    return FiniteGroup([list(row) for row in zip(*perm)], label=label)
+    return group_of_table([list(row) for row in zip(*perm)], label)

@@ -2,17 +2,14 @@
 structural queries the rest of the library needs.
 
 Row x of the table is left multiplication by x, ``row(x)[j]`` = x*j, and
-every query reads the table through ``FiniteGroup.row``.  An ingested
-table serves the rows from its list and reads the inverses off them.  A
-group from a builder gets its order, a ``row_of`` and the inverse map, the
-last two from the builder's own arithmetic, and computes a row only when a
-query asks for it; no inverse is found by walking the table.  The Zagreb
+every query reads the table through ``FiniteGroup.row``, which computes a
+row from the group's ``row_of`` only when a query asks for it.  The Zagreb
 report, the formula dispatch and the cross-check read the rows of the
 generators, of the class representatives of G/Z(G) that the power walk
 starts from and of the generators of Z(G), and no other, row 0 included:
 for D_2000 that is 5 of 2000 rows, for GL(2,7) 9 of 2016.
-``FiniteGroup.table`` is the full list of rows; a built group computes
-every row on its first access, for validation and the tests.
+``FiniteGroup.table`` is the full list of rows, each from ``row`` on its
+first access, for the tests and the benchmark's table files.
 
 The commutation primitive is the conjugation map of an element s,
 x -> s*x*s^-1 (``_conjugation``): two C-level gathers along row s, and no
@@ -56,14 +53,11 @@ elements is an int, bit i for element i, and the reader of text sources
 that the Cayley-table and edge-list parsers share.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
-identity.  Tables produced by the builders are trusted by construction;
-``FiniteGroup.validate`` screens the entries, checks that row 0 and
-column 0 are the identity map, and then proves the other group axioms
-exactly at every order (``check_axioms``: Latin rows, inverses, and Light's
-test on ``generators``, the walk's or the builder's, which with them
-proves the columns Latin too).  An ingested table, whose parse has already
-proved every entry an int in [0, n) and found the identity, gets
-``check_axioms`` alone.
+identity.  ``FiniteGroup`` trusts its order, rows and inverse map: a
+builder's come from its own arithmetic, so no inverse is found by walking
+the table.  A table from outside becomes a group only through
+``group_of_table``, an exact proof of the group axioms at every order,
+which serves the rows from the table's list.
 """
 
 from __future__ import annotations
@@ -73,7 +67,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import gcd
 from operator import and_, eq, itemgetter, mul
 from typing import Callable, NamedTuple
@@ -134,40 +128,26 @@ class Commutation(NamedTuple):
 class FiniteGroup:
     """Immutable-by-convention finite group on the rows of its Cayley table.
 
-    Give it either ``table``, with table[i][j] the index of g_i * g_j, whose
-    inverses it reads off the rows (``row.index(0)``), or its ``order``, a
-    ``row_of`` that computes row i and ``inverses``, with inverses[i] the
-    index of g_i^-1, both from the builder's own arithmetic, and optionally
-    the ``generators`` its presentation names, the walk's set.  Queries cache
-    their results on the instance and never change a row; two threads that
-    race to compute the same row store equal lists, so sharing is safe.
+    It trusts its ``order``, a ``row_of`` that gives row i, ``inverses``,
+    with inverses[i] the index of g_i^-1, and the ``generators`` its
+    presentation names, if any, the walk's set.  Queries cache their results
+    on the instance and never change a row; two threads that race to compute
+    the same row store equal lists, so sharing is safe.
     """
 
-    def __init__(self, table: list[list[int]] | None = None, label: str = "G", *,
-                 order: int = 0, row_of: Callable[[int], list[int]] | None = None,
-                 inverses: list[int] | None = None,
+    def __init__(self, label: str = "G", *, order: int,
+                 row_of: Callable[[int], list[int]], inverses: list[int],
                  generators: tuple[int, ...] | None = None):
         self.label = label
         self.family: str | None = None  # set by build.build_family
         self.params: tuple[int, ...] | None = None
         self._masks: dict[int, int] = {}  # x -> C_G(x), see _centralizer_mask
-        if table is None:
-            if inverses is None:
-                raise TypeError("a group built from row_of needs its inverses")
-            self.order = order
-            self._row_of = row_of
-            self._rows: list[list[int] | None] = [None] * order
-            self._inverses = inverses  # set on the instance, so the table is never read
-            if generators is not None:
-                self.generators = generators  # set on the instance: no walk
-        else:
-            self.table = table  # set on the instance: the rows are its list
-            self.order = len(table)
-            self._rows = table
-            if any(len(row) != self.order for row in table):
-                raise GroupTableError("table is not square")
-        if self.order == 0:
-            raise GroupTableError("empty table")
+        self.order = order
+        self._row_of = row_of
+        self._rows: list[list[int] | None] = [None] * order
+        self._inverses = inverses
+        if generators is not None:
+            self.generators = generators  # set on the instance: no walk
 
     def copy_as(self, label: str, family: str | None,
                 params: tuple[int, ...] | None) -> FiniteGroup:
@@ -189,8 +169,8 @@ class FiniteGroup:
 
     @cached_property
     def table(self) -> list[list[int]]:
-        """Every row, table[i][j] = g_i * g_j.  A built group computes each
-        row with ``row`` on first access; the report path never reads it."""
+        """Every row, table[i][j] = g_i * g_j, each from ``row`` on first
+        access; the report path never reads it."""
         return [self.row(x) for x in range(self.order)]
 
     # -- generators ----------------------------------------------------------------
@@ -238,12 +218,6 @@ class FiniteGroup:
             if len(sub) == len(members):
                 break
         return gens
-
-    @cached_property
-    def _inverses(self) -> list[int]:
-        """g -> g^-1 read off the rows of an ingested table; a built group
-        sets its builder's map on the instance instead."""
-        return [row.index(0) for row in self._rows]
 
     # -- the commutation pass ----------------------------------------------------
     def _conjugation(self, s: int) -> tuple[int, ...]:
@@ -417,68 +391,44 @@ class FiniteGroup:
         fraction: k(G)/n, since sum_x |C_G(x)| = k(G)*n."""
         return Fraction(self.commutation.k, self.order)
 
-    # -- validation --------------------------------------------------------------
-    def validate(self) -> None:
-        """Full group-axiom screen; raises GroupTableError naming the violation.
-
-        The entry screen proves every cell an int in [0, n), the identity
-        checks that row 0 and column 0 are the identity map, and
-        ``check_axioms`` that the rows are permutations, j*i = 0 for the j
-        with i*j = 0, and Light's test on ``generators``, the walk's set or
-        the builder's, which the tests pin equal.
-        In any magma the a with (x*a)*y == x*(a*y) for all x, y contain the
-        identity and are closed under the product: (x*(a*b))*y =
-        ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).  With injective
-        left multiplications they form a group A.  So if the generators pass,
-        the greedy walk that finds them runs inside A, as the group algorithm:
-        they generate the table, and A is all of it, an associative monoid
-        with inverses, a group.  Its columns are then permutations too, and
-        are not screened.
-        """
-        self._screen_entries()
-        identity = list(range(self.order))
-        if self.table[0] != identity:
-            raise GroupTableError("identity axiom violated: row 0 is not the identity map")
-        if [row[0] for row in self.table] != identity:
-            raise GroupTableError("identity axiom violated: column 0 is not the identity map")
-        self.check_axioms()
-
-    def _screen_entries(self) -> None:
-        """Raise GroupTableError naming the first cell, in row-major order,
-        that is no int in [0, n)."""
-        n = self.order
-        for i, row in enumerate(self.table):
-            # one C-level pass per row; the cells are walked only to name a bad one
-            if all(map(isinstance, row, repeat(int))) and min(row) >= 0 and max(row) < n:
-                continue
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise GroupTableError(f"entry table[{i}][{j}]={v!r} out of range")
-
-    def check_axioms(self) -> None:
-        """The other group axioms of a table whose cells are ints in [0, n)
-        and whose row 0 and column 0 are the identity map, proved as
-        ``validate`` sets out; raises GroupTableError naming the first one
-        violated."""
-        t = self.table
-        n = self.order
-        for i in range(n):
-            if len(set(t[i])) != n:
-                raise GroupTableError(f"Latin square violated: row {i} is not a permutation")
-        for i, j in enumerate(self._inverses):
-            if t[j][i] != 0:
-                raise GroupTableError(f"element {i} has no two-sided inverse")
-        for s in self.generators:
-            at_s_row = itemgetter(*t[s])
-            # (x*s)*y == x*(s*y) for all y: row x*s against row x read along
-            # row s, one C-level gather
-            for x in range(n):
-                tx = t[x]
-                if t[tx[s]] != list(at_s_row(tx)):
-                    raise GroupTableError(f"associativity violated at i={x}, j={s}")
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
+
+
+def group_of_table(table: list[list[int]], label: str = "G") -> FiniteGroup:
+    """The group on the rows of ``table``, table[i][j] the index of g_i * g_j,
+    once proved a group; raises GroupTableError naming the first axiom
+    violated.  The table must be square, its cells ints in [0, n) and its
+    row 0 and column 0 the identity map, as ingestion's parse proves.  The
+    proof: the rows are permutations, j*i = 0 for the j with i*j = 0, and
+    Light's test, (x*s)*y == x*(s*y), on the walk's ``generators`` s.
+
+    In any magma the a with (x*a)*y == x*(a*y) for all x, y contain the
+    identity and are closed under the product: (x*(a*b))*y =
+    ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y).  With injective
+    left multiplications they form a group A.  So if the generators pass,
+    the greedy walk that finds them runs inside A, as the group algorithm:
+    they generate the table, and A is all of it, an associative monoid
+    with inverses, a group.  Its columns are then permutations too, and
+    are not screened.
+    """
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(set(row)) != n:
+            raise GroupTableError(f"Latin square violated: row {i} is not a permutation")
+    inverses = [row.index(0) for row in table]
+    for i, j in enumerate(inverses):
+        if table[j][i] != 0:
+            raise GroupTableError(f"element {i} has no two-sided inverse")
+    G = FiniteGroup(label, order=n, row_of=table.__getitem__, inverses=inverses)
+    for s in G.generators:
+        at_s_row = itemgetter(*table[s])
+        # (x*s)*y == x*(s*y) for all y: row x*s against row x read along
+        # row s, one C-level gather
+        for x, tx in enumerate(table):
+            if table[tx[s]] != list(at_s_row(tx)):
+                raise GroupTableError(f"associativity violated at i={x}, j={s}")
+    return G
 
 
 def _read_text(source) -> str:

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from groupzagreb.ff import is_prime
 from groupzagreb.formulas import _PR_CONSEQUENCES, ENTRIES, Applicable
-from groupzagreb.grp import FiniteGroup, GroupTableError
+from groupzagreb.grp import FiniteGroup, GroupTableError, group_of_table
 from graph_oracles import centralizer_mask, centralizer_masks
 
 
@@ -52,14 +52,12 @@ def central_quotient(G: FiniteGroup) -> FiniteGroup:
     coset_of, reps = center_cosets(G)
     label = f"{G.label}/Z"
     if len(reps) == G.order:
-        return FiniteGroup(G.table, label=label)
+        return group_of_table(G.table, label)
     if len(reps) == 1:
-        return FiniteGroup([[0]], label=label)
+        return group_of_table([[0]], label)
     t = G.table
     pick = itemgetter(*reps)
-    return FiniteGroup(
-        [list(map(coset_of.__getitem__, pick(t[a]))) for a in reps], label=label
-    )
+    return group_of_table([list(map(coset_of.__getitem__, pick(t[a]))) for a in reps], label)
 
 
 def recognize_dihedral(G: FiniteGroup) -> int | None:

@@ -10,9 +10,10 @@ from groupzagreb.coset import (
     PresentationError,
     coset_enumerate,
 )
-from groupzagreb.grp import FiniteGroup
+from groupzagreb.grp import group_of_table
 from graph_oracles import centralizer_mask
 from quotient_oracles import element_order, recognize_dihedral
+from test_build import assert_group
 
 # Presentations of groups the builders construct from a normal form.  Coset
 # enumeration gives each one a second construction that shares no arithmetic
@@ -125,20 +126,20 @@ def suzuki2_affine():
         [idx[((a1 * a2) % 5, (a1 * b2 + b1) % 5)] for a2, b2 in els]
         for a1, b1 in els
     ]
-    return FiniteGroup(table, label="Sz(2)")
+    return group_of_table(table, "Sz(2)")
 
 
 def test_cyclic_five():
     G = coset_enumerate(Presentation(1, ((1, 1, 1, 1, 1),)), bound=100)
     assert G.order == 5
     assert G.is_abelian()
-    G.validate()
+    assert_group(G)
 
 
 def test_sz2_presentation_order_20():
     G = coset_enumerate(sz2_presentation(), bound=1000)
     assert G.order == 20
-    G.validate()
+    assert_group(G)
 
 
 def test_sz2_presentation_matches_affine_construction():
@@ -212,7 +213,7 @@ def test_enumerated_groups_pass_validation():
         coset_enumerate(sd8n_presentation(3), bound=1000),
         coset_enumerate(quasidihedral_presentation(5), bound=1000),
     ):
-        G.validate()
+        assert_group(G)
         assert G.table[0][1] == 1  # identity is coset 0
 
 
@@ -251,7 +252,7 @@ def test_coincidence_heavy_presentation():
     G = coset_enumerate(pres, bound=500)
     assert G.order == 6
     assert G.is_abelian()
-    G.validate()
+    assert_group(G)
 
 
 def test_total_collapse_to_trivial_group():
@@ -267,4 +268,4 @@ def test_psl27_presentation():
     G = coset_enumerate(pres, bound=20000)
     assert G.order == 168
     assert len(G.center()) == 1
-    G.validate()
+    assert_group(G)

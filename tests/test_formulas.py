@@ -11,7 +11,6 @@ from groupzagreb.build import (
     FamilySpec,
     build_family,
     catalog,
-    cyclic,
     direct_product,
     ingest_cayley,
     special_group,
@@ -36,6 +35,7 @@ from groupzagreb.zagreb import (
 )
 import formula_oracles
 import quotient_oracles
+from test_build import cyclic
 from test_grp import extraspecial_32, relabelled
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))

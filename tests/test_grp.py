@@ -13,14 +13,20 @@ from groupzagreb.build import (
     _symmetric,
     build_family,
     catalog,
-    cyclic,
     direct_product,
     ingest_cayley,
     special_group,
 )
-from groupzagreb.grp import Commutation, FiniteGroup, GroupTableError, bitmask, flags_of
+from groupzagreb.grp import (
+    Commutation,
+    FiniteGroup,
+    GroupTableError,
+    bitmask,
+    flags_of,
+    group_of_table,
+)
 from graph_oracles import centralizer_mask, centralizer_masks, commuting_graph
-from test_build import fingerprint
+from test_build import assert_group, cyclic, fingerprint
 from quotient_oracles import (
     center_cosets,
     central_quotient,
@@ -166,7 +172,7 @@ def extraspecial_32() -> FiniteGroup:
             if b not in index:
                 index[b] = len(elements)
                 elements.append(b)
-    return FiniteGroup([[index[mul(a, b)] for b in elements] for a in elements])
+    return group_of_table([[index[mul(a, b)] for b in elements] for a in elements])
 
 
 # -- table products ------------------------------------------------------------
@@ -199,7 +205,7 @@ def test_quaternion_central_involution():
 # -- center / centralizer ------------------------------------------------------
 
 def test_center_abelian_is_everything():
-    G = FiniteGroup(cyclic_table(6), label="Z_6")
+    G = group_of_table(cyclic_table(6), "Z_6")
     assert G.center() == tuple(range(6))
     assert G.count_distinct_centralizers() == 1
 
@@ -295,7 +301,7 @@ def test_distinct_centralizers_match_coset_mask_count(build):
 # -- commutativity degree --------------------------------------------------------
 
 def test_pr_abelian():
-    G = FiniteGroup(cyclic_table(5), label="Z_5")
+    G = group_of_table(cyclic_table(5), "Z_5")
     assert G.commutativity_degree() == 1
 
 
@@ -571,7 +577,7 @@ def test_generators_generate_from_index_order():
     # (1, f) reaches <f> of order 4, (1, g) reaches all of 1 x Q_8, then
     # (r, 1) and (s, 1) each double it
     assert G.generators == (1, 4, 8, 24)
-    assert FiniteGroup([[0]]).generators == ()
+    assert group_of_table([[0]]).generators == ()
     # each generator is the least index outside the subgroup generated by the
     # ones before it, which is closed here under products with every element
     for entry in CATALOG_64:
@@ -625,7 +631,7 @@ def test_greedy_generators_of_the_center_and_each_centralizer(entry):
 # -- central quotient -------------------------------------------------------------
 
 def test_quotient_of_abelian_is_trivial():
-    G = FiniteGroup(cyclic_table(4), label="Z_4")
+    G = group_of_table(cyclic_table(4), "Z_4")
     Q = central_quotient(G)
     assert Q.order == 1
     assert Q.table == [[0]]
@@ -643,7 +649,7 @@ def test_central_quotient_matches_per_cell_oracle(entry):
 def test_centerless_quotient_shares_the_table():
     G = B("dihedral", 7)
     Q = central_quotient(G)
-    assert Q.table is G.table and Q.label == "D_14/Z"
+    assert all(Q.row(x) is G.table[x] for x in range(G.order)) and Q.label == "D_14/Z"
 
 
 def test_quotient_orders():
@@ -651,7 +657,7 @@ def test_quotient_orders():
         G = build_family(FamilySpec(fam, params))
         Q = central_quotient(G)
         assert Q.order == G.order // len(G.center())
-        Q.validate()
+        assert_group(Q)
 
 
 def test_q8_quotient_is_klein_four():
@@ -679,7 +685,7 @@ def test_recognize_dihedral_on_dihedral():
 
 
 def test_recognize_dihedral_rejects_cyclic():
-    assert recognize_dihedral(FiniteGroup(cyclic_table(6), label="Z_6")) is None
+    assert recognize_dihedral(group_of_table(cyclic_table(6), "Z_6")) is None
 
 
 def test_recognize_dihedral_rejects_quaternion():
@@ -693,11 +699,11 @@ def test_recognize_dihedral_on_m2mn_quotient():
 
 def test_recognize_p2_on_klein():
     t = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-    assert recognize_elementary_abelian_p2(FiniteGroup(t, label="V_4")) == 2
+    assert recognize_elementary_abelian_p2(group_of_table(t, "V_4")) == 2
 
 
 def test_recognize_p2_rejects_z4():
-    assert recognize_elementary_abelian_p2(FiniteGroup(cyclic_table(4), label="Z_4")) is None
+    assert recognize_elementary_abelian_p2(group_of_table(cyclic_table(4), "Z_4")) is None
 
 
 def test_recognize_p2_on_heisenberg_quotient():
@@ -708,66 +714,32 @@ def test_recognize_p2_on_heisenberg_quotient():
 # -- is_abelian ----------------------------------------------------------------------
 
 def test_is_abelian():
-    assert FiniteGroup(cyclic_table(5), label="Z_5").is_abelian()
+    assert group_of_table(cyclic_table(5), "Z_5").is_abelian()
     assert not B("dihedral", 3).is_abelian()
     assert not B("hanaki_a1", 2).is_abelian()
 
 
-# -- validation ------------------------------------------------------------------------
+# -- proving a table a group -----------------------------------------------------------
 
 def test_validate_accepts_built_groups():
     for fam, params in [("dihedral", (9,)), ("dicyclic", (4,)), ("sz2", ()),
                         ("pq", (2, 11)), ("hanaki_a2", (2, 2)), ("psl2", (2,))]:
-        build_family(FamilySpec(fam, params)).validate()
+        assert_group(build_family(FamilySpec(fam, params)))
 
 
 def test_validate_rejects_broken_latin_square():
     t = cyclic_table(4)
     t[2][3] = t[2][2]  # duplicate in a row
     with pytest.raises(GroupTableError, match="Latin"):
-        FiniteGroup(t, label="bad").validate()
-
-
-@pytest.mark.parametrize("cells,message", [
-    # the first bad cell in row-major order is named, out of range or not an int
-    ({(3, 4): 5, (4, 1): -1}, "entry table[3][4]=5 out of range"),
-    ({(2, 1): -1, (2, 3): 9}, "entry table[2][1]=-1 out of range"),
-    ({(2, 3): 1.0, (3, 0): 7}, "entry table[2][3]=1.0 out of range"),
-    ({(1, 4): "x", (1, 2): 5}, "entry table[1][2]=5 out of range"),
-    ({(4, 0): "4", (4, 3): 2}, "entry table[4][0]='4' out of range"),
-])
-def test_validate_names_the_first_bad_entry(cells, message):
-    t = cyclic_table(5)
-    for (i, j), v in cells.items():
-        t[i][j] = v
-    with pytest.raises(GroupTableError) as err:
-        FiniteGroup(t, label="bad").validate()
-    assert str(err.value) == message
+        group_of_table(t, "bad")
 
 
 def test_validate_names_a_corrupted_latin_row():
     t = cyclic_table(6)
     t[4][2] = t[4][5]  # in range, but row 4 repeats a value
     with pytest.raises(GroupTableError) as err:
-        FiniteGroup(t, label="bad").validate()
+        group_of_table(t, "bad")
     assert str(err.value) == "Latin square violated: row 4 is not a permutation"
-
-
-def test_validate_rejects_shifted_identity():
-    t = [[1, 0], [0, 1]]
-    with pytest.raises(GroupTableError, match="identity"):
-        FiniteGroup(t, label="bad").validate()
-
-
-@pytest.mark.parametrize("t,message", [
-    ([[0, 2, 1], [1, 0, 2], [2, 1, 0]], "identity axiom violated: row 0 is not the identity map"),
-    # x*y = y: every row is the identity map, and only column 0 is wrong
-    ([[0, 1, 2] for _ in range(3)], "identity axiom violated: column 0 is not the identity map"),
-])
-def test_validate_names_the_identity_fault(t, message):
-    with pytest.raises(GroupTableError) as err:
-        FiniteGroup(t, label="bad").validate()
-    assert str(err.value) == message
 
 
 def reduced_latin_squares(n):
@@ -810,7 +782,7 @@ def test_validate_is_exact_on_reduced_latin_squares(n, squares, groups):
         expected = naive_associative(t)
         associative += expected
         try:
-            FiniteGroup(t, label="L").validate()
+            group_of_table(t, "L")
             accepted = True
         except GroupTableError:
             accepted = False
@@ -835,7 +807,7 @@ def test_validate_rejects_intercalate_swap_at_520():
     t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
     t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
     with pytest.raises(GroupTableError, match="associativity"):
-        FiniteGroup(t, label="swapped").validate()
+        group_of_table(t, "swapped")
 
 
 def naive_is_group(t):
@@ -862,7 +834,7 @@ def test_validate_is_exact_on_order_4_tables_with_latin_rows():
         expected = naive_is_group(t)
         groups += expected
         try:
-            FiniteGroup(t, label="L").validate()
+            group_of_table(t, "L")
             accepted = True
         except GroupTableError:
             accepted = False
@@ -884,7 +856,7 @@ def test_validate_is_exact_on_z2_times_order_4_tables_with_latin_rows():
         expected = naive_is_group(t)
         groups += expected
         try:
-            FiniteGroup(t, label="L").validate()
+            group_of_table(t, "L")
             accepted = True
         except GroupTableError:
             accepted = False
@@ -912,7 +884,7 @@ def test_validate_rejects_every_within_row_swap_of_catalog_64():
             a, b = rng.sample(range(1, n), 2)
             t[x][a], t[x][b] = t[x][b], t[x][a]
             with pytest.raises(GroupTableError) as err:
-                FiniteGroup(t, label="swapped").validate()
+                group_of_table(t, "swapped")
             faults[str(err.value).split()[0]] += 1
     assert set(faults) == {"associativity", "element"}, faults
 
@@ -925,8 +897,10 @@ def test_element_order():
 
 
 def test_element_order_raises_when_no_power_is_the_identity():
-    # not a group: the powers of 1 cycle 1 -> 2 -> 1 and never reach 0
-    G = FiniteGroup([[0, 1, 2], [1, 2, 1], [2, 1, 0]])
+    # not a group: the powers of 1 cycle 1 -> 2 -> 1 and never reach 0;
+    # FiniteGroup trusts its rows, so it holds this table unproved
+    t = [[0, 1, 2], [1, 2, 1], [2, 1, 0]]
+    G = FiniteGroup(order=3, row_of=t.__getitem__, inverses=[0, 2, 2])
     assert element_order(G, 2) == 2
     with pytest.raises(GroupTableError, match="element 1"):
         element_order(G, 1)

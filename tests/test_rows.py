@@ -25,17 +25,21 @@ from groupzagreb.build import (
     FamilySpec,
     build_family,
     catalog,
-    cyclic,
     direct_product,
+    ingest_cayley,
     special_group,
 )
+from groupzagreb import cli
 from groupzagreb.cli import main
 from groupzagreb.formulas import crosscheck, crosschecks, dispatch, registry_for
-from groupzagreb.grp import FiniteGroup
+from groupzagreb.grp import FiniteGroup, group_of_table
 from groupzagreb.zagreb import group_report
 from test_build import (
     abelian_by_cyclic_oracle,
+    assert_group,
+    cayley_text_from,
     close,
+    cyclic,
     fingerprint,
     gl2_oracle,
     hanaki_a1_oracle,
@@ -90,7 +94,7 @@ def test_direct_product_rows_on_demand_match_close():
 ])
 def test_normal_form_rows_match_the_product_rule(m1, m2, k, act, s):
     oracle = abelian_by_cyclic_oracle(m1, m2, k, act, s)
-    FiniteGroup(oracle).validate()
+    group_of_table(oracle)
     assert every_row(_abelian_by_cyclic(m1, m2, k, act, s)) == oracle
 
 
@@ -156,7 +160,7 @@ BUILT = [e.build for e in catalog(64)] + [
     lambda: build_family(FamilySpec("dihedral", (250,))),
     lambda: direct_product(special_group("A_4"), cyclic(6)),
     # one of each builder's inverse maps: A(n,nu), A(n,p), SL(2,2^k), S_n,
-    # Z_n and a product whose factor is itself a product
+    # the normal form of Z_n and a product whose factor is itself a product
     lambda: build_family(FamilySpec("hanaki_a1", (3,))),
     lambda: build_family(FamilySpec("hanaki_a2", (1, 3))),
     lambda: build_family(FamilySpec("psl2", (3,))),
@@ -195,7 +199,7 @@ def test_inverses_and_conjugations_match_the_table(build):
 ])
 def test_normal_form_inverses_match_the_table(m1, m2, k, act, s):
     G = _abelian_by_cyclic(m1, m2, k, act, s)
-    G.validate()
+    assert_group(G)
     assert G._inverses == table_inverses(G.table)
 
 
@@ -297,12 +301,12 @@ def test_declared_generators_are_the_greedy_walk_on_raw_parameters():
             for s in product(range(m1), range(m2)):
                 if is_abc_presentation(m1, m2, k, act, s):
                     G = _abelian_by_cyclic(m1, m2, k, act, s)
-                    G.validate()
+                    assert_group(G)
                     assert G.generators == greedy_walk(G), (m1, m2, k, act, s)
                     seen.add((m1 == 1, m2 == 1, k == 1))
     assert seen == set(product((False, True), repeat=3)) - {(True, True, False),
                                                             (True, True, True)}
-    assert FiniteGroup([[0]]).generators == greedy_walk(FiniteGroup([[0]])) == ()
+    assert group_of_table([[0]]).generators == greedy_walk(group_of_table([[0]])) == ()
 
 
 def spy_on_walks(monkeypatch):
@@ -335,7 +339,7 @@ def test_built_groups_report_without_the_walk(monkeypatch, fam, params):
 
 
 def test_ingested_table_walks_once(tmp_path, capsys, monkeypatch):
-    # check_axioms runs Light's test on the walk's generators, and the
+    # group_of_table runs Light's test on the walk's generators, and the
     # commutation pass reads the same cached set
     t = relabelled(build_family(FamilySpec("v8n", (3,))), 3).table
     path = tmp_path / "v24.cayley"
@@ -346,10 +350,24 @@ def test_ingested_table_walks_once(tmp_path, capsys, monkeypatch):
     assert len(walked) == 1
 
 
-def test_ingested_group_serves_rows_from_its_list():
+def test_ingested_group_serves_rows_from_its_list(tmp_path, capsys, monkeypatch):
+    # group_of_table hands its rows over, and the report on an ingested table
+    # reads them through row(), so no second list of the rows is built
     t = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    G = FiniteGroup(t)
-    assert G.table is t and all(G.row(x) is t[x] for x in range(4))
+    assert all(group_of_table(t).row(x) is t[x] for x in range(4))
+    path = tmp_path / "s4.cayley"
+    path.write_text(cayley_text_from(relabelled(special_group("S_4"), 3).table))
+    ingested = []
+
+    def spied(source):
+        ingested.append(ingest_cayley(source))
+        return ingested[-1]
+
+    monkeypatch.setattr(cli, "ingest_cayley", spied)
+    assert main(["group", "--cayley", str(path)]) == 0
+    assert "# distinct_centralizers: 14" in capsys.readouterr().out
+    (G,) = ingested
+    assert "table" not in vars(G)
 
 
 # -- regression guard: the report path never builds the n^2 table --------------

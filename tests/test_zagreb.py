@@ -14,11 +14,10 @@ from groupzagreb.build import (
     _symmetric,
     build_family,
     catalog,
-    cyclic,
     direct_product,
     special_group,
 )
-from groupzagreb.grp import AbelianGroupError, FiniteGroup
+from groupzagreb.grp import AbelianGroupError, group_of_table
 from groupzagreb import cli, zagreb
 from groupzagreb.zagreb import (
     CliqueDecomposition,
@@ -43,6 +42,7 @@ from graph_oracles import (
     naive_degrees,
     zagreb_by_degree_classes,
 )
+from test_build import cyclic
 from test_grp import extraspecial_32, relabelled
 
 B = lambda fam, *ps: build_family(FamilySpec(fam, tuple(ps)))
@@ -111,7 +111,7 @@ def test_commuting_graph_heisenberg27():
 
 
 def test_commuting_graph_rejects_abelian():
-    Z6 = FiniteGroup([[(i + j) % 6 for j in range(6)] for i in range(6)], label="Z_6")
+    Z6 = group_of_table([[(i + j) % 6 for j in range(6)] for i in range(6)], "Z_6")
     with pytest.raises(AbelianGroupError):
         commuting_graph(Z6)
     with pytest.raises(AbelianGroupError):
