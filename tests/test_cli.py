@@ -1209,3 +1209,61 @@ def test_unknown_family_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["family", "nosuch", "--m", "3"])
     assert exc.value.code == 1
+
+
+# -- usage errors --------------------------------------------------------------
+_USAGE = "usage: groupzagreb [-h] {family,verify,scan,graph,group} ...\n"
+
+# every usage-error site: argv ("{file}" is a regular file) and the exact stderr
+USAGE_ERRORS = {
+    "no-command": ([], _USAGE + "groupzagreb: error: the following arguments are "
+                                "required: command\n"),
+    "unknown-command": (["bogus"], _USAGE + "groupzagreb: error: argument command: invalid "
+                        "choice: 'bogus' (choose from 'family', 'verify', 'scan', 'graph', "
+                        "'group')\n"),
+    "family-no-family": (["family"], (
+        "usage: groupzagreb family [-h] [--m M] [--n N] [--p P] [--q Q] [--k K]\n"
+        "                          [--format {csv,json}] [--order-cap ORDER_CAP]\n"
+        "                          {dicyclic,dihedral,gl2,hanaki_a1,hanaki_a2,m2mn,pq,"
+        "psl2,quasidihedral,sd8n,sz2,u6n,v8n}\n"
+        "groupzagreb family: error: the following arguments are required: family\n")),
+    "family-missing-param": (["family", "dihedral"],
+                             _USAGE + "groupzagreb: error: family dihedral requires --m\n"),
+    "family-invalid-param": (["family", "dihedral", "--m", "2"],
+                             _USAGE + "groupzagreb: error: dihedral(2,): m must be >= 3\n"),
+    "family-foreign-flag": (["family", "dihedral", "--m", "3", "--k", "9"],
+                            _USAGE + "groupzagreb: error: family dihedral does not take --k\n"),
+    "verify-no-range": (["verify", "dihedral"], _USAGE + "groupzagreb: error: verify "
+                        "dihedral requires --m (value or LO..HI)\n"),
+    "verify-range-descending": (["verify", "dihedral", "--m", "5..3"], "groupzagreb: error: "
+                                "--m expects an integer or LO..HI range, got '5..3'\n"),
+    "verify-range-not-int": (["verify", "dihedral", "--m", "a..b"], "groupzagreb: error: "
+                             "--m expects an integer or LO..HI range, got 'a..b'\n"),
+    "verify-range-open": (["verify", "dihedral", "--m", "3.."], "groupzagreb: error: "
+                          "--m expects an integer or LO..HI range, got '3..'\n"),
+    "scan-small-max-order": (["scan", "--max-order", "5"],
+                             _USAGE + "groupzagreb: error: --max-order must be >= 6\n"),
+    "scan-negative-jobs": (["scan", "--jobs", "-1"], _USAGE + "groupzagreb: error: --jobs "
+                           "must be >= 0 (0 means all cores)\n"),
+    "scan-catalog-extra-file": (["scan", "--catalog-extra", "{file}"], _USAGE + "groupzagreb: "
+                                "error: --catalog-extra {file}: not a directory\n"),
+    "graph-no-edges": (["graph"], (
+        "usage: groupzagreb graph [-h] --edges EDGES [--complement]\n"
+        "                         [--format {csv,json}]\n"
+        "groupzagreb graph: error: the following arguments are required: --edges\n")),
+    "unrecognized-flag": (["scan", "--foo"],
+                          _USAGE + "groupzagreb: error: unrecognized arguments: --foo\n"),
+}
+
+
+@pytest.mark.parametrize("site", list(USAGE_ERRORS))
+def test_usage_errors_are_pinned(tmp_path, capsys, monkeypatch, site):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
+    monkeypatch.setattr(cli, "catalog", lambda max_order: pytest.fail("catalog was built"))
+    path = tmp_path / "file.cayley"
+    path.write_text("1\n0\n", encoding="utf-8")
+    argv, err = USAGE_ERRORS[site]
+    with pytest.raises(SystemExit) as exc:
+        main([arg.replace("{file}", str(path)) for arg in argv])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", err.replace("{file}", str(path)))
