@@ -398,10 +398,11 @@ class FiniteGroup:
 def group_of_table(table: list[list[int]], label: str = "G") -> FiniteGroup:
     """The group on the rows of ``table``, table[i][j] the index of g_i * g_j,
     once proved a group; raises GroupTableError naming the first axiom
-    violated.  The table must be square, its cells ints in [0, n) and its
-    row 0 and column 0 the identity map, as ingestion's parse proves.  The
-    proof: the rows are permutations, j*i = 0 for the j with i*j = 0, and
-    Light's test, (x*s)*y == x*(s*y), on the walk's ``generators`` s.
+    violated.  The table must be square with its cells ints in [0, n), as
+    ingestion's parse proves.  The proof: the rows are permutations, j*i = 0
+    for the j with i*j = 0, row 0 and column 0 are the identity map (without
+    it the walk that finds the generators would not end), and Light's test,
+    (x*s)*y == x*(s*y), on the walk's ``generators`` s.
 
     In any magma the a with (x*a)*y == x*(a*y) for all x, y contain the
     identity and are closed under the product: (x*(a*b))*y =
@@ -420,6 +421,9 @@ def group_of_table(table: list[list[int]], label: str = "G") -> FiniteGroup:
     for i, j in enumerate(inverses):
         if table[j][i] != 0:
             raise GroupTableError(f"element {i} has no two-sided inverse")
+    identity_map = list(range(n))
+    if not table or table[0] != identity_map or [row[0] for row in table] != identity_map:
+        raise GroupTableError("identity axiom violated: element 0 is not a two-sided identity")
     G = FiniteGroup(label, order=n, row_of=table.__getitem__, inverses=inverses)
     for s in G.generators:
         at_s_row = itemgetter(*table[s])

@@ -742,6 +742,18 @@ def test_validate_names_a_corrupted_latin_row():
     assert str(err.value) == "Latin square violated: row 4 is not a permutation"
 
 
+@pytest.mark.parametrize("t", [
+    [[1, 0], [0, 1]],  # Z_2 with its identity at 1
+    [[2, 0, 1], [0, 1, 2], [1, 2, 0]],  # Z_3 with its identity at 1
+])
+def test_group_of_table_refuses_an_identity_off_index_0(t):
+    # the rows are permutations and every element has a two-sided inverse,
+    # so only the identity check stands between the table and the walk
+    with pytest.raises(GroupTableError) as err:
+        group_of_table(t, "moved")
+    assert str(err.value) == "identity axiom violated: element 0 is not a two-sided identity"
+
+
 def reduced_latin_squares(n):
     """Every n x n Latin square on 0..n-1 whose row 0 and column 0 are in order."""
     sq = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
