@@ -6,18 +6,30 @@ Exit codes: 0 success, 1 usage error, 2 validation failure, 3 conjecture
 violation found, 141 stdout closed by its reader before the output ended.
 Output is deterministic: identical invocations produce byte-identical
 CSV/JSON regardless of --jobs.
+
+The grammar is one table, ``COMMANDS``: each command's help, whether it
+takes a family name, and each flag's type or choices, default, whether it is
+required, and help.  ``main`` reads a well-formed command line straight from
+that table (``_read_argv``): the command, the family name for ``family`` and
+``verify``, then exact long flags, each at most once and each value its own
+token.  Anything else (``--help``, an abbreviation, ``--flag=value``, a
+repeat, a value starting with "-", a bad value, a missing required flag) goes
+to argparse, which ``build_parser`` builds from the same table only then, so
+help, usage and error texts are argparse's own.  A well-formed call never
+imports argparse, nor the ``gettext`` and ``locale`` it loads, which saves
+about 2 ms per process (README, "CLI").
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import os
 import sys
 from functools import cache
 from itertools import groupby
 from math import prod
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
 from .build import (
     FAMILIES,
@@ -46,6 +58,9 @@ from .zagreb import (
     zagreb_direct_complement,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -53,13 +68,6 @@ EXIT_VIOLATION = 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a tool the pipe stopped
 
 DEFAULT_ORDER_CAP = 5000
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 class ScanRow(NamedTuple):
@@ -216,20 +224,26 @@ def _parse_range(text: str, flag: str) -> range:
         raise SystemExit(EXIT_USAGE) from None
 
 
-def _reject_foreign_flags(args, parser: _Parser) -> None:
+def _usage_error(message: str) -> NoReturn:
+    """Exit 1 with the usage line and ``message``, as argparse's own usage
+    errors do."""
+    build_parser().error(message)
+
+
+def _reject_foreign_flags(args) -> None:
     """A parameter flag that the family does not take is a usage error."""
     takes = FAMILIES[args.family].params
     for name in _PARAM_NAMES:
         if name not in takes and getattr(args, name) is not None:
-            parser.error(f"{args.command} {args.family} does not take --{name}")
+            _usage_error(f"{args.command} {args.family} does not take --{name}")
 
 
-def _family_params(args, family: str, parser: _Parser) -> tuple[int, ...]:
+def _family_params(args) -> tuple[int, ...]:
     values = []
-    for name in FAMILIES[family].params:
+    for name in FAMILIES[args.family].params:
         v = getattr(args, name, None)
         if v is None:
-            parser.error(f"family {family} requires --{name}")
+            _usage_error(f"family {args.family} requires --{name}")
         values.append(v)
     return tuple(values)
 
@@ -238,13 +252,13 @@ def _family_params(args, family: str, parser: _Parser) -> tuple[int, ...]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_family(args, parser: _Parser) -> int:
-    _reject_foreign_flags(args, parser)
+def _cmd_family(args) -> int:
+    _reject_foreign_flags(args)
     try:
-        spec = FamilySpec(args.family, _family_params(args, args.family, parser),
+        spec = FamilySpec(args.family, _family_params(args),
                           order_cap=args.order_cap)
     except FamilyError as exc:
-        parser.error(str(exc))
+        _usage_error(str(exc))
     except OrderCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -253,13 +267,13 @@ def _cmd_family(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, parser: _Parser) -> int:
-    _reject_foreign_flags(args, parser)
+def _cmd_verify(args) -> int:
+    _reject_foreign_flags(args)
     ranges = []
     for name in FAMILIES[args.family].params:
         raw = getattr(args, name, None)
         if raw is None:
-            parser.error(f"verify {args.family} requires --{name} (value or LO..HI)")
+            _usage_error(f"verify {args.family} requires --{name} (value or LO..HI)")
         ranges.append(_parse_range(raw, f"--{name}"))
     # every family refuses a parameter below 1, and the cap one above it, so
     # only the values in [1, cap] are tried, each range up to the first value
@@ -313,13 +327,13 @@ def _declared_order(fh) -> int | None:
         return None
 
 
-def _cmd_scan(args, parser: _Parser) -> int:
+def _cmd_scan(args) -> int:
     if args.max_order < 6:
-        parser.error("--max-order must be >= 6")
+        _usage_error("--max-order must be >= 6")
     if args.jobs < 0:
-        parser.error("--jobs must be >= 0 (0 means all cores)")
+        _usage_error("--jobs must be >= 0 (0 means all cores)")
     if args.catalog_extra and not os.path.isdir(args.catalog_extra):
-        parser.error(f"--catalog-extra {args.catalog_extra}: not a directory")
+        _usage_error(f"--catalog-extra {args.catalog_extra}: not a directory")
     # a dihedral group lies at every even order from 6, so the first entry
     # above the cap, if any, is at most two past it: a listing that stops
     # there and finds none has reached --max-order, the whole catalog
@@ -405,7 +419,7 @@ def _graph_report_rows(graph, path: str, include_complement: bool):
     return rows
 
 
-def _cmd_graph(args, parser: _Parser) -> int:
+def _cmd_graph(args) -> int:
     try:
         try:
             with open(args.edges, "r", encoding="utf-8") as fh:
@@ -443,7 +457,7 @@ def _cmd_graph(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _cmd_group(args, parser: _Parser) -> int:
+def _cmd_group(args) -> int:
     try:
         with open(args.cayley, "r", encoding="utf-8") as fh:
             G = ingest_cayley(fh)
@@ -497,75 +511,133 @@ def _cmd_group(args, parser: _Parser) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# the command table, its reader and its argparse parser
 # ---------------------------------------------------------------------------
 
-def _add_param_flags(sub: _Parser) -> None:
-    for name in _PARAM_NAMES:
-        sub.add_argument(f"--{name}", type=int, default=None)
+class Flag(NamedTuple):
+    """A long flag ``--name``.  An int or str flag takes one value, a bool
+    flag none (it stores True)."""
+
+    name: str
+    type: type = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        """The attribute that holds the value, named as argparse names it."""
+        return self.name.replace("-", "_")
 
 
-def _add_param_range_flags(sub: _Parser) -> None:
-    for name in _PARAM_NAMES:
-        sub.add_argument(f"--{name}", type=str, default=None,
-                         help=f"{name} value or LO..HI range")
+class Command(NamedTuple):
+    run: Callable[..., int]
+    help: str
+    flags: tuple[Flag, ...]
+    family: bool = False  # the family name comes first, as a positional
+
+
+_FORMAT = Flag("format", choices=("csv", "json"), default="csv")
+_ORDER_CAP = Flag("order-cap", int, DEFAULT_ORDER_CAP)
+
+COMMANDS = {
+    "family": Command(_cmd_family, "report for one family instance", (
+        *(Flag(name, int) for name in _PARAM_NAMES), _FORMAT, _ORDER_CAP), family=True),
+    "verify": Command(_cmd_verify, "closed forms vs brute force over ranges", (
+        *(Flag(name, help=f"{name} value or LO..HI range") for name in _PARAM_NAMES),
+        _ORDER_CAP), family=True),
+    "scan": Command(_cmd_scan, "conjecture scan over the catalog", (
+        Flag("max-order", int, 512),
+        Flag("catalog-extra", help="directory of Cayley-table files to include"),
+        Flag("jobs", int, 0, help="worker processes, at most the number of cores "
+                                  "(default: all cores)"),
+        _FORMAT, _ORDER_CAP)),
+    "graph": Command(_cmd_graph, "conjecture check for an edge-list file", (
+        Flag("edges", required=True), Flag("complement", bool, False), _FORMAT)),
+    "group": Command(_cmd_group, "full report for a Cayley-table file", (
+        Flag("cayley", required=True), _FORMAT)),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes ``build_parser().parse_args(argv)`` sets, for the one
+    form read here: a command, the family name if it takes one, then its
+    exact long flags, each at most once, each value its own token that does
+    not start with "-", ints read by ``int()`` and choices checked, every
+    required flag given.  None for any other argv, which argparse then reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = COMMANDS[argv[0]]
+    values = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    if command.family:
+        values["family"] = next(tokens, None)
+        if values["family"] not in FAMILIES:
+            return None
+    values.update((flag.dest, flag.default) for flag in command.flags)
+    unread = {f"--{flag.name}": flag for flag in command.flags}
+    for token in tokens:
+        flag = unread.pop(token, None)  # so a repeated flag is not found
+        if flag is None:
+            return None
+        if flag.type is bool:
+            values[flag.dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as a flag
+        if value.startswith("-"):
+            return None
+        if flag.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    if any(flag.required for flag in unread.values()):
+        return None
+    return SimpleNamespace(**values)
 
 
 @cache
-def build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing changes none of
-    its state."""
-    parser = _Parser(prog="groupzagreb",
-                     description="Zagreb indices of commuting/non-commuting "
-                                 "graphs of finite groups")
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``COMMANDS``, built once per process, and only
+    for a command line that ``_read_argv`` does not read or for a usage
+    error: parsing changes none of its state."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage problems exit 1, not argparse's 2
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+    parser = Parser(prog="groupzagreb",
+                    description="Zagreb indices of commuting/non-commuting "
+                                "graphs of finite groups")
     sub = parser.add_subparsers(dest="command", required=True)
-    families = sorted(FAMILIES)
-
-    p_family = sub.add_parser("family", help="report for one family instance")
-    p_family.add_argument("family", choices=families)
-    _add_param_flags(p_family)
-    p_family.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_family.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-
-    p_verify = sub.add_parser("verify", help="closed forms vs brute force over ranges")
-    p_verify.add_argument("family", choices=families)
-    _add_param_range_flags(p_verify)
-    p_verify.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-
-    p_scan = sub.add_parser("scan", help="conjecture scan over the catalog")
-    p_scan.add_argument("--max-order", type=int, default=512)
-    p_scan.add_argument("--catalog-extra", type=str, default=None,
-                        help="directory of Cayley-table files to include")
-    p_scan.add_argument("--jobs", type=int, default=0,
-                        help="worker processes, at most the number of cores "
-                             "(default: all cores)")
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-
-    p_graph = sub.add_parser("graph", help="conjecture check for an edge-list file")
-    p_graph.add_argument("--edges", required=True)
-    p_graph.add_argument("--complement", action="store_true")
-    p_graph.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_group = sub.add_parser("group", help="full report for a Cayley-table file")
-    p_group.add_argument("--cayley", required=True)
-    p_group.add_argument("--format", choices=("csv", "json"), default="csv")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.family:
+            p.add_argument("family", choices=sorted(FAMILIES))
+        for flag in command.flags:
+            if flag.type is bool:
+                p.add_argument(f"--{flag.name}", action="store_true", help=flag.help)
+            else:
+                p.add_argument(f"--{flag.name}", type=flag.type, default=flag.default,
+                               choices=flag.choices, required=flag.required, help=flag.help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = {
-        "family": _cmd_family,
-        "verify": _cmd_verify,
-        "scan": _cmd_scan,
-        "graph": _cmd_graph,
-        "group": _cmd_group,
-    }[args.command]
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:  # help, or a usage error that argparse words
+        args = build_parser().parse_args(argv)
     try:
-        code = command(args, parser)
+        code = COMMANDS[args.command].run(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code
     except RouteMismatchError as exc:  # a route is broken; the message names the group

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output shape, determinism, exit codes."""
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,6 +17,8 @@ from itertools import groupby
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupzagreb import cli, ff, formulas, zagreb
 from groupzagreb.build import (
@@ -33,6 +36,7 @@ from groupzagreb.cli import CSV_HEADER, main
 from groupzagreb.coset import Presentation, PresentationError
 from groupzagreb.grp import FiniteGroup
 from groupzagreb.zagreb import CliqueDecomposition
+from test_bench_names import load as load_bench
 from test_build import cyclic
 from test_grp import extraspecial_32, relabelled
 
@@ -1267,3 +1271,150 @@ def test_usage_errors_are_pinned(tmp_path, capsys, monkeypatch, site):
         main([arg.replace("{file}", str(path)) for arg in argv])
     assert exc.value.code == 1
     assert capsys.readouterr() == ("", err.replace("{file}", str(path)))
+
+
+# -- the command table and its reader -------------------------------------------
+# main reads a well-formed command line from cli.COMMANDS and builds argparse
+# only for help and usage errors, so the reader must agree with argparse on
+# every line it reads and leave every other line to it
+
+_INT_VALUES = st.integers(0, 10**6).map(str)
+_STR_VALUES = st.text(min_size=0, max_size=6).filter(lambda v: not v.startswith("-"))
+# tokens a perturbation puts in: help, unknown flags, bad ints and choices,
+# "-"-leading values, command and family names, flags of other commands
+_ODD_TOKENS = st.sampled_from([
+    "-h", "--help", "--foo", "-", "--", "-1", "-x", "x", "1.5", "", "xml", "=", "--m=3",
+    "--complement", "--format", "--jobs", "--edges", "--m", "--k", "scan", "family",
+    "dihedral", "nosuch", "3..5",
+])
+
+
+def _value(flag):
+    if flag.choices is not None:
+        return st.sampled_from(flag.choices)
+    return _INT_VALUES if flag.type is int else _STR_VALUES
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A command, its family name if it takes one, then a random subset of
+    its flags, the required ones always, in random order."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    command = cli.COMMANDS[name]
+    argv = [name]
+    if command.family:
+        argv.append(draw(st.sampled_from(sorted(FAMILIES))))
+    for flag in draw(st.permutations(command.flags)):
+        if flag.required or draw(st.booleans()):
+            argv.append(f"--{flag.name}")
+            if flag.type is not bool:
+                argv.append(draw(_value(flag)))
+    return argv
+
+
+@st.composite
+def perturbed_argv(draw):
+    """A well-formed argv with one edit: a token dropped, repeated, replaced
+    or joined to the next by "=", a flag abbreviated, or an odd token put in."""
+    argv = draw(well_formed_argv())
+    i = draw(st.integers(0, len(argv)))
+    edit = draw(st.sampled_from(["drop", "repeat", "replace", "join", "abbreviate", "insert"]))
+    if edit == "insert" or i == len(argv):
+        return argv[:i] + [draw(_ODD_TOKENS)] + argv[i:]
+    if edit == "drop":
+        return argv[:i] + argv[i + 1:]
+    if edit == "repeat":
+        return argv + argv[i:i + 2]
+    if edit == "replace":
+        return argv[:i] + [draw(_ODD_TOKENS)] + argv[i + 1:]
+    if edit == "join":
+        return argv[:i] + ["=".join(argv[i:i + 2])] + argv[i + 2:]
+    token = argv[i]  # abbreviate
+    return argv[:i] + [token[:draw(st.integers(1, max(len(token) - 1, 1)))]] + argv[i + 1:]
+
+
+def _argparse_reads(argv):
+    """argparse's namespace for argv as a dict, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(well_formed_argv())
+def test_the_reader_reads_every_well_formed_argv_as_argparse_does(argv):
+    read = cli._read_argv(argv)
+    assert read is not None
+    assert vars(read) == _argparse_reads(argv)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(perturbed_argv())
+def test_the_reader_never_disagrees_with_argparse(argv):
+    read = cli._read_argv(argv)  # never raises
+    if read is not None:
+        assert vars(read) == _argparse_reads(argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["family", "-h"],
+                                  ["scan", "--max-order", "8", "--help"],
+                                  ["family", "dihedral", "--m=4"],
+                                  ["family", "dihedral", "--m", "4", "--m", "5"],
+                                  ["scan", "--max", "8"], ["scan", "--jobs", "-1"],
+                                  ["graph", "--edges", "g", "--complement", "--complement"],
+                                  ["group"], ["family", "--m", "4", "dihedral"]])
+def test_the_reader_leaves_help_and_odd_forms_to_argparse(argv):
+    assert cli._read_argv(argv) is None
+
+
+def _no_parser():
+    pytest.fail("argparse was built for a well-formed command line")
+
+
+def test_well_formed_calls_never_build_argparse(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", _no_parser)
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    s3 = build_family(FamilySpec("dihedral", (3,)))
+    cayley = cayley_file(tmp_path, s3, "table.cayley")
+    cayley_file(tables, s3, "s3.cayley")
+    edges = tmp_path / "g.edges"
+    edges.write_text("4 3\n0 1\n1 2\n2 3\n", encoding="utf-8")
+    # the README's examples, with small parameters
+    readme = [
+        ["family", "dihedral", "--m", "4"],
+        ["family", "gl2", "--q", "3", "--format", "json"],
+        ["verify", "dihedral", "--m", "3..6"],
+        ["verify", "v8n", "--n", "1..2"],
+        ["scan", "--max-order", "12", "--jobs", "1"],
+        ["scan", "--max-order", "8", "--catalog-extra", str(tables)],
+        ["graph", "--edges", str(edges), "--complement"],
+        ["group", "--cayley", str(cayley)],
+    ]
+    for argv in readme:
+        assert main(argv) == 0, argv
+    # every form of the verify script
+    script = Path(__file__).parents[1] / "scripts" / "verify_families.py"
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    # every call of the benchmark's workloads, at their smoke-test sizes
+    workloads = load_bench("workloads")
+    for name, size in workloads.TINY.items():
+        for op in workloads.make_ops(name, size, 7, tmp_path):
+            assert main(op.argv) == op.expect.get("rc", 0), op.argv
+    capsys.readouterr()
+
+
+def test_a_well_formed_call_loads_no_argparse():
+    unwanted = ("argparse", "gettext", "locale")
+    proc = _cli_subprocess(
+        "-c", "import io, sys, contextlib, groupzagreb.cli as c\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = c.main(['family', 'dihedral', '--m', '4'])\n"
+              f"print(code, [m for m in {unwanted!r} if m in sys.modules])",
+        stdout=subprocess.PIPE)
+    out, _ = proc.communicate()
+    assert proc.returncode == 0 and out == b"0 []\n"
