@@ -501,8 +501,6 @@ def build_family(spec: FamilySpec) -> FiniteGroup:
         raise FamilyError(
             f"{spec.label()}: construction produced order {G.order}, expected {spec.order()}"
         )
-    G.family = spec.family
-    G.params = spec.params
     return G
 
 
@@ -579,13 +577,14 @@ def special_group(name: str) -> FiniteGroup:
 # Cayley-table ingestion
 # ---------------------------------------------------------------------------
 
-def ingest_cayley(source) -> FiniteGroup:
+def ingest_cayley(source, label: str = "ingested") -> FiniteGroup:
     """Parse a Cayley-table file and prove it a group.
 
     Format: first line the order n, then n lines of n space-separated
     indices in [0, n) (row i lists the products g_i * g_j), optionally
-    followed by a ``# name: <label>`` comment line.  The identity need not
-    be index 0 in the file: the rows are read straight into a table
+    followed by a ``# name: <label>`` comment line.  A non-empty name is
+    the group's label, and otherwise ``label``, the caller's.  The identity
+    need not be index 0 in the file: the rows are read straight into a table
     renumbered so that it is, the others keeping their order, for the e that
     row 0 names (g_0 * e = g_0, the first 0 there); only if e is no
     two-sided identity is every element tried.  The parse proves every entry
@@ -603,12 +602,11 @@ def ingest_cayley(source) -> FiniteGroup:
         raise CayleyFormatError(f"first line must be the order, got {lines[0]!r}") from None
     if n < 1:
         raise CayleyFormatError(f"order must be positive, got {n}")
-    label = "ingested"
     body = lines[1:]
     while body and body[-1].startswith("#"):
-        comment = body.pop()
-        if comment.lstrip("#").strip().startswith("name:"):
-            label = comment.lstrip("#").strip()[5:].strip()
+        comment = body.pop().lstrip("#").strip()
+        if comment.startswith("name:") and (name := comment[5:].strip()):
+            label = name
     if len(body) != n:
         raise CayleyFormatError(f"expected {n} table rows, found {len(body)}")
     row0 = _read_rows(body[:1], n, 0)[0]
@@ -684,13 +682,6 @@ class CatalogEntry(NamedTuple):
         if self.family == "special":
             return SPECIAL_GROUPS[self.label][1]
         return FAMILIES[self.family].form(*self.params)
-
-    def copy_of(self, G: FiniteGroup) -> FiniteGroup:
-        """G, a group built from this entry's normal form, under the label,
-        family and params that ``build`` sets, sharing G's rows and queries."""
-        if self.family == "special":
-            return G.copy_as(self.label, None, None)
-        return G.copy_as(self.label, self.family, self.params)
 
 
 def catalog(max_order: int) -> list[CatalogEntry]:

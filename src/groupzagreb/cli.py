@@ -44,7 +44,7 @@ from .build import (
     ingest_cayley,
 )
 from .formulas import Applicable, CrosscheckResult, crosschecks, dispatch, registry_for
-from .grp import FiniteGroup, GroupTableError
+from .grp import AbelianGroupError, FiniteGroup, GroupTableError
 from .zagreb import (
     GraphFormatError,
     GroupReport,
@@ -111,17 +111,18 @@ _TABLE_FILE_ERRORS = (CayleyFormatError, GroupTableError, OSError, UnicodeDecode
 _Checks = list[tuple[Applicable, CrosscheckResult]]
 
 
-def _row_for_group(G: FiniteGroup, family: str, params: tuple[int, ...],
+def _row_for_group(G: FiniteGroup, label: str, family: str, params: tuple[int, ...],
                    rep: GroupReport | None = None, checks: _Checks | None = None) -> ScanRow:
-    """The scan row for G; pass ``rep`` and ``checks`` when already computed.
-    The row prints no tags, so the checks come from the tagless dispatch."""
+    """The scan row that names G ``label``, of ``family`` at ``params``;
+    pass ``rep`` and ``checks`` when already computed.  The row prints no
+    tags, so the checks come from the tagless dispatch."""
     if rep is None:
         rep = group_report(G)
     if checks is None:
-        checks = crosschecks(dispatch(G), rep)
+        checks = crosschecks(dispatch(G, family, params), rep)
     diffs = sum(len(result.diffs) for _, result in checks)
     return ScanRow(
-        label=G.label,
+        label=label,
         family=family,
         params=params,
         order=G.order,
@@ -158,21 +159,16 @@ def _scan_worker(entry: CatalogEntry,
     (M_2m[m,1] = D_2m, Z_q:Z_2 = D_2q, QD_16 = SD_16, A_5 = PSL(2,4), ...),
     and equal forms build equal tables, so the form is looked up before
     anything is built: an entry whose form an earlier one already built is
-    not built at all, but takes that group's rows, derived state and report
-    under the label, family and params its own build would have set
-    (``CatalogEntry.copy_of``), and still runs its own formula dispatch and
-    crosschecks."""
+    not built at all, but reuses that group and its report, and still runs
+    the formula dispatch and crosschecks of its own family and params under
+    its own label."""
     try:
         form = entry.form()
-        if form in seen:
-            H, rep = seen[form]
-            G = entry.copy_of(H)
-            rep = rep._replace(label=G.label)
-        else:
+        if form not in seen:
             G = entry.build()
-            rep = group_report(G)
-            seen[form] = G, rep
-        return _row_for_group(G, entry.family, entry.params, rep)
+            seen[form] = G, group_report(G)
+        G, rep = seen[form]
+        return _row_for_group(G, entry.label, entry.family, entry.params, rep)
     except RouteMismatchError:
         raise  # its message already names the entry
     except (ValueError, RuntimeError) as exc:
@@ -262,7 +258,7 @@ def _cmd_family(args) -> int:
     except OrderCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    row = _row_for_group(build_family(spec), spec.family, spec.params)
+    row = _row_for_group(build_family(spec), spec.label(), spec.family, spec.params)
     _emit_rows([row], args.format)
     return EXIT_OK
 
@@ -289,15 +285,15 @@ def _cmd_verify(args) -> int:
             continue
         checked += 1
         G = build_family(spec)
-        for _, result in crosschecks(dispatch(G), group_report(G)):
+        for app, result in crosschecks(dispatch(G, spec.family, spec.params), group_report(G)):
             for d in result.diffs:
                 failures.append(
-                    f"{spec.label()} [{result.entry_key}{result.params}] "
+                    f"{spec.label()} [{app.entry.key}{app.params}] "
                     f"{d.field}: predicted {d.predicted}, got {d.actual}"
                 )
             for d in result.alt_mismatches:
                 warnings.append(
-                    f"{spec.label()} [{result.entry_key}{result.params}] "
+                    f"{spec.label()} [{app.entry.key}{app.params}] "
                     f"alt {d.field}: {d.predicted} vs confirmed {d.actual} ({d.note})"
                 )
     for w in warnings:
@@ -375,16 +371,16 @@ def _cmd_scan(args) -> int:
                         file_errors.append(f"{path}: skipped (order {order} > max order)")
                         continue
                     fh.seek(0)
-                    G = ingest_cayley(fh)
+                    G = ingest_cayley(fh, fname)
             except _TABLE_FILE_ERRORS as exc:
                 file_errors.append(f"{path}: {exc}")
                 continue
-            if G.label == "ingested":
-                G.label = fname
-            if G.is_abelian():
-                file_errors.append(f"{path}: skipped (Group must be non-abelian)")
+            try:
+                rep = group_report(G)
+            except AbelianGroupError as exc:
+                file_errors.append(f"{path}: skipped ({exc})")
                 continue
-            rows.append(_row_for_group(G, "ingested", ()))
+            rows.append(_row_for_group(G, G.label, "ingested", (), rep))
 
     rows.sort(key=lambda r: (r.order, r.family, r.params, r.label))
     counts = {"groups": len(rows), "strict": 0, "equality": 0, "fails": 0, "undefined": 0}
@@ -460,18 +456,13 @@ def _cmd_graph(args) -> int:
 def _cmd_group(args) -> int:
     try:
         with open(args.cayley, "r", encoding="utf-8") as fh:
-            G = ingest_cayley(fh)
-    except _TABLE_FILE_ERRORS as exc:
+            G = ingest_cayley(fh, os.path.basename(args.cayley))
+        rep = group_report(G)
+    except (*_TABLE_FILE_ERRORS, AbelianGroupError) as exc:
         print(f"error: {args.cayley}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if G.label == "ingested":
-        G.label = os.path.basename(args.cayley)
-    if G.is_abelian():
-        print(f"error: {args.cayley}: Group must be non-abelian", file=sys.stderr)
-        return EXIT_VALIDATION
-    rep = group_report(G)
     checks = crosschecks(registry_for(G), rep)
-    row = _row_for_group(G, "ingested", (), rep, checks)
+    row = _row_for_group(G, G.label, "ingested", (), rep, checks)
     info = {
         "label": G.label,
         "order": G.order,

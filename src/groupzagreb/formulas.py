@@ -364,14 +364,15 @@ def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
     return tags
 
 
-def dispatch(G: FiniteGroup) -> tuple[Applicable, ...]:
-    """Entries applicable to G, with no consequence tags: its own family
-    entry (when it was built from a family spec), untagged, plus
-    quotient-hypothesis entries whenever G/Z(G), read off its element orders,
-    has their shape, each tagged with that shape alone."""
+def dispatch(G: FiniteGroup, family: str | None = None,
+             params: tuple[int, ...] = ()) -> tuple[Applicable, ...]:
+    """Entries applicable to G, with no consequence tags: the entry of the
+    ``family`` the caller built G as, at ``params``, untagged, when it has
+    one, plus quotient-hypothesis entries whenever G/Z(G), read off its
+    element orders, has their shape, each tagged with that shape alone."""
     apps: list[Applicable] = []
-    if G.family in ENTRIES:
-        apps.append(Applicable(ENTRIES[G.family], G.params or (), "family"))
+    if family in ENTRIES:
+        apps.append(Applicable(ENTRIES[family], params, "family"))
 
     z = len(G.center())
     k = G.order // z
@@ -393,11 +394,12 @@ def dispatch(G: FiniteGroup) -> tuple[Applicable, ...]:
     return tuple(apps)
 
 
-def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
-    """``dispatch(G)`` with G's ``consequence_tags`` ahead of each entry's
-    own tags."""
+def registry_for(G: FiniteGroup, family: str | None = None,
+                 params: tuple[int, ...] = ()) -> tuple[Applicable, ...]:
+    """``dispatch(G, family, params)`` with G's ``consequence_tags`` ahead
+    of each entry's own tags."""
     tags = consequence_tags(G)
-    return tuple(app._replace(tags=tags + app.tags) for app in dispatch(G))
+    return tuple(app._replace(tags=tags + app.tags) for app in dispatch(G, family, params))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +414,9 @@ class FieldDiff(NamedTuple):
 
 
 class CrosscheckResult(NamedTuple):
-    entry_key: str
-    params: tuple[int, ...]
+    """How one entry's prediction compares; the ``Applicable`` it is paired
+    with names the entry and its params."""
+
     diffs: tuple[FieldDiff, ...]
     alt_mismatches: tuple[FieldDiff, ...]
 
@@ -454,5 +457,5 @@ def crosschecks(apps: Iterable[Applicable],
             confirmed = getattr(pred, alt_form.field)
             if value != confirmed:
                 alt.append(FieldDiff(alt_form.field, value, confirmed, alt_form.note))
-        checks.append((app, CrosscheckResult(entry.key, tuple(params), diffs, tuple(alt))))
+        checks.append((app, CrosscheckResult(diffs, tuple(alt))))
     return checks

@@ -22,16 +22,17 @@ centralizer, costs no second one), and its orbits, with Z(G), give the
 classes.  One cached pass per group (``commutation``, a ``Commutation``
 record) starts from the maps of a greedy generating set (at most log2(n)
 elements, a subgroup closed one left coset at a time, found once and
-cached, or named by the builder, which the tests pin to the same set), the
-only maps kept, and finds in turn: Z(G), the intersection of their masks,
-where an abelian G stops; the classes of G/Z(G), in one walk of those maps
-and of left multiplication by a greedy generating set of Z(G)
-(``class_of``, ``sizes``, ``reps``), since the class of xZ(G) is the set of
-the c*h*x*h^-1 with c central, so no coset is numbered on the way; a mask
-and a coset order per class; the abelian certificates; and k(G).  Whether x
-and y commute depends only on their cosets xZ(G) and yZ(G), and conjugate
-elements have conjugate centralizers, so one centralizer bitmask per class
-of G/Z(G) (``masks``) carries every commutation fact the library reports.
+cached, or named by the builder, which the tests pin to the same set),
+maps it drops when the pass ends, and finds in turn: Z(G), the
+intersection of their masks, where an abelian G stops; the classes of
+G/Z(G), in one walk of those maps and of left multiplication by a greedy
+generating set of Z(G) (``class_of``, ``sizes``, ``reps``), since the
+class of xZ(G) is the set of the c*h*x*h^-1 with c central, so no coset is
+numbered on the way; a mask and a coset order per class; the abelian
+certificates; and k(G).  Whether x and y commute depends only on their
+cosets xZ(G) and yZ(G), and conjugate elements have conjugate
+centralizers, so one centralizer bitmask per class of G/Z(G) (``masks``)
+carries every commutation fact the library reports.
 The power walk (``_power_walk``) goes along an element's row, to the first
 central power, and proves which of its powers share its centralizer: the
 coprime ones, and every one whose class is so small that Lagrange leaves no
@@ -62,7 +63,6 @@ which serves the rows from the table's list.
 
 from __future__ import annotations
 
-import copy
 import os
 from collections import Counter
 from fractions import Fraction
@@ -99,8 +99,8 @@ class AbelianGroupError(ValueError):
 
 
 class Commutation(NamedTuple):
-    """What one commutation pass (``FiniteGroup.commutation``) finds:
-      maps      the conjugation maps of the generators, in their order;
+    """What one commutation pass (``FiniteGroup.commutation``) finds, from
+    the conjugation maps of the generators, which it does not keep:
       center    Z(G), ascending;
       class_of  the class of each element g among the conjugacy classes of
                 G/Z(G), taken as sets of elements;
@@ -114,7 +114,6 @@ class Commutation(NamedTuple):
       certified the masks their size proves abelian;
       k         k(G) = sum_x |C_G(x)| / n."""
 
-    maps: list[tuple[int, ...]]
     center: tuple[int, ...]
     class_of: list[int]
     sizes: list[int]
@@ -128,6 +127,8 @@ class Commutation(NamedTuple):
 class FiniteGroup:
     """Immutable-by-convention finite group on the rows of its Cayley table.
 
+    It holds facts about its table and a ``label`` for messages, but no
+    family or parameters: a caller that names a report row passes its own.
     It trusts its ``order``, a ``row_of`` that gives row i, ``inverses``,
     with inverses[i] the index of g_i^-1, and the ``generators`` its
     presentation names, if any, the walk's set.  Queries cache their results
@@ -139,8 +140,6 @@ class FiniteGroup:
                  row_of: Callable[[int], list[int]], inverses: list[int],
                  generators: tuple[int, ...] | None = None):
         self.label = label
-        self.family: str | None = None  # set by build.build_family
-        self.params: tuple[int, ...] | None = None
         self._masks: dict[int, int] = {}  # x -> C_G(x), see _centralizer_mask
         self.order = order
         self._row_of = row_of
@@ -148,15 +147,6 @@ class FiniteGroup:
         self._inverses = inverses
         if generators is not None:
             self.generators = generators  # set on the instance: no walk
-
-    def copy_as(self, label: str, family: str | None,
-                params: tuple[int, ...] | None) -> FiniteGroup:
-        """The group on the same table under another label, family and
-        params, sharing every row, every centralizer mask and every cached
-        query with this one."""
-        G = copy.copy(self)
-        G.label, G.family, G.params = label, family, params
-        return G
 
     # -- rows ---------------------------------------------------------------------
     def row(self, x: int) -> list[int]:
@@ -264,7 +254,7 @@ class FiniteGroup:
         center = tuple(self._members(z_mask))
         z = len(center)
         if z == n:
-            return Commutation(maps, center, [0] * n, [n], [0], (z_mask,), (1,),
+            return Commutation(center, [0] * n, [n], [0], (z_mask,), (1,),
                                frozenset((z_mask,)), n)
         walk = maps + [self.row(s) for s in self._greedy_generators(center)]
         class_of = [-1] * n
@@ -290,7 +280,7 @@ class FiniteGroup:
             m for m, s, o in set(zip(masks, order_of, orders))
             if not s % (o * z) and (s == o * z or is_prime(s // (o * z))))
         k = sum(map(mul, sizes, order_of)) // n
-        return Commutation(maps, center, class_of, sizes, reps, masks, orders, certified, k)
+        return Commutation(center, class_of, sizes, reps, masks, orders, certified, k)
 
     def _power_walk(self, class_of: list[int], sizes: list[int], reps: list[int],
                     z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

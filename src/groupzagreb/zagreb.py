@@ -204,7 +204,6 @@ def conjecture_verdict(r: ZagrebReport) -> ConjectureVerdict:
 # ---------------------------------------------------------------------------
 
 class GroupReport(NamedTuple):
-    label: str
     order: int
     center_size: int
     c: ZagrebReport
@@ -316,7 +315,6 @@ def group_report(G: FiniteGroup) -> GroupReport:
                 f"decomposition {decomposition.parts}, which has {sizes} clique size(s)"
             )
     return GroupReport(
-        label=G.label,
         order=n,
         center_size=z,
         c=rep_c,

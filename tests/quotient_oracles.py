@@ -128,13 +128,14 @@ def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
     return tags
 
 
-def registry_for(G: FiniteGroup) -> tuple[Applicable, ...]:
+def registry_for(G: FiniteGroup, family: str | None = None,
+                 params: tuple[int, ...] = ()) -> tuple[Applicable, ...]:
     """``formulas.registry_for`` with the quotient built and recognized."""
     apps: list[Applicable] = []
     tags = consequence_tags(G)
 
-    if G.family in ENTRIES:
-        apps.append(Applicable(ENTRIES[G.family], G.params or (), "family", tags))
+    if family in ENTRIES:
+        apps.append(Applicable(ENTRIES[family], params, "family", tags))
 
     z = len(G.center())
     if z < G.order:

@@ -123,7 +123,7 @@ def test_criterion_2_equality_cases():
             assert rep.verdict_nc.status is Verdict.HOLDS_STRICT, key
     # every Z_p x Z_p-quotient instance in the sweep is an equality case
     for key, rep in reports.items():
-        for app in registry_for(B(key[0], *key[1])):
+        for app in registry_for(B(key[0], *key[1]), *key):
             if app.entry.key == "quot_zpzp":
                 assert rep.verdict_c.status is Verdict.HOLDS_WITH_EQUALITY, key
     # the contradicted equality claim is reported, not silently resolved

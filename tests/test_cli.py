@@ -690,8 +690,8 @@ def test_scan_tests_only_uncertified_centralizers(capsys, monkeypatch):
 def test_scan_builds_each_normal_form_once(capsys, monkeypatch, max_order, digest,
                                            builds, tests):
     # an entry whose normal form an earlier entry of its order built is not
-    # built (788 entries at 256, 1725 at 512), and the dispatch still sees
-    # the label, family and params its own build sets; and a centralizer
+    # built (788 entries at 256, 1725 at 512), but reuses that group, and the
+    # dispatch still sees the entry's own family and params; and a centralizer
     # whose index over <y>Z(G) is 1 or prime is certified abelian, so only
     # the others are tested (12 at 256 when the index had to be 1)
     built, dispatched, tested = [], [], [0]
@@ -701,9 +701,9 @@ def test_scan_builds_each_normal_form_once(capsys, monkeypatch, max_order, diges
         built.append(entry)
         return real_build(entry)
 
-    def seen_dispatch(G):
-        dispatched.append((G.label, G.family, G.params))
-        return formulas.dispatch(G)
+    def seen_dispatch(G, family, params):
+        dispatched.append((G, family, params))
+        return formulas.dispatch(G, family, params)
 
     def counted_test(G, mask):
         tested[0] += 1
@@ -717,8 +717,9 @@ def test_scan_builds_each_normal_form_once(capsys, monkeypatch, max_order, diges
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
     assert (len(built), tested[0]) == (builds, tests)
     assert len({e.form() for e in built}) == builds
-    own = [real_build(e) for e in catalog(int(max_order))]
-    assert dispatched == [(G.label, G.family, G.params) for G in own]
+    assert [(family, params) for _, family, params in dispatched] == [
+        (e.family, e.params) for e in catalog(int(max_order))]
+    assert len({id(G) for G, _, _ in dispatched}) == builds
 
 
 def test_a_wrong_certificate_fails_loudly(tmp_path, capsys, monkeypatch):
@@ -806,7 +807,7 @@ def test_scan_catalog_extra_skips_oversized_file_unparsed(tmp_path, capsys, monk
     # the f20 table must still be ingested; only the order-343 file is skipped
     ingested = []
     monkeypatch.setattr(cli, "ingest_cayley",
-                        lambda fh: ingested.append(fh.name) or ingest_cayley(fh))
+                        lambda fh, label: ingested.append(fh.name) or ingest_cayley(fh, label))
     code, out, err = run(capsys, "scan", "--max-order", "20", "--jobs", "1",
                          "--catalog-extra", str(tmp_path))
     assert code == 0
@@ -1182,6 +1183,26 @@ def test_group_heisenberg_json(tmp_path, capsys):
     assert info["applicable_formulas"][0]["params"] == [3, 3]
     assert info["applicable_formulas"][0]["diffs"] == 0
     assert info["row"]["verdict_c"] == "equality"
+
+
+@pytest.mark.parametrize("comment,label", [
+    (None, "s3.cayley"),
+    ("# name: S_3", "S_3"),
+    ("# name: ingested", "ingested"),
+    ("# name:", "s3.cayley"),
+], ids=["no name", "name", "name ingested", "empty name"])
+def test_a_non_empty_name_wins_and_otherwise_the_file_name(tmp_path, capsys, comment, label):
+    path = cayley_file(tmp_path, build_family(FamilySpec("dihedral", (3,))), "s3.cayley")
+    if comment is not None:
+        path.write_text(path.read_text(encoding="utf-8") + comment + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "group", "--cayley", str(path), "--format", "json")
+    assert code == 0
+    info = json.loads(out)
+    assert info["label"] == info["row"]["label"] == label
+    code, out, _ = run(capsys, "scan", "--max-order", "6", "--jobs", "1",
+                       "--catalog-extra", str(tmp_path))
+    assert code == 0
+    assert [r["label"] for r in csv_rows(out) if r["family"] == "ingested"] == [label]
 
 
 def test_group_rejects_abelian(tmp_path, capsys):

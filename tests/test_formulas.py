@@ -306,7 +306,7 @@ def test_quot_zpzp_alt_m2_nc_flagged():
 # -- dispatch ------------------------------------------------------------------------------
 
 def test_registry_for_q8():
-    apps = registry_for(B("dicyclic", 2))
+    apps = registry_for(B("dicyclic", 2), "dicyclic", (2,))
     keys = {(a.entry.key, a.params) for a in apps}
     assert keys == {("dicyclic", (2,)), ("quot_zpzp", (2, 2))}
     tags = {t for a in apps for t in a.tags}
@@ -315,7 +315,7 @@ def test_registry_for_q8():
 
 
 def test_registry_for_m2mn_5_2():
-    apps = registry_for(B("m2mn", 5, 2))
+    apps = registry_for(B("m2mn", 5, 2), "m2mn", (5, 2))
     keys = {(a.entry.key, a.params) for a in apps}
     assert keys == {("m2mn", (5, 2)), ("quot_dihedral", (5, 2))}
 
@@ -334,13 +334,13 @@ def test_registry_for_ingested_heisenberg():
 
 
 def test_registry_for_sz2_self_quotient():
-    apps = registry_for(B("sz2"))
+    apps = registry_for(B("sz2"), "sz2")
     keys = {(a.entry.key, a.params) for a in apps}
     assert keys == {("sz2", ()), ("quot_sz2", (1,))}
 
 
 def test_registry_for_u12():
-    apps = registry_for(B("u6n", 2))
+    apps = registry_for(B("u6n", 2), "u6n", (2,))
     keys = {(a.entry.key, a.params) for a in apps}
     assert keys == {("u6n", (2,)), ("quot_dihedral", (3, 2))}
 
@@ -348,15 +348,15 @@ def test_registry_for_u12():
 CATALOG_256 = catalog(256)
 
 
-def assert_dispatch_matches_quotient_oracle(G):
-    apps = registry_for(G)
-    assert apps == quotient_oracles.registry_for(G)
+def assert_dispatch_matches_quotient_oracle(G, family=None, params=()):
+    apps = registry_for(G, family, params)
+    assert apps == quotient_oracles.registry_for(G, family, params)
     return apps
 
 
 @pytest.mark.parametrize("entry", CATALOG_256, ids=[e.label for e in CATALOG_256])
 def test_registry_for_matches_quotient_oracle_on_catalog(entry):
-    assert_dispatch_matches_quotient_oracle(entry.build())
+    assert_dispatch_matches_quotient_oracle(entry.build(), entry.family, entry.params)
 
 
 @pytest.mark.parametrize("fam,params,seed", [
@@ -366,9 +366,7 @@ def test_registry_for_matches_quotient_oracle_on_catalog(entry):
     ("m2mn", (13, 20), 4),
 ], ids=["Q_8", "U_12", "Heisenberg-27", "M_2mn(13,20)"])
 def test_registry_for_matches_quotient_oracle_on_relabelled_tables(fam, params, seed):
-    G = relabelled(B(fam, *params), seed)
-    assert G.family is None
-    assert assert_dispatch_matches_quotient_oracle(G)
+    assert assert_dispatch_matches_quotient_oracle(relabelled(B(fam, *params), seed))
 
 
 @pytest.mark.parametrize("build,quotient_keys", [
@@ -404,12 +402,13 @@ def test_declared_ac_type_matches_the_group(entry):
 def test_registry_for_is_the_dispatch_with_consequence_tags_on_catalog():
     for entry in CATALOG_256:
         G = entry.build()
-        apps = dispatch(G)
+        apps = dispatch(G, entry.family, entry.params)
         for app in apps:  # the dispatch tags a quotient entry with its shape alone
             assert app.tags == (() if app.source == "family" else (app.tags[0],))
             assert all(t.startswith("G/Z=") for t in app.tags)
         tags = consequence_tags(G)
-        assert tuple(a._replace(tags=tags + a.tags) for a in apps) == registry_for(G)
+        assert tuple(a._replace(tags=tags + a.tags) for a in apps) == registry_for(
+            G, entry.family, entry.params)
 
 
 @pytest.mark.parametrize("entry", CATALOG_256, ids=[e.label for e in CATALOG_256])

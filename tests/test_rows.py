@@ -181,7 +181,7 @@ INGESTED = [
 def test_inverses_and_conjugations_match_the_table(build):
     G = build()
     inv = G._inverses
-    conj = G.commutation.maps
+    conj = list(map(G._conjugation, G.generators))
     t = G.table
     assert inv == table_inverses(t)
     assert [list(c) for c in conj] == [table_conjugation(t, s) for s in G.generators]
@@ -222,9 +222,7 @@ CATALOG_512 = catalog(512)
 
 
 def test_equal_normal_forms_give_equal_tables():
-    # and a copy of the first group under a later entry is what that
-    # entry's own build gives: the scan's shared table, label, family and
-    # params
+    # so the scan may reuse the first entry's group for a later one
     by_form = {}
     for e in CATALOG_512:
         by_form.setdefault(e.form(), []).append(e)
@@ -233,9 +231,7 @@ def test_equal_normal_forms_give_equal_tables():
     for first, *later in shared:
         H = first.build()
         for e in later:
-            G, copy = e.build(), e.copy_of(H)
-            assert G.table == H.table, (first.label, e.label)
-            assert (copy.label, copy.family, copy.params) == (G.label, G.family, G.params)
+            assert e.build().table == H.table, (first.label, e.label)
 
 
 def test_equal_fingerprints_within_an_order_give_equal_normal_forms():
@@ -255,14 +251,12 @@ def greedy_walk(G):
 
 
 def test_declared_generators_are_the_greedy_walk_on_the_catalog():
-    # every abelian-by-cyclic normal form of catalog(512), 1310 of its 1326;
-    # a copy under another entry shares the declared tuple
+    # every abelian-by-cyclic normal form of catalog(512), 1310 of its 1326
     forms = {e.form(): e for e in CATALOG_512}
     built = [(f.build(), e) for f, e in forms.items() if f.builder is _abelian_by_cyclic]
     assert len(built) == 1310
     for G, e in built:
         assert G.generators == greedy_walk(G), e.label
-        assert e.copy_of(G).generators is G.generators
 
 
 def is_abc_presentation(m1, m2, k, act, s):
@@ -332,7 +326,7 @@ def test_built_groups_report_without_the_walk(monkeypatch, fam, params):
     walked = spy_on_walks(monkeypatch)
     G = build_family(FamilySpec(fam, params))
     rep = group_report(G)
-    assert not any(result.diffs for _, result in crosschecks(dispatch(G), rep))
+    assert not any(result.diffs for _, result in crosschecks(dispatch(G, fam, params), rep))
     G.count_distinct_centralizers()
     assert walked == []
     assert G.generators == greedy_walk(G) and len(walked) == 1
@@ -359,8 +353,8 @@ def test_ingested_group_serves_rows_from_its_list(tmp_path, capsys, monkeypatch)
     path.write_text(cayley_text_from(relabelled(special_group("S_4"), 3).table))
     ingested = []
 
-    def spied(source):
-        ingested.append(ingest_cayley(source))
+    def spied(source, label):
+        ingested.append(ingest_cayley(source, label))
         return ingested[-1]
 
     monkeypatch.setattr(cli, "ingest_cayley", spied)
@@ -380,7 +374,7 @@ def test_ingested_group_serves_rows_from_its_list(tmp_path, capsys, monkeypatch)
 def test_report_path_reads_under_a_third_of_the_rows(fam, params):
     G = build_family(FamilySpec(fam, params))
     rep = group_report(G)
-    apps = registry_for(G)
+    apps = registry_for(G, fam, params)
     assert apps
     for app in apps:
         assert not crosscheck(app.entry, app.params, rep).diffs
