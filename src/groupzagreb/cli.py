@@ -258,7 +258,11 @@ def _cmd_family(args) -> int:
     except OrderCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    row = _row_for_group(build_family(spec), spec.label(), spec.family, spec.params)
+    try:
+        row = _row_for_group(build_family(spec), spec.label(), spec.family, spec.params)
+    except (MemoryError, OverflowError):  # the cap allows more elements than fit in memory
+        print(f"error: {spec.label()}: the group does not fit in memory", file=sys.stderr)
+        return EXIT_VALIDATION
     _emit_rows([row], args.format)
     return EXIT_OK
 
@@ -424,7 +428,7 @@ def _cmd_graph(args) -> int:
             print(f"error: {args.edges}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         reports = _graph_report_rows(graph, args.edges, args.complement)
-    except MemoryError:  # more vertices than fit in memory, to read or to sum
+    except (MemoryError, OverflowError):  # more vertices than fit in memory or an index
         print(f"error: {args.edges}: the graph does not fit in memory", file=sys.stderr)
         return EXIT_VALIDATION
     items = []

@@ -329,20 +329,26 @@ def group_report(G: FiniteGroup) -> GroupReport:
 # edge-list files
 # ---------------------------------------------------------------------------
 
+_PLAIN = bytes(range(32, 127)) + b"\t\r\n"  # on these, bytes and str split lines and tokens alike
+
+
 def read_edge_list(source) -> SimpleGraph:
     """Parse the edge-list format: first line "n m", then m lines "u v" with
     0 <= u < v < n; duplicate edges are rejected.  ``source`` is a file
     object, an ``os.PathLike``, or a str: a path if it is non-empty with no
     newline, and the text itself otherwise.
 
-    Tokens are looked up in a dict of canonical decimals, ``{str(i): i}``
-    for i < min(n, 2m), with no ``int()`` call and no per-edge duplicate
-    test: a repeated edge sets no new bit, so the edge count comes out
-    short.  Any other token, a line that is not two tokens, u >= v or a short
-    edge count hands the body to ``_walk_edges``, which reads each token with
-    ``int()`` and names the first bad line.
+    A text of printable ASCII, tabs and line ends is encoded once and read
+    as bytes by ``_read_plain``.  Any other text, and any plain one it
+    refuses, is read as stripped non-blank lines: the header is checked,
+    then ``_walk_edges`` reads each token with ``int()`` and names the first
+    bad line.
     """
     text = _read_text(source)
+    if text.isascii() and not (data := text.encode()).translate(None, _PLAIN):
+        graph = _read_plain(data)
+        if graph is not None:
+            return graph
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise GraphFormatError("empty edge-list file")
@@ -357,21 +363,32 @@ def read_edge_list(source) -> SimpleGraph:
         raise GraphFormatError("negative vertex or edge count")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    body = lines[1:]
-    ids = {str(i): i for i in range(min(n, 2 * m))}
-    rows = [0] * n
+    return SimpleGraph(n, _walk_edges(n, lines[1:]))
+
+
+def _read_plain(data: bytes) -> SimpleGraph | None:
+    """The graph of a text whose every line, the header included, is two
+    tokens and whose edge tokens are canonical decimals, ``str(i).encode()``
+    for i < min(n, 2m): one dict lookup per token and no per-edge duplicate
+    test, since a repeated edge sets no new bit and the edge count comes out
+    short.  None for a blank line, any other token or width, u >= v, a wrong
+    count or a negative n (which SimpleGraph refuses)."""
     try:
-        for a, b in map(str.split, body):
+        lines = data.splitlines()
+        n, m = map(int, lines[0].split())
+        if len(lines) - 1 != m:
+            return None
+        ids = {str(i).encode(): i for i in range(min(n, 2 * m))}
+        rows = [0] * n
+        for a, b in map(bytes.split, lines[1:]):
             u, v = ids[a], ids[b]
             if u >= v:
-                raise ValueError
+                return None
             rows[u] |= 1 << v
-    except (KeyError, ValueError):  # a token not in ids, not two tokens, or u >= v
-        return SimpleGraph(n, _walk_edges(n, body))
-    graph = SimpleGraph(n, rows)
-    if graph.edge_count != m:  # a repeated edge
-        return SimpleGraph(n, _walk_edges(n, body))
-    return graph
+        graph = SimpleGraph(n, rows)
+    except (IndexError, KeyError, ValueError):
+        return None
+    return graph if graph.edge_count == m else None
 
 
 def _walk_edges(n: int, body: list[str]) -> list[int]:

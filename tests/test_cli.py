@@ -125,6 +125,16 @@ def test_family_order_cap_is_validation_error(capsys):
     assert (code, out, err) == (2, "", "error: PSL(2,8) has order 504, above the cap 100\n")
 
 
+
+def test_family_past_an_index_under_a_raised_cap_is_one_error_line(capsys):
+    # the raised cap lets D_(2*(10^20 - 1)) through, whose element list is
+    # longer than an index holds, so the build fails before it allocates
+    code, out, err = run(capsys, "family", "dihedral", "--m", "99999999999999999999",
+                         "--order-cap", "9" * 42)
+    assert (code, out, err) == (
+        2, "", "error: D_199999999999999999998: the group does not fit in memory\n")
+
+
 # orders too long to print (4^10000, 2^60000, 2^14400, 3^9300, the
 # 4301-digit 2*6e4299) or to compute at all (2^3000000000, also under a
 # raised cap): the refusal names the parameters, and the order is computed
@@ -1073,6 +1083,16 @@ def test_graph_complement_too_large_for_memory_is_one_error_line(tmp_path):
     assert proc.returncode == cli.EXIT_VALIDATION
     assert out == b""
     assert err.decode().splitlines() == [f"error: {path}: the graph does not fit in memory"]
+
+
+
+@pytest.mark.parametrize("flags", [(), ("--complement",)], ids=["graph", "complement"])
+def test_graph_header_above_an_index_is_one_error_line(tmp_path, capsys, flags):
+    # 10^20 - 1 vertices are more rows than an index holds, so the read
+    # fails before it allocates
+    path = edges_file(tmp_path, "99999999999999999999 0\n")
+    code, out, err = run(capsys, "graph", "--edges", path, *flags)
+    assert (code, out, err) == (2, "", f"error: {path}: the graph does not fit in memory\n")
 
 
 def test_graph_non_utf8_file(tmp_path, capsys):

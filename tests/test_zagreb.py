@@ -720,6 +720,53 @@ def test_read_edge_list_matches_walk_on_sparse_and_huge_n(text):
     assert assert_reads_as_walk(text)[0] == "rows"
 
 
+def counted_text(n, body):
+    """An edge-list text whose header counts the non-blank lines that
+    ``str.splitlines`` finds in ``body``, whatever characters end them."""
+    return f"{n} {sum(1 for ln in body.splitlines() if ln.strip())}\n{body}"
+
+
+# texts off the plain alphabet (printable ASCII, tab and line ends), which
+# only the strict reader takes: characters that str, unlike bytes, reads as
+# a token separator or a line end, DEL, and a digit int() reads but no dict
+# of ASCII decimals holds
+NON_PLAIN_BODIES = {
+    "nbsp_separator": "0\xa01\n2\xa03\n",
+    "u2028_line_ends": "0 1\u20282 3\u2028",
+    "u2028_separator": "0\u20281\n2 3\n",
+    "nel_line_end": "0 1\x852 3\n",
+    "del_in_token": "0 1\x7f\n2 3\n",
+    "arabic_indic_digit": "0 \u0661\n2 3\n",
+    **{f"{hex(ord(c))}_inside_line": f"0{c}1\n2 3\n" for c in "\x0b\x0c\x1c\x1d\x1e\x1f"},
+    **{f"{hex(ord(c))}_between_lines": f"0 1{c}2 3\n" for c in "\x0b\x0c\x1c\x1d\x1e\x1f"},
+}
+
+
+@pytest.mark.parametrize("name", list(NON_PLAIN_BODIES))
+def test_read_edge_list_matches_walk_off_the_plain_alphabet(name):
+    assert_reads_as_walk(counted_text(4, NON_PLAIN_BODIES[name]))
+
+
+PLAIN_CHARS = st.sampled_from("01 \t\r\n") | st.characters(min_codepoint=32, max_codepoint=126)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(PLAIN_CHARS, max_size=40))
+def test_plain_texts_split_alike_as_str_and_bytes(text):
+    data = text.encode()
+    assert not data.translate(None, zagreb._PLAIN)  # the gate takes it
+    lines = text.splitlines()
+    assert [ln.decode() for ln in data.splitlines()] == lines
+    assert [ln.decode() for ln in map(bytes.strip, data.splitlines()) if ln] == [
+        ln for ln in map(str.strip, lines) if ln]
+    assert [[t.decode() for t in ln.split()] for ln in data.splitlines()] == [
+        ln.split() for ln in lines]
+
+
+def test_the_plain_alphabet_is_printable_ascii_tab_and_line_ends():
+    assert set(zagreb._PLAIN) == {*range(32, 127), 9, 10, 13}
+
+
 def test_read_edge_list_matches_walk_on_20000_random_edges():
     rng = random.Random(20000)
     n, edges = 20000, set()
@@ -733,13 +780,16 @@ def test_read_edge_list_matches_walk_on_20000_random_edges():
 def test_canonical_edge_list_is_read_without_the_walk(monkeypatch):
     rng = random.Random(300)
     edges = [(u, v) for u in range(300) for v in range(u + 1, 300) if rng.random() < 0.3]
-    text = edge_text(300, [f"{u} {v}" for u, v in edges])
 
     def no_walk(*args):
         raise AssertionError("canonical edge list fell back to the int() walk")
 
     monkeypatch.setattr(zagreb, "_walk_edges", no_walk)
-    assert read_edge_list(text).rows == graph_from_edges(300, edges).rows
+    # "\r\n" endings, tabs and padding around the tokens leave them canonical
+    for line, end in (("{} {}", "\n"), ("{} {}", "\r\n"), ("{}\t{}", "\n"),
+                      ("  {}   {} \t", "\n"), ("\t{}\t{}\t", "\r\n")):
+        text = f"300 {len(edges)}{end}" + "".join(line.format(u, v) + end for u, v in edges)
+        assert read_edge_list(text).rows == graph_from_edges(300, edges).rows, repr(line + end)
 
 
 def test_simple_graph_rejects_self_loop():
