@@ -34,7 +34,7 @@ from operator import getitem, itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from . import ff
-from .grp import FiniteGroup, GroupTableError, _read_text, group_of_table
+from .grp import FiniteGroup, GroupTableError, group_of_table
 
 _LONG_ORDER = 10 ** 4300  # the least order with more digits than Python prints by default
 
@@ -578,7 +578,8 @@ def special_group(name: str) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def ingest_cayley(source, label: str = "ingested") -> FiniteGroup:
-    """Parse a Cayley-table file and prove it a group.
+    """Parse a Cayley table and prove it a group.  ``source`` is the text
+    itself or a text stream, read whole.
 
     Format: first line the order n, then n lines of n space-separated
     indices in [0, n) (row i lists the products g_i * g_j), optionally
@@ -591,7 +592,7 @@ def ingest_cayley(source, label: str = "ingested") -> FiniteGroup:
     an int in [0, n) and the search that row 0 and column 0 are the identity
     map, so ``grp.group_of_table`` proves the other axioms.
     """
-    text = _read_text(source)
+    text = source if isinstance(source, str) else source.read()
     lines = [ln.strip() for ln in io.StringIO(text)]
     lines = [ln for ln in lines if ln]
     if not lines:

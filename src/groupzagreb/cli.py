@@ -43,7 +43,7 @@ from .build import (
     catalog,
     ingest_cayley,
 )
-from .formulas import Applicable, CrosscheckResult, crosschecks, dispatch, registry_for
+from .formulas import Applicable, FieldDiff, crosschecks, dispatch, registry_for
 from .grp import AbelianGroupError, FiniteGroup, GroupTableError
 from .zagreb import (
     GraphFormatError,
@@ -89,17 +89,25 @@ class ScanRow(NamedTuple):
     gap_nc: str
     formula_diffs: int
 
-    def csv_fields(self) -> list:
+    def csv_fields(self) -> tuple:
         # params is the one non-scalar field: ";"-joined in CSV, a list in JSON
-        return list(self._replace(params=";".join(map(str, self.params))))
-
-    def json_dict(self) -> dict:
-        row = self._asdict()
-        row["params"] = list(self.params)
-        return row
+        return self._replace(params=";".join(map(str, self.params)))
 
 
-CSV_HEADER = ",".join(ScanRow._fields)
+class GraphRow(NamedTuple):
+    """The report of an edge-list graph, or of its complement."""
+
+    graph: str
+    vertices: int
+    edges: int
+    m1: int
+    m2: int
+    verdict: str
+    gap: str
+
+    def csv_fields(self) -> tuple:
+        return self
+
 
 # every flag a family parameter can take, in first-use order over the table
 _PARAM_NAMES = tuple(dict.fromkeys(name for fam in FAMILIES.values() for name in fam.params))
@@ -108,7 +116,7 @@ _PARAM_NAMES = tuple(dict.fromkeys(name for fam in FAMILIES.values() for name in
 # what reading and ingesting a user's Cayley-table file can raise
 _TABLE_FILE_ERRORS = (CayleyFormatError, GroupTableError, OSError, UnicodeDecodeError)
 
-_Checks = list[tuple[Applicable, CrosscheckResult]]
+_Checks = list[tuple[Applicable, tuple[FieldDiff, ...]]]
 
 
 def _row_for_group(G: FiniteGroup, label: str, family: str, params: tuple[int, ...],
@@ -120,7 +128,7 @@ def _row_for_group(G: FiniteGroup, label: str, family: str, params: tuple[int, .
         rep = group_report(G)
     if checks is None:
         checks = crosschecks(dispatch(G, family, params), rep)
-    diffs = sum(len(result.diffs) for _, result in checks)
+    diffs = sum(len(d) for _, d in checks)
     return ScanRow(
         label=label,
         family=family,
@@ -184,19 +192,23 @@ def _scan_order(entries: list[CatalogEntry]) -> list[ScanRow]:
     return [_scan_worker(entry, seen) for entry in entries]
 
 
-def _emit_rows(rows: list[ScanRow], fmt: str, summary: dict | None = None) -> None:
+def _emit_rows(rows: list[ScanRow] | list[GraphRow], fmt: str,
+               summary: dict | None = None) -> None:
+    """Print ``rows``, at least one and all of one type, as a JSON list of
+    objects or as CSV under a header of the field names; a ``summary`` wraps
+    the list, or follows the CSV as one comment line."""
     out = sys.stdout
     if fmt == "json":
         import json
 
-        payload: object = [r.json_dict() for r in rows]
+        payload: object = [r._asdict() for r in rows]
         if summary is not None:
             payload = {"rows": payload, "summary": summary}
         out.write(json.dumps(payload, indent=2))
         out.write("\n")
         return
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(rows[0]._fields)
     for r in rows:
         writer.writerow(r.csv_fields())
     if summary is not None:
@@ -288,14 +300,19 @@ def _cmd_verify(args) -> int:
         except (FamilyError, OrderCapError):
             continue
         checked += 1
-        G = build_family(spec)
-        for app, result in crosschecks(dispatch(G, spec.family, spec.params), group_report(G)):
-            for d in result.diffs:
+        try:
+            G = build_family(spec)
+            checks = crosschecks(dispatch(G, spec.family, spec.params), group_report(G))
+        except (MemoryError, OverflowError):  # the cap allows more elements than fit in memory
+            print(f"error: {spec.label()}: the group does not fit in memory", file=sys.stderr)
+            return EXIT_VALIDATION
+        for app, diffs in checks:
+            for d in diffs:
                 failures.append(
                     f"{spec.label()} [{app.entry.key}{app.params}] "
                     f"{d.field}: predicted {d.predicted}, got {d.actual}"
                 )
-            for d in result.alt_mismatches:
+            for d in app.entry.alt_mismatches(app.params):
                 warnings.append(
                     f"{spec.label()} [{app.entry.key}{app.params}] "
                     f"alt {d.field}: {d.predicted} vs confirmed {d.actual} ({d.note})"
@@ -405,20 +422,6 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _graph_report_rows(graph, path: str, include_complement: bool):
-    base = zagreb_direct(graph)
-    rows = [("graph", base)]
-    if include_complement:
-        comp = zagreb_direct_complement(graph)
-        via_formula = zagreb_complement(base)
-        if comp != via_formula:
-            raise RouteMismatchError(
-                f"{path}: direct complement report {comp} != complement-formula {via_formula}"
-            )
-        rows.append(("complement", comp))
-    return rows
-
-
 def _cmd_graph(args) -> int:
     try:
         try:
@@ -427,34 +430,24 @@ def _cmd_graph(args) -> int:
         except (GraphFormatError, OSError, ValueError) as exc:
             print(f"error: {args.edges}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        reports = _graph_report_rows(graph, args.edges, args.complement)
+        reports = {"graph": zagreb_direct(graph)}
+        if args.complement:
+            comp = zagreb_direct_complement(graph)
+            via_formula = zagreb_complement(reports["graph"])
+            if comp != via_formula:
+                raise RouteMismatchError(f"{args.edges}: direct complement report {comp} "
+                                         f"!= complement-formula {via_formula}")
+            reports["complement"] = comp
     except (MemoryError, OverflowError):  # more vertices than fit in memory or an index
         print(f"error: {args.edges}: the graph does not fit in memory", file=sys.stderr)
         return EXIT_VALIDATION
-    items = []
-    for name, rep in reports:
+    rows = []
+    for name, rep in reports.items():
         verdict = conjecture_verdict(rep)
-        items.append({
-            "graph": name,
-            "vertices": rep.vertices,
-            "edges": rep.edges,
-            "m1": rep.m1,
-            "m2": rep.m2,
-            "verdict": verdict.status.value,
-            "gap": verdict.gap_string(),
-        })
-    if args.format == "json":
-        import json
-
-        print(json.dumps(items, indent=2))
-    else:
-        print("graph,vertices,edges,m1,m2,verdict,gap")
-        for it in items:
-            print(",".join(str(it[k]) for k in
-                           ("graph", "vertices", "edges", "m1", "m2", "verdict", "gap")))
-    if any(it["verdict"] == Verdict.FAILS.value for it in items):
-        return EXIT_VIOLATION
-    return EXIT_OK
+        rows.append(GraphRow(name, rep.vertices, rep.edges, rep.m1, rep.m2,
+                             verdict.status.value, verdict.gap_string()))
+    _emit_rows(rows, args.format)
+    return EXIT_VIOLATION if any(r.verdict == Verdict.FAILS.value for r in rows) else EXIT_OK
 
 
 def _cmd_group(args) -> int:
@@ -482,11 +475,11 @@ def _cmd_group(args) -> int:
                 "params": list(app.params),
                 "source": app.source,
                 "tags": list(app.tags),
-                "diffs": len(result.diffs),
+                "diffs": len(diffs),
             }
-            for app, result in checks
+            for app, diffs in checks
         ],
-        "row": row.json_dict(),
+        "row": row._asdict(),
     }
     if args.format == "json":
         import json

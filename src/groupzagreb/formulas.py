@@ -67,6 +67,13 @@ class AltForm(NamedTuple):
     fn: Callable
 
 
+class FieldDiff(NamedTuple):
+    field: str
+    predicted: object
+    actual: object
+    note: str = ""
+
+
 # (z, ((l, t), ...)): |Z(G)| and the AC type that partitions G/Z(G)
 ACType = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -87,6 +94,20 @@ class FormulaEntry(NamedTuple):
         if err:
             raise FormulaError(f"{self.key}{params}: {err}")
         return _ac_type_predict(*self.ac_type(*params))
+
+    def alt_mismatches(self, params: tuple[int, ...]) -> tuple[FieldDiff, ...]:
+        """The alternate forms that disagree with the prediction at
+        ``params``, each as the variant's value against the confirmed one
+        (they are expected to disagree: that is why they are kept); a form
+        that returns None does not apply to these params."""
+        pred = self.evaluate(params)
+        diffs = []
+        for alt_form in self.alt_forms:
+            value = alt_form.fn(*params)
+            confirmed = getattr(pred, alt_form.field)
+            if value is not None and value != confirmed:
+                diffs.append(FieldDiff(alt_form.field, value, confirmed, alt_form.note))
+        return tuple(diffs)
 
 
 @cache
@@ -406,34 +427,16 @@ def registry_for(G: FiniteGroup, family: str | None = None,
 # crosscheck
 # ---------------------------------------------------------------------------
 
-class FieldDiff(NamedTuple):
-    field: str
-    predicted: object
-    actual: object
-    note: str = ""
-
-
-class CrosscheckResult(NamedTuple):
-    """How one entry's prediction compares; the ``Applicable`` it is paired
-    with names the entry and its params."""
-
-    diffs: tuple[FieldDiff, ...]
-    alt_mismatches: tuple[FieldDiff, ...]
-
-
 def crosscheck(
     entry: FormulaEntry, params: tuple[int, ...], report: GroupReport
-) -> CrosscheckResult:
-    """Compare a formula prediction against a brute-forced group report.
-
-    Predicted fields that disagree land in ``diffs``; alternate forms
-    that disagree with the confirmed value land in ``alt_mismatches`` (they
-    are expected to disagree - that is why they are retained)."""
+) -> tuple[FieldDiff, ...]:
+    """The fields in which a formula prediction and a brute-forced group
+    report disagree, each as (field, predicted, actual)."""
     return crosschecks([Applicable(entry, params, "family")], report)[0][1]
 
 
 def crosschecks(apps: Iterable[Applicable],
-                report: GroupReport) -> list[tuple[Applicable, CrosscheckResult]]:
+                report: GroupReport) -> list[tuple[Applicable, tuple[FieldDiff, ...]]]:
     """``crosscheck`` of each applicable entry against one report, whose own
     fields are read into a prediction once for all of them."""
     c, nc, equal = report.c, report.nc, Verdict.HOLDS_WITH_EQUALITY
@@ -442,20 +445,11 @@ def crosschecks(apps: Iterable[Applicable],
                                report.verdict_nc.status == equal)
     checks = []
     for app in apps:
-        entry, params = app.entry, app.params
-        pred = entry.evaluate(params)
+        pred = app.entry.evaluate(app.params)
         diffs = () if pred == actual else tuple(
             FieldDiff(name, p, a)
             for name, p, a in zip(FormulaPrediction._fields, pred, actual)
             if p != a
         )
-        alt = []
-        for alt_form in entry.alt_forms:
-            value = alt_form.fn(*params)
-            if value is None:
-                continue  # variant does not apply to this parameter case
-            confirmed = getattr(pred, alt_form.field)
-            if value != confirmed:
-                alt.append(FieldDiff(alt_form.field, value, confirmed, alt_form.note))
-        checks.append((app, CrosscheckResult(diffs, tuple(alt))))
+        checks.append((app, diffs))
     return checks

@@ -50,8 +50,8 @@ each class's centralizer, the mask itself when certified and otherwise at
 most log2 of its order further masks, and the element orders of G/Z(G) from
 which ``formulas.dispatch`` reads its shape; no quotient table is built.
 Also here: ``bitmask`` and ``flags_of``, the one format in which a set of
-elements is an int, bit i for element i, and the reader of text sources
-that the Cayley-table and edge-list parsers share.
+elements is an int, bit i for element i.  No text is read here: the
+Cayley-table and edge-list parsers each read their own.
 
 Conventions: elements are the indices 0..n-1 and index 0 is always the
 identity.  ``FiniteGroup`` trusts its order, rows and inverse map: a
@@ -63,7 +63,6 @@ which serves the rows from the table's list.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -423,17 +422,3 @@ def group_of_table(table: list[list[int]], label: str = "G") -> FiniteGroup:
             if table[tx[s]] != list(at_s_row(tx)):
                 raise GroupTableError(f"associativity violated at i={x}, j={s}")
     return G
-
-
-def _read_text(source) -> str:
-    """The text of ``source``: a file object, an ``os.PathLike``, or a str,
-    which is a path if it is non-empty with no newline and the text itself
-    otherwise."""
-    if hasattr(source, "read"):
-        return source.read()
-    if isinstance(source, os.PathLike) or (
-        isinstance(source, str) and source and "\n" not in source
-    ):
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return source

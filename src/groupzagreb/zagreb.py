@@ -31,7 +31,7 @@ from itertools import compress, repeat
 from operator import add, and_, eq, itemgetter, lshift, mul, rshift
 from typing import NamedTuple
 
-from .grp import AbelianGroupError, FiniteGroup, _read_text, bitmask, flags_of
+from .grp import AbelianGroupError, FiniteGroup, bitmask, flags_of
 
 
 class GraphFormatError(ValueError):
@@ -334,9 +334,8 @@ _PLAIN = bytes(range(32, 127)) + b"\t\r\n"  # on these, bytes and str split line
 
 def read_edge_list(source) -> SimpleGraph:
     """Parse the edge-list format: first line "n m", then m lines "u v" with
-    0 <= u < v < n; duplicate edges are rejected.  ``source`` is a file
-    object, an ``os.PathLike``, or a str: a path if it is non-empty with no
-    newline, and the text itself otherwise.
+    0 <= u < v < n; duplicate edges are rejected.  ``source`` is the text
+    itself or a text stream, read whole.
 
     A text of printable ASCII, tabs and line ends is encoded once and read
     as bytes by ``_read_plain``.  Any other text, and any plain one it
@@ -344,7 +343,7 @@ def read_edge_list(source) -> SimpleGraph:
     then ``_walk_edges`` reads each token with ``int()`` and names the first
     bad line.
     """
-    text = _read_text(source)
+    text = source if isinstance(source, str) else source.read()
     if text.isascii() and not (data := text.encode()).translate(None, _PLAIN):
         graph = _read_plain(data)
         if graph is not None:

@@ -540,11 +540,18 @@ def test_ingest_s3_matches_builder(tmp_path):
     built = B("dihedral", 3)
     path = tmp_path / "s3.cayley"
     path.write_text(cayley_text(built, name="S_3"), encoding="utf-8")
-    G = ingest_cayley(path)
+    with path.open(encoding="utf-8") as fh:
+        G = ingest_cayley(fh)
     assert G.label == "S_3"
     assert G.table == built.table
     assert G.commutativity_degree() == built.commutativity_degree()
     assert G.count_distinct_centralizers() == built.count_distinct_centralizers()
+
+
+def test_a_str_source_is_the_table_not_a_path():
+    # a str is never a file name, not even with no newline in it
+    with pytest.raises(CayleyFormatError, match=r"^expected 1 table rows, found 0$"):
+        ingest_cayley("1")
 
 
 def test_ingest_renumbers_identity():
@@ -895,4 +902,4 @@ def test_order_formulas_above_512(fam, params):
     spec = FamilySpec(fam, params)
     G = build_family(spec)
     assert G.order == spec.order()
-    assert not crosscheck(ENTRIES[fam], params, report=group_report(G)).diffs
+    assert not crosscheck(ENTRIES[fam], params, report=group_report(G))

@@ -32,7 +32,7 @@ from groupzagreb.build import (
     ingest_cayley,
     special_group,
 )
-from groupzagreb.cli import CSV_HEADER, main
+from groupzagreb.cli import ScanRow, main
 from groupzagreb.coset import Presentation, PresentationError
 from groupzagreb.grp import FiniteGroup
 from groupzagreb.zagreb import CliqueDecomposition
@@ -50,7 +50,7 @@ def run(capsys, *argv):
 def csv_rows(out):
     text = "\n".join(ln for ln in out.splitlines() if ln and not ln.startswith("#"))
     records = list(csv.reader(io.StringIO(text)))
-    assert records[0] == CSV_HEADER.split(",")
+    assert records[0] == list(ScanRow._fields)
     return [dict(zip(records[0], rec)) for rec in records[1:]]
 
 
@@ -131,6 +131,14 @@ def test_family_past_an_index_under_a_raised_cap_is_one_error_line(capsys):
     # longer than an index holds, so the build fails before it allocates
     code, out, err = run(capsys, "family", "dihedral", "--m", "99999999999999999999",
                          "--order-cap", "9" * 42)
+    assert (code, out, err) == (
+        2, "", "error: D_199999999999999999998: the group does not fit in memory\n")
+
+
+def test_verify_past_an_index_under_a_raised_cap_is_one_error_line(capsys):
+    # verify builds the same group as family above and stops with its line
+    code, out, err = run(capsys, "verify", "dihedral", "--m", "99999999999999999999",
+                         "--order-cap", "9" * 43)
     assert (code, out, err) == (
         2, "", "error: D_199999999999999999998: the group does not fit in memory\n")
 
@@ -769,6 +777,19 @@ def test_scan_computes_one_prediction_per_ac_type(capsys, monkeypatch):
     info = formulas._ac_type_predict.cache_info()
     assert info.misses == info.currsize == len(set(asked))
     assert info.hits + info.misses == len(asked) > len(set(asked))
+
+
+def test_scan_evaluates_no_alt_form(capsys, monkeypatch):
+    # an alt form is compared with the prediction, never with the report:
+    # only verify prints those warnings, so the scan never runs one
+    def alt_form_ran(*params):
+        raise AssertionError("the scan evaluated an alt form")
+
+    for key, entry in formulas.ENTRIES.items():
+        alts = tuple(alt._replace(fn=alt_form_ran) for alt in entry.alt_forms)
+        monkeypatch.setitem(formulas.ENTRIES, key, entry._replace(alt_forms=alts))
+    code, _, _ = run(capsys, "scan", "--max-order", "64", "--jobs", "1")
+    assert code == 0
 
 
 @pytest.mark.parametrize("name", ["missing", "file.cayley"])

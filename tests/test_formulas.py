@@ -255,51 +255,46 @@ def test_quot_dihedral_at_d4_is_quot_zpzp_at_2():
 
 def test_v8n_even_alt_forms_flagged():
     G = B("v8n", 2)
-    res = crosscheck(ENTRIES["v8n"], (2,), report=group_report(G))
-    assert not res.diffs
-    flagged = {d.field: d.predicted for d in res.alt_mismatches}
+    assert not crosscheck(ENTRIES["v8n"], (2,), report=group_report(G))
+    flagged = {d.field: d.predicted for d in ENTRIES["v8n"].alt_mismatches((2,))}
     assert flagged == {"m1_nc": 1328, "m2_nc": 4780}
 
 
 def test_v8n_odd_has_no_alt_mismatch():
-    res = crosscheck(ENTRIES["v8n"], (3,), report=group_report(B("v8n", 3)))
-    assert not res.diffs and not res.alt_mismatches
+    assert not crosscheck(ENTRIES["v8n"], (3,), report=group_report(B("v8n", 3)))
+    assert not ENTRIES["v8n"].alt_mismatches((3,))
 
 
 def test_sd8n_odd_alt_forms_flagged():
-    res = crosscheck(ENTRIES["sd8n"], (3,), report=group_report(B("sd8n", 3)))
-    assert not res.diffs
-    fields = {d.field for d in res.alt_mismatches}
+    assert not crosscheck(ENTRIES["sd8n"], (3,), report=group_report(B("sd8n", 3)))
+    fields = {d.field for d in ENTRIES["sd8n"].alt_mismatches((3,))}
     assert fields == {"m1_nc", "m2_nc"}
 
 
 def test_sd8n_equality_claim_flagged_at_n2():
-    res = crosscheck(ENTRIES["sd8n"], (2,), report=group_report(B("sd8n", 2)))
-    assert not res.diffs  # the confirmed prediction (strict) matches the oracle
-    eq_flags = [d for d in res.alt_mismatches if d.field.startswith("equality")]
+    # the confirmed prediction (strict) matches the oracle
+    assert not crosscheck(ENTRIES["sd8n"], (2,), report=group_report(B("sd8n", 2)))
+    eq_flags = [d for d in ENTRIES["sd8n"].alt_mismatches((2,)) if d.field.startswith("equality")]
     assert len(eq_flags) == 2
     assert all(d.predicted is True and d.actual is False for d in eq_flags)
 
 
 def test_pq_alt_forms_flagged():
-    res = crosscheck(ENTRIES["pq"], (2, 3), report=group_report(B("pq", 2, 3)))
-    assert not res.diffs
-    flagged = {d.field: d.predicted for d in res.alt_mismatches}
+    assert not crosscheck(ENTRIES["pq"], (2, 3), report=group_report(B("pq", 2, 3)))
+    flagged = {d.field: d.predicted for d in ENTRIES["pq"].alt_mismatches((2, 3))}
     assert flagged["m1_nc"] == 26  # against the confirmed 66
 
 
 def test_psl2_alt_forms_flagged():
-    res = crosscheck(ENTRIES["psl2"], (2,), report=group_report(B("psl2", 2)))
-    assert not res.diffs
-    flagged = {d.field: d.predicted for d in res.alt_mismatches}
+    assert not crosscheck(ENTRIES["psl2"], (2,), report=group_report(B("psl2", 2)))
+    flagged = {d.field: d.predicted for d in ENTRIES["psl2"].alt_mismatches((2,))}
     assert flagged["m1_nc"] == 184988  # against the confirmed 184620
     assert set(flagged) == {"edges_c", "edges_nc", "m1_nc", "m2_nc"}
 
 
 def test_quot_zpzp_alt_m2_nc_flagged():
-    res = crosscheck(ENTRIES["quot_zpzp"], (2, 2), report=group_report(B("dicyclic", 2)))
-    assert not res.diffs
-    flagged = {d.field: d.predicted for d in res.alt_mismatches}
+    assert not crosscheck(ENTRIES["quot_zpzp"], (2, 2), report=group_report(B("dicyclic", 2)))
+    flagged = {d.field: d.predicted for d in ENTRIES["quot_zpzp"].alt_mismatches((2, 2))}
     assert flagged == {"m2_nc": 288}  # against the confirmed 192
 
 
@@ -327,8 +322,7 @@ def test_registry_for_ingested_heisenberg():
     apps = registry_for(G)
     keys = {(a.entry.key, a.params) for a in apps}
     assert keys == {("quot_zpzp", (3, 3))}
-    res = crosscheck(ENTRIES["quot_zpzp"], (3, 3), report=group_report(G))
-    assert not res.diffs
+    assert not crosscheck(ENTRIES["quot_zpzp"], (3, 3), report=group_report(G))
     pred = ENTRIES["quot_zpzp"].evaluate((3, 3))
     assert pred.equality_c and pred.equality_nc
 
@@ -446,19 +440,19 @@ def test_quotient_orders_match_the_quotient_table(entry):
 # -- crosscheck ----------------------------------------------------------------------------
 
 def test_crosscheck_clean_for_d14():
-    res = crosscheck(ENTRIES["dihedral"], (7,), report=group_report(B("dihedral", 7)))
-    assert not res.diffs and not res.alt_mismatches
+    assert not crosscheck(ENTRIES["dihedral"], (7,), report=group_report(B("dihedral", 7)))
+    assert not ENTRIES["dihedral"].alt_mismatches((7,))
 
 
 def test_crosscheck_reports_field_diffs_against_wrong_group():
     # evaluate D_10's entry against D_14's report: every index field differs
-    res = crosscheck(ENTRIES["dihedral"], (5,), report=group_report(B("dihedral", 7)))
-    fields = {d.field for d in res.diffs}
+    diffs = crosscheck(ENTRIES["dihedral"], (5,), report=group_report(B("dihedral", 7)))
+    fields = {d.field for d in diffs}
     assert {"vertices", "edges_c", "m1_c", "m2_c", "m1_nc", "m2_nc"} <= fields
 
 
 def test_crosscheck_accepts_precomputed_report():
     G = B("dihedral", 7)
     rep = group_report(G)
-    assert not crosscheck(ENTRIES["dihedral"], (7,), report=rep).diffs
+    assert not crosscheck(ENTRIES["dihedral"], (7,), report=rep)
 

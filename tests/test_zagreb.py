@@ -542,19 +542,28 @@ def test_uniform_clique_unions_give_equality(copies, size):
 def test_read_edge_list(tmp_path):
     p = tmp_path / "g.edges"
     p.write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
-    g = read_edge_list(p)
+    with p.open(encoding="utf-8") as fh:
+        g = read_edge_list(fh)
     assert g.vertex_count == 3 and g.edge_count == 2
 
 
 def test_read_edge_list_path_with_space(tmp_path):
-    # a str is a path iff it has no newline, whatever else it contains
+    # the caller opens the file, so its path may hold any character
     d = tmp_path / "dir with space"
     d.mkdir()
     p = d / "g.txt"
     p.write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
-    for source in (p, str(p)):
-        g = read_edge_list(source)
-        assert g.vertex_count == 3 and g.edge_count == 2
+    with p.open(encoding="utf-8") as fh:
+        g = read_edge_list(fh)
+    assert g.vertex_count == 3 and g.edge_count == 2
+
+
+def test_a_str_source_is_the_text_not_a_path():
+    # a str is never a file name, not even with no newline in it
+    g = read_edge_list("0 0")
+    assert (g.vertex_count, g.edge_count) == (0, 0)
+    g = read_edge_list("2 1\r0 1")
+    assert (g.vertex_count, g.edge_count) == (2, 1)
 
 
 def test_read_edge_list_errors():
