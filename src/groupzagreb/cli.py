@@ -2,8 +2,9 @@
 sweeps, the catalog-wide conjecture scan, and checks of user-supplied
 Cayley tables and edge lists.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 conjecture
-violation found, 141 stdout closed by its reader before the output ended.
+Exit codes: 0 success, 1 usage error, 2 validation failure or a formula
+diff (which outranks 3), 3 conjecture violation found, 141 stdout closed by
+its reader before the output ended.
 Output is deterministic: identical invocations produce byte-identical
 CSV/JSON regardless of --jobs.
 
@@ -150,6 +151,16 @@ def _row_for_group(G: FiniteGroup, label: str, family: str, params: tuple[int, .
     )
 
 
+def _formula_diff_exit(rows: list[ScanRow]) -> int:
+    """EXIT_VALIDATION, after one stderr line naming the rows, if any row
+    disagrees with a formula prediction (a route is wrong); else EXIT_OK."""
+    if labels := [r.label for r in rows if r.formula_diffs]:
+        print(f"error: {sum(r.formula_diffs for r in rows)} formula diff(s) in "
+              f"{', '.join(labels)}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
+
+
 class ScanEntryError(Exception):
     """A catalog entry failed to build or report.  The args are (label,
     message), so it pickles and crosses the worker pool intact."""
@@ -276,7 +287,7 @@ def _cmd_family(args) -> int:
         print(f"error: {spec.label()}: the group does not fit in memory", file=sys.stderr)
         return EXIT_VALIDATION
     _emit_rows([row], args.format)
-    return EXIT_OK
+    return _formula_diff_exit([row])
 
 
 def _cmd_verify(args) -> int:
@@ -418,8 +429,8 @@ def _cmd_scan(args) -> int:
             f"{counts['fails']} failing verdict(s) in {', '.join(violators)}",
             file=sys.stderr,
         )
-        return EXIT_VIOLATION
-    return EXIT_OK
+        return _formula_diff_exit(rows) or EXIT_VIOLATION  # a wrong route outranks a verdict
+    return _formula_diff_exit(rows)
 
 
 def _cmd_graph(args) -> int:
@@ -495,7 +506,7 @@ def _cmd_group(args) -> int:
                 f"# formula: {app['entry']}{tuple(app['params'])} "
                 f"source={app['source']} diffs={app['diffs']} tags={tags}"
             )
-    return EXIT_OK
+    return _formula_diff_exit([row])
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ order t_i that meet only in the identity.  C(G) is then l_i copies of
 K_{(t_i - 1) z}, z = |Z(G)|, and NC(G) its complement.  The multiset
 {(l_i, t_i)}, the AC type, does not depend on z (isoclinism, P. Hall 1940),
 so an entry declares only ``ac_type(*params) -> (z, ((l, t), ...))`` and
-``_ac_type_predict`` evaluates every index from it, once per (z, AC type)
-in a process: it is cached, and the groups of a scan share far fewer types
-than they have crosschecks.  A few entries also
+``_ac_type_predict`` evaluates every index from it, C(G) by the clique sums
+and NC(G) by the complement identities, once per (z, AC type) in a process:
+it is cached, and the groups of a scan share far fewer types than they have
+crosschecks.  A few entries also
 carry ``alt_forms``: variant closed forms that fail the complement identity.
 They are never used as predictions; sweeps evaluate them and report the
 disagreement, with the brute-force oracle as the arbiter.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Iterable, NamedTuple
 
 from .build import FAMILIES
@@ -38,6 +39,7 @@ from .zagreb import (
     CliqueDecomposition,
     GroupReport,
     Verdict,
+    zagreb_complement,
     zagreb_from_decomposition,
 )
 
@@ -115,34 +117,20 @@ def _ac_type_predict(z: int, parts: tuple[tuple[int, int], ...]) -> FormulaPredi
     """Every index of an AC-group with |Z(G)| = z whose G/Z(G) is split into
     l abelian subgroups of order t for each (l, t) in ``parts``.
 
-    C(G) is l copies of K_s, s = (t - 1) z, for each pair.  NC(G) is the
-    complete multipartite graph on those parts, where a vertex in a part of
-    size s has degree V - s: M1 = sum l s (V - s)^2, 2|E| = sum l s (V - s)
-    and 2 M2 = (2|E|)^2 - sum l (s (V - s))^2, the degree products over
-    ordered pairs in different parts.  Both equality flags say that all t
-    are equal: Chebyshev's equality case on C(G), the regular one on NC(G).
-    Cached: the prediction depends on (z, parts) alone and is immutable."""
+    C(G) is l copies of K_s, s = (t - 1) z, for each pair, and NC(G) its
+    complement on the same vertices (``zagreb_complement``).  Both equality
+    flags say that all t are equal: Chebyshev's equality case on C(G), the
+    regular one on NC(G).  Cached: the prediction depends on (z, parts)
+    alone and is immutable."""
     cliques: Counter = Counter()
     for l, t in parts:
         cliques[(t - 1) * z] += l
     decomposition = CliqueDecomposition(tuple((cliques[s], s) for s in sorted(cliques)))
     c = zagreb_from_decomposition(decomposition)
-    v = c.vertices
-    edges_twice = sum(l * s * (v - s) for s, l in cliques.items())
-    m2_twice = edges_twice**2 - sum(l * (s * (v - s)) ** 2 for s, l in cliques.items())
+    nc = zagreb_complement(c)
     equal = len({t for _, t in parts}) == 1
-    return FormulaPrediction(
-        vertices=v,
-        edges_c=c.edges,
-        edges_nc=edges_twice // 2,
-        m1_c=c.m1,
-        m2_c=c.m2,
-        m1_nc=sum(l * s * (v - s) ** 2 for s, l in cliques.items()),
-        m2_nc=m2_twice // 2,
-        decomposition=decomposition,
-        equality_c=equal,
-        equality_nc=equal,
-    )
+    return FormulaPrediction(c.vertices, c.edges, nc.edges, c.m1, c.m2, nc.m1, nc.m2,
+                             decomposition, equal, equal)
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +356,17 @@ def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
     """What |G/Z(G)| and Pr(G) = k(G)/n imply about G/Z(G).  G is
     4-centralizer iff G/Z(G) = Z_2 x Z_2, and 5-centralizer iff G/Z(G) is
     Z_3 x Z_3 or S_3 (Belcastro-Sherman 1994); a non-trivial G/Z(G) is never
-    cyclic, so that is iff |G/Z(G)| is 4, or 6 or 9.  Pr(G) is looked up as
-    the reduced pair (k/g, n/g), g = gcd(k, n)."""
-    c = G.commutation
-    q = G.order // len(c.center)
+    cyclic, so that is iff |G/Z(G)| is 4, or 6 or 9.  Pr(G) is
+    ``G.commutativity_degree()``, looked up by its numerator and denominator."""
+    q = G.order // len(G.commutation.center)
     tags: tuple[str, ...] = ()
     if q == 4:
         tags += ("4-centralizer",)
     elif q in (6, 9):
         tags += ("5-centralizer",)
-    k, n = c.k, G.order
-    g = gcd(k, n)
-    pr = k // g, n // g
-    if pr in _PR_CONSEQUENCES:
-        tags += (f"pr={pr[0]}/{pr[1]}=>G/Z={_PR_CONSEQUENCES[pr]}",)
+    pr = G.commutativity_degree()
+    if shape := _PR_CONSEQUENCES.get((pr.numerator, pr.denominator)):
+        tags += (f"pr={pr}=>G/Z={shape}",)
     return tags
 
 

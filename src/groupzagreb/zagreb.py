@@ -17,15 +17,16 @@ C must agree across routes 1 and 2 whenever 2 exists, and NC across 1 and 3.
 Everything here is integer or rational arithmetic: the verdict compares
 M2*|V| against M1*|E| by cross-multiplication, so equality cases are exact.
 ``SimpleGraph`` and ``zagreb_direct`` serve edge-list files: each edge is
-stored once, in the bitmask of its lower end's neighbours above it, and M2
-is summed by the bit planes of the degrees, one AND and popcount per
-non-empty row and plane.  ``zagreb_direct_complement`` sums the complement
-from the same rows, so route 3 is checked without making a complement row.
+stored once, in the bitmask of its lower end's neighbours above it, and
+each non-empty row's sum of neighbour degrees is taken once, by the degrees'
+bit planes.  M2 and ``zagreb_direct_complement`` both read those sums, so
+route 3 is checked without making a complement row or plane.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from math import gcd
 from itertools import compress, repeat
 from operator import add, and_, eq, itemgetter, lshift, mul, rshift
@@ -72,6 +73,18 @@ class SimpleGraph:
 
     def degrees(self) -> list[int]:
         return self._degrees
+
+    @cached_property
+    def neighbour_sums(self) -> list[int]:
+        """S_v, the sum of d_u over the u in ``rows[v]``, for each non-empty
+        row v in order.  Each goes by the bit planes P_k of the degrees, the
+        u whose d_u has bit k set: S_v = sum_k 2^k * |rows[v] & P_k|, one AND
+        and popcount per plane."""
+        deg = self._degrees
+        planes = [bitmask(bytes(map(and_, map(rshift, deg, repeat(k)), repeat(1))))
+                  for k in range(max(deg, default=0).bit_length())]
+        return [sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
+                for row in filter(None, self.rows)]
 
     def __repr__(self) -> str:
         return f"SimpleGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
@@ -128,35 +141,26 @@ class ConjectureVerdict(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def zagreb_direct(graph: SimpleGraph) -> ZagrebReport:
-    """M1 = sum of squared degrees, M2 = sum of degree products over edges
-    (``_edge_products``)."""
+    """M1 = sum of squared degrees, M2 = sum of degree products over edges,
+    sum_v d_v * S_v over the non-empty rows (``SimpleGraph.neighbour_sums``)."""
     deg = graph.degrees()
-    return ZagrebReport(sum(map(mul, deg, deg)), _edge_products(graph.rows, deg),
-                        graph.vertex_count, graph.edge_count)
+    m2 = sum(map(mul, compress(deg, graph.rows), graph.neighbour_sums))
+    return ZagrebReport(sum(map(mul, deg, deg)), m2, graph.vertex_count, graph.edge_count)
 
 
 def zagreb_direct_complement(graph: SimpleGraph) -> ZagrebReport:
-    """``zagreb_direct`` of the complement from the graph's own rows, with no
-    complement row made: there v has degree e_v = n - 1 - d_v, and each pair
+    """``zagreb_direct`` of the complement from the graph's own rows and
+    ``neighbour_sums``: there v has degree e_v = n - 1 - d_v, and each pair
     is an edge of one graph, so with S = sum e, 2*M2 = S^2 - M1 minus twice
-    the sum over this graph's edges uv of e_u*e_v (none if it is edgeless)."""
+    sum_v e_v * ((n - 1)*|rows[v]| - S_v) over the non-empty rows, the sum
+    of e_u*e_v over this graph's edges uv."""
     n = graph.vertex_count
     deg = [n - 1 - d for d in graph.degrees()]
     m1 = sum(map(mul, deg, deg))
-    m2 = (sum(deg) ** 2 - m1) // 2 - _edge_products(graph.rows, deg)
+    edge_products = sum(e * ((n - 1) * row.bit_count() - s) for e, row, s in zip(
+        compress(deg, graph.rows), filter(None, graph.rows), graph.neighbour_sums))
+    m2 = (sum(deg) ** 2 - m1) // 2 - edge_products
     return ZagrebReport(m1, m2, n, n * (n - 1) // 2 - graph.edge_count)
-
-
-def _edge_products(rows: list[int], deg: list[int]) -> int:
-    """The sum of deg[u] * deg[v] over the edges, as sum_v deg[v] * (the sum
-    of deg[u] over the u in ``rows[v]``), the empty rows skipped.  Each inner
-    sum goes by the bit planes P_k of ``deg``, the u whose deg[u] has bit k
-    set: sum_k 2^k * |row_v & P_k|, one AND and popcount per plane."""
-    planes = [bitmask(bytes(map(and_, map(rshift, deg, repeat(k)), repeat(1))))
-              for k in range(max(deg, default=0).bit_length())]
-    return sum(map(mul, compress(deg, rows), (
-        sum((row & plane).bit_count() << k for k, plane in enumerate(planes))
-        for row in filter(None, rows))))
 
 
 def zagreb_from_decomposition(d: CliqueDecomposition) -> ZagrebReport:

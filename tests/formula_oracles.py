@@ -3,11 +3,12 @@ the variant alternate forms of V_8n and SD_8n.
 
 The library evaluates every entry through one AC-type form
 (``formulas._ac_type_predict``): C(G) as l copies of K_{(t - 1) z} for each
-(l, t) of the entry's declared type, and NC(G) as its complete multipartite
-complement.  The polynomial sets here are independent of it: the seven
-closed forms (quot_dihedral, quot_zpzp, quot_sz2, pq, hanaki_a1, gl2, psl2)
-and each family's own set as the paper states it, so the tests can check
-every entry of ``formulas.ENTRIES`` against them field by field.
+(l, t) of the entry's declared type, and NC(G) from C(G) by the complement
+identities.  The polynomial sets here are independent of both, the NC
+polynomials included: the seven closed forms (quot_dihedral, quot_zpzp,
+quot_sz2, pq, hanaki_a1, gl2, psl2) and each family's own set as the paper
+states it.  The tests check every entry of ``formulas.ENTRIES`` against
+them field by field, so they are also the check of that identity.
 """
 
 from groupzagreb.formulas import FormulaPrediction

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import pickle
+import re
 import runpy
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from groupzagreb.cli import ScanRow, main
 from groupzagreb.coset import Presentation, PresentationError
 from groupzagreb.grp import FiniteGroup
 from groupzagreb.zagreb import CliqueDecomposition
+import graph_oracles
 from test_bench_names import load as load_bench
 from test_build import cyclic
 from test_grp import extraspecial_32, relabelled
@@ -1480,3 +1482,98 @@ def test_a_well_formed_call_loads_no_argparse():
         stdout=subprocess.PIPE)
     out, _ = proc.communicate()
     assert proc.returncode == 0 and out == b"0 []\n"
+
+
+# -- a formula diff and a wrong neighbour sum fail the command -------------------
+
+def _wrong_entry(monkeypatch, key):
+    """Replace ENTRIES[key] by one whose AC type has one more copy of each part."""
+    entry = formulas.ENTRIES[key]
+
+    def ac_type(*params):
+        z, parts = entry.ac_type(*params)
+        return z, tuple((l + 1, t) for l, t in parts)
+
+    monkeypatch.setitem(formulas.ENTRIES, key, entry._replace(ac_type=ac_type))
+
+
+def test_family_with_a_formula_diff_prints_its_row_and_exits_2(capsys, monkeypatch):
+    code, clean, _ = run(capsys, "family", "dihedral", "--m", "5")
+    assert code == 0
+    _wrong_entry(monkeypatch, "dihedral")
+    code, out, err = run(capsys, "family", "dihedral", "--m", "5")
+    assert code == 2
+    (row,) = csv_rows(out)
+    assert int(row["formula_diffs"]) > 0
+    assert out.replace(f",{row['formula_diffs']}\n", ",0\n") == clean
+    assert err == f"error: {row['formula_diffs']} formula diff(s) in D_10\n"
+
+
+def test_scan_with_a_formula_diff_exits_2(capsys, monkeypatch):
+    _wrong_entry(monkeypatch, "dihedral")
+    code, out, err = run(capsys, "scan", "--max-order", "12", "--jobs", "1")
+    assert code == 2
+    bad = [r for r in csv_rows(out) if r["formula_diffs"] != "0"]
+    assert bad and {r["family"] for r in bad} == {"dihedral"}
+    total = sum(int(r["formula_diffs"]) for r in bad)
+    assert err == (f"error: {total} formula diff(s) in "
+                   f"{', '.join(r['label'] for r in bad)}\n")
+
+
+def _failing(rep):
+    """``rep`` with an NC verdict that fails."""
+    return rep._replace(verdict_nc=rep.verdict_nc._replace(status=zagreb.Verdict.FAILS))
+
+
+def test_scan_exit_2_for_a_formula_diff_outranks_a_violation(capsys, monkeypatch):
+    _wrong_entry(monkeypatch, "dihedral")
+    monkeypatch.setattr(cli, "group_report", lambda G: _failing(zagreb.group_report(G)))
+    code, _, err = run(capsys, "scan", "--max-order", "8", "--jobs", "1")
+    assert code == 2
+    violation, diffs = err.splitlines()
+    assert violation.startswith("CONJECTURE VIOLATION: ")
+    assert diffs.startswith("error: ") and " formula diff(s) in " in diffs
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_group_with_a_formula_diff_exits_2(tmp_path, capsys, monkeypatch, fmt):
+    path = cayley_file(tmp_path, build_family(FamilySpec("dihedral", (3,))), "s3.cayley")
+    code, clean, _ = run(capsys, "group", "--cayley", str(path), "--format", fmt)
+    assert code == 0
+    _wrong_entry(monkeypatch, "quot_dihedral")
+    code, out, err = run(capsys, "group", "--cayley", str(path), "--format", fmt)
+    assert code == 2
+    assert out != clean and out.count("\n") == clean.count("\n")
+    assert re.fullmatch(r"error: [1-9]\d* formula diff\(s\) in s3\.cayley\n", err)
+
+
+def test_graph_complement_check_sees_a_wrong_neighbour_sum(tmp_path, capsys, monkeypatch):
+    # a wrong S_v moves M2 by sum d_v*delta_v, the direct complement by
+    # sum e_v*delta_v and the identity by -sum d_v*delta_v: they agree only
+    # if (n - 1)*sum delta_v = 0
+    real = zagreb.SimpleGraph.neighbour_sums.func
+    monkeypatch.setattr(zagreb.SimpleGraph, "neighbour_sums",
+                        property(lambda g: [s + (i == 0) for i, s in enumerate(real(g))]))
+    path = edges_file(tmp_path, "5 4\n0 1\n1 2\n2 3\n0 4\n")
+    code, out, err = run(capsys, "graph", "--edges", path, "--complement")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {path}: direct complement report")
+
+
+@pytest.mark.parametrize("flags", [(), ("--complement",)], ids=["graph", "complement"])
+def test_graph_sparse_file_with_a_huge_vertex_count(tmp_path, capsys, flags):
+    n = 200000
+    text = f"{n} 1\n0 {n - 1}\n"
+    reports = {"graph": graph_oracles.zagreb_by_degree_classes(zagreb.read_edge_list(text))}
+    if flags:  # K_n less one edge: n - 2 vertices of degree n - 1, two of degree n - 2
+        reports["complement"] = zagreb.ZagrebReport(
+            2 * (n - 2) ** 2 + (n - 2) * (n - 1) ** 2,
+            (n - 2) * (n - 3) // 2 * (n - 1) ** 2 + 2 * (n - 2) ** 2 * (n - 1),
+            n, n * (n - 1) // 2 - 1)
+    code, out, _ = run(capsys, "graph", "--edges", edges_file(tmp_path, text), *flags)
+    assert code == 0
+    assert out.splitlines() == ["graph,vertices,edges,m1,m2,verdict,gap"] + [
+        f"{name},{r.vertices},{r.edges},{r.m1},{r.m2},{v.status.value},{v.gap_string()}"
+        for name, r in reports.items() for v in [zagreb.conjecture_verdict(r)]]

@@ -844,7 +844,7 @@ def test_bit_sliced_degrees_match_column_counts(n, p):
 
 
 def neighbour_sums_of_every_row(rows, deg):
-    """The generator the edge-product sum replaced: for every row, the empty
+    """The generator the neighbour sums replaced: for every row, the empty
     ones included, the sum of deg over its bits, with planes built bit by
     bit."""
     planes = [
@@ -855,12 +855,17 @@ def neighbour_sums_of_every_row(rows, deg):
             for row in rows)
 
 
-def test_edge_products_skip_only_empty_rows():
+def test_neighbour_sums_skip_only_empty_rows():
     rng = random.Random(2026)
     graphs = [random_graph(rng, max_n=60) for _ in range(100)]
     graphs.append(read_edge_list("200000 1\n0 199999\n"))
     for g in graphs:
-        for deg in (g.degrees(), [g.vertex_count - 1 - d for d in g.degrees()]):
-            old = list(neighbour_sums_of_every_row(g.rows, deg))
-            assert not any(s for s, r in zip(old, g.rows) if not r)
-            assert zagreb._edge_products(g.rows, deg) == sum(map(mul, deg, old))
+        n, deg = g.vertex_count, g.degrees()
+        old = list(neighbour_sums_of_every_row(g.rows, deg))
+        assert not any(s for s, r in zip(old, g.rows) if not r)
+        assert g.neighbour_sums == [s for s, r in zip(old, g.rows) if r]
+        # the complement's edge term, sum over this graph's edges uv of e_u*e_v
+        comp = [n - 1 - d for d in deg]
+        by_planes = sum(map(mul, comp, neighbour_sums_of_every_row(g.rows, comp)))
+        assert zagreb_direct_complement(g).m2 == (
+            (sum(comp) ** 2 - sum(map(mul, comp, comp))) // 2 - by_planes)
