@@ -2,9 +2,10 @@
 sweeps, the catalog-wide conjecture scan, and checks of user-supplied
 Cayley tables and edge lists.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure or a formula
-diff (which outranks 3), 3 conjecture violation found, 141 stdout closed by
-its reader before the output ended.
+Exit codes: 0 success, 1 usage error, 2 validation failure or a formula diff
+(``_rows_exit``, which outranks 3), 3 conjecture violation found, 141 stdout
+closed by its reader.  Any other refusal is one ``error:`` line (``_refuse``)
+that names the group or file, whatever its build or report raised (``_naming``).
 Output is deterministic: identical invocations produce byte-identical
 CSV/JSON regardless of --jobs.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 from itertools import groupby
 from math import prod
@@ -117,6 +119,9 @@ _PARAM_NAMES = tuple(dict.fromkeys(name for fam in FAMILIES.values() for name in
 # what reading and ingesting a user's Cayley-table file can raise
 _TABLE_FILE_ERRORS = (CayleyFormatError, GroupTableError, OSError, UnicodeDecodeError)
 
+# the refusal of a group whose elements do not fit in memory or an index
+_TOO_LARGE = "the group does not fit in memory"
+
 _Checks = list[tuple[Applicable, tuple[FieldDiff, ...]]]
 
 
@@ -151,22 +156,51 @@ def _row_for_group(G: FiniteGroup, label: str, family: str, params: tuple[int, .
     )
 
 
-def _formula_diff_exit(rows: list[ScanRow]) -> int:
-    """EXIT_VALIDATION, after one stderr line naming the rows, if any row
-    disagrees with a formula prediction (a route is wrong); else EXIT_OK."""
+def _refuse(message: str) -> int:
+    """EXIT_VALIDATION, after the one stderr line ``error: <message>``."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
+def _rows_exit(rows: list[ScanRow]) -> int:
+    """The exit code of a report's printed rows: EXIT_VIOLATION, after a line
+    naming the rows whose verdict fails, unless a formula diff, named on the
+    next line, makes it EXIT_VALIDATION, as a wrong route outranks a verdict."""
+    fails = Verdict.FAILS.value
+    if violators := [r for r in rows if fails in (r.verdict_c, r.verdict_nc)]:
+        count = sum((r.verdict_c, r.verdict_nc).count(fails) for r in violators)
+        print(f"CONJECTURE VIOLATION: {count} failing verdict(s) in "
+              f"{', '.join(r.label for r in violators)}", file=sys.stderr)
     if labels := [r.label for r in rows if r.formula_diffs]:
-        print(f"error: {sum(r.formula_diffs for r in rows)} formula diff(s) in "
-              f"{', '.join(labels)}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        return _refuse(f"{sum(r.formula_diffs for r in rows)} formula diff(s) in "
+                       f"{', '.join(labels)}")
+    return EXIT_VIOLATION if violators else EXIT_OK
 
 
 class ScanEntryError(Exception):
-    """A catalog entry failed to build or report.  The args are (label,
-    message), so it pickles and crosses the worker pool intact."""
+    """A group failed to build or report.  The args are (label, message), so
+    it pickles and crosses the worker pool intact."""
 
     def __str__(self) -> str:
         return "{}: {}".format(*self.args)
+
+
+@contextmanager
+def _naming(label: str):
+    """Raise a failure of the block that builds or reports the group ``label``
+    as a ScanEntryError naming it: ``_TOO_LARGE`` past memory or an index, the
+    library's own errors (each a ValueError or RuntimeError) by their message,
+    any other by its type too.  A route mismatch names the group already."""
+    try:
+        yield
+    except RouteMismatchError:
+        raise
+    except (MemoryError, OverflowError) as exc:
+        raise ScanEntryError(label, _TOO_LARGE) from exc
+    except (ValueError, RuntimeError) as exc:
+        raise ScanEntryError(label, str(exc)) from exc
+    except Exception as exc:
+        raise ScanEntryError(label, f"{type(exc).__name__}: {exc}") from exc
 
 
 def _scan_worker(entry: CatalogEntry,
@@ -181,18 +215,13 @@ def _scan_worker(entry: CatalogEntry,
     not built at all, but reuses that group and its report, and still runs
     the formula dispatch and crosschecks of its own family and params under
     its own label."""
-    try:
+    with _naming(entry.label):
         form = entry.form()
         if form not in seen:
             G = entry.build()
             seen[form] = G, group_report(G)
         G, rep = seen[form]
         return _row_for_group(G, entry.label, entry.family, entry.params, rep)
-    except RouteMismatchError:
-        raise  # its message already names the entry
-    except (ValueError, RuntimeError) as exc:
-        # the library's other error classes all derive from one of these
-        raise ScanEntryError(entry.label, str(exc)) from exc
 
 
 def _scan_order(entries: list[CatalogEntry]) -> list[ScanRow]:
@@ -279,15 +308,11 @@ def _cmd_family(args) -> int:
     except FamilyError as exc:
         _usage_error(str(exc))
     except OrderCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        return _refuse(str(exc))
+    with _naming(spec.label()):
         row = _row_for_group(build_family(spec), spec.label(), spec.family, spec.params)
-    except (MemoryError, OverflowError):  # the cap allows more elements than fit in memory
-        print(f"error: {spec.label()}: the group does not fit in memory", file=sys.stderr)
-        return EXIT_VALIDATION
     _emit_rows([row], args.format)
-    return _formula_diff_exit([row])
+    return _rows_exit([row])
 
 
 def _cmd_verify(args) -> int:
@@ -311,12 +336,9 @@ def _cmd_verify(args) -> int:
         except (FamilyError, OrderCapError):
             continue
         checked += 1
-        try:
+        with _naming(spec.label()):
             G = build_family(spec)
             checks = crosschecks(dispatch(G, spec.family, spec.params), group_report(G))
-        except (MemoryError, OverflowError):  # the cap allows more elements than fit in memory
-            print(f"error: {spec.label()}: the group does not fit in memory", file=sys.stderr)
-            return EXIT_VALIDATION
         for app, diffs in checks:
             for d in diffs:
                 failures.append(
@@ -368,27 +390,21 @@ def _cmd_scan(args) -> int:
     entries = catalog(min(args.max_order, max(args.order_cap + 2, 6)))
     for e in entries:  # ascending by order
         if e.order > args.order_cap:
-            print(f"error: {e.label} has order {e.order}, above the cap {args.order_cap}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            return _refuse(f"{e.label} has order {e.order}, above the cap {args.order_cap}")
     # the pool forks all its workers up front, so never ask for more than
     # the cores; the output does not depend on the worker count
     cores = os.cpu_count() or 1
     jobs = min(args.jobs, cores) if args.jobs else cores
     # one unit of work per order; the catalog ascends by order
     work = [list(group) for _, group in groupby(entries, key=lambda e: e.order)]
-    try:
-        if jobs > 1 and len(work) > 1:
-            # imported here, so that every other command starts without it
-            from concurrent.futures import ProcessPoolExecutor
+    if jobs > 1 and len(work) > 1:
+        # imported here, so that every other command starts without it
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = [r for unit in pool.map(_scan_order, work) for r in unit]
-        else:
-            rows = [r for unit in map(_scan_order, work) for r in unit]
-    except ScanEntryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = [r for unit in pool.map(_scan_order, work) for r in unit]
+    else:
+        rows = [r for unit in map(_scan_order, work) for r in unit]
 
     file_errors: list[str] = []
     if args.catalog_extra:
@@ -408,11 +424,9 @@ def _cmd_scan(args) -> int:
                 file_errors.append(f"{path}: {exc}")
                 continue
             try:
-                rep = group_report(G)
+                rows.append(_row_for_group(G, G.label, "ingested", ()))
             except AbelianGroupError as exc:
                 file_errors.append(f"{path}: skipped ({exc})")
-                continue
-            rows.append(_row_for_group(G, G.label, "ingested", (), rep))
 
     rows.sort(key=lambda r: (r.order, r.family, r.params, r.label))
     counts = {"groups": len(rows), "strict": 0, "equality": 0, "fails": 0, "undefined": 0}
@@ -422,15 +436,7 @@ def _cmd_scan(args) -> int:
     _emit_rows(rows, args.format, summary=counts)
     for err in file_errors:
         print(f"warning: {err}", file=sys.stderr)
-    if counts["fails"]:
-        violators = [r.label for r in rows if Verdict.FAILS.value in (r.verdict_c, r.verdict_nc)]
-        print(
-            "CONJECTURE VIOLATION: "
-            f"{counts['fails']} failing verdict(s) in {', '.join(violators)}",
-            file=sys.stderr,
-        )
-        return _formula_diff_exit(rows) or EXIT_VIOLATION  # a wrong route outranks a verdict
-    return _formula_diff_exit(rows)
+    return _rows_exit(rows)
 
 
 def _cmd_graph(args) -> int:
@@ -439,8 +445,7 @@ def _cmd_graph(args) -> int:
             with open(args.edges, "r", encoding="utf-8") as fh:
                 graph = read_edge_list(fh)
         except (GraphFormatError, OSError, ValueError) as exc:
-            print(f"error: {args.edges}: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            return _refuse(f"{args.edges}: {exc}")
         reports = {"graph": zagreb_direct(graph)}
         if args.complement:
             comp = zagreb_direct_complement(graph)
@@ -450,8 +455,7 @@ def _cmd_graph(args) -> int:
                                          f"!= complement-formula {via_formula}")
             reports["complement"] = comp
     except (MemoryError, OverflowError):  # more vertices than fit in memory or an index
-        print(f"error: {args.edges}: the graph does not fit in memory", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse(f"{args.edges}: the graph does not fit in memory")
     rows = []
     for name, rep in reports.items():
         verdict = conjecture_verdict(rep)
@@ -466,9 +470,10 @@ def _cmd_group(args) -> int:
         with open(args.cayley, "r", encoding="utf-8") as fh:
             G = ingest_cayley(fh, os.path.basename(args.cayley))
         rep = group_report(G)
+    except (MemoryError, OverflowError):  # more elements than fit in memory or an index
+        return _refuse(f"{args.cayley}: {_TOO_LARGE}")
     except (*_TABLE_FILE_ERRORS, AbelianGroupError) as exc:
-        print(f"error: {args.cayley}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _refuse(f"{args.cayley}: {exc}")
     checks = crosschecks(registry_for(G), rep)
     row = _row_for_group(G, G.label, "ingested", (), rep, checks)
     info = {
@@ -506,7 +511,7 @@ def _cmd_group(args) -> int:
                 f"# formula: {app['entry']}{tuple(app['params'])} "
                 f"source={app['source']} diffs={app['diffs']} tags={tags}"
             )
-    return _formula_diff_exit([row])
+    return _rows_exit([row])
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +644,8 @@ def main(argv: list[str] | None = None) -> int:
         code = COMMANDS[args.command].run(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code
-    except RouteMismatchError as exc:  # a route is broken; the message names the group
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except (RouteMismatchError, ScanEntryError) as exc:  # the message names the group
+        return _refuse(str(exc))
     except BrokenPipeError:
         # the reader closed stdout (``scan | head``): end quietly, with the
         # unflushed rest of the output sent to devnull instead

@@ -6,8 +6,8 @@ The library dispatches the quotient formulas from the element orders of
 G/Z(G), read off its classes of G/Z(G), and builds no second group; this
 numbers the cosets of Z(G) from the table, builds the quotient and
 recognizes its shape from it, and derives the consequence tags from the
-centralizer of every element, so the tests can check every dispatch against
-a route that shares none of that code.
+centralizer of every element and its own table of what Pr(G) implies, so the
+tests can check every dispatch against a route that shares none of that code.
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ from math import isqrt
 from operator import itemgetter
 
 from groupzagreb.ff import is_prime
-from groupzagreb.formulas import _PR_CONSEQUENCES, ENTRIES, Applicable
+from groupzagreb.formulas import ENTRIES, Applicable
 from groupzagreb.grp import FiniteGroup, GroupTableError, group_of_table
 from graph_oracles import centralizer_mask, centralizer_masks
 
@@ -107,6 +107,18 @@ def looks_like_f20(G: FiniteGroup) -> bool:
     return profile == _F20_ORDER_PROFILE
 
 
+# Pr(G) -> the G/Z(G) it implies: (m + 3)/4m for D_2m with m odd, (p^2 + p - 1)/p^3
+# for Z_p x Z_p, 7/16 for D_8
+PR_SHAPES = {
+    Fraction(1, 2): "D_6",
+    Fraction(2, 5): "D_10",
+    Fraction(5, 14): "D_14",
+    Fraction(7, 16): "D_8",
+    Fraction(5, 8): "Z_2xZ_2",
+    Fraction(11, 27): "Z_3xZ_3",
+}
+
+
 def distinct_centralizers(G: FiniteGroup) -> int:
     """|Cent(G)| as the distinct masks of one element per coset of Z(G),
     which its whole coset shares."""
@@ -122,8 +134,7 @@ def consequence_tags(G: FiniteGroup) -> tuple[str, ...]:
     if cents in (4, 5):
         tags += (f"{cents}-centralizer",)
     pr = Fraction(sum(m.bit_count() for m in centralizer_masks(G)), G.order**2)
-    shape = _PR_CONSEQUENCES.get((pr.numerator, pr.denominator))
-    if shape:
+    if shape := PR_SHAPES.get(pr):
         tags += (f"pr={pr}=>G/Z={shape}",)
     return tags
 

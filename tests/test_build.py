@@ -616,6 +616,11 @@ def test_ingest_format_errors():
         ingest_cayley("2\n0 5\n1 0\n")  # entry out of range
 
 
+def test_ingest_refuses_an_order_below_one():
+    with pytest.raises(CayleyFormatError, match="^order must be positive, got 0$"):
+        ingest_cayley("0\n")
+
+
 @pytest.mark.parametrize("text,bad_row", [
     ("3\n0 1 2\n1 2 -1\n2 0 3\n", "1 2 -1"),  # the first row out of range is named
     ("3\n0 1 2\n1 2 0\n2 0 3\n", "2 0 3"),

@@ -1577,3 +1577,149 @@ def test_graph_sparse_file_with_a_huge_vertex_count(tmp_path, capsys, flags):
     assert out.splitlines() == ["graph,vertices,edges,m1,m2,verdict,gap"] + [
         f"{name},{r.vertices},{r.edges},{r.m1},{r.m2},{v.status.value},{v.gap_string()}"
         for name, r in reports.items() for v in [zagreb.conjecture_verdict(r)]]
+
+
+def test_verify_with_a_formula_diff_prints_its_failures_and_exits_2(capsys, monkeypatch):
+    _wrong_entry(monkeypatch, "dihedral")
+    code, out, err = run(capsys, "verify", "dihedral", "--m", "3..4")
+    assert (code, err) == (2, "")
+    warning, *fails, summary = out.splitlines()
+    assert warning.startswith("warning: D_8 [quot_zpzp(2, 2)] alt m2_nc: ")
+    assert fails[0] == "FAIL: D_6 [dihedral(3,)] vertices: predicted 8, got 5"
+    assert [ln.split(" [")[0] for ln in fails] == ["FAIL: D_6"] * 8 + ["FAIL: D_8"] * 8
+    assert summary == ("verify dihedral: FAIL (2 instances checked, 0 skipped, "
+                       "16 diffs, 1 alt-form warnings)")
+
+
+# -- one exit rule for report rows -------------------------------------------------
+
+def test_family_with_a_failing_verdict_names_it_and_exits_3(capsys, monkeypatch):
+    code, clean, _ = run(capsys, "family", "dihedral", "--m", "3")
+    assert code == 0
+    monkeypatch.setattr(cli, "group_report", lambda G: _failing(zagreb.group_report(G)))
+    code, out, err = run(capsys, "family", "dihedral", "--m", "3")
+    assert code == 3
+    (row,) = csv_rows(out)
+    (clean_row,) = csv_rows(clean)
+    assert row == {**clean_row, "verdict_nc": "fails"}
+    assert err == "CONJECTURE VIOLATION: 1 failing verdict(s) in D_6\n"
+
+
+def test_family_names_a_violation_then_a_formula_diff_and_exits_2(capsys, monkeypatch):
+    _wrong_entry(monkeypatch, "dihedral")
+    monkeypatch.setattr(cli, "group_report", lambda G: _failing(zagreb.group_report(G)))
+    code, out, err = run(capsys, "family", "dihedral", "--m", "3")
+    assert code == 2
+    (row,) = csv_rows(out)
+    assert row["verdict_nc"] == "fails" and int(row["formula_diffs"]) > 0
+    assert err == ("CONJECTURE VIOLATION: 1 failing verdict(s) in D_6\n"
+                   f"error: {row['formula_diffs']} formula diff(s) in D_6\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_group_with_a_failing_verdict_names_it_and_exits_3(tmp_path, capsys, monkeypatch, fmt):
+    path = cayley_file(tmp_path, build_family(FamilySpec("dihedral", (3,))), "s3.cayley")
+    monkeypatch.setattr(cli, "group_report", lambda G: _failing(zagreb.group_report(G)))
+    code, out, err = run(capsys, "group", "--cayley", str(path), "--format", fmt)
+    assert code == 3
+    assert ",fails," in out if fmt == "csv" else json.loads(out)["row"]["verdict_nc"] == "fails"
+    assert err == "CONJECTURE VIOLATION: 1 failing verdict(s) in s3.cayley\n"
+    _wrong_entry(monkeypatch, "quot_dihedral")
+    code, _, err = run(capsys, "group", "--cayley", str(path), "--format", fmt)
+    assert code == 2
+    violation, diffs = err.splitlines()
+    assert violation == "CONJECTURE VIOLATION: 1 failing verdict(s) in s3.cayley"
+    assert re.fullmatch(r"error: [1-9]\d* formula diff\(s\) in s3\.cayley", diffs)
+
+
+def test_scan_with_a_failing_verdict_names_it_and_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "group_report", lambda G: _failing(zagreb.group_report(G)))
+    # a formula predicts only whether a verdict is an equality, and at order 6
+    # none is, so a failing verdict makes no formula diff there
+    code, out, err = run(capsys, "scan", "--max-order", "6", "--jobs", "1")
+    assert code == 3
+    labels = [r["label"] for r in csv_rows(out)]
+    assert err == (f"CONJECTURE VIOLATION: {len(labels)} failing verdict(s) in "
+                   f"{', '.join(labels)}\n")
+
+
+# -- one named error line for any failure ------------------------------------------
+
+def _raise_in_build(monkeypatch, label, exc):
+    """Make the catalog entry ``label`` raise ``exc`` when it is built."""
+    build = CatalogEntry.build
+
+    def failing(entry):
+        if entry.label == label:
+            raise exc
+        return build(entry)
+
+    monkeypatch.setattr(CatalogEntry, "build", failing)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("exc,message", [
+    (KeyError(3), "KeyError: 3"),
+    (ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
+    (MemoryError(), "the group does not fit in memory"),
+    (OverflowError("cannot fit 'int' into an index-sized integer"),
+     "the group does not fit in memory"),
+    (ValueError("bad table"), "bad table"),  # the library's own errors keep their text
+], ids=["KeyError", "ZeroDivisionError", "MemoryError", "OverflowError", "ValueError"])
+def test_any_failure_of_a_scan_entry_is_one_line_naming_it(capsys, monkeypatch, exc, message,
+                                                           jobs):
+    _raise_in_build(monkeypatch, "Q_8", exc)
+    code, out, err = run(capsys, "scan", "--max-order", "12", "--jobs", jobs)
+    assert (code, out, err) == (2, "", f"error: Q_8: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("family", "dihedral", "--m", "3"),
+                                  ("verify", "dihedral", "--m", "3..5")], ids=["family", "verify"])
+def test_any_failure_of_a_family_build_is_one_line_naming_it(capsys, monkeypatch, argv):
+    def failing(spec):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "build_family", failing)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: D_6: KeyError: 'x'\n")
+
+
+@pytest.mark.parametrize("stage", ["ingest_cayley", "group_report"])
+def test_group_table_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                            stage):
+    path = cayley_file(tmp_path, build_family(FamilySpec("dihedral", (3,))), "s3.cayley")
+
+    def failing(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, failing)
+    code, out, err = run(capsys, "group", "--cayley", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: the group does not fit in memory\n")
+
+
+# -- scan --catalog-extra: blank lines before the order, subdirectories ----------------
+
+def test_scan_catalog_extra_reads_the_order_past_blank_lines(tmp_path, capsys, monkeypatch):
+    # an order read past the blank lines skips the file unparsed; a missed
+    # one would send the junk below the order to the parser instead
+    path = tmp_path / "big.cayley"
+    path.write_text("\n  \n\t\n343\nnot a table\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "ingest_cayley", lambda fh, label: pytest.fail("file was parsed"))
+    code, out, err = run(capsys, "scan", "--max-order", "8", "--jobs", "1",
+                         "--catalog-extra", str(tmp_path))
+    assert code == 0
+    assert [r["family"] for r in csv_rows(out)].count("ingested") == 0
+    assert err == f"warning: {path}: skipped (order 343 > max order)\n"
+
+
+def test_scan_catalog_extra_skips_a_subdirectory_silently(tmp_path, capsys):
+    sz = build_family(FamilySpec("sz2", ()))
+    cayley_file(tmp_path, sz, "f20.cayley")
+    code, clean, err = run(capsys, "scan", "--max-order", "20", "--jobs", "1",
+                           "--catalog-extra", str(tmp_path))
+    assert (code, err) == (0, "")
+    (tmp_path / "sub").mkdir()
+    cayley_file(tmp_path / "sub", sz, "f20.cayley")
+    code, out, err = run(capsys, "scan", "--max-order", "20", "--jobs", "1",
+                         "--catalog-extra", str(tmp_path))
+    assert (code, out, err) == (0, clean, "")

@@ -437,6 +437,23 @@ def test_quotient_orders_match_the_quotient_table(entry):
     assert _quotient_orders(G) == orders
 
 
+def test_each_pr_tag_names_the_recognized_central_quotient():
+    # the tag's shape is read off Pr(G) alone; the oracle builds G/Z(G) and
+    # recognizes it, and every shape of its table is met in the catalog
+    named = set()
+    for entry in CATALOG_128:
+        G = entry.build()
+        for tag in consequence_tags(G):
+            if tag.startswith("pr="):
+                shape = tag.partition("=>G/Z=")[2]
+                Q = quotient_oracles.central_quotient(G)
+                m = quotient_oracles.recognize_dihedral(Q)
+                p = quotient_oracles.recognize_elementary_abelian_p2(Q)
+                assert shape == (f"D_{2 * m}" if m else f"Z_{p}xZ_{p}" if p else None), entry
+                named.add(shape)
+    assert named == set(quotient_oracles.PR_SHAPES.values())
+
+
 # -- crosscheck ----------------------------------------------------------------------------
 
 def test_crosscheck_clean_for_d14():

@@ -614,6 +614,8 @@ IRREGULAR_READS = {
     "self_loop": ("4 2\n0 1\n2 2\n", "edge (2, 2) must satisfy 0 <= u < v < n"),
     "self_loop_first": ("4 2\r\n3 3\r\n0 1\r\n", "edge (3, 3) must satisfy 0 <= u < v < n"),
     "only_blank_lines": (" \n\n", "empty edge-list file"),
+    "header_not_integers": ("a b\n", 'first line must be "n m", got \'a b\''),
+    "negative_count": ("-1 0\n", "negative vertex or edge count"),
 }
 
 
@@ -799,6 +801,11 @@ def test_canonical_edge_list_is_read_without_the_walk(monkeypatch):
                       ("  {}   {} \t", "\n"), ("\t{}\t{}\t", "\r\n")):
         text = f"300 {len(edges)}{end}" + "".join(line.format(u, v) + end for u, v in edges)
         assert read_edge_list(text).rows == graph_from_edges(300, edges).rows, repr(line + end)
+
+
+def test_simple_graph_rejects_a_row_count_that_is_not_the_vertex_count():
+    with pytest.raises(GraphFormatError, match="^adjacency row count != vertex count$"):
+        SimpleGraph(3, [0, 0])
 
 
 def test_simple_graph_rejects_self_loop():
