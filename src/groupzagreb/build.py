@@ -6,9 +6,11 @@ Each family is one record in ``FAMILIES``: its parameter names, validity
 rule, order, label, normal form and catalog instances.  The formula registry
 and the CLI read the same table.  A normal form (``NormalForm``) is a
 builder and its arguments, reduced where the builder reads them by a
-modulus; every family instance and special group declares one, which
-``build_family`` builds and by which the scan shares a table between the
-catalog entries that name it.
+modulus; every family instance and special group declares one, by which
+the scan shares a table between the catalog entries that name it.  One step
+(``_labelled``) builds a form, checks the order its family or the roster
+states and names the group, for ``build_family``, ``special_group`` and
+``CatalogEntry.build`` alike.
 
 A builder numbers its elements and hands ``FiniteGroup`` the order, a
 ``row_of`` for any one element and the inverse map, both from its own
@@ -492,16 +494,20 @@ def _cap_refusal(family: str, params: tuple[int, ...], order_cap: int) -> str | 
 # build_family / direct products
 # ---------------------------------------------------------------------------
 
+def _labelled(form: NormalForm, order: int, label: str) -> FiniteGroup:
+    """The group ``form`` builds, named ``label``; a FamilyError if its order
+    is not the ``order`` that its family or the roster states."""
+    G = form.build()
+    if G.order != order:
+        raise FamilyError(f"{label}: construction produced order {G.order}, expected {order}")
+    G.label = label
+    return G
+
+
 def build_family(spec: FamilySpec) -> FiniteGroup:
     """Build the group a family spec names.  Any order cap was checked when
     the spec was made (``FamilySpec``), so none is checked here."""
-    G = FAMILIES[spec.family].form(*spec.params).build()
-    G.label = spec.label()
-    if G.order != spec.order():
-        raise FamilyError(
-            f"{spec.label()}: construction produced order {G.order}, expected {spec.order()}"
-        )
-    return G
+    return _labelled(FAMILIES[spec.family].form(*spec.params), spec.order(), spec.label())
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
@@ -566,11 +572,7 @@ def special_group(name: str) -> FiniteGroup:
     if name not in SPECIAL_GROUPS:
         raise FamilyError(f"unknown special group {name!r}")
     order, form = SPECIAL_GROUPS[name]
-    G = form.build()
-    if G.order != order:  # pragma: no cover - construction bug guard
-        raise FamilyError(f"{name}: built order {G.order} != {order}")
-    G.label = name
-    return G
+    return _labelled(form, order, name)
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +676,7 @@ class CatalogEntry(NamedTuple):
     label: str
 
     def build(self) -> FiniteGroup:
-        if self.family == "special":
-            return special_group(self.label)
-        return build_family(FamilySpec(self.family, self.params))
+        return _labelled(self.form(), self.order, self.label)
 
     def form(self) -> NormalForm:
         """The normal form ``build`` builds."""

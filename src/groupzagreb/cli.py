@@ -5,7 +5,8 @@ Cayley tables and edge lists.
 Exit codes: 0 success, 1 usage error, 2 validation failure or a formula diff
 (``_rows_exit``, which outranks 3), 3 conjecture violation found, 141 stdout
 closed by its reader.  Any other refusal is one ``error:`` line (``_refuse``)
-that names the group or file, whatever its build or report raised (``_naming``).
+that names the group or file: every group a command reports, from the catalog,
+a family or a Cayley file, is read, built and reported inside ``_naming``.
 Output is deterministic: identical invocations produce byte-identical
 CSV/JSON regardless of --jobs.
 
@@ -49,7 +50,6 @@ from .build import (
 from .formulas import Applicable, FieldDiff, crosschecks, dispatch, registry_for
 from .grp import AbelianGroupError, FiniteGroup, GroupTableError
 from .zagreb import (
-    GraphFormatError,
     GroupReport,
     RouteMismatchError,
     Verdict,
@@ -116,22 +116,18 @@ class GraphRow(NamedTuple):
 _PARAM_NAMES = tuple(dict.fromkeys(name for fam in FAMILIES.values() for name in fam.params))
 
 
-# what reading and ingesting a user's Cayley-table file can raise
+# what reading and ingesting a user's Cayley-table file can raise, which
+# skips a --catalog-extra file with a warning
 _TABLE_FILE_ERRORS = (CayleyFormatError, GroupTableError, OSError, UnicodeDecodeError)
-
-# the refusal of a group whose elements do not fit in memory or an index
-_TOO_LARGE = "the group does not fit in memory"
 
 _Checks = list[tuple[Applicable, tuple[FieldDiff, ...]]]
 
 
 def _row_for_group(G: FiniteGroup, label: str, family: str, params: tuple[int, ...],
-                   rep: GroupReport | None = None, checks: _Checks | None = None) -> ScanRow:
-    """The scan row that names G ``label``, of ``family`` at ``params``;
-    pass ``rep`` and ``checks`` when already computed.  The row prints no
-    tags, so the checks come from the tagless dispatch."""
-    if rep is None:
-        rep = group_report(G)
+                   rep: GroupReport, checks: _Checks | None = None) -> ScanRow:
+    """The scan row that names G ``label``, of ``family`` at ``params``, from
+    its report ``rep``; pass ``checks`` when already computed.  The row
+    prints no tags, so the checks come from the tagless dispatch."""
     if checks is None:
         checks = crosschecks(dispatch(G, family, params), rep)
     diffs = sum(len(d) for _, d in checks)
@@ -178,8 +174,8 @@ def _rows_exit(rows: list[ScanRow]) -> int:
 
 
 class ScanEntryError(Exception):
-    """A group failed to build or report.  The args are (label, message), so
-    it pickles and crosses the worker pool intact."""
+    """A group failed to read, build or report.  The args are (label,
+    message), so it pickles and crosses the worker pool intact."""
 
     def __str__(self) -> str:
         return "{}: {}".format(*self.args)
@@ -187,25 +183,27 @@ class ScanEntryError(Exception):
 
 @contextmanager
 def _naming(label: str):
-    """Raise a failure of the block that builds or reports the group ``label``
-    as a ScanEntryError naming it: ``_TOO_LARGE`` past memory or an index, the
-    library's own errors (each a ValueError or RuntimeError) by their message,
-    any other by its type too.  A route mismatch names the group already."""
+    """Raise a failure of the block that reads, builds or reports the group
+    ``label``, a catalog label or a file's path, as a ScanEntryError naming
+    it: "the group does not fit in memory" past memory or an index, the
+    library's own errors (each a ValueError or RuntimeError) and an OSError
+    by their message, any other by its type too.  A route mismatch names the
+    group already.  No block prints: a closed stdout's BrokenPipeError, an
+    OSError, must reach ``main``."""
     try:
         yield
     except RouteMismatchError:
         raise
     except (MemoryError, OverflowError) as exc:
-        raise ScanEntryError(label, _TOO_LARGE) from exc
-    except (ValueError, RuntimeError) as exc:
+        raise ScanEntryError(label, "the group does not fit in memory") from exc
+    except (ValueError, RuntimeError, OSError) as exc:
         raise ScanEntryError(label, str(exc)) from exc
     except Exception as exc:
         raise ScanEntryError(label, f"{type(exc).__name__}: {exc}") from exc
 
 
-def _scan_worker(entry: CatalogEntry,
-                 seen: dict[NormalForm, tuple[FiniteGroup, GroupReport]]) -> ScanRow:
-    """The scan row of one catalog entry.
+def _scan_order(entries: list[CatalogEntry]) -> list[ScanRow]:
+    """The scan rows of one order's catalog entries, the unit of work.
 
     ``seen`` maps the normal form (``CatalogEntry.form``) of each group
     reported so far to the group and its report.  The families overlap
@@ -214,22 +212,19 @@ def _scan_worker(entry: CatalogEntry,
     anything is built: an entry whose form an earlier one already built is
     not built at all, but reuses that group and its report, and still runs
     the formula dispatch and crosschecks of its own family and params under
-    its own label."""
-    with _naming(entry.label):
-        form = entry.form()
-        if form not in seen:
-            G = entry.build()
-            seen[form] = G, group_report(G)
-        G, rep = seen[form]
-        return _row_for_group(G, entry.label, entry.family, entry.params, rep)
-
-
-def _scan_order(entries: list[CatalogEntry]) -> list[ScanRow]:
-    """The scan rows of one order's catalog entries, the unit of work: only
-    groups of equal order can share a table, so the memo of ``_scan_worker``
-    lives for one unit and no longer."""
+    its own label.  Only groups of equal order can share a table, so the
+    memo lives for one unit and no longer."""
     seen: dict[NormalForm, tuple[FiniteGroup, GroupReport]] = {}
-    return [_scan_worker(entry, seen) for entry in entries]
+    rows = []
+    for entry in entries:
+        with _naming(entry.label):
+            form = entry.form()
+            if form not in seen:
+                G = entry.build()
+                seen[form] = G, group_report(G)
+            G, rep = seen[form]
+            rows.append(_row_for_group(G, entry.label, entry.family, entry.params, rep))
+    return rows
 
 
 def _emit_rows(rows: list[ScanRow] | list[GraphRow], fmt: str,
@@ -310,7 +305,8 @@ def _cmd_family(args) -> int:
     except OrderCapError as exc:
         return _refuse(str(exc))
     with _naming(spec.label()):
-        row = _row_for_group(build_family(spec), spec.label(), spec.family, spec.params)
+        G = build_family(spec)
+        row = _row_for_group(G, spec.label(), spec.family, spec.params, group_report(G))
     _emit_rows([row], args.format)
     return _rows_exit([row])
 
@@ -333,7 +329,7 @@ def _cmd_verify(args) -> int:
     for params in FAMILIES[args.family].within(tried, args.order_cap):
         try:
             spec = FamilySpec(args.family, params, order_cap=args.order_cap)
-        except (FamilyError, OrderCapError):
+        except FamilyError:  # ``within`` yields only tuples within the cap
             continue
         checked += 1
         with _naming(spec.label()):
@@ -412,21 +408,20 @@ def _cmd_scan(args) -> int:
             path = os.path.join(args.catalog_extra, fname)
             if not os.path.isfile(path):
                 continue
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    order = _declared_order(fh)
-                    if order is not None and order > args.max_order:
-                        file_errors.append(f"{path}: skipped (order {order} > max order)")
-                        continue
-                    fh.seek(0)
-                    G = ingest_cayley(fh, fname)
-            except _TABLE_FILE_ERRORS as exc:
-                file_errors.append(f"{path}: {exc}")
-                continue
-            try:
-                rows.append(_row_for_group(G, G.label, "ingested", ()))
-            except AbelianGroupError as exc:
-                file_errors.append(f"{path}: skipped ({exc})")
+            with _naming(path):
+                try:
+                    with open(path, "r", encoding="utf-8") as fh:
+                        order = _declared_order(fh)
+                        if order is not None and order > args.max_order:
+                            file_errors.append(f"{path}: skipped (order {order} > max order)")
+                            continue
+                        fh.seek(0)
+                        G = ingest_cayley(fh, fname)
+                    rows.append(_row_for_group(G, G.label, "ingested", (), group_report(G)))
+                except _TABLE_FILE_ERRORS as exc:
+                    file_errors.append(f"{path}: {exc}")
+                except AbelianGroupError as exc:
+                    file_errors.append(f"{path}: skipped ({exc})")
 
     rows.sort(key=lambda r: (r.order, r.family, r.params, r.label))
     counts = {"groups": len(rows), "strict": 0, "equality": 0, "fails": 0, "undefined": 0}
@@ -444,7 +439,7 @@ def _cmd_graph(args) -> int:
         try:
             with open(args.edges, "r", encoding="utf-8") as fh:
                 graph = read_edge_list(fh)
-        except (GraphFormatError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             return _refuse(f"{args.edges}: {exc}")
         reports = {"graph": zagreb_direct(graph)}
         if args.complement:
@@ -466,37 +461,33 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    try:
+    with _naming(args.cayley):
         with open(args.cayley, "r", encoding="utf-8") as fh:
             G = ingest_cayley(fh, os.path.basename(args.cayley))
         rep = group_report(G)
-    except (MemoryError, OverflowError):  # more elements than fit in memory or an index
-        return _refuse(f"{args.cayley}: {_TOO_LARGE}")
-    except (*_TABLE_FILE_ERRORS, AbelianGroupError) as exc:
-        return _refuse(f"{args.cayley}: {exc}")
-    checks = crosschecks(registry_for(G), rep)
-    row = _row_for_group(G, G.label, "ingested", (), rep, checks)
-    info = {
-        "label": G.label,
-        "order": G.order,
-        "center": rep.center_size,
-        "commutativity_degree": str(G.commutativity_degree()),  # < 1 here, so "num/den"
-        "distinct_centralizers": G.count_distinct_centralizers(),
-        "decomposition": (
-            [list(p) for p in rep.decomposition.parts] if rep.decomposition else None
-        ),
-        "applicable_formulas": [
-            {
-                "entry": app.entry.key,
-                "params": list(app.params),
-                "source": app.source,
-                "tags": list(app.tags),
-                "diffs": len(diffs),
-            }
-            for app, diffs in checks
-        ],
-        "row": row._asdict(),
-    }
+        checks = crosschecks(registry_for(G), rep)
+        row = _row_for_group(G, G.label, "ingested", (), rep, checks)
+        info = {
+            "label": G.label,
+            "order": G.order,
+            "center": rep.center_size,
+            "commutativity_degree": str(G.commutativity_degree()),  # < 1 here, so "num/den"
+            "distinct_centralizers": G.count_distinct_centralizers(),
+            "decomposition": (
+                [list(p) for p in rep.decomposition.parts] if rep.decomposition else None
+            ),
+            "applicable_formulas": [
+                {
+                    "entry": app.entry.key,
+                    "params": list(app.params),
+                    "source": app.source,
+                    "tags": list(app.tags),
+                    "diffs": len(diffs),
+                }
+                for app, diffs in checks
+            ],
+            "row": row._asdict(),
+        }
     if args.format == "json":
         import json
 

@@ -245,11 +245,11 @@ def group_report(G: FiniteGroup) -> GroupReport:
     prime leaves a cyclic quotient and proves C_G(y) abelian
     (``certified``); ``FiniteGroup.is_abelian_subgroup`` tests only the
     other masks.  Then the cliques are the sets C_G(x) - Z(G), and V_s
-    holds |V_s|/(s - z) of them, of size s - z.  A certificate read off a wrong (mask, order) pair mostly shows as a
-    decomposition that route 1 does not match, or one with no clique of
-    some size, which ``CliqueDecomposition`` refuses; where every
-    non-central centralizer has one order the two routes would agree, so
-    the tests check each pair against the table.
+    holds |V_s|/(s - z) of them, of size s - z.  A certificate read off a
+    wrong (mask, order) pair mostly shows as a decomposition that route 1
+    does not match, or as a V_s that is no whole number of cliques; where
+    every non-central centralizer has one order the two routes would agree,
+    so the tests check each pair against the table.
 
     NC indices are computed twice - by these sums and through the complement
     formulas - and must agree.  C indices are computed by these sums and,
@@ -296,9 +296,15 @@ def group_report(G: FiniteGroup) -> GroupReport:
 
     decomposition = None
     if all(m in c.certified or G.is_abelian_subgroup(m) for m in weights):
-        decomposition = CliqueDecomposition(tuple(
-            (v.bit_count() // (s - z), s - z) for s, v in classes.items()
-        ))
+        parts = []
+        for s, v in classes.items():
+            # V_s is not empty, so a count of 0 leaves a remainder
+            count, rest = divmod(v.bit_count(), s - z)
+            if rest:
+                raise RouteMismatchError(f"{G.label}: {v.bit_count()} elements with centralizer "
+                                         f"order {s} are no union of cliques of size {s - z}")
+            parts.append((count, s - z))
+        decomposition = CliqueDecomposition(tuple(parts))
         rep_c_parts = zagreb_from_decomposition(decomposition)
         if rep_c != rep_c_parts:
             raise RouteMismatchError(

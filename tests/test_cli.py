@@ -327,6 +327,24 @@ def test_verify_tries_the_instances_in_the_order_of_the_ranges():
         assert [ps for ps in tried if FAMILIES[family].check(*ps) is None] == kept
 
 
+@pytest.mark.parametrize("cap", [1, 60, 10 ** 4299], ids=["1", "60", "1e4299"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_verify_tries_no_tuple_above_the_cap(family, cap):
+    # verify skips a FamilyError alone: every tuple ``within`` yields from
+    # ranges clipped to [1, cap], as verify clips them, is within the cap.
+    # ``past`` straddles 14285, the bit length of 10^4300 that an order
+    # bound clamps a parameter to, and QD_2^n crosses 10^4299 at n = 14281
+    k = len(FAMILIES[family].params)
+    small, past = range(-2, 9), range(14279, 14290)
+    for ranges in [(small,) * k, (past,) * k, (small, past)[:k], (past, small)[:k]]:
+        tried = [range(max(r.start, 1), min(r.stop, cap + 1)) for r in ranges]
+        for params in FAMILIES[family].within(tried, cap):
+            try:
+                FamilySpec(family, params, order_cap=cap)
+            except FamilyError:
+                pass
+
+
 def test_verify_skips_huge_orders_in_a_range(capsys):
     code, out, err = run(capsys, "verify", "psl2", "--k", "2..5000")
     assert (code, err) == (0, "")
@@ -745,7 +763,7 @@ def test_scan_builds_each_normal_form_once(capsys, monkeypatch, max_order, diges
 def test_a_wrong_certificate_fails_loudly(tmp_path, capsys, monkeypatch):
     # a walk that claimed S_4's D_8 centralizer of a double transposition
     # were <y>Z(G) (order 8 for y) would make route 2 split its 3 elements
-    # into cliques of 7: the report must raise, never print
+    # into cliques of 7: the report must refuse as a route mismatch, never print
     walk = FiniteGroup._power_walk
 
     def wrong(G, *classes):
@@ -754,14 +772,9 @@ def test_a_wrong_certificate_fails_loudly(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "_power_walk", wrong)
     path = cayley_file(tmp_path, GROUP_TABLES["s4"](), "s4.cayley")
-    try:
-        code, out, err = run(capsys, "group", "--cayley", str(path))
-    except ValueError as exc:  # the decomposition's own check
-        assert "must be positive" in str(exc)
-        out = capsys.readouterr().out
-    else:
-        assert code == cli.EXIT_VALIDATION and "direct C report" in err
-    assert out == ""
+    code, out, err = run(capsys, "group", "--cayley", str(path))
+    assert (code, out, err) == (cli.EXIT_VALIDATION, "", "error: s4.cayley: 3 elements with "
+                                "centralizer order 8 are no union of cliques of size 7\n")
 
 
 def test_scan_computes_one_prediction_per_ac_type(capsys, monkeypatch):
@@ -1658,19 +1671,36 @@ def _raise_in_build(monkeypatch, label, exc):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("exc,message", [
-    (KeyError(3), "KeyError: 3"),
-    (ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
-    (MemoryError(), "the group does not fit in memory"),
-    (OverflowError("cannot fit 'int' into an index-sized integer"),
+@pytest.mark.parametrize("extra,exc,message", [
+    (False, KeyError(3), "KeyError: 3"),
+    (False, ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
+    (False, MemoryError(), "the group does not fit in memory"),
+    (False, OverflowError("cannot fit 'int' into an index-sized integer"),
      "the group does not fit in memory"),
-    (ValueError("bad table"), "bad table"),  # the library's own errors keep their text
-], ids=["KeyError", "ZeroDivisionError", "MemoryError", "OverflowError", "ValueError"])
-def test_any_failure_of_a_scan_entry_is_one_line_naming_it(capsys, monkeypatch, exc, message,
-                                                           jobs):
-    _raise_in_build(monkeypatch, "Q_8", exc)
-    code, out, err = run(capsys, "scan", "--max-order", "12", "--jobs", jobs)
-    assert (code, out, err) == (2, "", f"error: Q_8: {message}\n")
+    (False, ValueError("bad table"), "bad table"),  # the library's own errors keep their text
+    (True, MemoryError(), "the group does not fit in memory"),
+    (True, KeyError(3), "KeyError: 3"),
+], ids=["KeyError", "ZeroDivisionError", "MemoryError", "OverflowError", "ValueError",
+        "extra-MemoryError", "extra-KeyError"])
+def test_any_failure_of_a_scan_entry_is_one_line_naming_it(tmp_path, capsys, monkeypatch, extra,
+                                                           exc, message, jobs):
+    # an entry is a catalog group (Q_8, failing in its build) or a
+    # --catalog-extra file (failing in its report), named by its path
+    label, extra_argv = "Q_8", ()
+    if extra:
+        label = cayley_file(tmp_path, build_family(FamilySpec("dihedral", (3,))), "s3.cayley")
+        extra_argv = ("--catalog-extra", str(tmp_path))
+
+        def failing(G):
+            if G.label == "s3.cayley":
+                raise exc
+            return zagreb.group_report(G)
+
+        monkeypatch.setattr(cli, "group_report", failing)
+    else:
+        _raise_in_build(monkeypatch, label, exc)
+    code, out, err = run(capsys, "scan", "--max-order", "12", "--jobs", jobs, *extra_argv)
+    assert (code, out, err) == (2, "", f"error: {label}: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [("family", "dihedral", "--m", "3"),
@@ -1684,17 +1714,28 @@ def test_any_failure_of_a_family_build_is_one_line_naming_it(capsys, monkeypatch
     assert (code, out, err) == (2, "", "error: D_6: KeyError: 'x'\n")
 
 
-@pytest.mark.parametrize("stage", ["ingest_cayley", "group_report"])
+_GROUP_STAGES = ("ingest_cayley", "group_report", "registry_for", "count_distinct_centralizers")
+
+
+@pytest.mark.parametrize("stage,exc,message", [
+    pytest.param(stage, exc, message, id=stage if isinstance(exc, MemoryError)
+                 else f"{stage}-{type(exc).__name__}")
+    for stage in _GROUP_STAGES
+    for exc, message in [(MemoryError(), "the group does not fit in memory"),
+                         (KeyError(3), "KeyError: 3"), (ValueError("bad table"), "bad table")]])
 def test_group_table_too_large_for_memory_is_one_error_line(tmp_path, capsys, monkeypatch,
-                                                            stage):
+                                                            stage, exc, message):
+    # any failure of reading, reporting or crosschecking the table, not only
+    # memory, is one line naming the file
     path = cayley_file(tmp_path, build_family(FamilySpec("dihedral", (3,))), "s3.cayley")
 
     def failing(*args):
-        raise MemoryError
+        raise exc
 
-    monkeypatch.setattr(cli, stage, failing)
+    monkeypatch.setattr(FiniteGroup if stage == "count_distinct_centralizers" else cli,
+                        stage, failing)
     code, out, err = run(capsys, "group", "--cayley", str(path))
-    assert (code, out, err) == (2, "", f"error: {path}: the group does not fit in memory\n")
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 # -- scan --catalog-extra: blank lines before the order, subdirectories ----------------
