@@ -495,11 +495,11 @@ def _cap_refusal(family: str, params: tuple[int, ...], order_cap: int) -> str | 
 # ---------------------------------------------------------------------------
 
 def _labelled(form: NormalForm, order: int, label: str) -> FiniteGroup:
-    """The group ``form`` builds, named ``label``; a FamilyError if its order
-    is not the ``order`` that its family or the roster states."""
+    """The group ``form`` builds, named ``label``; a FamilyError, which the
+    CLI names, if its order is not the ``order`` its family or roster states."""
     G = form.build()
     if G.order != order:
-        raise FamilyError(f"{label}: construction produced order {G.order}, expected {order}")
+        raise FamilyError(f"construction produced order {G.order}, expected {order}")
     G.label = label
     return G
 

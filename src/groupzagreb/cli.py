@@ -92,10 +92,6 @@ class ScanRow(NamedTuple):
     gap_nc: str
     formula_diffs: int
 
-    def csv_fields(self) -> tuple:
-        # params is the one non-scalar field: ";"-joined in CSV, a list in JSON
-        return self._replace(params=";".join(map(str, self.params)))
-
 
 class GraphRow(NamedTuple):
     """The report of an edge-list graph, or of its complement."""
@@ -107,9 +103,6 @@ class GraphRow(NamedTuple):
     m2: int
     verdict: str
     gap: str
-
-    def csv_fields(self) -> tuple:
-        return self
 
 
 # every flag a family parameter can take, in first-use order over the table
@@ -230,8 +223,9 @@ def _scan_order(entries: list[CatalogEntry]) -> list[ScanRow]:
 def _emit_rows(rows: list[ScanRow] | list[GraphRow], fmt: str,
                summary: dict | None = None) -> None:
     """Print ``rows``, at least one and all of one type, as a JSON list of
-    objects or as CSV under a header of the field names; a ``summary`` wraps
-    the list, or follows the CSV as one comment line."""
+    objects or as CSV under a header of the field names; a tuple field, such
+    as ``params``, is a list in JSON and ";"-joined in CSV.  A ``summary``
+    wraps the list, or follows the CSV as one comment line."""
     out = sys.stdout
     if fmt == "json":
         import json
@@ -245,7 +239,7 @@ def _emit_rows(rows: list[ScanRow] | list[GraphRow], fmt: str,
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(rows[0]._fields)
     for r in rows:
-        writer.writerow(r.csv_fields())
+        writer.writerow([";".join(map(str, v)) if isinstance(v, tuple) else v for v in r])
     if summary is not None:
         pairs = " ".join(f"{k}={v}" for k, v in summary.items())
         out.write(f"# scan: {pairs}\n")

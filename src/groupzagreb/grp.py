@@ -23,32 +23,33 @@ classes.  One cached pass per group (``commutation``, a ``Commutation``
 record) starts from the maps of a greedy generating set (at most log2(n)
 elements, a subgroup closed one left coset at a time, found once and
 cached, or named by the builder, which the tests pin to the same set),
-maps it drops when the pass ends, and finds in turn: Z(G), the
+maps it drops when the class walk ends, and finds in turn: Z(G), the
 intersection of their masks, where an abelian G stops; the classes of
 G/Z(G), in one walk of those maps and of left multiplication by a greedy
 generating set of Z(G) (``class_of``, ``sizes``, ``reps``), since the
 class of xZ(G) is the set of the c*h*x*h^-1 with c central, so no coset is
 numbered on the way; a mask and a coset order per class; the abelian
-certificates; and k(G).  Whether x and y commute depends only on their
-cosets xZ(G) and yZ(G), and conjugate elements have conjugate
-centralizers, so one centralizer bitmask per class of G/Z(G) (``masks``)
-carries every commutation fact the library reports.
+masks; and k(G).  Whether x and y commute depends only on their cosets
+xZ(G) and yZ(G), and conjugate elements have conjugate centralizers, so
+one centralizer bitmask per class of G/Z(G) (``masks``) carries every
+commutation fact the library reports.
 The power walk (``_power_walk``) goes along an element's row, to the first
 central power, and proves which of its powers share its centralizer: the
 coprime ones, and every one whose class is so small that Lagrange leaves no
 room between the two centralizers.  It hands the mask to each such class,
 with the order of the power's coset in G/Z(G) (``orders``): at most one
-mask per power class, often fewer.  A mask whose index over <y>Z(G), which
-is central in it, is 1 or a prime is abelian (``certified``, decided once
-per distinct mask and order), which spares the AC test of
-``zagreb.group_report`` and the generator masks of the count below on all
-but 1 of the distinct masks of ``catalog(256)``.  ``center``,
-``commutativity_degree`` and ``count_distinct_centralizers`` read that one
-record.  From it come the Zagreb sums of ``zagreb.group_report``,
-Pr(G) = k(G)/n, the distinct-centralizer count, which adds the center of
-each class's centralizer, the mask itself when certified and otherwise at
-most log2 of its order further masks, and the element orders of G/Z(G) from
-which ``formulas.dispatch`` reads its shape; no quotient table is built.
+mask per power class, often fewer.  The pass decides once per distinct
+mask whether it is abelian (``abelian``): a mask whose index over
+<y>Z(G), which is central in it, is 1 or a prime is abelian by its size,
+and only the others, 1 mask over the groups of ``catalog(256)``, go to
+``is_abelian_subgroup``.  ``center``, ``commutativity_degree`` and
+``count_distinct_centralizers`` read that one record, and
+``zagreb.group_report`` reads nothing else.  From it come the Zagreb sums
+and the AC test of the report, Pr(G) = k(G)/n, the distinct-centralizer
+count, which adds the center of each class's centralizer, the mask itself
+when abelian and otherwise at most log2 of its order further masks, and
+the element orders of G/Z(G) from which ``formulas.dispatch`` reads its
+shape; no quotient table is built.
 Also here: ``bitmask`` and ``flags_of``, the one format in which a set of
 elements is an int, bit i for element i.  No text is read here: the
 Cayley-table and edge-list parsers each read their own.
@@ -110,7 +111,8 @@ class Commutation(NamedTuple):
                 elements have conjugate centralizers of equal order, so one
                 mask per class carries every degree of C(G) and NC(G);
       orders    the order of that yZ(G) in G/Z(G);
-      certified the masks their size proves abelian;
+      abelian   the distinct masks of non-central classes that are abelian
+                subgroups, and G itself when G is abelian;
       k         k(G) = sum_x |C_G(x)| / n."""
 
     center: tuple[int, ...]
@@ -119,7 +121,7 @@ class Commutation(NamedTuple):
     reps: list[int]
     masks: tuple[int, ...]
     orders: tuple[int, ...]
-    certified: frozenset[int]
+    abelian: frozenset[int]
     k: int
 
 
@@ -239,13 +241,14 @@ class FiniteGroup:
         abelian G stops with one class, of mask G and order 1; the classes of G/Z(G), one walk of
         those maps and the rows of a greedy generating set of Z(G), since
         the class of gZ(G) holds the c*h*g*h^-1 with c central:
-        n*(|S| + |S_Z|) steps; ``_power_walk``; the certificates, once per
-        distinct (mask, order) pair; and k(G) = sum_x |C_G(x)| / n.
+        n*(|S| + |S_Z|) steps; ``_power_walk``; the abelian masks; and
+        k(G) = sum_x |C_G(x)| / n.
 
         A class's mask C_G(y) contains K = <y>Z(G), of order o*z with
         o = |yZ(G)|, and K is central in it.  When [C_G(y) : K] is 1 or a
         prime, C_G(y)/K is cyclic, so C_G(y) is K and one element that
-        commutes with K: abelian."""
+        commutes with K: abelian.  ``is_abelian_subgroup`` tests only the
+        distinct masks that this proves for no (mask, order) pair."""
         n = self.order
         gens = self.generators
         maps = list(map(self._conjugation, gens))
@@ -273,13 +276,15 @@ class FiniteGroup:
                         class_of[p] = k
                         todo.append(p)
             sizes.append(len(todo))
+        del maps, walk  # n cells per generator, which nothing past the class walk reads
         masks, orders = self._power_walk(class_of, sizes, reps, z)
         order_of = [m.bit_count() for m in masks]
-        certified = frozenset(
-            m for m, s, o in set(zip(masks, order_of, orders))
-            if not s % (o * z) and (s == o * z or is_prime(s // (o * z))))
+        certified = {m for m, s, o in set(zip(masks, order_of, orders))
+                     if not s % (o * z) and (s == o * z or is_prime(s // (o * z)))}
+        abelian = frozenset(m for m in set(masks[1:])
+                            if m in certified or self.is_abelian_subgroup(m))
         k = sum(map(mul, sizes, order_of)) // n
-        return Commutation(center, class_of, sizes, reps, masks, orders, certified, k)
+        return Commutation(center, class_of, sizes, reps, masks, orders, abelian, k)
 
     def _power_walk(self, class_of: list[int], sizes: list[int], reps: list[int],
                     z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -353,21 +358,21 @@ class FiniteGroup:
 
         For m = C_G(x), the mask of x's non-central class, C_G(y) = m iff
         y lies in Z(m) and |C_G(y)| = |m|.  Z(m) is m itself when the mask is
-        certified, and otherwise m ANDed with the masks of a greedy
-        generating set of m.  The elements of the class have
+        abelian (``Commutation.abelian``), and otherwise m ANDed with the
+        masks of a greedy generating set of m.  The elements of the class have
         conjugate centralizers, each shared by as many of them as lie in
         Z(m).  A class with elements in Z(m) and centralizers of order |m|
         has the same centralizers, and is skipped.
         """
         c = self.commutation
-        class_of, sizes, masks, certified = c.class_of, c.sizes, c.masks, c.certified
+        class_of, sizes, masks, abelian = c.class_of, c.sizes, c.masks, c.abelian
         skip: set[int] = set()
         count = 1
         for i, m in enumerate(masks[1:], 1):
             if i in skip:
                 continue
             center_of_m = m
-            if m not in certified:
+            if m not in abelian:
                 gens = self._greedy_generators(self._members(m))
                 center_of_m = reduce(and_, map(self._centralizer_mask, gens), m)
             inside = Counter(class_of[y] for y in self._members(center_of_m))

@@ -10,7 +10,7 @@ routes are
   1. those direct sums, for C(G) and, separately, for NC(G);
   2. the clique decomposition of C(G), when it is a disjoint union of
      cliques, that is when every centralizer of a non-central element is
-     abelian, which the size of a mask proves for almost every group;
+     abelian, as the same pass records (``Commutation.abelian``);
   3. the complement identities, which give NC(G) from C(G).
 C must agree across routes 1 and 2 whenever 2 exists, and NC across 1 and 3.
 
@@ -239,17 +239,15 @@ def group_report(G: FiniteGroup) -> GroupReport:
 
     C(G) is a disjoint union of cliques iff commuting is transitive on the
     non-central elements, iff C_G(x) is abelian for every non-central x (G is
-    an AC-group); it suffices to test one element per class, once per
-    distinct mask.  A class's mask C_G(y) with o = |yZ(G)| contains <y>Z(G),
-    of order o*z and central in it, so an index |C_G(y)|/(o*z) of 1 or a
-    prime leaves a cyclic quotient and proves C_G(y) abelian
-    (``certified``); ``FiniteGroup.is_abelian_subgroup`` tests only the
-    other masks.  Then the cliques are the sets C_G(x) - Z(G), and V_s
-    holds |V_s|/(s - z) of them, of size s - z.  A certificate read off a
-    wrong (mask, order) pair mostly shows as a decomposition that route 1
+    an AC-group), iff every distinct class mask is in ``abelian``, which
+    the pass decides once per mask (``grp``).  Then the cliques are the
+    sets C_G(x) - Z(G), and V_s holds |V_s|/(s - z) of them, of size s - z.
+    A mask wrongly held abelian mostly shows as a decomposition that route 1
     does not match, or as a V_s that is no whole number of cliques; where
     every non-central centralizer has one order the two routes would agree,
-    so the tests check each pair against the table.
+    so the tests check ``abelian`` against the table.
+
+    The report reads only G's ``order``, ``label`` and ``commutation``.
 
     NC indices are computed twice - by these sums and through the complement
     formulas - and must agree.  C indices are computed by these sums and,
@@ -295,7 +293,7 @@ def group_report(G: FiniteGroup) -> GroupReport:
     rep_nc = ZagrebReport(m1_nc, m2_nc_twice // 2, n - z, edges_nc_twice // 2)
 
     decomposition = None
-    if all(m in c.certified or G.is_abelian_subgroup(m) for m in weights):
+    if c.abelian.issuperset(weights):
         parts = []
         for s, v in classes.items():
             # V_s is not empty, so a count of 0 leaves a remainder

@@ -673,8 +673,8 @@ def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
     # takes C(r) from the walk along r, 4 masks where one per power class
     # took 13).  A generator's mask, which Z(G) takes, is not computed again
     # when the generator comes back as a class representative, and a
-    # centralizer certified abelian by its size needs no generator masks in
-    # the count.  `most` is the measured total, center included; one mask
+    # centralizer the commutation pass found abelian needs no generator masks
+    # in the count.  `most` is the measured total, center included; one mask
     # per power class took 405, 4, 8 and 13
     calls = _count_masks(monkeypatch)
     code, out, err = run(capsys, *argv)
@@ -685,28 +685,31 @@ def test_reports_compute_one_mask_per_class(capsys, monkeypatch, argv, most):
 
 
 def test_group_counts_centralizers_from_few_masks(tmp_path, capsys, monkeypatch):
-    # PSL(2,8): 5 masks in all, center included.  Z(G) takes the masks of
+    # PSL(2,8): 3 masks in all, center included.  Z(G) takes the masks of
     # the 3 greedy generators, which here are the representatives of the
     # classes of order 7, 2 and 9.  The walk along the one of order 9 hands
     # its mask to the classes of its coprime powers and, by Lagrange, to the
-    # class of its cube, so the classes take no new mask.  The count finds
-    # the cyclic centralizers of orders 7 and 9 certified abelian
-    # (|C(y)| = |yZ(G)|*|Z(G)|), skips the class of order 3 inside the one of
-    # order 9, and takes the masks of the 3 greedy generators of the
-    # involution's E_8 alone, 1 of them held already.  One mask per
-    # generator of every centralizer took 6, one per central coset 511
+    # class of its cube, so the classes take no new mask.  The commutation
+    # pass certifies the cyclic centralizers of orders 7 and 9 abelian by
+    # their size (|C(y)| = |yZ(G)|*|Z(G)|) and tests the involution's E_8,
+    # which it finds abelian too, so the count takes the mask itself as the
+    # center of every centralizer, the E_8's generators included, and skips
+    # the class of order 3 inside the one of order 9.  Generator masks for
+    # the E_8 took 5, one mask per generator of every centralizer 6, one
+    # per central coset 511
     path = cayley_file(tmp_path, GROUP_TABLES["psl2_8-relabelled"](), "psl2_8.cayley")
     calls = _count_masks(monkeypatch)
     code, out, _ = run(capsys, "group", "--cayley", str(path))
     assert code == 0
     assert "# distinct_centralizers: 74" in out
-    assert calls[0] <= 5
+    assert calls[0] <= 3
 
 
 def test_scan_tests_only_uncertified_centralizers(capsys, monkeypatch):
     # a class's mask of |yZ(G)|*|Z(G)| elements is <y>Z(G), abelian by
-    # construction, so group_report tests only the other masks: 12 calls
-    # over the scan to 256, where a test of every distinct mask makes 1378
+    # construction, so the commutation pass tests only the other masks: 12
+    # calls over the scan to 256, where a test of every distinct mask makes
+    # 1378
     calls = [0]
     test = FiniteGroup.is_abelian_subgroup
 
@@ -1670,8 +1673,18 @@ def _raise_in_build(monkeypatch, label, exc):
     monkeypatch.setattr(CatalogEntry, "build", failing)
 
 
+# a real build of the wrong order, not a patched one: D_6's form builds D_8
+_WRONG_ORDER = "construction produced order 8, expected 6"
+
+
+def _build_d6_of_order_8(monkeypatch):
+    dihedral = FAMILIES["dihedral"]
+    monkeypatch.setitem(FAMILIES, "dihedral", dihedral._replace(form=lambda m: dihedral.form(m + 1)))
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("extra,exc,message", [
+    (False, None, _WRONG_ORDER),  # D_6, named once
     (False, KeyError(3), "KeyError: 3"),
     (False, ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
     (False, MemoryError(), "the group does not fit in memory"),
@@ -1680,14 +1693,18 @@ def _raise_in_build(monkeypatch, label, exc):
     (False, ValueError("bad table"), "bad table"),  # the library's own errors keep their text
     (True, MemoryError(), "the group does not fit in memory"),
     (True, KeyError(3), "KeyError: 3"),
-], ids=["KeyError", "ZeroDivisionError", "MemoryError", "OverflowError", "ValueError",
-        "extra-MemoryError", "extra-KeyError"])
+], ids=["wrong-order", "KeyError", "ZeroDivisionError", "MemoryError", "OverflowError",
+        "ValueError", "extra-MemoryError", "extra-KeyError"])
 def test_any_failure_of_a_scan_entry_is_one_line_naming_it(tmp_path, capsys, monkeypatch, extra,
                                                            exc, message, jobs):
-    # an entry is a catalog group (Q_8, failing in its build) or a
-    # --catalog-extra file (failing in its report), named by its path
+    # an entry is a catalog group (Q_8, failing in its build, or D_6, built
+    # of the wrong order) or a --catalog-extra file (failing in its report),
+    # named by its path
     label, extra_argv = "Q_8", ()
-    if extra:
+    if exc is None:
+        label = "D_6"
+        _build_d6_of_order_8(monkeypatch)
+    elif extra:
         label = cayley_file(tmp_path, build_family(FamilySpec("dihedral", (3,))), "s3.cayley")
         extra_argv = ("--catalog-extra", str(tmp_path))
 
@@ -1703,15 +1720,25 @@ def test_any_failure_of_a_scan_entry_is_one_line_naming_it(tmp_path, capsys, mon
     assert (code, out, err) == (2, "", f"error: {label}: {message}\n")
 
 
-@pytest.mark.parametrize("argv", [("family", "dihedral", "--m", "3"),
-                                  ("verify", "dihedral", "--m", "3..5")], ids=["family", "verify"])
-def test_any_failure_of_a_family_build_is_one_line_naming_it(capsys, monkeypatch, argv):
-    def failing(spec):
-        raise KeyError("x")
+@pytest.mark.parametrize("argv,wrong_order", [
+    (("family", "dihedral", "--m", "3"), False),
+    (("verify", "dihedral", "--m", "3..5"), False),
+    (("family", "dihedral", "--m", "3"), True),
+    (("verify", "dihedral", "--m", "3..5"), True),
+], ids=["family", "verify", "family-wrong-order", "verify-wrong-order"])
+def test_any_failure_of_a_family_build_is_one_line_naming_it(capsys, monkeypatch, argv,
+                                                             wrong_order):
+    message = _WRONG_ORDER
+    if wrong_order:
+        _build_d6_of_order_8(monkeypatch)
+    else:
+        def failing(spec):
+            raise KeyError("x")
 
-    monkeypatch.setattr(cli, "build_family", failing)
+        monkeypatch.setattr(cli, "build_family", failing)
+        message = "KeyError: 'x'"
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", "error: D_6: KeyError: 'x'\n")
+    assert (code, out, err) == (2, "", f"error: D_6: {message}\n")
 
 
 _GROUP_STAGES = ("ingest_cayley", "group_report", "registry_for", "count_distinct_centralizers")

@@ -360,7 +360,7 @@ def test_an_abelian_group_gives_one_class(n):
     c = cyclic(n).commutation
     assert isinstance(c, Commutation)
     assert (c.sizes, c.k, c.class_of, c.reps) == ([n], n, [0] * n, [0])
-    assert c.masks == (2 ** n - 1,) and c.certified == {2 ** n - 1}
+    assert c.masks == (2 ** n - 1,) and c.abelian == {2 ** n - 1}
 
 
 # -- every commutation query against the table-scanning oracles ----------------------
@@ -491,36 +491,39 @@ def test_class_mask_and_order_belong_to_one_element(build):
 @POWER_WALK_GROUPS
 def test_certified_masks_are_abelian(build):
     # |C(y)| = |yZ(G)|*|Z(G)| proves C(y) = <y>Z(G), so the certificate is
-    # never wrong, and the count that reads it matches the table's
+    # never wrong, the test decides the other masks, and the count that
+    # reads them matches the table's
     G = build()
-    assert all(naive_is_abelian(G, m) for m in G.commutation.certified)
-    assert G.commutation.certified <= set(G.commutation.masks)
+    masks = set(G.commutation.masks)
+    assert G.commutation.abelian == {m for m in masks if naive_is_abelian(G, m)}
     assert G.count_distinct_centralizers() == len(set(centralizer_masks(G)))
 
 
-def assert_certified_masks_abelian(G):
-    # per the table: every element of the mask commutes with all of it
+def assert_abelian_masks_match_the_table(G):
+    # per the table: a class mask is in ``abelian`` iff every element of it
+    # commutes with all of it
     cents = centralizer_masks(G)
-    for m in G.commutation.certified:
-        assert all(m & ~cents[y] == 0 for y in bits(m)), G.label
+    per_table = {m for m in set(G.commutation.masks)
+                 if all(m & ~cents[y] == 0 for y in bits(m))}
+    assert G.commutation.abelian == per_table, G.label
 
 
 @COMMUTATION_GROUPS
 def test_certified_masks_are_abelian_per_the_table(build):
-    assert_certified_masks_abelian(build())
+    assert_abelian_masks_match_the_table(build())
 
 
 @pytest.mark.parametrize("entry", catalog(256), ids=lambda e: e.label)
 def test_certified_masks_of_the_catalog_are_abelian_per_the_table(entry):
-    assert_certified_masks_abelian(entry.build())
+    assert_abelian_masks_match_the_table(entry.build())
 
 
 def test_prime_index_certifies_the_centralizer_of_a_transposition():
     # S_4: C((12)) = <(12), (34)> has index 2 over <(12)>, C(4-cycle) is
     # the cycle's own <y>, C(3-cycle) too; C((12)(34)) = D_8 has index 4
-    # over <(12)(34)> and stays uncertified
+    # over <(12)(34)>, stays uncertified, and the test finds it non-abelian
     G = special_group("S_4")
-    assert sorted(len(bits(m)) for m in G.commutation.certified) == [3, 4, 4]
+    assert sorted(len(bits(m)) for m in G.commutation.abelian) == [3, 4, 4]
 
 
 def test_class_masks_of_pgl_2_7_are_one_per_class():

@@ -3,6 +3,7 @@
 import random
 import re
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -428,6 +429,22 @@ def test_group_report_on_2_1_4_needs_abelian_centralizers():
     rep = assert_report_matches_graph_oracles(G)
     assert rep.decomposition is None
     assert (rep.c.m1, rep.c.m2, rep.c.edges) == (5070, 32955, 195)
+
+
+# one entry per distinct group of catalog(64), S_4 among them, as the scan
+# builds them, and an ingested table
+RECORD_ONLY = {e.label: e.build for e in {e.form(): e for e in CATALOG_64}.values()}
+RECORD_ONLY["ingested 2^{1+4}_+"] = lambda: relabelled(extraspecial_32(), 9)
+
+
+@pytest.mark.parametrize("build", RECORD_ONLY.values(), ids=list(RECORD_ONLY))
+def test_a_report_reads_nothing_but_the_record(build):
+    # the AC test reads ``Commutation.abelian``, so the report needs no row
+    # and no query of the group: S_4's D_8 centralizer, which no size
+    # certificate covers, is decided in the record too
+    G = build()
+    record = SimpleNamespace(order=G.order, label=G.label, commutation=G.commutation)
+    assert group_report(record) == group_report(G)
 
 
 _real_verdict = zagreb.conjecture_verdict
